@@ -173,8 +173,9 @@ def suggest_anticontrol(
     Sets N = P = 0 and M = (1 - c) + margin, then nudges M onto the float
     grid so the offset M + N + c - 1 reproduces ``margin`` exactly whenever
     some double M can (the offset lives on the grid of 1 + margin, which is
-    coarser than the grid of margin itself for about half of all margins;
-    those get the nearest representable offset).  Raises
+    coarser than the grid of margin itself for about half of all margins,
+    and M + c reaches only every other point of it when c's rounding makes
+    each sum a tie; those get the nearest reachable offset).  Raises
     NotStableRegimeError unless 0 < c < 1.
     """
     if not (a > 0.0 and b > 0.0):

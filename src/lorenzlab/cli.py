@@ -14,16 +14,7 @@ from dataclasses import replace
 
 from .chaos import largest_lyapunov_exponent, regime_classify, suggest_anticontrol
 from .equilibria import classify_origin, find_equilibria, origin_eigenvalues
-from .errors import (
-    DegenerateBError,
-    DegenerateParamsError,
-    DivergedTrajectoryError,
-    EigenvalueCollisionError,
-    NotASaddleError,
-    NotStableRegimeError,
-    UnsupportedFormatError,
-    UnsupportedPresetError,
-)
+from .errors import LorenzLabError, UnsupportedFormatError
 from .integrator import (
     IntegratorMode,
     IntegratorSettings,
@@ -35,21 +26,6 @@ from .model import Preset, State, SystemParams, from_preset
 from .orbits import Branch, branch_symmetry_deviation, trace_heteroclinic
 from .serialize import emit, to_jsonable
 from .sweep import TASKS, SweepAxis, SweepSpec, run_sweep
-
-_NUMERICAL_ERRORS = (
-    DegenerateBError,
-    DegenerateParamsError,
-    DivergedTrajectoryError,
-    EigenvalueCollisionError,
-    NotASaddleError,
-    NotStableRegimeError,
-    UnsupportedPresetError,
-)
-
-
-class _UsageError(Exception):
-    pass
-
 
 def _add_system_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("system")
@@ -229,34 +205,27 @@ def _cmd_suggest(args) -> int:
 def _parse_axis(text: str) -> SweepAxis:
     parts = text.split(":")
     if len(parts) != 4:
-        raise _UsageError(f"--axis expects NAME:START:STOP:COUNT, got {text!r}")
+        raise ValueError(f"--axis expects NAME:START:STOP:COUNT, got {text!r}")
     name, start, stop, count = parts
-    try:
-        return SweepAxis(name, float(start), float(stop), int(count))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return SweepAxis(name, float(start), float(stop), int(count))
 
 
 def _cmd_sweep(args) -> int:
     if not args.axis:
-        raise _UsageError("at least one --axis is required")
+        raise ValueError("at least one --axis is required")
     if len(args.axis) > 2:
-        raise _UsageError("at most two --axis options are allowed")
+        raise ValueError("at most two --axis options are allowed")
     axes = tuple(_parse_axis(text) for text in args.axis)
     tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
-    try:
-        spec = SweepSpec(
-            base=_params(args),
-            axes=axes,
-            tasks=tasks,
-            seed=args.seed,
-            settings=_settings(args),
-            lle_renorm_interval=args.renorm_interval,
-            lle_horizon=args.horizon,
-            lle_transient=args.transient,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    spec = SweepSpec(
+        base=_params(args),
+        axes=axes,
+        tasks=tasks,
+        settings=_settings(args),
+        lle_renorm_interval=args.renorm_interval,
+        lle_horizon=args.horizon,
+        lle_transient=args.transient,
+    )
     result = run_sweep(spec, workers=args.workers)
     emit(result, args.format, args.out)
     return 0
@@ -359,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--tasks", default="equilibria", help=f"comma list from {TASKS}")
     sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--renorm-interval", type=float, default=1.0)
     sp.add_argument("--horizon", type=float, default=500.0)
     sp.add_argument("--transient", type=float, default=50.0)
@@ -373,16 +341,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (ValueError, UnsupportedFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnsupportedFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
+    except LorenzLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -60,6 +60,9 @@ _SHRINK_LIMIT = 0.2
 _GROW_LIMIT = 5.0
 _ORDER_EXPONENT = 0.2  # 1/5 for a 5th-order propagated solution
 
+# consecutive accepted states inside the capture ball that count as capture
+_DWELL_CHECKS = 10
+
 
 class IntegratorMode(enum.Enum):
     FIXED_RK4 = "fixed_rk4"
@@ -90,7 +93,6 @@ class IntegratorSettings:
     t_max: float = 200.0
     max_steps: int = 1_000_000
     blowup_norm: float = 1e6
-    backward: bool = False  # integrate the negated field (time reversal)
 
     def __post_init__(self) -> None:
         if not (self.dt_init > 0.0 and math.isfinite(self.dt_init)):
@@ -230,20 +232,20 @@ def _drive(
     t_end: float,
     targets: Sequence[tuple] | None = None,
     capture_radius: float = 0.0,
-    dwell_checks: int = 10,
     record: bool = True,
     dt_start: float | None = None,
 ) -> _DriveResult:
     """Shared stepping loop for both modes.
 
     When ``targets`` is given, each accepted state updates a dwell counter:
-    a run of ``dwell_checks`` consecutive states inside ``capture_radius``
+    a run of ``_DWELL_CHECKS`` consecutive states inside ``capture_radius``
     of one fixed target ends the run as CAPTURED_EQUILIBRIUM.  The counter
     guards against transient passes near a saddle.  While dwelling in
     adaptive mode the step is clamped so the remaining time still allows
     the required number of checks.
     """
     fixed = settings.mode is IntegratorMode.FIXED_RK4
+    dwell_checks = _DWELL_CHECKS
     dt = settings.dt_init if dt_start is None else dt_start
     t = 0.0
     s = u0
@@ -350,28 +352,13 @@ def _drive(
     return res
 
 
-def _field(p: SystemParams, settings: IntegratorSettings) -> Callable:
-    f = _bound_rhs(p)
-    if not settings.backward:
-        return f
-
-    def neg(s: tuple) -> tuple:
-        return tuple(-v for v in f(s))
-
-    return neg
-
-
 def integrate(
     p: SystemParams, u0: State | tuple, settings: IntegratorSettings | None = None
 ) -> Trajectory:
-    """Integrate from u0 over [0, t_max]; record every accepted step.
-
-    With settings.backward the negated field is integrated, so the result
-    is the time-reversed orbit parameterized by elapsed (positive) time.
-    """
+    """Integrate from u0 over [0, t_max]; record every accepted step."""
     if settings is None:
         settings = IntegratorSettings()
-    res = _drive(_field(p, settings), tuple(u0), settings, settings.t_max)
+    res = _drive(_bound_rhs(p), tuple(u0), settings, settings.t_max)
     return Trajectory(
         times=tuple(res.times),
         states=tuple(State(*s) for s in res.states),
@@ -385,14 +372,13 @@ def integrate_to_equilibrium(
     eqs: EquilibriumSet,
     capture_radius: float = 1e-6,
     settings: IntegratorSettings | None = None,
-    dwell_checks: int = 10,
     include_origin: bool = True,
 ) -> ConvergenceOutcome:
     """Integrate until one of the equilibria in ``eqs`` captures the orbit.
 
-    Capture means ``dwell_checks`` consecutive accepted states (the initial
-    state counts) within ``capture_radius`` of the same equilibrium.  Runs
-    that reach t_max, diverge, or hit the step limit return terminal=None
+    Capture means ten consecutive accepted states (the initial state
+    counts) within ``capture_radius`` of the same equilibrium.  Runs that
+    reach t_max, diverge, or hit the step limit return terminal=None
     with the corresponding trajectory status.  ``include_origin=False``
     restricts the candidate set to the symmetric pair; callers seeded
     inside the origin ball need this, or the dwell counter fills while the
@@ -405,13 +391,12 @@ def integrate_to_equilibrium(
         candidates.extend(eqs.pair)
     targets = [tuple(e.location) for e in candidates] or None
     res = _drive(
-        _field(p, settings),
+        _bound_rhs(p),
         tuple(u0),
         settings,
         settings.t_max,
         targets=targets,
         capture_radius=capture_radius,
-        dwell_checks=dwell_checks,
     )
     trajectory = Trajectory(
         times=tuple(res.times),

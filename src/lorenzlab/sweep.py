@@ -71,17 +71,13 @@ class SweepAxis:
 class SweepSpec:
     """Base parameters, up to two axes, and the tasks to run per cell.
 
-    The current tasks are all deterministic; ``seed`` is recorded with the
-    result so downstream files stay self-describing, and any task that
-    ever needs randomness must derive its generator from (seed, cell
-    index), never from global state.  The integrator settings and the
-    lle_* knobs only matter when the "lle" task is on.
+    Every task is deterministic.  The integrator settings and the lle_*
+    knobs only matter when the "lle" task is on.
     """
 
     base: SystemParams
     axes: tuple[SweepAxis, ...]
     tasks: tuple[str, ...]
-    seed: int = 0
     settings: IntegratorSettings = field(default_factory=IntegratorSettings)
     lle_renorm_interval: float = 1.0
     lle_horizon: float = 500.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
     DivergedTrajectoryError,
@@ -175,22 +175,40 @@ def test_suggestion_rejects_bad_scalars():
         suggest_anticontrol(10.0, 8.0 / 3.0, 0.5, 0.0)
 
 
+def _best_offset_error(c, margin, span=64):
+    """Smallest |d - margin| over the doubles within ``span`` steps of the
+    seed gain (1 - c) + margin, with d computed as the suggestion does."""
+    m_seed = (1.0 - c) + margin
+    gains, up, down = [m_seed], m_seed, m_seed
+    for _ in range(span):
+        up = math.nextafter(up, math.inf)
+        down = math.nextafter(down, -math.inf)
+        gains += [up, down]
+    return min(abs(m + 0.0 + c - 1.0 - margin) for m in gains)
+
+
 @hsettings(deadline=None, max_examples=200)
 @given(
     c=st.floats(min_value=0.01, max_value=0.99),
     margin=st.floats(min_value=1e-9, max_value=1e6),
 )
+@example(c=0.7766358055412363, margin=2.00001)
 def test_suggested_gain_reproduces_the_offset_on_the_grid(c, margin):
-    """The suggested gain reproduces the requested pitchfork offset bit
-    for bit whenever that is possible at all.  M + c rounds onto the grid
-    of 1 + margin, so offsets whose low bit falls below ulp(1 + margin)
-    (e.g. margin = 0.6513920778032488) are unreachable by any finite M;
-    for those the nearest grid point is the contract."""
+    """The suggested gain realizes the nearest offset any gain near the
+    seed can reach, and the requested offset bit for bit whenever some
+    gain can.  M + c rounds onto the grid of 1 + margin, so offsets whose
+    low bit falls below ulp(1 + margin) (e.g. margin = 0.6513920778032488)
+    are unreachable.  So is every other point of that grid when the bits
+    of c below it come to exactly half its spacing: each sum M + c is
+    then a rounding tie and goes to the even neighbour
+    (c = 0.7766358055412363, margin = 2.00001 misses by one ulp although
+    1 + margin - 1 == margin)."""
     sug = suggest_anticontrol(10.0, 8.0 / 3.0, c, margin)
     p = sug.params
     d = p.M + p.N + p.c - 1.0
     assert d > 0.0
-    if (1.0 + margin) - 1.0 == margin:
+    best = _best_offset_error(c, margin)
+    assert abs(d - margin) == best
+    if best == 0.0:
         assert d == margin
-    else:
-        assert abs(d - margin) <= 2.0**-52 * (1.0 + margin)
+    assert abs(d - margin) <= 2.0**-52 * (1.0 + margin)

@@ -177,20 +177,6 @@ def test_step_limit_status():
     assert len(tr.times) == len(tr.states)
 
 
-def test_backward_flag_reverses_time():
-    fw = integrate(
-        REGULAR,
-        State(2.0, -1.0, 3.0),
-        IntegratorSettings(t_max=2.0, rel_tol=1e-10),
-    )
-    back = integrate(
-        REGULAR,
-        fw.states[-1],
-        IntegratorSettings(t_max=2.0, rel_tol=1e-10, backward=True),
-    )
-    assert math.dist(back.states[-1], (2.0, -1.0, 3.0)) < 1e-6
-
-
 def test_trajectory_records_initial_state():
     tr = integrate(REGULAR, State(1.0, 2.0, 3.0), IntegratorSettings(t_max=1.0))
     assert tr.times[0] == 0.0

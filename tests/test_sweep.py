@@ -129,8 +129,3 @@ def test_lle_task_smoke():
     col = res.columns.index("lle")
     for row in res.rows:
         assert isinstance(row[col], float)
-
-
-def test_seed_is_recorded():
-    res = run_sweep(_spec(seed=31337), workers=1)
-    assert res.spec.seed == 31337
