@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from .equilibria import EquilibriumKind, OriginClass, classify_origin, find_equilibria
 from .errors import DegenerateBError, DivergedTrajectoryError, NotStableRegimeError
-from .integrator import IntegratorSettings, TrajectoryStatus, _drive
+from .integrator import IntegratorSettings, TrajectoryStatus, _drive, _kernels
 from .lyapunov import certificate
-from .model import State, SystemParams
+from .model import _FIELD_SOURCE, State, SystemParams
 
 
 @dataclass(frozen=True)
@@ -60,26 +60,14 @@ class AnticontrolSuggestion:
     note: str
 
 
-def _variational_rhs(p: SystemParams):
-    """Joint right-hand side for (x, y, z, dx, dy, dz)."""
-    a = p.a
-    b = p.b
-    cm = p.c + p.M
-    n1 = p.N - 1.0
-    pp = 1.0 - p.P
-
-    def rhs(s: tuple) -> tuple:
-        x, y, z, dx, dy, dz = s
-        return (
-            a * (y - x),
-            cm * x + n1 * y - pp * (x * z),
-            -b * z + x * y,
-            a * (dy - dx),
-            (cm - pp * z) * dx + n1 * dy - pp * x * dz,
-            y * dx + x * dy - b * dz,
-        )
-
-    return rhs
+# The base field with its linearization along the tangent (dx, dy, dz), as
+# source text for the integrator's step kernels
+_VARIATIONAL_SOURCE = (
+    *_FIELD_SOURCE,
+    ("dx", "a * ({dy} - {dx})"),
+    ("dy", "(cm - pp * {z}) * {dx} + n1 * {dy} - pp * {x} * {dz}"),
+    ("dz", "{y} * {dx} + {x} * {dy} - b * {dz}"),
+)
 
 
 def largest_lyapunov_exponent(
@@ -95,7 +83,8 @@ def largest_lyapunov_exponent(
     The tangent starts at (1, 0, 0) and is rescaled to unit length every
     ``renorm_interval`` time units; log-growth accumulates from the end of
     the transient to the horizon.  Raises DivergedTrajectoryError when the
-    base orbit blows up or stops making progress.
+    base orbit blows up, stops making progress or spends more than
+    ``settings.max_steps`` trial steps over the whole run.
     """
     if settings is None:
         settings = IntegratorSettings()
@@ -108,18 +97,27 @@ def largest_lyapunov_exponent(
     if n_total <= n_trans:
         raise ValueError("horizon leaves no window after the transient")
 
-    f = _variational_rhs(p)
+    kernels = _kernels(_VARIATIONAL_SOURCE, p)
     s = (float(u0[0]), float(u0[1]), float(u0[2]), 1.0, 0.0, 0.0)
     dt = settings.dt_init
+    attempts = 0
     log_sum = 0.0
     history: list[float] = []
     for w in range(n_total):
-        res = _drive(f, s, settings, renorm_interval, record=False, dt_start=dt)
+        res = _drive(
+            kernels,
+            s,
+            settings,
+            renorm_interval,
+            record=False,
+            dt_start=dt,
+            attempts=attempts,
+        )
         if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
             raise DivergedTrajectoryError(
                 f"base orbit failed during window {w}: {res.status.value}"
             )
-        dt = res.dt
+        dt, attempts = res.dt, res.attempts
         x, y, z, dx, dy, dz = res.state
         nrm = math.sqrt(dx * dx + dy * dy + dz * dz)
         if nrm == 0.0 or not math.isfinite(nrm):

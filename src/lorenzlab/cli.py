@@ -336,10 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _csv_subject(args: argparse.Namespace) -> str | None:
+    """The command line's name when its result has no table, else None.
+
+    Only trajectories (simulate, one heteroclinic branch) and sweeps have
+    a CSV layout.
+    """
+    if args.command == "heteroclinic":
+        return "heteroclinic --branch both" if args.branch == "both" else None
+    return None if args.command in ("simulate", "sweep") else args.command
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # reject before computing: an LLE takes seconds
+        subject = _csv_subject(args) if args.format == "csv" else None
+        if subject is not None:
+            raise UnsupportedFormatError(f"csv is not defined for {subject}; use json")
         return args.func(args)
     except (ValueError, UnsupportedFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

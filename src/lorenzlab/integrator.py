@@ -7,47 +7,57 @@ identical inputs produce bit-identical trajectories, and the mirrored
 initial condition S(u0) = (-x0, -y0, z0) produces the exactly mirrored
 trajectory (every floating-point operation involved is sign-symmetric;
 norms, error estimates and step-size decisions are invariant under S).
+
+The steps run as kernels fused per field: each field (the 3-D model field
+and the 6-D variational field of the exponent) is given as source text,
+and ``_kernel_source`` unrolls every RK4 and DP54 stage over its
+components with the field inlined, once per process; ``_kernels`` binds
+one parameter set.  A step then costs no per-stage calls or tuples.  The
+kernels' operation order is frozen, because every output bit depends on
+it: each stage is s[i] + dt * (a1 * k1[i] + a2 * k2[i] + ...) summed left
+to right, the error norm squares with ``** 2``, and norms add their
+squares with an explicit ``+`` chain.  ``sum()`` would not do: from
+Python 3.12 it is compensated, so its last bit depends on the interpreter
+version, while the chain gives the same bits everywhere.  Reordering any
+of this changes trajectories, exponents and golden outputs; the parity
+tests hold the kernels to a generic reference step bit for bit.
+
+``_drive`` is the one stepping loop for every caller.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .equilibria import Equilibrium, EquilibriumSet
 from .errors import LorenzLabError
-from .model import State, SystemParams, _bound_rhs
+from .model import _FIELD_SOURCE, State, SystemParams
 
-# Dormand-Prince 5(4) tableau
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (
-    19372.0 / 6561.0,
-    -25360.0 / 2187.0,
-    64448.0 / 6561.0,
-    -212.0 / 729.0,
+# Dormand-Prince 5(4) tableau: the rows of A for stages 2-6, the 5th-order
+# weights B and the error weights E (5th minus embedded 4th order).  Zero
+# entries are left out of the generated sums; b2 = e2 = 0, so k2 drops out
+# of the update and the error estimate.
+_A = (
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (
+        9017.0 / 3168.0,
+        -355.0 / 33.0,
+        46732.0 / 5247.0,
+        49.0 / 176.0,
+        -5103.0 / 18656.0,
+    ),
 )
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-# 5th-order weights; the b2 entry is zero and k2 drops out of the update
-_B1, _B3, _B4, _B5, _B6 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-)
-# difference between the 5th and embedded 4th order weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (
+_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+_E = (
     71.0 / 57600.0,
+    0.0,
     -71.0 / 16695.0,
     71.0 / 1920.0,
     -17253.0 / 339200.0,
@@ -84,6 +94,10 @@ class IntegratorSettings:
     ADAPTIVE mode.  A step is accepted when the embedded error estimate
     satisfies err <= rel_tol * ||state|| + abs_tol.  Trajectories whose norm
     exceeds blowup_norm (or that stop being finite) terminate as DIVERGED.
+    max_steps bounds the trial steps, accepted and rejected, of one whole
+    run: an integration, or a whole exponent estimate with its transient
+    and every renormalization window; a run that needs more ends with
+    STEP_LIMIT.
     """
 
     mode: IntegratorMode = IntegratorMode.ADAPTIVE
@@ -103,8 +117,8 @@ class IntegratorSettings:
             raise ValueError("t_max must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if not (self.blowup_norm > 0.0):
-            raise ValueError("blowup_norm must be positive")
+        if not (self.blowup_norm > 0.0 and math.isfinite(self.blowup_norm)):
+            raise ValueError("blowup_norm must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -130,86 +144,111 @@ class ConvergenceOutcome:
     trajectory: Trajectory
 
 
-def _norm(s: tuple) -> float:
-    return math.sqrt(sum(v * v for v in s))
+class _Kernels(NamedTuple):
+    """Step kernels of one field with its parameters bound.
+
+    ``rhs(s)`` is the field; ``rk4(s, dt)`` returns the RK4 step;
+    ``dp54(s, k1, dt)`` takes k1 = rhs(s) and returns (proposal, k7, err)
+    with k7 = rhs(proposal), so an accepted step hands its last stage on as
+    the next step's first; ``norm(s)`` is the Euclidean norm.
+    """
+
+    rhs: Callable[[tuple], tuple]
+    dp54: Callable[[tuple, tuple, float], tuple[tuple, tuple, float]]
+    rk4: Callable[[tuple, float], tuple]
+    norm: Callable[[tuple], float]
 
 
-def _finite(s: tuple) -> bool:
-    return all(math.isfinite(v) for v in s)
+# A field as source text: one (component, expression) pair per coordinate.
+# Expressions name the components as {x}-style format fields and may use
+# the parameters a, b, cm = c + M, n1 = N - 1 and pp = 1 - P.
+_FieldSource = tuple[tuple[str, str], ...]
+
+
+def _kernel_source(field_source: _FieldSource) -> str:
+    """Source of ``bind(a, b, cm, n1, pp)``, returning (rhs, dp54, rk4, norm).
+
+    Every stage is unrolled over the components with the field inlined and
+    the tableau written as float literals (``repr`` round-trips, so the
+    values are exact).
+    """
+    idx = range(len(field_source))
+
+    def each(template: str) -> list[str]:
+        return [template.format(i=i) for i in idx]
+
+    def field_at(prefix: str) -> list[str]:
+        env = {name: f"{prefix}{i}" for i, (name, _) in zip(idx, field_source)}
+        return [expr.format_map(env) for _, expr in field_source]
+
+    def stage(k: int, prefix: str) -> list[str]:
+        return [f"k{k}_{i} = {expr}" for i, expr in zip(idx, field_at(prefix))]
+
+    def weighted(coeffs: tuple[float, ...], i: int) -> str:
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coeffs, 1) if c)
+
+    def pack(items: list[str]) -> str:
+        return "(" + ", ".join(items) + ")"
+
+    unpack_s = ", ".join(each("s{i}")) + " = s"
+    rhs = [unpack_s, f"return {pack(field_at('s'))}"]
+    norm = [unpack_s, f"return sqrt({' + '.join(each('s{i} * s{i}'))})"]
+    rk4 = [
+        unpack_s,
+        *stage(1, "s"),
+        "half = 0.5 * dt",
+        *each("t{i} = s{i} + half * k1_{i}"),
+        *stage(2, "t"),
+        *each("t{i} = s{i} + half * k2_{i}"),
+        *stage(3, "t"),
+        *each("t{i} = s{i} + dt * k3_{i}"),
+        *stage(4, "t"),
+        "sixth = dt / 6.0",
+        "return "
+        + pack(each("s{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})")),
+    ]
+    dp54 = [unpack_s, ", ".join(each("k1_{i}")) + " = k1"]
+    # stages 2-6 from the rows of A; the B row gives the proposal, at which
+    # k7 is evaluated
+    for k, coeffs in enumerate((*_A, _B), 2):
+        dp54 += [f"t{i} = s{i} + dt * ({weighted(coeffs, i)})" for i in idx]
+        dp54 += stage(k, "t")
+    err = " + ".join(f"(dt * ({weighted(_E, i)})) ** 2" for i in idx)
+    dp54.append(f"return {pack(each('t{i}'))}, {pack(each('k7_{i}'))}, sqrt({err})")
+
+    lines = ["def bind(a, b, cm, n1, pp):"]
+    for head, body in (
+        ("rhs(s)", rhs),
+        ("dp54(s, k1, dt)", dp54),
+        ("rk4(s, dt)", rk4),
+        ("norm(s)", norm),
+    ):
+        lines.append(f"    def {head}:")
+        lines.extend(f"        {line}" for line in body)
+    lines.append("    return rhs, dp54, rk4, norm")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _binder(field_source: _FieldSource) -> Callable[..., tuple]:
+    """Compile a field's kernels once per process; returns ``bind``."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_kernel_source(field_source), "<step kernels>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _kernels(field_source: _FieldSource, p: SystemParams) -> _Kernels:
+    """Step kernels of ``field_source`` with the parameters of ``p`` bound.
+
+    The grouped constants match the per-call expressions of
+    :func:`lorenzlab.model.vector_field`.
+    """
+    bind = _binder(field_source)
+    return _Kernels(*bind(p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P))
 
 
 def _dist(s: tuple, t: tuple) -> float:
-    return math.sqrt(sum((s[i] - t[i]) ** 2 for i in range(len(t))))
-
-
-def _rk4_step(f: Callable, s: tuple, dt: float) -> tuple:
-    n = len(s)
-    k1 = f(s)
-    half = 0.5 * dt
-    k2 = f(tuple(s[i] + half * k1[i] for i in range(n)))
-    k3 = f(tuple(s[i] + half * k2[i] for i in range(n)))
-    k4 = f(tuple(s[i] + dt * k3[i] for i in range(n)))
-    sixth = dt / 6.0
-    return tuple(
-        s[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)
-    )
-
-
-def _dp54_step(f: Callable, s: tuple, k1: tuple, dt: float):
-    """One trial step. Returns (proposal, k7, error_norm).
-
-    k1 = f(s) is passed in and k7 = f(proposal) is handed back so an
-    accepted step reuses its last stage as the next step's first stage.
-    """
-    n = len(s)
-    rng = range(n)
-    k2 = f(tuple(s[i] + dt * (_A21 * k1[i]) for i in rng))
-    k3 = f(tuple(s[i] + dt * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
-    k4 = f(tuple(s[i] + dt * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in rng))
-    k5 = f(
-        tuple(
-            s[i] + dt * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-            for i in rng
-        )
-    )
-    k6 = f(
-        tuple(
-            s[i]
-            + dt
-            * (
-                _A61 * k1[i]
-                + _A62 * k2[i]
-                + _A63 * k3[i]
-                + _A64 * k4[i]
-                + _A65 * k5[i]
-            )
-            for i in rng
-        )
-    )
-    proposal = tuple(
-        s[i]
-        + dt * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
-        for i in rng
-    )
-    k7 = f(proposal)
-    err = math.sqrt(
-        sum(
-            (
-                dt
-                * (
-                    _E1 * k1[i]
-                    + _E3 * k3[i]
-                    + _E4 * k4[i]
-                    + _E5 * k5[i]
-                    + _E6 * k6[i]
-                    + _E7 * k7[i]
-                )
-            )
-            ** 2
-            for i in rng
-        )
-    )
-    return proposal, k7, err
+    return math.sqrt((s[0] - t[0]) ** 2 + (s[1] - t[1]) ** 2 + (s[2] - t[2]) ** 2)
 
 
 @dataclass
@@ -223,10 +262,11 @@ class _DriveResult:
     captured: int | None = None
     final_distance: float = math.inf
     accepted: int = 0
+    attempts: int = 0
 
 
 def _drive(
-    f: Callable,
+    kernels: _Kernels,
     u0: tuple,
     settings: IntegratorSettings,
     t_end: float,
@@ -234,8 +274,13 @@ def _drive(
     capture_radius: float = 0.0,
     record: bool = True,
     dt_start: float | None = None,
+    attempts: int = 0,
 ) -> _DriveResult:
     """Shared stepping loop for both modes.
+
+    ``attempts`` counts the trial steps the run has already spent, so a run
+    made of several calls (the LLE's windows) shares one ``max_steps``
+    budget; the result carries the updated count.
 
     When ``targets`` is given, each accepted state updates a dwell counter:
     a run of ``_DWELL_CHECKS`` consecutive states inside ``capture_radius``
@@ -245,7 +290,9 @@ def _drive(
     the required number of checks.
     """
     fixed = settings.mode is IntegratorMode.FIXED_RK4
-    dwell_checks = _DWELL_CHECKS
+    dp54, rk4, norm = kernels.dp54, kernels.rk4, kernels.norm
+    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
+    blowup_norm, max_steps = settings.blowup_norm, settings.max_steps
     dt = settings.dt_init if dt_start is None else dt_start
     t = 0.0
     s = u0
@@ -265,60 +312,55 @@ def _drive(
     dwell_target: int | None = None
     dwell = 0
 
-    def check_state(state: tuple) -> TrajectoryStatus | None:
+    def captured(state: tuple) -> bool:
         nonlocal dwell_target, dwell
-        if not _finite(state) or _norm(state) > settings.blowup_norm:
-            return TrajectoryStatus.DIVERGED
-        if targets is not None:
-            idx, d = nearest(state)
-            if d <= capture_radius:
-                if dwell_target == idx:
-                    dwell += 1
-                else:
-                    dwell_target, dwell = idx, 1
+        idx, d = nearest(state)
+        if d <= capture_radius:
+            if dwell_target == idx:
+                dwell += 1
             else:
-                dwell_target, dwell = None, 0
-            if dwell >= dwell_checks:
-                res.captured = idx
-                return TrajectoryStatus.CAPTURED_EQUILIBRIUM
-        return None
+                dwell_target, dwell = idx, 1
+        else:
+            dwell_target, dwell = None, 0
+        if dwell >= _DWELL_CHECKS:
+            res.captured = idx
+            return True
+        return False
 
-    early = check_state(s)
-    if early is not None:
-        res.status = early
-        res.state = s
+    # a NaN or infinite component makes the norm NaN or infinite, and
+    # blowup_norm is finite, so this one comparison also catches those
+    nrm = norm(s)
+    if not nrm <= blowup_norm:
+        res.status = TrajectoryStatus.DIVERGED
+    elif targets is not None and captured(s):
+        res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
+    if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
         if targets is not None:
             res.final_distance = nearest(s)[1]
+        res.attempts = attempts
         return res
 
-    k1 = f(s) if not fixed else None
-    attempts = 0
+    k1 = None if fixed else kernels.rhs(s)
     while t < t_end:
         remaining = t_end - t
         dt_eff = min(dt, remaining)
-        if (
-            not fixed
-            and targets is not None
-            and dwell >= 1
-            and dwell < dwell_checks
-        ):
+        if not fixed and targets is not None and 1 <= dwell < _DWELL_CHECKS:
             # leave room for the remaining dwell confirmations
-            dt_eff = min(dt_eff, remaining / (dwell_checks - dwell))
+            dt_eff = min(dt_eff, remaining / (_DWELL_CHECKS - dwell))
         if t + dt_eff == t:
             res.status = TrajectoryStatus.STEP_LIMIT
             break
         attempts += 1
-        if attempts > settings.max_steps:
+        if attempts > max_steps:
             res.status = TrajectoryStatus.STEP_LIMIT
             break
 
         if fixed:
-            s_new = _rk4_step(f, s, dt_eff)
-            accept = True
+            s = rk4(s, dt_eff)
         else:
-            s_new, k7, err = _dp54_step(f, s, k1, dt_eff)
-            tol = settings.rel_tol * _norm(s) + settings.abs_tol
-            accept = err <= tol
+            s_new, k7, err = dp54(s, k1, dt_eff)
+            # nrm is the norm of the current state s
+            tol = rel_tol * nrm + abs_tol
             if err == 0.0:
                 factor = _GROW_LIMIT
             else:
@@ -327,26 +369,27 @@ def _drive(
                     max(_SHRINK_LIMIT, _SAFETY * (tol / err) ** _ORDER_EXPONENT),
                 )
             dt = dt_eff * factor
-
-        if not accept:
-            continue
+            if not err <= tol:
+                continue
+            s, k1 = s_new, k7
 
         t = t_end if dt_eff == remaining else t + dt_eff
-        s = s_new
-        if not fixed:
-            k1 = k7
+        nrm = norm(s)
         res.accepted += 1
         if record:
             res.times.append(t)
             res.states.append(s)
-        stop = check_state(s)
-        if stop is not None:
-            res.status = stop
+        if not nrm <= blowup_norm:
+            res.status = TrajectoryStatus.DIVERGED
+            break
+        if targets is not None and captured(s):
+            res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
             break
 
     res.t = t
     res.state = s
     res.dt = dt
+    res.attempts = attempts
     if targets is not None:
         res.final_distance = nearest(s)[1]
     return res
@@ -358,7 +401,7 @@ def integrate(
     """Integrate from u0 over [0, t_max]; record every accepted step."""
     if settings is None:
         settings = IntegratorSettings()
-    res = _drive(_bound_rhs(p), tuple(u0), settings, settings.t_max)
+    res = _drive(_kernels(_FIELD_SOURCE, p), tuple(u0), settings, settings.t_max)
     return Trajectory(
         times=tuple(res.times),
         states=tuple(State(*s) for s in res.states),
@@ -391,7 +434,7 @@ def integrate_to_equilibrium(
         candidates.extend(eqs.pair)
     targets = [tuple(e.location) for e in candidates] or None
     res = _drive(
-        _bound_rhs(p),
+        _kernels(_FIELD_SOURCE, p),
         tuple(u0),
         settings,
         settings.t_max,

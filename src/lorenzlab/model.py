@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,24 +95,14 @@ def vector_field(p: SystemParams, s: State | tuple) -> State:
     )
 
 
-def _bound_rhs(p: SystemParams) -> Callable[[tuple], tuple]:
-    """Closure over fixed parameters for integrator hot loops.
-
-    Must produce bit-identical results to :func:`vector_field`; the
-    grouped constants (c + M), (N - 1), (1 - P) below match the
-    per-call expressions there.
-    """
-    a = p.a
-    b = p.b
-    cm = p.c + p.M
-    n1 = p.N - 1.0
-    pp = 1.0 - p.P
-
-    def rhs(s: tuple) -> tuple:
-        x, y, z = s
-        return (a * (y - x), cm * x + n1 * y - pp * (x * z), -b * z + x * y)
-
-    return rhs
+# The field as source text for the integrator's step kernels (see
+# lorenzlab.integrator._kernel_source): the same operations, in the same
+# order, as vector_field, with cm = c + M, n1 = N - 1 and pp = 1 - P.
+_FIELD_SOURCE = (
+    ("x", "a * ({y} - {x})"),
+    ("y", "cm * {x} + n1 * {y} - pp * ({x} * {z})"),
+    ("z", "-b * {z} + {x} * {y}"),
+)
 
 
 def jacobian(p: SystemParams, s: State | tuple) -> np.ndarray:

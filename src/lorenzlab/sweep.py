@@ -10,6 +10,7 @@ sweep.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -112,13 +113,18 @@ class SweepSpec:
         cols.append("error")
         return tuple(cols)
 
+    @functools.cached_property
+    def _axis_values(self) -> tuple[tuple[float, ...], ...]:
+        # once per spec, not per cell, which made a sweep quadratic in the axis length
+        return tuple(tuple(ax.values()) for ax in self.axes)
+
     def cell_values(self, index: int) -> tuple[float, ...]:
         """Axis values of the row-major cell at flat position ``index``."""
-        if len(self.axes) == 1:
-            return (self.axes[0].values()[index],)
-        n1 = self.axes[1].count
-        i0, i1 = divmod(index, n1)
-        return (self.axes[0].values()[i0], self.axes[1].values()[i1])
+        values = self._axis_values
+        if len(values) == 1:
+            return (values[0][index],)
+        i0, i1 = divmod(index, len(values[1]))
+        return (values[0][i0], values[1][i1])
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,37 @@ def test_lle_raises_on_blowup():
         largest_lyapunov_exponent(p, settings=FAST, horizon=60.0, transient=5.0)
 
 
+def test_max_steps_budgets_the_whole_lle_run(monkeypatch):
+    """Trial steps of the transient and of every renormalization window
+    count against one max_steps budget."""
+    import lorenzlab.chaos as chaos
+
+    trials = 0
+    build = chaos._kernels
+
+    def counting_kernels(source, p):
+        kernels = build(source, p)
+
+        def dp54(s, k1, dt):
+            nonlocal trials
+            trials += 1
+            return kernels.dp54(s, k1, dt)
+
+        return kernels._replace(dp54=dp54)
+
+    p = SystemParams(10.0, 8.0 / 3.0, 28.0)
+    kw = dict(horizon=6.0, transient=2.0)
+    monkeypatch.setattr(chaos, "_kernels", counting_kernels)
+    free = largest_lyapunov_exponent(p, **kw)
+    monkeypatch.undo()
+    budget = IntegratorSettings(max_steps=trials)
+    assert largest_lyapunov_exponent(p, settings=budget, **kw) == free
+    with pytest.raises(DivergedTrajectoryError, match="step_limit"):
+        largest_lyapunov_exponent(
+            p, settings=IntegratorSettings(max_steps=trials - 1), **kw
+        )
+
+
 def test_lle_matches_linearization_at_stable_pair():
     """Seeded on an attracting equilibrium the exponent is the largest
     real part of the local eigenvalues."""

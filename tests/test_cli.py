@@ -128,6 +128,36 @@ def test_lle_rejects_csv(capsys):
     assert "csv" in err or "format" in err
 
 
+@pytest.mark.parametrize(
+    "subject, argv, computation",
+    [
+        ("lle", CLASSIC, "largest_lyapunov_exponent"),
+        ("suggest-anticontrol",
+         ["--a", "10", "--b", "3", "--c", "0.5", "--margin", "2", "--verify-lle"],
+         "suggest_anticontrol"),
+        ("heteroclinic --branch both", REGULAR, "trace_heteroclinic"),
+        ("classify", REGULAR, "classify_origin"),
+        ("regime", REGULAR, "regime_classify"),
+        ("certificate", REGULAR, "certificate"),
+        ("equilibria", REGULAR, "find_equilibria"),
+    ],
+    ids=["lle", "suggest", "heteroclinic", "classify", "regime", "certificate",
+         "equilibria"],
+)
+def test_csv_is_rejected_before_computing(capsys, monkeypatch, subject, argv, computation):
+    """A result with no table is refused before any work is done."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{computation} ran before csv was rejected")
+
+    monkeypatch.setattr(f"lorenzlab.cli.{computation}", fail)
+    command = subject.split()[0]
+    code, out, err = run_cli(capsys, [command, *argv, "--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: csv is not defined for {subject}; use json\n"
+
+
 def test_regime_output(capsys):
     code, out, _ = run_cli(capsys, ["regime", *REGULAR])
     assert code == 0

@@ -122,9 +122,9 @@ CASES = [
          "error: unknown task 'bogus'; available: ('equilibria', "
          "'origin_class', 'certificate', 'regime', 'lle')\n"),
     case("lle-csv", ["lle", *REGULAR, *SHORT_LLE, "--format", "csv"], 2, EMPTY,
-         "error: csv is not defined for LLEEstimate; use json\n"),
+         "error: csv is not defined for lle; use json\n"),
     case("classify-csv", ["classify", *REGULAR, "--format", "csv"], 2, EMPTY,
-         "error: csv is not defined for dict; use json\n"),
+         "error: csv is not defined for classify; use json\n"),
     case("lle-bad-window", ["lle", *REGULAR, "--horizon", "5", "--transient", "5"],
          2, EMPTY, "error: need horizon > transient >= 0\n"),
     case("simulate-bad-dt", ["simulate", *REGULAR, *START, "--dt", "0"], 2, EMPTY,

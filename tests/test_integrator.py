@@ -35,6 +35,10 @@ def test_settings_validation():
         IntegratorSettings(max_steps=0)
     with pytest.raises(ValueError):
         IntegratorSettings(blowup_norm=-1.0)
+    # divergence is one comparison against the norm, which is infinite
+    # for any non-finite state, so the bound itself must be finite
+    with pytest.raises(ValueError):
+        IntegratorSettings(blowup_norm=math.inf)
 
 
 def test_adaptive_run_is_deterministic():

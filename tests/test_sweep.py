@@ -79,6 +79,22 @@ def test_rows_are_in_row_major_grid_order():
     assert spec.n_cells() == 6
 
 
+def test_axis_values_are_built_once_per_sweep(monkeypatch):
+    # rebuilding an axis per cell made a sweep quadratic in its length
+    calls = []
+    values = SweepAxis.values
+
+    def counted(self):
+        calls.append(self.name)
+        return values(self)
+
+    monkeypatch.setattr(SweepAxis, "values", counted)
+    spec = _spec(axes=(SweepAxis("c", 0.0, 1.0, 30), SweepAxis("M", 0.0, 2.0, 40)))
+    res = run_sweep(spec, workers=1)
+    assert len(res.rows) == 1200
+    assert sorted(calls) == ["M", "c"]
+
+
 def test_worker_count_does_not_change_the_bytes():
     spec = _spec(
         axes=(SweepAxis("c", 0.5, 1.5, 7), SweepAxis("N", -1.0, 1.0, 3)),
