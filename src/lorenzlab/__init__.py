@@ -38,6 +38,7 @@ from .errors import (
     TrajectoryLengthMismatchError,
     UnsupportedFormatError,
     UnsupportedPresetError,
+    WorkerPoolError,
 )
 from .integrator import (
     ConvergenceOutcome,
@@ -116,6 +117,7 @@ __all__ = [
     "TrajectoryStatus",
     "UnsupportedFormatError",
     "UnsupportedPresetError",
+    "WorkerPoolError",
     "apply_symmetry",
     "branch_symmetry_deviation",
     "certificate",

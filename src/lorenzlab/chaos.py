@@ -20,11 +20,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .equilibria import EquilibriumKind, OriginClass, classify_origin, find_equilibria
+from .equilibria import (
+    EquilibriumKind,
+    EquilibriumSet,
+    OriginClass,
+    classify_origin,
+    find_equilibria,
+)
 from .errors import DegenerateBError, DivergedTrajectoryError, NotStableRegimeError
 from .integrator import IntegratorSettings, TrajectoryStatus, _drive, _kernels
-from .lyapunov import certificate
+from .lyapunov import CertificateReport, certificate
 from .model import _FIELD_SOURCE, State, SystemParams
 
 
@@ -142,14 +149,26 @@ def regime_classify(p: SystemParams, tol: float = 1e-12) -> RegimeLabel:
     PROVABLY_REGULAR when the convergence certificate holds.  A chaos
     candidate needs the necessary condition b < 2a, the full symmetric
     triple of equilibria, and every one of them linearly unstable.  All
-    remaining cases are UNDETERMINED.
+    remaining cases are UNDETERMINED.  The equilibria are only computed
+    when the certificate leaves chaos possible; a sweep cell shares its
+    one certificate and equilibrium set with this label.
     """
-    cert = certificate(p, tol)
+    return _regime(certificate(p, tol), lambda: find_equilibria(p))
+
+
+def _regime(
+    cert: CertificateReport, equilibria: Callable[[], EquilibriumSet]
+) -> RegimeLabel:
+    """The label of ``regime_classify`` from a computed certificate.
+
+    ``equilibria()`` returns the equilibrium set; it is called only when
+    the certificate neither proves convergence nor excludes chaos.
+    """
     if cert.converges_to_equilibria:
         return RegimeLabel.PROVABLY_REGULAR
     if cert.chaos_possible:
         try:
-            eqs = find_equilibria(p)
+            eqs = equilibria()
         except DegenerateBError:
             return RegimeLabel.UNDETERMINED
         if eqs.kind is EquilibriumKind.TRIPLE:

@@ -128,6 +128,9 @@ def classify_origin(p: SystemParams, tol: float = 1e-12) -> OriginClass:
     return OriginClass.NON_HYPERBOLIC
 
 
+_HALF_SQRT3 = math.sqrt(3.0) / 2.0
+
+
 def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     """Roots of lambda^3 + c2 lambda^2 + c1 lambda + c0 = 0.
 
@@ -152,7 +155,7 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
         v = -pcoef / (3.0 * u) if u != 0.0 else 0.0
         t_real = u + v
         re = -t_real / 2.0
-        im = (math.sqrt(3.0) / 2.0) * (u - v)
+        im = _HALF_SQRT3 * (u - v)
         ts = [complex(t_real, 0.0), complex(re, im), complex(re, -im)]
     elif pcoef < 0.0:
         mfac = 2.0 * math.sqrt(-pcoef / 3.0)
@@ -168,20 +171,13 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
         t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
         ts = [complex(t, 0.0)] * 3
 
-    roots = [t - shift for t in ts]
-
-    def poly(z: complex) -> complex:
-        return ((z + c2) * z + c1) * z + c0
-
-    def dpoly(z: complex) -> complex:
-        return (3.0 * z + 2.0 * c2) * z + c1
-
     polished = []
-    for z in roots:
-        dp = dpoly(z)
+    for t in ts:
+        z = t - shift
+        dp = (3.0 * z + 2.0 * c2) * z + c1
         scale = abs(z) ** 2 + abs(c2) * abs(z) + abs(c1)
         if abs(dp) > 1e-8 * max(scale, 1.0):
-            z = z - poly(z) / dp
+            z = z - (((z + c2) * z + c1) * z + c0) / dp
         polished.append(z)
     # keep conjugate pairs exactly conjugate after polishing
     if disc > 0.0:
@@ -196,10 +192,12 @@ def eigenvalues_at(
 
     Sorted by descending real part, ties by ascending imaginary part.
     """
-    J = jacobian(p, s)
-    a11, a12, a13 = float(J[0, 0]), float(J[0, 1]), float(J[0, 2])
-    a21, a22, a23 = float(J[1, 0]), float(J[1, 1]), float(J[1, 2])
-    a31, a32, a33 = float(J[2, 0]), float(J[2, 1]), float(J[2, 2])
+    # the entries of model.jacobian, by the same expressions, as scalars
+    x, y, z = s
+    pp = 1.0 - p.P
+    a11, a12, a13 = -p.a, p.a, 0.0
+    a21, a22, a23 = p.c + p.M - pp * z, p.N - 1.0, -pp * x
+    a31, a32, a33 = y, x, -p.b
     tr = a11 + a22 + a33
     minors = (
         (a22 * a33 - a23 * a32)

@@ -39,3 +39,7 @@ class DivergedTrajectoryError(LorenzLabError):
 
 class UnsupportedFormatError(LorenzLabError):
     """The requested output format is not available for this result kind."""
+
+
+class WorkerPoolError(LorenzLabError):
+    """A worker process of a parallel sweep died, so the sweep has no result."""

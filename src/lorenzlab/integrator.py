@@ -248,7 +248,22 @@ def _kernels(field_source: _FieldSource, p: SystemParams) -> _Kernels:
 
 
 def _dist(s: tuple, t: tuple) -> float:
-    return math.sqrt((s[0] - t[0]) ** 2 + (s[1] - t[1]) ** 2 + (s[2] - t[2]) ** 2)
+    try:
+        return math.sqrt((s[0] - t[0]) ** 2 + (s[1] - t[1]) ** 2 + (s[2] - t[2]) ** 2)
+    except OverflowError:  # a square beyond the float range; x * x gives inf
+        return math.inf
+
+
+def _capture_reach(capture_radius: float) -> float:
+    """A bound r such that |s[i] - t[i]| > r for some i implies _dist(s, t)
+    > capture_radius, so the dwell check can skip a far target exactly.
+
+    Once |dx| >= 2**-500 its square is a normal float, libm's pow misses
+    the correctly rounded square by less than one ulp, and the sum and the
+    root are monotone, so _dist >= |dx| * (1 - 2**-51); the margin of
+    2**-50 covers that.  Below 2**-500 the square may underflow to zero.
+    """
+    return max(capture_radius * (1.0 + 2.0**-50), 2.0**-500)
 
 
 @dataclass
@@ -311,9 +326,17 @@ def _drive(
 
     dwell_target: int | None = None
     dwell = 0
+    reach = _capture_reach(capture_radius)
 
     def captured(state: tuple) -> bool:
         nonlocal dwell_target, dwell
+        x, y, z = state
+        for tx, ty, tz in targets:
+            if abs(x - tx) <= reach and abs(y - ty) <= reach and abs(z - tz) <= reach:
+                break
+        else:  # outside the capture ball of every target
+            dwell_target, dwell = None, 0
+            return False
         idx, d = nearest(state)
         if d <= capture_radius:
             if dwell_target == idx:
@@ -358,7 +381,14 @@ def _drive(
         if fixed:
             s = rk4(s, dt_eff)
         else:
-            s_new, k7, err = dp54(s, k1, dt_eff)
+            try:
+                s_new, k7, err = dp54(s, k1, dt_eff)
+            except OverflowError:
+                # the error norm squares a finite component beyond the
+                # float range: the orbit has left every scale the
+                # tolerance can judge
+                res.status = TrajectoryStatus.DIVERGED
+                break
             # nrm is the norm of the current state s
             tol = rel_tol * nrm + abs_tol
             if err == 0.0:

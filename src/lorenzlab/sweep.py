@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from .chaos import largest_lyapunov_exponent, regime_classify
+from .chaos import _regime, largest_lyapunov_exponent
 from .equilibria import classify_origin, find_equilibria
+from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
 from .lyapunov import certificate
 from .model import SystemParams
@@ -107,16 +109,27 @@ class SweepSpec:
         return n
 
     def columns(self) -> tuple[str, ...]:
-        cols = [ax.name for ax in self.axes]
-        for task in self.tasks:
-            cols.extend(_TASK_COLUMNS[task])
-        cols.append("error")
-        return tuple(cols)
+        return (*self._axis_names, *self._task_columns, "error")
 
+    # Per-spec dispatch data, computed once per spec rather than per cell
+    # (rebuilding the axis values per cell made a sweep quadratic in the
+    # axis length).  Cached properties are not dataclass fields, so the
+    # sweep's JSON is unchanged.
     @functools.cached_property
     def _axis_values(self) -> tuple[tuple[float, ...], ...]:
-        # once per spec, not per cell, which made a sweep quadratic in the axis length
         return tuple(tuple(ax.values()) for ax in self.axes)
+
+    @functools.cached_property
+    def _axis_names(self) -> tuple[str, ...]:
+        return tuple(ax.name for ax in self.axes)
+
+    @functools.cached_property
+    def _task_columns(self) -> tuple[str, ...]:
+        return tuple(c for task in self.tasks for c in _TASK_COLUMNS[task])
+
+    @functools.cached_property
+    def _needs_certificate(self) -> bool:
+        return "certificate" in self.tasks or "regime" in self.tasks
 
     def cell_values(self, index: int) -> tuple[float, ...]:
         """Axis values of the row-major cell at flat position ``index``."""
@@ -136,31 +149,46 @@ class SweepResult:
     rows: tuple[tuple, ...]
 
 
-def _run_tasks(spec: SweepSpec, p: SystemParams) -> dict:
-    out: dict = {}
+def _run_tasks(spec: SweepSpec, p: SystemParams) -> tuple:
+    """The task columns of one cell, in column order.
+
+    A cell computes its certificate at most once and its equilibrium set
+    at most once, the latter only when a task reads it; the equilibria,
+    certificate and regime tasks share both.
+    """
+    cert = certificate(p) if spec._needs_certificate else None
+    eqs = None
+
+    def equilibria():
+        nonlocal eqs
+        if eqs is None:
+            eqs = find_equilibria(p)
+        return eqs
+
+    out: list = []
     for task in spec.tasks:
         if task == "equilibria":
-            eqs = find_equilibria(p)
-            out["equilibria_kind"] = eqs.kind.value
-            if eqs.pair is not None:
-                loc = eqs.pair[0].location
-                out["e_plus_x"], out["e_plus_y"], out["e_plus_z"] = loc
+            found = equilibria()
+            out.append(found.kind.value)
+            if found.pair is not None:
+                out.extend(found.pair[0].location)
             else:
-                out["e_plus_x"] = out["e_plus_y"] = out["e_plus_z"] = None
+                out.extend((None, None, None))
         elif task == "origin_class":
-            out["origin_class"] = classify_origin(p).value
+            out.append(classify_origin(p).value)
         elif task == "certificate":
-            report = certificate(p)
-            out["lemma_ok"] = report.flags.lemma_ok
-            out["conv_ok"] = report.flags.conv_ok
-            out["het_ok"] = report.flags.het_ok
-            out["no_closed_orbits"] = report.no_closed_orbits
-            out["no_homoclinic"] = report.no_homoclinic
-            out["converges_to_equilibria"] = report.converges_to_equilibria
-            out["heteroclinic_pair"] = report.heteroclinic_pair
-            out["chaos_possible"] = report.chaos_possible
+            out += (
+                cert.flags.lemma_ok,
+                cert.flags.conv_ok,
+                cert.flags.het_ok,
+                cert.no_closed_orbits,
+                cert.no_homoclinic,
+                cert.converges_to_equilibria,
+                cert.heteroclinic_pair,
+                cert.chaos_possible,
+            )
         elif task == "regime":
-            out["regime"] = regime_classify(p).value
+            out.append(_regime(cert, equilibria).value)
         elif task == "lle":
             est = largest_lyapunov_exponent(
                 p,
@@ -169,29 +197,28 @@ def _run_tasks(spec: SweepSpec, p: SystemParams) -> dict:
                 horizon=spec.lle_horizon,
                 transient=spec.lle_transient,
             )
-            out["lle"] = est.lambda1
-    return out
+            out.append(est.lambda1)
+    return tuple(out)
 
 
 def _evaluate_cell(args: tuple[SweepSpec, int]) -> tuple:
     """Evaluate one cell; exceptions become the row's error column."""
     spec, index = args
     values = spec.cell_values(index)
-    task_cols = [c for task in spec.tasks for c in _TASK_COLUMNS[task]]
     try:
-        p = replace(spec.base, **dict(zip((ax.name for ax in spec.axes), values)))
-        out = _run_tasks(spec, p)
-        return tuple(values) + tuple(out[c] for c in task_cols) + (None,)
+        p = replace(spec.base, **dict(zip(spec._axis_names, values)))
+        return values + _run_tasks(spec, p) + (None,)
     except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
         message = f"{type(exc).__name__}: {exc}"
-        return tuple(values) + (None,) * len(task_cols) + (message,)
+        return values + (None,) * len(spec._task_columns) + (message,)
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every cell and assemble the table in grid order.
 
     ``workers`` = 1 runs inline; None uses one process per CPU, capped by
-    the cell count.  The output is independent of the worker count.
+    the cell count.  The output is independent of the worker count.  A
+    worker process that dies raises WorkerPoolError.
     """
     n = spec.n_cells()
     if workers is None:
@@ -202,8 +229,19 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         rows = [_evaluate_cell((spec, i)) for i in range(n)]
     else:
         chunk = max(1, n // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(_evaluate_cell, ((spec, i) for i in range(n)), chunksize=chunk)
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(
+                    pool.map(
+                        _evaluate_cell, ((spec, i) for i in range(n)), chunksize=chunk
+                    )
+                )
+        except BrokenProcessPool as exc:
+            axes = " x ".join(
+                f"{ax.name}:{ax.start!r}:{ax.stop!r}:{ax.count}" for ax in spec.axes
             )
+            raise WorkerPoolError(
+                f"a worker process died during the sweep over {axes} "
+                f"(tasks {','.join(spec.tasks)})"
+            ) from exc
     return SweepResult(spec=spec, columns=spec.columns(), rows=tuple(rows))

@@ -65,6 +65,19 @@ def test_lle_raises_on_blowup():
         largest_lyapunov_exponent(p, settings=FAST, horizon=60.0, transient=5.0)
 
 
+def test_lle_raises_when_the_error_estimate_overflows():
+    # one window of 1e5 time units: the first trial step squares an error
+    # component beyond the float range
+    with pytest.raises(DivergedTrajectoryError, match="window 0: diverged"):
+        largest_lyapunov_exponent(
+            SystemParams(10.0, 2.66, 28.0),
+            settings=IntegratorSettings(dt_init=1e5),
+            renorm_interval=1e5,
+            horizon=2e5,
+            transient=0.0,
+        )
+
+
 def test_max_steps_budgets_the_whole_lle_run(monkeypatch):
     """Trial steps of the transient and of every renormalization window
     count against one max_steps budget."""

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from lorenzlab import (
     UnsupportedFormatError,
     hypotheses_check,
     integrate,
+    sweep,
     to_jsonable,
     trajectory_csv,
 )
@@ -95,6 +98,18 @@ def test_simulate_divergence_exit_code(capsys):
     # the data still goes out so the failure can be inspected
     assert code == 3
     assert json.loads(out)["status"] == "diverged"
+
+
+def test_simulate_overflow_is_divergence(capsys):
+    # the first trial step squares an error component beyond the float range
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--a", "10", "--b", "2.66", "--c", "28", "--x0", "1",
+         "--y0", "1", "--z0", "1", "--dt", "1e5", "--t-max", "1e6"],
+    )
+    assert code == 3
+    assert json.loads(out)["status"] == "diverged"
+    assert err == ""
 
 
 def test_heteroclinic_both_reports_zero_deviation(capsys):
@@ -211,6 +226,29 @@ def test_sweep_usage_errors(capsys):
         capsys, ["sweep", *CLASSIC, "--axis", "q:0:1:5"]
     )
     assert code == 2
+
+
+def _die(spec, p):
+    os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched task runner only when forked",
+)
+def test_sweep_worker_crash_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "_run_tasks", _die)
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", *CLASSIC, "--axis", "c:0.5:1.5:5", "--tasks", "regime",
+         "--workers", "2"],
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: WorkerPoolError: a worker process died during the sweep over "
+        "c:0.5:1.5:5 (tasks regime)\n"
+    )
 
 
 def test_unwritable_output_path_exit_code(capsys, tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
     DegenerateBError,
@@ -204,6 +205,132 @@ def test_eigenvalue_ordering_convention():
         lams = eigenvalues_at(p, sampling.random_state(rng, 10.0))
         res = [l.real for l in lams]
         assert res == sorted(res, reverse=True)
+
+
+# The eigenvalue path before it formed the Jacobian entries as scalars:
+# a numpy Jacobian unpacked entry by entry, and the cubic solver with its
+# Newton polish as local functions.  eigenvalues_at must match it bit for
+# bit.
+
+
+def _cubic_roots_oracle(c2, c1, c0):
+    shift = c2 / 3.0
+    pcoef = c1 - c2 * shift
+    qcoef = (2.0 * shift * shift - c1) * shift + c0
+    disc = (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
+    if disc > 0.0:
+        sq = math.sqrt(disc)
+        if qcoef >= 0.0:
+            w = -qcoef / 2.0 - sq
+        else:
+            w = -qcoef / 2.0 + sq
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        v = -pcoef / (3.0 * u) if u != 0.0 else 0.0
+        t_real = u + v
+        re = -t_real / 2.0
+        im = (math.sqrt(3.0) / 2.0) * (u - v)
+        ts = [complex(t_real, 0.0), complex(re, im), complex(re, -im)]
+    elif pcoef < 0.0:
+        mfac = 2.0 * math.sqrt(-pcoef / 3.0)
+        arg = 3.0 * qcoef / (pcoef * mfac)
+        arg = min(1.0, max(-1.0, arg))
+        phi = math.acos(arg)
+        ts = [
+            complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
+            for k in range(3)
+        ]
+    else:
+        t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
+        ts = [complex(t, 0.0)] * 3
+
+    roots = [t - shift for t in ts]
+
+    def poly(z):
+        return ((z + c2) * z + c1) * z + c0
+
+    def dpoly(z):
+        return (3.0 * z + 2.0 * c2) * z + c1
+
+    polished = []
+    for z in roots:
+        dp = dpoly(z)
+        scale = abs(z) ** 2 + abs(c2) * abs(z) + abs(c1)
+        if abs(dp) > 1e-8 * max(scale, 1.0):
+            z = z - poly(z) / dp
+        polished.append(z)
+    if disc > 0.0:
+        polished[2] = polished[1].conjugate()
+    return polished
+
+
+def _eigenvalues_at_oracle(p, s):
+    J = jacobian(p, s)
+    a11, a12, a13 = float(J[0, 0]), float(J[0, 1]), float(J[0, 2])
+    a21, a22, a23 = float(J[1, 0]), float(J[1, 1]), float(J[1, 2])
+    a31, a32, a33 = float(J[2, 0]), float(J[2, 1]), float(J[2, 2])
+    tr = a11 + a22 + a33
+    minors = (
+        (a22 * a33 - a23 * a32)
+        + (a11 * a33 - a13 * a31)
+        + (a11 * a22 - a12 * a21)
+    )
+    det = (
+        a11 * (a22 * a33 - a23 * a32)
+        - a12 * (a21 * a33 - a23 * a31)
+        + a13 * (a21 * a32 - a22 * a31)
+    )
+    roots = _cubic_roots_oracle(-tr, minors, -det)
+    roots.sort(key=lambda z: (-z.real, z.imag))
+    return (roots[0], roots[1], roots[2])
+
+
+def _eig_outcome(fn, p, s):
+    # huge entries overflow ``** 2`` in the cubic; raising is compared too
+    try:
+        return tuple(repr(z) for z in fn(p, s))
+    except OverflowError:
+        return "OverflowError"
+
+
+_moderate = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+_param = st.one_of(
+    _moderate,
+    st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_coord = st.one_of(
+    st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@hsettings(max_examples=500, deadline=None)
+@given(
+    p=st.builds(SystemParams, *[_param] * 6),
+    s=st.tuples(_coord, _coord, _coord),
+)
+@example(p=SystemParams(0.0, 1.0, 2.0), s=(0.0, -0.0, 1.0))
+@example(p=SystemParams(10.0, 8.0 / 3.0, 28.0), s=(-0.0, 0.0, 0.0))
+def test_eigenvalues_at_matches_numpy_jacobian_oracle(p, s):
+    assert _eig_outcome(eigenvalues_at, p, s) == _eig_outcome(
+        _eigenvalues_at_oracle, p, s
+    )
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(p=st.builds(SystemParams, *[_moderate] * 6))
+def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
+    # the origin and E+- of random cells, as find_equilibria records them
+    try:
+        eqs = find_equilibria(p)
+    except DegenerateBError:
+        return
+    points = [eqs.origin, *(eqs.pair or ())]
+    for eq in points:
+        want = tuple(repr(z) for z in _eigenvalues_at_oracle(p, eq.location))
+        assert tuple(repr(z) for z in eq.eigenvalues) == want
+        assert _eig_outcome(eigenvalues_at, p, eq.location) == want
 
 
 # ---------------------------------------------------------------- equilibria

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
+    Branch,
     EquilibriumKind,
     IntegratorMode,
     IntegratorSettings,
@@ -14,9 +16,11 @@ from lorenzlab import (
     find_equilibria,
     integrate,
     integrate_to_equilibrium,
+    trace_heteroclinic,
     v_gradient,
     v_value,
 )
+from lorenzlab import integrator
 
 import sampling
 
@@ -194,3 +198,125 @@ def test_capture_ignores_missing_pair():
     out = integrate_to_equilibrium(p, State(1.0, 1.0, 1.0), eqs)
     assert out.trajectory.status is TrajectoryStatus.CAPTURED_EQUILIBRIUM
     assert out.terminal.location == State(0.0, 0.0, 0.0)
+
+
+def test_overflowing_error_estimate_ends_the_run_as_diverged():
+    # a step of 1e5 squares a finite error component beyond the float range
+    p = SystemParams(10.0, 2.66, 28.0)
+    st = IntegratorSettings(dt_init=1e5, t_max=1e6)
+    tr = integrate(p, State(1.0, 1.0, 1.0), st)
+    assert tr.status is TrajectoryStatus.DIVERGED
+    assert tr.states == (State(1.0, 1.0, 1.0),)
+    assert tr.times == (0.0,)
+    eqs = find_equilibria(p)
+    out = integrate_to_equilibrium(p, State(1.0, 1.0, 1.0), eqs, settings=st)
+    assert out.trajectory.status is TrajectoryStatus.DIVERGED
+    assert out.terminal is None
+
+
+def test_distance_beyond_the_float_range_is_infinite():
+    # the initial state diverges, and its distance to the targets squares
+    # a difference of 1e200
+    p = SystemParams(1.0, 3.0, 2.0)
+    st = IntegratorSettings(blowup_norm=1e300)
+    out = integrate_to_equilibrium(
+        p, State(1e200, 0.0, 0.0), find_equilibria(p), settings=st
+    )
+    assert out.trajectory.status is TrajectoryStatus.DIVERGED
+    assert out.final_distance == math.inf
+
+
+# ------------------------------------------------- dwell capture pre-filter
+
+_tiny_and_huge = st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e150, 1.0])
+
+
+@hsettings(max_examples=1000, deadline=None)
+@given(
+    s=st.tuples(*[st.one_of(st.floats(-10.0, 10.0), _tiny_and_huge)] * 3),
+    t=st.tuples(*[st.one_of(st.floats(-10.0, 10.0), _tiny_and_huge)] * 3),
+    radius=st.one_of(st.floats(0.0, 20.0), _tiny_and_huge, st.floats(0.0, 1e-150)),
+    i=st.integers(0, 2),
+)
+@example(s=(0.0, 0.0, 1e-200), t=(0.0, 0.0, 0.0), radius=0.0, i=2)
+@example(s=(0.0, 0.0, 2e-170), t=(0.0, 0.0, 0.0), radius=1e-170, i=2)
+def test_capture_reach_only_skips_targets_outside_the_ball(s, t, radius, i):
+    # a point just beyond the reach on axis i, and the drawn point
+    reach = integrator._capture_reach(radius)
+    nudged = list(t)
+    nudged[i] = t[i] + math.nextafter(reach, math.inf)
+    for point in (s, tuple(nudged)):
+        if any(abs(u - v) > reach for u, v in zip(point, t)):
+            assert integrator._dist(point, t) > radius
+
+
+def _capture_outcome(out):
+    tr = out.trajectory
+    return (
+        tr.status,
+        None if out.terminal is None else out.terminal.location,
+        repr(out.final_distance),
+        tr.times,
+        tuple(tuple(map(repr, s)) for s in tr.states),
+    )
+
+
+def _with_and_without_prefilter(run):
+    """Outcome of ``run`` and of the same run with every target's distance
+    computed at every check, as the dwell counter did before the pre-filter."""
+    got = _capture_outcome(run())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(integrator, "_capture_reach", lambda radius: math.inf)
+        want = _capture_outcome(run())
+    return got, want
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(
+        [
+            REGULAR,
+            CLASSIC,
+            SystemParams(10.0, 8.0 / 3.0, 0.5),
+            SystemParams(2.0, 5.0, 3.0, M=0.5),
+        ]
+    ),
+    u0=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+    radius=st.sampled_from([0.0, 1e-300, 1e-6, 1e-3, 0.3, 2.0]),
+    fixed=st.booleans(),
+)
+def test_dwell_prefilter_matches_the_nearest_target_oracle(p, u0, radius, fixed):
+    eqs = find_equilibria(p)
+    mode = IntegratorMode.FIXED_RK4 if fixed else IntegratorMode.ADAPTIVE
+    settings = IntegratorSettings(mode=mode, dt_init=1e-2, t_max=15.0)
+    got, want = _with_and_without_prefilter(
+        lambda: integrate_to_equilibrium(
+            p, u0, eqs, capture_radius=radius, settings=settings
+        )
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize(
+    "settings",
+    [
+        IntegratorSettings(),
+        IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=1e-3, t_max=60.0),
+    ],
+    ids=["adaptive", "rk4"],
+)
+def test_dwell_prefilter_matches_the_oracle_on_heteroclinic_branches(branch, settings):
+    # the certified acceptance slice and random certified slices, each
+    # branch run from its seed on the unstable manifold as tracing does
+    rng = np.random.default_rng(211)
+    for p in (REGULAR, *(sampling.het_ok_params(rng) for _ in range(3))):
+        u0 = trace_heteroclinic(p, branch, settings=settings).trajectory.states[0]
+        eqs = find_equilibria(p)
+        got, want = _with_and_without_prefilter(
+            lambda: integrate_to_equilibrium(
+                p, u0, eqs, settings=settings, include_origin=False
+            )
+        )
+        assert got == want
+        assert got[0] is TrajectoryStatus.CAPTURED_EQUILIBRIUM

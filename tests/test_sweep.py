@@ -1,11 +1,23 @@
+import dataclasses
+import multiprocessing
+import os
+
 import pytest
+from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
+    DegenerateBError,
     IntegratorSettings,
     SweepAxis,
     SweepSpec,
     SystemParams,
+    WorkerPoolError,
+    certificate,
+    classify_origin,
+    find_equilibria,
+    regime_classify,
     run_sweep,
+    sweep,
     sweep_csv,
 )
 
@@ -145,3 +157,159 @@ def test_lle_task_smoke():
     col = res.columns.index("lle")
     for row in res.rows:
         assert isinstance(row[col], float)
+
+
+# --------------------------------------------- tasks sharing a cell's algebra
+
+_SHARED_TASKS = ("equilibria", "origin_class", "certificate", "regime")
+
+
+def _standalone_row(p, tasks):
+    """The task columns of one cell from the standalone functions, each
+    computing its own certificate and equilibria."""
+    out = []
+    for task in tasks:
+        if task == "equilibria":
+            eqs = find_equilibria(p)
+            out.append(eqs.kind.value)
+            loc = eqs.pair[0].location if eqs.pair is not None else (None,) * 3
+            out.extend(loc)
+        elif task == "origin_class":
+            out.append(classify_origin(p).value)
+        elif task == "certificate":
+            cert = certificate(p)
+            out += [
+                cert.flags.lemma_ok,
+                cert.flags.conv_ok,
+                cert.flags.het_ok,
+                cert.no_closed_orbits,
+                cert.no_homoclinic,
+                cert.converges_to_equilibria,
+                cert.heteroclinic_pair,
+                cert.chaos_possible,
+            ]
+        elif task == "regime":
+            out.append(regime_classify(p).value)
+    return out
+
+
+_axis_end = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(
+    names=st.permutations(("a", "b", "c", "M", "N", "P")).map(lambda n: n[:2]),
+    ends=st.tuples(_axis_end, _axis_end, _axis_end, _axis_end),
+    counts=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+    tasks=st.lists(st.sampled_from(_SHARED_TASKS), min_size=1, unique=True).map(
+        tuple
+    ),
+    base=st.sampled_from(
+        [
+            SystemParams(10.0, 8.0 / 3.0, 28.0),  # b < 2a
+            SystemParams(1.0, 3.0, 2.0),  # b >= 2a
+            SystemParams(1.0, 0.0, 2.0, P=1.0),  # b = 0, P = 1
+        ]
+    ),
+)
+@example(
+    names=("b", "P"),
+    ends=(-1.0, 1.0, 0.0, 2.0),
+    counts=(3, 3),
+    tasks=("regime", "equilibria", "certificate", "origin_class"),
+    base=SystemParams(1.0, 3.0, 2.0),
+)
+def test_rows_equal_the_standalone_functions(names, ends, counts, tasks, base):
+    # the b = 0 error rows, P = 1, and both sides of b = 2a all occur
+    axes = (
+        SweepAxis(names[0], ends[0], ends[1], counts[0]),
+        SweepAxis(names[1], ends[2], ends[3], counts[1]),
+    )
+    spec = SweepSpec(base=base, axes=axes, tasks=tasks)
+    res = run_sweep(spec, workers=1)
+    assert res.columns == spec.columns()
+    for i, row in enumerate(res.rows):
+        values = spec.cell_values(i)
+        assert row[:2] == values
+        p = dataclasses.replace(base, **dict(zip(names, values)))
+        try:
+            want = _standalone_row(p, tasks)
+        except DegenerateBError as exc:
+            assert row[2:-1] == (None,) * (len(row) - 3)
+            assert row[-1] == f"DegenerateBError: {exc}"
+        else:
+            assert [repr(v) for v in row[2:-1]] == [repr(v) for v in want]
+            assert row[-1] is None
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(sweep, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        SystemParams(10.0, 8.0 / 3.0, 28.0),  # b < 2a: regime needs the equilibria
+        SystemParams(1.0, 3.0, 2.0),  # certified: regime does not
+    ],
+)
+def test_one_certificate_and_one_equilibrium_set_per_cell(monkeypatch, base):
+    eq_calls = _count_calls(monkeypatch, "find_equilibria")
+    cert_calls = _count_calls(monkeypatch, "certificate")
+    spec = SweepSpec(
+        base=base,
+        axes=(SweepAxis("c", 0.5, 30.0, 7), SweepAxis("M", -1.0, 1.0, 3)),
+        tasks=_SHARED_TASKS,
+    )
+    res = run_sweep(spec, workers=1)
+    assert all(row[-1] is None for row in res.rows)
+    assert len(eq_calls) == len(cert_calls) == spec.n_cells() == 21
+
+
+def test_certificate_only_sweep_never_finds_equilibria(monkeypatch):
+    eq_calls = _count_calls(monkeypatch, "find_equilibria")
+    cert_calls = _count_calls(monkeypatch, "certificate")
+    spec = _spec(axes=(SweepAxis("c", 0.5, 30.0, 9),), tasks=("certificate",))
+    run_sweep(spec, workers=1)
+    assert eq_calls == []
+    assert len(cert_calls) == 9
+
+
+def test_regime_on_certified_cells_never_finds_equilibria(monkeypatch):
+    # the regime label asks for the equilibria only when chaos is possible
+    eq_calls = _count_calls(monkeypatch, "find_equilibria")
+    spec = SweepSpec(
+        base=SystemParams(1.0, 3.0, 2.0),
+        axes=(SweepAxis("c", 1.5, 3.0, 5),),
+        tasks=("regime",),
+    )
+    res = run_sweep(spec, workers=1)
+    assert {row[1] for row in res.rows} == {"provably_regular"}
+    assert eq_calls == []
+
+
+# ------------------------------------------------------- a crashed worker pool
+
+
+def _die(spec, p):
+    os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched task runner only when forked",
+)
+def test_crashed_worker_pool_raises_a_package_error(monkeypatch):
+    monkeypatch.setattr(sweep, "_run_tasks", _die)
+    spec = _spec(axes=(SweepAxis("c", 0.5, 1.5, 4), SweepAxis("M", 0.0, 1.0, 2)))
+    axes = r"c:0\.5:1\.5:4 x M:0\.0:1\.0:2"
+    with pytest.raises(WorkerPoolError, match=f"the sweep over {axes} "):
+        run_sweep(spec, workers=2)
