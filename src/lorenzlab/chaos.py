@@ -95,6 +95,13 @@ def largest_lyapunov_exponent(
     """
     if settings is None:
         settings = IntegratorSettings()
+    for name, value in (
+        ("renorm_interval", renorm_interval),
+        ("horizon", horizon),
+        ("transient", transient),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if renorm_interval <= 0.0:
         raise ValueError("renorm_interval must be positive")
     if transient < 0.0 or horizon <= transient:

@@ -24,7 +24,7 @@ from .integrator import (
 from .lyapunov import certificate
 from .model import Preset, State, SystemParams, from_preset
 from .orbits import Branch, branch_symmetry_deviation, trace_heteroclinic
-from .serialize import emit, to_jsonable
+from .serialize import FORMATS, emit, to_jsonable
 from .sweep import TASKS, SweepAxis, SweepSpec, run_sweep
 
 def _add_system_flags(parser: argparse.ArgumentParser) -> None:
@@ -40,7 +40,7 @@ def _add_system_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("output")
-    group.add_argument("--format", choices=["json", "csv"], default="json")
+    group.add_argument("--format", choices=FORMATS, default="json")
     group.add_argument("--out", default=None, help="output path (default stdout)")
 
 

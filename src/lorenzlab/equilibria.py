@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBError
-from .model import State, SystemParams, apply_symmetry, jacobian, vector_field
+from .model import Preset, State, SystemParams, apply_symmetry, jacobian, vector_field
 
 
 class OriginClass(enum.Enum):
@@ -307,15 +307,13 @@ def pitchfork_locus(p: SystemParams, free: str) -> float:
     raise ValueError(f"free parameter must be 'M', 'N' or 'c', got {free!r}")
 
 
-def pitchfork_locus_for_preset(preset, a: float) -> float:
+def pitchfork_locus_for_preset(preset: Preset, a: float) -> float:
     """Critical c for a preset whose gains are themselves functions of c.
 
     Substituting the preset mapping into d = M + N + c - 1 and solving
     d(c) = 0 gives: Lorenz c = 1; Chen c = a/2 (d = 2c - a); Lu c = 0
     (d = c); T system c = a (d = c - a).
     """
-    from .model import Preset
-
     if preset is Preset.LORENZ:
         return 1.0
     if preset is Preset.CHEN:

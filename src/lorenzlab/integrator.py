@@ -22,7 +22,9 @@ version, while the chain gives the same bits everywhere.  Reordering any
 of this changes trajectories, exponents and golden outputs; the parity
 tests hold the kernels to a generic reference step bit for bit.
 
-``_drive`` is the one stepping loop for every caller.
+``_drive`` is the one stepping loop for every caller.  The initial state
+and each accepted state pass one stop policy, in order: divergence, dwell
+capture at an equilibrium, end of the time span, step limit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .equilibria import Equilibrium, EquilibriumSet
@@ -266,18 +268,19 @@ def _capture_reach(capture_radius: float) -> float:
     return max(capture_radius * (1.0 + 2.0**-50), 2.0**-500)
 
 
-@dataclass
-class _DriveResult:
+class _DriveResult(NamedTuple):
+    """How a run of ``_drive`` ended: the last accepted state, the next
+    proposed step, the trial steps spent, the recorded points, the index of
+    the capturing target and the distance to the nearest target."""
+
     status: TrajectoryStatus
-    t: float
     state: tuple
     dt: float
-    times: list[float] = field(default_factory=list)
-    states: list[tuple] = field(default_factory=list)
-    captured: int | None = None
-    final_distance: float = math.inf
-    accepted: int = 0
-    attempts: int = 0
+    attempts: int
+    times: list[float]
+    states: list[tuple]
+    captured: int | None
+    final_distance: float
 
 
 def _drive(
@@ -292,6 +295,14 @@ def _drive(
     attempts: int = 0,
 ) -> _DriveResult:
     """Shared stepping loop for both modes.
+
+    The initial state and every accepted state go through one stop policy,
+    in order: record it; DIVERGED if its norm exceeds ``blowup_norm`` or is
+    not finite; CAPTURED_EQUILIBRIUM if it completes a dwell;
+    COMPLETED_TSPAN at ``t_end``; STEP_LIMIT if the next trial step would
+    not advance t or the ``max_steps`` budget is spent.  Trial steps repeat
+    until one is accepted; a DP54 error estimate that overflows ends the
+    run as DIVERGED at the last accepted state.
 
     ``attempts`` counts the trial steps the run has already spent, so a run
     made of several calls (the LLE's windows) shares one ``max_steps``
@@ -309,74 +320,59 @@ def _drive(
     rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
     blowup_norm, max_steps = settings.blowup_norm, settings.max_steps
     dt = settings.dt_init if dt_start is None else dt_start
-    t = 0.0
-    s = u0
-    res = _DriveResult(status=TrajectoryStatus.COMPLETED_TSPAN, t=t, state=s, dt=dt)
-    if record:
-        res.times.append(0.0)
-        res.states.append(s)
-
-    def nearest(state: tuple) -> tuple[int, float]:
-        best_i, best_d = 0, math.inf
-        for i, tgt in enumerate(targets):
-            d = _dist(state, tgt)
-            if d < best_d:
-                best_i, best_d = i, d
-        return best_i, best_d
-
-    dwell_target: int | None = None
-    dwell = 0
-    reach = _capture_reach(capture_radius)
-
-    def captured(state: tuple) -> bool:
-        nonlocal dwell_target, dwell
-        x, y, z = state
-        for tx, ty, tz in targets:
-            if abs(x - tx) <= reach and abs(y - ty) <= reach and abs(z - tz) <= reach:
-                break
-        else:  # outside the capture ball of every target
-            dwell_target, dwell = None, 0
-            return False
-        idx, d = nearest(state)
-        if d <= capture_radius:
-            if dwell_target == idx:
-                dwell += 1
-            else:
-                dwell_target, dwell = idx, 1
-        else:
-            dwell_target, dwell = None, 0
-        if dwell >= _DWELL_CHECKS:
-            res.captured = idx
-            return True
-        return False
-
-    # a NaN or infinite component makes the norm NaN or infinite, and
-    # blowup_norm is finite, so this one comparison also catches those
-    nrm = norm(s)
-    if not nrm <= blowup_norm:
-        res.status = TrajectoryStatus.DIVERGED
-    elif targets is not None and captured(s):
-        res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
-    if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
-        if targets is not None:
-            res.final_distance = nearest(s)[1]
-        res.attempts = attempts
-        return res
-
+    t, s = 0.0, u0
     k1 = None if fixed else kernels.rhs(s)
-    while t < t_end:
+    times: list[float] = []
+    states: list[tuple] = []
+    captured = dwell_target = None
+    dwell = 0
+    box = _capture_reach(capture_radius)
+    indexed = tuple(enumerate(targets or ()))
+    accepted = True  # the initial state counts as accepted
+
+    while True:
+        if accepted:
+            if record:
+                times.append(t)
+                states.append(s)
+            # a NaN or infinite component makes the norm NaN or infinite, and
+            # blowup_norm is finite, so this one comparison also catches those
+            nrm = norm(s)
+            if not nrm <= blowup_norm:
+                status = TrajectoryStatus.DIVERGED
+                break
+            if targets is not None:
+                # the nearest target, the earlier one on a tie; one outside
+                # the reach box is farther than capture_radius
+                x, y, z = s
+                near = None
+                for i, (tx, ty, tz) in indexed:
+                    if abs(x - tx) <= box and abs(y - ty) <= box and abs(z - tz) <= box:
+                        d = _dist(s, targets[i])
+                        if near is None or d < near_d:
+                            near, near_d = i, d
+                if near is None or not near_d <= capture_radius:
+                    dwell_target, dwell = None, 0
+                else:
+                    dwell = dwell + 1 if near == dwell_target else 1
+                    dwell_target = near
+                    if dwell >= _DWELL_CHECKS:
+                        status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
+                        captured = near
+                        break
+            if not t < t_end:
+                status = TrajectoryStatus.COMPLETED_TSPAN
+                break
+
         remaining = t_end - t
         dt_eff = min(dt, remaining)
         if not fixed and targets is not None and 1 <= dwell < _DWELL_CHECKS:
             # leave room for the remaining dwell confirmations
             dt_eff = min(dt_eff, remaining / (_DWELL_CHECKS - dwell))
-        if t + dt_eff == t:
-            res.status = TrajectoryStatus.STEP_LIMIT
+        if t + dt_eff == t or attempts >= max_steps:
+            status = TrajectoryStatus.STEP_LIMIT
             break
         attempts += 1
-        if attempts > max_steps:
-            res.status = TrajectoryStatus.STEP_LIMIT
-            break
 
         if fixed:
             s = rk4(s, dt_eff)
@@ -384,12 +380,10 @@ def _drive(
             try:
                 s_new, k7, err = dp54(s, k1, dt_eff)
             except OverflowError:
-                # the error norm squares a finite component beyond the
-                # float range: the orbit has left every scale the
-                # tolerance can judge
-                res.status = TrajectoryStatus.DIVERGED
+                # the error norm squared a component beyond the float range:
+                # the orbit has left every scale the tolerance can judge
+                status = TrajectoryStatus.DIVERGED
                 break
-            # nrm is the norm of the current state s
             tol = rel_tol * nrm + abs_tol
             if err == 0.0:
                 factor = _GROW_LIMIT
@@ -399,44 +393,37 @@ def _drive(
                     max(_SHRINK_LIMIT, _SAFETY * (tol / err) ** _ORDER_EXPONENT),
                 )
             dt = dt_eff * factor
-            if not err <= tol:
+            accepted = err <= tol
+            if not accepted:
                 continue
             s, k1 = s_new, k7
-
         t = t_end if dt_eff == remaining else t + dt_eff
-        nrm = norm(s)
-        res.accepted += 1
-        if record:
-            res.times.append(t)
-            res.states.append(s)
-        if not nrm <= blowup_norm:
-            res.status = TrajectoryStatus.DIVERGED
-            break
-        if targets is not None and captured(s):
-            res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
-            break
 
-    res.t = t
-    res.state = s
-    res.dt = dt
-    res.attempts = attempts
-    if targets is not None:
-        res.final_distance = nearest(s)[1]
-    return res
+    nearest = min([math.inf, *(_dist(s, tgt) for tgt in targets or ())])
+    return _DriveResult(status, s, dt, attempts, times, states, captured, nearest)
+
+
+def _run(
+    p: SystemParams,
+    u0: State | tuple,
+    settings: IntegratorSettings | None,
+    targets: list[tuple] | None = None,
+    capture_radius: float = 0.0,
+) -> tuple[_DriveResult, Trajectory]:
+    """Drive the model field from u0 over [0, t_max], recording every step."""
+    if settings is None:
+        settings = IntegratorSettings()
+    kernels = _kernels(_FIELD_SOURCE, p)
+    res = _drive(kernels, tuple(u0), settings, settings.t_max, targets, capture_radius)
+    states = tuple(State(*s) for s in res.states)
+    return res, Trajectory(times=tuple(res.times), states=states, status=res.status)
 
 
 def integrate(
     p: SystemParams, u0: State | tuple, settings: IntegratorSettings | None = None
 ) -> Trajectory:
     """Integrate from u0 over [0, t_max]; record every accepted step."""
-    if settings is None:
-        settings = IntegratorSettings()
-    res = _drive(_kernels(_FIELD_SOURCE, p), tuple(u0), settings, settings.t_max)
-    return Trajectory(
-        times=tuple(res.times),
-        states=tuple(State(*s) for s in res.states),
-        status=res.status,
-    )
+    return _run(p, u0, settings)[1]
 
 
 def integrate_to_equilibrium(
@@ -449,34 +436,22 @@ def integrate_to_equilibrium(
 ) -> ConvergenceOutcome:
     """Integrate until one of the equilibria in ``eqs`` captures the orbit.
 
-    Capture means ten consecutive accepted states (the initial state
-    counts) within ``capture_radius`` of the same equilibrium.  Runs that
-    reach t_max, diverge, or hit the step limit return terminal=None
-    with the corresponding trajectory status.  ``include_origin=False``
-    restricts the candidate set to the symmetric pair; callers seeded
-    inside the origin ball need this, or the dwell counter fills while the
-    orbit is still escaping.
+    Capture means ten consecutive accepted states (the initial state counts)
+    within ``capture_radius`` of the same equilibrium; a negative or NaN
+    radius is a ValueError.  Runs that reach t_max, diverge, or hit the step
+    limit return terminal=None with the corresponding trajectory status.
+    ``include_origin=False`` restricts the candidate set to the symmetric
+    pair; callers seeded inside the origin ball need this, or the dwell
+    counter fills while the orbit is still escaping.
     """
-    if settings is None:
-        settings = IntegratorSettings()
+    if not capture_radius >= 0.0:
+        raise ValueError(f"capture_radius must be non-negative, got {capture_radius!r}")
     candidates: list[Equilibrium] = [eqs.origin] if include_origin else []
     if eqs.pair is not None:
         candidates.extend(eqs.pair)
     targets = [tuple(e.location) for e in candidates] or None
-    res = _drive(
-        _kernels(_FIELD_SOURCE, p),
-        tuple(u0),
-        settings,
-        settings.t_max,
-        targets=targets,
-        capture_radius=capture_radius,
-    )
-    trajectory = Trajectory(
-        times=tuple(res.times),
-        states=tuple(State(*s) for s in res.states),
-        status=res.status,
-    )
-    terminal = candidates[res.captured] if res.captured is not None else None
+    res, trajectory = _run(p, u0, settings, targets, capture_radius)
+    terminal = None if res.captured is None else candidates[res.captured]
     return ConvergenceOutcome(
         terminal=terminal, final_distance=res.final_distance, trajectory=trajectory
     )

@@ -97,8 +97,12 @@ def trace_heteroclinic(
     to 1e-6 * (1 + ||E+||) so the seed error stays small relative to the
     scale of the orbit.  The result is marked certified only when the
     heteroclinic hypotheses hold for p; otherwise it reports what the
-    numerics did without any guarantee attached.
+    numerics did without any guarantee attached.  An epsilon that is not
+    positive and finite raises ValueError: a negative one would trace the
+    other branch under this branch's label.
     """
+    if epsilon is not None and not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     direction = unstable_direction_at_origin(p)
     eqs = find_equilibria(p)
     e_plus = eqs.pair[0] if eqs.pair is not None else None

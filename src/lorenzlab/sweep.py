@@ -11,6 +11,7 @@ sweep.
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -23,8 +24,6 @@ from .lyapunov import certificate
 from .model import SystemParams
 
 AXIS_NAMES = ("a", "b", "c", "M", "N", "P")
-
-TASKS = ("equilibria", "origin_class", "certificate", "regime", "lle")
 
 _TASK_COLUMNS = {
     "equilibria": ("equilibria_kind", "e_plus_x", "e_plus_y", "e_plus_z"),
@@ -42,6 +41,8 @@ _TASK_COLUMNS = {
     "regime": ("regime",),
     "lle": ("lle",),
 }
+
+TASKS = tuple(_TASK_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -216,16 +217,18 @@ def _evaluate_cell(args: tuple[SweepSpec, int]) -> tuple:
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every cell and assemble the table in grid order.
 
-    ``workers`` = 1 runs inline; None uses one process per CPU, capped by
-    the cell count.  The output is independent of the worker count.  A
+    ``workers`` = 1 runs inline; None uses one process per CPU.  Either way
+    no more processes start than there are cells, and ``workers`` < 1
+    raises ValueError.  The output is independent of the worker count.  A
     worker process that dies raises WorkerPoolError.
     """
     n = spec.n_cells()
     if workers is None:
-        import os
-
-        workers = min(os.cpu_count() or 1, n)
-    if workers <= 1 or n == 1:
+        workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, n)
+    if workers == 1:
         rows = [_evaluate_cell((spec, i)) for i in range(n)]
     else:
         chunk = max(1, n // (4 * workers))

@@ -39,6 +39,14 @@ def test_lle_argument_validation():
         largest_lyapunov_exponent(p, horizon=10.2, transient=10.0, renorm_interval=1.0)
 
 
+@pytest.mark.parametrize("name", ["renorm_interval", "horizon", "transient"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_lle_window_arguments_must_be_finite(name, value):
+    p = SystemParams(10.0, 8.0 / 3.0, 28.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        largest_lyapunov_exponent(p, **{name: value})
+
+
 def test_lle_history_shape():
     p = SystemParams(10.0, 8.0 / 3.0, 0.5)
     est = largest_lyapunov_exponent(

@@ -133,6 +133,21 @@ CASES = [
          2, EMPTY, "error: margin must be positive\n"),
     case("equilibria-nan", ["equilibria", "--a", "nan", "--b", "3", "--c", "2"],
          2, EMPTY, "error: parameter a must be finite, got nan\n"),
+    case("lle-infinite-horizon",
+         ["lle", "--a", "10", "--b", "2.66", "--c", "28", "--horizon", "inf"],
+         2, EMPTY, "error: horizon must be finite, got inf\n"),
+    case("lle-nan-transient",
+         ["lle", "--a", "10", "--b", "2.66", "--c", "28", "--transient", "nan"],
+         2, EMPTY, "error: transient must be finite, got nan\n"),
+    case("heteroclinic-negative-epsilon",
+         ["heteroclinic", *REGULAR, "--branch", "plus", "--epsilon=-1e-6"],
+         2, EMPTY, "error: epsilon must be positive and finite, got -1e-06\n"),
+    case("heteroclinic-negative-capture-radius",
+         ["heteroclinic", *REGULAR, "--capture-radius", "-1"],
+         2, EMPTY, "error: capture_radius must be non-negative, got -1.0\n"),
+    case("sweep-zero-workers",
+         ["sweep", *CLASSIC, "--axis", "c:0:1:3", "--workers", "0"],
+         2, EMPTY, "error: workers must be at least 1, got 0\n"),
     # exit 3: numerical and domain failures; a diverged or step-limited
     # simulate still writes its trajectory
     case("heteroclinic-not-a-saddle", ["heteroclinic", *PLANT], 3, EMPTY,

@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -21,6 +23,20 @@ from lorenzlab import (
     v_value,
 )
 from lorenzlab import integrator
+from lorenzlab.chaos import _VARIATIONAL_SOURCE
+from lorenzlab.integrator import (
+    _DWELL_CHECKS,
+    _GROW_LIMIT,
+    _ORDER_EXPONENT,
+    _SAFETY,
+    _SHRINK_LIMIT,
+    _capture_reach,
+    _dist,
+    _drive,
+    _Kernels,
+    _kernels,
+)
+from lorenzlab.model import _FIELD_SOURCE
 
 import sampling
 
@@ -149,6 +165,13 @@ def test_capture_starting_at_the_target():
     # exact zero is not attainable: the stored location carries rounding,
     # so the orbit drifts toward the true root; within the ball is the deal
     assert out.final_distance <= 1e-6
+
+
+@pytest.mark.parametrize("radius", [-1.0, -5e-324, math.nan, -math.inf])
+def test_capture_radius_must_be_non_negative(radius):
+    eqs = find_equilibria(REGULAR)
+    with pytest.raises(ValueError, match="capture_radius must be non-negative"):
+        integrate_to_equilibrium(REGULAR, State(1.0, 1.0, 1.0), eqs, radius)
 
 
 def test_loose_ball_without_dwell_is_not_capture():
@@ -320,3 +343,272 @@ def test_dwell_prefilter_matches_the_oracle_on_heteroclinic_branches(branch, set
         )
         assert got == want
         assert got[0] is TrajectoryStatus.CAPTURED_EQUILIBRIUM
+
+
+# ------------------------------------------- the stop policy, against its past
+
+# A frozen copy of ``_drive`` from when it wrote its stop policy twice (once
+# for the initial state, once after each accepted step) through ``nearest``
+# and ``captured`` closures.  The one-policy loop must end every run the
+# same way, bit for bit, in every field a caller reads.
+
+
+@dataclass
+class _RefDriveResult:
+    status: TrajectoryStatus
+    t: float
+    state: tuple
+    dt: float
+    times: list[float] = field(default_factory=list)
+    states: list[tuple] = field(default_factory=list)
+    captured: int | None = None
+    final_distance: float = math.inf
+    accepted: int = 0
+    attempts: int = 0
+
+
+def _reference_drive(
+    kernels: _Kernels,
+    u0: tuple,
+    settings: IntegratorSettings,
+    t_end: float,
+    targets: Sequence[tuple] | None = None,
+    capture_radius: float = 0.0,
+    record: bool = True,
+    dt_start: float | None = None,
+    attempts: int = 0,
+) -> _RefDriveResult:
+    """``_drive`` before its stop policy was written once; test-only.
+
+    ``attempts`` counts the trial steps the run has already spent, so a run
+    made of several calls (the LLE's windows) shares one ``max_steps``
+    budget; the result carries the updated count.
+
+    When ``targets`` is given, each accepted state updates a dwell counter:
+    a run of ``_DWELL_CHECKS`` consecutive states inside ``capture_radius``
+    of one fixed target ends the run as CAPTURED_EQUILIBRIUM.  The counter
+    guards against transient passes near a saddle.  While dwelling in
+    adaptive mode the step is clamped so the remaining time still allows
+    the required number of checks.
+    """
+    fixed = settings.mode is IntegratorMode.FIXED_RK4
+    dp54, rk4, norm = kernels.dp54, kernels.rk4, kernels.norm
+    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
+    blowup_norm, max_steps = settings.blowup_norm, settings.max_steps
+    dt = settings.dt_init if dt_start is None else dt_start
+    t = 0.0
+    s = u0
+    res = _RefDriveResult(status=TrajectoryStatus.COMPLETED_TSPAN, t=t, state=s, dt=dt)
+    if record:
+        res.times.append(0.0)
+        res.states.append(s)
+
+    def nearest(state: tuple) -> tuple[int, float]:
+        best_i, best_d = 0, math.inf
+        for i, tgt in enumerate(targets):
+            d = _dist(state, tgt)
+            if d < best_d:
+                best_i, best_d = i, d
+        return best_i, best_d
+
+    dwell_target: int | None = None
+    dwell = 0
+    reach = _capture_reach(capture_radius)
+
+    def captured(state: tuple) -> bool:
+        nonlocal dwell_target, dwell
+        x, y, z = state
+        for tx, ty, tz in targets:
+            if abs(x - tx) <= reach and abs(y - ty) <= reach and abs(z - tz) <= reach:
+                break
+        else:  # outside the capture ball of every target
+            dwell_target, dwell = None, 0
+            return False
+        idx, d = nearest(state)
+        if d <= capture_radius:
+            if dwell_target == idx:
+                dwell += 1
+            else:
+                dwell_target, dwell = idx, 1
+        else:
+            dwell_target, dwell = None, 0
+        if dwell >= _DWELL_CHECKS:
+            res.captured = idx
+            return True
+        return False
+
+    # a NaN or infinite component makes the norm NaN or infinite, and
+    # blowup_norm is finite, so this one comparison also catches those
+    nrm = norm(s)
+    if not nrm <= blowup_norm:
+        res.status = TrajectoryStatus.DIVERGED
+    elif targets is not None and captured(s):
+        res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
+    if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
+        if targets is not None:
+            res.final_distance = nearest(s)[1]
+        res.attempts = attempts
+        return res
+
+    k1 = None if fixed else kernels.rhs(s)
+    while t < t_end:
+        remaining = t_end - t
+        dt_eff = min(dt, remaining)
+        if not fixed and targets is not None and 1 <= dwell < _DWELL_CHECKS:
+            # leave room for the remaining dwell confirmations
+            dt_eff = min(dt_eff, remaining / (_DWELL_CHECKS - dwell))
+        if t + dt_eff == t:
+            res.status = TrajectoryStatus.STEP_LIMIT
+            break
+        attempts += 1
+        if attempts > max_steps:
+            res.status = TrajectoryStatus.STEP_LIMIT
+            break
+
+        if fixed:
+            s = rk4(s, dt_eff)
+        else:
+            try:
+                s_new, k7, err = dp54(s, k1, dt_eff)
+            except OverflowError:
+                # the error norm squares a finite component beyond the
+                # float range: the orbit has left every scale the
+                # tolerance can judge
+                res.status = TrajectoryStatus.DIVERGED
+                break
+            # nrm is the norm of the current state s
+            tol = rel_tol * nrm + abs_tol
+            if err == 0.0:
+                factor = _GROW_LIMIT
+            else:
+                factor = min(
+                    _GROW_LIMIT,
+                    max(_SHRINK_LIMIT, _SAFETY * (tol / err) ** _ORDER_EXPONENT),
+                )
+            dt = dt_eff * factor
+            if not err <= tol:
+                continue
+            s, k1 = s_new, k7
+
+        t = t_end if dt_eff == remaining else t + dt_eff
+        nrm = norm(s)
+        res.accepted += 1
+        if record:
+            res.times.append(t)
+            res.states.append(s)
+        if not nrm <= blowup_norm:
+            res.status = TrajectoryStatus.DIVERGED
+            break
+        if targets is not None and captured(s):
+            res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
+            break
+
+    res.t = t
+    res.state = s
+    res.dt = dt
+    res.attempts = attempts
+    if targets is not None:
+        res.final_distance = nearest(s)[1]
+    return res
+
+
+_DRIVE_PARAMS = [
+    REGULAR,
+    CLASSIC,
+    SystemParams(10.0, 8.0 / 3.0, 0.5),
+    SystemParams(2.0, 5.0, 3.0, M=0.5),
+    SystemParams(10.0, 8.0 / 3.0, 28.0, P=2.0),
+]
+
+
+def _drive_case(p, start, *, fixed, targets, variational, budget, t_end, dt_init,
+                blowup_norm, **kwargs):
+    """(kernels, u0, settings, t_end, keyword arguments) of one ``_drive`` run."""
+    u0 = (*start, 1.0, 0.0, 0.0) if variational else start
+    field_source = _VARIATIONAL_SOURCE if variational else _FIELD_SOURCE
+    settings = IntegratorSettings(
+        mode=IntegratorMode.FIXED_RK4 if fixed else IntegratorMode.ADAPTIVE,
+        dt_init=dt_init,
+        max_steps=budget,
+        blowup_norm=blowup_norm,
+    )
+    return _kernels(field_source, p), u0, settings, t_end, dict(kwargs, targets=targets)
+
+
+@st.composite
+def _drive_cases(draw):
+    p = draw(st.sampled_from(_DRIVE_PARAMS))
+    eqs = find_equilibria(p)
+    locations = [tuple(e.location) for e in (eqs.origin, *(eqs.pair or ()))]
+    targets = draw(st.sampled_from([None, locations, locations[1:] or None]))
+    kind = draw(st.sampled_from(["any", "in_ball", "in_ball", "diverged", "nan"]))
+    if kind == "any":
+        start = draw(st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+    elif kind == "in_ball":
+        centre = draw(st.sampled_from(locations))
+        offset = draw(st.tuples(*[st.floats(-1e-7, 1e-7)] * 3))
+        start = tuple(c + o for c, o in zip(centre, offset))
+    elif kind == "diverged":
+        start = (draw(st.sampled_from([2e6, -1e200, math.inf])), 1.0, 1.0)
+    else:
+        start = (math.nan, 0.0, 1.0)
+    return _drive_case(
+        p,
+        start,
+        fixed=draw(st.booleans()),
+        targets=targets,
+        # the exponent's 6-D field runs without targets
+        variational=targets is None and draw(st.booleans()),
+        budget=draw(st.sampled_from([1, 60, 10**6, 10**6])),
+        t_end=draw(st.sampled_from([0.5, 2.0, 5.0])),
+        dt_init=draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0])),
+        blowup_norm=draw(st.sampled_from([1e6, 1e300])),
+        capture_radius=draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.3, 2.0])),
+        record=draw(st.booleans()),
+        dt_start=draw(st.one_of(st.none(), st.floats(1e-4, 0.5))),
+        attempts=draw(st.integers(0, 40)),
+    )
+
+
+def _read_fields(res):
+    """repr of every field of a drive result that a caller reads.  The old
+    loop counted one trial step past the budget at STEP_LIMIT; no caller
+    reads the count of such a run, so it is left out there."""
+    attempts = None if res.status is TrajectoryStatus.STEP_LIMIT else res.attempts
+    return (
+        res.status,
+        repr(res.state),
+        repr(res.dt),
+        repr(res.times),
+        repr(res.states),
+        res.captured,
+        repr(res.final_distance),
+        attempts,
+    )
+
+
+_PAIR = [tuple(e.location) for e in find_equilibria(REGULAR).pair]
+_RUN = dict(fixed=False, variational=False, budget=10**6, t_end=5.0, dt_init=1e-2,
+            blowup_norm=1e6, capture_radius=1e-6)
+
+
+@hsettings(max_examples=400, deadline=None)
+@given(case=_drive_cases())
+# a start inside the capture ball, so the initial state starts the dwell
+@example(case=_drive_case(REGULAR, _PAIR[0], **_RUN, targets=_PAIR))
+# a budget partly spent by earlier windows runs out: STEP_LIMIT
+@example(
+    case=_drive_case(CLASSIC, (1.0, 1.0, 1.0), **dict(_RUN, variational=True,
+                     budget=60), targets=None, record=False, attempts=50)
+)
+# a NaN start, and a diverged one whose target distances overflow
+@example(case=_drive_case(REGULAR, (math.nan, 0.0, 1.0), **_RUN, targets=_PAIR))
+@example(
+    case=_drive_case(REGULAR, (1e200, 0.0, 0.0), **dict(_RUN, blowup_norm=1e300),
+                     targets=_PAIR)
+)
+def test_drive_matches_its_frozen_two_policy_copy(case):
+    kernels, u0, settings, t_end, kwargs = case
+    got = _drive(kernels, u0, settings, t_end, **kwargs)
+    want = _reference_drive(kernels, u0, settings, t_end, **kwargs)
+    assert _read_fields(got) == _read_fields(want)

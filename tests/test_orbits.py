@@ -85,6 +85,13 @@ def test_seed_size_does_not_change_the_terminal(eps):
     assert res.extremal_x > 0.0
 
 
+@pytest.mark.parametrize("eps", [-1e-6, 0.0, -0.0, math.inf, math.nan])
+def test_epsilon_must_be_positive_and_finite(eps):
+    # a negative seed lies on the other branch, zero is the fixed point
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        trace_heteroclinic(REGULAR, Branch.PLUS_X, epsilon=eps)
+
+
 def test_observed_connection_is_not_certified_outside_hypotheses():
     # the classic chaotic case has the right saddle and pair, but no
     # guarantee; the branch wanders without settling and says so

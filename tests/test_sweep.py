@@ -313,3 +313,42 @@ def test_crashed_worker_pool_raises_a_package_error(monkeypatch):
     axes = r"c:0\.5:1\.5:4 x M:0\.0:1\.0:2"
     with pytest.raises(WorkerPoolError, match=f"the sweep over {axes} "):
         run_sweep(spec, workers=2)
+
+
+# ------------------------------------------------------------ worker count
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so no worker process starts."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("workers, started", [(2, 2), (5, 5), (6, 5), (64, 5)])
+def test_no_more_processes_start_than_there_are_cells(monkeypatch, workers, started):
+    monkeypatch.setattr(_InlineExecutor, "started", [])
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _InlineExecutor)
+    spec = _spec(tasks=("equilibria", "origin_class"))
+    inline = sweep_csv(run_sweep(spec, workers=1))
+    assert _InlineExecutor.started == []
+    assert sweep_csv(run_sweep(spec, workers=workers)) == inline
+    assert _InlineExecutor.started == [started]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_fewer_than_one_worker_is_rejected(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_sweep(_spec(), workers=workers)
