@@ -106,7 +106,13 @@ def largest_lyapunov_exponent(
         raise ValueError("renorm_interval must be positive")
     if transient < 0.0 or horizon <= transient:
         raise ValueError("need horizon > transient >= 0")
-    n_total = int(round(horizon / renorm_interval))
+    windows = horizon / renorm_interval
+    if windows == math.inf:
+        raise ValueError(
+            f"the window count horizon / renorm_interval = {horizon!r} / "
+            f"{renorm_interval!r} overflows"
+        )
+    n_total = int(round(windows))
     n_trans = int(round(transient / renorm_interval))
     if n_total <= n_trans:
         raise ValueError("horizon leaves no window after the transient")

@@ -16,12 +16,9 @@ decided by the signs of q = a d and r = N - a - 1.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateBError
 from .model import Preset, State, SystemParams, apply_symmetry, jacobian, vector_field
@@ -159,7 +156,17 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
         ts = [complex(t_real, 0.0), complex(re, im), complex(re, -im)]
     elif pcoef < 0.0:
         mfac = 2.0 * math.sqrt(-pcoef / 3.0)
-        arg = 3.0 * qcoef / (pcoef * mfac)
+        den = pcoef * mfac
+        if den == 0.0:
+            # p * m underflows only when every coefficient is tiny.  Solve for
+            # lambda / 2^k instead, an exact rescaling that brings the largest
+            # of |c2|, |c1|^(1/2), |c0|^(1/3) near 1; there p * m cannot
+            # underflow on this branch, so this recurses once.
+            size = max(abs(c2), math.sqrt(abs(c1)), abs(c0) ** (1.0 / 3.0))
+            sc = math.ldexp(1.0, math.frexp(size)[1])
+            roots = _cubic_roots(c2 / sc, c1 / sc / sc, c0 / sc / sc / sc)
+            return [z * sc for z in roots]
+        arg = 3.0 * qcoef / den
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg)
         ts = [
@@ -247,10 +254,16 @@ def _residual(p: SystemParams, loc: State) -> float:
 
 
 def _polish(p: SystemParams, loc: State, residual_tol: float) -> State:
-    """Newton-polish an approximate equilibrium (best effort)."""
+    """Newton-polish an approximate equilibrium (best effort).
+
+    numpy, for LAPACK's 3x3 solve, is imported only once a residual says a
+    Newton step is needed; the closed form usually meets ``residual_tol``.
+    """
     for _ in range(3):
         if _residual(p, loc) <= residual_tol:
             break
+        import numpy as np
+
         f = np.array(vector_field(p, loc), dtype=float)
         try:
             delta = np.linalg.solve(jacobian(p, loc), -f)

@@ -21,9 +21,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class State(NamedTuple):
@@ -106,7 +107,13 @@ _FIELD_SOURCE = (
 
 
 def jacobian(p: SystemParams, s: State | tuple) -> np.ndarray:
-    """Jacobian matrix of the vector field at state s (3x3 float array)."""
+    """Jacobian matrix of the vector field at state s (3x3 float array).
+
+    numpy loads on the first call, not when the package is imported; the
+    eigenvalue path forms the same entries as scalars without it.
+    """
+    import numpy as np
+
     x, y, z = s
     pp = 1.0 - p.P
     return np.array(

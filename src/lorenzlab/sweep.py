@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 from .chaos import _regime, largest_lyapunov_exponent
@@ -231,6 +229,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     if workers == 1:
         rows = [_evaluate_cell((spec, i)) for i in range(n)]
     else:
+        # the pool's modules load only on this path, not with the package
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         chunk = max(1, n // (4 * workers))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

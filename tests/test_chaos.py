@@ -2,24 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings as hsettings, strategies as st
+from hypothesis import assume, example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
     DivergedTrajectoryError,
     EquilibriumKind,
+    IntegratorMode,
     IntegratorSettings,
     NotStableRegimeError,
     OriginClass,
     RegimeLabel,
     State,
     SystemParams,
+    TrajectoryStatus,
     eigenvalues_at,
     find_equilibria,
+    jacobian,
     largest_lyapunov_exponent,
     origin_eigenvalues,
     regime_classify,
     suggest_anticontrol,
 )
+from lorenzlab.chaos import _VARIATIONAL_SOURCE
+from lorenzlab.integrator import _drive, _kernels
 
 import sampling
 
@@ -45,6 +50,14 @@ def test_lle_window_arguments_must_be_finite(name, value):
     p = SystemParams(10.0, 8.0 / 3.0, 28.0)
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
         largest_lyapunov_exponent(p, **{name: value})
+
+
+def test_lle_window_count_must_not_overflow():
+    # every argument is finite, but their ratio is not
+    p = SystemParams(10.0, 8.0 / 3.0, 28.0)
+    with pytest.raises(ValueError, match="^the window count horizon / renorm_interval"
+                       r" = 1e\+300 / 1e-10 overflows$"):
+        largest_lyapunov_exponent(p, horizon=1e300, renorm_interval=1e-10)
 
 
 def test_lle_history_shape():
@@ -159,6 +172,56 @@ def test_lle_positive_for_classic_attractor():
     assert 0.5 < est.lambda1 < 1.2
 
 
+# The field's divergence is the constant delta = -a + (N - 1) - b, so by
+# Liouville's formula the tangent flow scales volumes by exp(delta t).  In
+# FIXED_RK4 mode the base orbit does not depend on the tangent, so three
+# runs seeded with e1, e2, e3 share one base orbit and their tangents are
+# the columns of RK4's propagator.  This checks the hand-written
+# linearization in _VARIATIONAL_SOURCE against a theorem, not a copy.
+
+
+def _det3(u, v, w):
+    return (
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        - u[1] * (v[0] * w[2] - v[2] * w[0])
+        + u[2] * (v[0] * w[1] - v[1] * w[0])
+    )
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        SystemParams(10.0, 8.0 / 3.0, 28.0),
+        SystemParams(10.0, 8.0 / 3.0, 0.5, M=30.0, N=2.0, P=0.5),
+        SystemParams(35.0, 3.0, 28.0, M=-35.0, N=29.0),
+        SystemParams(1.0, 3.0, 2.0, N=-1.5, P=-2.0),
+    ],
+)
+def test_tangent_volume_follows_liouville(p):
+    dt, t_end = 1e-3, 1.0
+    rk4 = IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=dt)
+    kernels = _kernels(_VARIATIONAL_SOURCE, p)
+    runs = [
+        _drive(kernels, (1.0, 1.0, 1.0, *e), rk4, t_end)
+        for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    ]
+    assert all(r.status is TrajectoryStatus.COMPLETED_TSPAN for r in runs)
+    assert runs[0].times[-1] == t_end
+    for r in runs[1:]:
+        assert r.times == runs[0].times
+        assert [s[:3] for s in r.states] == [s[:3] for s in runs[0].states]
+
+    # RK4 matches exp(h lambda) through h^4 lambda^4 / 24, so each step
+    # misses each eigenvalue's volume factor by about (h |lambda|)^5 / 120;
+    # over t / h steps and three eigenvalues below L = max ||J||_inf that is
+    # at most t h^4 L^5 / 40.
+    big_l = max(np.linalg.norm(jacobian(p, s[:3]), np.inf) for s in runs[0].states)
+    delta = -p.a + (p.N - 1.0) - p.b
+    for i, t in enumerate(runs[0].times):
+        det = _det3(*(r.states[i][3:] for r in runs))
+        assert abs(det / math.exp(delta * t) - 1.0) <= t * dt**4 * big_l**5 / 40.0
+
+
 # ---------------------------------------------------------------- regime
 
 
@@ -179,6 +242,49 @@ def test_regime_examples():
         regime_classify(SystemParams(10.0, 8.0 / 3.0, 0.5))
         is RegimeLabel.UNDETERMINED
     )
+
+
+def _hopf_rho(a, b):
+    """rho = c + M above which E+- are unstable, for N = P = 0 and a > b + 1.
+
+    With N = P = 0 the system is classic Lorenz (sigma, r, beta) = (a, rho,
+    b).  At E+- the characteristic cubic is
+    lambda^3 + (a + b + 1) lambda^2 + b (a + rho) lambda + 2 a b (rho - 1).
+    For rho > 1 every coefficient is positive, so by Routh-Hurwitz all roots
+    lie in the left half-plane iff (a + b + 1) b (a + rho) > 2 a b (rho - 1),
+    i.e. rho (a - b - 1) < a (a + b + 3).
+    """
+    return a * (a + b + 3.0) / (a - b - 1.0)
+
+
+@hsettings(deadline=None, max_examples=300)
+@given(
+    b=st.floats(0.05, 20.0),
+    gap=st.floats(0.05, 40.0),
+    f=st.floats(0.0, 3.0),
+    c=st.floats(0.0, 1.0),
+)
+# classic Lorenz (a = 10, b = 8/3) on both sides of rho_H = 24.74
+@example(b=8.0 / 3.0, gap=19.0 / 3.0, f=1.14, c=0.5)
+@example(b=8.0 / 3.0, gap=19.0 / 3.0, f=0.97, c=0.5)
+def test_pair_stability_follows_routh_hurwitz(b, gap, f, c):
+    a = b + 1.0 + gap
+    rho_h = _hopf_rho(a, b)
+    p = SystemParams(a, b, c, M=1.0 + f * (rho_h - 1.0) - c)
+    rho = p.c + p.M
+    assume(rho - 1.0 > 1e-6)
+    assume(abs(rho - rho_h) > 1e-4 * rho_h)
+    unstable = rho > rho_h
+
+    eqs = find_equilibria(p)
+    assert eqs.kind is EquilibriumKind.TRIPLE
+    assert eqs.origin.unstable_dim == 1
+    for eq in eqs.pair:
+        assert eq.center_dim == 0
+        assert (eq.unstable_dim >= 1) is unstable
+        assert eq.stable_dim == (1 if unstable else 3)
+    expected = RegimeLabel.CHAOS_CANDIDATE if unstable else RegimeLabel.UNDETERMINED
+    assert regime_classify(p) is expected
 
 
 # ---------------------------------------------------------------- anticontrol

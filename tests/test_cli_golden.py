@@ -35,6 +35,12 @@ CASES = [
          "96d418c6135aa00ff7a7cddb064b2f1a69b7447df389c3864f2d6c842e1e5d7d"),
     case("equilibria-origin-only", ["equilibria", *PLANT], 0,
          "a09fab5d55f519fcbb0cd74dc5412c9156934c09a21782cda72f23de3710fa9d"),
+    # the origin's cubic has coefficients so small that the closed form's
+    # p * m underflows; it is solved rescaled
+    case("equilibria-tiny-b",
+         ["equilibria", "--a", "0", "--b", "4.296093079516111e-151", "--c", "0",
+          "--N", "1"], 0,
+         "97c52720ae8194da3504211bcfeac58b9d0038456065a0d65d6105e73af16d88"),
     case("classify-classic", ["classify", *CLASSIC], 0,
          "0c025961d939d4658ee1fb4052ff59fc18938022b1f9b88df59816bfc1857e1d"),
     case("classify-chen-override", ["classify", *CHEN, "--M", "0"], 0,
@@ -139,6 +145,11 @@ CASES = [
     case("lle-nan-transient",
          ["lle", "--a", "10", "--b", "2.66", "--c", "28", "--transient", "nan"],
          2, EMPTY, "error: transient must be finite, got nan\n"),
+    case("lle-window-count-overflow",
+         ["lle", "--a", "10", "--b", "2.66", "--c", "28", "--horizon", "1e300",
+          "--renorm-interval", "1e-10"],
+         2, EMPTY, "error: the window count horizon / renorm_interval = "
+         "1e+300 / 1e-10 overflows\n"),
     case("heteroclinic-negative-epsilon",
          ["heteroclinic", *REGULAR, "--branch", "plus", "--epsilon=-1e-6"],
          2, EMPTY, "error: epsilon must be positive and finite, got -1e-06\n"),

@@ -263,7 +263,8 @@ def _cubic_roots_oracle(c2, c1, c0):
     return polished
 
 
-def _eigenvalues_at_oracle(p, s):
+def _char_cubic(p, s):
+    """(c2, c1, c0) of the Jacobian's characteristic cubic at s."""
     J = jacobian(p, s)
     a11, a12, a13 = float(J[0, 0]), float(J[0, 1]), float(J[0, 2])
     a21, a22, a23 = float(J[1, 0]), float(J[1, 1]), float(J[1, 2])
@@ -279,9 +280,29 @@ def _eigenvalues_at_oracle(p, s):
         - a12 * (a21 * a33 - a23 * a31)
         + a13 * (a21 * a32 - a22 * a31)
     )
-    roots = _cubic_roots_oracle(-tr, minors, -det)
+    return -tr, minors, -det
+
+
+def _eigenvalues_at_oracle(p, s):
+    roots = _cubic_roots_oracle(*_char_cubic(p, s))
     roots.sort(key=lambda z: (-z.real, z.imag))
     return (roots[0], roots[1], roots[2])
+
+
+def _solves_tiny_cubic(roots, c2, c1, c0, tol=1e-12):
+    """Vieta's relations, to a relative tol, for a cubic whose coefficients
+    are all below 1e-100, after the exact rescaling lambda -> 2^300 lambda
+    that lifts them out of the subnormal range."""
+    k = 2.0**300
+    r1, r2, r3 = (z * k for z in roots)
+    c2, c1, c0 = c2 * k, c1 * k * k, c0 * k * k * k
+    size = max(abs(r1), abs(r2), abs(r3), abs(c2), abs(c1) ** 0.5)
+    size = max(size, abs(c0) ** (1 / 3))
+    return (
+        abs(r1 + r2 + r3 + c2) <= tol * size
+        and abs(r1 * r2 + r1 * r3 + r2 * r3 - c1) <= tol * size**2
+        and abs(r1 * r2 * r3 + c0) <= tol * size**3
+    )
 
 
 def _eig_outcome(fn, p, s):
@@ -312,10 +333,17 @@ _coord = st.one_of(
 )
 @example(p=SystemParams(0.0, 1.0, 2.0), s=(0.0, -0.0, 1.0))
 @example(p=SystemParams(10.0, 8.0 / 3.0, 28.0), s=(-0.0, 0.0, 0.0))
+@example(p=SystemParams(-5e-324, 0.0, 0.0, -1.0, 1.0), s=(0.0, 0.0, 0.0))
+@example(p=SystemParams(0.0, 4.296093079516111e-151, 0.0, N=1.0), s=(0.0, 0.0, 0.0))
 def test_eigenvalues_at_matches_numpy_jacobian_oracle(p, s):
-    assert _eig_outcome(eigenvalues_at, p, s) == _eig_outcome(
-        _eigenvalues_at_oracle, p, s
-    )
+    try:
+        expected = _eig_outcome(_eigenvalues_at_oracle, p, s)
+    except ZeroDivisionError:
+        # the old path divided by p * m after it underflowed to 0; the new
+        # one rescales the cubic there, and its roots must solve it
+        assert _solves_tiny_cubic(eigenvalues_at(p, s), *_char_cubic(p, s))
+        return
+    assert _eig_outcome(eigenvalues_at, p, s) == expected
 
 
 @hsettings(max_examples=300, deadline=None)

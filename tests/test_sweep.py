@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
@@ -340,7 +341,8 @@ class _InlineExecutor:
 @pytest.mark.parametrize("workers, started", [(2, 2), (5, 5), (6, 5), (64, 5)])
 def test_no_more_processes_start_than_there_are_cells(monkeypatch, workers, started):
     monkeypatch.setattr(_InlineExecutor, "started", [])
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _InlineExecutor)
+    # run_sweep imports the pool class from here when it needs a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     spec = _spec(tasks=("equilibria", "origin_class"))
     inline = sweep_csv(run_sweep(spec, workers=1))
     assert _InlineExecutor.started == []
