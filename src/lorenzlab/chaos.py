@@ -156,7 +156,7 @@ def largest_lyapunov_exponent(
     )
 
 
-def regime_classify(p: SystemParams, tol: float = 1e-12) -> RegimeLabel:
+def regime_classify(p: SystemParams) -> RegimeLabel:
     """Conservative regime label from the certificate and the spectra.
 
     PROVABLY_REGULAR when the convergence certificate holds.  A chaos
@@ -166,7 +166,7 @@ def regime_classify(p: SystemParams, tol: float = 1e-12) -> RegimeLabel:
     when the certificate leaves chaos possible; a sweep cell shares its
     one certificate and equilibrium set with this label.
     """
-    return _regime(certificate(p, tol), lambda: find_equilibria(p))
+    return _regime(certificate(p), lambda: find_equilibria(p))
 
 
 def _regime(

@@ -44,7 +44,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_integrator_flags(parser: argparse.ArgumentParser) -> None:
+def _add_integrator_flags(parser: argparse.ArgumentParser, t_max: bool) -> None:
     group = parser.add_argument_group("integrator")
     group.add_argument(
         "--mode", choices=["adaptive", "fixed_rk4"], default="adaptive"
@@ -52,9 +52,16 @@ def _add_integrator_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--dt", type=float, default=1e-3, help="initial/fixed step")
     group.add_argument("--rel-tol", type=float, default=1e-9)
     group.add_argument("--abs-tol", type=float, default=1e-12)
-    group.add_argument("--t-max", type=float, default=200.0)
+    if t_max:
+        group.add_argument("--t-max", type=float, default=200.0)
     group.add_argument("--max-steps", type=int, default=1_000_000)
     group.add_argument("--blowup-norm", type=float, default=1e6)
+
+
+def _add_lle_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--renorm-interval", type=float, default=1.0)
+    parser.add_argument("--horizon", type=float, default=500.0)
+    parser.add_argument("--transient", type=float, default=50.0)
 
 
 def _params(args: argparse.Namespace) -> SystemParams:
@@ -77,19 +84,20 @@ def _params(args: argparse.Namespace) -> SystemParams:
 
 
 def _settings(args: argparse.Namespace) -> IntegratorSettings:
+    # only simulate and heteroclinic end at t_max and take --t-max
     return IntegratorSettings(
         mode=IntegratorMode(args.mode),
         dt_init=args.dt,
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
-        t_max=args.t_max,
+        t_max=getattr(args, "t_max", IntegratorSettings.t_max),
         max_steps=args.max_steps,
         blowup_norm=args.blowup_norm,
     )
 
 
 def _cmd_equilibria(args) -> int:
-    eqs = find_equilibria(_params(args), residual_tol=args.residual_tol)
+    eqs = find_equilibria(_params(args))
     emit(eqs, args.format, args.out)
     return 0
 
@@ -97,7 +105,7 @@ def _cmd_equilibria(args) -> int:
 def _cmd_classify(args) -> int:
     p = _params(args)
     payload = {
-        "origin_class": classify_origin(p, tol=args.tol),
+        "origin_class": classify_origin(p),
         "eigenvalues": list(origin_eigenvalues(p)),
     }
     emit(payload, args.format, args.out)
@@ -105,7 +113,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
-    emit(certificate(_params(args), tol=args.tol), args.format, args.out)
+    emit(certificate(_params(args)), args.format, args.out)
     return 0
 
 
@@ -182,7 +190,7 @@ def _cmd_lle(args) -> int:
 
 
 def _cmd_regime(args) -> int:
-    emit({"regime": regime_classify(_params(args), tol=args.tol)}, args.format, args.out)
+    emit({"regime": regime_classify(_params(args))}, args.format, args.out)
     return 0
 
 
@@ -243,25 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("equilibria", help="enumerate the equilibrium set")
     _add_system_flags(sp)
     _add_output_flags(sp)
-    sp.add_argument("--residual-tol", type=float, default=1e-9)
     sp.set_defaults(func=_cmd_equilibria)
 
     sp = sub.add_parser("classify", help="linear type of the origin")
     _add_system_flags(sp)
     _add_output_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("certificate", help="convergence certificate flags")
     _add_system_flags(sp)
     _add_output_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.set_defaults(func=_cmd_certificate)
 
     sp = sub.add_parser("simulate", help="integrate one trajectory")
     _add_system_flags(sp)
     _add_output_flags(sp)
-    _add_integrator_flags(sp)
+    _add_integrator_flags(sp, t_max=True)
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--y0", type=float, required=True)
     sp.add_argument("--z0", type=float, required=True)
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_system_flags(sp)
     _add_output_flags(sp)
-    _add_integrator_flags(sp)
+    _add_integrator_flags(sp, t_max=True)
     sp.add_argument("--branch", choices=["plus", "minus", "both"], default="both")
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--capture-radius", type=float, default=1e-6)
@@ -281,19 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lle", help="largest Lyapunov exponent")
     _add_system_flags(sp)
     _add_output_flags(sp)
-    _add_integrator_flags(sp)
+    _add_integrator_flags(sp, t_max=False)
+    _add_lle_flags(sp)
     sp.add_argument("--x0", type=float, default=1.0)
     sp.add_argument("--y0", type=float, default=1.0)
     sp.add_argument("--z0", type=float, default=1.0)
-    sp.add_argument("--renorm-interval", type=float, default=1.0)
-    sp.add_argument("--horizon", type=float, default=500.0)
-    sp.add_argument("--transient", type=float, default=50.0)
     sp.set_defaults(func=_cmd_lle)
 
     sp = sub.add_parser("regime", help="provably regular / chaos candidate")
     _add_system_flags(sp)
     _add_output_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.set_defaults(func=_cmd_regime)
 
     sp = sub.add_parser(
@@ -309,16 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the exponent on the suggested parameters",
     )
     _add_output_flags(sp)
-    _add_integrator_flags(sp)
-    sp.add_argument("--renorm-interval", type=float, default=1.0)
-    sp.add_argument("--horizon", type=float, default=500.0)
-    sp.add_argument("--transient", type=float, default=50.0)
+    _add_integrator_flags(sp, t_max=False)
+    _add_lle_flags(sp)
     sp.set_defaults(func=_cmd_suggest)
 
     sp = sub.add_parser("sweep", help="grid sweep over one or two parameters")
     _add_system_flags(sp)
     _add_output_flags(sp)
-    _add_integrator_flags(sp)
+    _add_integrator_flags(sp, t_max=False)
+    _add_lle_flags(sp)
     sp.add_argument(
         "--axis",
         action="append",
@@ -328,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--tasks", default="equilibria", help=f"comma list from {TASKS}")
     sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--renorm-interval", type=float, default=1.0)
-    sp.add_argument("--horizon", type=float, default=500.0)
-    sp.add_argument("--transient", type=float, default=50.0)
     sp.set_defaults(func=_cmd_sweep)
 
     return parser

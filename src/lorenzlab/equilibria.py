@@ -21,7 +21,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateBError
+from .model import SIGN_BAND
 from .model import Preset, State, SystemParams, apply_symmetry, jacobian, vector_field
+
+RESIDUAL_BOUND = 1e-9  # the Newton polish of E+- stops once |f| <= this
+CENTER_BAND = 1e-9  # relative band of a center direction, see _record
 
 
 class OriginClass(enum.Enum):
@@ -96,13 +100,13 @@ def origin_eigenvalues(p: SystemParams) -> tuple[complex, complex, complex]:
     return (quad[0], quad[1], complex(-p.b, 0.0))
 
 
-def classify_origin(p: SystemParams, tol: float = 1e-12) -> OriginClass:
+def classify_origin(p: SystemParams) -> OriginClass:
     """Sign-based linear type of the origin.
 
     Decides by q = a d and r = N - a - 1: q > 0 gives a saddle with a
     one-dimensional unstable manifold; q < 0 splits on the sign of r
-    (r > 0 two-dimensional unstable, r < 0 attractor).  Values inside a
-    relative band of half-width ``tol`` around zero are reported as
+    (r > 0 two-dimensional unstable, r < 0 attractor).  Values inside the
+    relative band of half-width ``SIGN_BAND`` around zero are reported as
     NON_HYPERBOLIC rather than guessed.  b <= 0 falls outside every
     statement made about this family and gets its own label.
     """
@@ -110,8 +114,8 @@ def classify_origin(p: SystemParams, tol: float = 1e-12) -> OriginClass:
         return OriginClass.OUT_OF_HYPOTHESES
     q = p.a * _drift(p)
     r = p.N - p.a - 1.0
-    band_q = tol * (1.0 + abs(p.a) * (1.0 + abs(p.M) + abs(p.N) + abs(p.c)))
-    band_r = tol * (1.0 + abs(p.a) + abs(p.N))
+    band_q = SIGN_BAND * (1.0 + abs(p.a) * (1.0 + abs(p.M) + abs(p.N) + abs(p.c)))
+    band_r = SIGN_BAND * (1.0 + abs(p.a) + abs(p.N))
     if q > band_q:
         # the quadratic factor has real roots of opposite sign; with -b < 0
         # this is a saddle regardless of r, including r = 0
@@ -158,14 +162,8 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
         mfac = 2.0 * math.sqrt(-pcoef / 3.0)
         den = pcoef * mfac
         if den == 0.0:
-            # p * m underflows only when every coefficient is tiny.  Solve for
-            # lambda / 2^k instead, an exact rescaling that brings the largest
-            # of |c2|, |c1|^(1/2), |c0|^(1/3) near 1; there p * m cannot
-            # underflow on this branch, so this recurses once.
-            size = max(abs(c2), math.sqrt(abs(c1)), abs(c0) ** (1.0 / 3.0))
-            sc = math.ldexp(1.0, math.frexp(size)[1])
-            roots = _cubic_roots(c2 / sc, c1 / sc / sc, c0 / sc / sc / sc)
-            return [z * sc for z in roots]
+            # p * m underflows only when every coefficient is tiny
+            return _rescaled_cubic_roots(c2, c1, c0)
         arg = 3.0 * qcoef / den
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg)
@@ -173,8 +171,11 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
             complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
             for k in range(3)
         ]
+    elif disc == 0.0 and (pcoef != 0.0 or qcoef != 0.0):
+        # both terms of disc are >= 0 here, so both powers underflowed
+        return _rescaled_cubic_roots(c2, c1, c0)
     else:
-        # disc <= 0 and pcoef >= 0 forces pcoef ~ qcoef ~ 0: triple root
+        # pcoef = qcoef = 0: the triple root -shift (NaN coefficients too)
         t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
         ts = [complex(t, 0.0)] * 3
 
@@ -190,6 +191,16 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     if disc > 0.0:
         polished[2] = polished[1].conjugate()
     return polished
+
+
+def _rescaled_cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
+    """_cubic_roots solved for lambda / 2^k, an exact rescaling that brings
+    the largest of |c2|, |c1|^(1/2), |c0|^(1/3) near 1; no underflow sends
+    a cubic of that size back here, so this recurses once."""
+    size = max(abs(c2), math.sqrt(abs(c1)), abs(c0) ** (1.0 / 3.0))
+    sc = math.ldexp(1.0, math.frexp(size)[1])
+    roots = _cubic_roots(c2 / sc, c1 / sc / sc, c0 / sc / sc / sc)
+    return [z * sc for z in roots]
 
 
 def eigenvalues_at(
@@ -221,52 +232,35 @@ def eigenvalues_at(
     return (roots[0], roots[1], roots[2])
 
 
-def _dims(
-    eigenvalues: tuple[complex, complex, complex], center_tol: float = 1e-9
-) -> tuple[int, int, int]:
-    """(stable, unstable, center) dimension counts."""
+def _record(p: SystemParams, loc: State) -> Equilibrium:
+    """loc with its spectrum and dimension counts; an eigenvalue is a center
+    direction when |Re lambda| <= CENTER_BAND * (1 + |lambda|)."""
+    eigs = eigenvalues_at(p, loc)
     stable = unstable = center = 0
-    for lam in eigenvalues:
-        if abs(lam.real) <= center_tol * (1.0 + abs(lam)):
+    for lam in eigs:
+        if abs(lam.real) <= CENTER_BAND * (1.0 + abs(lam)):
             center += 1
         elif lam.real > 0.0:
             unstable += 1
         else:
             stable += 1
-    return stable, unstable, center
+    return Equilibrium(loc, eigs, stable, unstable, center)
 
 
-def _record(p: SystemParams, loc: State) -> Equilibrium:
-    eigs = eigenvalues_at(p, loc)
-    stable, unstable, center = _dims(eigs)
-    return Equilibrium(
-        location=loc,
-        eigenvalues=eigs,
-        stable_dim=stable,
-        unstable_dim=unstable,
-        center_dim=center,
-    )
-
-
-def _residual(p: SystemParams, loc: State) -> float:
-    f = vector_field(p, loc)
-    return math.sqrt(f.x * f.x + f.y * f.y + f.z * f.z)
-
-
-def _polish(p: SystemParams, loc: State, residual_tol: float) -> State:
+def _polish(p: SystemParams, loc: State) -> State:
     """Newton-polish an approximate equilibrium (best effort).
 
     numpy, for LAPACK's 3x3 solve, is imported only once a residual says a
-    Newton step is needed; the closed form usually meets ``residual_tol``.
+    Newton step is needed; the closed form usually meets RESIDUAL_BOUND.
     """
     for _ in range(3):
-        if _residual(p, loc) <= residual_tol:
+        f = vector_field(p, loc)
+        if math.sqrt(f.x * f.x + f.y * f.y + f.z * f.z) <= RESIDUAL_BOUND:
             break
         import numpy as np
 
-        f = np.array(vector_field(p, loc), dtype=float)
         try:
-            delta = np.linalg.solve(jacobian(p, loc), -f)
+            delta = np.linalg.solve(jacobian(p, loc), -np.array(f, dtype=float))
         except np.linalg.LinAlgError:
             break
         loc = State(
@@ -275,9 +269,11 @@ def _polish(p: SystemParams, loc: State, residual_tol: float) -> State:
     return loc
 
 
-def find_equilibria(p: SystemParams, residual_tol: float = 1e-9) -> EquilibriumSet:
+def find_equilibria(p: SystemParams) -> EquilibriumSet:
     """Enumerate the equilibrium set.
 
+    P counts as 1, and d as 0, inside the relative band SIGN_BAND; the
+    pair is Newton-polished to the residual RESIDUAL_BOUND.
     Raises DegenerateBError when b = 0 (the z-equation loses its linear
     term and the closed forms above do not apply).  The symmetric pair is
     constructed as (E+, S(E+)) so the two locations mirror each other
@@ -288,16 +284,16 @@ def find_equilibria(p: SystemParams, residual_tol: float = 1e-9) -> EquilibriumS
     origin = _record(p, State(0.0, 0.0, 0.0))
     d = _drift(p)
     one_minus_p = 1.0 - p.P
-    if abs(one_minus_p) <= 1e-12 * (1.0 + abs(p.P)):
+    if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(p.P)):
         scale = 1.0 + abs(p.M) + abs(p.N) + abs(p.c)
-        if abs(d) <= 1e-12 * scale:
+        if abs(d) <= SIGN_BAND * scale:
             return EquilibriumSet(EquilibriumKind.CONTINUUM, origin, None)
         return EquilibriumSet(EquilibriumKind.ORIGIN_ONLY, origin, None)
     s_sq = p.b * d / one_minus_p
     if s_sq > 0.0:
         s = math.sqrt(s_sq)
         z_star = d / one_minus_p
-        plus_loc = _polish(p, State(s, s, z_star), residual_tol)
+        plus_loc = _polish(p, State(s, s, z_star))
         minus_loc = apply_symmetry(plus_loc)
         pair = (_record(p, plus_loc), _record(p, minus_loc))
         return EquilibriumSet(EquilibriumKind.TRIPLE, origin, pair)

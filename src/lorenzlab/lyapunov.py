@@ -28,10 +28,11 @@ claim that the property fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DegenerateParamsError, UnsupportedPresetError
-from .model import Preset, State, SystemParams, vector_field
+from .model import SIGN_BAND, Preset, State, SystemParams, vector_field
 
 
 @dataclass(frozen=True)
@@ -124,50 +125,48 @@ def v_dot_closed_form(p: SystemParams, s: State | tuple) -> float:
     return -2.0 * co.A * (p.a + 1.0 - p.N) * (g1 * g1) - 2.0 * p.b * (g2 * g2)
 
 
-def _strictly_positive(v: float, tol: float) -> bool:
-    return v > tol * (1.0 + abs(v))
+def _strictly_positive(v: float) -> bool:
+    return v > SIGN_BAND * (1.0 + abs(v))
 
 
-def _nonneg(v: float, tol: float) -> bool:
-    return v >= -tol * (1.0 + abs(v))
+def _nonpos(v: float) -> bool:
+    return v <= SIGN_BAND * (1.0 + abs(v))
 
 
-def _nonpos(v: float, tol: float) -> bool:
-    return v <= tol * (1.0 + abs(v))
-
-
-def hypotheses_check(p: SystemParams, tol: float = 1e-12) -> HypothesisFlags:
+def hypotheses_check(p: SystemParams) -> HypothesisFlags:
     """Evaluate the nested hypothesis levels with a relative sign band.
 
-    Strict inequalities must clear the band tol * (1 + |value|); non-strict
+    Strict inequalities must clear SIGN_BAND * (1 + |value|); non-strict
     ones may sit inside it.  P ~ 1 (where V degenerates) fails lemma_ok
     outright instead of passing vacuously through the sign of the ratio.
     """
     one_minus_p = 1.0 - p.P
-    p_ok = abs(one_minus_p) > tol * (1.0 + abs(p.P))
+    p_ok = abs(one_minus_p) > SIGN_BAND * (1.0 + abs(p.P))
     lemma_ok = (
-        _strictly_positive(p.a, tol)
-        and _strictly_positive(p.b, tol)
+        _strictly_positive(p.a)
+        and _strictly_positive(p.b)
         and p_ok
-        and _nonneg((p.b - 2.0 * p.a) / one_minus_p, tol)
-        and _nonpos(p.N - 1.0 - p.a, tol)
+        and _nonpos((2.0 * p.a - p.b) / one_minus_p)
+        and _nonpos(p.N - 1.0 - p.a)
     )
     conv_ok = (
         lemma_ok
-        and _nonneg(p.b - 2.0 * p.a, tol)
-        and _strictly_positive(one_minus_p, tol)
+        and _nonpos(2.0 * p.a - p.b)
+        and _strictly_positive(one_minus_p)
     )
+    # fsum gives the exact offset's sign; ((M + N) + c) - 1 can round 0 up
+    # to 2^-52, which clears the band once divided by a small 1 - P
     het_ok = (
         conv_ok
-        and _strictly_positive(p.c + p.M, tol)
-        and _strictly_positive((p.M + p.N + p.c - 1.0) / one_minus_p, tol)
+        and _strictly_positive(p.c + p.M)
+        and _strictly_positive(math.fsum((p.M, p.N, p.c, -1.0)) / one_minus_p)
     )
     return HypothesisFlags(lemma_ok=lemma_ok, conv_ok=conv_ok, het_ok=het_ok)
 
 
-def certificate(p: SystemParams, tol: float = 1e-12) -> CertificateReport:
+def certificate(p: SystemParams) -> CertificateReport:
     """Bundle the hypothesis flags into the properties they certify."""
-    flags = hypotheses_check(p, tol)
+    flags = hypotheses_check(p)
     return CertificateReport(
         flags=flags,
         no_closed_orbits=flags.lemma_ok,
@@ -178,27 +177,23 @@ def certificate(p: SystemParams, tol: float = 1e-12) -> CertificateReport:
     )
 
 
-def corollary_check(
-    preset: Preset, a: float, b: float, c: float, tol: float = 1e-12
-) -> bool:
+def corollary_check(preset: Preset, a: float, b: float, c: float) -> bool:
     """Preset-specific convergence conditions in the plant parameters.
 
     Lorenz: c > 1, b >= 2a, a > 0.  Chen: 2c - a > 0 and
-    (b - 2a)(c - a) <= 0.  T system: c - a > 0 and b - 2a <= 0.
-    The Lu preset has no such reduction here and raises.
+    (b - 2a)(c - a) <= 0.  T system: c - a > 0 and b - 2a <= 0.  Signs
+    use SIGN_BAND as in ``hypotheses_check``; the Lu preset raises.
     """
     if preset is Preset.LORENZ:
         return (
-            _strictly_positive(c - 1.0, tol)
-            and _nonneg(b - 2.0 * a, tol)
-            and _strictly_positive(a, tol)
+            _strictly_positive(c - 1.0)
+            and _nonpos(2.0 * a - b)
+            and _strictly_positive(a)
         )
     if preset is Preset.CHEN:
-        return _strictly_positive(2.0 * c - a, tol) and _nonpos(
-            (b - 2.0 * a) * (c - a), tol
-        )
+        return _strictly_positive(2.0 * c - a) and _nonpos((b - 2.0 * a) * (c - a))
     if preset is Preset.T_SYSTEM:
-        return _strictly_positive(c - a, tol) and _nonpos(b - 2.0 * a, tol)
+        return _strictly_positive(c - a) and _nonpos(b - 2.0 * a)
     if preset is Preset.LU:
         raise UnsupportedPresetError(
             "no convergence conditions are defined for the Lu preset"

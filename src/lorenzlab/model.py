@@ -27,6 +27,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# A sign test counts v as nonzero only when |v| > SIGN_BAND * scale, scale
+# being 1 plus the magnitudes that v is built from.
+SIGN_BAND = 1e-12
+
+
 class State(NamedTuple):
     """A phase-space point."""
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .integrator import IntegratorSettings, Trajectory, integrate_to_equilibrium
 from .lyapunov import hypotheses_check
-from .model import State, SystemParams, apply_symmetry
+from .model import SIGN_BAND, State, SystemParams, apply_symmetry
 
 
 class Branch(enum.Enum):
@@ -58,24 +58,23 @@ class HeteroclinicResult:
     certified: bool
 
 
-def unstable_direction_at_origin(
-    p: SystemParams, tol: float = 1e-12
-) -> tuple[float, float, float]:
+def unstable_direction_at_origin(p: SystemParams) -> tuple[float, float, float]:
     """Unit vector spanning the origin's unstable eigendirection.
 
     Requires the saddle type with a one-dimensional unstable manifold.
     The returned vector has positive x component and zero z component:
     the unstable eigenvalue comes from the (x, y) block, so the
-    eigenvector is (1, (a + lambda_u)/a, 0) up to normalization.
+    eigenvector is (1, (a + lambda_u)/a, 0) up to normalization.  A rate
+    within SIGN_BAND * (1 + |b|) of -b raises EigenvalueCollisionError.
     """
-    if classify_origin(p, tol) is not OriginClass.SADDLE_WS2_WU1:
+    if classify_origin(p) is not OriginClass.SADDLE_WS2_WU1:
         raise NotASaddleError(
             "origin is not a saddle with a one-dimensional unstable manifold"
         )
     r = p.N - p.a - 1.0
     q = p.a * (p.M + p.N + p.c - 1.0)
     lam_u = (r + math.sqrt(r * r + 4.0 * q)) / 2.0
-    if abs(lam_u + p.b) <= tol * (1.0 + abs(p.b)):
+    if abs(lam_u + p.b) <= SIGN_BAND * (1.0 + abs(p.b)):
         raise EigenvalueCollisionError(
             "unstable eigenvalue coincides with -b; eigendirection is degenerate"
         )

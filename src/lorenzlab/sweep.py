@@ -215,14 +215,15 @@ def _evaluate_cell(args: tuple[SweepSpec, int]) -> tuple:
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every cell and assemble the table in grid order.
 
-    ``workers`` = 1 runs inline; None uses one process per CPU.  Either way
-    no more processes start than there are cells, and ``workers`` < 1
-    raises ValueError.  The output is independent of the worker count.  A
-    worker process that dies raises WorkerPoolError.
+    ``workers`` = 1 runs inline; None uses one process per CPU if the "lle"
+    task is on and runs inline otherwise, as a closed-form cell costs less
+    than starting a pool.  No more processes start than there are cells,
+    and ``workers`` < 1 raises ValueError.  The output is independent of
+    the worker count.  A worker process that dies raises WorkerPoolError.
     """
     n = spec.n_cells()
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = (os.cpu_count() or 1) if "lle" in spec.tasks else 1
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, n)

@@ -275,6 +275,27 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *CLASSIC, "--tol", "1e-3"],
+        ["certificate", "--a", "-0.5", "--b", "3", "--c", "2", "--N", "-1",
+         "--tol", "-0.5"],
+        ["regime", *CLASSIC, "--tol", "1e-3"],
+        ["equilibria", *REGULAR, "--residual-tol", "1e-3"],
+        ["lle", *CLASSIC, "--t-max", "5"],
+        ["sweep", *CLASSIC, "--axis", "c:0.5:1.5:3", "--t-max", "5"],
+    ],
+    ids=["classify", "certificate", "regime", "equilibria", "lle", "sweep"],
+)
+def test_band_and_t_max_flags_are_refused(capsys, argv):
+    # the bands are fixed, and only simulate and heteroclinic end at t_max
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_no_ansi_styling_in_output(capsys):
     for argv in (
         ["classify", *CLASSIC],

@@ -2,8 +2,9 @@
 
 numpy is imported by ``model.jacobian`` and by the Newton fallback of
 ``equilibria._polish``, and the process pool by ``run_sweep`` with more
-than one worker.  Everything else, the CLI's import included, must run
-without them, since they are about half of every cold start.
+than one worker, which by default only a sweep with the "lle" task gets.
+Everything else, the CLI's import and a closed-form CLI sweep included,
+must run without them, since they are about half of every cold start.
 """
 
 import json
@@ -13,6 +14,8 @@ import sys
 HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
 
 SCRIPT = f"""
+import contextlib
+import io
 import json
 import sys
 
@@ -40,6 +43,14 @@ est = largest_lyapunov_exponent(
 )
 assert est.lambda1 > 0.0, est
 seen["classic-Lorenz LLE"] = heavy()
+
+# no --workers: a closed-form sweep runs inline on any number of CPUs
+argv = ["sweep", "--a", "10", "--b", "2.66", "--c", "28", "--axis", "c:0:1:3",
+        "--tasks", "origin_class"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert lorenzlab.cli.main(argv) == 0
+assert len(json.loads(out.getvalue())["rows"]) == 3, out.getvalue()
+seen["closed-form CLI sweep"] = heavy()
 print(json.dumps(seen))
 """
 
@@ -56,6 +67,7 @@ def test_default_paths_load_neither_numpy_nor_the_pool():
         "import lorenzlab.cli": [],
         "inline sweep": [],
         "classic-Lorenz LLE": [],
+        "closed-form CLI sweep": [],
     }
 
 

@@ -23,6 +23,7 @@ from lorenzlab import (
     pitchfork_locus_for_preset,
     vector_field,
 )
+from lorenzlab.equilibria import _cubic_roots
 
 import sampling
 
@@ -210,7 +211,13 @@ def test_eigenvalue_ordering_convention():
 # The eigenvalue path before it formed the Jacobian entries as scalars:
 # a numpy Jacobian unpacked entry by entry, and the cubic solver with its
 # Newton polish as local functions.  eigenvalues_at must match it bit for
-# bit.
+# bit, except where a power of the depressed cubic underflowed: there the
+# old path divided by zero or returned a false triple root, the oracle
+# raises _Underflow, and the new path rescales the cubic.
+
+
+class _Underflow(ArithmeticError):
+    pass
 
 
 def _cubic_roots_oracle(c2, c1, c0):
@@ -232,6 +239,8 @@ def _cubic_roots_oracle(c2, c1, c0):
         ts = [complex(t_real, 0.0), complex(re, im), complex(re, -im)]
     elif pcoef < 0.0:
         mfac = 2.0 * math.sqrt(-pcoef / 3.0)
+        if pcoef * mfac == 0.0:
+            raise _Underflow("p * m underflowed")
         arg = 3.0 * qcoef / (pcoef * mfac)
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg)
@@ -239,6 +248,8 @@ def _cubic_roots_oracle(c2, c1, c0):
             complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
             for k in range(3)
         ]
+    elif disc == 0.0 and (pcoef != 0.0 or qcoef != 0.0):
+        raise _Underflow("both terms of disc underflowed")
     else:
         t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
         ts = [complex(t, 0.0)] * 3
@@ -338,12 +349,25 @@ _coord = st.one_of(
 def test_eigenvalues_at_matches_numpy_jacobian_oracle(p, s):
     try:
         expected = _eig_outcome(_eigenvalues_at_oracle, p, s)
-    except ZeroDivisionError:
-        # the old path divided by p * m after it underflowed to 0; the new
-        # one rescales the cubic there, and its roots must solve it
+    except _Underflow:
+        # the new path rescales the cubic there, and its roots must solve it
         assert _solves_tiny_cubic(eigenvalues_at(p, s), *_char_cubic(p, s))
         return
     assert _eig_outcome(eigenvalues_at, p, s) == expected
+
+
+@hsettings(max_examples=500, deadline=None)
+@given(
+    c1=st.one_of(st.floats(0.0, 1e-110), st.floats(-1e-217, 0.0)),
+    c0=st.floats(-1e-163, 1e-163),
+)
+@example(c1=0.0, c0=2.067621208231412e-196)
+def test_cubic_roots_solve_cubics_whose_discriminant_underflows(c1, c0):
+    # lambda^3 + c1 lambda + c0 with these bounds: both terms of the
+    # discriminant underflow to 0, and for c1 < 0 so does p * m; the roots
+    # must still be one real root and a conjugate pair, or three real ones,
+    # that satisfy Vieta's relations (lambda^3 + c0 has no triple root)
+    assert _solves_tiny_cubic(_cubic_roots(0.0, c1, c0), 0.0, c1, c0)
 
 
 @hsettings(max_examples=300, deadline=None)

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -239,6 +243,82 @@ def test_false_flags_are_not_disproofs():
     report = certificate(SystemParams(10.0, 8.0 / 3.0, 28.0))
     assert not report.converges_to_equilibria
     assert report.chaos_possible
+
+
+# ------------------------------------------- exact oracle for the contract
+
+
+def _claims_beyond_hypotheses(p):
+    """What conv_ok and het_ok claim for p that its exact values deny.
+
+    The strict hypotheses are decided in rational arithmetic on the same
+    doubles: conv_ok needs a > 0, b > 0 and 1 - P > 0; het_ok adds
+    c + M > 0 and M + N + c - 1 > 0.
+    """
+    a, b, c, M, N, P = (Fraction(v) for v in (p.a, p.b, p.c, p.M, p.N, p.P))
+    flags = certificate(p).flags
+    wrong = []
+    if flags.conv_ok and not (a > 0 and b > 0 and 1 - P > 0):
+        wrong.append("conv_ok")
+    if flags.het_ok and not (c + M > 0 and M + N + c - 1 > 0):
+        wrong.append("het_ok")
+    return wrong
+
+
+def _ulp_sides(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+def _boundary_draws(rng):
+    """conv_ok draws moved to one ulp either side of each strict boundary:
+    a = 0, b = 0, P = 1, c + M = 0 and M + N + c - 1 = 0.
+
+    1 - P runs from 1 down to 1e-11, where even an offset of one rounding
+    error clears the band once divided by it.  The offset's boundary is
+    met by moving each of M, N and c in turn, so the moved term is at
+    times much finer-grained than the partial sums and at times not.
+    """
+    for _ in range(400):
+        base = dataclasses.replace(
+            sampling.conv_ok_params(rng), P=1.0 - 10.0 ** -rng.uniform(0.0, 11.0)
+        )
+        for name in ("a", "b"):
+            for v in _ulp_sides(0.0):
+                yield dataclasses.replace(base, **{name: v})
+        for P in _ulp_sides(1.0):
+            yield dataclasses.replace(base, P=P)
+        for M in _ulp_sides(-base.c):
+            yield dataclasses.replace(base, M=M)
+        # M + N + c = 1, solved for each of the three in turn
+        for name in ("M", "N", "c"):
+            others = sum(Fraction(getattr(base, o)) for o in "MNc" if o != name)
+            for v in _ulp_sides(float(1 - others)):
+                yield dataclasses.replace(base, **{name: v})
+
+
+def test_certificate_claims_nothing_its_exact_hypotheses_deny():
+    rng = np.random.default_rng(101)
+    draws = [sampling.any_params(rng) for _ in range(5000)]
+    draws += list(_boundary_draws(rng))
+    het_claims = 0
+    for p in draws:
+        assert _claims_beyond_hypotheses(p) == [], p
+        het_claims += hypotheses_check(p).het_ok
+    # the boundary draws reach the claim, not only its vacuous side
+    assert het_claims > 100
+
+
+def test_het_ok_refuses_an_offset_that_rounds_up_from_zero():
+    # M + N + c - 1 is exactly 0, but ((M + N) + c) - 1 gives 2^-52, and
+    # divided by 1 - P = 1e-6 that cleared the band
+    p = SystemParams(
+        1.0, 3.0, -1.9173892278210187, M=2.7431526306379115,
+        N=0.17423659718310724, P=1.0 - 1e-6,
+    )
+    assert p.M + p.N + p.c - 1.0 == 2.0**-52
+    assert Fraction(p.M) + Fraction(p.N) + Fraction(p.c) == 1
+    flags = hypotheses_check(p)
+    assert flags.conv_ok and not flags.het_ok
 
 
 # ---------------------------------------------------------------- corollaries

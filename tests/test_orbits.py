@@ -44,13 +44,13 @@ def test_unstable_direction_requires_saddle():
         unstable_direction_at_origin(SystemParams(10.0, -1.0, 28.0))
 
 
-def test_eigenvalue_collision_detected_at_loose_tolerance():
-    """With a huge spectral spread the unstable rate can sit right at -b
-    on the scale of a loosened tolerance; the degenerate direction must be
-    refused rather than silently normalized."""
-    p = SystemParams(a=1e-3, b=1e-6, c=1e6 + 3001.0, M=0.0, N=-1e6, P=0.0)
+def test_eigenvalue_collision_detected_at_the_fixed_band():
+    """With a huge spectral spread the unstable rate can sit at -b within
+    the sign band; the degenerate direction must be refused rather than
+    silently normalized."""
+    p = SystemParams(a=1e-3, b=1e-14, c=1e6 + 1.0 + 1e-5, M=0.0, N=-1e6, P=0.0)
     with pytest.raises(EigenvalueCollisionError):
-        unstable_direction_at_origin(p, tol=1e-3)
+        unstable_direction_at_origin(p)
 
 
 def test_plus_branch_connects_regular_case():

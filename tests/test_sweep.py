@@ -350,6 +350,20 @@ def test_no_more_processes_start_than_there_are_cells(monkeypatch, workers, star
     assert _InlineExecutor.started == [started]
 
 
+@pytest.mark.parametrize(
+    "tasks, started",
+    [(("equilibria", "origin_class", "certificate", "regime"), []), (("lle",), [4])],
+)
+def test_default_worker_count_pools_only_lle_sweeps(monkeypatch, tasks, started):
+    monkeypatch.setattr(_InlineExecutor, "started", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    spec = _spec(tasks=tasks, lle_horizon=2.0, lle_transient=0.0)
+    inline = sweep_csv(run_sweep(spec, workers=1))
+    assert sweep_csv(run_sweep(spec)) == inline
+    assert _InlineExecutor.started == started
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_fewer_than_one_worker_is_rejected(workers):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
