@@ -12,11 +12,13 @@ The steps run as kernels fused per field: each field (the 3-D model field
 and the 6-D variational field of the exponent) is given as source text,
 and ``_kernel_source`` unrolls every RK4 and DP54 stage over its
 components with the field inlined, once per process; ``_kernels`` binds
-one parameter set.  A step then costs no per-stage calls or tuples.  The
-kernels' operation order is frozen, because every output bit depends on
-it: each stage is s[i] + dt * (a1 * k1[i] + a2 * k2[i] + ...) summed left
-to right, the error norm squares with ``** 2``, and norms add their
-squares with an explicit ``+`` chain.  ``sum()`` would not do: from
+one parameter set.  A step then costs no per-stage calls or tuples, and
+it returns the new state's norm with the state, so the loop needs no
+separate norm call per accepted state.  The kernels' operation order is
+frozen, because every output bit depends on it: each stage is
+s[i] + dt * (a1 * k1[i] + a2 * k2[i] + ...) summed left to right, the
+error norm squares with ``** 2``, and norms add their squares with an
+explicit ``+`` chain.  ``sum()`` would not do: from
 Python 3.12 it is compensated, so its last bit depends on the interpreter
 version, while the chain gives the same bits everywhere.  Reordering any
 of this changes trajectories, exponents and golden outputs; the parity
@@ -113,8 +115,8 @@ class IntegratorSettings:
     def __post_init__(self) -> None:
         if not (self.dt_init > 0.0 and math.isfinite(self.dt_init)):
             raise ValueError("dt_init must be positive and finite")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf for tol in (self.rel_tol, self.abs_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise ValueError("t_max must be positive and finite")
         if self.max_steps <= 0:
@@ -149,15 +151,16 @@ class ConvergenceOutcome:
 class _Kernels(NamedTuple):
     """Step kernels of one field with its parameters bound.
 
-    ``rhs(s)`` is the field; ``rk4(s, dt)`` returns the RK4 step;
-    ``dp54(s, k1, dt)`` takes k1 = rhs(s) and returns (proposal, k7, err)
-    with k7 = rhs(proposal), so an accepted step hands its last stage on as
-    the next step's first; ``norm(s)`` is the Euclidean norm.
+    ``rhs(s)`` is the field; ``rk4(s, dt)`` returns the RK4 step and its
+    norm; ``dp54(s, k1, dt)`` takes k1 = rhs(s) and returns (proposal, k7,
+    err, norm) with k7 = rhs(proposal), so an accepted step hands its last
+    stage on as the next step's first; ``norm(s)`` is the Euclidean norm.
+    Each returned norm is ``norm`` of the returned state, bit for bit.
     """
 
     rhs: Callable[[tuple], tuple]
-    dp54: Callable[[tuple, tuple, float], tuple[tuple, tuple, float]]
-    rk4: Callable[[tuple, float], tuple]
+    dp54: Callable[[tuple, tuple, float], tuple[tuple, tuple, float, float]]
+    rk4: Callable[[tuple, float], tuple[tuple, float]]
     norm: Callable[[tuple], float]
 
 
@@ -172,7 +175,8 @@ def _kernel_source(field_source: _FieldSource) -> str:
 
     Every stage is unrolled over the components with the field inlined and
     the tableau written as float literals (``repr`` round-trips, so the
-    values are exact).
+    values are exact).  ``rk4`` and ``dp54`` end by returning the new
+    state's norm, formed from its components by the same chain as ``norm``.
     """
     idx = range(len(field_source))
 
@@ -192,9 +196,12 @@ def _kernel_source(field_source: _FieldSource) -> str:
     def pack(items: list[str]) -> str:
         return "(" + ", ".join(items) + ")"
 
+    def norm_of(prefix: str) -> str:
+        return f"sqrt({' + '.join(f'{prefix}{i} * {prefix}{i}' for i in idx)})"
+
     unpack_s = ", ".join(each("s{i}")) + " = s"
     rhs = [unpack_s, f"return {pack(field_at('s'))}"]
-    norm = [unpack_s, f"return sqrt({' + '.join(each('s{i} * s{i}'))})"]
+    norm = [unpack_s, f"return {norm_of('s')}"]
     rk4 = [
         unpack_s,
         *stage(1, "s"),
@@ -206,8 +213,8 @@ def _kernel_source(field_source: _FieldSource) -> str:
         *each("t{i} = s{i} + dt * k3_{i}"),
         *stage(4, "t"),
         "sixth = dt / 6.0",
-        "return "
-        + pack(each("s{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})")),
+        *each("t{i} = s{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"),
+        f"return {pack(each('t{i}'))}, {norm_of('t')}",
     ]
     dp54 = [unpack_s, ", ".join(each("k1_{i}")) + " = k1"]
     # stages 2-6 from the rows of A; the B row gives the proposal, at which
@@ -216,7 +223,10 @@ def _kernel_source(field_source: _FieldSource) -> str:
         dp54 += [f"t{i} = s{i} + dt * ({weighted(coeffs, i)})" for i in idx]
         dp54 += stage(k, "t")
     err = " + ".join(f"(dt * ({weighted(_E, i)})) ** 2" for i in idx)
-    dp54.append(f"return {pack(each('t{i}'))}, {pack(each('k7_{i}'))}, sqrt({err})")
+    dp54.append(
+        f"return {pack(each('t{i}'))}, {pack(each('k7_{i}'))}, sqrt({err}), "
+        f"{norm_of('t')}"
+    )
 
     lines = ["def bind(a, b, cm, n1, pp):"]
     for head, body in (
@@ -302,7 +312,8 @@ def _drive(
     COMPLETED_TSPAN at ``t_end``; STEP_LIMIT if the next trial step would
     not advance t or the ``max_steps`` budget is spent.  Trial steps repeat
     until one is accepted; a DP54 error estimate that overflows ends the
-    run as DIVERGED at the last accepted state.
+    run as DIVERGED at the last accepted state.  ``kernels.norm`` runs once,
+    on ``u0``; every later norm comes back from the step kernel.
 
     ``attempts`` counts the trial steps the run has already spent, so a run
     made of several calls (the LLE's windows) shares one ``max_steps``
@@ -316,14 +327,18 @@ def _drive(
     the required number of checks.
     """
     fixed = settings.mode is IntegratorMode.FIXED_RK4
-    dp54, rk4, norm = kernels.dp54, kernels.rk4, kernels.norm
+    dwell_clamp = not fixed and targets is not None
+    dp54, rk4 = kernels.dp54, kernels.rk4
     rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
     blowup_norm, max_steps = settings.blowup_norm, settings.max_steps
     dt = settings.dt_init if dt_start is None else dt_start
     t, s = 0.0, u0
+    # the norm of the current state; the kernels return it with each step
+    nrm = kernels.norm(s)
     k1 = None if fixed else kernels.rhs(s)
     times: list[float] = []
     states: list[tuple] = []
+    record_time, record_state = times.append, states.append
     captured = dwell_target = None
     dwell = 0
     box = _capture_reach(capture_radius)
@@ -333,11 +348,10 @@ def _drive(
     while True:
         if accepted:
             if record:
-                times.append(t)
-                states.append(s)
+                record_time(t)
+                record_state(s)
             # a NaN or infinite component makes the norm NaN or infinite, and
             # blowup_norm is finite, so this one comparison also catches those
-            nrm = norm(s)
             if not nrm <= blowup_norm:
                 status = TrajectoryStatus.DIVERGED
                 break
@@ -364,21 +378,25 @@ def _drive(
                 status = TrajectoryStatus.COMPLETED_TSPAN
                 break
 
+        # the clamps below are min(dt, remaining) and min(dt_eff, room)
+        # written out: the first argument wins unless the second is smaller
         remaining = t_end - t
-        dt_eff = min(dt, remaining)
-        if not fixed and targets is not None and 1 <= dwell < _DWELL_CHECKS:
+        dt_eff = remaining if remaining < dt else dt
+        if dwell_clamp and 1 <= dwell < _DWELL_CHECKS:
             # leave room for the remaining dwell confirmations
-            dt_eff = min(dt_eff, remaining / (_DWELL_CHECKS - dwell))
+            room = remaining / (_DWELL_CHECKS - dwell)
+            if room < dt_eff:
+                dt_eff = room
         if t + dt_eff == t or attempts >= max_steps:
             status = TrajectoryStatus.STEP_LIMIT
             break
         attempts += 1
 
         if fixed:
-            s = rk4(s, dt_eff)
+            s, nrm = rk4(s, dt_eff)
         else:
             try:
-                s_new, k7, err = dp54(s, k1, dt_eff)
+                s_new, k7, err, nrm_new = dp54(s, k1, dt_eff)
             except OverflowError:
                 # the error norm squared a component beyond the float range:
                 # the orbit has left every scale the tolerance can judge
@@ -388,19 +406,27 @@ def _drive(
             if err == 0.0:
                 factor = _GROW_LIMIT
             else:
-                factor = min(
-                    _GROW_LIMIT,
-                    max(_SHRINK_LIMIT, _SAFETY * (tol / err) ** _ORDER_EXPONENT),
-                )
+                # min(_GROW_LIMIT, max(_SHRINK_LIMIT, r)) written out: r
+                # must exceed the shrink limit to count, so a NaN r (a NaN
+                # err, or an infinite err over an infinite tol) shrinks
+                r = _SAFETY * (tol / err) ** _ORDER_EXPONENT
+                if r > _SHRINK_LIMIT:
+                    factor = r if r < _GROW_LIMIT else _GROW_LIMIT
+                else:
+                    factor = _SHRINK_LIMIT
             dt = dt_eff * factor
             accepted = err <= tol
             if not accepted:
                 continue
-            s, k1 = s_new, k7
+            s, k1, nrm = s_new, k7, nrm_new
         t = t_end if dt_eff == remaining else t + dt_eff
 
     nearest = min([math.inf, *(_dist(s, tgt) for tgt in targets or ())])
     return _DriveResult(status, s, dt, attempts, times, states, captured, nearest)
+
+
+# State(*s) without the Python-level __new__: each recorded s is a 3-tuple
+_as_state = functools.partial(tuple.__new__, State)
 
 
 def _run(
@@ -415,7 +441,7 @@ def _run(
         settings = IntegratorSettings()
     kernels = _kernels(_FIELD_SOURCE, p)
     res = _drive(kernels, tuple(u0), settings, settings.t_max, targets, capture_radius)
-    states = tuple(State(*s) for s in res.states)
+    states = tuple(map(_as_state, res.states))
     return res, Trajectory(times=tuple(res.times), states=states, status=res.status)
 
 

@@ -129,37 +129,59 @@ def _strictly_positive(v: float) -> bool:
     return v > SIGN_BAND * (1.0 + abs(v))
 
 
-def _nonpos(v: float) -> bool:
-    return v <= SIGN_BAND * (1.0 + abs(v))
+def _exact_sum(*terms: float) -> float:
+    """The exact sum of ``terms`` rounded once, so its sign is exact.
+
+    Left to right, ((M + N) + c) - 1 can round an exact 0 up to 2^-52.
+    fsum rounds once, but raises when a partial sum leaves the float
+    range; the rational sum then gives the value, or the signed infinity
+    (fractions loads only then).
+    """
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        from fractions import Fraction
+
+        total = sum(map(Fraction, terms))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+
+def _product_nonpos(u: float, v: float) -> bool:
+    """u * v <= 0, from the factors' signs: a product that underflows to
+    0 does not count as 0."""
+    return u == 0.0 or v == 0.0 or (u < 0.0) != (v < 0.0)
 
 
 def hypotheses_check(p: SystemParams) -> HypothesisFlags:
-    """Evaluate the nested hypothesis levels with a relative sign band.
+    """Evaluate the nested hypothesis levels.
 
-    Strict inequalities must clear SIGN_BAND * (1 + |value|); non-strict
-    ones may sit inside it.  P ~ 1 (where V degenerates) fails lemma_ok
-    outright instead of passing vacuously through the sign of the ratio.
+    Strict inequalities must clear SIGN_BAND * (1 + |value|).  Non-strict
+    ones are decided by exact sign: 2a - b is one rounding of the exact
+    difference (2a is exact), its quotient by 1 - P takes its sign from
+    the two factors, and N - 1 - a is summed exactly.  P ~ 1 (where V
+    degenerates) fails lemma_ok outright instead of passing vacuously
+    through the sign of the ratio.
     """
     one_minus_p = 1.0 - p.P
     p_ok = abs(one_minus_p) > SIGN_BAND * (1.0 + abs(p.P))
+    excess = 2.0 * p.a - p.b
     lemma_ok = (
         _strictly_positive(p.a)
         and _strictly_positive(p.b)
         and p_ok
-        and _nonpos((2.0 * p.a - p.b) / one_minus_p)
-        and _nonpos(p.N - 1.0 - p.a)
+        and _product_nonpos(excess, one_minus_p)
+        and _exact_sum(p.N, -1.0, -p.a) <= 0.0
     )
-    conv_ok = (
-        lemma_ok
-        and _nonpos(2.0 * p.a - p.b)
-        and _strictly_positive(one_minus_p)
-    )
-    # fsum gives the exact offset's sign; ((M + N) + c) - 1 can round 0 up
-    # to 2^-52, which clears the band once divided by a small 1 - P
+    conv_ok = lemma_ok and excess <= 0.0 and _strictly_positive(one_minus_p)
+    # the offset is summed exactly: a rounding error of 2^-52 clears the
+    # band once divided by a small 1 - P
     het_ok = (
         conv_ok
         and _strictly_positive(p.c + p.M)
-        and _strictly_positive(math.fsum((p.M, p.N, p.c, -1.0)) / one_minus_p)
+        and _strictly_positive(_exact_sum(p.M, p.N, p.c, -1.0) / one_minus_p)
     )
     return HypothesisFlags(lemma_ok=lemma_ok, conv_ok=conv_ok, het_ok=het_ok)
 
@@ -181,19 +203,20 @@ def corollary_check(preset: Preset, a: float, b: float, c: float) -> bool:
     """Preset-specific convergence conditions in the plant parameters.
 
     Lorenz: c > 1, b >= 2a, a > 0.  Chen: 2c - a > 0 and
-    (b - 2a)(c - a) <= 0.  T system: c - a > 0 and b - 2a <= 0.  Signs
-    use SIGN_BAND as in ``hypotheses_check``; the Lu preset raises.
+    (b - 2a)(c - a) <= 0.  T system: c - a > 0 and b - 2a <= 0.  As in
+    ``hypotheses_check``, strict signs use SIGN_BAND and non-strict ones
+    are exact; the Lu preset raises.
     """
     if preset is Preset.LORENZ:
         return (
             _strictly_positive(c - 1.0)
-            and _nonpos(2.0 * a - b)
+            and 2.0 * a - b <= 0.0
             and _strictly_positive(a)
         )
     if preset is Preset.CHEN:
-        return _strictly_positive(2.0 * c - a) and _nonpos((b - 2.0 * a) * (c - a))
+        return _strictly_positive(2.0 * c - a) and _product_nonpos(b - 2.0 * a, c - a)
     if preset is Preset.T_SYSTEM:
-        return _strictly_positive(c - a) and _nonpos(b - 2.0 * a)
+        return _strictly_positive(c - a) and b - 2.0 * a <= 0.0
     if preset is Preset.LU:
         raise UnsupportedPresetError(
             "no convergence conditions are defined for the Lu preset"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .equilibria import (
     Equilibrium,
@@ -121,8 +122,9 @@ def trace_heteroclinic(
         settings=settings,
         include_origin=False,
     )
-    xs = [s.x for s in outcome.trajectory.states]
-    extremal = min(xs) if branch is Branch.PLUS_X else max(xs)
+    extremal = (min if branch is Branch.PLUS_X else max)(
+        map(itemgetter(0), outcome.trajectory.states)
+    )
     expected = None
     if eqs.kind is EquilibriumKind.TRIPLE:
         expected = eqs.pair[0] if branch is Branch.PLUS_X else eqs.pair[1]

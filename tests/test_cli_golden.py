@@ -135,6 +135,16 @@ CASES = [
          2, EMPTY, "error: need horizon > transient >= 0\n"),
     case("simulate-bad-dt", ["simulate", *REGULAR, *START, "--dt", "0"], 2, EMPTY,
          "error: dt_init must be positive and finite\n"),
+    # an infinite tolerance would accept every step: exit 2, not a run
+    # that "diverges" with exit 3
+    case("simulate-infinite-rel-tol",
+         ["simulate", *CLASSIC, *START, "--t-max", "5", "--rel-tol", "inf"],
+         2, EMPTY, "error: tolerances must be positive and finite\n"),
+    case("lle-infinite-rel-tol", ["lle", *CLASSIC, *SHORT_LLE, "--rel-tol", "inf"],
+         2, EMPTY, "error: tolerances must be positive and finite\n"),
+    case("heteroclinic-infinite-abs-tol",
+         ["heteroclinic", *REGULAR, "--abs-tol", "inf"],
+         2, EMPTY, "error: tolerances must be positive and finite\n"),
     case("suggest-bad-margin", ["suggest-anticontrol", *PLANT, "--margin", "0"],
          2, EMPTY, "error: margin must be positive\n"),
     case("equilibria-nan", ["equilibria", "--a", "nan", "--b", "3", "--c", "2"],

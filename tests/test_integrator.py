@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -49,6 +50,11 @@ def test_settings_validation():
         IntegratorSettings(dt_init=0.0)
     with pytest.raises(ValueError):
         IntegratorSettings(rel_tol=-1e-9)
+    # an infinite tolerance would accept every step, however wild
+    for tolerances in ({"rel_tol": math.inf}, {"abs_tol": math.inf},
+                       {"rel_tol": math.nan}, {"abs_tol": math.nan}):
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            IntegratorSettings(**tolerances)
     with pytest.raises(ValueError):
         IntegratorSettings(t_max=0.0)
     with pytest.raises(ValueError):
@@ -349,8 +355,9 @@ def test_dwell_prefilter_matches_the_oracle_on_heteroclinic_branches(branch, set
 
 # A frozen copy of ``_drive`` from when it wrote its stop policy twice (once
 # for the initial state, once after each accepted step) through ``nearest``
-# and ``captured`` closures.  The one-policy loop must end every run the
-# same way, bit for bit, in every field a caller reads.
+# and ``captured`` closures, and called ``norm`` for each accepted state.
+# The one-policy loop must end every run the same way, bit for bit, in
+# every field a caller reads.
 
 
 @dataclass
@@ -512,6 +519,16 @@ def _reference_drive(
     return res
 
 
+def _without_norms(kernels: _Kernels) -> _Kernels:
+    """The kernels in the shape the frozen copy calls them: ``rk4`` returns
+    the state alone and ``dp54`` (proposal, k7, err), without the norm."""
+    rk4, dp54 = kernels.rk4, kernels.dp54
+    return kernels._replace(
+        rk4=lambda s, dt: rk4(s, dt)[0],
+        dp54=lambda s, k1, dt: dp54(s, k1, dt)[:3],
+    )
+
+
 _DRIVE_PARAMS = [
     REGULAR,
     CLASSIC,
@@ -610,5 +627,58 @@ _RUN = dict(fixed=False, variational=False, budget=10**6, t_end=5.0, dt_init=1e-
 def test_drive_matches_its_frozen_two_policy_copy(case):
     kernels, u0, settings, t_end, kwargs = case
     got = _drive(kernels, u0, settings, t_end, **kwargs)
-    want = _reference_drive(kernels, u0, settings, t_end, **kwargs)
+    want = _reference_drive(_without_norms(kernels), u0, settings, t_end, **kwargs)
     assert _read_fields(got) == _read_fields(want)
+
+
+# ------------------------------------- the step-size controller, at its edges
+
+_STUB_SETTINGS = IntegratorSettings(rel_tol=1e-3, abs_tol=1e-6)
+_STUB_NORM = _kernels(_FIELD_SOURCE, REGULAR).norm
+_ZERO = (0.0, 0.0, 0.0)
+
+
+def _stub_kernels(errs: list[str]) -> _Kernels:
+    """Kernels whose ``dp54`` moves x by dt / 1000 and reports the next
+    error estimate of ``errs`` (cycling), whatever the step: NaN, infinite,
+    zero, the least subnormal, huge, or exactly the tolerance of ``s``."""
+    fixed = {"nan": math.nan, "inf": math.inf, "zero": 0.0, "tiny": 5e-324,
+             "huge": 1e300}
+    kinds = itertools.cycle(errs)
+
+    def dp54(s, k1, dt):
+        kind = next(kinds)
+        if kind == "tol":
+            err = _STUB_SETTINGS.rel_tol * _STUB_NORM(s) + _STUB_SETTINGS.abs_tol
+        else:
+            err = fixed[kind]
+        proposal = (s[0] + dt / 1000.0, s[1], s[2])
+        return proposal, _ZERO, err, _STUB_NORM(proposal)
+
+    return _Kernels(rhs=lambda s: _ZERO, dp54=dp54, rk4=None, norm=_STUB_NORM)
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(
+    errs=st.lists(st.sampled_from(["nan", "inf", "zero", "tiny", "huge", "tol"]),
+                  min_size=1, max_size=8),
+    t_end=st.sampled_from([1e-3, 0.5, 1.0]),
+    dt_start=st.sampled_from([None, 1e-3, 0.1, 0.5, 1.0, 2.0]),
+    targets=st.sampled_from([None, [_ZERO]]),
+    capture_radius=st.sampled_from([0.0, 1e-6, 1.0]),
+)
+@example(errs=["nan"], t_end=1.0, dt_start=None, targets=None, capture_radius=0.0)
+@example(errs=["tol"], t_end=1.0, dt_start=1.0, targets=None, capture_radius=0.0)
+@example(errs=["tiny", "huge"], t_end=0.5, dt_start=0.1, targets=[_ZERO],
+         capture_radius=1.0)
+def test_step_size_controller_matches_the_frozen_copy(
+    errs, t_end, dt_start, targets, capture_radius
+):
+    # min and max pick the first argument on a tie and ignore a NaN in the
+    # second; the written-out clamps must agree on every step
+    args = (_ZERO, _STUB_SETTINGS, t_end, targets, capture_radius, True, dt_start)
+    got = _drive(_stub_kernels(errs), *args)
+    want = _reference_drive(_without_norms(_stub_kernels(errs)), *args)
+    assert (got.status, repr(got.state), repr(got.dt), got.attempts) == (
+        want.status, repr(want.state), repr(want.dt), want.attempts
+    )

@@ -4,13 +4,14 @@ The reference oracle below is the generic RK4 and Dormand-Prince 5(4) step
 over any right-hand side ``f``, with the tableau spelled out as named
 constants.  Each fused kernel must return the identical tuple, bit for
 bit, for random parameters, states and step sizes, including states whose
-norm overflows and states that are not finite.
+norm overflows and states that are not finite.  The norm a step kernel
+returns with its new state must be that state's ``norm``, bit for bit.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
     SystemParams,
@@ -156,6 +157,16 @@ def _dp54_step(f, s, k1, dt):
     return proposal, k7, err
 
 
+def _norm(s):
+    return math.sqrt(_left_sum(v * v for v in s))
+
+
+def _dp54_with_norm(f, s, k1, dt):
+    # the fused dp54's shape: the proposal's norm comes last
+    proposal, k7, err = _dp54_step(f, s, k1, dt)
+    return proposal, k7, err, _norm(proposal)
+
+
 def _bits(value):
     """Floats as text that tells every double apart (signed zeros too);
     all NaNs read alike."""
@@ -205,6 +216,16 @@ dt_st = st.one_of(
     components=st.lists(component, min_size=6, max_size=6),
     dt=dt_st,
 )
+@example(name="variational", p=SystemParams(1.0, 3.0, 2.0),
+         components=[math.nan, 0.0, 1.0, 1.0, 0.0, 0.0], dt=1e-3)
+@example(name="lorenz", p=SystemParams(1.0, 3.0, 2.0),
+         components=[math.inf, -1.0, 1.0, 0.0, 0.0, 0.0], dt=1e-3)
+# squares that overflow in the norm, and a step whose error estimate
+# squares a finite component beyond the float range (OverflowError)
+@example(name="variational", p=SystemParams(1.0, 3.0, 2.0),
+         components=[1e154] * 6, dt=1e-3)
+@example(name="lorenz", p=SystemParams(10.0, 2.66, 28.0),
+         components=[1.0] * 6, dt=1e5)
 def test_fused_kernels_match_the_generic_steps(name, p, components, dt):
     source, reference_rhs = FIELDS[name]
     kernels = _kernels(source, p)
@@ -212,9 +233,11 @@ def test_fused_kernels_match_the_generic_steps(name, p, components, dt):
     s = tuple(components[: len(source)])
     k1 = f(s)
     assert _bits(kernels.rhs(s)) == _bits(k1)
-    assert _bits(kernels.rk4(s, dt)) == _bits(_rk4_step(f, s, dt))
-    assert _outcome(kernels.dp54, s, k1, dt) == _outcome(_dp54_step, f, s, k1, dt)
-    assert _bits(kernels.norm(s)) == _bits(math.sqrt(_left_sum(v * v for v in s)))
+    state, nrm = kernels.rk4(s, dt)
+    assert _bits(state) == _bits(_rk4_step(f, s, dt))
+    assert _bits(nrm) == _bits(kernels.norm(state))
+    assert _outcome(kernels.dp54, s, k1, dt) == _outcome(_dp54_with_norm, f, s, k1, dt)
+    assert _bits(kernels.norm(s)) == _bits(_norm(s))
 
 
 @hsettings(max_examples=200, deadline=None)
@@ -233,17 +256,17 @@ def test_adaptive_step_of_a_mirrored_seed_is_mirrored(p, s, dt):
     kernels = _kernels(_FIELD_SOURCE, p)
     m = tuple(apply_symmetry(s))
     try:
-        proposal, k7, err = kernels.dp54(s, kernels.rhs(s), dt)
+        proposal, k7, err, nrm = kernels.dp54(s, kernels.rhs(s), dt)
     except OverflowError:
         with pytest.raises(OverflowError):
             kernels.dp54(m, kernels.rhs(m), dt)
         return
-    m_proposal, m_k7, m_err = kernels.dp54(m, kernels.rhs(m), dt)
+    m_proposal, m_k7, m_err, m_nrm = kernels.dp54(m, kernels.rhs(m), dt)
     # as values, like the trajectory tests: x + (-0.0) is 0.0, so a zero
     # need not mirror its sign
     assert _same_values(m_proposal, apply_symmetry(proposal))
     assert _same_values(m_k7, apply_symmetry(k7))
-    assert _same_values((m_err,), (err,))
+    assert _same_values((m_err, m_nrm), (err, nrm))
 
 
 def test_default_classic_lorenz_exponent_is_pinned():

@@ -249,19 +249,32 @@ def test_false_flags_are_not_disproofs():
 
 
 def _claims_beyond_hypotheses(p):
-    """What conv_ok and het_ok claim for p that its exact values deny.
+    """What the certificate claims for p that its exact values deny.
 
-    The strict hypotheses are decided in rational arithmetic on the same
-    doubles: conv_ok needs a > 0, b > 0 and 1 - P > 0; het_ok adds
-    c + M > 0 and M + N + c - 1 > 0.
+    Every hypothesis is decided in rational arithmetic on the same doubles:
+    lemma_ok needs a > 0, b > 0, P != 1, (b - 2a)/(1 - P) >= 0 and
+    N - 1 - a <= 0; conv_ok adds b - 2a >= 0 and 1 - P > 0; het_ok adds
+    c + M > 0 and M + N + c - 1 > 0.  Convergence to equilibria and the
+    necessary condition for chaos, b < 2a, are never claimed together.
     """
     a, b, c, M, N, P = (Fraction(v) for v in (p.a, p.b, p.c, p.M, p.N, p.P))
-    flags = certificate(p).flags
-    wrong = []
-    if flags.conv_ok and not (a > 0 and b > 0 and 1 - P > 0):
-        wrong.append("conv_ok")
-    if flags.het_ok and not (c + M > 0 and M + N + c - 1 > 0):
-        wrong.append("het_ok")
+    report = certificate(p)
+    lemma = (
+        a > 0 and b > 0 and P != 1 and (b - 2 * a) * (1 - P) >= 0 and N - 1 - a <= 0
+    )
+    conv = lemma and b - 2 * a >= 0 and 1 - P > 0
+    het = conv and c + M > 0 and M + N + c - 1 > 0
+    wrong = [
+        name
+        for name, claimed, holds in (
+            ("lemma_ok", report.flags.lemma_ok, lemma),
+            ("conv_ok", report.flags.conv_ok, conv),
+            ("het_ok", report.flags.het_ok, het),
+        )
+        if claimed and not holds
+    ]
+    if report.converges_to_equilibria and report.chaos_possible:
+        wrong.append("converges_to_equilibria and chaos_possible")
     return wrong
 
 
@@ -270,8 +283,9 @@ def _ulp_sides(x):
 
 
 def _boundary_draws(rng):
-    """conv_ok draws moved to one ulp either side of each strict boundary:
-    a = 0, b = 0, P = 1, c + M = 0 and M + N + c - 1 = 0.
+    """conv_ok draws moved to one ulp either side of each boundary: the
+    strict a = 0, b = 0, P = 1, c + M = 0 and M + N + c - 1 = 0, and the
+    non-strict b = 2a and N = 1 + a.
 
     1 - P runs from 1 down to 1e-11, where even an offset of one rounding
     error clears the band once divided by it.  The offset's boundary is
@@ -289,6 +303,10 @@ def _boundary_draws(rng):
             yield dataclasses.replace(base, P=P)
         for M in _ulp_sides(-base.c):
             yield dataclasses.replace(base, M=M)
+        for b in _ulp_sides(2.0 * base.a):
+            yield dataclasses.replace(base, b=b)
+        for N in _ulp_sides(float(1 + Fraction(base.a))):
+            yield dataclasses.replace(base, N=N)
         # M + N + c = 1, solved for each of the three in turn
         for name in ("M", "N", "c"):
             others = sum(Fraction(getattr(base, o)) for o in "MNc" if o != name)
@@ -300,6 +318,13 @@ def test_certificate_claims_nothing_its_exact_hypotheses_deny():
     rng = np.random.default_rng(101)
     draws = [sampling.any_params(rng) for _ in range(5000)]
     draws += list(_boundary_draws(rng))
+    # non-strict hypotheses that once passed inside the sign band: b just
+    # below 2a claimed convergence next to chaos_possible, and N just above
+    # 1 + a claimed lemma_ok
+    draws += [
+        SystemParams(1.0, 2.0 - 1e-13, 2.0),
+        SystemParams(1.0, 3.0, 2.0, N=2.0 + 1e-13),
+    ]
     het_claims = 0
     for p in draws:
         assert _claims_beyond_hypotheses(p) == [], p
@@ -321,6 +346,16 @@ def test_het_ok_refuses_an_offset_that_rounds_up_from_zero():
     assert flags.conv_ok and not flags.het_ok
 
 
+def test_sums_beyond_the_float_range_keep_their_sign():
+    # N - 1 - a and M + N + c - 1 leave the float range part way, where
+    # fsum raises; the exact sums' signs still decide
+    flags = hypotheses_check(SystemParams(1.7e308, 1.0, 0.0, N=-1.7e308, P=2.0))
+    assert flags.lemma_ok and not flags.conv_ok
+    p = SystemParams(8e307, 1.7e308, 0.0, M=1e308, N=8e307)
+    assert hypotheses_check(p).conv_ok
+    assert _claims_beyond_hypotheses(p) == []
+
+
 # ---------------------------------------------------------------- corollaries
 
 
@@ -333,6 +368,12 @@ def test_corollary_examples():
     assert corollary_check(Preset.T_SYSTEM, 2.0, 1.0, 3.0) is True
     assert corollary_check(Preset.T_SYSTEM, 2.0, 1.0, 1.0) is False
     assert corollary_check(Preset.T_SYSTEM, 2.0, 5.0, 3.0) is False
+    # non-strict signs are exact: b one band-width short of 2a is not b >= 2a
+    assert corollary_check(Preset.LORENZ, 1.0, 2.0 - 1e-13, 2.0) is False
+    assert corollary_check(Preset.T_SYSTEM, 1.0, 2.0 + 1e-13, 3.0) is False
+    # (b - 2a)(c - a) = 5e-324 * 0.4 underflows to 0, yet is positive
+    assert corollary_check(Preset.CHEN, 0.0, 5e-324, 0.4) is False
+    assert corollary_check(Preset.CHEN, 0.0, 0.0, 0.4) is True
 
 
 def test_corollary_lu_unsupported():
