@@ -12,6 +12,10 @@ d = 0 the whole curve (x, x, x^2 / b) consists of equilibria.
 The origin's linearization block-diagonalizes: one eigenvalue is -b and the
 other two solve lambda^2 + (a + 1 - N) lambda - a d = 0, so its type is
 decided by the signs of q = a d and r = N - a - 1.
+
+E- = S(E+) carries E+'s spectrum: the mirror leaves the characteristic
+cubic's bits unchanged unless a coefficient is zero or NaN, and then E-
+solves its own (see find_equilibria).
 """
 
 from __future__ import annotations
@@ -136,14 +140,25 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     """Roots of lambda^3 + c2 lambda^2 + c1 lambda + c0 = 0.
 
     Closed form on the depressed cubic: Cardano branch for one real root
-    plus a conjugate pair, trigonometric branch for three real roots.  Each
-    root then gets one complex Newton step on the original polynomial to
-    shed the rounding accumulated through the substitutions.
+    plus a conjugate pair, trigonometric branch for three real roots.  The
+    real roots and the first of a pair then get one complex Newton step on
+    the original polynomial to shed the rounding accumulated through the
+    substitutions; the second of a pair is the first's exact conjugate.
+
+    One test decides underflow: when |q| < 2^-511 and |p| < 2^-340, not
+    both zero, both terms of the discriminant fall below the normal range
+    and it says nothing about the roots, so the cubic is rescaled.
     """
     shift = c2 / 3.0
     pcoef = c1 - c2 * shift  # c1 - c2^2/3
     qcoef = (2.0 * shift * shift - c1) * shift + c0  # 2 c2^3/27 - c1 c2/3 + c0
     disc = (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
+    if (
+        abs(qcoef) < 2.0**-511
+        and abs(pcoef) < 2.0**-340
+        and (pcoef != 0.0 or qcoef != 0.0)
+    ):
+        return _rescaled_cubic_roots(c2, c1, c0)
 
     if disc > 0.0:
         sq = math.sqrt(disc)
@@ -157,59 +172,60 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
         t_real = u + v
         re = -t_real / 2.0
         im = _HALF_SQRT3 * (u - v)
-        ts = [complex(t_real, 0.0), complex(re, im), complex(re, -im)]
+        ts = [complex(t_real, 0.0), complex(re, im)]
     elif pcoef < 0.0:
         mfac = 2.0 * math.sqrt(-pcoef / 3.0)
         den = pcoef * mfac
-        if den == 0.0:
-            # p * m underflows only when every coefficient is tiny
-            return _rescaled_cubic_roots(c2, c1, c0)
-        arg = 3.0 * qcoef / den
+        # den underflows to 0 only under a NaN qcoef: a tiny cubic with
+        # a real qcoef was rescaled above
+        arg = 3.0 * qcoef / den if den != 0.0 else math.nan
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg)
         ts = [
             complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
             for k in range(3)
         ]
-    elif disc == 0.0 and (pcoef != 0.0 or qcoef != 0.0):
-        # both terms of disc are >= 0 here, so both powers underflowed
-        return _rescaled_cubic_roots(c2, c1, c0)
     else:
         # pcoef = qcoef = 0: the triple root -shift (NaN coefficients too)
         t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
         ts = [complex(t, 0.0)] * 3
 
+    abs_c2 = abs(c2)
+    abs_c1 = abs(c1)
     polished = []
     for t in ts:
         z = t - shift
         dp = (3.0 * z + 2.0 * c2) * z + c1
-        scale = abs(z) ** 2 + abs(c2) * abs(z) + abs(c1)
-        if abs(dp) > 1e-8 * max(scale, 1.0):
+        abs_z = abs(z)
+        scale = abs_z**2 + abs_c2 * abs_z + abs_c1
+        # 1e-8 * max(scale, 1.0), with max's choice for NaN and ties
+        if abs(dp) > 1e-8 * (1.0 if 1.0 > scale else scale):
             z = z - (((z + c2) * z + c1) * z + c0) / dp
         polished.append(z)
-    # keep conjugate pairs exactly conjugate after polishing
     if disc > 0.0:
-        polished[2] = polished[1].conjugate()
+        # keep the conjugate pair exactly conjugate
+        polished.append(polished[1].conjugate())
     return polished
 
 
 def _rescaled_cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     """_cubic_roots solved for lambda / 2^k, an exact rescaling that brings
-    the largest of |c2|, |c1|^(1/2), |c0|^(1/3) near 1; no underflow sends
-    a cubic of that size back here, so this recurses once."""
+    the largest of |c2|, |c1|^(1/2), |c0|^(1/3) near 1.  This recurses
+    once: in the rescaled cubic a p below 2^-340 leaves q close to
+    c0 - c2^3/27, which is near 1 unless c0 and c2^3/27 (both then above
+    2^-8) cancel, to 0 or above 2^-61; and such a p is exactly 0 when c2
+    leads, as a difference of floats above 2^-4."""
     size = max(abs(c2), math.sqrt(abs(c1)), abs(c0) ** (1.0 / 3.0))
     sc = math.ldexp(1.0, math.frexp(size)[1])
     roots = _cubic_roots(c2 / sc, c1 / sc / sc, c0 / sc / sc / sc)
     return [z * sc for z in roots]
 
 
-def eigenvalues_at(
+def _characteristic_cubic(
     p: SystemParams, s: State | tuple
-) -> tuple[complex, complex, complex]:
-    """Eigenvalues of the Jacobian at s via the characteristic cubic.
-
-    Sorted by descending real part, ties by ascending imaginary part.
-    """
+) -> tuple[float, float, float]:
+    """(c2, c1, c0) with det(lambda I - J(s)) = lambda^3 + c2 lambda^2
+    + c1 lambda + c0."""
     # the entries of model.jacobian, by the same expressions, as scalars
     x, y, z = s
     pp = 1.0 - p.P
@@ -227,15 +243,31 @@ def eigenvalues_at(
         - a12 * (a21 * a33 - a23 * a31)
         + a13 * (a21 * a32 - a22 * a31)
     )
-    roots = _cubic_roots(-tr, minors, -det)
+    return -tr, minors, -det
+
+
+def _spectrum(cubic: tuple[float, float, float]) -> tuple[complex, complex, complex]:
+    """The cubic's roots by descending real part, ties by ascending imaginary."""
+    roots = _cubic_roots(*cubic)
     roots.sort(key=lambda z: (-z.real, z.imag))
     return (roots[0], roots[1], roots[2])
 
 
-def _record(p: SystemParams, loc: State) -> Equilibrium:
-    """loc with its spectrum and dimension counts; an eigenvalue is a center
-    direction when |Re lambda| <= CENTER_BAND * (1 + |lambda|)."""
-    eigs = eigenvalues_at(p, loc)
+def eigenvalues_at(
+    p: SystemParams, s: State | tuple
+) -> tuple[complex, complex, complex]:
+    """Eigenvalues of the Jacobian at s via the characteristic cubic.
+
+    Sorted by descending real part, ties by ascending imaginary part.
+    """
+    return _spectrum(_characteristic_cubic(p, s))
+
+
+def _record(loc: State, cubic: tuple[float, float, float]) -> Equilibrium:
+    """loc with the spectrum of its characteristic cubic and dimension
+    counts; an eigenvalue is a center direction when
+    |Re lambda| <= CENTER_BAND * (1 + |lambda|)."""
+    eigs = _spectrum(cubic)
     stable = unstable = center = 0
     for lam in eigs:
         if abs(lam.real) <= CENTER_BAND * (1.0 + abs(lam)):
@@ -277,11 +309,17 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     Raises DegenerateBError when b = 0 (the z-equation loses its linear
     term and the closed forms above do not apply).  The symmetric pair is
     constructed as (E+, S(E+)) so the two locations mirror each other
-    exactly in floating point.
+    exactly in floating point.  E- carries E+'s eigenvalues and dimension
+    counts when its characteristic cubic compares equal to E+'s with no
+    zero coefficient: every product depending on x or y rounds
+    sign-symmetrically, so the coefficients then have the same bits.  A
+    zero (whose sign the a13 = 0 products can flip) or a NaN coefficient
+    sends E- through its own solve.
     """
     if p.b == 0.0:
         raise DegenerateBError("b = 0: equilibrium formulas are undefined")
-    origin = _record(p, State(0.0, 0.0, 0.0))
+    zero = State(0.0, 0.0, 0.0)
+    origin = _record(zero, _characteristic_cubic(p, zero))
     d = _drift(p)
     one_minus_p = 1.0 - p.P
     if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(p.P)):
@@ -295,8 +333,20 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
         z_star = d / one_minus_p
         plus_loc = _polish(p, State(s, s, z_star))
         minus_loc = apply_symmetry(plus_loc)
-        pair = (_record(p, plus_loc), _record(p, minus_loc))
-        return EquilibriumSet(EquilibriumKind.TRIPLE, origin, pair)
+        cp = _characteristic_cubic(p, plus_loc)
+        cm = _characteristic_cubic(p, minus_loc)
+        plus = _record(plus_loc, cp)
+        if cm == cp and 0.0 not in cp:
+            minus = Equilibrium(
+                minus_loc,
+                plus.eigenvalues,
+                plus.stable_dim,
+                plus.unstable_dim,
+                plus.center_dim,
+            )
+        else:
+            minus = _record(minus_loc, cm)
+        return EquilibriumSet(EquilibriumKind.TRIPLE, origin, (plus, minus))
     return EquilibriumSet(EquilibriumKind.ORIGIN_ONLY, origin, None)
 
 

@@ -126,7 +126,9 @@ def v_dot_closed_form(p: SystemParams, s: State | tuple) -> float:
 
 
 def _strictly_positive(v: float) -> bool:
-    return v > SIGN_BAND * (1.0 + abs(v))
+    """v clears SIGN_BAND * (1 + |v|).  +inf passes: here it only comes
+    from overflowing a value that is exactly positive."""
+    return v > SIGN_BAND * (1.0 + abs(v)) or v == math.inf
 
 
 def _exact_sum(*terms: float) -> float:
@@ -158,10 +160,11 @@ def _product_nonpos(u: float, v: float) -> bool:
 def hypotheses_check(p: SystemParams) -> HypothesisFlags:
     """Evaluate the nested hypothesis levels.
 
-    Strict inequalities must clear SIGN_BAND * (1 + |value|).  Non-strict
-    ones are decided by exact sign: 2a - b is one rounding of the exact
-    difference (2a is exact), its quotient by 1 - P takes its sign from
-    the two factors, and N - 1 - a is summed exactly.  P ~ 1 (where V
+    Strict inequalities must clear SIGN_BAND * (1 + |value|); +inf, from
+    an overflow, passes.  Non-strict ones are decided by exact sign:
+    2a - b is one rounding of the exact difference (2a is exact), its
+    quotient by 1 - P takes its sign from the two factors, and N - 1 - a
+    is summed exactly.  P ~ 1 (where V
     degenerates) fails lemma_ok outright instead of passing vacuously
     through the sign of the ratio.
     """

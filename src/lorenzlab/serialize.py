@@ -74,7 +74,7 @@ def trajectory_csv(trajectory: Trajectory) -> str:
 def sweep_csv(result: SweepResult) -> str:
     lines = [",".join(result.columns)]
     for row in result.rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(map(_csv_cell, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from lorenzlab import (
     pitchfork_locus_for_preset,
     vector_field,
 )
-from lorenzlab.equilibria import _cubic_roots
+from lorenzlab import equilibria
+from lorenzlab.equilibria import _characteristic_cubic, _cubic_roots, _record
 
 import sampling
 
@@ -211,9 +213,11 @@ def test_eigenvalue_ordering_convention():
 # The eigenvalue path before it formed the Jacobian entries as scalars:
 # a numpy Jacobian unpacked entry by entry, and the cubic solver with its
 # Newton polish as local functions.  eigenvalues_at must match it bit for
-# bit, except where a power of the depressed cubic underflowed: there the
-# old path divided by zero or returned a false triple root, the oracle
-# raises _Underflow, and the new path rescales the cubic.
+# bit, except where both terms of the depressed cubic's discriminant fall
+# below the normal range (|q| < 2^-511 and |p| < 2^-340, not both zero):
+# there the old path divided by zero, returned a false triple root or
+# lost a complex pair, the oracle raises _Underflow, and the new path
+# rescales the cubic.
 
 
 class _Underflow(ArithmeticError):
@@ -225,6 +229,9 @@ def _cubic_roots_oracle(c2, c1, c0):
     pcoef = c1 - c2 * shift
     qcoef = (2.0 * shift * shift - c1) * shift + c0
     disc = (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
+    if abs(qcoef) < 2.0**-511 and abs(pcoef) < 2.0**-340:
+        if pcoef != 0.0 or qcoef != 0.0:
+            raise _Underflow("both terms of disc fell below the normal range")
     if disc > 0.0:
         sq = math.sqrt(disc)
         if qcoef >= 0.0:
@@ -239,17 +246,16 @@ def _cubic_roots_oracle(c2, c1, c0):
         ts = [complex(t_real, 0.0), complex(re, im), complex(re, -im)]
     elif pcoef < 0.0:
         mfac = 2.0 * math.sqrt(-pcoef / 3.0)
-        if pcoef * mfac == 0.0:
-            raise _Underflow("p * m underflowed")
-        arg = 3.0 * qcoef / (pcoef * mfac)
+        den = pcoef * mfac
+        # 0 only under a NaN q (a tiny real q raised above); the new path
+        # then takes arg = NaN instead of dividing by zero
+        arg = 3.0 * qcoef / den if den != 0.0 else math.nan
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg)
         ts = [
             complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
             for k in range(3)
         ]
-    elif disc == 0.0 and (pcoef != 0.0 or qcoef != 0.0):
-        raise _Underflow("both terms of disc underflowed")
     else:
         t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
         ts = [complex(t, 0.0)] * 3
@@ -370,15 +376,60 @@ def test_cubic_roots_solve_cubics_whose_discriminant_underflows(c1, c0):
     assert _solves_tiny_cubic(_cubic_roots(0.0, c1, c0), 0.0, c1, c0)
 
 
+@pytest.mark.parametrize(
+    "c2,c1,c0",
+    [(0.0, -1e-110, 1e-163), (-6.518844661204176e-103, 0.0, -2.225073858507e-311)],
+)
+def test_cubic_roots_solve_cubics_whose_discriminant_leaves_the_normal_range(
+    c2, c1, c0
+):
+    # the terms of the discriminant fall below the normal range without
+    # both underflowing to 0, and without p * m underflowing: both cubics
+    # have one real root and a conjugate pair, once lost to three real roots
+    roots = _cubic_roots(c2, c1, c0)
+    assert _solves_tiny_cubic(roots, c2, c1, c0)
+    assert roots[0].imag == 0.0
+    assert roots[1].imag != 0.0 and roots[2] == roots[1].conjugate()
+
+
+def test_cubic_roots_survive_a_nan_constant_term_with_a_tiny_p():
+    # a = 0 and x * (c + M) overflowing give c0 = NaN through 0 * inf, and
+    # c2 = b, c1 = 0 give p = -b^2 / 3, so p * m underflows to 0 on the
+    # trigonometric branch: no division by zero, and the oracle's bits
+    p = SystemParams(0.0, 1e-120, 1e300, N=1.0, P=1.0)
+    c2, c1, c0 = _characteristic_cubic(p, (1e10, 0.0, 0.0))
+    assert math.isnan(c0) and c1 == 0.0 and c2 == 1e-120
+    assert _eig_outcome(eigenvalues_at, p, (1e10, 0.0, 0.0)) == _eig_outcome(
+        _eigenvalues_at_oracle, p, (1e10, 0.0, 0.0)
+    )
+
+
 @hsettings(max_examples=300, deadline=None)
-@given(p=st.builds(SystemParams, *[_moderate] * 6))
+@given(p=st.builds(SystemParams, *[_param] * 6))
 @example(p=SystemParams(0.0, -7.77684110159138e-239, 0.0, -1.0, 1.0, 0.0))
+@example(p=SystemParams(0.0, 3.0, 2.0))  # a = 0: zero coefficients
+@example(p=SystemParams(1.0, 1e200, 1e200))  # E+ overflows: NaN coefficients
+@example(p=SystemParams(1.0, 1e300, 28.0))  # an infinite spectrum
 def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
-    # the origin and E+- of random cells, as find_equilibria records them
-    try:
-        eqs = find_equilibria(p)
-    except DegenerateBError:
-        return
+    # the origin and E+- of random cells, as find_equilibria records them;
+    # each point _record solves is logged, so an overflow can be traced to
+    # the point whose cubic raised
+    solved = []
+
+    def logged(loc, cubic):
+        solved.append(loc)
+        return _record(loc, cubic)
+
+    with mock.patch.object(equilibria, "_record", logged):
+        try:
+            eqs = find_equilibria(p)
+        except DegenerateBError:
+            return
+        except OverflowError:
+            # ``** 2`` overflowed in the last cubic solved; so does the oracle
+            oracle = _eig_outcome(_eigenvalues_at_oracle, p, solved[-1])
+            assert oracle == "OverflowError"
+            return
     points = [eqs.origin, *(eqs.pair or ())]
     for eq in points:
         try:
@@ -391,6 +442,39 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
         want = tuple(repr(z) for z in oracle)
         assert tuple(repr(z) for z in eq.eigenvalues) == want
         assert _eig_outcome(eigenvalues_at, p, eq.location) == want
+    if eqs.pair is not None:
+        # E- carries E+'s spectrum only where that is what solving its own
+        # cubic gives, dimension counts included
+        em = eqs.pair[1]
+        own = _record(em.location, _characteristic_cubic(p, em.location))
+        assert repr(em) == repr(own)
+
+
+@pytest.mark.parametrize(
+    "p,solves",
+    [
+        (SystemParams(10.0, 8.0 / 3.0, 28.0), 2),
+        (SystemParams(1.0, 3.0, 2.0), 2),
+        (SystemParams(10.0, 8.0 / 3.0, 0.5, P=2.0), 2),
+        # a = 0 makes a13 * a31 and friends signed zeros in c1 and c0
+        (SystemParams(0.0, 3.0, 2.0), 3),
+        # E+ overflows to a NaN location, and NaN never compares equal
+        (SystemParams(1.0, 1e200, 1e200), 3),
+    ],
+)
+def test_mirrored_equilibrium_reuses_the_spectrum_of_its_twin(p, solves):
+    cubics = []
+
+    def counted(c2, c1, c0):
+        cubics.append((c2, c1, c0))
+        return _cubic_roots(c2, c1, c0)
+
+    with mock.patch.object(equilibria, "_cubic_roots", counted):
+        eqs = find_equilibria(p)
+    assert eqs.kind is EquilibriumKind.TRIPLE
+    assert len(cubics) == solves
+    ep, em = eqs.pair
+    assert repr(em.eigenvalues) == repr(ep.eigenvalues)
 
 
 # ---------------------------------------------------------------- equilibria

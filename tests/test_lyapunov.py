@@ -354,6 +354,13 @@ def test_sums_beyond_the_float_range_keep_their_sign():
     p = SystemParams(8e307, 1.7e308, 0.0, M=1e308, N=8e307)
     assert hypotheses_check(p).conv_ok
     assert _claims_beyond_hypotheses(p) == []
+    # c + M and M + N + c - 1 overflow to +inf from exactly positive sums,
+    # and a strict sign passes an infinite value
+    p = SystemParams(1.0, 3.0, 1e308, M=1e308)
+    assert hypotheses_check(p).het_ok
+    assert _claims_beyond_hypotheses(p) == []
+    # 2c - a overflows the same way in Chen's strict condition
+    assert corollary_check(Preset.CHEN, 1.0, 2.0, 1e308) is True
 
 
 # ---------------------------------------------------------------- corollaries
