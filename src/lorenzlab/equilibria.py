@@ -134,6 +134,7 @@ def classify_origin(p: SystemParams) -> OriginClass:
 
 
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
+_NAN_ROOT = complex(math.nan, math.nan)
 
 
 def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
@@ -148,64 +149,77 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     One test decides underflow: when |q| < 2^-511 and |p| < 2^-340, not
     both zero, both terms of the discriminant fall below the normal range
     and it says nothing about the roots, so the cubic is rescaled.
+
+    A NaN coefficient gives three roots complex(nan, nan).  Coefficients
+    too large for the closed form raise ValueError, not OverflowError:
+    (q/2)^2 overflows once |q| passes about 2.7e154, (p/3)^3 once |p|
+    passes about 1.7e103.
     """
-    shift = c2 / 3.0
-    pcoef = c1 - c2 * shift  # c1 - c2^2/3
-    qcoef = (2.0 * shift * shift - c1) * shift + c0  # 2 c2^3/27 - c1 c2/3 + c0
-    disc = (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
-    if (
-        abs(qcoef) < 2.0**-511
-        and abs(pcoef) < 2.0**-340
-        and (pcoef != 0.0 or qcoef != 0.0)
-    ):
-        return _rescaled_cubic_roots(c2, c1, c0)
+    if c2 != c2 or c1 != c1 or c0 != c0:
+        return [_NAN_ROOT, _NAN_ROOT, _NAN_ROOT]
+    try:
+        shift = c2 / 3.0
+        pcoef = c1 - c2 * shift  # c1 - c2^2/3
+        qcoef = (2.0 * shift * shift - c1) * shift + c0  # 2 c2^3/27 - c1 c2/3 + c0
+        disc = (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
+        if (
+            abs(qcoef) < 2.0**-511
+            and abs(pcoef) < 2.0**-340
+            and (pcoef != 0.0 or qcoef != 0.0)
+        ):
+            return _rescaled_cubic_roots(c2, c1, c0)
 
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        # pick the non-cancelling cube-root argument
-        if qcoef >= 0.0:
-            w = -qcoef / 2.0 - sq
+        if disc > 0.0:
+            sq = math.sqrt(disc)
+            # pick the non-cancelling cube-root argument
+            if qcoef >= 0.0:
+                w = -qcoef / 2.0 - sq
+            else:
+                w = -qcoef / 2.0 + sq
+            u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+            v = -pcoef / (3.0 * u) if u != 0.0 else 0.0
+            t_real = u + v
+            re = -t_real / 2.0
+            im = _HALF_SQRT3 * (u - v)
+            ts = [complex(t_real, 0.0), complex(re, im)]
+        elif pcoef < 0.0:
+            mfac = 2.0 * math.sqrt(-pcoef / 3.0)
+            # pcoef * mfac cannot underflow to 0: a tiny cubic was rescaled
+            # above, and a NaN qcoef here needs infinite coefficients
+            arg = 3.0 * qcoef / (pcoef * mfac)
+            arg = min(1.0, max(-1.0, arg))
+            phi = math.acos(arg)
+            ts = [
+                complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
+                for k in range(3)
+            ]
         else:
-            w = -qcoef / 2.0 + sq
-        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
-        v = -pcoef / (3.0 * u) if u != 0.0 else 0.0
-        t_real = u + v
-        re = -t_real / 2.0
-        im = _HALF_SQRT3 * (u - v)
-        ts = [complex(t_real, 0.0), complex(re, im)]
-    elif pcoef < 0.0:
-        mfac = 2.0 * math.sqrt(-pcoef / 3.0)
-        den = pcoef * mfac
-        # den underflows to 0 only under a NaN qcoef: a tiny cubic with
-        # a real qcoef was rescaled above
-        arg = 3.0 * qcoef / den if den != 0.0 else math.nan
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg)
-        ts = [
-            complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
-            for k in range(3)
-        ]
-    else:
-        # pcoef = qcoef = 0: the triple root -shift (NaN coefficients too)
-        t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
-        ts = [complex(t, 0.0)] * 3
+            # pcoef = qcoef = 0: the triple root -shift (and the NaN p or q
+            # of infinite coefficients)
+            t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
+            ts = [complex(t, 0.0)] * 3
 
-    abs_c2 = abs(c2)
-    abs_c1 = abs(c1)
-    polished = []
-    for t in ts:
-        z = t - shift
-        dp = (3.0 * z + 2.0 * c2) * z + c1
-        abs_z = abs(z)
-        scale = abs_z**2 + abs_c2 * abs_z + abs_c1
-        # 1e-8 * max(scale, 1.0), with max's choice for NaN and ties
-        if abs(dp) > 1e-8 * (1.0 if 1.0 > scale else scale):
-            z = z - (((z + c2) * z + c1) * z + c0) / dp
-        polished.append(z)
-    if disc > 0.0:
-        # keep the conjugate pair exactly conjugate
-        polished.append(polished[1].conjugate())
-    return polished
+        abs_c2 = abs(c2)
+        abs_c1 = abs(c1)
+        polished = []
+        for t in ts:
+            z = t - shift
+            dp = (3.0 * z + 2.0 * c2) * z + c1
+            abs_z = abs(z)
+            scale = abs_z**2 + abs_c2 * abs_z + abs_c1
+            # 1e-8 * max(scale, 1.0), with max's choice for NaN and ties
+            if abs(dp) > 1e-8 * (1.0 if 1.0 > scale else scale):
+                z = z - (((z + c2) * z + c1) * z + c0) / dp
+            polished.append(z)
+        if disc > 0.0:
+            # keep the conjugate pair exactly conjugate
+            polished.append(polished[1].conjugate())
+        return polished
+    except OverflowError:
+        raise ValueError(
+            f"the characteristic cubic's coefficients ({c2!r}, {c1!r}, {c0!r}) "
+            "are beyond the float range"
+        ) from None
 
 
 def _rescaled_cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
@@ -246,10 +260,14 @@ def _characteristic_cubic(
     return -tr, minors, -det
 
 
+def _spectral_order(z: complex) -> tuple[float, float]:
+    return (-z.real, z.imag)
+
+
 def _spectrum(cubic: tuple[float, float, float]) -> tuple[complex, complex, complex]:
     """The cubic's roots by descending real part, ties by ascending imaginary."""
     roots = _cubic_roots(*cubic)
-    roots.sort(key=lambda z: (-z.real, z.imag))
+    roots.sort(key=_spectral_order)
     return (roots[0], roots[1], roots[2])
 
 
@@ -259,6 +277,8 @@ def eigenvalues_at(
     """Eigenvalues of the Jacobian at s via the characteristic cubic.
 
     Sorted by descending real part, ties by ascending imaginary part.
+    Raises ValueError when the cubic's coefficients are beyond the float
+    range of the closed form (see _cubic_roots).
     """
     return _spectrum(_characteristic_cubic(p, s))
 
@@ -266,13 +286,17 @@ def eigenvalues_at(
 def _record(loc: State, cubic: tuple[float, float, float]) -> Equilibrium:
     """loc with the spectrum of its characteristic cubic and dimension
     counts; an eigenvalue is a center direction when
-    |Re lambda| <= CENTER_BAND * (1 + |lambda|)."""
+    |Re lambda| <= CENTER_BAND * (1 + |lambda|), and when Re lambda is NaN,
+    which decides nothing and so never counts as stable."""
     eigs = _spectrum(cubic)
     stable = unstable = center = 0
     for lam in eigs:
-        if abs(lam.real) <= CENTER_BAND * (1.0 + abs(lam)):
+        re = lam.real
+        # NaN first: abs() of a complex with a NaN part can raise a stale
+        # OverflowError left by an earlier overflow
+        if re != re or abs(re) <= CENTER_BAND * (1.0 + abs(lam)):
             center += 1
-        elif lam.real > 0.0:
+        elif re > 0.0:
             unstable += 1
         else:
             stable += 1
@@ -301,15 +325,19 @@ def _polish(p: SystemParams, loc: State) -> State:
     return loc
 
 
+_ORIGIN = State(0.0, 0.0, 0.0)
+
+
 def find_equilibria(p: SystemParams) -> EquilibriumSet:
     """Enumerate the equilibrium set.
 
     P counts as 1, and d as 0, inside the relative band SIGN_BAND; the
     pair is Newton-polished to the residual RESIDUAL_BOUND.
     Raises DegenerateBError when b = 0 (the z-equation loses its linear
-    term and the closed forms above do not apply).  The symmetric pair is
-    constructed as (E+, S(E+)) so the two locations mirror each other
-    exactly in floating point.  E- carries E+'s eigenvalues and dimension
+    term and the closed forms above do not apply), and ValueError when a
+    characteristic cubic is beyond the float range (see _cubic_roots).
+    The symmetric pair is constructed as (E+, S(E+)) so the two locations
+    mirror each other exactly in floating point.  E- carries E+'s eigenvalues and dimension
     counts when its characteristic cubic compares equal to E+'s with no
     zero coefficient: every product depending on x or y rounds
     sign-symmetrically, so the coefficients then have the same bits.  A
@@ -318,8 +346,7 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     """
     if p.b == 0.0:
         raise DegenerateBError("b = 0: equilibrium formulas are undefined")
-    zero = State(0.0, 0.0, 0.0)
-    origin = _record(zero, _characteristic_cubic(p, zero))
+    origin = _record(_ORIGIN, _characteristic_cubic(p, _ORIGIN))
     d = _drift(p)
     one_minus_p = 1.0 - p.P
     if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(p.P)):

@@ -49,12 +49,19 @@ class Preset(enum.Enum):
     T_SYSTEM = "t"
 
 
+# SystemParams' fields, in declaration order.
+PARAM_NAMES = ("a", "b", "c", "M", "N", "P")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Parameters of the controlled system.
 
     a, b, c are the plant parameters; M, N, P are the feedback gains.
-    All six must be finite reals.
+    All six must be finite reals.  Each is coerced with ``float()`` and
+    checked in field order, so the error names the first bad field; an
+    exact float is kept as the object given, since ``float()`` returns it
+    unchanged, and ints, bools and numpy scalars become equal floats.
     """
 
     a: float
@@ -65,11 +72,14 @@ class SystemParams:
     P: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "M", "N", "P"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
+        isfinite = math.isfinite
+        for name in PARAM_NAMES:
+            raw = getattr(self, name)
+            value = float(raw)
+            if not isfinite(value):
                 raise ValueError(f"parameter {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            if value is not raw:
+                object.__setattr__(self, name, value)
 
 
 def from_preset(preset: Preset, a: float, b: float, c: float) -> SystemParams:

@@ -11,17 +11,19 @@ sweep.
 from __future__ import annotations
 
 import functools
+import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .chaos import _regime, largest_lyapunov_exponent
 from .equilibria import classify_origin, find_equilibria
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
 from .lyapunov import certificate
-from .model import SystemParams
+from .model import PARAM_NAMES, SystemParams
 
-AXIS_NAMES = ("a", "b", "c", "M", "N", "P")
+# an axis's position here is its parameter's position in SystemParams
+AXIS_NAMES = PARAM_NAMES
 
 _TASK_COLUMNS = {
     "equilibria": ("equilibria_kind", "e_plus_x", "e_plus_y", "e_plus_z"),
@@ -48,7 +50,9 @@ class SweepAxis:
     """Evenly spaced grid over one parameter.
 
     Grid point i is start + i * (stop - start) / (count - 1); the first
-    and last points hit start and stop exactly.
+    and last points hit start and stop exactly.  start and stop are
+    coerced with ``float()``, so every grid point is a float; count must
+    be an integer (``operator.index``).
     """
 
     name: str
@@ -59,13 +63,22 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
-        if self.count < 2:
+        try:
+            count = operator.index(self.count)
+        except TypeError:
+            raise ValueError(
+                f"axis count must be an integer, got {self.count!r}"
+            ) from None
+        if count < 2:
             raise ValueError("axis count must be at least 2")
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "stop", float(self.stop))
+        object.__setattr__(self, "count", count)
 
     def values(self) -> list[float]:
         step = (self.stop - self.start) / (self.count - 1)
         vals = [self.start + i * step for i in range(self.count)]
-        vals[-1] = float(self.stop)
+        vals[-1] = self.stop
         return vals
 
 
@@ -125,6 +138,17 @@ class SweepSpec:
     @functools.cached_property
     def _task_columns(self) -> tuple[str, ...]:
         return tuple(c for task in self.tasks for c in _TASK_COLUMNS[task])
+
+    # A cell's SystemParams is built positionally from this template: the
+    # base's values in field order, with each axis's value written at the
+    # axis's position.
+    @functools.cached_property
+    def _base_fields(self) -> tuple[float, ...]:
+        return tuple(getattr(self.base, name) for name in PARAM_NAMES)
+
+    @functools.cached_property
+    def _axis_positions(self) -> tuple[int, ...]:
+        return tuple(AXIS_NAMES.index(ax.name) for ax in self.axes)
 
     @functools.cached_property
     def _needs_certificate(self) -> bool:
@@ -204,8 +228,11 @@ def _evaluate_cell(args: tuple[SweepSpec, int]) -> tuple:
     """Evaluate one cell; exceptions become the row's error column."""
     spec, index = args
     values = spec.cell_values(index)
+    fields = list(spec._base_fields)
+    for pos, value in zip(spec._axis_positions, values):
+        fields[pos] = value
     try:
-        p = replace(spec.base, **dict(zip(spec._axis_names, values)))
+        p = SystemParams(*fields)
         return values + _run_tasks(spec, p) + (None,)
     except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
         message = f"{type(exc).__name__}: {exc}"

@@ -160,6 +160,12 @@ CASES = [
           "--renorm-interval", "1e-10"],
          2, EMPTY, "error: the window count horizon / renorm_interval = "
          "1e+300 / 1e-10 overflows\n"),
+    # the characteristic cubic's closed form overflows at c = 1e300
+    case("equilibria-overflowing-cubic",
+         ["equilibria", "--a", "10", "--b", "2.6666666666666665", "--c", "1e300"],
+         2, EMPTY, "error: the characteristic cubic's coefficients "
+         "(13.666666666666666, -1e+301, -2.666666666666667e+301) are beyond "
+         "the float range\n"),
     case("heteroclinic-negative-epsilon",
          ["heteroclinic", *REGULAR, "--branch", "plus", "--epsilon=-1e-6"],
          2, EMPTY, "error: epsilon must be positive and finite, got -1e-06\n"),

@@ -12,6 +12,7 @@ from lorenzlab import (
     EquilibriumKind,
     OriginClass,
     Preset,
+    RegimeLabel,
     State,
     SystemParams,
     apply_symmetry,
@@ -22,6 +23,7 @@ from lorenzlab import (
     origin_eigenvalues,
     pitchfork_locus,
     pitchfork_locus_for_preset,
+    regime_classify,
     vector_field,
 )
 from lorenzlab import equilibria
@@ -217,7 +219,10 @@ def test_eigenvalue_ordering_convention():
 # below the normal range (|q| < 2^-511 and |p| < 2^-340, not both zero):
 # there the old path divided by zero, returned a false triple root or
 # lost a complex pair, the oracle raises _Underflow, and the new path
-# rescales the cubic.
+# rescales the cubic.  Two rules sit on top of the old path, as in the
+# solver: a NaN coefficient gives three NaN roots, and an OverflowError
+# (a square or cube of a huge coefficient, or |z|^2 in the polish)
+# becomes the solver's ValueError.
 
 
 class _Underflow(ArithmeticError):
@@ -225,6 +230,18 @@ class _Underflow(ArithmeticError):
 
 
 def _cubic_roots_oracle(c2, c1, c0):
+    if math.isnan(c2) or math.isnan(c1) or math.isnan(c0):
+        return [complex(math.nan, math.nan)] * 3
+    try:
+        return _closed_form_oracle(c2, c1, c0)
+    except OverflowError:
+        raise ValueError(
+            f"the characteristic cubic's coefficients ({c2!r}, {c1!r}, {c0!r}) "
+            "are beyond the float range"
+        ) from None
+
+
+def _closed_form_oracle(c2, c1, c0):
     shift = c2 / 3.0
     pcoef = c1 - c2 * shift
     qcoef = (2.0 * shift * shift - c1) * shift + c0
@@ -323,11 +340,28 @@ def _solves_tiny_cubic(roots, c2, c1, c0, tol=1e-12):
 
 
 def _eig_outcome(fn, p, s):
-    # huge entries overflow ``** 2`` in the cubic; raising is compared too
+    # huge entries overflow the cubic's closed form; the ValueError that
+    # reports it is compared too, and an OverflowError escapes the test
     try:
         return tuple(repr(z) for z in fn(p, s))
-    except OverflowError:
-        return "OverflowError"
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _dims_oracle(eigs):
+    """(stable, unstable, center) counts: a center direction lies in the
+    band |Re| <= CENTER_BAND (1 + |lambda|) or has a NaN real part."""
+    stable = unstable = center = 0
+    for lam in eigs:
+        if math.isnan(lam.real) or abs(lam.real) <= equilibria.CENTER_BAND * (
+            1.0 + abs(lam)
+        ):
+            center += 1
+        elif lam.real > 0.0:
+            unstable += 1
+        else:
+            stable += 1
+    return stable, unstable, center
 
 
 _moderate = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -394,14 +428,43 @@ def test_cubic_roots_solve_cubics_whose_discriminant_leaves_the_normal_range(
 
 def test_cubic_roots_survive_a_nan_constant_term_with_a_tiny_p():
     # a = 0 and x * (c + M) overflowing give c0 = NaN through 0 * inf, and
-    # c2 = b, c1 = 0 give p = -b^2 / 3, so p * m underflows to 0 on the
-    # trigonometric branch: no division by zero, and the oracle's bits
+    # c2 = b, c1 = 0 give p = -b^2 / 3, small enough for p * m to underflow
+    # to 0 on the trigonometric branch; the closed form once returned
+    # finite roots here.  A NaN coefficient gives three NaN roots.
     p = SystemParams(0.0, 1e-120, 1e300, N=1.0, P=1.0)
     c2, c1, c0 = _characteristic_cubic(p, (1e10, 0.0, 0.0))
     assert math.isnan(c0) and c1 == 0.0 and c2 == 1e-120
-    assert _eig_outcome(eigenvalues_at, p, (1e10, 0.0, 0.0)) == _eig_outcome(
-        _eigenvalues_at_oracle, p, (1e10, 0.0, 0.0)
-    )
+    nan_roots = ("(nan+nanj)",) * 3
+    assert _eig_outcome(eigenvalues_at, p, (1e10, 0.0, 0.0)) == nan_roots
+    assert _eig_outcome(_eigenvalues_at_oracle, p, (1e10, 0.0, 0.0)) == nan_roots
+
+
+@pytest.mark.parametrize(
+    "cubic",
+    [(math.nan, 1.0, 2.0), (1.0, math.nan, 2.0), (1.0, 2.0, math.nan),
+     (math.nan, math.inf, -math.inf)],
+)
+def test_a_nan_coefficient_gives_nan_roots(cubic):
+    assert [repr(z) for z in _cubic_roots(*cubic)] == ["(nan+nanj)"] * 3
+
+
+@pytest.mark.parametrize(
+    "cubic",
+    [
+        (0.0, 0.0, 1e300),  # (q / 2) ** 2
+        (0.0, -1e200, 0.0),  # (p / 3) ** 3
+        (1e103, 0.0, 0.0),  # p = -c2^2 / 3, cubed
+        (13.666666666666666, -1e301, -2.666666666666667e301),  # c = 1e300
+    ],
+)
+def test_an_overflowing_cubic_raises_a_value_error(cubic):
+    # the discriminant leaves the float range: the oracle's OverflowError,
+    # as a ValueError with the same text
+    with pytest.raises(ValueError, match="beyond the float range") as raised:
+        _cubic_roots(*cubic)
+    with pytest.raises(ValueError) as expected:
+        _cubic_roots_oracle(*cubic)
+    assert str(raised.value) == str(expected.value)
 
 
 @hsettings(max_examples=300, deadline=None)
@@ -425,10 +488,10 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
             eqs = find_equilibria(p)
         except DegenerateBError:
             return
-        except OverflowError:
-            # ``** 2`` overflowed in the last cubic solved; so does the oracle
+        except ValueError as exc:
+            # the last cubic solved overflowed; so does the oracle's
             oracle = _eig_outcome(_eigenvalues_at_oracle, p, solved[-1])
-            assert oracle == "OverflowError"
+            assert oracle == f"ValueError: {exc}"
             return
     points = [eqs.origin, *(eqs.pair or ())]
     for eq in points:
@@ -442,6 +505,8 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
         want = tuple(repr(z) for z in oracle)
         assert tuple(repr(z) for z in eq.eigenvalues) == want
         assert _eig_outcome(eigenvalues_at, p, eq.location) == want
+        dims = (eq.stable_dim, eq.unstable_dim, eq.center_dim)
+        assert dims == _dims_oracle(oracle)
     if eqs.pair is not None:
         # E- carries E+'s spectrum only where that is what solving its own
         # cubic gives, dimension counts included
@@ -475,6 +540,19 @@ def test_mirrored_equilibrium_reuses_the_spectrum_of_its_twin(p, solves):
     assert len(cubics) == solves
     ep, em = eqs.pair
     assert repr(em.eigenvalues) == repr(ep.eigenvalues)
+
+
+def test_a_nan_equilibrium_is_never_counted_as_stable():
+    # E+ overflows to a NaN location, so its cubic has NaN coefficients:
+    # NaN roots, each a center direction (undecided), never a stable one
+    p = SystemParams(1.0, 1e200, 1e200)
+    eqs = find_equilibria(p)
+    for eq in eqs.pair:
+        assert math.isnan(eq.location.x)
+        assert [repr(z) for z in eq.eigenvalues] == ["(nan+nanj)"] * 3
+        assert (eq.stable_dim, eq.unstable_dim, eq.center_dim) == (0, 0, 3)
+    # the regime reads only unstable dimensions, which were 0 already
+    assert regime_classify(p) is RegimeLabel.PROVABLY_REGULAR
 
 
 # ---------------------------------------------------------------- equilibria

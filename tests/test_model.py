@@ -117,6 +117,37 @@ def test_params_reject_nonfinite(bad):
         SystemParams(10.0, 8.0 / 3.0, 28.0, P=bad)
 
 
+FIELDS = ("a", "b", "c", "M", "N", "P")
+
+
+def test_params_keep_exact_floats_as_given():
+    values = [float(v) + 0.5 for v in range(6)]  # fresh float objects
+    p = SystemParams(*values)
+    assert all(getattr(p, name) is v for name, v in zip(FIELDS, values))
+
+
+@pytest.mark.parametrize(
+    "raw", [3, True, np.float64(2.5), np.float32(0.1), np.int64(-7), np.bool_(False)]
+)
+def test_params_coerce_other_reals_to_equal_floats(raw):
+    for name in FIELDS:
+        p = SystemParams(**{**dict(a=1.0, b=2.0, c=3.0), name: raw})
+        value = getattr(p, name)
+        assert type(value) is float and value == float(raw)
+
+
+@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_name_the_first_nonfinite_field(index, bad):
+    # every later field is bad too; the message names the first, in
+    # a, b, c, M, N, P order
+    values = [1.0] * index + [bad] * (6 - index)
+    message = f"parameter {FIELDS[index]} must be finite, got {bad!r}"
+    with pytest.raises(ValueError) as raised:
+        SystemParams(*values)
+    assert str(raised.value) == message
+
+
 def test_state_field_order():
     s = State(1.0, 2.0, 3.0)
     assert (s.x, s.y, s.z) == (1.0, 2.0, 3.0)

@@ -1,7 +1,10 @@
 import concurrent.futures
 import dataclasses
+import math
 import multiprocessing
 import os
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
@@ -241,6 +244,84 @@ def test_rows_equal_the_standalone_functions(names, ends, counts, tasks, base):
         else:
             assert [repr(v) for v in row[2:-1]] == [repr(v) for v in want]
             assert row[-1] is None
+
+
+def test_axis_names_follow_the_params_field_order():
+    # a cell's SystemParams is built positionally at these positions
+    assert sweep.AXIS_NAMES == tuple(f.name for f in dataclasses.fields(SystemParams))
+
+
+def _replace_evaluate_cell(spec, index):
+    """The cell evaluation that built each cell with dataclasses.replace."""
+    values = spec.cell_values(index)
+    try:
+        p = dataclasses.replace(spec.base, **dict(zip(spec._axis_names, values)))
+        return values + sweep._run_tasks(spec, p) + (None,)
+    except Exception as exc:  # noqa: BLE001
+        message = f"{type(exc).__name__}: {exc}"
+        return values + (None,) * len(spec._task_columns) + (message,)
+
+
+_any_end = st.one_of(
+    _axis_end, st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -0.0])
+)
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(
+    names=st.permutations(sweep.AXIS_NAMES).flatmap(
+        lambda n: st.sampled_from([n[:1], n[:2]])
+    ),
+    ends=st.tuples(_any_end, _any_end, _any_end, _any_end),
+    counts=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+    tasks=st.lists(st.sampled_from(_SHARED_TASKS), min_size=1, unique=True).map(
+        tuple
+    ),
+    base=st.sampled_from(
+        [
+            SystemParams(10.0, 8.0 / 3.0, 28.0),
+            SystemParams(1.0, 3.0, 2.0, M=-0.5, N=0.25, P=0.5),
+            SystemParams(1.0, 0.0, 2.0, P=1.0),
+        ]
+    ),
+)
+@example(
+    names=("c",),
+    ends=(math.inf, 1.0, 0.0, 0.0),
+    counts=(3, 2),
+    tasks=("equilibria",),
+    base=SystemParams(10.0, 8.0 / 3.0, 28.0),
+)
+def test_cells_built_from_the_template_equal_replace(names, ends, counts, tasks, base):
+    # 1-D and 2-D specs on any axes; a non-finite bound gives error rows
+    axes = tuple(
+        SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
+        for k, name in enumerate(names)
+    )
+    spec = SweepSpec(base=base, axes=axes, tasks=tasks)
+    res = run_sweep(spec, workers=1)
+    want = [_replace_evaluate_cell(spec, i) for i in range(spec.n_cells())]
+    assert [repr(row) for row in res.rows] == [repr(row) for row in want]
+
+
+def test_axis_bounds_are_floats_whatever_real_type_they_come_as():
+    def csv(start, stop, count):
+        spec = _spec(axes=(SweepAxis("M", start, stop, count),))
+        return sweep_csv(run_sweep(spec, workers=1))
+
+    want = csv(0.0, 1.0, 3)
+    assert csv(np.float64(0.0), np.float64(1.0), 3) == want
+    assert csv(0, 1, np.int64(3)) == want
+    assert csv(np.float32(0.0), np.int32(1), 3) == want
+    ax = SweepAxis("M", np.float64(0.0), 1, np.int64(3))
+    assert [type(v) for v in (ax.start, ax.stop, ax.count)] == [float, float, int]
+    assert all(type(v) is float for v in ax.values())
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+def test_axis_count_must_be_an_integer(count):
+    with pytest.raises(ValueError, match="axis count must be an integer"):
+        SweepAxis("M", 0.0, 1.0, count)
 
 
 def _count_calls(monkeypatch, name):
