@@ -30,7 +30,7 @@ from .equilibria import (
     find_equilibria,
 )
 from .errors import DegenerateBError, DivergedTrajectoryError, NotStableRegimeError
-from .integrator import IntegratorSettings, TrajectoryStatus, _drive, _kernels
+from .integrator import IntegratorSettings, TrajectoryStatus, _drive
 from .lyapunov import CertificateReport, certificate
 from .model import _FIELD_SOURCE, State, SystemParams
 
@@ -68,7 +68,7 @@ class AnticontrolSuggestion:
 
 
 # The base field with its linearization along the tangent (dx, dy, dz), as
-# source text for the integrator's step kernels
+# source text for the integrator's stepping loop
 _VARIATIONAL_SOURCE = (
     *_FIELD_SOURCE,
     ("dx", "a * ({dy} - {dx})"),
@@ -117,7 +117,6 @@ def largest_lyapunov_exponent(
     if n_total <= n_trans:
         raise ValueError("horizon leaves no window after the transient")
 
-    kernels = _kernels(_VARIATIONAL_SOURCE, p)
     s = (float(u0[0]), float(u0[1]), float(u0[2]), 1.0, 0.0, 0.0)
     dt = settings.dt_init
     attempts = 0
@@ -125,7 +124,8 @@ def largest_lyapunov_exponent(
     history: list[float] = []
     for w in range(n_total):
         res = _drive(
-            kernels,
+            _VARIATIONAL_SOURCE,
+            p,
             s,
             settings,
             renorm_interval,

@@ -8,25 +8,37 @@ initial condition S(u0) = (-x0, -y0, z0) produces the exactly mirrored
 trajectory (every floating-point operation involved is sign-symmetric;
 norms, error estimates and step-size decisions are invariant under S).
 
-The steps run as kernels fused per field: each field (the 3-D model field
-and the 6-D variational field of the exponent) is given as source text,
-and ``_kernel_source`` unrolls every RK4 and DP54 stage over its
-components with the field inlined, once per process; ``_kernels`` binds
-one parameter set.  A step then costs no per-stage calls or tuples, and
-it returns the new state's norm with the state, so the loop needs no
-separate norm call per accepted state.  The kernels' operation order is
-frozen, because every output bit depends on it: each stage is
-s[i] + dt * (a1 * k1[i] + a2 * k2[i] + ...) summed left to right, the
-error norm squares with ``** 2``, and norms add their squares with an
-explicit ``+`` chain.  ``sum()`` would not do: from
-Python 3.12 it is compensated, so its last bit depends on the interpreter
-version, while the chain gives the same bits everywhere.  Reordering any
-of this changes trajectories, exponents and golden outputs; the parity
-tests hold the kernels to a generic reference step bit for bit.
+The stepping loop is generated per field and per mode.  Each field (the
+3-D model field and the 6-D variational field of the exponent) is given
+as source text, and ``_loop_source`` expands one loop template for it in
+fixed RK4 or in DP54 mode, with every stage unrolled over the components
+and the field inlined.  The state, the stages, DP54's carried first stage
+and the norm live in local scalars, so a step makes no call and packs or
+unpacks no tuple.  A loop is compiled on its first use, never at import,
+and cached for the process.
 
-``_drive`` is the one stepping loop for every caller.  The initial state
-and each accepted state pass one stop policy, in order: divergence, dwell
-capture at an equilibrium, end of the time span, step limit.
+What is frozen, because every output bit depends on it:
+
+- the operation order: each stage is s[i] + dt * (a1 * k1[i] + a2 *
+  k2[i] + ...) summed left to right, and the RK4 update is
+  s[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]);
+- the error norm squares with ``** 2``, which differs from ``x * x`` in
+  the last bit on some doubles and raises OverflowError where a finite
+  square overflows;
+- norms add their squares with an explicit ``+`` chain.  ``sum()`` would
+  not do: from Python 3.12 it is compensated, so its last bit depends on
+  the interpreter version, while the chain gives the same bits
+  everywhere;
+- the stop order, below.
+
+Reordering any of this changes trajectories, exponents and golden
+outputs; the parity tests hold the loop to a generic reference step and a
+frozen reference loop bit for bit.
+
+``_drive`` is the one entry point for every caller.  The initial state
+and each accepted state pass one stop policy, in order: record it,
+divergence, dwell capture at an equilibrium, end of the time span, step
+limit.
 """
 
 from __future__ import annotations
@@ -148,117 +160,6 @@ class ConvergenceOutcome:
     trajectory: Trajectory
 
 
-class _Kernels(NamedTuple):
-    """Step kernels of one field with its parameters bound.
-
-    ``rhs(s)`` is the field; ``rk4(s, dt)`` returns the RK4 step and its
-    norm; ``dp54(s, k1, dt)`` takes k1 = rhs(s) and returns (proposal, k7,
-    err, norm) with k7 = rhs(proposal), so an accepted step hands its last
-    stage on as the next step's first; ``norm(s)`` is the Euclidean norm.
-    Each returned norm is ``norm`` of the returned state, bit for bit.
-    """
-
-    rhs: Callable[[tuple], tuple]
-    dp54: Callable[[tuple, tuple, float], tuple[tuple, tuple, float, float]]
-    rk4: Callable[[tuple, float], tuple[tuple, float]]
-    norm: Callable[[tuple], float]
-
-
-# A field as source text: one (component, expression) pair per coordinate.
-# Expressions name the components as {x}-style format fields and may use
-# the parameters a, b, cm = c + M, n1 = N - 1 and pp = 1 - P.
-_FieldSource = tuple[tuple[str, str], ...]
-
-
-def _kernel_source(field_source: _FieldSource) -> str:
-    """Source of ``bind(a, b, cm, n1, pp)``, returning (rhs, dp54, rk4, norm).
-
-    Every stage is unrolled over the components with the field inlined and
-    the tableau written as float literals (``repr`` round-trips, so the
-    values are exact).  ``rk4`` and ``dp54`` end by returning the new
-    state's norm, formed from its components by the same chain as ``norm``.
-    """
-    idx = range(len(field_source))
-
-    def each(template: str) -> list[str]:
-        return [template.format(i=i) for i in idx]
-
-    def field_at(prefix: str) -> list[str]:
-        env = {name: f"{prefix}{i}" for i, (name, _) in zip(idx, field_source)}
-        return [expr.format_map(env) for _, expr in field_source]
-
-    def stage(k: int, prefix: str) -> list[str]:
-        return [f"k{k}_{i} = {expr}" for i, expr in zip(idx, field_at(prefix))]
-
-    def weighted(coeffs: tuple[float, ...], i: int) -> str:
-        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coeffs, 1) if c)
-
-    def pack(items: list[str]) -> str:
-        return "(" + ", ".join(items) + ")"
-
-    def norm_of(prefix: str) -> str:
-        return f"sqrt({' + '.join(f'{prefix}{i} * {prefix}{i}' for i in idx)})"
-
-    unpack_s = ", ".join(each("s{i}")) + " = s"
-    rhs = [unpack_s, f"return {pack(field_at('s'))}"]
-    norm = [unpack_s, f"return {norm_of('s')}"]
-    rk4 = [
-        unpack_s,
-        *stage(1, "s"),
-        "half = 0.5 * dt",
-        *each("t{i} = s{i} + half * k1_{i}"),
-        *stage(2, "t"),
-        *each("t{i} = s{i} + half * k2_{i}"),
-        *stage(3, "t"),
-        *each("t{i} = s{i} + dt * k3_{i}"),
-        *stage(4, "t"),
-        "sixth = dt / 6.0",
-        *each("t{i} = s{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"),
-        f"return {pack(each('t{i}'))}, {norm_of('t')}",
-    ]
-    dp54 = [unpack_s, ", ".join(each("k1_{i}")) + " = k1"]
-    # stages 2-6 from the rows of A; the B row gives the proposal, at which
-    # k7 is evaluated
-    for k, coeffs in enumerate((*_A, _B), 2):
-        dp54 += [f"t{i} = s{i} + dt * ({weighted(coeffs, i)})" for i in idx]
-        dp54 += stage(k, "t")
-    err = " + ".join(f"(dt * ({weighted(_E, i)})) ** 2" for i in idx)
-    dp54.append(
-        f"return {pack(each('t{i}'))}, {pack(each('k7_{i}'))}, sqrt({err}), "
-        f"{norm_of('t')}"
-    )
-
-    lines = ["def bind(a, b, cm, n1, pp):"]
-    for head, body in (
-        ("rhs(s)", rhs),
-        ("dp54(s, k1, dt)", dp54),
-        ("rk4(s, dt)", rk4),
-        ("norm(s)", norm),
-    ):
-        lines.append(f"    def {head}:")
-        lines.extend(f"        {line}" for line in body)
-    lines.append("    return rhs, dp54, rk4, norm")
-    return "\n".join(lines) + "\n"
-
-
-@functools.cache
-def _binder(field_source: _FieldSource) -> Callable[..., tuple]:
-    """Compile a field's kernels once per process; returns ``bind``."""
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(_kernel_source(field_source), "<step kernels>", "exec"), namespace)
-    return namespace["bind"]
-
-
-def _kernels(field_source: _FieldSource, p: SystemParams) -> _Kernels:
-    """Step kernels of ``field_source`` with the parameters of ``p`` bound.
-
-    The grouped constants match the per-call expressions of
-    :func:`lorenzlab.model.vector_field`.
-    """
-    bind = _binder(field_source)
-    return _Kernels(*bind(p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P))
-
-
 def _dist(s: tuple, t: tuple) -> float:
     try:
         return math.sqrt((s[0] - t[0]) ** 2 + (s[1] - t[1]) ** 2 + (s[2] - t[2]) ** 2)
@@ -278,6 +179,225 @@ def _capture_reach(capture_radius: float) -> float:
     return max(capture_radius * (1.0 + 2.0**-50), 2.0**-500)
 
 
+# A field as source text: one (component, expression) pair per coordinate.
+# Expressions name the components as {x}-style format fields and may use
+# the parameters a, b, nb = -b, cm = c + M, n1 = N - 1 and pp = 1 - P.
+_FieldSource = tuple[tuple[str, str], ...]
+
+# The stepping loop of one field in one mode.  ``{advance}`` is the mode's
+# part (below); ``{s}`` lists the state's components s0, s1, ..., ``{ss}``
+# adds their squares left to right, and ``{point}`` is the state as it is
+# recorded.  Every exit returns (status, state, dt, attempts, times,
+# states, captured).  The dwell check reads s0, s1 and s2.
+_LOOP = """\
+def loop(a, b, cm, n1, pp, nb, u0, t_end, dt, attempts, max_steps, rel_tol,
+         abs_tol, blowup_norm, targets, capture_radius, box, record):
+    {s}, = u0
+    nrm = sqrt({ss})
+    {init}
+    t = 0.0
+    times = []
+    states = []
+    record_time = times.append
+    record_state = states.append
+    indexed = tuple(enumerate(targets or ()))
+    dwell_target = None
+    dwell = 0
+    while True:
+        if record:
+            record_time(t)
+            record_state({point})
+        # a NaN or infinite component makes the norm NaN or infinite, and
+        # blowup_norm is finite, so this one comparison also catches those
+        if not nrm <= blowup_norm:
+            return DIVERGED, ({s},), dt, attempts, times, states, None
+        if targets is not None:
+            # the nearest target, the earlier one on a tie; one outside
+            # the reach box is farther than capture_radius
+            near = None
+            for i, (tx, ty, tz) in indexed:
+                if abs(s0 - tx) <= box and abs(s1 - ty) <= box and abs(s2 - tz) <= box:
+                    d = dist((s0, s1, s2), targets[i])
+                    if near is None or d < near_d:
+                        near, near_d = i, d
+            if near is None or not near_d <= capture_radius:
+                dwell_target, dwell = None, 0
+            else:
+                dwell = dwell + 1 if near == dwell_target else 1
+                dwell_target = near
+                if dwell >= {dwell_checks}:
+                    return CAPTURED_EQUILIBRIUM, ({s},), dt, attempts, times, states, near
+        if not t < t_end:
+            return COMPLETED_TSPAN, ({s},), dt, attempts, times, states, None
+        remaining = t_end - t
+{advance}
+        nrm = sqrt({ss})
+        t = t_end if dt_eff == remaining else t + dt_eff
+"""
+
+# Fixed RK4: every step is accepted, and the full step's 0.5 * dt and
+# dt / 6.0 are formed once.  ``{step}`` advances s0, s1, ... by dt_eff.
+_FIXED_ADVANCE = """\
+        if remaining < dt:
+            dt_eff = remaining
+            half = 0.5 * dt_eff
+            sixth = dt_eff / 6.0
+        else:
+            dt_eff = dt
+            half = half_dt
+            sixth = sixth_dt
+        if t + dt_eff == t or attempts >= max_steps:
+            return STEP_LIMIT, ({s},), dt, attempts, times, states, None
+        attempts += 1
+        {step}"""
+
+# DP54: trial steps repeat until one is accepted.  ``{step}`` forms the
+# proposal w0, w1, ..., its field k7_0, k7_1, ... and the error estimate
+# err from s0, s1, ..., the first stage k1_0, k1_1, ... and dt_eff; an
+# accepted proposal becomes the state and its field the next first stage.
+_ADAPTIVE_ADVANCE = """\
+        while True:
+            # the clamps are min(dt, remaining) and min(dt_eff, room)
+            # written out: the first argument wins unless the second is
+            # smaller
+            dt_eff = remaining if remaining < dt else dt
+            if dwell:
+                # 1 <= dwell < {dwell_checks} here: leave room for the
+                # remaining dwell confirmations
+                room = remaining / ({dwell_checks} - dwell)
+                if room < dt_eff:
+                    dt_eff = room
+            if t + dt_eff == t or attempts >= max_steps:
+                return STEP_LIMIT, ({s},), dt, attempts, times, states, None
+            attempts += 1
+            try:
+                {step}
+            except OverflowError:
+                # the error norm squared a component beyond the float
+                # range: the orbit has left every scale the tolerance can
+                # judge
+                return DIVERGED, ({s},), dt, attempts, times, states, None
+            tol = rel_tol * nrm + abs_tol
+            if err == 0.0:
+                factor = {grow!r}
+            else:
+                # min(grow, max(shrink, r)) written out: r must exceed the
+                # shrink limit to count, so a NaN r (a NaN err, or an
+                # infinite err over an infinite tol) shrinks
+                r = {safety!r} * (tol / err) ** {order!r}
+                if r > {shrink!r}:
+                    factor = r if r < {grow!r} else {grow!r}
+                else:
+                    factor = {shrink!r}
+            dt = dt_eff * factor
+            if err <= tol:
+                break
+        {accept}"""
+
+
+def _each(n: int, template: str) -> str:
+    """``template`` for components 0 .. n-1, as one line of statements."""
+    return "; ".join(template.format(i=i) for i in range(n))
+
+
+def _stage(field_source: _FieldSource, k: int, prefix: str) -> str:
+    """k{k}_0, k{k}_1, ... = the field at {prefix}0, {prefix}1, ..."""
+    env = {name: f"{prefix}{i}" for i, (name, _) in enumerate(field_source)}
+    return "; ".join(
+        f"k{k}_{i} = {expr.format_map(env)}" for i, (_, expr) in enumerate(field_source)
+    )
+
+
+def _rk4_block(field_source: _FieldSource) -> str:
+    """One RK4 step from s0, s1, ... by dt_eff, written back to them;
+    ``half`` and ``sixth`` are 0.5 * dt_eff and dt_eff / 6.0."""
+    n = len(field_source)
+    return "; ".join(
+        [
+            _stage(field_source, 1, "s"),
+            _each(n, "w{i} = s{i} + half * k1_{i}"),
+            _stage(field_source, 2, "w"),
+            _each(n, "w{i} = s{i} + half * k2_{i}"),
+            _stage(field_source, 3, "w"),
+            _each(n, "w{i} = s{i} + dt_eff * k3_{i}"),
+            _stage(field_source, 4, "w"),
+            _each(n, "s{i} = s{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"),
+        ]
+    )
+
+
+def _dp54_block(field_source: _FieldSource) -> str:
+    """One DP54 trial step from s0, s1, ... with first stage k1_0, k1_1, ...
+    by dt_eff: the proposal w0, w1, ..., its field k7_0, k7_1, ... and the
+    error estimate err.  Only err's ``** 2`` can raise (OverflowError)."""
+    n = len(field_source)
+
+    def weighted(coeffs: tuple[float, ...], i: int) -> str:
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coeffs, 1) if c)
+
+    lines = []
+    # stages 2-6 from the rows of A; the B row gives the proposal, at which
+    # k7 is evaluated
+    for k, coeffs in enumerate((*_A, _B), 2):
+        lines += [f"w{i} = s{i} + dt_eff * ({weighted(coeffs, i)})" for i in range(n)]
+        lines.append(_stage(field_source, k, "w"))
+    err = " + ".join(f"(dt_eff * ({weighted(_E, i)})) ** 2" for i in range(n))
+    lines.append(f"err = sqrt({err})")
+    return "; ".join(lines)
+
+
+def _loop_source(field_source: _FieldSource, mode: IntegratorMode) -> str:
+    """Source of ``loop``, the stepping loop of ``field_source`` in ``mode``.
+
+    Every stage is unrolled over the components with the field inlined and
+    the tableau written as float literals (``repr`` round-trips, so the
+    values are exact).  Each step is one line of ``;``-separated
+    assignments to local scalars, so a step makes no call and packs or
+    unpacks no tuple.
+    """
+    n = len(field_source)
+    s = ", ".join(f"s{i}" for i in range(n))
+    ss = " + ".join(f"s{i} * s{i}" for i in range(n))
+    if mode is IntegratorMode.FIXED_RK4:
+        init = "half_dt = 0.5 * dt; sixth_dt = dt / 6.0"
+        advance = _FIXED_ADVANCE.format(s=s, step=_rk4_block(field_source))
+    else:
+        init = _stage(field_source, 1, "s")
+        advance = _ADAPTIVE_ADVANCE.format(
+            s=s,
+            step=_dp54_block(field_source),
+            accept=_each(n, "s{i} = w{i}") + "; " + _each(n, "k1_{i} = k7_{i}"),
+            dwell_checks=_DWELL_CHECKS,
+            safety=_SAFETY,
+            shrink=_SHRINK_LIMIT,
+            grow=_GROW_LIMIT,
+            order=_ORDER_EXPONENT,
+        )
+    # 3-D states are recorded as State, other fields' as plain tuples
+    point = f"new_tuple(State, ({s},))" if n == 3 else f"({s},)"
+    return _LOOP.format(
+        s=s, ss=ss, init=init, point=point, advance=advance, dwell_checks=_DWELL_CHECKS
+    )
+
+
+# the globals of every generated loop
+_LOOP_GLOBALS = {
+    "sqrt": math.sqrt,
+    "dist": _dist,
+    "new_tuple": tuple.__new__,
+    "State": State,
+    **TrajectoryStatus.__members__,
+}
+
+
+@functools.cache
+def _loop(field_source: _FieldSource, mode: IntegratorMode) -> Callable[..., tuple]:
+    """The compiled loop of one field and mode, built on first use."""
+    namespace = dict(_LOOP_GLOBALS)
+    exec(compile(_loop_source(field_source, mode), "<stepping loop>", "exec"), namespace)
+    return namespace["loop"]
+
+
 class _DriveResult(NamedTuple):
     """How a run of ``_drive`` ended: the last accepted state, the next
     proposed step, the trial steps spent, the recorded points, the index of
@@ -294,8 +414,9 @@ class _DriveResult(NamedTuple):
 
 
 def _drive(
-    kernels: _Kernels,
-    u0: tuple,
+    field_source: _FieldSource,
+    p: SystemParams,
+    u0: Sequence[float],
     settings: IntegratorSettings,
     t_end: float,
     targets: Sequence[tuple] | None = None,
@@ -304,7 +425,15 @@ def _drive(
     dt_start: float | None = None,
     attempts: int = 0,
 ) -> _DriveResult:
-    """Shared stepping loop for both modes.
+    """Run the stepping loop of ``field_source`` with the parameters of
+    ``p`` from u0 over [0, t_end], in the mode of ``settings``.
+
+    The loop is the one generated for this field and mode (compiled on
+    first use), called with the grouped constants of
+    :func:`lorenzlab.model.vector_field`: cm = c + M, n1 = N - 1,
+    pp = 1 - P and nb = -b.  Its operation order, the ``** 2`` of its
+    error norm, the ``+`` chain of its norms and its stop order are frozen
+    (see the module docstring); every output bit depends on them.
 
     The initial state and every accepted state go through one stop policy,
     in order: record it; DIVERGED if its norm exceeds ``blowup_norm`` or is
@@ -312,8 +441,8 @@ def _drive(
     COMPLETED_TSPAN at ``t_end``; STEP_LIMIT if the next trial step would
     not advance t or the ``max_steps`` budget is spent.  Trial steps repeat
     until one is accepted; a DP54 error estimate that overflows ends the
-    run as DIVERGED at the last accepted state.  ``kernels.norm`` runs once,
-    on ``u0``; every later norm comes back from the step kernel.
+    run as DIVERGED at the last accepted state.  3-D states are recorded
+    as ``State``, the states of other fields as plain tuples.
 
     ``attempts`` counts the trial steps the run has already spent, so a run
     made of several calls (the LLE's windows) shares one ``max_steps``
@@ -326,107 +455,15 @@ def _drive(
     adaptive mode the step is clamped so the remaining time still allows
     the required number of checks.
     """
-    fixed = settings.mode is IntegratorMode.FIXED_RK4
-    dwell_clamp = not fixed and targets is not None
-    dp54, rk4 = kernels.dp54, kernels.rk4
-    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
-    blowup_norm, max_steps = settings.blowup_norm, settings.max_steps
-    dt = settings.dt_init if dt_start is None else dt_start
-    t, s = 0.0, u0
-    # the norm of the current state; the kernels return it with each step
-    nrm = kernels.norm(s)
-    k1 = None if fixed else kernels.rhs(s)
-    times: list[float] = []
-    states: list[tuple] = []
-    record_time, record_state = times.append, states.append
-    captured = dwell_target = None
-    dwell = 0
-    box = _capture_reach(capture_radius)
-    indexed = tuple(enumerate(targets or ()))
-    accepted = True  # the initial state counts as accepted
-
-    while True:
-        if accepted:
-            if record:
-                record_time(t)
-                record_state(s)
-            # a NaN or infinite component makes the norm NaN or infinite, and
-            # blowup_norm is finite, so this one comparison also catches those
-            if not nrm <= blowup_norm:
-                status = TrajectoryStatus.DIVERGED
-                break
-            if targets is not None:
-                # the nearest target, the earlier one on a tie; one outside
-                # the reach box is farther than capture_radius
-                x, y, z = s
-                near = None
-                for i, (tx, ty, tz) in indexed:
-                    if abs(x - tx) <= box and abs(y - ty) <= box and abs(z - tz) <= box:
-                        d = _dist(s, targets[i])
-                        if near is None or d < near_d:
-                            near, near_d = i, d
-                if near is None or not near_d <= capture_radius:
-                    dwell_target, dwell = None, 0
-                else:
-                    dwell = dwell + 1 if near == dwell_target else 1
-                    dwell_target = near
-                    if dwell >= _DWELL_CHECKS:
-                        status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
-                        captured = near
-                        break
-            if not t < t_end:
-                status = TrajectoryStatus.COMPLETED_TSPAN
-                break
-
-        # the clamps below are min(dt, remaining) and min(dt_eff, room)
-        # written out: the first argument wins unless the second is smaller
-        remaining = t_end - t
-        dt_eff = remaining if remaining < dt else dt
-        if dwell_clamp and 1 <= dwell < _DWELL_CHECKS:
-            # leave room for the remaining dwell confirmations
-            room = remaining / (_DWELL_CHECKS - dwell)
-            if room < dt_eff:
-                dt_eff = room
-        if t + dt_eff == t or attempts >= max_steps:
-            status = TrajectoryStatus.STEP_LIMIT
-            break
-        attempts += 1
-
-        if fixed:
-            s, nrm = rk4(s, dt_eff)
-        else:
-            try:
-                s_new, k7, err, nrm_new = dp54(s, k1, dt_eff)
-            except OverflowError:
-                # the error norm squared a component beyond the float range:
-                # the orbit has left every scale the tolerance can judge
-                status = TrajectoryStatus.DIVERGED
-                break
-            tol = rel_tol * nrm + abs_tol
-            if err == 0.0:
-                factor = _GROW_LIMIT
-            else:
-                # min(_GROW_LIMIT, max(_SHRINK_LIMIT, r)) written out: r
-                # must exceed the shrink limit to count, so a NaN r (a NaN
-                # err, or an infinite err over an infinite tol) shrinks
-                r = _SAFETY * (tol / err) ** _ORDER_EXPONENT
-                if r > _SHRINK_LIMIT:
-                    factor = r if r < _GROW_LIMIT else _GROW_LIMIT
-                else:
-                    factor = _SHRINK_LIMIT
-            dt = dt_eff * factor
-            accepted = err <= tol
-            if not accepted:
-                continue
-            s, k1, nrm = s_new, k7, nrm_new
-        t = t_end if dt_eff == remaining else t + dt_eff
-
+    loop = _loop(field_source, settings.mode)
+    status, s, dt, attempts, times, states, captured = loop(
+        p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P, -p.b,
+        u0, t_end, settings.dt_init if dt_start is None else dt_start, attempts,
+        settings.max_steps, settings.rel_tol, settings.abs_tol, settings.blowup_norm,
+        targets, capture_radius, _capture_reach(capture_radius), record,
+    )
     nearest = min([math.inf, *(_dist(s, tgt) for tgt in targets or ())])
     return _DriveResult(status, s, dt, attempts, times, states, captured, nearest)
-
-
-# State(*s) without the Python-level __new__: each recorded s is a 3-tuple
-_as_state = functools.partial(tuple.__new__, State)
 
 
 def _run(
@@ -439,10 +476,16 @@ def _run(
     """Drive the model field from u0 over [0, t_max], recording every step."""
     if settings is None:
         settings = IntegratorSettings()
-    kernels = _kernels(_FIELD_SOURCE, p)
-    res = _drive(kernels, tuple(u0), settings, settings.t_max, targets, capture_radius)
-    states = tuple(map(_as_state, res.states))
-    return res, Trajectory(times=tuple(res.times), states=states, status=res.status)
+    res = _drive(_FIELD_SOURCE, p, u0, settings, settings.t_max, targets, capture_radius)
+    trajectory = Trajectory(times=tuple(res.times), states=tuple(res.states), status=res.status)
+    return res, trajectory
+
+
+def _check_capture_radius(capture_radius: float) -> None:
+    if not capture_radius >= 0.0:
+        raise ValueError(f"capture_radius must be non-negative, got {capture_radius!r}")
+    if capture_radius == math.inf:
+        raise ValueError(f"capture_radius must be finite, got {capture_radius!r}")
 
 
 def integrate(
@@ -463,15 +506,14 @@ def integrate_to_equilibrium(
     """Integrate until one of the equilibria in ``eqs`` captures the orbit.
 
     Capture means ten consecutive accepted states (the initial state counts)
-    within ``capture_radius`` of the same equilibrium; a negative or NaN
-    radius is a ValueError.  Runs that reach t_max, diverge, or hit the step
+    within ``capture_radius`` of the same equilibrium; a negative, NaN or
+    infinite radius is a ValueError (an infinite ball captures any orbit).  Runs that reach t_max, diverge, or hit the step
     limit return terminal=None with the corresponding trajectory status.
     ``include_origin=False`` restricts the candidate set to the symmetric
     pair; callers seeded inside the origin ball need this, or the dwell
     counter fills while the orbit is still escaping.
     """
-    if not capture_radius >= 0.0:
-        raise ValueError(f"capture_radius must be non-negative, got {capture_radius!r}")
+    _check_capture_radius(capture_radius)
     candidates: list[Equilibrium] = [eqs.origin] if include_origin else []
     if eqs.pair is not None:
         candidates.extend(eqs.pair)

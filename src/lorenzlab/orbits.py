@@ -28,7 +28,13 @@ from .errors import (
     NotASaddleError,
     TrajectoryLengthMismatchError,
 )
-from .integrator import IntegratorSettings, Trajectory, integrate_to_equilibrium
+from .integrator import (
+    IntegratorSettings,
+    Trajectory,
+    _check_capture_radius,
+    _dist,
+    integrate_to_equilibrium,
+)
 from .lyapunov import hypotheses_check
 from .model import SIGN_BAND, State, SystemParams, apply_symmetry
 
@@ -99,10 +105,13 @@ def trace_heteroclinic(
     heteroclinic hypotheses hold for p; otherwise it reports what the
     numerics did without any guarantee attached.  An epsilon that is not
     positive and finite raises ValueError: a negative one would trace the
-    other branch under this branch's label.
+    other branch under this branch's label.  So does a capture ball around
+    E+ or E- that already contains the seed, where a capture would prove
+    nothing, and a ``capture_radius`` that is negative, NaN or infinite.
     """
     if epsilon is not None and not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_capture_radius(capture_radius)
     direction = unstable_direction_at_origin(p)
     eqs = find_equilibria(p)
     e_plus = eqs.pair[0] if eqs.pair is not None else None
@@ -111,6 +120,12 @@ def trace_heteroclinic(
         epsilon = 1e-6 * (1.0 + scale)
     sign = 1.0 if branch is Branch.PLUS_X else -1.0
     u0 = State(*(sign * epsilon * v for v in direction))
+    for name, e in zip(("E+", "E-"), eqs.pair or ()):
+        if _dist(u0, e.location) <= capture_radius:
+            raise ValueError(
+                f"the capture ball of radius {capture_radius!r} around {name} "
+                "already contains the seed"
+            )
     # the origin is the branch's source, never its forward limit; for
     # epsilon < capture_radius the seed sits inside the origin ball, so
     # only the pair may count as a terminal

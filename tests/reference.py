@@ -1,0 +1,370 @@
+"""Reference integrators the generated stepping loop is held to, bit for bit.
+
+The generic RK4 and Dormand-Prince 5(4) steps work over any right-hand side
+``f``, with the tableau spelled out as named constants, and ``drive`` is a
+frozen copy of the stepping loop from when it wrote its stop policy twice
+(once for the initial state, once after each accepted step) through
+``nearest`` and ``captured`` closures, called a step function per trial
+step and ``norm`` per accepted state.  ``kernels`` gives ``drive`` the
+generic steps of a field the package writes as source text.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
+
+from lorenzlab import IntegratorMode, IntegratorSettings, TrajectoryStatus
+from lorenzlab.chaos import _VARIATIONAL_SOURCE
+from lorenzlab.integrator import (
+    _DWELL_CHECKS,
+    _GROW_LIMIT,
+    _ORDER_EXPONENT,
+    _SAFETY,
+    _SHRINK_LIMIT,
+    _capture_reach,
+    _dist,
+)
+from lorenzlab.model import _FIELD_SOURCE
+
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = (
+    19372.0 / 6561.0,
+    -25360.0 / 2187.0,
+    64448.0 / 6561.0,
+    -212.0 / 729.0,
+)
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0,
+    -355.0 / 33.0,
+    46732.0 / 5247.0,
+    49.0 / 176.0,
+    -5103.0 / 18656.0,
+)
+_B1, _B3, _B4, _B5, _B6 = (
+    35.0 / 384.0,
+    500.0 / 1113.0,
+    125.0 / 192.0,
+    -2187.0 / 6784.0,
+    11.0 / 84.0,
+)
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
+)
+
+
+def _left_sum(values):
+    # sum() before Python 3.12: plain left-to-right addition (from 3.12 it
+    # is compensated, which the loop deliberately does not follow)
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
+def lorenz_rhs(p):
+    a, b, cm, n1, pp = p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P
+
+    def rhs(s):
+        x, y, z = s
+        return (a * (y - x), cm * x + n1 * y - pp * (x * z), -b * z + x * y)
+
+    return rhs
+
+
+def variational_rhs(p):
+    a, b, cm, n1, pp = p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P
+
+    def rhs(s):
+        x, y, z, dx, dy, dz = s
+        return (
+            a * (y - x),
+            cm * x + n1 * y - pp * (x * z),
+            -b * z + x * y,
+            a * (dy - dx),
+            (cm - pp * z) * dx + n1 * dy - pp * x * dz,
+            y * dx + x * dy - b * dz,
+        )
+
+    return rhs
+
+
+# the generic right-hand side of each field the package writes as source
+RHS = {_FIELD_SOURCE: lorenz_rhs, _VARIATIONAL_SOURCE: variational_rhs}
+
+
+def rk4_step(f, s, dt):
+    n = len(s)
+    k1 = f(s)
+    half = 0.5 * dt
+    k2 = f(tuple(s[i] + half * k1[i] for i in range(n)))
+    k3 = f(tuple(s[i] + half * k2[i] for i in range(n)))
+    k4 = f(tuple(s[i] + dt * k3[i] for i in range(n)))
+    sixth = dt / 6.0
+    return tuple(
+        s[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)
+    )
+
+
+def dp54_step(f, s, k1, dt):
+    """(proposal, k7, err); ``** 2`` raises OverflowError where a finite
+    square overflows."""
+    n = len(s)
+    rng = range(n)
+    k2 = f(tuple(s[i] + dt * (_A21 * k1[i]) for i in rng))
+    k3 = f(tuple(s[i] + dt * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
+    k4 = f(tuple(s[i] + dt * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in rng))
+    k5 = f(
+        tuple(
+            s[i] + dt * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
+            for i in rng
+        )
+    )
+    k6 = f(
+        tuple(
+            s[i]
+            + dt
+            * (
+                _A61 * k1[i]
+                + _A62 * k2[i]
+                + _A63 * k3[i]
+                + _A64 * k4[i]
+                + _A65 * k5[i]
+            )
+            for i in rng
+        )
+    )
+    proposal = tuple(
+        s[i]
+        + dt * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
+        for i in rng
+    )
+    k7 = f(proposal)
+    err = math.sqrt(
+        _left_sum(
+            (
+                dt
+                * (
+                    _E1 * k1[i]
+                    + _E3 * k3[i]
+                    + _E4 * k4[i]
+                    + _E5 * k5[i]
+                    + _E6 * k6[i]
+                    + _E7 * k7[i]
+                )
+            )
+            ** 2
+            for i in rng
+        )
+    )
+    return proposal, k7, err
+
+
+def norm(s):
+    return math.sqrt(_left_sum(v * v for v in s))
+
+
+class Kernels(NamedTuple):
+    """The steps ``drive`` calls: ``rhs(s)``, ``rk4(s, dt)`` -> state,
+    ``dp54(s, k1, dt)`` -> (proposal, k7, err) and ``norm(s)``."""
+
+    rhs: Callable[[tuple], tuple]
+    dp54: Callable[[tuple, tuple, float], tuple[tuple, tuple, float]]
+    rk4: Callable[[tuple, float], tuple] | None
+    norm: Callable[[tuple], float]
+
+
+def kernels(field_source, p) -> Kernels:
+    """The generic steps of a field the package writes as source text."""
+    f = RHS[field_source](p)
+    return Kernels(
+        rhs=f,
+        dp54=lambda s, k1, dt: dp54_step(f, s, k1, dt),
+        rk4=lambda s, dt: rk4_step(f, s, dt),
+        norm=norm,
+    )
+
+
+@dataclass
+class RefDriveResult:
+    status: TrajectoryStatus
+    t: float
+    state: tuple
+    dt: float
+    times: list[float] = field(default_factory=list)
+    states: list[tuple] = field(default_factory=list)
+    captured: int | None = None
+    final_distance: float = math.inf
+    accepted: int = 0
+    attempts: int = 0
+
+
+def drive(
+    kernels: Kernels,
+    u0: tuple,
+    settings: IntegratorSettings,
+    t_end: float,
+    targets: Sequence[tuple] | None = None,
+    capture_radius: float = 0.0,
+    record: bool = True,
+    dt_start: float | None = None,
+    attempts: int = 0,
+) -> RefDriveResult:
+    """The stepping loop before its stop policy was written once.
+
+    ``attempts`` counts the trial steps the run has already spent, so a run
+    made of several calls (the LLE's windows) shares one ``max_steps``
+    budget; the result carries the updated count.
+
+    When ``targets`` is given, each accepted state updates a dwell counter:
+    a run of ``_DWELL_CHECKS`` consecutive states inside ``capture_radius``
+    of one fixed target ends the run as CAPTURED_EQUILIBRIUM.  The counter
+    guards against transient passes near a saddle.  While dwelling in
+    adaptive mode the step is clamped so the remaining time still allows
+    the required number of checks.
+    """
+    fixed = settings.mode is IntegratorMode.FIXED_RK4
+    dp54, rk4, norm = kernels.dp54, kernels.rk4, kernels.norm
+    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
+    blowup_norm, max_steps = settings.blowup_norm, settings.max_steps
+    dt = settings.dt_init if dt_start is None else dt_start
+    t = 0.0
+    s = u0
+    res = RefDriveResult(status=TrajectoryStatus.COMPLETED_TSPAN, t=t, state=s, dt=dt)
+    if record:
+        res.times.append(0.0)
+        res.states.append(s)
+
+    def nearest(state: tuple) -> tuple[int, float]:
+        best_i, best_d = 0, math.inf
+        for i, tgt in enumerate(targets):
+            d = _dist(state, tgt)
+            if d < best_d:
+                best_i, best_d = i, d
+        return best_i, best_d
+
+    dwell_target: int | None = None
+    dwell = 0
+    reach = _capture_reach(capture_radius)
+
+    def captured(state: tuple) -> bool:
+        nonlocal dwell_target, dwell
+        x, y, z = state
+        for tx, ty, tz in targets:
+            if abs(x - tx) <= reach and abs(y - ty) <= reach and abs(z - tz) <= reach:
+                break
+        else:  # outside the capture ball of every target
+            dwell_target, dwell = None, 0
+            return False
+        idx, d = nearest(state)
+        if d <= capture_radius:
+            if dwell_target == idx:
+                dwell += 1
+            else:
+                dwell_target, dwell = idx, 1
+        else:
+            dwell_target, dwell = None, 0
+        if dwell >= _DWELL_CHECKS:
+            res.captured = idx
+            return True
+        return False
+
+    # a NaN or infinite component makes the norm NaN or infinite, and
+    # blowup_norm is finite, so this one comparison also catches those
+    nrm = norm(s)
+    if not nrm <= blowup_norm:
+        res.status = TrajectoryStatus.DIVERGED
+    elif targets is not None and captured(s):
+        res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
+    if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
+        if targets is not None:
+            res.final_distance = nearest(s)[1]
+        res.attempts = attempts
+        return res
+
+    k1 = None if fixed else kernels.rhs(s)
+    while t < t_end:
+        remaining = t_end - t
+        dt_eff = min(dt, remaining)
+        if not fixed and targets is not None and 1 <= dwell < _DWELL_CHECKS:
+            # leave room for the remaining dwell confirmations
+            dt_eff = min(dt_eff, remaining / (_DWELL_CHECKS - dwell))
+        if t + dt_eff == t:
+            res.status = TrajectoryStatus.STEP_LIMIT
+            break
+        attempts += 1
+        if attempts > max_steps:
+            res.status = TrajectoryStatus.STEP_LIMIT
+            break
+
+        if fixed:
+            s = rk4(s, dt_eff)
+        else:
+            try:
+                s_new, k7, err = dp54(s, k1, dt_eff)
+            except OverflowError:
+                # the error norm squares a finite component beyond the
+                # float range: the orbit has left every scale the
+                # tolerance can judge
+                res.status = TrajectoryStatus.DIVERGED
+                break
+            # nrm is the norm of the current state s
+            tol = rel_tol * nrm + abs_tol
+            if err == 0.0:
+                factor = _GROW_LIMIT
+            else:
+                factor = min(
+                    _GROW_LIMIT,
+                    max(_SHRINK_LIMIT, _SAFETY * (tol / err) ** _ORDER_EXPONENT),
+                )
+            dt = dt_eff * factor
+            if not err <= tol:
+                continue
+            s, k1 = s_new, k7
+
+        t = t_end if dt_eff == remaining else t + dt_eff
+        nrm = norm(s)
+        res.accepted += 1
+        if record:
+            res.times.append(t)
+            res.states.append(s)
+        if not nrm <= blowup_norm:
+            res.status = TrajectoryStatus.DIVERGED
+            break
+        if targets is not None and captured(s):
+            res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
+            break
+
+    res.t = t
+    res.state = s
+    res.dt = dt
+    res.attempts = attempts
+    if targets is not None:
+        res.final_distance = nearest(s)[1]
+    return res
+
+
+def read_fields(res):
+    """repr of every field of a drive result that a caller reads, with the
+    recorded states as plain tuples.  The frozen loop counts one trial step
+    past the budget at STEP_LIMIT; no caller reads the count of such a run,
+    so it is left out there."""
+    attempts = None if res.status is TrajectoryStatus.STEP_LIMIT else res.attempts
+    return (
+        res.status,
+        repr(res.state),
+        repr(res.dt),
+        repr(res.times),
+        repr([tuple(s) for s in res.states]),
+        res.captured,
+        repr(res.final_distance),
+        attempts,
+    )

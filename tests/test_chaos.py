@@ -24,8 +24,9 @@ from lorenzlab import (
     suggest_anticontrol,
 )
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
-from lorenzlab.integrator import _drive, _kernels
+from lorenzlab.integrator import _drive
 
+import reference
 import sampling
 
 # loose tolerances are plenty for exponent estimates and run much faster
@@ -104,24 +105,25 @@ def test_max_steps_budgets_the_whole_lle_run(monkeypatch):
     count against one max_steps budget."""
     import lorenzlab.chaos as chaos
 
+    # count the trial steps through the frozen reference loop
     trials = 0
-    build = chaos._kernels
 
-    def counting_kernels(source, p):
-        kernels = build(source, p)
+    def counting_drive(field_source, p, u0, settings, t_end, **kwargs):
+        kernels = reference.kernels(field_source, p)
 
         def dp54(s, k1, dt):
             nonlocal trials
             trials += 1
             return kernels.dp54(s, k1, dt)
 
-        return kernels._replace(dp54=dp54)
+        return reference.drive(kernels._replace(dp54=dp54), u0, settings, t_end, **kwargs)
 
     p = SystemParams(10.0, 8.0 / 3.0, 28.0)
     kw = dict(horizon=6.0, transient=2.0)
-    monkeypatch.setattr(chaos, "_kernels", counting_kernels)
+    monkeypatch.setattr(chaos, "_drive", counting_drive)
     free = largest_lyapunov_exponent(p, **kw)
     monkeypatch.undo()
+    assert largest_lyapunov_exponent(p, **kw) == free
     budget = IntegratorSettings(max_steps=trials)
     assert largest_lyapunov_exponent(p, settings=budget, **kw) == free
     with pytest.raises(DivergedTrajectoryError, match="step_limit"):
@@ -200,9 +202,8 @@ def _det3(u, v, w):
 def test_tangent_volume_follows_liouville(p):
     dt, t_end = 1e-3, 1.0
     rk4 = IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=dt)
-    kernels = _kernels(_VARIATIONAL_SOURCE, p)
     runs = [
-        _drive(kernels, (1.0, 1.0, 1.0, *e), rk4, t_end)
+        _drive(_VARIATIONAL_SOURCE, p, (1.0, 1.0, 1.0, *e), rk4, t_end)
         for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     ]
     assert all(r.status is TrajectoryStatus.COMPLETED_TSPAN for r in runs)
@@ -220,6 +221,149 @@ def test_tangent_volume_follows_liouville(p):
     for i, t in enumerate(runs[0].times):
         det = _det3(*(r.states[i][3:] for r in runs))
         assert abs(det / math.exp(delta * t) - 1.0) <= t * dt**4 * big_l**5 / 40.0
+
+
+# ------------------------------------------- independent exponent oracles
+
+# Regular side: when the orbit settles on a hyperbolic stable equilibrium,
+# the tangent ends up in that point's dominant invariant subspace and grows
+# like e^{J t} there, so lambda1 tends to the spectral abscissa alpha =
+# max Re lambda.  In a real eigenbasis R of J (unit columns, the real and
+# imaginary parts of a complex eigenvector for a pair), |e^{J t} v| / |v|
+# lies within a factor cond(R) of e^{alpha t} for every v in that subspace.
+# The time average over L = horizon - transient therefore misses alpha by at
+# most ln cond(R) / L: the finite-horizon bias, largest for complex pairs.
+
+
+def _real_eigenbasis_condition(j):
+    w, v = np.linalg.eig(j)
+    columns = []
+    for k in range(3):
+        if w[k].imag == 0.0:
+            columns.append(v[:, k].real)
+        elif w[k].imag > 0.0:
+            columns += [v[:, k].real, v[:, k].imag]
+    r = np.array(columns).T
+    return float(np.linalg.cond(r / np.linalg.norm(r, axis=0)))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        SystemParams(1.0, 3.0, 2.0),
+        SystemParams(10.0, 8.0 / 3.0, 0.5),
+        SystemParams(35.0, 3.0, 0.5),
+        SystemParams(5.0, 40.0, 3.0),
+        SystemParams(10.0, 8.0 / 3.0, 10.0),
+    ],
+)
+def test_regular_lle_equals_the_attractors_spectral_abscissa(p):
+    eqs = find_equilibria(p)
+    stable = [
+        e for e in (eqs.origin, *(eqs.pair or ()))
+        if max(lam.real for lam in e.eigenvalues) < 0.0
+    ]
+    # the attractor is the origin or E+-, which share their spectrum
+    assert len({max(lam.real for lam in e.eigenvalues) for e in stable}) == 1
+    alpha = max(lam.real for lam in stable[0].eigenvalues)
+    est = largest_lyapunov_exponent(p)  # horizon 500, transient 50
+    c = math.log(_real_eigenbasis_condition(jacobian(p, stable[0].location)))
+    bound = c / (est.horizon - est.transient_discarded)
+    assert abs(est.lambda1 - alpha) <= bound
+    # the bound resolves the exponent to better than 1 %
+    assert bound < 0.01 * abs(alpha)
+
+
+# The spectrum sum: the field's divergence is the constant delta = -a +
+# (N - 1) - b, so lambda1 + lambda2 + lambda3 = delta.  A test-only 12-D
+# field (the base plus three tangents) runs through the same generated
+# loop, and Gram-Schmidt renormalizes the tangents once per window.
+
+
+def _tangent_source(k):
+    """The variational tangent rows of _VARIATIONAL_SOURCE for tangent k."""
+    rows = []
+    for name, expr in _VARIATIONAL_SOURCE[3:]:
+        for c in ("dx", "dy", "dz"):
+            expr = expr.replace("{%s}" % c, "{%s%d}" % (c, k))
+        rows.append((f"{name}{k}", expr))
+    return tuple(rows)
+
+
+_SPECTRUM_SOURCE = (
+    *_VARIATIONAL_SOURCE[:3], *_tangent_source(1), *_tangent_source(2),
+    *_tangent_source(3),
+)
+
+
+def _gram_schmidt(vectors):
+    """Orthonormal vectors and the log-lengths of the orthogonalized ones."""
+    basis, logs = [], []
+    for v in vectors:
+        for u in basis:
+            d = sum(x * y for x, y in zip(v, u))
+            v = [x - d * y for x, y in zip(v, u)]
+        n = math.sqrt(sum(x * x for x in v))
+        basis.append([x / n for x in v])
+        logs.append(math.log(n))
+    return basis, logs
+
+
+def _spectrum_growths(p, settings, horizon, transient):
+    """Per-window log-growths of the three directions after the transient,
+    windows of length 1, and the trial steps those windows took."""
+    s = (1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    dt, attempts = settings.dt_init, 0
+    growths, measured = [], 0
+    for w in range(int(horizon)):
+        res = _drive(_SPECTRUM_SOURCE, p, s, settings, 1.0, record=False,
+                     dt_start=dt, attempts=attempts)
+        assert res.status is TrajectoryStatus.COMPLETED_TSPAN
+        if w >= transient:
+            measured += res.attempts - attempts
+        dt, attempts = res.dt, res.attempts
+        u = res.state
+        basis, logs = _gram_schmidt([u[3:6], u[6:9], u[9:12]])
+        if w >= transient:
+            growths.append(logs)
+        s = (*u[:3], *basis[0], *basis[1], *basis[2])
+    return growths, measured
+
+
+def _batch_se(values, batches=10):
+    """Batch-means standard error of the mean of ``values``."""
+    size = len(values) // batches
+    means = [sum(values[i * size:(i + 1) * size]) / size for i in range(batches)]
+    centre = sum(means) / batches
+    return math.sqrt(sum((m - centre) ** 2 for m in means) / (batches - 1) / batches)
+
+
+@pytest.mark.parametrize(
+    "p", [SystemParams(10.0, 8.0 / 3.0, 28.0), SystemParams(10.0, 8.0 / 3.0, 0.5, M=28.0)],
+    ids=["classic", "anticontrolled"],
+)
+def test_lyapunov_spectrum_sums_to_the_divergence(p):
+    settings = IntegratorSettings()
+    horizon, transient = 200.0, 20.0
+    growths, measured = _spectrum_growths(p, settings, horizon, transient)
+    span = horizon - transient
+    lam = [sum(g[i] for g in growths) / span for i in range(3)]
+    delta = -p.a + (p.N - 1.0) - p.b
+    # the controller admits a local error of about rel_tol relative to the
+    # state per trial step, which moves each of the three log-lengths by at
+    # most about rel_tol; summed without cancellation over the measured steps
+    assert abs(sum(lam) - delta) <= 3.0 * settings.rel_tol * measured / span
+
+    # lambda1 is the production exponent, and lambda2 is zero on an attractor
+    # that is not an equilibrium, each within three batch-means standard
+    # errors of the window growths
+    est = largest_lyapunov_exponent(p, horizon=horizon, transient=transient)
+    h = est.history
+    production = [h[0]] + [(k + 1) * h[k] - k * h[k - 1] for k in range(1, len(h))]
+    se1 = _batch_se([g[0] for g in growths])
+    assert abs(lam[0] - est.lambda1) <= 3.0 * math.hypot(se1, _batch_se(production))
+    assert abs(lam[1]) <= 3.0 * _batch_se([g[1] for g in growths])
+    assert lam[0] > 0.0 > lam[2]
 
 
 # ---------------------------------------------------------------- regime

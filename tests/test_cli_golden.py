@@ -172,6 +172,10 @@ CASES = [
     case("heteroclinic-negative-capture-radius",
          ["heteroclinic", *REGULAR, "--capture-radius", "-1"],
          2, EMPTY, "error: capture_radius must be non-negative, got -1.0\n"),
+    # an infinite ball captures the seed itself, which proves nothing
+    case("heteroclinic-infinite-capture-radius",
+         ["heteroclinic", *REGULAR, "--capture-radius", "inf", "--branch", "plus"],
+         2, EMPTY, "error: capture_radius must be finite, got inf\n"),
     case("sweep-zero-workers",
          ["sweep", *CLASSIC, "--axis", "c:0:1:3", "--workers", "0"],
          2, EMPTY, "error: workers must be at least 1, got 0\n"),

@@ -1,7 +1,5 @@
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import pytest
@@ -26,19 +24,14 @@ from lorenzlab import (
 from lorenzlab import integrator
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
 from lorenzlab.integrator import (
-    _DWELL_CHECKS,
-    _GROW_LIMIT,
-    _ORDER_EXPONENT,
-    _SAFETY,
-    _SHRINK_LIMIT,
-    _capture_reach,
-    _dist,
+    _LOOP_GLOBALS,
+    _dp54_block,
     _drive,
-    _Kernels,
-    _kernels,
+    _loop_source,
 )
 from lorenzlab.model import _FIELD_SOURCE
 
+import reference
 import sampling
 
 CLASSIC = SystemParams(10.0, 8.0 / 3.0, 28.0)
@@ -178,6 +171,13 @@ def test_capture_radius_must_be_non_negative(radius):
     eqs = find_equilibria(REGULAR)
     with pytest.raises(ValueError, match="capture_radius must be non-negative"):
         integrate_to_equilibrium(REGULAR, State(1.0, 1.0, 1.0), eqs, radius)
+
+
+def test_capture_radius_must_be_finite():
+    # an infinite ball would capture any orbit at its first ten states
+    eqs = find_equilibria(REGULAR)
+    with pytest.raises(ValueError, match="^capture_radius must be finite, got inf$"):
+        integrate_to_equilibrium(REGULAR, State(1.0, 1.0, 1.0), eqs, math.inf)
 
 
 def test_loose_ball_without_dwell_is_not_capture():
@@ -353,180 +353,9 @@ def test_dwell_prefilter_matches_the_oracle_on_heteroclinic_branches(branch, set
 
 # ------------------------------------------- the stop policy, against its past
 
-# A frozen copy of ``_drive`` from when it wrote its stop policy twice (once
-# for the initial state, once after each accepted step) through ``nearest``
-# and ``captured`` closures, and called ``norm`` for each accepted state.
-# The one-policy loop must end every run the same way, bit for bit, in
-# every field a caller reads.
-
-
-@dataclass
-class _RefDriveResult:
-    status: TrajectoryStatus
-    t: float
-    state: tuple
-    dt: float
-    times: list[float] = field(default_factory=list)
-    states: list[tuple] = field(default_factory=list)
-    captured: int | None = None
-    final_distance: float = math.inf
-    accepted: int = 0
-    attempts: int = 0
-
-
-def _reference_drive(
-    kernels: _Kernels,
-    u0: tuple,
-    settings: IntegratorSettings,
-    t_end: float,
-    targets: Sequence[tuple] | None = None,
-    capture_radius: float = 0.0,
-    record: bool = True,
-    dt_start: float | None = None,
-    attempts: int = 0,
-) -> _RefDriveResult:
-    """``_drive`` before its stop policy was written once; test-only.
-
-    ``attempts`` counts the trial steps the run has already spent, so a run
-    made of several calls (the LLE's windows) shares one ``max_steps``
-    budget; the result carries the updated count.
-
-    When ``targets`` is given, each accepted state updates a dwell counter:
-    a run of ``_DWELL_CHECKS`` consecutive states inside ``capture_radius``
-    of one fixed target ends the run as CAPTURED_EQUILIBRIUM.  The counter
-    guards against transient passes near a saddle.  While dwelling in
-    adaptive mode the step is clamped so the remaining time still allows
-    the required number of checks.
-    """
-    fixed = settings.mode is IntegratorMode.FIXED_RK4
-    dp54, rk4, norm = kernels.dp54, kernels.rk4, kernels.norm
-    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
-    blowup_norm, max_steps = settings.blowup_norm, settings.max_steps
-    dt = settings.dt_init if dt_start is None else dt_start
-    t = 0.0
-    s = u0
-    res = _RefDriveResult(status=TrajectoryStatus.COMPLETED_TSPAN, t=t, state=s, dt=dt)
-    if record:
-        res.times.append(0.0)
-        res.states.append(s)
-
-    def nearest(state: tuple) -> tuple[int, float]:
-        best_i, best_d = 0, math.inf
-        for i, tgt in enumerate(targets):
-            d = _dist(state, tgt)
-            if d < best_d:
-                best_i, best_d = i, d
-        return best_i, best_d
-
-    dwell_target: int | None = None
-    dwell = 0
-    reach = _capture_reach(capture_radius)
-
-    def captured(state: tuple) -> bool:
-        nonlocal dwell_target, dwell
-        x, y, z = state
-        for tx, ty, tz in targets:
-            if abs(x - tx) <= reach and abs(y - ty) <= reach and abs(z - tz) <= reach:
-                break
-        else:  # outside the capture ball of every target
-            dwell_target, dwell = None, 0
-            return False
-        idx, d = nearest(state)
-        if d <= capture_radius:
-            if dwell_target == idx:
-                dwell += 1
-            else:
-                dwell_target, dwell = idx, 1
-        else:
-            dwell_target, dwell = None, 0
-        if dwell >= _DWELL_CHECKS:
-            res.captured = idx
-            return True
-        return False
-
-    # a NaN or infinite component makes the norm NaN or infinite, and
-    # blowup_norm is finite, so this one comparison also catches those
-    nrm = norm(s)
-    if not nrm <= blowup_norm:
-        res.status = TrajectoryStatus.DIVERGED
-    elif targets is not None and captured(s):
-        res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
-    if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
-        if targets is not None:
-            res.final_distance = nearest(s)[1]
-        res.attempts = attempts
-        return res
-
-    k1 = None if fixed else kernels.rhs(s)
-    while t < t_end:
-        remaining = t_end - t
-        dt_eff = min(dt, remaining)
-        if not fixed and targets is not None and 1 <= dwell < _DWELL_CHECKS:
-            # leave room for the remaining dwell confirmations
-            dt_eff = min(dt_eff, remaining / (_DWELL_CHECKS - dwell))
-        if t + dt_eff == t:
-            res.status = TrajectoryStatus.STEP_LIMIT
-            break
-        attempts += 1
-        if attempts > max_steps:
-            res.status = TrajectoryStatus.STEP_LIMIT
-            break
-
-        if fixed:
-            s = rk4(s, dt_eff)
-        else:
-            try:
-                s_new, k7, err = dp54(s, k1, dt_eff)
-            except OverflowError:
-                # the error norm squares a finite component beyond the
-                # float range: the orbit has left every scale the
-                # tolerance can judge
-                res.status = TrajectoryStatus.DIVERGED
-                break
-            # nrm is the norm of the current state s
-            tol = rel_tol * nrm + abs_tol
-            if err == 0.0:
-                factor = _GROW_LIMIT
-            else:
-                factor = min(
-                    _GROW_LIMIT,
-                    max(_SHRINK_LIMIT, _SAFETY * (tol / err) ** _ORDER_EXPONENT),
-                )
-            dt = dt_eff * factor
-            if not err <= tol:
-                continue
-            s, k1 = s_new, k7
-
-        t = t_end if dt_eff == remaining else t + dt_eff
-        nrm = norm(s)
-        res.accepted += 1
-        if record:
-            res.times.append(t)
-            res.states.append(s)
-        if not nrm <= blowup_norm:
-            res.status = TrajectoryStatus.DIVERGED
-            break
-        if targets is not None and captured(s):
-            res.status = TrajectoryStatus.CAPTURED_EQUILIBRIUM
-            break
-
-    res.t = t
-    res.state = s
-    res.dt = dt
-    res.attempts = attempts
-    if targets is not None:
-        res.final_distance = nearest(s)[1]
-    return res
-
-
-def _without_norms(kernels: _Kernels) -> _Kernels:
-    """The kernels in the shape the frozen copy calls them: ``rk4`` returns
-    the state alone and ``dp54`` (proposal, k7, err), without the norm."""
-    rk4, dp54 = kernels.rk4, kernels.dp54
-    return kernels._replace(
-        rk4=lambda s, dt: rk4(s, dt)[0],
-        dp54=lambda s, k1, dt: dp54(s, k1, dt)[:3],
-    )
+# The frozen copy of the loop from when it wrote its stop policy twice
+# (tests/reference.py), on the generic steps.  The generated loop must end
+# every run the same way, bit for bit, in every field a caller reads.
 
 
 _DRIVE_PARAMS = [
@@ -540,7 +369,8 @@ _DRIVE_PARAMS = [
 
 def _drive_case(p, start, *, fixed, targets, variational, budget, t_end, dt_init,
                 blowup_norm, **kwargs):
-    """(kernels, u0, settings, t_end, keyword arguments) of one ``_drive`` run."""
+    """(field source, params, u0, settings, t_end, keyword arguments) of one
+    ``_drive`` run."""
     u0 = (*start, 1.0, 0.0, 0.0) if variational else start
     field_source = _VARIATIONAL_SOURCE if variational else _FIELD_SOURCE
     settings = IntegratorSettings(
@@ -549,7 +379,7 @@ def _drive_case(p, start, *, fixed, targets, variational, budget, t_end, dt_init
         max_steps=budget,
         blowup_norm=blowup_norm,
     )
-    return _kernels(field_source, p), u0, settings, t_end, dict(kwargs, targets=targets)
+    return field_source, p, u0, settings, t_end, dict(kwargs, targets=targets)
 
 
 @st.composite
@@ -587,23 +417,6 @@ def _drive_cases(draw):
     )
 
 
-def _read_fields(res):
-    """repr of every field of a drive result that a caller reads.  The old
-    loop counted one trial step past the budget at STEP_LIMIT; no caller
-    reads the count of such a run, so it is left out there."""
-    attempts = None if res.status is TrajectoryStatus.STEP_LIMIT else res.attempts
-    return (
-        res.status,
-        repr(res.state),
-        repr(res.dt),
-        repr(res.times),
-        repr(res.states),
-        res.captured,
-        repr(res.final_distance),
-        attempts,
-    )
-
-
 _PAIR = [tuple(e.location) for e in find_equilibria(REGULAR).pair]
 _RUN = dict(fixed=False, variational=False, budget=10**6, t_end=5.0, dt_init=1e-2,
             blowup_norm=1e6, capture_radius=1e-6)
@@ -625,37 +438,63 @@ _RUN = dict(fixed=False, variational=False, budget=10**6, t_end=5.0, dt_init=1e-
                      targets=_PAIR)
 )
 def test_drive_matches_its_frozen_two_policy_copy(case):
-    kernels, u0, settings, t_end, kwargs = case
-    got = _drive(kernels, u0, settings, t_end, **kwargs)
-    want = _reference_drive(_without_norms(kernels), u0, settings, t_end, **kwargs)
-    assert _read_fields(got) == _read_fields(want)
+    field_source, p, u0, settings, t_end, kwargs = case
+    got = _drive(field_source, p, u0, settings, t_end, **kwargs)
+    want = reference.drive(
+        reference.kernels(field_source, p), u0, settings, t_end, **kwargs
+    )
+    assert reference.read_fields(got) == reference.read_fields(want)
+    # 3-D points are recorded as State, the exponent's 6-D ones as tuples
+    kind = State if len(u0) == 3 else tuple
+    assert all(type(s) is kind for s in got.states)
 
 
 # ------------------------------------- the step-size controller, at its edges
 
 _STUB_SETTINGS = IntegratorSettings(rel_tol=1e-3, abs_tol=1e-6)
-_STUB_NORM = _kernels(_FIELD_SOURCE, REGULAR).norm
 _ZERO = (0.0, 0.0, 0.0)
+# a step block that moves x by dt_eff / 1000 and takes its error estimate
+# from ``stub_err``, whatever the field
+_STUB_STEP = ("w0 = s0 + dt_eff / 1000.0; w1 = s1; w2 = s2; "
+              "k7_0 = k7_1 = k7_2 = 0.0; err = stub_err((s0, s1, s2))")
 
 
-def _stub_kernels(errs: list[str]) -> _Kernels:
-    """Kernels whose ``dp54`` moves x by dt / 1000 and reports the next
-    error estimate of ``errs`` (cycling), whatever the step: NaN, infinite,
-    zero, the least subnormal, huge, or exactly the tolerance of ``s``."""
+def _stub_err(errs: list[str]):
+    """The next error estimate of ``errs`` (cycling) at state s: NaN,
+    infinite, zero, the least subnormal, huge, or exactly the tolerance of
+    ``s``."""
     fixed = {"nan": math.nan, "inf": math.inf, "zero": 0.0, "tiny": 5e-324,
              "huge": 1e300}
     kinds = itertools.cycle(errs)
 
-    def dp54(s, k1, dt):
+    def err(s):
         kind = next(kinds)
         if kind == "tol":
-            err = _STUB_SETTINGS.rel_tol * _STUB_NORM(s) + _STUB_SETTINGS.abs_tol
-        else:
-            err = fixed[kind]
-        proposal = (s[0] + dt / 1000.0, s[1], s[2])
-        return proposal, _ZERO, err, _STUB_NORM(proposal)
+            return _STUB_SETTINGS.rel_tol * reference.norm(s) + _STUB_SETTINGS.abs_tol
+        return fixed[kind]
 
-    return _Kernels(rhs=lambda s: _ZERO, dp54=dp54, rk4=None, norm=_STUB_NORM)
+    return err
+
+
+def _stub_loop(errs: list[str]):
+    """The generated adaptive loop with its DP54 step replaced by the stub."""
+    source = _loop_source(_FIELD_SOURCE, IntegratorMode.ADAPTIVE)
+    block = _dp54_block(_FIELD_SOURCE)
+    assert source.count(block) == 1
+    namespace = dict(_LOOP_GLOBALS, stub_err=_stub_err(errs))
+    exec(compile(source.replace(block, _STUB_STEP), "<stub loop>", "exec"), namespace)
+    return namespace["loop"]
+
+
+def _stub_kernels(errs: list[str]) -> reference.Kernels:
+    """The stub step in the frozen loop's shape."""
+    err = _stub_err(errs)
+
+    def dp54(s, k1, dt):
+        return (s[0] + dt / 1000.0, s[1], s[2]), _ZERO, err(s)
+
+    return reference.Kernels(rhs=lambda s: _ZERO, dp54=dp54, rk4=None,
+                             norm=reference.norm)
 
 
 @hsettings(max_examples=300, deadline=None)
@@ -677,8 +516,11 @@ def test_step_size_controller_matches_the_frozen_copy(
     # min and max pick the first argument on a tie and ignore a NaN in the
     # second; the written-out clamps must agree on every step
     args = (_ZERO, _STUB_SETTINGS, t_end, targets, capture_radius, True, dt_start)
-    got = _drive(_stub_kernels(errs), *args)
-    want = _reference_drive(_without_norms(_stub_kernels(errs)), *args)
+    stub = _stub_loop(errs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(integrator, "_loop", lambda field_source, mode: stub)
+        got = _drive(_FIELD_SOURCE, REGULAR, *args)
+    want = reference.drive(_stub_kernels(errs), *args)
     assert (got.status, repr(got.state), repr(got.dt), got.attempts) == (
         want.status, repr(want.state), repr(want.dt), want.attempts
     )

@@ -1,178 +1,31 @@
-"""Parity of the fused step kernels with the generic steps they replaced.
+"""Parity of the generated stepping loop with the generic steps, one step
+at a time.
 
-The reference oracle below is the generic RK4 and Dormand-Prince 5(4) step
-over any right-hand side ``f``, with the tableau spelled out as named
-constants.  Each fused kernel must return the identical tuple, bit for
-bit, for random parameters, states and step sizes, including states whose
-norm overflows and states that are not finite.  The norm a step kernel
-returns with its new state must be that state's ``norm``, bit for bit.
+The reference oracle is the generic RK4 and Dormand-Prince 5(4) step over
+any right-hand side ``f`` (tests/reference.py), run through the frozen
+reference loop.  One step of the generated loop (t_end = dt) must end the
+same way, bit for bit, for random parameters, states and step sizes,
+including states whose norm overflows and states that are not finite.
 """
 
 import math
+import sys
 
-import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
+    IntegratorMode,
+    IntegratorSettings,
     SystemParams,
     apply_symmetry,
     largest_lyapunov_exponent,
     vector_field,
 )
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
-from lorenzlab.integrator import _kernels
+from lorenzlab.integrator import _drive
 from lorenzlab.model import _FIELD_SOURCE
 
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (
-    19372.0 / 6561.0,
-    -25360.0 / 2187.0,
-    64448.0 / 6561.0,
-    -212.0 / 729.0,
-)
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-)
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-
-
-def _left_sum(values):
-    # sum() before Python 3.12: plain left-to-right addition (from 3.12 it
-    # is compensated, which the kernels deliberately do not follow)
-    total = 0.0
-    for v in values:
-        total = total + v
-    return total
-
-
-def _lorenz_rhs(p):
-    a, b, cm, n1, pp = p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P
-
-    def rhs(s):
-        x, y, z = s
-        return (a * (y - x), cm * x + n1 * y - pp * (x * z), -b * z + x * y)
-
-    return rhs
-
-
-def _variational_rhs(p):
-    a, b, cm, n1, pp = p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P
-
-    def rhs(s):
-        x, y, z, dx, dy, dz = s
-        return (
-            a * (y - x),
-            cm * x + n1 * y - pp * (x * z),
-            -b * z + x * y,
-            a * (dy - dx),
-            (cm - pp * z) * dx + n1 * dy - pp * x * dz,
-            y * dx + x * dy - b * dz,
-        )
-
-    return rhs
-
-
-def _rk4_step(f, s, dt):
-    n = len(s)
-    k1 = f(s)
-    half = 0.5 * dt
-    k2 = f(tuple(s[i] + half * k1[i] for i in range(n)))
-    k3 = f(tuple(s[i] + half * k2[i] for i in range(n)))
-    k4 = f(tuple(s[i] + dt * k3[i] for i in range(n)))
-    sixth = dt / 6.0
-    return tuple(
-        s[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)
-    )
-
-
-def _dp54_step(f, s, k1, dt):
-    n = len(s)
-    rng = range(n)
-    k2 = f(tuple(s[i] + dt * (_A21 * k1[i]) for i in rng))
-    k3 = f(tuple(s[i] + dt * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
-    k4 = f(tuple(s[i] + dt * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in rng))
-    k5 = f(
-        tuple(
-            s[i] + dt * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-            for i in rng
-        )
-    )
-    k6 = f(
-        tuple(
-            s[i]
-            + dt
-            * (
-                _A61 * k1[i]
-                + _A62 * k2[i]
-                + _A63 * k3[i]
-                + _A64 * k4[i]
-                + _A65 * k5[i]
-            )
-            for i in rng
-        )
-    )
-    proposal = tuple(
-        s[i]
-        + dt * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
-        for i in rng
-    )
-    k7 = f(proposal)
-    err = math.sqrt(
-        _left_sum(
-            (
-                dt
-                * (
-                    _E1 * k1[i]
-                    + _E3 * k3[i]
-                    + _E4 * k4[i]
-                    + _E5 * k5[i]
-                    + _E6 * k6[i]
-                    + _E7 * k7[i]
-                )
-            )
-            ** 2
-            for i in rng
-        )
-    )
-    return proposal, k7, err
-
-
-def _norm(s):
-    return math.sqrt(_left_sum(v * v for v in s))
-
-
-def _dp54_with_norm(f, s, k1, dt):
-    # the fused dp54's shape: the proposal's norm comes last
-    proposal, k7, err = _dp54_step(f, s, k1, dt)
-    return proposal, k7, err, _norm(proposal)
-
-
-def _bits(value):
-    """Floats as text that tells every double apart (signed zeros too);
-    all NaNs read alike."""
-    if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
-    return repr(value)
+import reference
 
 
 def _same_values(u, v):
@@ -180,19 +33,22 @@ def _same_values(u, v):
     return len(u) == len(v) and all(a == b or (a != a and b != b) for a, b in zip(u, v))
 
 
-def _outcome(step, *args):
-    # ``** 2`` raises OverflowError where a finite square overflows; the
-    # kernels keep it, so raising is part of the behaviour compared
-    try:
-        return _bits(step(*args))
-    except OverflowError:
-        return "OverflowError"
+# the largest finite bound, so a step runs from every state with a finite
+# norm; the run stops after one trial step (max_steps = 1) at t_end = dt
+_ONE_STEP = dict(max_steps=1, blowup_norm=sys.float_info.max)
+_MODES = (IntegratorMode.FIXED_RK4, IntegratorMode.ADAPTIVE)
 
 
-FIELDS = {
-    "lorenz": (_FIELD_SOURCE, _lorenz_rhs),
-    "variational": (_VARIATIONAL_SOURCE, _variational_rhs),
-}
+def _one_step(source, p, s, dt, mode, kernels):
+    """One step of the generated loop and of the frozen reference loop on
+    ``kernels``, as the fields a caller reads."""
+    settings = IntegratorSettings(mode=mode, dt_init=dt, **_ONE_STEP)
+    got = _drive(source, p, s, settings, dt)
+    want = reference.drive(kernels, s, settings, dt)
+    return reference.read_fields(got), reference.read_fields(want)
+
+
+FIELDS = {"lorenz": _FIELD_SOURCE, "variational": _VARIATIONAL_SOURCE}
 
 params_st = st.builds(
     SystemParams,
@@ -227,23 +83,33 @@ dt_st = st.one_of(
 @example(name="lorenz", p=SystemParams(10.0, 2.66, 28.0),
          components=[1.0] * 6, dt=1e5)
 def test_fused_kernels_match_the_generic_steps(name, p, components, dt):
-    source, reference_rhs = FIELDS[name]
-    kernels = _kernels(source, p)
-    f = reference_rhs(p)
+    source = FIELDS[name]
     s = tuple(components[: len(source)])
-    k1 = f(s)
-    assert _bits(kernels.rhs(s)) == _bits(k1)
-    state, nrm = kernels.rk4(s, dt)
-    assert _bits(state) == _bits(_rk4_step(f, s, dt))
-    assert _bits(nrm) == _bits(kernels.norm(state))
-    assert _outcome(kernels.dp54, s, k1, dt) == _outcome(_dp54_with_norm, f, s, k1, dt)
-    assert _bits(kernels.norm(s)) == _bits(_norm(s))
+    for mode in _MODES:
+        got, want = _one_step(source, p, s, dt, mode, reference.kernels(source, p))
+        assert got == want
 
 
 @hsettings(max_examples=200, deadline=None)
-@given(p=params_st, s=st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 3))
-def test_lorenz_kernels_evaluate_vector_field(p, s):
-    assert _bits(_kernels(_FIELD_SOURCE, p).rhs(s)) == _bits(tuple(vector_field(p, s)))
+@given(
+    p=params_st,
+    s=st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 3),
+    dt=dt_st,
+)
+def test_lorenz_kernels_evaluate_vector_field(p, s, dt):
+    # the generic steps over vector_field itself, not a copy of the field
+    def f(u):
+        return tuple(vector_field(p, u))
+
+    kernels = reference.Kernels(
+        rhs=f,
+        dp54=lambda u, k1, h: reference.dp54_step(f, u, k1, h),
+        rk4=lambda u, h: reference.rk4_step(f, u, h),
+        norm=reference.norm,
+    )
+    for mode in _MODES:
+        got, want = _one_step(_FIELD_SOURCE, p, s, dt, mode, kernels)
+        assert got == want
 
 
 @hsettings(max_examples=200, deadline=None)
@@ -253,20 +119,17 @@ def test_lorenz_kernels_evaluate_vector_field(p, s):
     dt=dt_st,
 )
 def test_adaptive_step_of_a_mirrored_seed_is_mirrored(p, s, dt):
-    kernels = _kernels(_FIELD_SOURCE, p)
-    m = tuple(apply_symmetry(s))
-    try:
-        proposal, k7, err, nrm = kernels.dp54(s, kernels.rhs(s), dt)
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            kernels.dp54(m, kernels.rhs(m), dt)
-        return
-    m_proposal, m_k7, m_err, m_nrm = kernels.dp54(m, kernels.rhs(m), dt)
+    settings = IntegratorSettings(dt_init=dt, **_ONE_STEP)
+    got = _drive(_FIELD_SOURCE, p, s, settings, dt)
+    mirrored = _drive(_FIELD_SOURCE, p, tuple(apply_symmetry(s)), settings, dt)
+    # the next step size carries the error estimate and the norm; an error
+    # estimate that overflows ends both runs as DIVERGED
+    assert (mirrored.status, repr(mirrored.dt), mirrored.attempts) == (
+        got.status, repr(got.dt), got.attempts
+    )
     # as values, like the trajectory tests: x + (-0.0) is 0.0, so a zero
     # need not mirror its sign
-    assert _same_values(m_proposal, apply_symmetry(proposal))
-    assert _same_values(m_k7, apply_symmetry(k7))
-    assert _same_values((m_err, m_nrm), (err, nrm))
+    assert _same_values(mirrored.state, apply_symmetry(got.state))
 
 
 def test_default_classic_lorenz_exponent_is_pinned():

@@ -19,6 +19,7 @@ from lorenzlab import (
     trace_heteroclinic,
     unstable_direction_at_origin,
 )
+from lorenzlab.integrator import _dist
 
 import sampling
 
@@ -90,6 +91,23 @@ def test_epsilon_must_be_positive_and_finite(eps):
     # a negative seed lies on the other branch, zero is the fixed point
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         trace_heteroclinic(REGULAR, Branch.PLUS_X, epsilon=eps)
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+def test_capture_ball_containing_the_seed_is_rejected(branch):
+    # a finite ball this large captures the seed itself, so a "success"
+    # would prove nothing
+    with pytest.raises(ValueError, match="^the capture ball of radius 1e\\+300 "
+                       "around E\\+ already contains the seed$"):
+        trace_heteroclinic(REGULAR, branch, capture_radius=1e300)
+    # the ball is closed, as in the dwell check: a radius of exactly the
+    # seed's distance is rejected, one ulp less is traced
+    seed = trace_heteroclinic(REGULAR, branch).trajectory.states[0]
+    d = min(_dist(seed, e.location) for e in find_equilibria(REGULAR).pair)
+    with pytest.raises(ValueError, match="already contains the seed"):
+        trace_heteroclinic(REGULAR, branch, capture_radius=d)
+    res = trace_heteroclinic(REGULAR, branch, capture_radius=math.nextafter(d, 0.0))
+    assert res.trajectory.states[0] == seed
 
 
 def test_observed_connection_is_not_certified_outside_hypotheses():
