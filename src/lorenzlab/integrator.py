@@ -507,8 +507,9 @@ def integrate_to_equilibrium(
 
     Capture means ten consecutive accepted states (the initial state counts)
     within ``capture_radius`` of the same equilibrium; a negative, NaN or
-    infinite radius is a ValueError (an infinite ball captures any orbit).  Runs that reach t_max, diverge, or hit the step
-    limit return terminal=None with the corresponding trajectory status.
+    infinite radius is a ValueError (an infinite ball captures any orbit).
+    Runs that reach t_max, diverge, or hit the step limit return
+    terminal=None with the corresponding trajectory status.
     ``include_origin=False`` restricts the candidate set to the symmetric
     pair; callers seeded inside the origin ball need this, or the dwell
     counter fills while the orbit is still escaping.

@@ -114,7 +114,8 @@ def vector_field(p: SystemParams, s: State | tuple) -> State:
 # The field as source text for the integrator's stepping loop (see
 # lorenzlab.integrator._loop_source): the same operations, in the same
 # order, as vector_field, with cm = c + M, n1 = N - 1, pp = 1 - P and
-# nb = -b (negation is exact, so nb * z rounds as -b * z does).
+# nb = -b, negated once per run instead of at every stage (negation is
+# exact, so nb * z rounds as -b * z does).
 _FIELD_SOURCE = (
     ("x", "a * ({y} - {x})"),
     ("y", "cm * {x} + n1 * {y} - pp * ({x} * {z})"),

@@ -5,13 +5,16 @@ The reference oracle is the generic RK4 and Dormand-Prince 5(4) step over
 any right-hand side ``f`` (tests/reference.py), run through the frozen
 reference loop.  One step of the generated loop (t_end = dt) must end the
 same way, bit for bit, for random parameters, states and step sizes,
-including states whose norm overflows and states that are not finite.
+including states whose norm overflows and states that are not finite.  In
+adaptive mode a second run at a tolerance that accepts almost any trial
+step takes two steps, so the proposal is compared where the default
+tolerance rejects it, and DP54's carried stage k7 through the second step.
 """
 
 import math
 import sys
 
-from hypothesis import example, given, settings as hsettings, strategies as st
+from hypothesis import example, given, settings as hsettings, strategies as st, target
 
 from lorenzlab import (
     IntegratorMode,
@@ -36,16 +39,33 @@ def _same_values(u, v):
 # the largest finite bound, so a step runs from every state with a finite
 # norm; the run stops after one trial step (max_steps = 1) at t_end = dt
 _ONE_STEP = dict(max_steps=1, blowup_norm=sys.float_info.max)
-_MODES = (IntegratorMode.FIXED_RK4, IntegratorMode.ADAPTIVE)
+# a finite tolerance so loose that every trial step whose error estimate
+# is below 1e300 times the state's norm is accepted; two steps at t_end =
+# 2 dt, the second from the first's proposal with its k7 as first stage
+_FORCED = dict(rel_tol=1e300, max_steps=2, blowup_norm=sys.float_info.max)
+# the adaptive runs of every draw: settings and t_end in units of dt
+_ADAPTIVE_RUNS = {"one step": (_ONE_STEP, 1), "forced": (_FORCED, 2)}
+_RUNS = (
+    (IntegratorMode.FIXED_RK4, _ONE_STEP, 1),
+    *((IntegratorMode.ADAPTIVE, *run) for run in _ADAPTIVE_RUNS.values()),
+)
 
 
-def _one_step(source, p, s, dt, mode, kernels):
-    """One step of the generated loop and of the frozen reference loop on
-    ``kernels``, as the fields a caller reads."""
-    settings = IntegratorSettings(mode=mode, dt_init=dt, **_ONE_STEP)
-    got = _drive(source, p, s, settings, dt)
-    want = reference.drive(kernels, s, settings, dt)
-    return reference.read_fields(got), reference.read_fields(want)
+def _accepted(res):
+    return len(res.times) - 1
+
+
+def _assert_parity(source, p, s, dt, kernels):
+    """Each of ``_RUNS`` of the generated loop ends as the frozen reference
+    loop on ``kernels`` does; returns the steps they accepted."""
+    accepted = 0
+    for mode, kwargs, steps in _RUNS:
+        settings = IntegratorSettings(mode=mode, dt_init=dt, **kwargs)
+        got = _drive(source, p, s, settings, steps * dt)
+        want = reference.drive(kernels, s, settings, steps * dt)
+        assert reference.read_fields(got) == reference.read_fields(want)
+        accepted += _accepted(got)
+    return accepted
 
 
 FIELDS = {"lorenz": _FIELD_SOURCE, "variational": _VARIATIONAL_SOURCE}
@@ -85,9 +105,11 @@ dt_st = st.one_of(
 def test_fused_kernels_match_the_generic_steps(name, p, components, dt):
     source = FIELDS[name]
     s = tuple(components[: len(source)])
-    for mode in _MODES:
-        got, want = _one_step(source, p, s, dt, mode, reference.kernels(source, p))
-        assert got == want
+    accepted = _assert_parity(source, p, s, dt, reference.kernels(source, p))
+    # most draws with a component from the wide strategies start beyond
+    # the float range and stop at the initial divergence check; steer the
+    # search towards draws that step
+    target(float(accepted), label="accepted steps")
 
 
 @hsettings(max_examples=200, deadline=None)
@@ -107,9 +129,7 @@ def test_lorenz_kernels_evaluate_vector_field(p, s, dt):
         rk4=lambda u, h: reference.rk4_step(f, u, h),
         norm=reference.norm,
     )
-    for mode in _MODES:
-        got, want = _one_step(_FIELD_SOURCE, p, s, dt, mode, kernels)
-        assert got == want
+    _assert_parity(_FIELD_SOURCE, p, s, dt, kernels)
 
 
 @hsettings(max_examples=200, deadline=None)
@@ -119,17 +139,37 @@ def test_lorenz_kernels_evaluate_vector_field(p, s, dt):
     dt=dt_st,
 )
 def test_adaptive_step_of_a_mirrored_seed_is_mirrored(p, s, dt):
-    settings = IntegratorSettings(dt_init=dt, **_ONE_STEP)
-    got = _drive(_FIELD_SOURCE, p, s, settings, dt)
-    mirrored = _drive(_FIELD_SOURCE, p, tuple(apply_symmetry(s)), settings, dt)
-    # the next step size carries the error estimate and the norm; an error
-    # estimate that overflows ends both runs as DIVERGED
-    assert (mirrored.status, repr(mirrored.dt), mirrored.attempts) == (
-        got.status, repr(got.dt), got.attempts
-    )
-    # as values, like the trajectory tests: x + (-0.0) is 0.0, so a zero
-    # need not mirror its sign
-    assert _same_values(mirrored.state, apply_symmetry(got.state))
+    m = tuple(apply_symmetry(s))
+    runs = {}
+    for name, (kwargs, steps) in _ADAPTIVE_RUNS.items():
+        settings = IntegratorSettings(dt_init=dt, **kwargs)
+        got = runs[name] = _drive(_FIELD_SOURCE, p, s, settings, steps * dt)
+        mirrored = _drive(_FIELD_SOURCE, p, m, settings, steps * dt)
+        # the next step size carries the error estimate (while the growth
+        # and shrink limits do not clamp it) and the norm; an error estimate
+        # that overflows ends both runs as DIVERGED
+        assert (mirrored.status, repr(mirrored.dt), mirrored.attempts) == (
+            got.status, repr(got.dt), got.attempts
+        )
+        # every recorded state: with forced acceptance, the first proposal
+        # and the second step's, which starts from the first's k7.  As
+        # values, like the trajectory tests: x + (-0.0) is 0.0, so a zero
+        # need not mirror its sign
+        assert repr(mirrored.times) == repr(got.times)
+        for u, v in zip(mirrored.states, got.states):
+            assert _same_values(u, apply_symmetry(v))
+        assert _same_values(mirrored.state, apply_symmetry(got.state))
+    # the forced run must have stepped wherever the generic step's error
+    # estimate passes its tolerance, so the proposals above were compared
+    f = reference.lorenz_rhs(p)
+    try:
+        err = reference.dp54_step(f, s, f(s), dt)[2]
+    except OverflowError:
+        err = math.inf
+    forced = IntegratorSettings(**_FORCED)
+    if err <= forced.rel_tol * reference.norm(s) + forced.abs_tol:
+        assert _accepted(runs["forced"]) >= 1
+    target(float(_accepted(runs["forced"])), label="accepted steps")
 
 
 def test_default_classic_lorenz_exponent_is_pinned():
