@@ -77,24 +77,15 @@ _VARIATIONAL_SOURCE = (
 )
 
 
-def largest_lyapunov_exponent(
-    p: SystemParams,
-    u0: State | tuple = State(1.0, 1.0, 1.0),
-    settings: IntegratorSettings | None = None,
-    renorm_interval: float = 1.0,
-    horizon: float = 500.0,
-    transient: float = 50.0,
-) -> LLEEstimate:
-    """Benettin-style estimate of the largest Lyapunov exponent.
+def _lle_windows(
+    renorm_interval: float, horizon: float, transient: float
+) -> tuple[int, int]:
+    """(total, transient) window counts of an exponent run.
 
-    The tangent starts at (1, 0, 0) and is rescaled to unit length every
-    ``renorm_interval`` time units; log-growth accumulates from the end of
-    the transient to the horizon.  Raises DivergedTrajectoryError when the
-    base orbit blows up, stops making progress or spends more than
-    ``settings.max_steps`` trial steps over the whole run.
+    Raises ValueError unless the three values are finite, renorm_interval
+    is positive, horizon > transient >= 0, horizon / renorm_interval does
+    not overflow and at least one window follows the transient.
     """
-    if settings is None:
-        settings = IntegratorSettings()
     for name, value in (
         ("renorm_interval", renorm_interval),
         ("horizon", horizon),
@@ -116,6 +107,28 @@ def largest_lyapunov_exponent(
     n_trans = int(round(transient / renorm_interval))
     if n_total <= n_trans:
         raise ValueError("horizon leaves no window after the transient")
+    return n_total, n_trans
+
+
+def largest_lyapunov_exponent(
+    p: SystemParams,
+    u0: State | tuple = State(1.0, 1.0, 1.0),
+    settings: IntegratorSettings | None = None,
+    renorm_interval: float = 1.0,
+    horizon: float = 500.0,
+    transient: float = 50.0,
+) -> LLEEstimate:
+    """Benettin-style estimate of the largest Lyapunov exponent.
+
+    The tangent starts at (1, 0, 0) and is rescaled to unit length every
+    ``renorm_interval`` time units; log-growth accumulates from the end of
+    the transient to the horizon.  Raises DivergedTrajectoryError when the
+    base orbit blows up, stops making progress or spends more than
+    ``settings.max_steps`` trial steps over the whole run.
+    """
+    if settings is None:
+        settings = IntegratorSettings()
+    n_total, n_trans = _lle_windows(renorm_interval, horizon, transient)
 
     s = (float(u0[0]), float(u0[1]), float(u0[2]), 1.0, 0.0, 0.0)
     dt = settings.dt_init

@@ -27,6 +27,10 @@ from .orbits import Branch, branch_symmetry_deviation, trace_heteroclinic
 from .serialize import FORMATS, emit, to_jsonable
 from .sweep import TASKS, SweepAxis, SweepSpec, run_sweep
 
+# a command whose runs include one stopped for either reason exits 3
+_FAILED = (TrajectoryStatus.DIVERGED, TrajectoryStatus.STEP_LIMIT)
+
+
 def _add_system_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("system")
     group.add_argument("--preset", choices=[p.value for p in Preset], default=None)
@@ -96,35 +100,32 @@ def _settings(args: argparse.Namespace) -> IntegratorSettings:
     )
 
 
-def _cmd_equilibria(args) -> int:
-    eqs = find_equilibria(_params(args))
-    emit(eqs, args.format, args.out)
-    return 0
+# Each _cmd_* returns (payload, runs): what main emits, and the
+# trajectories whose status decides exit 3.
 
 
-def _cmd_classify(args) -> int:
+def _cmd_equilibria(args) -> tuple:
+    return find_equilibria(_params(args)), ()
+
+
+def _cmd_classify(args) -> tuple:
     p = _params(args)
     payload = {
         "origin_class": classify_origin(p),
         "eigenvalues": list(origin_eigenvalues(p)),
     }
-    emit(payload, args.format, args.out)
-    return 0
+    return payload, ()
 
 
-def _cmd_certificate(args) -> int:
-    emit(certificate(_params(args)), args.format, args.out)
-    return 0
+def _cmd_certificate(args) -> tuple:
+    return certificate(_params(args)), ()
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     trajectory = integrate(
         _params(args), State(args.x0, args.y0, args.z0), _settings(args)
     )
-    emit(trajectory, args.format, args.out)
-    if trajectory.status in (TrajectoryStatus.DIVERGED, TrajectoryStatus.STEP_LIMIT):
-        return 3
-    return 0
+    return trajectory, (trajectory,)
 
 
 def _het_summary(result) -> dict:
@@ -143,7 +144,7 @@ def _het_summary(result) -> dict:
     }
 
 
-def _cmd_heteroclinic(args) -> int:
+def _cmd_heteroclinic(args) -> tuple:
     p = _params(args)
     settings = _settings(args)
     kwargs = dict(
@@ -160,23 +161,14 @@ def _cmd_heteroclinic(args) -> int:
             "minus": _het_summary(minus),
             "symmetry_deviation": deviation,
         }
-        emit(payload, args.format, args.out)
-        results = (plus, minus)
-    else:
-        branch = Branch.PLUS_X if args.branch == "plus" else Branch.MINUS_X
-        result = trace_heteroclinic(p, branch, **kwargs)
-        if args.format == "csv":
-            emit(result.trajectory, "csv", args.out)
-        else:
-            emit(_het_summary(result), "json", args.out)
-        results = (result,)
-    bad = (TrajectoryStatus.DIVERGED, TrajectoryStatus.STEP_LIMIT)
-    if any(r.trajectory.status in bad for r in results):
-        return 3
-    return 0
+        return payload, (plus.trajectory, minus.trajectory)
+    branch = Branch.PLUS_X if args.branch == "plus" else Branch.MINUS_X
+    result = trace_heteroclinic(p, branch, **kwargs)
+    payload = result.trajectory if args.format == "csv" else _het_summary(result)
+    return payload, (result.trajectory,)
 
 
-def _cmd_lle(args) -> int:
+def _cmd_lle(args) -> tuple:
     estimate = largest_lyapunov_exponent(
         _params(args),
         u0=State(args.x0, args.y0, args.z0),
@@ -185,16 +177,14 @@ def _cmd_lle(args) -> int:
         horizon=args.horizon,
         transient=args.transient,
     )
-    emit(estimate, args.format, args.out)
-    return 0
+    return estimate, ()
 
 
-def _cmd_regime(args) -> int:
-    emit({"regime": regime_classify(_params(args))}, args.format, args.out)
-    return 0
+def _cmd_regime(args) -> tuple:
+    return {"regime": regime_classify(_params(args))}, ()
 
 
-def _cmd_suggest(args) -> int:
+def _cmd_suggest(args) -> tuple:
     suggestion = suggest_anticontrol(args.a, args.b, args.c, args.margin)
     payload = to_jsonable(suggestion)
     if args.verify_lle:
@@ -206,8 +196,7 @@ def _cmd_suggest(args) -> int:
             transient=args.transient,
         )
         payload["lle"] = estimate.lambda1
-    emit(payload, args.format, args.out)
-    return 0
+    return payload, ()
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -218,7 +207,7 @@ def _parse_axis(text: str) -> SweepAxis:
     return SweepAxis(name, float(start), float(stop), int(count))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     if not args.axis:
         raise ValueError("at least one --axis is required")
     if len(args.axis) > 2:
@@ -234,9 +223,7 @@ def _cmd_sweep(args) -> int:
         lle_horizon=args.horizon,
         lle_transient=args.transient,
     )
-    result = run_sweep(spec, workers=args.workers)
-    emit(result, args.format, args.out)
-    return 0
+    return run_sweep(spec, workers=args.workers), ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         subject = _csv_subject(args) if args.format == "csv" else None
         if subject is not None:
             raise UnsupportedFormatError(f"csv is not defined for {subject}; use json")
-        return args.func(args)
+        payload, runs = args.func(args)
+        emit(payload, args.format, args.out)
+        return 3 if any(run.status in _FAILED for run in runs) else 0
     except (ValueError, UnsupportedFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

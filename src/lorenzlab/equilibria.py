@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 from .errors import DegenerateBError
 from .model import SIGN_BAND
-from .model import Preset, State, SystemParams, apply_symmetry, jacobian, vector_field
+from .model import Preset, State, SystemParams, apply_symmetry
 
-RESIDUAL_BOUND = 1e-9  # the Newton polish of E+- stops once |f| <= this
 CENTER_BAND = 1e-9  # relative band of a center direction, see _record
 
 
@@ -303,36 +302,18 @@ def _record(loc: State, cubic: tuple[float, float, float]) -> Equilibrium:
     return Equilibrium(loc, eigs, stable, unstable, center)
 
 
-def _polish(p: SystemParams, loc: State) -> State:
-    """Newton-polish an approximate equilibrium (best effort).
-
-    numpy, for LAPACK's 3x3 solve, is imported only once a residual says a
-    Newton step is needed; the closed form usually meets RESIDUAL_BOUND.
-    """
-    for _ in range(3):
-        f = vector_field(p, loc)
-        if math.sqrt(f.x * f.x + f.y * f.y + f.z * f.z) <= RESIDUAL_BOUND:
-            break
-        import numpy as np
-
-        try:
-            delta = np.linalg.solve(jacobian(p, loc), -np.array(f, dtype=float))
-        except np.linalg.LinAlgError:
-            break
-        loc = State(
-            float(loc.x + delta[0]), float(loc.y + delta[1]), float(loc.z + delta[2])
-        )
-    return loc
-
-
 _ORIGIN = State(0.0, 0.0, 0.0)
 
 
 def find_equilibria(p: SystemParams) -> EquilibriumSet:
     """Enumerate the equilibrium set.
 
-    P counts as 1, and d as 0, inside the relative band SIGN_BAND; the
-    pair is Newton-polished to the residual RESIDUAL_BOUND.
+    P counts as 1, and d as 0, inside the relative band SIGN_BAND.  The
+    pair is its closed form, with at most four roundings after that of d,
+    so E+ is within a few ulps of the exact equilibrium of the float
+    parameters wherever d does not cancel, with the same bits on every
+    platform.  Its float residual may still be far from 0 at large d: that
+    is rounding noise, not distance from the equilibrium.
     Raises DegenerateBError when b = 0 (the z-equation loses its linear
     term and the closed forms above do not apply), and ValueError when a
     characteristic cubic is beyond the float range (see _cubic_roots).
@@ -357,8 +338,7 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     s_sq = p.b * d / one_minus_p
     if s_sq > 0.0:
         s = math.sqrt(s_sq)
-        z_star = d / one_minus_p
-        plus_loc = _polish(p, State(s, s, z_star))
+        plus_loc = State(s, s, d / one_minus_p)
         minus_loc = apply_symmetry(plus_loc)
         cp = _characteristic_cubic(p, plus_loc)
         cm = _characteristic_cubic(p, minus_loc)

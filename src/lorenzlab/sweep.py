@@ -15,7 +15,7 @@ import operator
 import os
 from dataclasses import dataclass, field
 
-from .chaos import _regime, largest_lyapunov_exponent
+from .chaos import _lle_windows, _regime, largest_lyapunov_exponent
 from .equilibria import classify_origin, find_equilibria
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
@@ -87,7 +87,9 @@ class SweepSpec:
     """Base parameters, up to two axes, and the tasks to run per cell.
 
     Every task is deterministic.  The integrator settings and the lle_*
-    knobs only matter when the "lle" task is on.
+    knobs only matter when the "lle" task is on; the knobs are then
+    checked here, as largest_lyapunov_exponent checks them, so a bad
+    window fails before any cell runs rather than in every row.
     """
 
     base: SystemParams
@@ -113,6 +115,8 @@ class SweepSpec:
             if task in seen:
                 raise ValueError(f"duplicate task {task!r}")
             seen.add(task)
+        if "lle" in seen:
+            _lle_windows(self.lle_renorm_interval, self.lle_horizon, self.lle_transient)
 
     def n_cells(self) -> int:
         n = 1

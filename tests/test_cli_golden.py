@@ -41,6 +41,10 @@ CASES = [
          ["equilibria", "--a", "0", "--b", "4.296093079516111e-151", "--c", "0",
           "--N", "1"], 0,
          "97c52720ae8194da3504211bcfeac58b9d0038456065a0d65d6105e73af16d88"),
+    # suggest-anticontrol's gain for margin 1e6: d = 1e6 exactly, so E+ has
+    # z = 1000000.0, the exact equilibrium
+    case("equilibria-anticontrol-1e6", ["equilibria", *PLANT, "--M", "1000000.5"], 0,
+         "6163648b3f6928ce3ed39a1b980e49b3c06ff86f5a5fbc0816fb543480fa79c5"),
     case("classify-classic", ["classify", *CLASSIC], 0,
          "0c025961d939d4658ee1fb4052ff59fc18938022b1f9b88df59816bfc1857e1d"),
     case("classify-chen-override", ["classify", *CHEN, "--M", "0"], 0,
@@ -160,6 +164,15 @@ CASES = [
           "--renorm-interval", "1e-10"],
          2, EMPTY, "error: the window count horizon / renorm_interval = "
          "1e+300 / 1e-10 overflows\n"),
+    # a sweep with the lle task checks the exponent's window before any cell
+    # runs, with the exponent's message, and writes no rows
+    case("sweep-lle-bad-window",
+         ["sweep", *PLANT, "--axis", "M:0:1:2", "--tasks", "lle", "--horizon", "-1"],
+         2, EMPTY, "error: need horizon > transient >= 0\n"),
+    case("sweep-lle-nan-renorm-interval",
+         ["sweep", *PLANT, "--axis", "M:0:1:2", "--tasks", "lle",
+          "--renorm-interval", "nan"],
+         2, EMPTY, "error: renorm_interval must be finite, got nan\n"),
     # the characteristic cubic's closed form overflows at c = 1e300
     case("equilibria-overflowing-cubic",
          ["equilibria", "--a", "10", "--b", "2.6666666666666665", "--c", "1e300"],

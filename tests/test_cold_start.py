@@ -1,10 +1,10 @@
 """The default paths load neither numpy nor the process pool.
 
-numpy is imported by ``model.jacobian`` and by the Newton fallback of
-``equilibria._polish``, and the process pool by ``run_sweep`` with more
-than one worker, which by default only a sweep with the "lle" task gets.
-Everything else, the CLI's import and a closed-form CLI sweep included,
-must run without them, since they are about half of every cold start.
+numpy is imported only by ``model.jacobian``, and the process pool by
+``run_sweep`` with more than one worker, which by default only a sweep
+with the "lle" task gets.  Everything else, the CLI's import, the
+equilibria of any cell and a closed-form CLI sweep included, must run
+without them, since they are about half of every cold start.
 """
 
 import json
@@ -27,7 +27,8 @@ import lorenzlab.cli
 seen["import lorenzlab.cli"] = heavy()
 
 from lorenzlab import (
-    SweepAxis, SweepSpec, SystemParams, largest_lyapunov_exponent, run_sweep,
+    SweepAxis, SweepSpec, SystemParams, find_equilibria,
+    largest_lyapunov_exponent, run_sweep, suggest_anticontrol,
 )
 spec = SweepSpec(
     SystemParams(10.0, 8.0 / 3.0, 0.5),
@@ -43,6 +44,11 @@ est = largest_lyapunov_exponent(
 )
 assert est.lambda1 > 0.0, est
 seen["classic-Lorenz LLE"] = heavy()
+
+# a pair whose float residual is far above rounding noise at this scale
+suggestion = suggest_anticontrol(10.0, 8.0 / 3.0, 0.5, margin=1e6)
+assert find_equilibria(suggestion.params).kind.value == "triple", suggestion
+seen["anticontrol equilibria"] = heavy()
 
 # no --workers: a closed-form sweep runs inline on any number of CPUs
 argv = ["sweep", "--a", "10", "--b", "2.66", "--c", "28", "--axis", "c:0:1:3",
@@ -67,6 +73,7 @@ def test_default_paths_load_neither_numpy_nor_the_pool():
         "import lorenzlab.cli": [],
         "inline sweep": [],
         "classic-Lorenz LLE": [],
+        "anticontrol equilibria": [],
         "closed-form CLI sweep": [],
     }
 

@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from lorenzlab import (
     pitchfork_locus,
     pitchfork_locus_for_preset,
     regime_classify,
+    suggest_anticontrol,
     vector_field,
 )
 from lorenzlab import equilibria
@@ -523,7 +526,8 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
         (SystemParams(10.0, 8.0 / 3.0, 0.5, P=2.0), 2),
         # a = 0 makes a13 * a31 and friends signed zeros in c1 and c0
         (SystemParams(0.0, 3.0, 2.0), 3),
-        # E+ overflows to a NaN location, and NaN never compares equal
+        # E+ overflows to an infinite location whose cubic has NaN
+        # coefficients, and NaN never compares equal
         (SystemParams(1.0, 1e200, 1e200), 3),
     ],
 )
@@ -543,12 +547,13 @@ def test_mirrored_equilibrium_reuses_the_spectrum_of_its_twin(p, solves):
 
 
 def test_a_nan_equilibrium_is_never_counted_as_stable():
-    # E+ overflows to a NaN location, so its cubic has NaN coefficients:
-    # NaN roots, each a center direction (undecided), never a stable one
+    # E+ overflows to an infinite location, so its cubic has NaN
+    # coefficients: NaN roots, each a center direction (undecided), never a
+    # stable one
     p = SystemParams(1.0, 1e200, 1e200)
     eqs = find_equilibria(p)
     for eq in eqs.pair:
-        assert math.isnan(eq.location.x)
+        assert not math.isfinite(eq.location.x)
         assert [repr(z) for z in eq.eigenvalues] == ["(nan+nanj)"] * 3
         assert (eq.stable_dim, eq.unstable_dim, eq.center_dim) == (0, 0, 3)
     # the regime reads only unstable dimensions, which were 0 already
@@ -592,6 +597,115 @@ def test_equilibrium_residual_bound():
             res = _norm(vector_field(p, eq.location))
             assert res <= 1e-10 * (1.0 + _norm(eq.location))
 
+
+
+# ------------------------------------------------- exactness of the pair
+
+_U = Fraction(1, 2**53)  # unit roundoff of binary64
+_DIGITS = 80  # working precision of the exact side
+
+
+def _decimal(q):
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _ulp_at(v):
+    """The spacing of the doubles in the binade that holds the exact v."""
+    f = float(v)
+    m, e = math.frexp(f)
+    if abs(m) == 0.5 and abs(Decimal(f)) > abs(v):
+        e -= 1  # v rounded up onto a power of two: one binade lower
+    return Decimal(2) ** (e - 53)
+
+
+def _pair_oracle(p):
+    """(z, s) of the exact equilibrium of the float parameters p, and the
+    worst-case errors in ulps of z = d / (1 - P) and s = sqrt(b d / (1 - P))
+    as find_equilibria rounds them; None when the rounding of d may have
+    flipped its sign.
+
+    d = ((M + N) + c) - 1 is a recursive sum, so |fl(d) - d| <= gamma_3
+    (|M| + |N| + |c| + 1) (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2), a relative error e_d once divided by |d|.  z
+    adds the roundings of 1 - P and of the quotient; s those of b d,
+    1 - P, the quotient and the square root.  A relative error r is below
+    r / u ulps of the exact value's binade.  Runs in the caller's decimal
+    context.
+    """
+    one_minus_p = 1 - Fraction(p.P)
+    d = Fraction(p.M) + Fraction(p.N) + Fraction(p.c) - 1
+    scale = abs(Fraction(p.M)) + abs(Fraction(p.N)) + abs(Fraction(p.c)) + 1
+    gamma3 = 3 * _U / (1 - 3 * _U)
+    if d == 0 or gamma3 * scale >= abs(d):
+        return None
+    u = _decimal(_U)
+    e_d = _decimal(gamma3 * scale / abs(d))
+    hi_z = (1 + e_d) * (1 + u) / (1 - u)
+    lo_z = (1 - e_d) * (1 - u) / (1 + u)
+    hi_s = ((1 + e_d) * (1 + u) ** 2 / (1 - u)).sqrt() * (1 + u)
+    lo_s = ((1 - e_d) * (1 - u) ** 2 / (1 + u)).sqrt() * (1 - u)
+    s_sq = Fraction(p.b) * d / one_minus_p
+    # fl(d) has d's sign and fl(1 - P) that of 1 - P: the exact pair exists
+    assert s_sq > 0, p
+    z = _decimal(d / one_minus_p)
+    s = _decimal(s_sq).sqrt()
+    return z, s, max(hi_z - 1, 1 - lo_z) / u, max(hi_s - 1, 1 - lo_s) / u
+
+
+def _check_pair_exactness(p):
+    eqs = find_equilibria(p)
+    if eqs.kind is not EquilibriumKind.TRIPLE:
+        return
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        oracle = _pair_oracle(p)
+        if oracle is None:
+            return
+        z, s, bound_z, bound_s = oracle
+        x, y, zf = eqs.pair[0].location
+        assert y == x
+        assert abs(Decimal(zf) - z) / _ulp_at(z) <= bound_z, (p, zf, z, bound_z)
+        assert abs(Decimal(x) - s) / _ulp_at(s) <= bound_s, (p, x, s, bound_s)
+
+
+def test_pair_is_within_its_rounding_bound_on_anticontrol_cells():
+    # the anticontrol regime: N = P = 0, a stable plant 0 < c < 1 and a
+    # gain M = 10^U(0, 7) that pushes it across the pitchfork
+    rng = np.random.default_rng(61)
+    for _ in range(20_000):
+        a, b = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+        c = float(rng.uniform(0.0, 1.0))
+        M = 10.0 ** rng.uniform(0.0, 7.0)
+        if c == 0.0:
+            continue
+        p = SystemParams(a, b, c, M=M)
+        assert find_equilibria(p).kind is EquilibriumKind.TRIPLE
+        _check_pair_exactness(p)
+
+
+_wide = st.builds(
+    lambda sign, e: sign * 10.0**e,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-8.0, 8.0),
+)
+
+
+@hsettings(max_examples=1000, deadline=None)
+@given(p=st.builds(SystemParams, *[_wide] * 6))
+@example(p=SystemParams(10.0, 8.0 / 3.0, 0.5, M=1000000.5))
+def test_pair_is_within_its_rounding_bound_on_wide_cells(p):
+    _check_pair_exactness(p)
+
+
+def test_suggested_anticontrol_pair_is_exact():
+    # margin 1e6 gives M = 1000000.5, so d = 1e6 and z = 1e6 exactly; a
+    # Newton step on the float residual would move it off by an ulp
+    p = suggest_anticontrol(10.0, 8.0 / 3.0, 0.5, margin=1e6).params
+    assert p.M == 1000000.5
+    ep, em = find_equilibria(p).pair
+    assert ep.location.z == 1000000.0 and em.location.z == 1000000.0
+    assert ep.location.x == math.sqrt(8.0 / 3.0 * 1e6)
+    _check_pair_exactness(p)
 
 def test_find_equilibria_dims_regular_case():
     eqs = find_equilibria(SystemParams(1.0, 3.0, 2.0))

@@ -19,6 +19,7 @@ from lorenzlab import (
     certificate,
     classify_origin,
     find_equilibria,
+    largest_lyapunov_exponent,
     regime_classify,
     run_sweep,
     sweep,
@@ -75,6 +76,27 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(tasks=())
 
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        (dict(lle_horizon=-1.0), "need horizon > transient >= 0"),
+        (dict(lle_renorm_interval=math.nan), "renorm_interval must be finite, got nan"),
+        (dict(lle_horizon=1e300, lle_renorm_interval=1e-10), "overflows"),
+        (dict(lle_horizon=1.0, lle_transient=0.9), "no window after the transient"),
+    ],
+)
+def test_lle_window_is_checked_when_the_spec_is_built(knobs, message):
+    # the exponent's own check and text, raised before any cell runs
+    with pytest.raises(ValueError, match=message) as raised:
+        _spec(tasks=("origin_class", "lle"), **knobs)
+    window = {name.removeprefix("lle_"): value for name, value in knobs.items()}
+    with pytest.raises(ValueError) as direct:
+        largest_lyapunov_exponent(BASE, **window)
+    assert str(raised.value) == str(direct.value)
+    # a sweep without the lle task never reads the window
+    assert len(run_sweep(_spec(**knobs), workers=1).rows) == 5
 
 def test_rows_are_in_row_major_grid_order():
     spec = _spec(
