@@ -11,24 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from .chaos import largest_lyapunov_exponent, regime_classify, suggest_anticontrol
-from .equilibria import classify_origin, find_equilibria, origin_eigenvalues
 from .errors import LorenzLabError, UnsupportedFormatError
-from .integrator import (
-    IntegratorMode,
-    IntegratorSettings,
-    TrajectoryStatus,
-    integrate,
-)
-from .lyapunov import certificate
-from .model import Preset, State, SystemParams, from_preset
-from .orbits import Branch, branch_symmetry_deviation, trace_heteroclinic
+from .model import SWEEP_TASKS, Preset, State, SystemParams, from_preset
 from .serialize import FORMATS, emit, to_jsonable
-from .sweep import TASKS, SweepAxis, SweepSpec, run_sweep
 
-# a command whose runs include one stopped for either reason exits 3
-_FAILED = (TrajectoryStatus.DIVERGED, TrajectoryStatus.STEP_LIMIT)
+if TYPE_CHECKING:
+    from .integrator import IntegratorSettings
+    from .sweep import SweepAxis
 
 
 def _add_system_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,6 +79,8 @@ def _params(args: argparse.Namespace) -> SystemParams:
 
 
 def _settings(args: argparse.Namespace) -> IntegratorSettings:
+    from .integrator import IntegratorMode, IntegratorSettings
+
     # only simulate and heteroclinic end at t_max and take --t-max
     return IntegratorSettings(
         mode=IntegratorMode(args.mode),
@@ -101,14 +94,20 @@ def _settings(args: argparse.Namespace) -> IntegratorSettings:
 
 
 # Each _cmd_* returns (payload, runs): what main emits, and the
-# trajectories whose status decides exit 3.
+# trajectories whose status decides exit 3.  Each imports the computations
+# it runs, so a one-shot command loads only the modules it needs (see
+# README.md, "Cold start").
 
 
 def _cmd_equilibria(args) -> tuple:
+    from .equilibria import find_equilibria
+
     return find_equilibria(_params(args)), ()
 
 
 def _cmd_classify(args) -> tuple:
+    from .equilibria import classify_origin, origin_eigenvalues
+
     p = _params(args)
     payload = {
         "origin_class": classify_origin(p),
@@ -118,10 +117,14 @@ def _cmd_classify(args) -> tuple:
 
 
 def _cmd_certificate(args) -> tuple:
+    from .lyapunov import certificate
+
     return certificate(_params(args)), ()
 
 
 def _cmd_simulate(args) -> tuple:
+    from .integrator import integrate
+
     trajectory = integrate(
         _params(args), State(args.x0, args.y0, args.z0), _settings(args)
     )
@@ -145,6 +148,8 @@ def _het_summary(result) -> dict:
 
 
 def _cmd_heteroclinic(args) -> tuple:
+    from .orbits import Branch, branch_symmetry_deviation, trace_heteroclinic
+
     p = _params(args)
     settings = _settings(args)
     kwargs = dict(
@@ -169,6 +174,8 @@ def _cmd_heteroclinic(args) -> tuple:
 
 
 def _cmd_lle(args) -> tuple:
+    from .chaos import largest_lyapunov_exponent
+
     estimate = largest_lyapunov_exponent(
         _params(args),
         u0=State(args.x0, args.y0, args.z0),
@@ -181,10 +188,14 @@ def _cmd_lle(args) -> tuple:
 
 
 def _cmd_regime(args) -> tuple:
+    from .chaos import regime_classify
+
     return {"regime": regime_classify(_params(args))}, ()
 
 
 def _cmd_suggest(args) -> tuple:
+    from .chaos import largest_lyapunov_exponent, suggest_anticontrol
+
     suggestion = suggest_anticontrol(args.a, args.b, args.c, args.margin)
     payload = to_jsonable(suggestion)
     if args.verify_lle:
@@ -200,6 +211,8 @@ def _cmd_suggest(args) -> tuple:
 
 
 def _parse_axis(text: str) -> SweepAxis:
+    from .sweep import SweepAxis
+
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"--axis expects NAME:START:STOP:COUNT, got {text!r}")
@@ -208,6 +221,8 @@ def _parse_axis(text: str) -> SweepAxis:
 
 
 def _cmd_sweep(args) -> tuple:
+    from .sweep import SweepSpec, run_sweep
+
     if not args.axis:
         raise ValueError("at least one --axis is required")
     if len(args.axis) > 2:
@@ -314,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME:START:STOP:COUNT",
         help="sweep axis; repeat for a two-axis grid",
     )
-    sp.add_argument("--tasks", default="equilibria", help=f"comma list from {TASKS}")
+    sp.add_argument("--tasks", default="equilibria", help=f"comma list from {SWEEP_TASKS}")
     sp.add_argument("--workers", type=int, default=None)
     sp.set_defaults(func=_cmd_sweep)
 
@@ -332,6 +347,20 @@ def _csv_subject(args: argparse.Namespace) -> str | None:
     return None if args.command in ("simulate", "sweep") else args.command
 
 
+def _exit_code(runs) -> int:
+    """3 if a run stopped diverged or at the step limit, else 0.
+
+    Only the commands that integrate have runs, so no other command loads
+    the integrator here.
+    """
+    if not runs:
+        return 0
+    from .integrator import TrajectoryStatus
+
+    failed = (TrajectoryStatus.DIVERGED, TrajectoryStatus.STEP_LIMIT)
+    return 3 if any(run.status in failed for run in runs) else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -342,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UnsupportedFormatError(f"csv is not defined for {subject}; use json")
         payload, runs = args.func(args)
         emit(payload, args.format, args.out)
-        return 3 if any(run.status in _FAILED for run in runs) else 0
+        return _exit_code(runs)
     except (ValueError, UnsupportedFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

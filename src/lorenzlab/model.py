@@ -52,6 +52,10 @@ class Preset(enum.Enum):
 # SystemParams' fields, in declaration order.
 PARAM_NAMES = ("a", "b", "c", "M", "N", "P")
 
+# The per-cell tasks of a sweep (sweep.TASKS), defined here so the CLI
+# can list them without loading the sweep engine.
+SWEEP_TASKS = ("equilibria", "origin_class", "certificate", "regime", "lle")
+
 
 @dataclass(frozen=True)
 class SystemParams:

@@ -12,14 +12,17 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import UnsupportedFormatError
-from .integrator import Trajectory
 from .model import State
-from .sweep import SweepResult
+
+if TYPE_CHECKING:
+    from .integrator import Trajectory
+    from .sweep import SweepResult
 
 FORMATS = ("json", "csv")
 
@@ -28,14 +31,18 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert result objects to plain JSON-ready data.
 
     Conventions: State -> {"x", "y", "z"}; complex -> [re, im]; enums ->
-    their string value; dataclasses -> field dicts.
+    their string value; dataclasses -> field dicts; a non-finite float ->
+    its ``repr`` string ("inf", "-inf" or "nan"), as in the CSV, since
+    JSON has no such number.
     """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
     if isinstance(obj, State):
-        return {"x": obj.x, "y": obj.y, "z": obj.z}
+        return dict(zip("xyz", map(to_jsonable, obj)))
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [to_jsonable(obj.real), to_jsonable(obj.imag)]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))
@@ -45,7 +52,7 @@ def to_jsonable(obj: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -85,8 +92,13 @@ def emit(result: Any, format: str = "json", destination: str | Path | None = Non
     formats or for CSV on a result type with no tabular layout.
     """
     if format == "json":
-        text = json.dumps(to_jsonable(result), indent=2) + "\n"
+        # a non-finite float that reaches dumps raises ValueError
+        text = json.dumps(to_jsonable(result), indent=2, allow_nan=False) + "\n"
     elif format == "csv":
+        # only a tabular result loads the modules that define one
+        from .integrator import Trajectory
+        from .sweep import SweepResult
+
         if isinstance(result, Trajectory):
             text = trajectory_csv(result)
         elif isinstance(result, SweepResult):

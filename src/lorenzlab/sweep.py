@@ -20,10 +20,12 @@ from .equilibria import classify_origin, find_equilibria
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
 from .lyapunov import certificate
-from .model import PARAM_NAMES, SystemParams
+from .model import PARAM_NAMES, SWEEP_TASKS, SystemParams
 
 # an axis's position here is its parameter's position in SystemParams
 AXIS_NAMES = PARAM_NAMES
+
+TASKS = SWEEP_TASKS
 
 _TASK_COLUMNS = {
     "equilibria": ("equilibria_kind", "e_plus_x", "e_plus_y", "e_plus_z"),
@@ -41,8 +43,6 @@ _TASK_COLUMNS = {
     "regime": ("regime",),
     "lle": ("lle",),
 }
-
-TASKS = tuple(_TASK_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,14 @@ def _spectrum_growths(p, settings, horizon, transient):
     return growths, measured
 
 
+def _window_growths(history):
+    """Each window's log-growth rate, from the running means of an LLE run
+    with windows of length 1."""
+    return [history[0]] + [
+        (k + 1) * history[k] - k * history[k - 1] for k in range(1, len(history))
+    ]
+
+
 def _batch_se(values, batches=10):
     """Batch-means standard error of the mean of ``values``."""
     size = len(values) // batches
@@ -358,12 +366,22 @@ def test_lyapunov_spectrum_sums_to_the_divergence(p):
     # that is not an equilibrium, each within three batch-means standard
     # errors of the window growths
     est = largest_lyapunov_exponent(p, horizon=horizon, transient=transient)
-    h = est.history
-    production = [h[0]] + [(k + 1) * h[k] - k * h[k - 1] for k in range(1, len(h))]
+    production = _window_growths(est.history)
     se1 = _batch_se([g[0] for g in growths])
     assert abs(lam[0] - est.lambda1) <= 3.0 * math.hypot(se1, _batch_se(production))
     assert abs(lam[1]) <= 3.0 * _batch_se([g[1] for g in growths])
     assert lam[0] > 0.0 > lam[2]
+
+
+def test_classic_lle_matches_the_literature_within_its_error_bar():
+    # Sprott (2003) gives lambda1 = 0.9056 for classic Lorenz.  The default
+    # run is one finite-time sample, so compare within three batch-means
+    # standard errors of its window growth rates (Benettin et al. 1980,
+    # Meccanica 15:9), and keep that error bar from ballooning
+    est = largest_lyapunov_exponent(SystemParams(10.0, 8.0 / 3.0, 28.0))
+    se = _batch_se(_window_growths(est.history))
+    assert se <= 0.03
+    assert abs(est.lambda1 - 0.9056) <= 3.0 * se
 
 
 # ---------------------------------------------------------------- regime

@@ -146,26 +146,30 @@ def test_lle_rejects_csv(capsys):
 @pytest.mark.parametrize(
     "subject, argv, computation",
     [
-        ("lle", CLASSIC, "largest_lyapunov_exponent"),
+        ("lle", CLASSIC, "chaos.largest_lyapunov_exponent"),
         ("suggest-anticontrol",
          ["--a", "10", "--b", "3", "--c", "0.5", "--margin", "2", "--verify-lle"],
-         "suggest_anticontrol"),
-        ("heteroclinic --branch both", REGULAR, "trace_heteroclinic"),
-        ("classify", REGULAR, "classify_origin"),
-        ("regime", REGULAR, "regime_classify"),
-        ("certificate", REGULAR, "certificate"),
-        ("equilibria", REGULAR, "find_equilibria"),
+         "chaos.suggest_anticontrol"),
+        ("heteroclinic --branch both", REGULAR, "orbits.trace_heteroclinic"),
+        ("classify", REGULAR, "equilibria.classify_origin"),
+        ("regime", REGULAR, "chaos.regime_classify"),
+        ("certificate", REGULAR, "lyapunov.certificate"),
+        ("equilibria", REGULAR, "equilibria.find_equilibria"),
     ],
     ids=["lle", "suggest", "heteroclinic", "classify", "regime", "certificate",
          "equilibria"],
 )
 def test_csv_is_rejected_before_computing(capsys, monkeypatch, subject, argv, computation):
-    """A result with no table is refused before any work is done."""
+    """A result with no table is refused before any work is done.
+
+    The computation is patched in the module that defines it, so a call
+    through any path counts.
+    """
 
     def fail(*args, **kwargs):
         raise AssertionError(f"{computation} ran before csv was rejected")
 
-    monkeypatch.setattr(f"lorenzlab.cli.{computation}", fail)
+    monkeypatch.setattr(f"lorenzlab.{computation}", fail)
     command = subject.split()[0]
     code, out, err = run_cli(capsys, [command, *argv, "--format", "csv"])
     assert code == 2
@@ -351,3 +355,33 @@ def test_params_json_roundtrip_in_full_precision(a, b, c):
     text = json.dumps(to_jsonable(p))
     back = SystemParams(**json.loads(text))
     assert back == p
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_non_finite_floats_are_strict_json(capsys):
+    # E+- overflows to x = y = +-inf, and the origin's spectrum has +-inf
+    code, out, _ = run_cli(capsys, ["equilibria", "--a", "1", "--b", "1e200", "--c", "1e200"])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_refuse)
+    assert doc["origin"]["eigenvalues"] == [["inf", 0.0], ["inf", 0.0], ["-inf", 0.0]]
+    assert doc["pair"][0]["location"] == {"x": "inf", "y": "inf", "z": 1e200}
+    assert doc["pair"][1]["location"] == {"x": "-inf", "y": "-inf", "z": 1e200}
+    assert all(math.isnan(float(v)) for v in doc["pair"][0]["eigenvalues"][0])
+
+
+def test_non_finite_floats_render_as_their_repr():
+    values = [math.inf, -math.inf, math.nan]
+    assert to_jsonable(values) == ["inf", "-inf", "nan"]
+    assert to_jsonable(complex(math.inf, 0.0)) == ["inf", 0.0]
+    assert to_jsonable(State(math.nan, 1.0, -math.inf)) == {"x": "nan", "y": 1.0, "z": "-inf"}
+    assert [repr(float(v)) for v in to_jsonable(values)] == ["inf", "-inf", "nan"]
+
+
+def test_sweep_tasks_help_lists_the_sweep_tasks():
+    sweep_parser = build_parser()._subparsers._group_actions[0].choices["sweep"]
+    (action,) = [a for a in sweep_parser._actions if a.dest == "tasks"]
+    assert action.help == f"comma list from {sweep.TASKS}"
+    assert tuple(sweep._TASK_COLUMNS) == sweep.TASKS

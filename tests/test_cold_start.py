@@ -1,15 +1,25 @@
-"""The default paths load neither numpy nor the process pool.
+"""A cold start loads only what the caller touches.
 
 numpy is imported only by ``model.jacobian``, and the process pool by
 ``run_sweep`` with more than one worker, which by default only a sweep
 with the "lle" task gets.  Everything else, the CLI's import, the
 equilibria of any cell and a closed-form CLI sweep included, must run
 without them, since they are about half of every cold start.
+
+The package's own modules load the same way: ``import lorenzlab`` loads
+none of them, each CLI command imports the computations it runs, and
+every module imports alone, with no cycle that an eager package import
+used to mask.
 """
 
 import json
+import pkgutil
 import subprocess
 import sys
+
+import pytest
+
+import lorenzlab
 
 HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
 
@@ -92,3 +102,51 @@ def test_the_script_sees_the_heavy_modules_when_they_load():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr(list(HEAVY))
+
+
+def _fresh(script: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'lorenzlab')))\n"
+)
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(lorenzlab.__path__))
+
+
+def test_package_import_loads_no_submodule():
+    assert json.loads(_fresh("import lorenzlab\n" + LOADED)) == ["lorenzlab"]
+
+
+def test_every_submodule_resolves_from_the_package():
+    assert SUBMODULES == sorted(lorenzlab._EXPORTS)
+
+
+@pytest.mark.parametrize("module", ["lorenzlab", *(f"lorenzlab.{m}" for m in SUBMODULES)])
+def test_each_module_imports_alone(module):
+    _fresh(f"import {module}\n")
+
+
+@pytest.mark.parametrize(
+    "command, computation",
+    [("certificate", "lyapunov"), ("classify", "equilibria"), ("equilibria", "equilibria")],
+)
+def test_closed_form_commands_load_only_their_modules(command, computation):
+    script = (
+        "import contextlib, io\n"
+        "from lorenzlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main([{command!r}, '--a', '1', '--b', '3', '--c', '2']) == 0\n"
+    )
+    loaded = json.loads(_fresh(script + LOADED))
+    # never chaos, integrator, orbits or sweep
+    assert loaded == sorted(
+        ["lorenzlab"]
+        + [f"lorenzlab.{m}" for m in ("cli", "errors", "model", "serialize", computation)]
+    )
