@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .equilibria import (
     EquilibriumKind,
@@ -30,9 +30,11 @@ from .equilibria import (
     find_equilibria,
 )
 from .errors import DegenerateBError, DivergedTrajectoryError, NotStableRegimeError
-from .integrator import IntegratorSettings, TrajectoryStatus, _drive
 from .lyapunov import CertificateReport, certificate
 from .model import _FIELD_SOURCE, State, SystemParams
+
+if TYPE_CHECKING:
+    from .integrator import IntegratorSettings
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,9 @@ def largest_lyapunov_exponent(
     base orbit blows up, stops making progress or spends more than
     ``settings.max_steps`` trial steps over the whole run.
     """
+    # imported here, so regime_classify and suggest_anticontrol load no integrator
+    from .integrator import IntegratorSettings, TrajectoryStatus, _drive
+
     if settings is None:
         settings = IntegratorSettings()
     n_total, n_trans = _lle_windows(renorm_interval, horizon, transient)

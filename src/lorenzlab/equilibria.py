@@ -11,7 +11,9 @@ d = 0 the whole curve (x, x, x^2 / b) consists of equilibria.
 
 The origin's linearization block-diagonalizes: one eigenvalue is -b and the
 other two solve lambda^2 + (a + 1 - N) lambda - a d = 0, so its type is
-decided by the signs of q = a d and r = N - a - 1.
+decided by the signs of q = a d and r = N - a - 1.  This factored form,
+origin_eigenvalues, is the one computation of the origin's spectrum, and
+-b is exact in it; E+- solve their characteristic cubic.
 
 E- = S(E+) carries E+'s spectrum: the mirror leaves the characteristic
 cubic's bits unchanged unless a coefficient is zero or NaN, and then E-
@@ -82,10 +84,16 @@ def origin_eigenvalues(p: SystemParams) -> tuple[complex, complex, complex]:
 
     Returns the two roots of lambda^2 + (a + 1 - N) lambda - a d ordered by
     descending real part (ties by ascending imaginary part), followed by -b.
+    Raises ValueError when the quadratic's discriminant is not finite.
     """
     bb = p.a + 1.0 - p.N  # quadratic is lambda^2 + bb*lambda + cc
     cc = -p.a * _drift(p)
     disc = bb * bb - 4.0 * cc
+    if not math.isfinite(disc):
+        raise ValueError(
+            f"the origin's characteristic quadratic's coefficients ({bb!r}, {cc!r}) "
+            "are beyond the float range"
+        )
     if disc >= 0.0:
         sq = math.sqrt(disc)
         # avoid cancellation: compute the larger-magnitude root first
@@ -282,12 +290,11 @@ def eigenvalues_at(
     return _spectrum(_characteristic_cubic(p, s))
 
 
-def _record(loc: State, cubic: tuple[float, float, float]) -> Equilibrium:
-    """loc with the spectrum of its characteristic cubic and dimension
-    counts; an eigenvalue is a center direction when
+def _record(loc: State, eigs: tuple[complex, complex, complex]) -> Equilibrium:
+    """loc with its spectrum, in the order of _spectral_order, and its
+    dimension counts; an eigenvalue is a center direction when
     |Re lambda| <= CENTER_BAND * (1 + |lambda|), and when Re lambda is NaN,
     which decides nothing and so never counts as stable."""
-    eigs = _spectrum(cubic)
     stable = unstable = center = 0
     for lam in eigs:
         re = lam.real
@@ -314,9 +321,11 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     parameters wherever d does not cancel, with the same bits on every
     platform.  Its float residual may still be far from 0 at large d: that
     is rounding noise, not distance from the equilibrium.
-    Raises DegenerateBError when b = 0 (the z-equation loses its linear
-    term and the closed forms above do not apply), and ValueError when a
-    characteristic cubic is beyond the float range (see _cubic_roots).
+    The origin's spectrum is origin_eigenvalues, sorted; E+- solve their
+    characteristic cubic.  Raises DegenerateBError when b = 0 (the z-equation loses its linear
+    term and the closed forms above do not apply), and ValueError when the
+    origin's quadratic or a characteristic cubic of E+- is beyond the
+    float range (see origin_eigenvalues and _cubic_roots).
     The symmetric pair is constructed as (E+, S(E+)) so the two locations
     mirror each other exactly in floating point.  E- carries E+'s eigenvalues and dimension
     counts when its characteristic cubic compares equal to E+'s with no
@@ -327,7 +336,8 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     """
     if p.b == 0.0:
         raise DegenerateBError("b = 0: equilibrium formulas are undefined")
-    origin = _record(_ORIGIN, _characteristic_cubic(p, _ORIGIN))
+    origin_eigs = tuple(sorted(origin_eigenvalues(p), key=_spectral_order))
+    origin = _record(_ORIGIN, origin_eigs)
     d = _drift(p)
     one_minus_p = 1.0 - p.P
     if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(p.P)):
@@ -342,7 +352,7 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
         minus_loc = apply_symmetry(plus_loc)
         cp = _characteristic_cubic(p, plus_loc)
         cm = _characteristic_cubic(p, minus_loc)
-        plus = _record(plus_loc, cp)
+        plus = _record(plus_loc, _spectrum(cp))
         if cm == cp and 0.0 not in cp:
             minus = Equilibrium(
                 minus_loc,
@@ -352,7 +362,7 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
                 plus.center_dim,
             )
         else:
-            minus = _record(minus_loc, cm)
+            minus = _record(minus_loc, _spectrum(cm))
         return EquilibriumSet(EquilibriumKind.TRIPLE, origin, (plus, minus))
     return EquilibriumSet(EquilibriumKind.ORIGIN_ONLY, origin, None)
 

@@ -47,11 +47,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .equilibria import Equilibrium, EquilibriumSet
-from .errors import LorenzLabError
 from .model import _FIELD_SOURCE, State, SystemParams
+
+if TYPE_CHECKING:
+    from .equilibria import Equilibrium, EquilibriumSet
 
 # Dormand-Prince 5(4) tableau: the rows of A for stages 2-6, the 5th-order
 # weights B and the error weights E (5th minus embedded 4th order).  Zero

@@ -22,6 +22,7 @@ from .equilibria import (
     OriginClass,
     classify_origin,
     find_equilibria,
+    origin_eigenvalues,
 )
 from .errors import (
     EigenvalueCollisionError,
@@ -70,7 +71,8 @@ def unstable_direction_at_origin(p: SystemParams) -> tuple[float, float, float]:
 
     Requires the saddle type with a one-dimensional unstable manifold.
     The returned vector has positive x component and zero z component:
-    the unstable eigenvalue comes from the (x, y) block, so the
+    the unstable eigenvalue lambda_u is the leading root of the (x, y)
+    block's quadratic, as origin_eigenvalues computes it, so the
     eigenvector is (1, (a + lambda_u)/a, 0) up to normalization.  A rate
     within SIGN_BAND * (1 + |b|) of -b raises EigenvalueCollisionError.
     """
@@ -78,9 +80,7 @@ def unstable_direction_at_origin(p: SystemParams) -> tuple[float, float, float]:
         raise NotASaddleError(
             "origin is not a saddle with a one-dimensional unstable manifold"
         )
-    r = p.N - p.a - 1.0
-    q = p.a * (p.M + p.N + p.c - 1.0)
-    lam_u = (r + math.sqrt(r * r + 4.0 * q)) / 2.0
+    lam_u = origin_eigenvalues(p)[0].real
     if abs(lam_u + p.b) <= SIGN_BAND * (1.0 + abs(p.b)):
         raise EigenvalueCollisionError(
             "unstable eigenvalue coincides with -b; eigendirection is degenerate"

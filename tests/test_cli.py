@@ -52,6 +52,30 @@ def test_equilibria_json_regular(capsys):
     assert doc["origin"]["location"] == {"x": 0.0, "y": 0.0, "z": 0.0}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        REGULAR,
+        CLASSIC,
+        ["--a", "10", "--b", "2.6666666666666665", "--c", "0.5"],
+        ["--preset", "chen", "--a", "35", "--b", "3", "--c", "28"],
+        ["--a", "1", "--b", "3", "--c", "-10"],  # a complex pair
+        ["--a", "10", "--b", "2.6666666666666665", "--c", "1"],  # d = 0
+    ],
+    ids=["regular", "classic", "plant", "chen", "complex-pair", "pitchfork"],
+)
+def test_classify_and_equilibria_report_one_origin_spectrum(capsys, argv):
+    # the same multiset, bit for bit, whatever order each command prints
+    spectra = []
+    for command in ("classify", "equilibria"):
+        code, out, _ = run_cli(capsys, [command, *argv])
+        assert code == 0
+        doc = json.loads(out)
+        eigs = doc["eigenvalues"] if command == "classify" else doc["origin"]["eigenvalues"]
+        spectra.append(sorted((repr(re), repr(im)) for re, im in eigs))
+    assert spectra[0] == spectra[1]
+
+
 def test_preset_flag_with_override(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -362,11 +386,12 @@ def _refuse(token):
 
 
 def test_non_finite_floats_are_strict_json(capsys):
-    # E+- overflows to x = y = +-inf, and the origin's spectrum has +-inf
+    # E+- overflows to x = y = +-inf and NaN eigenvalues; the origin's
+    # factored spectrum stays finite
     code, out, _ = run_cli(capsys, ["equilibria", "--a", "1", "--b", "1e200", "--c", "1e200"])
     assert code == 0
     doc = json.loads(out, parse_constant=_refuse)
-    assert doc["origin"]["eigenvalues"] == [["inf", 0.0], ["inf", 0.0], ["-inf", 0.0]]
+    assert doc["origin"]["eigenvalues"] == [[1e100, 0.0], [-1e100, 0.0], [-1e200, 0.0]]
     assert doc["pair"][0]["location"] == {"x": "inf", "y": "inf", "z": 1e200}
     assert doc["pair"][1]["location"] == {"x": "-inf", "y": "-inf", "z": 1e200}
     assert all(math.isnan(float(v)) for v in doc["pair"][0]["eigenvalues"][0])

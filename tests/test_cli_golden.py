@@ -30,21 +30,23 @@ def case(name, argv, code, digest, err=""):
 
 CASES = [
     case("equilibria-regular", ["equilibria", *REGULAR], 0,
-         "db2302af7d1ed98eb3abb9420abe7ddd76a18d80e5992d7d0a818b3fcf4db781"),
+         "d3463e028483745467f0a7e3e50615626d42a98f7026eabf30e0ba899e4cdf07"),
     case("equilibria-classic", ["equilibria", *CLASSIC], 0,
-         "96d418c6135aa00ff7a7cddb064b2f1a69b7447df389c3864f2d6c842e1e5d7d"),
+         "812bf106efc94b4540c67ec745acb966bd6730631925f278b6036f65d1586a3b"),
     case("equilibria-origin-only", ["equilibria", *PLANT], 0,
-         "a09fab5d55f519fcbb0cd74dc5412c9156934c09a21782cda72f23de3710fa9d"),
-    # the origin's cubic has coefficients so small that the closed form's
-    # p * m underflows; it is solved rescaled
+         "913222f87cc833579d264a921c615e49d20118159322711cb4c05ac053343eb4"),
+    # a = 0 and N = 1: the origin's quadratic is lambda^2, so its spectrum
+    # is exactly (0, 0, -b); its cubic, which eigenvalues_at still solves
+    # rescaled, has coefficients so small that the closed form's p * m
+    # underflows
     case("equilibria-tiny-b",
          ["equilibria", "--a", "0", "--b", "4.296093079516111e-151", "--c", "0",
           "--N", "1"], 0,
-         "97c52720ae8194da3504211bcfeac58b9d0038456065a0d65d6105e73af16d88"),
+         "f966f207357792dcad51aa3cc5c7548654163406e70e5e03792e37b417f7fe15"),
     # suggest-anticontrol's gain for margin 1e6: d = 1e6 exactly, so E+ has
     # z = 1000000.0, the exact equilibrium
     case("equilibria-anticontrol-1e6", ["equilibria", *PLANT, "--M", "1000000.5"], 0,
-         "6163648b3f6928ce3ed39a1b980e49b3c06ff86f5a5fbc0816fb543480fa79c5"),
+         "0f8bf2adbaad1c431351c80b929cbdaad9e67cd8f71d52cd557ecdf37be22438"),
     case("classify-classic", ["classify", *CLASSIC], 0,
          "0c025961d939d4658ee1fb4052ff59fc18938022b1f9b88df59816bfc1857e1d"),
     case("classify-chen-override", ["classify", *CHEN, "--M", "0"], 0,
@@ -173,12 +175,22 @@ CASES = [
          ["sweep", *PLANT, "--axis", "M:0:1:2", "--tasks", "lle",
           "--renorm-interval", "nan"],
          2, EMPTY, "error: renorm_interval must be finite, got nan\n"),
-    # the characteristic cubic's closed form overflows at c = 1e300
+    # E+'s characteristic cubic overflows the closed form at c = 1e300; the
+    # origin's quadratic does not
     case("equilibria-overflowing-cubic",
          ["equilibria", "--a", "10", "--b", "2.6666666666666665", "--c", "1e300"],
          2, EMPTY, "error: the characteristic cubic's coefficients "
-         "(13.666666666666666, -1e+301, -2.666666666666667e+301) are beyond "
-         "the float range\n"),
+         "(13.666666666666666, 2.6666666666666665e+300, 5.333333333333333e+301) "
+         "are beyond the float range\n"),
+    # the origin's discriminant (a + 1 - N)^2 + 4 a d overflows at a = 1e200
+    case("classify-overflowing-quadratic",
+         ["classify", "--a", "1e200", "--b", "1", "--c", "1"],
+         2, EMPTY, "error: the origin's characteristic quadratic's coefficients "
+         "(1e+200, -0.0) are beyond the float range\n"),
+    case("equilibria-overflowing-quadratic",
+         ["equilibria", "--a", "1e200", "--b", "1", "--c", "1"],
+         2, EMPTY, "error: the origin's characteristic quadratic's coefficients "
+         "(1e+200, -0.0) are beyond the float range\n"),
     case("heteroclinic-negative-epsilon",
          ["heteroclinic", *REGULAR, "--branch", "plus", "--epsilon=-1e-6"],
          2, EMPTY, "error: epsilon must be positive and finite, got -1e-06\n"),

@@ -135,18 +135,33 @@ def test_each_module_imports_alone(module):
 
 @pytest.mark.parametrize(
     "command, computation",
-    [("certificate", "lyapunov"), ("classify", "equilibria"), ("equilibria", "equilibria")],
+    [
+        ("certificate", "lyapunov"),
+        ("classify", "equilibria"),
+        ("equilibria", "equilibria"),
+        ("regime", "chaos"),
+        ("suggest-anticontrol", "chaos"),
+    ],
 )
 def test_closed_form_commands_load_only_their_modules(command, computation):
+    # chaos's labels read the certificate and the equilibria; without
+    # --verify-lle no exponent runs
+    modules = {"chaos": ("chaos", "equilibria", "lyapunov")}.get(
+        computation, (computation,)
+    )
+    if command == "suggest-anticontrol":
+        args = ["--a", "10", "--b", "3", "--c", "0.5", "--margin", "1"]
+    else:
+        args = ["--a", "1", "--b", "3", "--c", "2"]
     script = (
         "import contextlib, io\n"
         "from lorenzlab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main([{command!r}, '--a', '1', '--b', '3', '--c', '2']) == 0\n"
+        f"    assert main({[command, *args]!r}) == 0\n"
     )
     loaded = json.loads(_fresh(script + LOADED))
-    # never chaos, integrator, orbits or sweep
+    # never integrator, orbits or sweep
     assert loaded == sorted(
         ["lorenzlab"]
-        + [f"lorenzlab.{m}" for m in ("cli", "errors", "model", "serialize", computation)]
+        + [f"lorenzlab.{m}" for m in ("cli", "errors", "model", "serialize", *modules)]
     )

@@ -30,7 +30,13 @@ from lorenzlab import (
     vector_field,
 )
 from lorenzlab import equilibria
-from lorenzlab.equilibria import _characteristic_cubic, _cubic_roots, _record
+from lorenzlab.equilibria import (
+    _characteristic_cubic,
+    _cubic_roots,
+    _record,
+    _spectral_order,
+    _spectrum,
+)
 
 import sampling
 
@@ -477,27 +483,47 @@ def test_an_overflowing_cubic_raises_a_value_error(cubic):
 @example(p=SystemParams(1.0, 1e200, 1e200))  # E+ overflows: NaN coefficients
 @example(p=SystemParams(1.0, 1e300, 28.0))  # an infinite spectrum
 def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
-    # the origin and E+- of random cells, as find_equilibria records them;
-    # each point _record solves is logged, so an overflow can be traced to
-    # the point whose cubic raised
-    solved = []
+    # the origin and E+- of random cells, as find_equilibria records them:
+    # the origin is its factored spectrum, held to the exact one, and E+-
+    # are held to the cubic oracle.  Each cubic solved is logged with its
+    # point, so an overflow can be traced to the point whose cubic raised
+    located, solved = [], []
 
-    def logged(loc, cubic):
-        solved.append(loc)
-        return _record(loc, cubic)
+    def logged_cubic(p, s):
+        cubic = _characteristic_cubic(p, s)
+        located.append((s, cubic))
+        return cubic
 
-    with mock.patch.object(equilibria, "_record", logged):
+    def logged_spectrum(cubic):
+        solved.append(next(s for s, c in located if c is cubic))
+        return _spectrum(cubic)
+
+    with mock.patch.object(equilibria, "_characteristic_cubic", logged_cubic), \
+            mock.patch.object(equilibria, "_spectrum", logged_spectrum):
         try:
             eqs = find_equilibria(p)
         except DegenerateBError:
             return
         except ValueError as exc:
+            if not solved:
+                # the origin's discriminant left the float range
+                bb, cc = _origin_coefficients(p)
+                assert not math.isfinite(bb * bb - 4.0 * cc)
+                with pytest.raises(ValueError) as raised:
+                    origin_eigenvalues(p)
+                assert str(raised.value) == str(exc)
+                return
             # the last cubic solved overflowed; so does the oracle's
             oracle = _eig_outcome(_eigenvalues_at_oracle, p, solved[-1])
             assert oracle == f"ValueError: {exc}"
             return
-    points = [eqs.origin, *(eqs.pair or ())]
-    for eq in points:
+    origin = eqs.origin
+    want = tuple(sorted(origin_eigenvalues(p), key=_spectral_order))
+    assert repr(origin.eigenvalues) == repr(want)
+    dims = (origin.stable_dim, origin.unstable_dim, origin.center_dim)
+    assert dims == _dims_oracle(want)
+    _check_origin_exactness(p)
+    for eq in eqs.pair or ():
         try:
             oracle = _eigenvalues_at_oracle(p, eq.location)
         except _Underflow:
@@ -514,13 +540,14 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
         # E- carries E+'s spectrum only where that is what solving its own
         # cubic gives, dimension counts included
         em = eqs.pair[1]
-        own = _record(em.location, _characteristic_cubic(p, em.location))
+        own = _record(em.location, _spectrum(_characteristic_cubic(p, em.location)))
         assert repr(em) == repr(own)
 
 
 @pytest.mark.parametrize(
-    "p,solves",
+    "p,spectra",
     [
+        # the origin's quadratic and E+'s cubic; E- reuses E+'s spectrum
         (SystemParams(10.0, 8.0 / 3.0, 28.0), 2),
         (SystemParams(1.0, 3.0, 2.0), 2),
         (SystemParams(10.0, 8.0 / 3.0, 0.5, P=2.0), 2),
@@ -531,17 +558,22 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
         (SystemParams(1.0, 1e200, 1e200), 3),
     ],
 )
-def test_mirrored_equilibrium_reuses_the_spectrum_of_its_twin(p, solves):
-    cubics = []
+def test_mirrored_equilibrium_reuses_the_spectrum_of_its_twin(p, spectra):
+    solved = []
 
-    def counted(c2, c1, c0):
-        cubics.append((c2, c1, c0))
+    def quadratic(p):
+        solved.append("quadratic")
+        return origin_eigenvalues(p)
+
+    def cubic(c2, c1, c0):
+        solved.append("cubic")
         return _cubic_roots(c2, c1, c0)
 
-    with mock.patch.object(equilibria, "_cubic_roots", counted):
+    with mock.patch.object(equilibria, "origin_eigenvalues", quadratic), \
+            mock.patch.object(equilibria, "_cubic_roots", cubic):
         eqs = find_equilibria(p)
     assert eqs.kind is EquilibriumKind.TRIPLE
-    assert len(cubics) == solves
+    assert solved == ["quadratic"] + ["cubic"] * (spectra - 1)
     ep, em = eqs.pair
     assert repr(em.eigenvalues) == repr(ep.eigenvalues)
 
@@ -706,6 +738,159 @@ def test_suggested_anticontrol_pair_is_exact():
     assert ep.location.z == 1000000.0 and em.location.z == 1000000.0
     assert ep.location.x == math.sqrt(8.0 / 3.0 * 1e6)
     _check_pair_exactness(p)
+
+
+# ---------------------------------------- exactness of the origin's spectrum
+
+_TINY = Fraction(1, 2**1074)  # the smallest subnormal double
+
+
+def _origin_coefficients(p):
+    """(bb, cc) of the quadratic factor lambda^2 + bb lambda + cc, rounded
+    as origin_eigenvalues rounds them."""
+    return p.a + 1.0 - p.N, -p.a * (p.M + p.N + p.c - 1.0)
+
+
+def _origin_bounds(p, mu):
+    """(B, C, beta_B, beta_C): the exact quadratic factor lambda^2 + B lambda
+    + C of the origin's characteristic polynomial at the float parameters p,
+    and how far from B and C the coefficients of the quadratic whose exact
+    roots are mu, the quadratic's roots by origin_eigenvalues, may lie; None
+    outside the normal range, where underflow voids the bounds.
+
+    The data: bb = (a + 1) - N is a recursive sum, so |bb - B| <= gamma_2
+    (|a| + 1 + |N|); cc = -a fl(d) errs by |a| |fl(d) - d| with |fl(d) - d|
+    <= gamma_3 (|M| + |N| + |c| + 1), as in _pair_oracle, plus one rounding
+    of the product, or its underflow to 0.
+
+    The formula, with m = bb^2 + 4 |cc|: the discriminant's two roundings
+    and the square root's leave |sq^2 - (bb^2 - 4 cc)| <= 4.001 u m.  Real
+    roots t and fl(cc / t) have the product cc within one rounding, and a
+    sum that misses -bb by at most (|q(t)| + u |cc|) / |t| for q(t) = t^2
+    + bb t + cc; |q(t)| <= 1.0003 u m + 2.0001 u t^2, since t adds one
+    rounding to (-bb -+ sq) / 2, and sqrt|cc| <= |t| <= |bb| + sqrt|cc|, so
+    the sum is off by less than 8 u (|bb| + sqrt|cc|).  A complex pair has
+    the sum -bb exactly, and the product misses cc by (sq^2 + bb^2 - 4 cc)
+    / 4, at most 1.0003 u m < 9 u |cc| because bb^2 < 4 cc (1 + u).
+    """
+    bb, cc = _origin_coefficients(p)
+    parts = [abs(v) for z in mu for v in (z.real, z.imag)]
+    if (
+        0.0 < abs(bb) < 2.0**-511
+        or 0.0 < abs(cc) < 2.0**-1020
+        or any(0.0 < v < 2.0**-1022 for v in parts)
+    ):
+        return None
+    a, n = Fraction(p.a), Fraction(p.N)
+    d = Fraction(p.M) + n + Fraction(p.c) - 1
+    scale = abs(Fraction(p.M)) + abs(n) + abs(Fraction(p.c)) + 1
+    gamma2 = 2 * _U / (1 - 2 * _U)
+    gamma3 = 3 * _U / (1 - 3 * _U)
+    e_d = gamma3 * scale
+    data_b = gamma2 * (abs(a) + 1 + abs(n))
+    data_c = abs(a) * e_d + _U * abs(a) * (abs(d) + e_d) + _TINY
+    # sqrt|cc| rounded up by far more than its rounding error
+    root_cc = Fraction(math.sqrt(abs(cc))) * (1 + 4 * _U)
+    form_b = 8 * _U * (abs(Fraction(bb)) + root_cc)
+    form_c = 9 * _U * abs(Fraction(cc))
+    return a + 1 - n, -a * d, data_b + form_b, data_c + form_c
+
+
+def _check_origin_exactness(p):
+    """origin_eigenvalues(p) against the exact spectrum of the float
+    parameters: -b exactly; the quadratic with the two computed roots
+    within (beta_B, beta_C) of the exact factor, in Fraction; and, where
+    the exact roots lie apart, each computed root within 2 eta / s of the
+    exact root in its place, in 80-digit Decimal.  Here s is the exact
+    roots' distance and eta = beta_B (|lambda| + s / 4) + beta_C: on the
+    circle of radius 2 eta / s <= s / 4 about an exact root lambda the
+    exact quadratic exceeds eta > |(B' - B) mu + (C' - C)|, so by Rouche
+    the computed quadratic keeps one root in each disc."""
+    mu1, mu2, minus_b = origin_eigenvalues(p)
+    assert minus_b == complex(-p.b, 0.0)
+    bounds = _origin_bounds(p, (mu1, mu2))
+    if bounds is None:
+        return
+    big_b, big_c, beta_b, beta_c = bounds
+    re1, im1, re2, im2 = (Fraction(v) for v in (mu1.real, mu1.imag, mu2.real, mu2.imag))
+    # the computed pair is real, or exact conjugates
+    assert im1 == im2 == 0 or (re1 == re2 and im1 == -im2 < 0), (p, mu1, mu2)
+    sum_b = -(re1 + re2)
+    prod_c = re1 * re2 - im1 * im2
+    assert abs(sum_b - big_b) <= beta_b, (p, mu1, mu2, float(abs(sum_b - big_b) / beta_b))
+    assert abs(prod_c - big_c) <= beta_c, (p, mu1, mu2, float(abs(prod_c - big_c) / beta_c))
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        disc = big_b * big_b - 4 * big_c
+        half_s = _decimal(abs(disc)).sqrt() / 2
+        re = _decimal(-big_b / 2)
+        if disc >= 0:
+            exact = ((re + half_s, Decimal(0)), (re - half_s, Decimal(0)))
+        else:
+            exact = ((re, -half_s), (re, half_s))
+        s = 2 * half_s
+        for (lre, lim), z in zip(exact, (mu1, mu2)):
+            eta = _decimal(beta_b) * ((lre * lre + lim * lim).sqrt() + s / 4)
+            eta += _decimal(beta_c)
+            if 8 * eta > s * s:
+                continue  # the exact roots are too close to tell apart
+            err = ((Decimal(z.real) - lre) ** 2 + (Decimal(z.imag) - lim) ** 2).sqrt()
+            assert err <= 2 * eta / s, (p, z, lre, lim)
+
+
+def test_origin_spectrum_is_within_its_rounding_bound_on_seeded_cells():
+    # a wide box, the anticontrol regime (N = P = 0, a stable plant 0 < c <
+    # 1 and a gain M = 10^U(0, 7)) and the pitchfork_map benchmark's box
+    rng = np.random.default_rng(67)
+    cells = []
+    for _ in range(8_000):
+        cells.append(SystemParams(*(float(v) for v in rng.uniform(-50.0, 50.0, 6))))
+    for _ in range(6_000):
+        a, b = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+        c = float(rng.uniform(0.0, 1.0))
+        cells.append(SystemParams(a, b, c, M=10.0 ** rng.uniform(0.0, 7.0)))
+    for _ in range(6_000):
+        a, b = float(rng.uniform(9.5, 10.5)), float(rng.uniform(2.5, 2.9))
+        c, M = float(rng.uniform(0.1, 0.9)), float(rng.uniform(-1.0, 40.0))
+        cells.append(SystemParams(a, b, c, M=M))
+    for p in cells:
+        _check_origin_exactness(p)
+
+
+_wide_or_special = st.one_of(_wide, st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]))
+
+
+@hsettings(max_examples=1000, deadline=None)
+@given(p=st.builds(SystemParams, *[_wide_or_special] * 6))
+@example(p=SystemParams(10.0, 8.0 / 3.0, 28.0))
+@example(p=SystemParams(10.0, 8.0 / 3.0, 1.0))  # d = 0
+@example(p=SystemParams(2.0, 1.0, 1.0, N=3.0))  # bb = 0, d = 2
+@example(p=SystemParams(0.0, 4.296093079516111e-151, 0.0, N=1.0))  # lambda^2
+@example(p=SystemParams(1.0, 3.0, -10.0))  # a complex pair
+@example(p=SystemParams(1.0, 3.0, 0.0))  # a double root, -1
+def test_origin_spectrum_is_within_its_rounding_bound_on_wide_cells(p):
+    _check_origin_exactness(p)
+
+
+def test_minus_b_is_exact_in_every_origin_spectrum():
+    for b in (8.0 / 3.0, 0.1, 1e-300, 3e200, 5e-324):
+        p = SystemParams(10.0, b, 28.0)
+        assert origin_eigenvalues(p)[2] == -b
+        assert complex(-b, 0.0) in find_equilibria(p).origin.eigenvalues
+
+
+def test_an_overflowing_origin_discriminant_raises_a_value_error():
+    # (a + 1 - N)^2 overflows; the roots would be -inf and garbage
+    p = SystemParams(1e200, 1.0, 1.0)
+    message = (
+        r"the origin's characteristic quadratic's coefficients \(1e\+200, -0\.0\) "
+        "are beyond the float range"
+    )
+    with pytest.raises(ValueError, match=message):
+        origin_eigenvalues(p)
+    with pytest.raises(ValueError, match=message):
+        find_equilibria(p)
+
 
 def test_find_equilibria_dims_regular_case():
     eqs = find_equilibria(SystemParams(1.0, 3.0, 2.0))

@@ -1,5 +1,6 @@
 """Checks on the repository itself rather than on the library."""
 
+import ast
 import re
 import shutil
 import subprocess
@@ -29,3 +30,44 @@ def test_no_ignored_file_is_tracked():
         timeout=60,
     ).stdout
     assert tracked_but_ignored == ""
+
+
+def _module_imports(tree: ast.Module):
+    """(name, line) bound by each import at top level or directly under
+    ``if TYPE_CHECKING:``; ``from __future__`` binds nothing."""
+    nodes = list(tree.body)
+    for node in tree.body:
+        if (
+            isinstance(node, ast.If)
+            and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING"
+        ):
+            nodes.extend(node.body)
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "lorenzlab").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    # annotations are expressions in the tree, so their names count
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    unused = [
+        f"{path.name}:{line} {name}"
+        for name, line in _module_imports(tree)
+        if name not in used
+    ]
+    assert unused == []

@@ -159,6 +159,22 @@ def test_cell_errors_are_isolated():
     assert kinds[0] is not None and kinds[2] is not None
 
 
+def test_an_overflowing_origin_spectrum_is_an_error_row():
+    # a = 1e200: the origin's discriminant (a + 1 - N)^2 + 4 a d overflows
+    spec = SweepSpec(
+        base=SystemParams(1e200, 1.0, 1.0),
+        axes=(SweepAxis("M", 0.0, 0.0, 2),),
+        tasks=("equilibria", "origin_class"),
+    )
+    rows = run_sweep(spec, workers=1).rows
+    message = (
+        "ValueError: the origin's characteristic quadratic's coefficients "
+        "(1e+200, -0.0) are beyond the float range"
+    )
+    assert [row[-1] for row in rows] == [message, message]
+    assert all(v is None for row in rows for v in row[1:-1])
+
+
 def test_origin_class_flip_across_pitchfork():
     spec = _spec(axes=(SweepAxis("c", 0.5, 1.5, 11),), tasks=("origin_class",))
     res = run_sweep(spec, workers=1)
