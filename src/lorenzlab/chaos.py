@@ -24,13 +24,14 @@ from typing import TYPE_CHECKING, Callable
 
 from .equilibria import (
     EquilibriumKind,
-    EquilibriumSet,
     OriginClass,
+    _dims,
+    _equilibrium_parts,
     classify_origin,
     find_equilibria,
 )
 from .errors import DegenerateBError, DivergedTrajectoryError, NotStableRegimeError
-from .lyapunov import CertificateReport, certificate
+from .lyapunov import _certificate_columns
 from .model import _FIELD_SOURCE, State, SystemParams
 
 if TYPE_CHECKING:
@@ -181,33 +182,38 @@ def regime_classify(p: SystemParams) -> RegimeLabel:
     candidate needs the necessary condition b < 2a, the full symmetric
     triple of equilibria, and every one of them linearly unstable.  All
     remaining cases are UNDETERMINED.  The equilibria are only computed
-    when the certificate leaves chaos possible; a sweep cell shares its
-    one certificate and equilibrium set with this label.
+    when the certificate leaves chaos possible.  The label comes from
+    _regime, which a sweep cell calls on the values it already holds.
     """
-    return _regime(certificate(p), lambda: find_equilibria(p))
+    columns = _certificate_columns(p)
+    # converges_to_equilibria and chaos_possible
+    return _regime(columns[5], columns[7], lambda: _equilibrium_parts(p))
 
 
 def _regime(
-    cert: CertificateReport, equilibria: Callable[[], EquilibriumSet]
+    converges: bool, chaos_possible: bool, parts: Callable[[], tuple]
 ) -> RegimeLabel:
-    """The label of ``regime_classify`` from a computed certificate.
+    """The label of ``regime_classify`` from the certificate's
+    converges_to_equilibria and chaos_possible columns.
 
-    ``equilibria()`` returns the equilibrium set; it is called only when
-    the certificate neither proves convergence nor excludes chaos.
+    ``parts()`` returns equilibria._equilibrium_parts of the cell; it is
+    called only when the certificate neither proves convergence nor
+    excludes chaos.
     """
-    if cert.converges_to_equilibria:
+    if converges:
         return RegimeLabel.PROVABLY_REGULAR
-    if cert.chaos_possible:
+    if chaos_possible:
         try:
-            eqs = equilibria()
+            _, origin, pair = parts()
         except DegenerateBError:
             return RegimeLabel.UNDETERMINED
-        if eqs.kind is EquilibriumKind.TRIPLE:
-            e_plus, e_minus = eqs.pair
+        if pair is not None:
+            _, _, plus, minus = pair
+            # E- shares E+'s spectrum tuple where the mirror keeps its bits
             if (
-                eqs.origin.unstable_dim >= 1
-                and e_plus.unstable_dim >= 1
-                and e_minus.unstable_dim >= 1
+                _dims(origin)[1] >= 1
+                and _dims(plus)[1] >= 1
+                and (minus is plus or _dims(minus)[1] >= 1)
             ):
                 return RegimeLabel.CHAOS_CANDIDATE
     return RegimeLabel.UNDETERMINED

@@ -17,7 +17,7 @@ origin_eigenvalues, is the one computation of the origin's spectrum, and
 
 E- = S(E+) carries E+'s spectrum: the mirror leaves the characteristic
 cubic's bits unchanged unless a coefficient is zero or NaN, and then E-
-solves its own (see find_equilibria).
+solves its own (see _equilibrium_parts).
 """
 
 from __future__ import annotations
@@ -84,30 +84,48 @@ def origin_eigenvalues(p: SystemParams) -> tuple[complex, complex, complex]:
 
     Returns the two roots of lambda^2 + (a + 1 - N) lambda - a d ordered by
     descending real part (ties by ascending imaginary part), followed by -b.
-    Raises ValueError when the quadratic's discriminant is not finite.
+    A discriminant beyond the float range is formed for lambda / 2^k
+    instead, an exact rescaling that brings the larger of |a + 1 - N| and
+    |a d|^(1/2) near 1.  Raises ValueError when a coefficient, or a root,
+    is itself beyond the float range.
     """
     bb = p.a + 1.0 - p.N  # quadratic is lambda^2 + bb*lambda + cc
     cc = -p.a * _drift(p)
     disc = bb * bb - 4.0 * cc
+    scale = 0
+    bb_s = bb
     if not math.isfinite(disc):
-        raise ValueError(
-            f"the origin's characteristic quadratic's coefficients ({bb!r}, {cc!r}) "
-            "are beyond the float range"
-        )
+        if not (math.isfinite(bb) and math.isfinite(cc)):
+            raise ValueError(
+                f"the origin's characteristic quadratic's coefficients ({bb!r}, {cc!r}) "
+                "are beyond the float range"
+            )
+        scale = math.frexp(max(abs(bb), math.sqrt(abs(cc))))[1]
+        bb_s = math.ldexp(bb, -scale)
+        disc = bb_s * bb_s - 4.0 * math.ldexp(cc, -2 * scale)
     if disc >= 0.0:
         sq = math.sqrt(disc)
         # avoid cancellation: compute the larger-magnitude root first
         if bb >= 0.0:
-            r_big = (-bb - sq) / 2.0
+            r_big = (-bb_s - sq) / 2.0
         else:
-            r_big = (-bb + sq) / 2.0
+            r_big = (-bb_s + sq) / 2.0
+        if scale:
+            try:
+                r_big = math.ldexp(r_big, scale)
+            except OverflowError:
+                raise ValueError(
+                    f"the origin's characteristic quadratic's coefficients ({bb!r}, {cc!r}) "
+                    "give a root beyond the float range"
+                ) from None
         r_other = cc / r_big if r_big != 0.0 else 0.0
         lo, hi = sorted((r_big, r_other))
         quad = (complex(hi, 0.0), complex(lo, 0.0))
     else:
-        sq = math.sqrt(-disc)
+        # |im| <= |cc|^(1/2) < 2^scale, so the scaled-back part is finite
+        im = math.ldexp(math.sqrt(-disc) / 2.0, scale)
         re = -bb / 2.0
-        quad = (complex(re, -sq / 2.0), complex(re, sq / 2.0))
+        quad = (complex(re, -im), complex(re, im))
     return (quad[0], quad[1], complex(-p.b, 0.0))
 
 
@@ -290,11 +308,11 @@ def eigenvalues_at(
     return _spectrum(_characteristic_cubic(p, s))
 
 
-def _record(loc: State, eigs: tuple[complex, complex, complex]) -> Equilibrium:
-    """loc with its spectrum, in the order of _spectral_order, and its
-    dimension counts; an eigenvalue is a center direction when
-    |Re lambda| <= CENTER_BAND * (1 + |lambda|), and when Re lambda is NaN,
-    which decides nothing and so never counts as stable."""
+def _dims(eigs: tuple[complex, complex, complex]) -> tuple[int, int, int]:
+    """(stable, unstable, center) counts of a spectrum; an eigenvalue is a
+    center direction when |Re lambda| <= CENTER_BAND * (1 + |lambda|), and
+    when Re lambda is NaN, which decides nothing and so never counts as
+    stable."""
     stable = unstable = center = 0
     for lam in eigs:
         re = lam.real
@@ -306,10 +324,68 @@ def _record(loc: State, eigs: tuple[complex, complex, complex]) -> Equilibrium:
             unstable += 1
         else:
             stable += 1
-    return Equilibrium(loc, eigs, stable, unstable, center)
+    return stable, unstable, center
+
+
+def _record(loc: State, eigs: tuple[complex, complex, complex]) -> Equilibrium:
+    """loc with its spectrum, in the order of _spectral_order, and its
+    dimension counts (see _dims)."""
+    return Equilibrium(loc, eigs, *_dims(eigs))
 
 
 _ORIGIN = State(0.0, 0.0, 0.0)
+
+_Spectrum = tuple[complex, complex, complex]
+
+
+def _equilibrium_parts(
+    p: SystemParams,
+) -> tuple[EquilibriumKind, _Spectrum, tuple[float, float, _Spectrum, _Spectrum] | None]:
+    """(kind, origin spectrum, pair) of find_equilibria as plain values.
+
+    ``pair`` is (s, z, E+ spectrum, E- spectrum) for the TRIPLE kind, E+
+    being (s, s, z), and None otherwise; every spectrum is in the order of
+    _spectral_order.  E- carries E+'s spectrum, the same tuple, unless E+'s
+    characteristic cubic has a zero or NaN coefficient: every product that
+    depends on x or y rounds sign-symmetrically, so the mirror can change
+    only the sign of a zero (through the a13 = 0 products), and a NaN never
+    compares equal; only then is E-'s cubic formed and solved.  Raises as
+    find_equilibria does.
+    """
+    if p.b == 0.0:
+        raise DegenerateBError("b = 0: equilibrium formulas are undefined")
+    # -b placed into the quadratic's roots, which come ordered, where a
+    # stable sort by _spectral_order would put it: after its ties, and
+    # before a root of equal real part only if that has a positive
+    # imaginary part, which q0, real or the lower of a pair, never has
+    q0, q1, minus_b = origin_eigenvalues(p)
+    m = minus_b.real
+    if q0.real < m:
+        origin = (minus_b, q0, q1)
+    elif q1.real < m or (q1.real == m and q1.imag > 0.0):
+        origin = (q0, minus_b, q1)
+    else:
+        origin = (q0, q1, minus_b)
+    d = _drift(p)
+    one_minus_p = 1.0 - p.P
+    if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(p.P)):
+        scale = 1.0 + abs(p.M) + abs(p.N) + abs(p.c)
+        if abs(d) <= SIGN_BAND * scale:
+            return EquilibriumKind.CONTINUUM, origin, None
+        return EquilibriumKind.ORIGIN_ONLY, origin, None
+    s_sq = p.b * d / one_minus_p
+    if s_sq > 0.0:
+        s = math.sqrt(s_sq)
+        z = d / one_minus_p
+        cp = _characteristic_cubic(p, (s, s, z))
+        plus = _spectrum(cp)
+        c2, c1, c0 = cp
+        if c2 == 0.0 or c1 == 0.0 or c0 == 0.0 or c2 != c2 or c1 != c1 or c0 != c0:
+            minus = _spectrum(_characteristic_cubic(p, (-s, -s, z)))
+        else:
+            minus = plus
+        return EquilibriumKind.TRIPLE, origin, (s, z, plus, minus)
+    return EquilibriumKind.ORIGIN_ONLY, origin, None
 
 
 def find_equilibria(p: SystemParams) -> EquilibriumSet:
@@ -321,50 +397,30 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     parameters wherever d does not cancel, with the same bits on every
     platform.  Its float residual may still be far from 0 at large d: that
     is rounding noise, not distance from the equilibrium.
-    The origin's spectrum is origin_eigenvalues, sorted; E+- solve their
-    characteristic cubic.  Raises DegenerateBError when b = 0 (the z-equation loses its linear
-    term and the closed forms above do not apply), and ValueError when the
-    origin's quadratic or a characteristic cubic of E+- is beyond the
-    float range (see origin_eigenvalues and _cubic_roots).
+    The origin's spectrum is origin_eigenvalues, in the order of
+    _spectral_order; E+- solve their characteristic cubic.  Raises
+    DegenerateBError when b = 0 (the z-equation loses its linear term and
+    the closed forms above do not apply), and ValueError when the origin's
+    quadratic or a characteristic cubic of E+- is beyond the float range
+    (see origin_eigenvalues and _cubic_roots).
     The symmetric pair is constructed as (E+, S(E+)) so the two locations
-    mirror each other exactly in floating point.  E- carries E+'s eigenvalues and dimension
-    counts when its characteristic cubic compares equal to E+'s with no
-    zero coefficient: every product depending on x or y rounds
-    sign-symmetrically, so the coefficients then have the same bits.  A
-    zero (whose sign the a13 = 0 products can flip) or a NaN coefficient
-    sends E- through its own solve.
+    mirror each other exactly in floating point.  E- carries E+'s
+    eigenvalues unless E+'s characteristic cubic has a zero or NaN
+    coefficient, the only cases in which E-'s own cubic can differ from it
+    (see _equilibrium_parts).  The values come from _equilibrium_parts,
+    which a sweep cell reads without building these objects.
     """
-    if p.b == 0.0:
-        raise DegenerateBError("b = 0: equilibrium formulas are undefined")
-    origin_eigs = tuple(sorted(origin_eigenvalues(p), key=_spectral_order))
+    kind, origin_eigs, pair = _equilibrium_parts(p)
     origin = _record(_ORIGIN, origin_eigs)
-    d = _drift(p)
-    one_minus_p = 1.0 - p.P
-    if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(p.P)):
-        scale = 1.0 + abs(p.M) + abs(p.N) + abs(p.c)
-        if abs(d) <= SIGN_BAND * scale:
-            return EquilibriumSet(EquilibriumKind.CONTINUUM, origin, None)
-        return EquilibriumSet(EquilibriumKind.ORIGIN_ONLY, origin, None)
-    s_sq = p.b * d / one_minus_p
-    if s_sq > 0.0:
-        s = math.sqrt(s_sq)
-        plus_loc = State(s, s, d / one_minus_p)
-        minus_loc = apply_symmetry(plus_loc)
-        cp = _characteristic_cubic(p, plus_loc)
-        cm = _characteristic_cubic(p, minus_loc)
-        plus = _record(plus_loc, _spectrum(cp))
-        if cm == cp and 0.0 not in cp:
-            minus = Equilibrium(
-                minus_loc,
-                plus.eigenvalues,
-                plus.stable_dim,
-                plus.unstable_dim,
-                plus.center_dim,
-            )
-        else:
-            minus = _record(minus_loc, _spectrum(cm))
-        return EquilibriumSet(EquilibriumKind.TRIPLE, origin, (plus, minus))
-    return EquilibriumSet(EquilibriumKind.ORIGIN_ONLY, origin, None)
+    if pair is None:
+        return EquilibriumSet(kind, origin, None)
+    s, z, plus_eigs, minus_eigs = pair
+    plus_loc = State(s, s, z)
+    return EquilibriumSet(
+        kind,
+        origin,
+        (_record(plus_loc, plus_eigs), _record(apply_symmetry(plus_loc), minus_eigs)),
+    )
 
 
 def pitchfork_locus(p: SystemParams, free: str) -> float:

@@ -157,17 +157,13 @@ def _product_nonpos(u: float, v: float) -> bool:
     return u == 0.0 or v == 0.0 or (u < 0.0) != (v < 0.0)
 
 
-def hypotheses_check(p: SystemParams) -> HypothesisFlags:
-    """Evaluate the nested hypothesis levels.
-
-    Strict inequalities must clear SIGN_BAND * (1 + |value|); +inf, from
-    an overflow, passes.  Non-strict ones are decided by exact sign:
-    2a - b is one rounding of the exact difference (2a is exact), its
-    quotient by 1 - P takes its sign from the two factors, and N - 1 - a
-    is summed exactly.  P ~ 1 (where V
-    degenerates) fails lemma_ok outright instead of passing vacuously
-    through the sign of the ratio.
-    """
+def _certificate_columns(
+    p: SystemParams,
+) -> tuple[bool, bool, bool, bool, bool, bool, bool, bool]:
+    """The certificate as its eight sweep columns: lemma_ok, conv_ok,
+    het_ok, no_closed_orbits, no_homoclinic, converges_to_equilibria,
+    heteroclinic_pair, chaos_possible (see hypotheses_check and
+    certificate, which wrap them)."""
     one_minus_p = 1.0 - p.P
     p_ok = abs(one_minus_p) > SIGN_BAND * (1.0 + abs(p.P))
     excess = 2.0 * p.a - p.b
@@ -186,20 +182,34 @@ def hypotheses_check(p: SystemParams) -> HypothesisFlags:
         and _strictly_positive(p.c + p.M)
         and _strictly_positive(_exact_sum(p.M, p.N, p.c, -1.0) / one_minus_p)
     )
+    return (
+        lemma_ok, conv_ok, het_ok, lemma_ok, lemma_ok, conv_ok, het_ok, p.b < 2.0 * p.a
+    )
+
+
+def hypotheses_check(p: SystemParams) -> HypothesisFlags:
+    """Evaluate the nested hypothesis levels.
+
+    Strict inequalities must clear SIGN_BAND * (1 + |value|); +inf, from
+    an overflow, passes.  Non-strict ones are decided by exact sign:
+    2a - b is one rounding of the exact difference (2a is exact), its
+    quotient by 1 - P takes its sign from the two factors, and N - 1 - a
+    is summed exactly.  P ~ 1 (where V
+    degenerates) fails lemma_ok outright instead of passing vacuously
+    through the sign of the ratio.
+    """
+    lemma_ok, conv_ok, het_ok = _certificate_columns(p)[:3]
     return HypothesisFlags(lemma_ok=lemma_ok, conv_ok=conv_ok, het_ok=het_ok)
 
 
 def certificate(p: SystemParams) -> CertificateReport:
-    """Bundle the hypothesis flags into the properties they certify."""
-    flags = hypotheses_check(p)
-    return CertificateReport(
-        flags=flags,
-        no_closed_orbits=flags.lemma_ok,
-        no_homoclinic=flags.lemma_ok,
-        converges_to_equilibria=flags.conv_ok,
-        heteroclinic_pair=flags.het_ok,
-        chaos_possible=p.b < 2.0 * p.a,
-    )
+    """Bundle the hypothesis flags into the properties they certify.
+
+    The values come from _certificate_columns, which a sweep cell reads
+    without building these objects.
+    """
+    lemma_ok, conv_ok, het_ok, *properties = _certificate_columns(p)
+    return CertificateReport(HypothesisFlags(lemma_ok, conv_ok, het_ok), *properties)
 
 
 def corollary_check(preset: Preset, a: float, b: float, c: float) -> bool:

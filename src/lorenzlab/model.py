@@ -77,6 +77,14 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         isfinite = math.isfinite
+        a, b, c, M, N, P = self.a, self.b, self.c, self.M, self.N, self.P
+        # six exact floats with a finite sum are six finite floats, kept as
+        # given; a sum that overflows takes the field-by-field check below
+        if (
+            type(a) is type(b) is type(c) is type(M) is type(N) is type(P) is float
+            and isfinite(a + b + c + M + N + P)
+        ):
+            return
         for name in PARAM_NAMES:
             raw = getattr(self, name)
             value = float(raw)

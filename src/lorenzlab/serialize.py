@@ -78,10 +78,23 @@ def trajectory_csv(trajectory: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+# _csv_cell's text for the three constants of a sweep row
+_CSV_WORDS = {None: "", True: "true", False: "false"}
+
+
 def sweep_csv(result: SweepResult) -> str:
+    # _csv_cell inlined for the types a sweep row holds (an int equal to
+    # True or False is not one of the constants, so those are told by identity)
+    words = _CSV_WORDS
     lines = [",".join(result.columns)]
     for row in result.rows:
-        lines.append(",".join(map(_csv_cell, row)))
+        lines.append(",".join([
+            repr(v) if type(v) is float
+            else words[v] if v is None or v is True or v is False
+            else v.replace(",", ";").replace("\n", " ") if type(v) is str
+            else _csv_cell(v)
+            for v in row
+        ]))
     return "\n".join(lines) + "\n"
 
 

@@ -16,10 +16,10 @@ import os
 from dataclasses import dataclass, field
 
 from .chaos import _lle_windows, _regime, largest_lyapunov_exponent
-from .equilibria import classify_origin, find_equilibria
+from .equilibria import _equilibrium_parts, classify_origin
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
-from .lyapunov import certificate
+from .lyapunov import _certificate_columns
 from .model import PARAM_NAMES, SWEEP_TASKS, SystemParams
 
 # an axis's position here is its parameter's position in SystemParams
@@ -179,43 +179,39 @@ class SweepResult:
 def _run_tasks(spec: SweepSpec, p: SystemParams) -> tuple:
     """The task columns of one cell, in column order.
 
-    A cell computes its certificate at most once and its equilibrium set
-    at most once, the latter only when a task reads it; the equilibria,
-    certificate and regime tasks share both.
+    The columns are written from the plain values that the public
+    functions wrap (_certificate_columns, _equilibrium_parts, _regime), so
+    no result object is built per cell.  A cell computes its certificate
+    at most once and its equilibria at most once, the latter only when a
+    task reads them; the equilibria, certificate and regime tasks share
+    both.  Enum labels are read through ``_value_``, which the ``value``
+    property returns.
     """
-    cert = certificate(p) if spec._needs_certificate else None
-    eqs = None
+    columns = _certificate_columns(p) if spec._needs_certificate else None
+    parts = None
 
     def equilibria():
-        nonlocal eqs
-        if eqs is None:
-            eqs = find_equilibria(p)
-        return eqs
+        nonlocal parts
+        if parts is None:
+            parts = _equilibrium_parts(p)
+        return parts
 
     out: list = []
     for task in spec.tasks:
         if task == "equilibria":
-            found = equilibria()
-            out.append(found.kind.value)
-            if found.pair is not None:
-                out.extend(found.pair[0].location)
+            kind, _, pair = equilibria()
+            if pair is not None:
+                s, z = pair[0], pair[1]
+                out += (kind._value_, s, s, z)
             else:
-                out.extend((None, None, None))
+                out += (kind._value_, None, None, None)
         elif task == "origin_class":
-            out.append(classify_origin(p).value)
+            out.append(classify_origin(p)._value_)
         elif task == "certificate":
-            out += (
-                cert.flags.lemma_ok,
-                cert.flags.conv_ok,
-                cert.flags.het_ok,
-                cert.no_closed_orbits,
-                cert.no_homoclinic,
-                cert.converges_to_equilibria,
-                cert.heteroclinic_pair,
-                cert.chaos_possible,
-            )
+            out += columns
         elif task == "regime":
-            out.append(_regime(cert, equilibria).value)
+            # converges_to_equilibria and chaos_possible
+            out.append(_regime(columns[5], columns[7], equilibria)._value_)
         elif task == "lle":
             est = largest_lyapunov_exponent(
                 p,

@@ -482,6 +482,8 @@ def test_an_overflowing_cubic_raises_a_value_error(cubic):
 @example(p=SystemParams(0.0, 3.0, 2.0))  # a = 0: zero coefficients
 @example(p=SystemParams(1.0, 1e200, 1e200))  # E+ overflows: NaN coefficients
 @example(p=SystemParams(1.0, 1e300, 28.0))  # an infinite spectrum
+@example(p=SystemParams(1e200, 1.0, 1.0))  # the origin's discriminant overflows
+@example(p=SystemParams(1e154, 1.0, 1.0, M=2e154))  # the origin's cc is -inf
 def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
     # the origin and E+- of random cells, as find_equilibria records them:
     # the origin is its factored spectrum, held to the exact one, and E+-
@@ -506,9 +508,10 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
             return
         except ValueError as exc:
             if not solved:
-                # the origin's discriminant left the float range
+                # a coefficient of the origin's quadratic left the float
+                # range; a discriminant that alone overflows is rescaled
                 bb, cc = _origin_coefficients(p)
-                assert not math.isfinite(bb * bb - 4.0 * cc)
+                assert not (math.isfinite(bb) and math.isfinite(cc))
                 with pytest.raises(ValueError) as raised:
                     origin_eigenvalues(p)
                 assert str(raised.value) == str(exc)
@@ -576,6 +579,42 @@ def test_mirrored_equilibrium_reuses_the_spectrum_of_its_twin(p, spectra):
     assert solved == ["quadratic"] + ["cubic"] * (spectra - 1)
     ep, em = eqs.pair
     assert repr(em.eigenvalues) == repr(ep.eigenvalues)
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(p=st.builds(SystemParams, *[_param] * 6))
+@example(p=SystemParams(10.0, 8.0 / 3.0, 28.0))
+@example(p=SystemParams(0.0, 3.0, 2.0))  # a = 0: zero coefficients
+@example(p=SystemParams(1.0, 1e200, 1e200))  # NaN coefficients
+@example(p=SystemParams(1.0, 1e300, 28.0))  # infinite coefficients
+def test_mirrored_cubic_is_formed_only_when_it_can_differ(p):
+    # a TRIPLE cell forms E+'s cubic alone unless it has a zero or NaN
+    # coefficient; the E- cubic it skipped has the same bits
+    formed = []
+
+    def logged_cubic(p, s):
+        cubic = _characteristic_cubic(p, s)
+        formed.append(cubic)
+        return cubic
+
+    with mock.patch.object(equilibria, "_characteristic_cubic", logged_cubic):
+        try:
+            eqs = find_equilibria(p)
+        except (DegenerateBError, ValueError):
+            return
+    if eqs.kind is not EquilibriumKind.TRIPLE:
+        assert formed == []
+        return
+    ep, em = eqs.pair
+    cp = formed[0]
+    assert repr(cp) == repr(_characteristic_cubic(p, ep.location))
+    if any(v == 0.0 or v != v for v in cp):
+        assert len(formed) == 2
+        return
+    assert len(formed) == 1
+    cm = _characteristic_cubic(p, em.location)
+    assert cm == cp
+    assert repr(cm) == repr(cp)
 
 
 def test_a_nan_equilibrium_is_never_counted_as_stable():
@@ -868,6 +907,13 @@ _wide_or_special = st.one_of(_wide, st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])
 @example(p=SystemParams(0.0, 4.296093079516111e-151, 0.0, N=1.0))  # lambda^2
 @example(p=SystemParams(1.0, 3.0, -10.0))  # a complex pair
 @example(p=SystemParams(1.0, 3.0, 0.0))  # a double root, -1
+# the discriminant overflows and is formed rescaled: real roots 0 and -a,
+# real roots of either sign, a + 1 - N < 0, and complex pairs of part 1e154
+@example(p=SystemParams(1e200, 1.0, 1.0))
+@example(p=SystemParams(1e200, 1.0, 1.0, M=1e100))
+@example(p=SystemParams(1e200, 1.0, 1.0, M=-3e200, N=3e200))
+@example(p=SystemParams(1e154, 1.0, 1.0, M=-2e154, N=1e154))
+@example(p=SystemParams(1e154, 1.0, 1.0, M=-2e154, N=1e154 - 3e138))
 def test_origin_spectrum_is_within_its_rounding_bound_on_wide_cells(p):
     _check_origin_exactness(p)
 
@@ -880,16 +926,74 @@ def test_minus_b_is_exact_in_every_origin_spectrum():
 
 
 def test_an_overflowing_origin_discriminant_raises_a_value_error():
-    # (a + 1 - N)^2 overflows; the roots would be -inf and garbage
-    p = SystemParams(1e200, 1.0, 1.0)
+    # a d overflows, so the quadratic's constant term cc = -a d is -inf
+    p = SystemParams(1e154, 1.0, 1.0, M=2e154)
     message = (
-        r"the origin's characteristic quadratic's coefficients \(1e\+200, -0\.0\) "
+        r"the origin's characteristic quadratic's coefficients \(1e\+154, -inf\) "
         "are beyond the float range"
     )
     with pytest.raises(ValueError, match=message):
         origin_eigenvalues(p)
     with pytest.raises(ValueError, match=message):
         find_equilibria(p)
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        # (a + 1 - N)^2 overflows; the spectrum (0, -1e200, -1) does not
+        (SystemParams(1e200, 1.0, 1.0), (0j, complex(-1e200, 0.0), complex(-1.0, 0.0))),
+        # 4 a d overflows with a + 1 - N = 0: the pair +-1e154 i
+        (
+            SystemParams(1e154, 1.0, 1.0, M=-2e154, N=1e154),
+            (complex(-0.0, -1e154), complex(-0.0, 1e154), complex(-1.0, 0.0)),
+        ),
+    ],
+)
+def test_an_overflowing_origin_discriminant_of_finite_coefficients_is_rescaled(p, want):
+    bb, cc = _origin_coefficients(p)
+    assert math.isfinite(bb) and math.isfinite(cc)
+    assert not math.isfinite(bb * bb - 4.0 * cc)
+    assert repr(origin_eigenvalues(p)) == repr(want)
+    _check_origin_exactness(p)
+    origin = find_equilibria(p).origin
+    assert repr(origin.eigenvalues) == repr(tuple(sorted(want, key=_spectral_order)))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # a + 1 - N = 4 and c + M = 4: the quadratic's roots are 1 and -3,
+        # and -b = -3 ties the lower one
+        SystemParams(1.0, 3.0, 4.0),
+        SystemParams(1.0, 3.0, 2.0, M=2.0),
+        # -b ties the upper root 1 (b = -1 is outside the hypotheses but
+        # has an origin spectrum)
+        SystemParams(1.0, -1.0, 4.0),
+        # a double root -1 (d = 0, a + 1 - N = 2), tied by -b = -1 and not
+        SystemParams(1.0, 1.0, 1.0),
+        SystemParams(1.0, 3.0, 1.0),
+        SystemParams(1.0, 0.5, 1.0),
+        # a double root 0, with -b either side
+        SystemParams(1.0, 1.0, 1.0, N=2.0),
+        SystemParams(1.0, -1.0, 1.0, N=2.0),
+        # a complex pair -1 +- 2i, tied in real part by -b = -1 and not
+        SystemParams(1.0, 1.0, -4.0),
+        SystemParams(1.0, 0.5, -4.0),
+        SystemParams(1.0, 3.0, -4.0),
+        SystemParams(10.0, 8.0 / 3.0, 28.0),
+    ],
+)
+def test_placed_origin_order_equals_the_sorted_spectrum(p):
+    # find_equilibria places -b into the ordered quadratic pair where a
+    # stable sort by _spectral_order puts it, ties included: the same
+    # objects, so a tie placed on the wrong side shows
+    eigs = origin_eigenvalues(p)
+    want = tuple(sorted(eigs, key=_spectral_order))
+    with mock.patch.object(equilibria, "origin_eigenvalues", lambda p: eigs):
+        _, origin, _ = equilibria._equilibrium_parts(p)
+    assert [id(z) for z in origin] == [id(z) for z in want]
+    assert repr(find_equilibria(p).origin.eigenvalues) == repr(want)
 
 
 def test_find_equilibria_dims_regular_case():

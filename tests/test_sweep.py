@@ -10,7 +10,11 @@ import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
+    CertificateReport,
     DegenerateBError,
+    Equilibrium,
+    EquilibriumSet,
+    HypothesisFlags,
     IntegratorSettings,
     SweepAxis,
     SweepSpec,
@@ -160,16 +164,16 @@ def test_cell_errors_are_isolated():
 
 
 def test_an_overflowing_origin_spectrum_is_an_error_row():
-    # a = 1e200: the origin's discriminant (a + 1 - N)^2 + 4 a d overflows
+    # a = 1e154, M = 2e154: the origin's quadratic has cc = -a d = -inf
     spec = SweepSpec(
-        base=SystemParams(1e200, 1.0, 1.0),
-        axes=(SweepAxis("M", 0.0, 0.0, 2),),
+        base=SystemParams(1e154, 1.0, 1.0),
+        axes=(SweepAxis("M", 2e154, 2e154, 2),),
         tasks=("equilibria", "origin_class"),
     )
     rows = run_sweep(spec, workers=1).rows
     message = (
         "ValueError: the origin's characteristic quadratic's coefficients "
-        "(1e+200, -0.0) are beyond the float range"
+        "(1e+154, -inf) are beyond the float range"
     )
     assert [row[-1] for row in rows] == [message, message]
     assert all(v is None for row in rows for v in row[1:-1])
@@ -284,6 +288,71 @@ def test_rows_equal_the_standalone_functions(names, ends, counts, tasks, base):
             assert row[-1] is None
 
 
+# values at the edges of the closed forms: b = 0, P and d inside their
+# bands around 1 and 0, overflowing quadratics and cubics, non-finite
+_edge = st.sampled_from(
+    [0.0, -0.0, 1.0, 1.0 + 1e-14, 1e-14, -1e-14, 2e154, 1e200, 1e300, -1e300,
+     math.inf, -math.inf, math.nan]
+)
+
+
+@hsettings(max_examples=150, deadline=None)
+@given(
+    names=st.permutations(sweep.AXIS_NAMES).flatmap(
+        lambda n: st.sampled_from([n[:1], n[:2]])
+    ),
+    ends=st.tuples(*[st.one_of(_axis_end, _edge)] * 4),
+    counts=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+    tasks=st.permutations(_SHARED_TASKS),
+    base=st.sampled_from(
+        [
+            SystemParams(10.0, 8.0 / 3.0, 28.0),
+            SystemParams(1.0, 3.0, 2.0),
+            SystemParams(1.0, 0.0, 2.0),  # b = 0
+            SystemParams(1.0, 3.0, 2.0, P=1.0 + 1e-14),  # P inside the band
+            SystemParams(10.0, 8.0 / 3.0, 1.0 + 1e-14),  # d inside the band
+            SystemParams(1e200, 1.0, 1.0),  # the origin's discriminant overflows
+            SystemParams(1e154, 1.0, 1.0, M=2e154),  # the origin's cc is -inf
+            SystemParams(10.0, 8.0 / 3.0, 1e300),  # E+'s cubic overflows
+        ]
+    ),
+)
+@example(
+    names=("c", "b"),
+    ends=(1e300, 1.0, 0.0, 1.0),
+    counts=(2, 2),
+    tasks=("regime", "certificate", "origin_class", "equilibria"),
+    base=SystemParams(10.0, 8.0 / 3.0, 28.0),
+)
+@example(
+    names=("P",),
+    ends=(1.0, math.nan, 0.0, 0.0),
+    counts=(3, 2),
+    tasks=_SHARED_TASKS,
+    base=SystemParams(10.0, 8.0 / 3.0, 1.0 + 1e-14),
+)
+def test_rows_match_the_public_api_at_the_edges(names, ends, counts, tasks, base):
+    # each row's task columns, or its error, as the public functions give
+    # them for the cell's SystemParams
+    axes = tuple(
+        SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
+        for k, name in enumerate(names)
+    )
+    spec = SweepSpec(base=base, axes=axes, tasks=tasks)
+    res = run_sweep(spec, workers=1)
+    k = len(names)
+    for i, row in enumerate(res.rows):
+        try:
+            p = dataclasses.replace(base, **dict(zip(names, spec.cell_values(i))))
+            want = _standalone_row(p, tasks)
+        except Exception as exc:  # noqa: BLE001 - the row must carry it
+            assert row[k:-1] == (None,) * len(spec._task_columns)
+            assert row[-1] == f"{type(exc).__name__}: {exc}"
+        else:
+            assert [repr(v) for v in row[k:-1]] == [repr(v) for v in want]
+            assert row[-1] is None
+
+
 def test_axis_names_follow_the_params_field_order():
     # a cell's SystemParams is built positionally at these positions
     assert sweep.AXIS_NAMES == tuple(f.name for f in dataclasses.fields(SystemParams))
@@ -382,8 +451,8 @@ def _count_calls(monkeypatch, name):
     ],
 )
 def test_one_certificate_and_one_equilibrium_set_per_cell(monkeypatch, base):
-    eq_calls = _count_calls(monkeypatch, "find_equilibria")
-    cert_calls = _count_calls(monkeypatch, "certificate")
+    eq_calls = _count_calls(monkeypatch, "_equilibrium_parts")
+    cert_calls = _count_calls(monkeypatch, "_certificate_columns")
     spec = SweepSpec(
         base=base,
         axes=(SweepAxis("c", 0.5, 30.0, 7), SweepAxis("M", -1.0, 1.0, 3)),
@@ -395,8 +464,8 @@ def test_one_certificate_and_one_equilibrium_set_per_cell(monkeypatch, base):
 
 
 def test_certificate_only_sweep_never_finds_equilibria(monkeypatch):
-    eq_calls = _count_calls(monkeypatch, "find_equilibria")
-    cert_calls = _count_calls(monkeypatch, "certificate")
+    eq_calls = _count_calls(monkeypatch, "_equilibrium_parts")
+    cert_calls = _count_calls(monkeypatch, "_certificate_columns")
     spec = _spec(axes=(SweepAxis("c", 0.5, 30.0, 9),), tasks=("certificate",))
     run_sweep(spec, workers=1)
     assert eq_calls == []
@@ -405,7 +474,7 @@ def test_certificate_only_sweep_never_finds_equilibria(monkeypatch):
 
 def test_regime_on_certified_cells_never_finds_equilibria(monkeypatch):
     # the regime label asks for the equilibria only when chaos is possible
-    eq_calls = _count_calls(monkeypatch, "find_equilibria")
+    eq_calls = _count_calls(monkeypatch, "_equilibrium_parts")
     spec = SweepSpec(
         base=SystemParams(1.0, 3.0, 2.0),
         axes=(SweepAxis("c", 1.5, 3.0, 5),),
@@ -414,6 +483,32 @@ def test_regime_on_certified_cells_never_finds_equilibria(monkeypatch):
     res = run_sweep(spec, workers=1)
     assert {row[1] for row in res.rows} == {"provably_regular"}
     assert eq_calls == []
+
+
+def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
+    # the pitchfork map's tasks write their columns from plain values
+    built = []
+    for cls in (Equilibrium, EquilibriumSet, HypothesisFlags, CertificateReport):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    # the counters see a direct call
+    certificate(BASE)
+    assert sorted(built) == ["CertificateReport", "HypothesisFlags"]
+    built.clear()
+    spec = SweepSpec(
+        base=SystemParams(10.0, 8.0 / 3.0, 0.5),
+        axes=(SweepAxis("c", 0.1, 0.9, 2), SweepAxis("M", -1.0, 37.0, 50)),
+        tasks=_SHARED_TASKS,
+    )
+    res = run_sweep(spec, workers=1)
+    assert {row[2] for row in res.rows} == {"origin_only", "triple"}
+    assert {row[-2] for row in res.rows} == {"undetermined", "chaos_candidate"}
+    assert built == []
 
 
 # ------------------------------------------------------- a crashed worker pool
