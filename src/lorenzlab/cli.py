@@ -143,7 +143,7 @@ def _het_summary(result) -> dict:
         "status": trajectory.status,
         "steps": len(trajectory.times) - 1,
         "final_time": trajectory.times[-1],
-        "final_state": trajectory.states[-1],
+        "final_state": State(trajectory.xs[-1], trajectory.ys[-1], trajectory.zs[-1]),
     }
 
 
@@ -159,7 +159,7 @@ def _cmd_heteroclinic(args) -> tuple:
         plus = trace_heteroclinic(p, Branch.PLUS_X, **kwargs)
         minus = trace_heteroclinic(p, Branch.MINUS_X, **kwargs)
         deviation = None
-        if len(plus.trajectory.states) == len(minus.trajectory.states):
+        if len(plus.trajectory.times) == len(minus.trajectory.times):
             deviation = branch_symmetry_deviation(plus, minus)
         payload = {
             "plus": _het_summary(plus),

@@ -8,14 +8,18 @@ initial condition S(u0) = (-x0, -y0, z0) produces the exactly mirrored
 trajectory (every floating-point operation involved is sign-symmetric;
 norms, error estimates and step-size decisions are invariant under S).
 
-The stepping loop is generated per field and per mode.  Each field (the
-3-D model field and the 6-D variational field of the exponent) is given
-as source text, and ``_loop_source`` expands one loop template for it in
-fixed RK4 or in DP54 mode, with every stage unrolled over the components
-and the field inlined.  The state, the stages, DP54's carried first stage
-and the norm live in local scalars, so a step makes no call and packs or
-unpacks no tuple.  A loop is compiled on its first use, never at import,
-and cached for the process.
+The stepping loop is generated per field, per mode and per number of
+capture targets.  Each field (the 3-D model field and the 6-D variational
+field of the exponent) is given as source text, and ``_loop_source``
+expands one loop template for it in fixed RK4 or in DP54 mode, with every
+stage unrolled over the components and the field inlined.  The state, the
+stages, DP54's carried first stage and the norm live in local scalars, so
+a step makes no call and packs or unpacks no tuple.  The dwell check is
+unrolled over the targets, whose coordinates are unpacked into locals once
+per run; without targets it is left out.  A recorded run appends t and
+each component to its own list of floats, so a step allocates no
+GC-tracked object and never starts a collector pass.  A loop is compiled
+on its first use, never at import, and cached for the process.
 
 What is frozen, because every output bit depends on it:
 
@@ -47,7 +51,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, NamedTuple, Sequence
 
 from .model import _FIELD_SOURCE, State, SystemParams
 
@@ -140,11 +144,26 @@ class IntegratorSettings:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted step points of one run, including the initial state."""
+    """Accepted step points of one run, including the initial state, as
+    columns: the times and the x, y and z coordinates.
+
+    ``states`` builds the points as a tuple of ``State`` on each read.  It
+    is deliberately not cached, because a trajectory holding both layouts
+    would keep every point twice; hot code reads ``xs``, ``ys`` and ``zs``.
+    """
 
     times: tuple[float, ...]
-    states: tuple[State, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+    zs: tuple[float, ...]
     status: TrajectoryStatus
+
+    # the fields serialize.to_jsonable renders, in order
+    _json_fields: ClassVar[tuple[str, ...]] = ("times", "states", "status")
+
+    @property
+    def states(self) -> tuple[State, ...]:
+        return tuple(map(State, self.xs, self.ys, self.zs))
 
 
 @dataclass(frozen=True)
@@ -187,53 +206,72 @@ _FieldSource = tuple[tuple[str, str], ...]
 
 # The stepping loop of one field in one mode.  ``{advance}`` is the mode's
 # part (below); ``{s}`` lists the state's components s0, s1, ..., ``{ss}``
-# adds their squares left to right, and ``{point}`` is the state as it is
-# recorded.  Every exit returns (status, state, dt, attempts, times,
-# states, captured).  The dwell check reads s0, s1 and s2.
+# adds their squares left to right, ``{columns}`` makes one empty list per
+# component, ``{appenders}`` binds their append methods to record_0,
+# record_1, ... and ``{record}`` calls them on the state.  ``{targets}``
+# unpacks the capture targets and ``{dwell}`` is the dwell check over them
+# (both empty without targets).  Every exit returns (status, state, dt,
+# attempts, times, columns, captured).
 _LOOP = """\
 def loop(a, b, cm, n1, pp, nb, u0, t_end, dt, attempts, max_steps, rel_tol,
          abs_tol, blowup_norm, targets, capture_radius, box, record):
     {s}, = u0
     nrm = sqrt({ss})
     {init}
+    {targets}
     t = 0.0
     times = []
-    states = []
+    columns = {columns}
     record_time = times.append
-    record_state = states.append
-    indexed = tuple(enumerate(targets or ()))
-    dwell_target = None
-    dwell = 0
+    {appenders}
     while True:
         if record:
-            record_time(t)
-            record_state({point})
+            record_time(t); {record}
         # a NaN or infinite component makes the norm NaN or infinite, and
         # blowup_norm is finite, so this one comparison also catches those
         if not nrm <= blowup_norm:
-            return DIVERGED, ({s},), dt, attempts, times, states, None
-        if targets is not None:
-            # the nearest target, the earlier one on a tie; one outside
-            # the reach box is farther than capture_radius
-            near = None
-            for i, (tx, ty, tz) in indexed:
-                if abs(s0 - tx) <= box and abs(s1 - ty) <= box and abs(s2 - tz) <= box:
-                    d = dist((s0, s1, s2), targets[i])
-                    if near is None or d < near_d:
-                        near, near_d = i, d
-            if near is None or not near_d <= capture_radius:
-                dwell_target, dwell = None, 0
-            else:
-                dwell = dwell + 1 if near == dwell_target else 1
-                dwell_target = near
-                if dwell >= {dwell_checks}:
-                    return CAPTURED_EQUILIBRIUM, ({s},), dt, attempts, times, states, near
+            return DIVERGED, ({s},), dt, attempts, times, columns, None
+{dwell}\
         if not t < t_end:
-            return COMPLETED_TSPAN, ({s},), dt, attempts, times, states, None
+            return COMPLETED_TSPAN, ({s},), dt, attempts, times, columns, None
         remaining = t_end - t
 {advance}
         nrm = sqrt({ss})
         t = t_end if dt_eff == remaining else t + dt_eff
+"""
+
+# The dwell check: the nearest target, the earlier one on a tie.  ``{near}``
+# is one _DWELL_TARGET per target, in index order, and reads s0, s1 and s2.
+_DWELL = """\
+        near = None
+{near}\
+        if near is None or not near_d <= capture_radius:
+            dwell_target, dwell = None, 0
+        else:
+            dwell = dwell + 1 if near == dwell_target else 1
+            dwell_target = near
+            if dwell >= {dwell_checks}:
+                return CAPTURED_EQUILIBRIUM, ({s},), dt, attempts, times, columns, near
+"""
+
+# Target {i}, at (tx{i}, ty{i}, tz{i}) = tg{i}: one outside its reach box
+# is farther than capture_radius.
+_DWELL_TARGET = """\
+        if abs(s0 - tx{i}) <= box and abs(s1 - ty{i}) <= box and abs(s2 - tz{i}) <= box:
+            d = dist((s0, s1, s2), tg{i})
+            if near is None or d < near_d:
+                near, near_d = {i}, d
+"""
+
+# The adaptive step's part of the dwell: while one is under way, the trial
+# step leaves room for the confirmations still due.
+_DWELL_CLAMP = """\
+            if dwell:
+                # 1 <= dwell < {dwell_checks} here: leave room for the
+                # remaining dwell confirmations
+                room = remaining / ({dwell_checks} - dwell)
+                if room < dt_eff:
+                    dt_eff = room
 """
 
 # Fixed RK4: every step is accepted, and the full step's 0.5 * dt and
@@ -248,7 +286,7 @@ _FIXED_ADVANCE = """\
             half = half_dt
             sixth = sixth_dt
         if t + dt_eff == t or attempts >= max_steps:
-            return STEP_LIMIT, ({s},), dt, attempts, times, states, None
+            return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
         attempts += 1
         {step}"""
 
@@ -256,20 +294,16 @@ _FIXED_ADVANCE = """\
 # proposal w0, w1, ..., its field k7_0, k7_1, ... and the error estimate
 # err from s0, s1, ..., the first stage k1_0, k1_1, ... and dt_eff; an
 # accepted proposal becomes the state and its field the next first stage.
+# ``{clamp}`` is _DWELL_CLAMP with targets and empty without.
 _ADAPTIVE_ADVANCE = """\
         while True:
             # the clamps are min(dt, remaining) and min(dt_eff, room)
             # written out: the first argument wins unless the second is
             # smaller
             dt_eff = remaining if remaining < dt else dt
-            if dwell:
-                # 1 <= dwell < {dwell_checks} here: leave room for the
-                # remaining dwell confirmations
-                room = remaining / ({dwell_checks} - dwell)
-                if room < dt_eff:
-                    dt_eff = room
+{clamp}\
             if t + dt_eff == t or attempts >= max_steps:
-                return STEP_LIMIT, ({s},), dt, attempts, times, states, None
+                return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
             attempts += 1
             try:
                 {step}
@@ -277,7 +311,7 @@ _ADAPTIVE_ADVANCE = """\
                 # the error norm squared a component beyond the float
                 # range: the orbit has left every scale the tolerance can
                 # judge
-                return DIVERGED, ({s},), dt, attempts, times, states, None
+                return DIVERGED, ({s},), dt, attempts, times, columns, None
             tol = rel_tol * nrm + abs_tol
             if err == 0.0:
                 factor = {grow!r}
@@ -347,18 +381,39 @@ def _dp54_block(field_source: _FieldSource) -> str:
     return "; ".join(lines)
 
 
-def _loop_source(field_source: _FieldSource, mode: IntegratorMode) -> str:
-    """Source of ``loop``, the stepping loop of ``field_source`` in ``mode``.
+def _loop_source(
+    field_source: _FieldSource, mode: IntegratorMode, n_targets: int
+) -> str:
+    """Source of ``loop``, the stepping loop of ``field_source`` in ``mode``
+    with ``n_targets`` capture targets.
 
     Every stage is unrolled over the components with the field inlined and
     the tableau written as float literals (``repr`` round-trips, so the
     values are exact).  Each step is one line of ``;``-separated
     assignments to local scalars, so a step makes no call and packs or
-    unpacks no tuple.
+    unpacks no tuple.  A recorded point is appended component by component
+    to one list of floats each.  The dwell check tests each target in turn,
+    in index order, against coordinates unpacked once per run; with no
+    targets it and the adaptive dwell clamp are left out.
     """
     n = len(field_source)
     s = ", ".join(f"s{i}" for i in range(n))
     ss = " + ".join(f"s{i} * s{i}" for i in range(n))
+    if n_targets:
+        tg = "".join(f"tg{j}, " for j in range(n_targets))
+        targets = (
+            f"{tg}= targets; "
+            + _each(n_targets, "tx{i}, ty{i}, tz{i} = tg{i}")
+            + "; dwell_target = None; dwell = 0"
+        )
+        dwell = _DWELL.format(
+            s=s,
+            near="".join(_DWELL_TARGET.format(i=j) for j in range(n_targets)),
+            dwell_checks=_DWELL_CHECKS,
+        )
+        clamp = _DWELL_CLAMP.format(dwell_checks=_DWELL_CHECKS)
+    else:
+        targets = dwell = clamp = ""
     if mode is IntegratorMode.FIXED_RK4:
         init = "half_dt = 0.5 * dt; sixth_dt = dt / 6.0"
         advance = _FIXED_ADVANCE.format(s=s, step=_rk4_block(field_source))
@@ -368,48 +423,53 @@ def _loop_source(field_source: _FieldSource, mode: IntegratorMode) -> str:
             s=s,
             step=_dp54_block(field_source),
             accept=_each(n, "s{i} = w{i}") + "; " + _each(n, "k1_{i} = k7_{i}"),
-            dwell_checks=_DWELL_CHECKS,
+            clamp=clamp,
             safety=_SAFETY,
             shrink=_SHRINK_LIMIT,
             grow=_GROW_LIMIT,
             order=_ORDER_EXPONENT,
         )
-    # 3-D states are recorded as State, other fields' as plain tuples
-    point = f"new_tuple(State, ({s},))" if n == 3 else f"({s},)"
     return _LOOP.format(
-        s=s, ss=ss, init=init, point=point, advance=advance, dwell_checks=_DWELL_CHECKS
+        s=s,
+        ss=ss,
+        init=init,
+        targets=targets,
+        columns="(" + "[], " * n + ")",
+        appenders=_each(n, "record_{i} = columns[{i}].append"),
+        record=_each(n, "record_{i}(s{i})"),
+        dwell=dwell,
+        advance=advance,
     )
 
 
 # the globals of every generated loop
-_LOOP_GLOBALS = {
-    "sqrt": math.sqrt,
-    "dist": _dist,
-    "new_tuple": tuple.__new__,
-    "State": State,
-    **TrajectoryStatus.__members__,
-}
+_LOOP_GLOBALS = {"sqrt": math.sqrt, "dist": _dist, **TrajectoryStatus.__members__}
 
 
 @functools.cache
-def _loop(field_source: _FieldSource, mode: IntegratorMode) -> Callable[..., tuple]:
-    """The compiled loop of one field and mode, built on first use."""
+def _loop(
+    field_source: _FieldSource, mode: IntegratorMode, n_targets: int
+) -> Callable[..., tuple]:
+    """The compiled loop of one field, mode and target count, built on
+    first use."""
     namespace = dict(_LOOP_GLOBALS)
-    exec(compile(_loop_source(field_source, mode), "<stepping loop>", "exec"), namespace)
+    source = _loop_source(field_source, mode, n_targets)
+    exec(compile(source, "<stepping loop>", "exec"), namespace)
     return namespace["loop"]
 
 
 class _DriveResult(NamedTuple):
     """How a run of ``_drive`` ended: the last accepted state, the next
-    proposed step, the trial steps spent, the recorded points, the index of
-    the capturing target and the distance to the nearest target."""
+    proposed step, the trial steps spent, the recorded times and points
+    (one list per component), the index of the capturing target and the
+    distance to the nearest target."""
 
     status: TrajectoryStatus
     state: tuple
     dt: float
     attempts: int
     times: list[float]
-    states: list[tuple]
+    columns: tuple[list[float], ...]
     captured: int | None
     final_distance: float
 
@@ -429,8 +489,8 @@ def _drive(
     """Run the stepping loop of ``field_source`` with the parameters of
     ``p`` from u0 over [0, t_end], in the mode of ``settings``.
 
-    The loop is the one generated for this field and mode (compiled on
-    first use), called with the grouped constants of
+    The loop is the one generated for this field, mode and number of
+    targets (compiled on first use), called with the grouped constants of
     :func:`lorenzlab.model.vector_field`: cm = c + M, n1 = N - 1,
     pp = 1 - P and nb = -b.  Its operation order, the ``** 2`` of its
     error norm, the ``+`` chain of its norms and its stop order are frozen
@@ -442,8 +502,9 @@ def _drive(
     COMPLETED_TSPAN at ``t_end``; STEP_LIMIT if the next trial step would
     not advance t or the ``max_steps`` budget is spent.  Trial steps repeat
     until one is accepted; a DP54 error estimate that overflows ends the
-    run as DIVERGED at the last accepted state.  3-D states are recorded
-    as ``State``, the states of other fields as plain tuples.
+    run as DIVERGED at the last accepted state.  A recorded point is
+    appended to ``times`` and to one list of floats per component, the
+    result's ``columns``.
 
     ``attempts`` counts the trial steps the run has already spent, so a run
     made of several calls (the LLE's windows) shares one ``max_steps``
@@ -451,20 +512,21 @@ def _drive(
 
     When ``targets`` is given, each accepted state updates a dwell counter:
     a run of ``_DWELL_CHECKS`` consecutive states inside ``capture_radius``
-    of one fixed target ends the run as CAPTURED_EQUILIBRIUM.  The counter
-    guards against transient passes near a saddle.  While dwelling in
-    adaptive mode the step is clamped so the remaining time still allows
-    the required number of checks.
+    of one fixed target ends the run as CAPTURED_EQUILIBRIUM; the nearest
+    target counts, the earlier one on a tie.  The counter guards against
+    transient passes near a saddle.  While dwelling in adaptive mode the
+    step is clamped so the remaining time still allows the required number
+    of checks.
     """
-    loop = _loop(field_source, settings.mode)
-    status, s, dt, attempts, times, states, captured = loop(
+    loop = _loop(field_source, settings.mode, 0 if targets is None else len(targets))
+    status, s, dt, attempts, times, columns, captured = loop(
         p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P, -p.b,
         u0, t_end, settings.dt_init if dt_start is None else dt_start, attempts,
         settings.max_steps, settings.rel_tol, settings.abs_tol, settings.blowup_norm,
         targets, capture_radius, _capture_reach(capture_radius), record,
     )
     nearest = min([math.inf, *(_dist(s, tgt) for tgt in targets or ())])
-    return _DriveResult(status, s, dt, attempts, times, states, captured, nearest)
+    return _DriveResult(status, s, dt, attempts, times, columns, captured, nearest)
 
 
 def _run(
@@ -478,7 +540,7 @@ def _run(
     if settings is None:
         settings = IntegratorSettings()
     res = _drive(_FIELD_SOURCE, p, u0, settings, settings.t_max, targets, capture_radius)
-    trajectory = Trajectory(times=tuple(res.times), states=tuple(res.states), status=res.status)
+    trajectory = Trajectory(tuple(res.times), *map(tuple, res.columns), res.status)
     return res, trajectory
 
 

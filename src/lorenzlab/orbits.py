@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .equilibria import (
     Equilibrium,
@@ -37,7 +36,7 @@ from .integrator import (
     integrate_to_equilibrium,
 )
 from .lyapunov import hypotheses_check
-from .model import SIGN_BAND, State, SystemParams, apply_symmetry
+from .model import SIGN_BAND, State, SystemParams
 
 
 class Branch(enum.Enum):
@@ -137,9 +136,7 @@ def trace_heteroclinic(
         settings=settings,
         include_origin=False,
     )
-    extremal = (min if branch is Branch.PLUS_X else max)(
-        map(itemgetter(0), outcome.trajectory.states)
-    )
+    extremal = (min if branch is Branch.PLUS_X else max)(outcome.trajectory.xs)
     expected = None
     if eqs.kind is EquilibriumKind.TRIPLE:
         expected = eqs.pair[0] if branch is Branch.PLUS_X else eqs.pair[1]
@@ -168,15 +165,15 @@ def branch_symmetry_deviation(
     Both trajectories must have the same number of steps.  With the
     fixed-step integrator and mirrored seeds this is exactly zero.
     """
-    sp, sm = plus.trajectory.states, minus.trajectory.states
-    if len(sp) != len(sm):
+    tp, tm = plus.trajectory, minus.trajectory
+    if len(tp.xs) != len(tm.xs):
         raise TrajectoryLengthMismatchError(
-            f"step counts differ: {len(sp)} vs {len(sm)}"
+            f"step counts differ: {len(tp.xs)} vs {len(tm.xs)}"
         )
     worst = 0.0
-    for a, b in zip(sp, sm):
-        m = apply_symmetry(a)
-        d = math.sqrt((b.x - m.x) ** 2 + (b.y - m.y) ** 2 + (b.z - m.z) ** 2)
+    # b - (-a) rounds as b - m for the mirror m = S(a) = (-ax, -ay, az)
+    for ax, ay, az, bx, by, bz in zip(tp.xs, tp.ys, tp.zs, tm.xs, tm.ys, tm.zs):
+        d = math.sqrt((bx - (-ax)) ** 2 + (by - (-ay)) ** 2 + (bz - az) ** 2)
         if d > worst:
             worst = d
     return worst

@@ -31,7 +31,9 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert result objects to plain JSON-ready data.
 
     Conventions: State -> {"x", "y", "z"}; complex -> [re, im]; enums ->
-    their string value; dataclasses -> field dicts; a non-finite float ->
+    their string value; dataclasses -> field dicts, of the attributes a
+    class names in ``_json_fields`` where it has one (Trajectory renders
+    its ``states``, not its columns); a non-finite float ->
     its ``repr`` string ("inf", "-inf" or "nan"), as in the CSV, since
     JSON has no such number.
     """
@@ -44,10 +46,10 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, complex):
         return [to_jsonable(obj.real), to_jsonable(obj.imag)]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        names = getattr(obj, "_json_fields", None) or [
+            f.name for f in dataclasses.fields(obj)
+        ]
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -73,8 +75,8 @@ def _csv_cell(value: Any) -> str:
 
 def trajectory_csv(trajectory: Trajectory) -> str:
     lines = ["t,x,y,z"]
-    for t, s in zip(trajectory.times, trajectory.states):
-        lines.append(f"{t!r},{s.x!r},{s.y!r},{s.z!r}")
+    for t, x, y, z in zip(trajectory.times, trajectory.xs, trajectory.ys, trajectory.zs):
+        lines.append(f"{t!r},{x!r},{y!r},{z!r}")
     return "\n".join(lines) + "\n"
 
 

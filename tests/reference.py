@@ -352,18 +352,29 @@ def drive(
     return res
 
 
+def recorded_columns(res) -> list[list[float]]:
+    """The recorded points of a drive result as one list per component.
+
+    The generated loop records them so (``columns``); the frozen loop
+    records one tuple per point, turned here into the columns of its
+    state's dimension, so a run that records nothing still has them."""
+    if isinstance(res, RefDriveResult):
+        return [[s[i] for s in res.states] for i in range(len(res.state))]
+    return [list(c) for c in res.columns]
+
+
 def read_fields(res):
     """repr of every field of a drive result that a caller reads, with the
-    recorded states as plain tuples.  The frozen loop counts one trial step
-    past the budget at STEP_LIMIT; no caller reads the count of such a run,
-    so it is left out there."""
+    recorded points as one list per component.  The frozen loop counts one
+    trial step past the budget at STEP_LIMIT; no caller reads the count of
+    such a run, so it is left out there."""
     attempts = None if res.status is TrajectoryStatus.STEP_LIMIT else res.attempts
     return (
         res.status,
         repr(res.state),
         repr(res.dt),
         repr(res.times),
-        repr([tuple(s) for s in res.states]),
+        repr(recorded_columns(res)),
         res.captured,
         repr(res.final_distance),
         attempts,

@@ -211,16 +211,18 @@ def test_tangent_volume_follows_liouville(p):
     assert runs[0].times[-1] == t_end
     for r in runs[1:]:
         assert r.times == runs[0].times
-        assert [s[:3] for s in r.states] == [s[:3] for s in runs[0].states]
+        assert repr(r.columns[:3]) == repr(runs[0].columns[:3])
 
     # RK4 matches exp(h lambda) through h^4 lambda^4 / 24, so each step
     # misses each eigenvalue's volume factor by about (h |lambda|)^5 / 120;
     # over t / h steps and three eigenvalues below L = max ||J||_inf that is
     # at most t h^4 L^5 / 40.
-    big_l = max(np.linalg.norm(jacobian(p, s[:3]), np.inf) for s in runs[0].states)
+    big_l = max(
+        np.linalg.norm(jacobian(p, s), np.inf) for s in zip(*runs[0].columns[:3])
+    )
     delta = -p.a + (p.N - 1.0) - p.b
     for i, t in enumerate(runs[0].times):
-        det = _det3(*(r.states[i][3:] for r in runs))
+        det = _det3(*([c[i] for c in r.columns[3:]] for r in runs))
         assert abs(det / math.exp(delta * t) - 1.0) <= t * dt**4 * big_l**5 / 40.0
 
 

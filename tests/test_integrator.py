@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from lorenzlab import (
     integrate,
     integrate_to_equilibrium,
     trace_heteroclinic,
+    unstable_direction_at_origin,
     v_gradient,
     v_value,
 )
@@ -444,9 +447,9 @@ def test_drive_matches_its_frozen_two_policy_copy(case):
         reference.kernels(field_source, p), u0, settings, t_end, **kwargs
     )
     assert reference.read_fields(got) == reference.read_fields(want)
-    # 3-D points are recorded as State, the exponent's 6-D ones as tuples
-    kind = State if len(u0) == 3 else tuple
-    assert all(type(s) is kind for s in got.states)
+    # one list of floats per component, 3-D and the exponent's 6-D alike
+    assert type(got.columns) is tuple and len(got.columns) == len(u0)
+    assert all(type(c) is list and len(c) == len(got.times) for c in got.columns)
 
 
 # ------------------------------------- the step-size controller, at its edges
@@ -476,9 +479,9 @@ def _stub_err(errs: list[str]):
     return err
 
 
-def _stub_loop(errs: list[str]):
+def _stub_loop(errs: list[str], n_targets: int):
     """The generated adaptive loop with its DP54 step replaced by the stub."""
-    source = _loop_source(_FIELD_SOURCE, IntegratorMode.ADAPTIVE)
+    source = _loop_source(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, n_targets)
     block = _dp54_block(_FIELD_SOURCE)
     assert source.count(block) == 1
     namespace = dict(_LOOP_GLOBALS, stub_err=_stub_err(errs))
@@ -516,11 +519,190 @@ def test_step_size_controller_matches_the_frozen_copy(
     # min and max pick the first argument on a tie and ignore a NaN in the
     # second; the written-out clamps must agree on every step
     args = (_ZERO, _STUB_SETTINGS, t_end, targets, capture_radius, True, dt_start)
-    stub = _stub_loop(errs)
+    stub = _stub_loop(errs, len(targets or ()))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(integrator, "_loop", lambda field_source, mode: stub)
+        m.setattr(integrator, "_loop", lambda field_source, mode, n_targets: stub)
         got = _drive(_FIELD_SOURCE, REGULAR, *args)
     want = reference.drive(_stub_kernels(errs), *args)
     assert (got.status, repr(got.state), repr(got.dt), got.attempts) == (
         want.status, repr(want.state), repr(want.dt), want.attempts
     )
+    assert repr(got.times) == repr(want.times)
+    assert repr(reference.recorded_columns(got)) == repr(
+        reference.recorded_columns(want)
+    )
+
+
+# ------------------------------------- the dwell check, unrolled per target
+
+# The generated loop tests each target in turn, against coordinates it
+# unpacks once per run.  Every run below ends as the frozen loop, which
+# tests the targets in a for-loop, ends it: bit for bit in every recorded
+# float, the status and the captured index.
+
+_ORIGIN = (0.0, 0.0, 0.0)
+_E_PLUS, _E_MINUS = _PAIR
+_U = unstable_direction_at_origin(REGULAR)
+
+
+def _seed(scale):
+    """A seed on REGULAR's unstable manifold, ``scale`` from the origin."""
+    return tuple(scale * v for v in _U)
+
+
+def _dwell_parity(p, u0, targets, capture_radius, *, fixed, t_end=80.0,
+                  dt_init=1e-2, dt_start=None):
+    """The ``_drive`` run of the model field with ``targets``, checked
+    against the frozen loop."""
+    settings = IntegratorSettings(
+        mode=IntegratorMode.FIXED_RK4 if fixed else IntegratorMode.ADAPTIVE,
+        dt_init=dt_init,
+    )
+    kwargs = dict(targets=targets, capture_radius=capture_radius, dt_start=dt_start)
+    got = _drive(_FIELD_SOURCE, p, u0, settings, t_end, **kwargs)
+    want = reference.drive(
+        reference.kernels(_FIELD_SOURCE, p), u0, settings, t_end, **kwargs
+    )
+    assert reference.read_fields(got) == reference.read_fields(want)
+    return got
+
+
+_CAPTURED = TrajectoryStatus.CAPTURED_EQUILIBRIUM
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["rk4", "adaptive"])
+@pytest.mark.parametrize(
+    "seed, targets, radius, captured",
+    [
+        # one target
+        (_seed(1e-6), [_E_PLUS], 1e-6, 0),
+        # two: each branch ends at its own member of the pair
+        (_seed(1e-6), [_E_PLUS, _E_MINUS], 1e-6, 0),
+        (_seed(-1e-6), [_E_PLUS, _E_MINUS], 1e-6, 1),
+        # three, the origin included: a seed deep inside the origin's ball
+        # dwells there while it escapes, so the origin captures it
+        (_seed(1e-9), [_ORIGIN, _E_PLUS, _E_MINUS], 1e-3, 0),
+        (_seed(-1e-6), [_ORIGIN, _E_PLUS, _E_MINUS], 1e-6, 2),
+        # the origin excluded: the same seed reaches E+
+        (_seed(1e-9), [_E_PLUS, _E_MINUS], 1e-3, 0),
+        # two equal targets: the earlier index wins the tie
+        (_seed(1e-6), [_E_PLUS, _E_PLUS], 1e-6, 0),
+        (_seed(1e-6), [_E_MINUS, _E_PLUS, _E_PLUS], 1e-6, 1),
+    ],
+    ids=["one", "two-plus", "two-minus", "origin-captures", "three-minus",
+         "origin-excluded", "equal-pair", "equal-after-another"],
+)
+def test_unrolled_dwell_matches_the_frozen_loop(seed, targets, radius, captured, fixed):
+    got = _dwell_parity(REGULAR, seed, targets, radius, fixed=fixed)
+    assert (got.status, got.captured) == (_CAPTURED, captured)
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["rk4", "adaptive"])
+def test_an_orbit_through_a_reach_box_is_not_captured(fixed):
+    # a target placed so that one point of the orbit lies inside its reach
+    # box on every axis, yet 0.9 * sqrt(3) radii from it; the orbit is the
+    # same up to that point, since nothing came within a radius before
+    radius = 1e-3
+    free = _drive(_FIELD_SOURCE, CLASSIC, (1.0, 1.0, 1.0), IntegratorSettings(
+        mode=IntegratorMode.FIXED_RK4 if fixed else IntegratorMode.ADAPTIVE,
+        dt_init=1e-2), 5.0)
+    point = [c[100] for c in free.columns]
+    near = tuple(v + 0.9 * radius for v in point)
+    far = tuple(find_equilibria(CLASSIC).pair[0].location)
+    got = _dwell_parity(CLASSIC, (1.0, 1.0, 1.0), [far, near], radius, fixed=fixed,
+                        t_end=5.0)
+    assert got.status is TrajectoryStatus.COMPLETED_TSPAN and got.captured is None
+    box = integrator._capture_reach(radius)
+    assert any(
+        all(abs(u - v) <= box for u, v in zip(s, near)) for s in zip(*got.columns)
+    )
+    assert got.columns == free.columns
+
+
+def test_adaptive_dwell_clamp_matches_the_frozen_loop():
+    # a start inside E+'s ball with a first trial step of 1.0: the span
+    # clamps it to 0.5, and the dwell begun by the initial state clamps it
+    # to the room left for the nine confirmations still due
+    start = tuple(v + 1e-9 for v in _E_PLUS)
+    got = _dwell_parity(REGULAR, start, [_E_MINUS, _E_PLUS], 1e-6, fixed=False,
+                        t_end=0.5, dt_start=1.0)
+    assert (got.status, got.captured) == (_CAPTURED, 1)
+    assert got.times[1] == 0.5 / 9
+    assert len(got.times) == 10
+
+
+# ------------------------------------------- recorded points, memory and GC
+
+
+def test_states_are_built_from_the_columns_on_each_read():
+    tr = integrate(REGULAR, State(1.0, 2.0, 3.0), IntegratorSettings(t_max=1.0))
+    states = tr.states
+    assert type(states) is tuple and all(type(s) is State for s in states)
+    assert states == tuple(zip(tr.xs, tr.ys, tr.zs))
+    assert len(tr.xs) == len(tr.ys) == len(tr.zs) == len(tr.times)
+    # not cached: a trajectory keeps one layout of its points
+    assert tr.states is not states
+    assert "states" not in vars(tr)
+
+
+def _collector_passes(run) -> int:
+    """The collector passes started while ``run()`` runs, after a full
+    collection."""
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(count)
+    return len(passes)
+
+
+def test_a_recorded_run_starts_no_collector_pass():
+    # a recorded point is four floats appended to four lists, none of them
+    # tracked by the collector; one tracked object kept per point would
+    # start a pass about every 700 points
+    rk4 = IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=1e-3, t_max=20.0)
+    trace_rk4 = IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=1e-3,
+                                   t_max=60.0)
+    # compile both loops first
+    integrate(CLASSIC, (1.0, 1.0, 1.0), rk4)
+    trace_heteroclinic(REGULAR, Branch.PLUS_X, settings=trace_rk4)
+    runs = []
+    assert _collector_passes(
+        lambda: runs.append(integrate(CLASSIC, (1.0, 1.0, 1.0), rk4))
+    ) == 0
+    assert _collector_passes(
+        lambda: runs.append(trace_heteroclinic(REGULAR, Branch.PLUS_X,
+                                               settings=trace_rk4))
+    ) == 0
+    assert len(runs[0].times) == 20_001
+    assert len(runs[1].trajectory.times) > 20_000
+
+
+def test_a_recorded_point_holds_at_most_140_bytes():
+    # four floats (24 bytes each) and their four tuple slots: 128 bytes.
+    # Traced, a step costs about 0.3 ms (each allocation looks up its line
+    # number in the loop's long step line), so the run is 2 * 10**4 steps;
+    # the figure per point is the same at 10**5
+    rk4 = IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=1e-3, t_max=20.0)
+    integrate(CLASSIC, (1.0, 1.0, 1.0), IntegratorSettings(
+        mode=IntegratorMode.FIXED_RK4, t_max=1e-2))
+    gc.collect()
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = integrate(CLASSIC, (1.0, 1.0, 1.0), rk4)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(tr.times) == 20_001
+    assert held / len(tr.times) <= 140

@@ -156,7 +156,8 @@ def test_adaptive_step_of_a_mirrored_seed_is_mirrored(p, s, dt):
         # values, like the trajectory tests: x + (-0.0) is 0.0, so a zero
         # need not mirror its sign
         assert repr(mirrored.times) == repr(got.times)
-        for u, v in zip(mirrored.states, got.states):
+        assert len(mirrored.columns[0]) == len(got.columns[0])
+        for u, v in zip(zip(*mirrored.columns), zip(*got.columns)):
             assert _same_values(u, apply_symmetry(v))
         assert _same_values(mirrored.state, apply_symmetry(got.state))
     # the forced run must have stepped wherever the generic step's error

@@ -153,7 +153,9 @@ def _drop_last_step(res):
     import dataclasses
 
     tr = res.trajectory
-    short = dataclasses.replace(tr, times=tr.times[:-1], states=tr.states[:-1])
+    short = dataclasses.replace(
+        tr, times=tr.times[:-1], xs=tr.xs[:-1], ys=tr.ys[:-1], zs=tr.zs[:-1]
+    )
     return dataclasses.replace(res, trajectory=short)
 
 

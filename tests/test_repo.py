@@ -71,3 +71,16 @@ def test_every_module_level_import_is_used(path):
         if name not in used
     ]
     assert unused == []
+
+
+def test_no_module_reads_trajectory_states():
+    # Trajectory.states builds one State per point on each read; the
+    # package reads the columns times, xs, ys and zs instead.  The property
+    # itself is a definition, not a read.
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "lorenzlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "states"
+    ]
+    assert reads == []
