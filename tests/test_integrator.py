@@ -603,9 +603,9 @@ def test_an_orbit_through_a_reach_box_is_not_captured(fixed):
     # box on every axis, yet 0.9 * sqrt(3) radii from it; the orbit is the
     # same up to that point, since nothing came within a radius before
     radius = 1e-3
-    free = _drive(_FIELD_SOURCE, CLASSIC, (1.0, 1.0, 1.0), IntegratorSettings(
-        mode=IntegratorMode.FIXED_RK4 if fixed else IntegratorMode.ADAPTIVE,
-        dt_init=1e-2), 5.0)
+    mode = IntegratorMode.FIXED_RK4 if fixed else IntegratorMode.ADAPTIVE
+    settings = IntegratorSettings(mode=mode, dt_init=1e-2)
+    free = _drive(_FIELD_SOURCE, CLASSIC, (1.0, 1.0, 1.0), settings, 5.0)
     point = [c[100] for c in free.columns]
     near = tuple(v + 0.9 * radius for v in point)
     far = tuple(find_equilibria(CLASSIC).pair[0].location)
