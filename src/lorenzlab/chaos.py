@@ -20,13 +20,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .equilibria import (
     EquilibriumKind,
     OriginClass,
-    _dims,
     _equilibrium_parts,
+    _has_unstable,
     classify_origin,
     find_equilibria,
 )
@@ -185,38 +185,41 @@ def regime_classify(p: SystemParams) -> RegimeLabel:
     when the certificate leaves chaos possible.  The label comes from
     _regime, which a sweep cell calls on the values it already holds.
     """
-    columns = _certificate_columns(p)
-    # converges_to_equilibria and chaos_possible
-    return _regime(columns[5], columns[7], lambda: _equilibrium_parts(p))
+    fields = (p.a, p.b, p.c, p.M, p.N, p.P)
+    return _regime(_certificate_columns(*fields), None, fields)[0]
 
 
 def _regime(
-    converges: bool, chaos_possible: bool, parts: Callable[[], tuple]
-) -> RegimeLabel:
-    """The label of ``regime_classify`` from the certificate's
-    converges_to_equilibria and chaos_possible columns.
+    columns: tuple, parts: tuple | None, fields: tuple[float, ...]
+) -> tuple[RegimeLabel, tuple | None]:
+    """(label, parts): the label of ``regime_classify`` from the
+    certificate's columns (see lyapunov._certificate_columns), and the
+    cell's equilibria._equilibrium_parts.
 
-    ``parts()`` returns equilibria._equilibrium_parts of the cell; it is
-    called only when the certificate neither proves convergence nor
-    excludes chaos.
+    ``parts`` is None until computed.  They are computed from ``fields``,
+    the six parameter floats, only when the certificate neither proves
+    convergence nor excludes chaos, and returned, so a sweep cell that
+    also writes its equilibria computes them once.
     """
-    if converges:
-        return RegimeLabel.PROVABLY_REGULAR
-    if chaos_possible:
-        try:
-            _, origin, pair = parts()
-        except DegenerateBError:
-            return RegimeLabel.UNDETERMINED
+    if columns[5]:  # converges_to_equilibria
+        return RegimeLabel.PROVABLY_REGULAR, parts
+    if columns[7]:  # chaos_possible
+        if parts is None:
+            try:
+                parts = _equilibrium_parts(*fields)
+            except DegenerateBError:
+                return RegimeLabel.UNDETERMINED, None
+        _, origin, pair = parts
         if pair is not None:
             _, _, plus, minus = pair
             # E- shares E+'s spectrum tuple where the mirror keeps its bits
             if (
-                _dims(origin)[1] >= 1
-                and _dims(plus)[1] >= 1
-                and (minus is plus or _dims(minus)[1] >= 1)
+                _has_unstable(origin)
+                and _has_unstable(plus)
+                and (minus is plus or _has_unstable(minus))
             ):
-                return RegimeLabel.CHAOS_CANDIDATE
-    return RegimeLabel.UNDETERMINED
+                return RegimeLabel.CHAOS_CANDIDATE, parts
+    return RegimeLabel.UNDETERMINED, parts
 
 
 def suggest_anticontrol(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DegenerateBError
 from .model import SIGN_BAND
@@ -74,11 +75,6 @@ class EquilibriumSet:
     pair: tuple[Equilibrium, Equilibrium] | None
 
 
-def _drift(p: SystemParams) -> float:
-    """d = M + N + c - 1, the pitchfork offset."""
-    return p.M + p.N + p.c - 1.0
-
-
 def origin_eigenvalues(p: SystemParams) -> tuple[complex, complex, complex]:
     """Eigenvalues at the origin, exact up to the quadratic formula.
 
@@ -89,8 +85,17 @@ def origin_eigenvalues(p: SystemParams) -> tuple[complex, complex, complex]:
     |a d|^(1/2) near 1.  Raises ValueError when a coefficient, or a root,
     is itself beyond the float range.
     """
-    bb = p.a + 1.0 - p.N  # quadratic is lambda^2 + bb*lambda + cc
-    cc = -p.a * _drift(p)
+    return _origin_eigenvalues(p.a, p.b, p.N, p.M + p.N + p.c - 1.0)
+
+
+def _origin_eigenvalues(
+    a: float, b: float, N: float, d: float
+) -> tuple[complex, complex, complex]:
+    """origin_eigenvalues from the plain floats a, b, N and the offset
+    d = M + N + c - 1, which _equilibrium_parts forms once for both the
+    origin and the pair."""
+    bb = a + 1.0 - N  # quadratic is lambda^2 + bb*lambda + cc
+    cc = -a * d
     disc = bb * bb - 4.0 * cc
     scale = 0
     bb_s = bb
@@ -119,14 +124,15 @@ def origin_eigenvalues(p: SystemParams) -> tuple[complex, complex, complex]:
                     "give a root beyond the float range"
                 ) from None
         r_other = cc / r_big if r_big != 0.0 else 0.0
-        lo, hi = sorted((r_big, r_other))
-        quad = (complex(hi, 0.0), complex(lo, 0.0))
-    else:
-        # |im| <= |cc|^(1/2) < 2^scale, so the scaled-back part is finite
-        im = math.ldexp(math.sqrt(-disc) / 2.0, scale)
-        re = -bb / 2.0
-        quad = (complex(re, -im), complex(re, im))
-    return (quad[0], quad[1], complex(-p.b, 0.0))
+        # the higher root first; on a tie r_other, as the reverse of a
+        # stable ascending sort of (r_big, r_other) puts it
+        if r_other < r_big:
+            return (complex(r_big, 0.0), complex(r_other, 0.0), complex(-b, 0.0))
+        return (complex(r_other, 0.0), complex(r_big, 0.0), complex(-b, 0.0))
+    # |im| <= |cc|^(1/2) < 2^scale, so the scaled-back part is finite
+    im = math.ldexp(math.sqrt(-disc) / 2.0, scale)
+    re = -bb / 2.0
+    return (complex(re, -im), complex(re, im), complex(-b, 0.0))
 
 
 def classify_origin(p: SystemParams) -> OriginClass:
@@ -139,17 +145,24 @@ def classify_origin(p: SystemParams) -> OriginClass:
     NON_HYPERBOLIC rather than guessed.  b <= 0 falls outside every
     statement made about this family and gets its own label.
     """
-    if p.b <= 0.0:
+    return _origin_class(p.a, p.b, p.c, p.M, p.N, p.P)
+
+
+def _origin_class(
+    a: float, b: float, c: float, M: float, N: float, P: float
+) -> OriginClass:
+    """classify_origin on the six parameter floats."""
+    if b <= 0.0:
         return OriginClass.OUT_OF_HYPOTHESES
-    q = p.a * _drift(p)
-    r = p.N - p.a - 1.0
-    band_q = SIGN_BAND * (1.0 + abs(p.a) * (1.0 + abs(p.M) + abs(p.N) + abs(p.c)))
-    band_r = SIGN_BAND * (1.0 + abs(p.a) + abs(p.N))
+    q = a * (M + N + c - 1.0)
+    band_q = SIGN_BAND * (1.0 + abs(a) * (1.0 + abs(M) + abs(N) + abs(c)))
     if q > band_q:
         # the quadratic factor has real roots of opposite sign; with -b < 0
         # this is a saddle regardless of r, including r = 0
         return OriginClass.SADDLE_WS2_WU1
     if q < -band_q:
+        r = N - a - 1.0
+        band_r = SIGN_BAND * (1.0 + abs(a) + abs(N))
         if r > band_r:
             return OriginClass.SADDLE_WS1_WU2
         if r < -band_r:
@@ -261,16 +274,16 @@ def _rescaled_cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
 
 
 def _characteristic_cubic(
-    p: SystemParams, s: State | tuple
+    a: float, b: float, c: float, M: float, N: float, P: float, s: State | tuple
 ) -> tuple[float, float, float]:
     """(c2, c1, c0) with det(lambda I - J(s)) = lambda^3 + c2 lambda^2
-    + c1 lambda + c0."""
+    + c1 lambda + c0, for the six parameter floats."""
     # the entries of model.jacobian, by the same expressions, as scalars
     x, y, z = s
-    pp = 1.0 - p.P
-    a11, a12, a13 = -p.a, p.a, 0.0
-    a21, a22, a23 = p.c + p.M - pp * z, p.N - 1.0, -pp * x
-    a31, a32, a33 = y, x, -p.b
+    pp = 1.0 - P
+    a11, a12, a13 = -a, a, 0.0
+    a21, a22, a23 = c + M - pp * z, N - 1.0, -pp * x
+    a31, a32, a33 = y, x, -b
     tr = a11 + a22 + a33
     minors = (
         (a22 * a33 - a23 * a32)
@@ -289,10 +302,24 @@ def _spectral_order(z: complex) -> tuple[float, float]:
     return (-z.real, z.imag)
 
 
+_REAL = attrgetter("real")
+_IMAG = attrgetter("imag")
+
+
 def _spectrum(cubic: tuple[float, float, float]) -> tuple[complex, complex, complex]:
-    """The cubic's roots by descending real part, ties by ascending imaginary."""
+    """The cubic's roots by descending real part, ties by ascending imaginary.
+
+    Two stable sorts, by imaginary part and then by descending real part,
+    give the stable order of _spectral_order whenever no part is NaN; a
+    NaN compares false both ways, so such roots take the keyed sort.
+    """
     roots = _cubic_roots(*cubic)
-    roots.sort(key=_spectral_order)
+    r0, r1, r2 = roots
+    if r0 != r0 or r1 != r1 or r2 != r2:
+        roots.sort(key=_spectral_order)
+    else:
+        roots.sort(key=_IMAG)
+        roots.sort(key=_REAL, reverse=True)
     return (roots[0], roots[1], roots[2])
 
 
@@ -305,7 +332,7 @@ def eigenvalues_at(
     Raises ValueError when the cubic's coefficients are beyond the float
     range of the closed form (see _cubic_roots).
     """
-    return _spectrum(_characteristic_cubic(p, s))
+    return _spectrum(_characteristic_cubic(p.a, p.b, p.c, p.M, p.N, p.P, s))
 
 
 def _dims(eigs: tuple[complex, complex, complex]) -> tuple[int, int, int]:
@@ -327,6 +354,16 @@ def _dims(eigs: tuple[complex, complex, complex]) -> tuple[int, int, int]:
     return stable, unstable, center
 
 
+def _has_unstable(eigs: tuple[complex, complex, complex]) -> bool:
+    """_dims(eigs)[1] >= 1, decided at the first unstable eigenvalue."""
+    for lam in eigs:
+        re = lam.real
+        # re > 0 excludes a NaN real part; the band test is that of _dims
+        if re > 0.0 and not re <= CENTER_BAND * (1.0 + abs(lam)):
+            return True
+    return False
+
+
 def _record(loc: State, eigs: tuple[complex, complex, complex]) -> Equilibrium:
     """loc with its spectrum, in the order of _spectral_order, and its
     dimension counts (see _dims)."""
@@ -339,9 +376,10 @@ _Spectrum = tuple[complex, complex, complex]
 
 
 def _equilibrium_parts(
-    p: SystemParams,
+    a: float, b: float, c: float, M: float, N: float, P: float
 ) -> tuple[EquilibriumKind, _Spectrum, tuple[float, float, _Spectrum, _Spectrum] | None]:
-    """(kind, origin spectrum, pair) of find_equilibria as plain values.
+    """(kind, origin spectrum, pair) of find_equilibria, from the six
+    parameter floats, as plain values.
 
     ``pair`` is (s, z, E+ spectrum, E- spectrum) for the TRIPLE kind, E+
     being (s, s, z), and None otherwise; every spectrum is in the order of
@@ -350,15 +388,18 @@ def _equilibrium_parts(
     depends on x or y rounds sign-symmetrically, so the mirror can change
     only the sign of a zero (through the a13 = 0 products), and a NaN never
     compares equal; only then is E-'s cubic formed and solved.  Raises as
-    find_equilibria does.
+    find_equilibria does.  The offset d is formed once, for the origin's
+    quadratic and the pair alike.  find_equilibria wraps this; a sweep
+    cell calls it on its six floats and builds no SystemParams.
     """
-    if p.b == 0.0:
+    if b == 0.0:
         raise DegenerateBError("b = 0: equilibrium formulas are undefined")
+    d = M + N + c - 1.0
     # -b placed into the quadratic's roots, which come ordered, where a
     # stable sort by _spectral_order would put it: after its ties, and
     # before a root of equal real part only if that has a positive
     # imaginary part, which q0, real or the lower of a pair, never has
-    q0, q1, minus_b = origin_eigenvalues(p)
+    q0, q1, minus_b = _origin_eigenvalues(a, b, N, d)
     m = minus_b.real
     if q0.real < m:
         origin = (minus_b, q0, q1)
@@ -366,22 +407,21 @@ def _equilibrium_parts(
         origin = (q0, minus_b, q1)
     else:
         origin = (q0, q1, minus_b)
-    d = _drift(p)
-    one_minus_p = 1.0 - p.P
-    if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(p.P)):
-        scale = 1.0 + abs(p.M) + abs(p.N) + abs(p.c)
+    one_minus_p = 1.0 - P
+    if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(P)):
+        scale = 1.0 + abs(M) + abs(N) + abs(c)
         if abs(d) <= SIGN_BAND * scale:
             return EquilibriumKind.CONTINUUM, origin, None
         return EquilibriumKind.ORIGIN_ONLY, origin, None
-    s_sq = p.b * d / one_minus_p
+    s_sq = b * d / one_minus_p
     if s_sq > 0.0:
         s = math.sqrt(s_sq)
         z = d / one_minus_p
-        cp = _characteristic_cubic(p, (s, s, z))
+        cp = _characteristic_cubic(a, b, c, M, N, P, (s, s, z))
         plus = _spectrum(cp)
         c2, c1, c0 = cp
         if c2 == 0.0 or c1 == 0.0 or c0 == 0.0 or c2 != c2 or c1 != c1 or c0 != c0:
-            minus = _spectrum(_characteristic_cubic(p, (-s, -s, z)))
+            minus = _spectrum(_characteristic_cubic(a, b, c, M, N, P, (-s, -s, z)))
         else:
             minus = plus
         return EquilibriumKind.TRIPLE, origin, (s, z, plus, minus)
@@ -410,7 +450,7 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     (see _equilibrium_parts).  The values come from _equilibrium_parts,
     which a sweep cell reads without building these objects.
     """
-    kind, origin_eigs, pair = _equilibrium_parts(p)
+    kind, origin_eigs, pair = _equilibrium_parts(p.a, p.b, p.c, p.M, p.N, p.P)
     origin = _record(_ORIGIN, origin_eigs)
     if pair is None:
         return EquilibriumSet(kind, origin, None)

@@ -158,33 +158,31 @@ def _product_nonpos(u: float, v: float) -> bool:
 
 
 def _certificate_columns(
-    p: SystemParams,
+    a: float, b: float, c: float, M: float, N: float, P: float
 ) -> tuple[bool, bool, bool, bool, bool, bool, bool, bool]:
-    """The certificate as its eight sweep columns: lemma_ok, conv_ok,
-    het_ok, no_closed_orbits, no_homoclinic, converges_to_equilibria,
-    heteroclinic_pair, chaos_possible (see hypotheses_check and
-    certificate, which wrap them)."""
-    one_minus_p = 1.0 - p.P
-    p_ok = abs(one_minus_p) > SIGN_BAND * (1.0 + abs(p.P))
-    excess = 2.0 * p.a - p.b
+    """The certificate of the six parameter floats as its eight sweep
+    columns: lemma_ok, conv_ok, het_ok, no_closed_orbits, no_homoclinic,
+    converges_to_equilibria, heteroclinic_pair, chaos_possible (see
+    hypotheses_check and certificate, which wrap them)."""
+    one_minus_p = 1.0 - P
+    p_ok = abs(one_minus_p) > SIGN_BAND * (1.0 + abs(P))
+    excess = 2.0 * a - b
     lemma_ok = (
-        _strictly_positive(p.a)
-        and _strictly_positive(p.b)
+        _strictly_positive(a)
+        and _strictly_positive(b)
         and p_ok
         and _product_nonpos(excess, one_minus_p)
-        and _exact_sum(p.N, -1.0, -p.a) <= 0.0
+        and _exact_sum(N, -1.0, -a) <= 0.0
     )
     conv_ok = lemma_ok and excess <= 0.0 and _strictly_positive(one_minus_p)
     # the offset is summed exactly: a rounding error of 2^-52 clears the
     # band once divided by a small 1 - P
     het_ok = (
         conv_ok
-        and _strictly_positive(p.c + p.M)
-        and _strictly_positive(_exact_sum(p.M, p.N, p.c, -1.0) / one_minus_p)
+        and _strictly_positive(c + M)
+        and _strictly_positive(_exact_sum(M, N, c, -1.0) / one_minus_p)
     )
-    return (
-        lemma_ok, conv_ok, het_ok, lemma_ok, lemma_ok, conv_ok, het_ok, p.b < 2.0 * p.a
-    )
+    return lemma_ok, conv_ok, het_ok, lemma_ok, lemma_ok, conv_ok, het_ok, b < 2.0 * a
 
 
 def hypotheses_check(p: SystemParams) -> HypothesisFlags:
@@ -198,7 +196,7 @@ def hypotheses_check(p: SystemParams) -> HypothesisFlags:
     degenerates) fails lemma_ok outright instead of passing vacuously
     through the sign of the ratio.
     """
-    lemma_ok, conv_ok, het_ok = _certificate_columns(p)[:3]
+    lemma_ok, conv_ok, het_ok = _certificate_columns(p.a, p.b, p.c, p.M, p.N, p.P)[:3]
     return HypothesisFlags(lemma_ok=lemma_ok, conv_ok=conv_ok, het_ok=het_ok)
 
 
@@ -208,7 +206,9 @@ def certificate(p: SystemParams) -> CertificateReport:
     The values come from _certificate_columns, which a sweep cell reads
     without building these objects.
     """
-    lemma_ok, conv_ok, het_ok, *properties = _certificate_columns(p)
+    lemma_ok, conv_ok, het_ok, *properties = _certificate_columns(
+        p.a, p.b, p.c, p.M, p.N, p.P
+    )
     return CertificateReport(HypothesisFlags(lemma_ok, conv_ok, het_ok), *properties)
 
 

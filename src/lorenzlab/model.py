@@ -57,6 +57,22 @@ PARAM_NAMES = ("a", "b", "c", "M", "N", "P")
 SWEEP_TASKS = ("equilibria", "origin_class", "certificate", "regime", "lle")
 
 
+def _finite_floats(
+    a: object, b: object, c: object, M: object, N: object, P: object
+) -> bool:
+    """True when the six values are exact floats with a finite sum.
+
+    Such values are six finite floats, which SystemParams keeps as given,
+    so a sweep cell runs on them without building one; False sends them
+    through SystemParams, whose field-by-field check also takes a sum that
+    overflows.
+    """
+    return (
+        type(a) is type(b) is type(c) is type(M) is type(N) is type(P) is float
+        and math.isfinite(a + b + c + M + N + P)
+    )
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Parameters of the controlled system.
@@ -76,19 +92,12 @@ class SystemParams:
     P: float = 0.0
 
     def __post_init__(self) -> None:
-        isfinite = math.isfinite
-        a, b, c, M, N, P = self.a, self.b, self.c, self.M, self.N, self.P
-        # six exact floats with a finite sum are six finite floats, kept as
-        # given; a sum that overflows takes the field-by-field check below
-        if (
-            type(a) is type(b) is type(c) is type(M) is type(N) is type(P) is float
-            and isfinite(a + b + c + M + N + P)
-        ):
+        if _finite_floats(self.a, self.b, self.c, self.M, self.N, self.P):
             return
         for name in PARAM_NAMES:
             raw = getattr(self, name)
             value = float(raw)
-            if not isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"parameter {name} must be finite, got {value!r}")
             if value is not raw:
                 object.__setattr__(self, name, value)

@@ -16,11 +16,11 @@ import os
 from dataclasses import dataclass, field
 
 from .chaos import _lle_windows, _regime, largest_lyapunov_exponent
-from .equilibria import _equilibrium_parts, classify_origin
+from .equilibria import _equilibrium_parts, _origin_class
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
 from .lyapunov import _certificate_columns
-from .model import PARAM_NAMES, SWEEP_TASKS, SystemParams
+from .model import PARAM_NAMES, SWEEP_TASKS, SystemParams, _finite_floats
 
 # an axis's position here is its parameter's position in SystemParams
 AXIS_NAMES = PARAM_NAMES
@@ -50,9 +50,10 @@ class SweepAxis:
     """Evenly spaced grid over one parameter.
 
     Grid point i is start + i * (stop - start) / (count - 1); the first
-    and last points hit start and stop exactly.  start and stop are
-    coerced with ``float()``, so every grid point is a float; count must
-    be an integer (``operator.index``).
+    and last points are start and stop themselves, a -0.0 start or a step
+    that overflows included.  start and stop are coerced with ``float()``,
+    so every grid point is a float; count must be an integer
+    (``operator.index``).
     """
 
     name: str
@@ -78,6 +79,7 @@ class SweepAxis:
     def values(self) -> list[float]:
         step = (self.stop - self.start) / (self.count - 1)
         vals = [self.start + i * step for i in range(self.count)]
+        vals[0] = self.start
         vals[-1] = self.stop
         return vals
 
@@ -143,16 +145,19 @@ class SweepSpec:
     def _task_columns(self) -> tuple[str, ...]:
         return tuple(c for task in self.tasks for c in _TASK_COLUMNS[task])
 
-    # A cell's SystemParams is built positionally from this template: the
-    # base's values in field order, with each axis's value written at the
-    # axis's position.
+    # A cell's six parameter floats are picked from this template, the
+    # base's values in field order followed by the cell's axis values:
+    # field k is the value of the axis on parameter k, else the base's.
     @functools.cached_property
     def _base_fields(self) -> tuple[float, ...]:
         return tuple(getattr(self.base, name) for name in PARAM_NAMES)
 
     @functools.cached_property
-    def _axis_positions(self) -> tuple[int, ...]:
-        return tuple(AXIS_NAMES.index(ax.name) for ax in self.axes)
+    def _pick_fields(self) -> operator.itemgetter:
+        slots = list(range(len(PARAM_NAMES)))
+        for k, ax in enumerate(self.axes):
+            slots[AXIS_NAMES.index(ax.name)] = len(PARAM_NAMES) + k
+        return operator.itemgetter(*slots)
 
     @functools.cached_property
     def _needs_certificate(self) -> bool:
@@ -176,45 +181,49 @@ class SweepResult:
     rows: tuple[tuple, ...]
 
 
-def _run_tasks(spec: SweepSpec, p: SystemParams) -> tuple:
+def _run_tasks(spec: SweepSpec, p: SystemParams | tuple[float, ...]) -> tuple:
     """The task columns of one cell, in column order.
 
-    The columns are written from the plain values that the public
-    functions wrap (_certificate_columns, _equilibrium_parts, _regime), so
-    no result object is built per cell.  A cell computes its certificate
-    at most once and its equilibria at most once, the latter only when a
-    task reads them; the equilibria, certificate and regime tasks share
-    both.  Enum labels are read through ``_value_``, which the ``value``
-    property returns.
+    ``p`` is the cell's six parameter floats in field order, or the
+    SystemParams built from them when they fail SystemParams' fast test
+    (see _evaluate_cell).  The closed forms take the six floats and write
+    their columns from plain values (_certificate_columns,
+    _equilibrium_parts, _origin_class, _regime), so they build no
+    SystemParams and no result object; only the lle task builds a
+    SystemParams, for the integrator.  One pass runs the tasks in the
+    spec's order, so an error row carries the first task that raises.  A
+    cell computes its certificate at most once and its equilibria at most
+    once, the latter only when a task reads them; the equilibria,
+    certificate and regime tasks share both.  Enum labels are read through
+    ``_value_``, which the ``value`` property returns.
     """
-    columns = _certificate_columns(p) if spec._needs_certificate else None
+    fields = (p.a, p.b, p.c, p.M, p.N, p.P) if isinstance(p, SystemParams) else p
+    a, b, c, M, N, P = fields
+    columns = None
+    if spec._needs_certificate:
+        columns = _certificate_columns(a, b, c, M, N, P)
     parts = None
-
-    def equilibria():
-        nonlocal parts
-        if parts is None:
-            parts = _equilibrium_parts(p)
-        return parts
-
     out: list = []
     for task in spec.tasks:
         if task == "equilibria":
-            kind, _, pair = equilibria()
+            if parts is None:
+                parts = _equilibrium_parts(a, b, c, M, N, P)
+            kind, _, pair = parts
             if pair is not None:
                 s, z = pair[0], pair[1]
                 out += (kind._value_, s, s, z)
             else:
                 out += (kind._value_, None, None, None)
         elif task == "origin_class":
-            out.append(classify_origin(p)._value_)
+            out.append(_origin_class(a, b, c, M, N, P)._value_)
         elif task == "certificate":
             out += columns
         elif task == "regime":
-            # converges_to_equilibria and chaos_possible
-            out.append(_regime(columns[5], columns[7], equilibria)._value_)
+            label, parts = _regime(columns, parts, fields)
+            out.append(label._value_)
         elif task == "lle":
             est = largest_lyapunov_exponent(
-                p,
+                SystemParams(a, b, c, M, N, P),
                 settings=spec.settings,
                 renorm_interval=spec.lle_renorm_interval,
                 horizon=spec.lle_horizon,
@@ -225,14 +234,17 @@ def _run_tasks(spec: SweepSpec, p: SystemParams) -> tuple:
 
 
 def _evaluate_cell(args: tuple[SweepSpec, int]) -> tuple:
-    """Evaluate one cell; exceptions become the row's error column."""
+    """Evaluate one cell; exceptions become the row's error column.
+
+    Fields that pass SystemParams' fast test (six exact floats with a
+    finite sum) go to the tasks as they are; others build a SystemParams,
+    which coerces them or raises the row's error.
+    """
     spec, index = args
     values = spec.cell_values(index)
-    fields = list(spec._base_fields)
-    for pos, value in zip(spec._axis_positions, values):
-        fields[pos] = value
+    fields = spec._pick_fields(spec._base_fields + values)
     try:
-        p = SystemParams(*fields)
+        p = fields if _finite_floats(*fields) else SystemParams(*fields)
         return values + _run_tasks(spec, p) + (None,)
     except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
         message = f"{type(exc).__name__}: {exc}"

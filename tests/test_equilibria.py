@@ -41,6 +41,11 @@ from lorenzlab.equilibria import (
 import sampling
 
 
+def _cubic_at(p, s):
+    """The characteristic cubic at s for the six parameter floats of p."""
+    return _characteristic_cubic(p.a, p.b, p.c, p.M, p.N, p.P, s)
+
+
 def _norm(s):
     return math.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
 
@@ -441,7 +446,7 @@ def test_cubic_roots_survive_a_nan_constant_term_with_a_tiny_p():
     # to 0 on the trigonometric branch; the closed form once returned
     # finite roots here.  A NaN coefficient gives three NaN roots.
     p = SystemParams(0.0, 1e-120, 1e300, N=1.0, P=1.0)
-    c2, c1, c0 = _characteristic_cubic(p, (1e10, 0.0, 0.0))
+    c2, c1, c0 = _cubic_at(p, (1e10, 0.0, 0.0))
     assert math.isnan(c0) and c1 == 0.0 and c2 == 1e-120
     nan_roots = ("(nan+nanj)",) * 3
     assert _eig_outcome(eigenvalues_at, p, (1e10, 0.0, 0.0)) == nan_roots
@@ -491,9 +496,9 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
     # point, so an overflow can be traced to the point whose cubic raised
     located, solved = [], []
 
-    def logged_cubic(p, s):
-        cubic = _characteristic_cubic(p, s)
-        located.append((s, cubic))
+    def logged_cubic(*args):
+        cubic = _characteristic_cubic(*args)
+        located.append((args[-1], cubic))
         return cubic
 
     def logged_spectrum(cubic):
@@ -543,7 +548,7 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
         # E- carries E+'s spectrum only where that is what solving its own
         # cubic gives, dimension counts included
         em = eqs.pair[1]
-        own = _record(em.location, _spectrum(_characteristic_cubic(p, em.location)))
+        own = _record(em.location, _spectrum(_cubic_at(p, em.location)))
         assert repr(em) == repr(own)
 
 
@@ -563,16 +568,17 @@ def test_equilibrium_spectra_match_numpy_jacobian_oracle(p):
 )
 def test_mirrored_equilibrium_reuses_the_spectrum_of_its_twin(p, spectra):
     solved = []
+    origin_quadratic = equilibria._origin_eigenvalues
 
-    def quadratic(p):
+    def quadratic(*args):
         solved.append("quadratic")
-        return origin_eigenvalues(p)
+        return origin_quadratic(*args)
 
     def cubic(c2, c1, c0):
         solved.append("cubic")
         return _cubic_roots(c2, c1, c0)
 
-    with mock.patch.object(equilibria, "origin_eigenvalues", quadratic), \
+    with mock.patch.object(equilibria, "_origin_eigenvalues", quadratic), \
             mock.patch.object(equilibria, "_cubic_roots", cubic):
         eqs = find_equilibria(p)
     assert eqs.kind is EquilibriumKind.TRIPLE
@@ -592,8 +598,8 @@ def test_mirrored_cubic_is_formed_only_when_it_can_differ(p):
     # coefficient; the E- cubic it skipped has the same bits
     formed = []
 
-    def logged_cubic(p, s):
-        cubic = _characteristic_cubic(p, s)
+    def logged_cubic(*args):
+        cubic = _characteristic_cubic(*args)
         formed.append(cubic)
         return cubic
 
@@ -607,12 +613,12 @@ def test_mirrored_cubic_is_formed_only_when_it_can_differ(p):
         return
     ep, em = eqs.pair
     cp = formed[0]
-    assert repr(cp) == repr(_characteristic_cubic(p, ep.location))
+    assert repr(cp) == repr(_cubic_at(p, ep.location))
     if any(v == 0.0 or v != v for v in cp):
         assert len(formed) == 2
         return
     assert len(formed) == 1
-    cm = _characteristic_cubic(p, em.location)
+    cm = _cubic_at(p, em.location)
     assert cm == cp
     assert repr(cm) == repr(cp)
 
@@ -990,10 +996,55 @@ def test_placed_origin_order_equals_the_sorted_spectrum(p):
     # objects, so a tie placed on the wrong side shows
     eigs = origin_eigenvalues(p)
     want = tuple(sorted(eigs, key=_spectral_order))
-    with mock.patch.object(equilibria, "origin_eigenvalues", lambda p: eigs):
-        _, origin, _ = equilibria._equilibrium_parts(p)
+    with mock.patch.object(equilibria, "_origin_eigenvalues", lambda *args: eigs):
+        _, origin, _ = equilibria._equilibrium_parts(p.a, p.b, p.c, p.M, p.N, p.P)
     assert [id(z) for z in origin] == [id(z) for z in want]
     assert repr(find_equilibria(p).origin.eigenvalues) == repr(want)
+
+
+_root_part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, math.inf, math.nan])
+_coefficient = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, math.nan]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+def _spectrum_of(roots):
+    """_spectrum of a cubic whose solver returns ``roots``, a fresh list."""
+    with mock.patch.object(equilibria, "_cubic_roots", lambda *cubic: list(roots)):
+        return _spectrum((0.0, 0.0, 0.0))
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(st.builds(complex, _root_part, _root_part), min_size=3, max_size=3)
+)
+@example(roots=[complex(1.0, 0.0), complex(1.0, -0.0), complex(1.0, 0.0)])
+@example(roots=[complex(-0.0, 1.0), complex(0.0, -1.0), complex(0.0, 1.0)])
+@example(roots=[complex(math.nan, 0.0), complex(1.0, 0.0), complex(2.0, 0.0)])
+@example(roots=[complex(1.0, math.nan), complex(1.0, 0.0), complex(1.0, -1.0)])
+def test_spectrum_order_equals_the_keyed_sort_of_any_roots(roots):
+    # ties in either part, signed zeros, infinities and NaN: the same
+    # objects as the stable sort by _spectral_order, so a tie placed on the
+    # wrong side shows
+    want = sorted(roots, key=_spectral_order)
+    assert [id(z) for z in _spectrum_of(roots)] == [id(z) for z in want]
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(cubic=st.tuples(_coefficient, _coefficient, _coefficient))
+@example(cubic=(3.0, 3.0, 1.0))  # (lambda + 1)^3: a triple root
+@example(cubic=(0.0, 0.0, 0.0))  # a triple root 0
+@example(cubic=(4.0, 5.0, 2.0))  # (lambda + 1)^2 (lambda + 2): a double root
+@example(cubic=(3.0, 7.0, 5.0))  # (lambda + 1)((lambda + 1)^2 + 4): real part tie
+@example(cubic=(0.0, 1.0, 0.0))  # lambda (lambda^2 + 1): a pair on the axis
+@example(cubic=(math.nan, 1.0, 1.0))  # NaN roots
+@example(cubic=(1.0, math.nan, 0.0))
+def test_spectrum_order_equals_the_keyed_sort_of_the_cubic_roots(cubic):
+    roots = _cubic_roots(*cubic)
+    want = sorted(roots, key=_spectral_order)
+    assert [id(z) for z in _spectrum_of(roots)] == [id(z) for z in want]
+    assert repr(_spectrum(cubic)) == repr(tuple(want))
 
 
 def test_find_equilibria_dims_regular_case():

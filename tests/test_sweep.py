@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
 
+from lorenzlab import chaos
 from lorenzlab import (
     CertificateReport,
     DegenerateBError,
@@ -58,6 +59,15 @@ def test_axis_values_hit_the_endpoints():
     assert vals[-1] == 0.7
     steps = [b - a for a, b in zip(vals, vals[1:])]
     assert all(s == pytest.approx(0.1, rel=1e-12) for s in steps)
+    # the first point is start itself, not start + 0 * step: a step that
+    # overflows made it NaN, and -0.0 + 0.0 is 0.0
+    for start, stop, count in [(-1e308, 1e308, 2), (-0.0, 1.0, 3), (-0.0, -0.0, 2)]:
+        vals = SweepAxis("c", start, stop, count).values()
+        assert len(vals) == count
+        assert repr(vals[0]) == repr(start) and repr(vals[-1]) == repr(stop)
+    # so a finite start gives a row, not "parameter c must be finite"
+    spec = _spec(axes=(SweepAxis("c", -1e308, 1e308, 2),))
+    assert [row[-1] for row in run_sweep(spec, workers=1).rows] == [None, None]
 
 
 def test_spec_validation():
@@ -354,7 +364,7 @@ def test_rows_match_the_public_api_at_the_edges(names, ends, counts, tasks, base
 
 
 def test_axis_names_follow_the_params_field_order():
-    # a cell's SystemParams is built positionally at these positions
+    # a cell's six parameter floats are picked positionally in this order
     assert sweep.AXIS_NAMES == tuple(f.name for f in dataclasses.fields(SystemParams))
 
 
@@ -432,6 +442,8 @@ def test_axis_count_must_be_an_integer(count):
 
 
 def _count_calls(monkeypatch, name):
+    """Count the calls a cell makes to ``name``: the sweep calls it, and so
+    does the regime label, which computes the equilibria it reads."""
     calls = []
     original = getattr(sweep, name)
 
@@ -439,7 +451,9 @@ def _count_calls(monkeypatch, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(sweep, name, counted)
+    for module in (sweep, chaos):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -486,9 +500,13 @@ def test_regime_on_certified_cells_never_finds_equilibria(monkeypatch):
 
 
 def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
-    # the pitchfork map's tasks write their columns from plain values
+    # the pitchfork map's tasks run on the six parameter floats and write
+    # their columns from plain values
     built = []
-    for cls in (Equilibrium, EquilibriumSet, HypothesisFlags, CertificateReport):
+    classes = (
+        Equilibrium, EquilibriumSet, HypothesisFlags, CertificateReport, SystemParams
+    )
+    for cls in classes:
         init = cls.__init__
 
         def counted(self, *args, _init=init, **kwargs):
@@ -496,19 +514,32 @@ def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    # the counters see a direct call
-    certificate(BASE)
-    assert sorted(built) == ["CertificateReport", "HypothesisFlags"]
-    built.clear()
+    # the counters see direct calls
+    certificate(SystemParams(10.0, 8.0 / 3.0, 28.0))
+    assert sorted(built) == ["CertificateReport", "HypothesisFlags", "SystemParams"]
     spec = SweepSpec(
         base=SystemParams(10.0, 8.0 / 3.0, 0.5),
         axes=(SweepAxis("c", 0.1, 0.9, 2), SweepAxis("M", -1.0, 37.0, 50)),
         tasks=_SHARED_TASKS,
     )
+    built.clear()
     res = run_sweep(spec, workers=1)
     assert {row[2] for row in res.rows} == {"origin_only", "triple"}
     assert {row[-2] for row in res.rows} == {"undetermined", "chaos_candidate"}
     assert built == []
+    # a non-finite axis value goes through SystemParams, for its error row
+    spec = _spec(axes=(SweepAxis("c", math.inf, 1.0, 2),), tasks=_SHARED_TASKS)
+    built.clear()
+    rows = run_sweep(spec, workers=1).rows
+    assert rows[0][-1] == "ValueError: parameter c must be finite, got inf"
+    assert rows[1][-1] is None
+    assert built == ["SystemParams"]
+    # and an lle cell builds one for the integrator
+    spec = _spec(tasks=("lle",), lle_horizon=2.0, lle_transient=0.0)
+    built.clear()
+    rows = run_sweep(spec, workers=1).rows
+    assert all(row[-1] is None for row in rows)
+    assert built == ["SystemParams"] * spec.n_cells()
 
 
 # ------------------------------------------------------- a crashed worker pool
