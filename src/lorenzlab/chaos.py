@@ -210,15 +210,9 @@ def _regime(
             except DegenerateBError:
                 return RegimeLabel.UNDETERMINED, None
         _, origin, pair = parts
-        if pair is not None:
-            _, _, plus, minus = pair
-            # E- shares E+'s spectrum tuple where the mirror keeps its bits
-            if (
-                _has_unstable(origin)
-                and _has_unstable(plus)
-                and (minus is plus or _has_unstable(minus))
-            ):
-                return RegimeLabel.CHAOS_CANDIDATE, parts
+        # E+ and E- share one spectrum
+        if pair is not None and _has_unstable(origin) and _has_unstable(pair[2]):
+            return RegimeLabel.CHAOS_CANDIDATE, parts
     return RegimeLabel.UNDETERMINED, parts
 
 

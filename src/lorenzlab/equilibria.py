@@ -13,11 +13,12 @@ The origin's linearization block-diagonalizes: one eigenvalue is -b and the
 other two solve lambda^2 + (a + 1 - N) lambda - a d = 0, so its type is
 decided by the signs of q = a d and r = N - a - 1.  This factored form,
 origin_eigenvalues, is the one computation of the origin's spectrum, and
--b is exact in it; E+- solve their characteristic cubic.
+-b is exact in it.
 
-E- = S(E+) carries E+'s spectrum: the mirror leaves the characteristic
-cubic's bits unchanged unless a coefficient is zero or NaN, and then E-
-solves its own (see _equilibrium_parts).
+E+- share one characteristic cubic, lambda^3 + (a + b + 1 - N) lambda^2
++ b (a + c + M) lambda + 2 a b d in the parameters alone (P, s and z drop
+out), which is solved once; eigenvalues_at, the cubic at any point, is
+the independent check.
 """
 
 from __future__ import annotations
@@ -156,6 +157,18 @@ def _origin_class(
         return OriginClass.OUT_OF_HYPOTHESES
     q = a * (M + N + c - 1.0)
     band_q = SIGN_BAND * (1.0 + abs(a) * (1.0 + abs(M) + abs(N) + abs(c)))
+    if band_q == math.inf:
+        # both formed again on a copy with a scaled by 2^-ka and M, N, c, 1
+        # by 2^-kd, where they are finite: exact, barring the underflow of
+        # terms far below the band, so the sign test decides alike
+        ka = math.frexp(a)[1]
+        kd = math.frexp(max(abs(M), abs(N), abs(c), 1.0))[1]
+        a_s, one = math.ldexp(a, -ka), math.ldexp(1.0, -kd)
+        M_s, N_s, c_s = math.ldexp(M, -kd), math.ldexp(N, -kd), math.ldexp(c, -kd)
+        q = a_s * (M_s + N_s + c_s - one)
+        band_q = SIGN_BAND * (
+            math.ldexp(one, -ka) + abs(a_s) * (one + abs(M_s) + abs(N_s) + abs(c_s))
+        )
     if q > band_q:
         # the quadratic factor has real roots of opposite sign; with -b < 0
         # this is a saddle regardless of r, including r = 0
@@ -163,6 +176,10 @@ def _origin_class(
     if q < -band_q:
         r = N - a - 1.0
         band_r = SIGN_BAND * (1.0 + abs(a) + abs(N))
+        if band_r == math.inf:
+            # |a| + |N| overflows: r and its band scaled by 1/4, exactly
+            r = 0.25 * N - 0.25 * a - 0.25
+            band_r = SIGN_BAND * (0.25 + 0.25 * abs(a) + 0.25 * abs(N))
         if r > band_r:
             return OriginClass.SADDLE_WS1_WU2
         if r < -band_r:
@@ -377,20 +394,19 @@ _Spectrum = tuple[complex, complex, complex]
 
 def _equilibrium_parts(
     a: float, b: float, c: float, M: float, N: float, P: float
-) -> tuple[EquilibriumKind, _Spectrum, tuple[float, float, _Spectrum, _Spectrum] | None]:
+) -> tuple[EquilibriumKind, _Spectrum, tuple[float, float, _Spectrum] | None]:
     """(kind, origin spectrum, pair) of find_equilibria, from the six
     parameter floats, as plain values.
 
-    ``pair`` is (s, z, E+ spectrum, E- spectrum) for the TRIPLE kind, E+
-    being (s, s, z), and None otherwise; every spectrum is in the order of
-    _spectral_order.  E- carries E+'s spectrum, the same tuple, unless E+'s
-    characteristic cubic has a zero or NaN coefficient: every product that
-    depends on x or y rounds sign-symmetrically, so the mirror can change
-    only the sign of a zero (through the a13 = 0 products), and a NaN never
-    compares equal; only then is E-'s cubic formed and solved.  Raises as
+    ``pair`` is (s, z, spectrum) for the TRIPLE kind, E+ being (s, s, z),
+    and None otherwise; ``spectrum`` is the one spectrum of E+ and E-, the
+    roots of the pair's closed-form cubic (see the module docstring), and
+    every spectrum is in the order of _spectral_order.  A coefficient
+    beyond the float range says nothing of the roots, so the cubic is then
+    solved as NaN: three NaN roots, each a center direction.  Raises as
     find_equilibria does.  The offset d is formed once, for the origin's
-    quadratic and the pair alike.  find_equilibria wraps this; a sweep
-    cell calls it on its six floats and builds no SystemParams.
+    quadratic and the pair's cubic alike.  find_equilibria wraps this; a
+    sweep cell calls it on its six floats and builds no SystemParams.
     """
     if b == 0.0:
         raise DegenerateBError("b = 0: equilibrium formulas are undefined")
@@ -415,16 +431,14 @@ def _equilibrium_parts(
         return EquilibriumKind.ORIGIN_ONLY, origin, None
     s_sq = b * d / one_minus_p
     if s_sq > 0.0:
-        s = math.sqrt(s_sq)
-        z = d / one_minus_p
-        cp = _characteristic_cubic(a, b, c, M, N, P, (s, s, z))
-        plus = _spectrum(cp)
-        c2, c1, c0 = cp
-        if c2 == 0.0 or c1 == 0.0 or c0 == 0.0 or c2 != c2 or c1 != c1 or c0 != c0:
-            minus = _spectrum(_characteristic_cubic(a, b, c, M, N, P, (-s, -s, z)))
-        else:
-            minus = plus
-        return EquilibriumKind.TRIPLE, origin, (s, z, plus, minus)
+        # c + M grouped as the field's cm
+        c2 = a + b + 1.0 - N
+        c1 = b * (a + (c + M))
+        c0 = 2.0 * a * b * d
+        if not (math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)):
+            c2 = c1 = c0 = math.nan
+        pair = (math.sqrt(s_sq), d / one_minus_p, _spectrum((c2, c1, c0)))
+        return EquilibriumKind.TRIPLE, origin, pair
     return EquilibriumKind.ORIGIN_ONLY, origin, None
 
 
@@ -438,28 +452,26 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     platform.  Its float residual may still be far from 0 at large d: that
     is rounding noise, not distance from the equilibrium.
     The origin's spectrum is origin_eigenvalues, in the order of
-    _spectral_order; E+- solve their characteristic cubic.  Raises
-    DegenerateBError when b = 0 (the z-equation loses its linear term and
-    the closed forms above do not apply), and ValueError when the origin's
-    quadratic or a characteristic cubic of E+- is beyond the float range
-    (see origin_eigenvalues and _cubic_roots).
+    _spectral_order; E+- solve their shared closed-form cubic once.
+    Raises DegenerateBError when b = 0 (the z-equation loses its linear
+    term and the closed forms above do not apply), and ValueError when the
+    origin's quadratic or the cubic of E+- is beyond the float range of
+    its solution (see origin_eigenvalues and _cubic_roots).
     The symmetric pair is constructed as (E+, S(E+)) so the two locations
-    mirror each other exactly in floating point.  E- carries E+'s
-    eigenvalues unless E+'s characteristic cubic has a zero or NaN
-    coefficient, the only cases in which E-'s own cubic can differ from it
-    (see _equilibrium_parts).  The values come from _equilibrium_parts,
+    mirror each other exactly in floating point, and E- carries E+'s
+    spectrum, the same tuple.  The values come from _equilibrium_parts,
     which a sweep cell reads without building these objects.
     """
     kind, origin_eigs, pair = _equilibrium_parts(p.a, p.b, p.c, p.M, p.N, p.P)
     origin = _record(_ORIGIN, origin_eigs)
     if pair is None:
         return EquilibriumSet(kind, origin, None)
-    s, z, plus_eigs, minus_eigs = pair
+    s, z, eigs = pair
     plus_loc = State(s, s, z)
     return EquilibriumSet(
         kind,
         origin,
-        (_record(plus_loc, plus_eigs), _record(apply_symmetry(plus_loc), minus_eigs)),
+        (_record(plus_loc, eigs), _record(apply_symmetry(plus_loc), eigs)),
     )
 
 

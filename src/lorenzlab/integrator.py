@@ -209,9 +209,9 @@ _FieldSource = tuple[tuple[str, str], ...]
 # adds their squares left to right, ``{columns}`` makes one empty list per
 # component, ``{appenders}`` binds their append methods to record_0,
 # record_1, ... and ``{record}`` calls them on the state.  ``{targets}``
-# unpacks the capture targets and ``{dwell}`` is the dwell check over them
-# (both empty without targets).  Every exit returns (status, state, dt,
-# attempts, times, columns, captured).
+# unpacks the capture targets and binds nbox = -box, and ``{dwell}`` is the
+# dwell check over them (both empty without targets).  Every exit returns
+# (status, state, dt, attempts, times, columns, captured).
 _LOOP = """\
 def loop(a, b, cm, n1, pp, nb, u0, t_end, dt, attempts, max_steps, rel_tol,
          abs_tol, blowup_norm, targets, capture_radius, box, record):
@@ -255,9 +255,10 @@ _DWELL = """\
 """
 
 # Target {i}, at (tx{i}, ty{i}, tz{i}) = tg{i}: one outside its reach box
-# is farther than capture_radius.
+# is farther than capture_radius.  nbox <= v <= box is abs(v) <= box
+# without the call, for every v and box >= 0, and false for a NaN v.
 _DWELL_TARGET = """\
-        if abs(s0 - tx{i}) <= box and abs(s1 - ty{i}) <= box and abs(s2 - tz{i}) <= box:
+        if nbox <= s0 - tx{i} <= box and nbox <= s1 - ty{i} <= box and nbox <= s2 - tz{i} <= box:
             d = dist((s0, s1, s2), tg{i})
             if near is None or d < near_d:
                 near, near_d = {i}, d
@@ -404,7 +405,7 @@ def _loop_source(
         targets = (
             f"{tg}= targets; "
             + _each(n_targets, "tx{i}, ty{i}, tz{i} = tg{i}")
-            + "; dwell_target = None; dwell = 0"
+            + "; nbox = -box; dwell_target = None; dwell = 0"
         )
         dwell = _DWELL.format(
             s=s,

@@ -11,6 +11,7 @@ sweep.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import os
 from dataclasses import dataclass, field
@@ -51,8 +52,10 @@ class SweepAxis:
 
     Grid point i is start + i * (stop - start) / (count - 1); the first
     and last points are start and stop themselves, a -0.0 start or a step
-    that overflows included.  start and stop are coerced with ``float()``,
-    so every grid point is a float; count must be an integer
+    that overflows included.  Where stop - start overflows, point i is
+    formed in halves, (start + i * h) + i * h with h = (stop / 2 - start /
+    2) / (count - 1).  start and stop are coerced with ``float()``, so
+    every grid point is a float; count must be an integer
     (``operator.index``).
     """
 
@@ -77,9 +80,14 @@ class SweepAxis:
         object.__setattr__(self, "count", count)
 
     def values(self) -> list[float]:
-        step = (self.stop - self.start) / (self.count - 1)
-        vals = [self.start + i * step for i in range(self.count)]
-        vals[0] = self.start
+        start = self.start
+        step = (self.stop - start) / (self.count - 1)
+        if math.isinf(step):
+            half = (self.stop / 2.0 - start / 2.0) / (self.count - 1)
+            vals = [(start + i * half) + i * half for i in range(self.count)]
+        else:
+            vals = [start + i * step for i in range(self.count)]
+        vals[0] = start
         vals[-1] = self.stop
         return vals
 

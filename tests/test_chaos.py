@@ -24,6 +24,7 @@ from lorenzlab import (
     suggest_anticontrol,
 )
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
+from lorenzlab.equilibria import CENTER_BAND
 from lorenzlab.integrator import _drive
 
 import reference
@@ -450,6 +451,57 @@ def test_pair_stability_follows_routh_hurwitz(b, gap, f, c):
         assert eq.stable_dim == (1 if unstable else 3)
     expected = RegimeLabel.CHAOS_CANDIDATE if unstable else RegimeLabel.UNDETERMINED
     assert regime_classify(p) is expected
+
+
+def _hopf_offset(a, b, N):
+    """d = M + N + c - 1 above which E+- are unstable, for P < 1 and
+    a - b - 1 + N > 0.
+
+    With k = a + 1 - N, E+-'s characteristic cubic is lambda^3 + (k + b)
+    lambda^2 + b (d + k) lambda + 2 a b d, whatever P.  For d > 0 and k > 0
+    every coefficient is positive, so by Routh-Hurwitz all roots lie in
+    the left half-plane iff (k + b) b (d + k) > 2 a b d, i.e. d (a - b - 1
+    + N) < k (k + b).  N = P = 0 gives _hopf_rho - 1.
+    """
+    k = a + 1.0 - N
+    return k * (k + b) / (a - b - 1.0 + N)
+
+
+def test_pair_stability_follows_routh_hurwitz_with_n_and_p():
+    # a relative 1e-6 below the Hopf offset E+- have no unstable direction
+    # and the regime is undetermined; above it E+- have two, every
+    # equilibrium is unstable and the cell is a chaos candidate.  Near the
+    # Hopf point the pair's real part is about b g (d - d_H) / (2 (c1 +
+    # c2^2)), g = a - b - 1 + N, since c2 c1 - c0 = -b g (d - d_H) is -2 Re
+    # lambda (c1 + c2^2) to first order; a cell on which that stays inside
+    # twice the center band, where the step cannot show the crossing (k
+    # near 0, or g near 0 with a fast pair), is drawn again
+    rng = np.random.default_rng(83)
+    cells = 0
+    while cells < 1_000:
+        a, b = float(rng.uniform(0.5, 50.0)), float(rng.uniform(0.05, 20.0))
+        N, P = float(rng.uniform(-a / 2.0, 1.0 + a)), float(rng.uniform(-3.0, 0.9))
+        g = a - b - 1.0 + N
+        if not g > 0.05:
+            continue
+        c = float(rng.uniform(-5.0, 5.0))
+        d_h = _hopf_offset(a, b, N)
+        k = a + 1.0 - N
+        c1, c2 = b * (d_h + k), k + b
+        re = b * g * 1e-6 * d_h / (2.0 * (c1 + c2 * c2))
+        if re <= 2.0 * CENTER_BAND * (1.0 + math.sqrt(c1)):
+            continue
+        for f, unstable, label in (
+            (1.0 - 1e-6, 0, RegimeLabel.UNDETERMINED),
+            (1.0 + 1e-6, 2, RegimeLabel.CHAOS_CANDIDATE),
+        ):
+            p = SystemParams(a, b, c, M=f * d_h + 1.0 - N - c, N=N, P=P)
+            eqs = find_equilibria(p)
+            assert eqs.kind is EquilibriumKind.TRIPLE, p
+            for eq in eqs.pair:
+                assert (eq.unstable_dim, eq.center_dim) == (unstable, 0), (p, eq)
+            assert regime_classify(p) is label, p
+        cells += 1
 
 
 # ---------------------------------------------------------------- anticontrol

@@ -243,6 +243,24 @@ def test_sweep_csv_output(capsys):
     assert lines[1].startswith("0.5,attractor,")
 
 
+def test_sweep_axis_whose_step_overflows_writes_every_row(capsys):
+    # c - (-c) overflows: the middle cell is c = 0.0, not an error row for
+    # c = inf, and the band of q = a d at c = -1e308, which overflows, is
+    # decided on a scaled copy
+    code, out, _ = run_cli(
+        capsys,
+        ["sweep", *CLASSIC, "--axis", "c:-1e308:1e308:3",
+         "--tasks", "origin_class", "--workers", "1", "--format", "csv"],
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "c,origin_class,error",
+        "-1e+308,attractor,",
+        "0.0,attractor,",
+        "1e+308,saddle_ws2_wu1,",
+    ]
+
+
 def test_sweep_usage_errors(capsys):
     code, _, err = run_cli(capsys, ["sweep", *CLASSIC])
     assert code == 2

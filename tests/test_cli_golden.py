@@ -32,7 +32,7 @@ CASES = [
     case("equilibria-regular", ["equilibria", *REGULAR], 0,
          "d3463e028483745467f0a7e3e50615626d42a98f7026eabf30e0ba899e4cdf07"),
     case("equilibria-classic", ["equilibria", *CLASSIC], 0,
-         "812bf106efc94b4540c67ec745acb966bd6730631925f278b6036f65d1586a3b"),
+         "b5a283f9199c833ce566f5ad55e740ce19135af8ff821ae17e626e7cda1c6696"),
     case("equilibria-origin-only", ["equilibria", *PLANT], 0,
          "913222f87cc833579d264a921c615e49d20118159322711cb4c05ac053343eb4"),
     # a = 0 and N = 1: the origin's quadratic is lambda^2, so its spectrum
@@ -46,7 +46,7 @@ CASES = [
     # suggest-anticontrol's gain for margin 1e6: d = 1e6 exactly, so E+ has
     # z = 1000000.0, the exact equilibrium
     case("equilibria-anticontrol-1e6", ["equilibria", *PLANT, "--M", "1000000.5"], 0,
-         "0f8bf2adbaad1c431351c80b929cbdaad9e67cd8f71d52cd557ecdf37be22438"),
+         "f3355f56ead36aaaa93488b538becdf792d9ac1645f09cffece195ead1b079c0"),
     case("classify-classic", ["classify", *CLASSIC], 0,
          "0c025961d939d4658ee1fb4052ff59fc18938022b1f9b88df59816bfc1857e1d"),
     case("classify-chen-override", ["classify", *CHEN, "--M", "0"], 0,
@@ -183,12 +183,12 @@ CASES = [
          ["sweep", *PLANT, "--axis", "M:0:1:2", "--tasks", "lle",
           "--renorm-interval", "nan"],
          2, EMPTY, "error: renorm_interval must be finite, got nan\n"),
-    # E+'s characteristic cubic overflows the closed form at c = 1e300; the
-    # origin's quadratic does not
+    # E+-'s characteristic cubic overflows the closed form of its roots at
+    # c = 1e300; the origin's quadratic does not
     case("equilibria-overflowing-cubic",
          ["equilibria", "--a", "10", "--b", "2.6666666666666665", "--c", "1e300"],
          2, EMPTY, "error: the characteristic cubic's coefficients "
-         "(13.666666666666666, 2.6666666666666665e+300, 5.333333333333333e+301) "
+         "(13.666666666666666, 2.6666666666666668e+300, 5.333333333333334e+301) "
          "are beyond the float range\n"),
     case("heteroclinic-negative-epsilon",
          ["heteroclinic", *REGULAR, "--branch", "plus", "--epsilon=-1e-6"],

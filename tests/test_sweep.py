@@ -3,6 +3,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -68,6 +69,42 @@ def test_axis_values_hit_the_endpoints():
     # so a finite start gives a row, not "parameter c must be finite"
     spec = _spec(axes=(SweepAxis("c", -1e308, 1e308, 2),))
     assert [row[-1] for row in run_sweep(spec, workers=1).rows] == [None, None]
+
+
+def test_an_axis_whose_step_overflows_is_formed_in_halves():
+    # stop - start overflows, so point i is (start + i h) + i h with h =
+    # (stop / 2 - start / 2) / (count - 1): finite, and within two
+    # roundings of the exact start + i (stop - start) / (count - 1)
+    assert SweepAxis("c", -1e308, 1e308, 3).values() == [-1e308, 0.0, 1e308]
+    assert SweepAxis("c", -1e308, 1e308, 5).values() == [
+        -1e308, -5e307, 0.0, 5e307, 1e308
+    ]
+    for start, stop, count in [(1.7e308, -1.7e308, 6), (-1e308, 1.5e308, 7)]:
+        vals = SweepAxis("c", start, stop, count).values()
+        assert vals[0] == start and vals[-1] == stop
+        for i, v in enumerate(vals):
+            exact = Fraction(start) + i * (Fraction(stop) - Fraction(start)) / (count - 1)
+            assert abs(Fraction(v) - exact) <= 2 * 2.0**-52 * (abs(start) + abs(stop))
+    # so every cell is a row, not "parameter c must be finite"
+    spec = _spec(axes=(SweepAxis("c", -1e308, 1e308, 3),))
+    assert [row[-1] for row in run_sweep(spec, workers=1).rows] == [None] * 3
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(allow_nan=False, allow_infinity=False),
+    stop=st.floats(allow_nan=False, allow_infinity=False),
+    count=st.integers(2, 9),
+)
+def test_an_axis_with_a_finite_step_keeps_its_bits(start, stop, count):
+    # start + i * step, as before halves were needed, with the endpoints
+    # start and stop themselves
+    step = (stop - start) / (count - 1)
+    if math.isinf(step):
+        return
+    want = [start + i * step for i in range(count)]
+    want[0], want[-1] = start, stop
+    assert repr(SweepAxis("c", start, stop, count).values()) == repr(want)
 
 
 def test_spec_validation():
