@@ -205,6 +205,12 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     both zero, both terms of the discriminant fall below the normal range
     and it says nothing about the roots, so the cubic is rescaled.
 
+    One test decides the split: when |c1| < 2^-16 c2^2 and |c0| < 2^-32
+    |c2|^3, one root lies near -c2 and two far below it, which the shift
+    by c2 / 3 blurs together (a root pair 1e-8 c2 apart can come out as
+    one root far from both, and polishing does not part them), so the
+    cubic is split instead (see _split_cubic_roots).
+
     A NaN coefficient gives three roots complex(nan, nan).  Coefficients
     too large for the closed form raise ValueError, not OverflowError:
     (q/2)^2 overflows once |q| passes about 2.7e154, (p/3)^3 once |p|
@@ -223,6 +229,13 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
             and (pcoef != 0.0 or qcoef != 0.0)
         ):
             return _rescaled_cubic_roots(c2, c1, c0)
+        c2_sq = c2 * c2
+        if (
+            c2_sq < math.inf
+            and abs(c1) < 2.0**-8 * c2_sq
+            and abs(c0) < 2.0**-16 * c2_sq * abs(c2)
+        ):
+            return _split_cubic_roots(c2, c1, c0)
 
         if disc > 0.0:
             sq = math.sqrt(disc)
@@ -275,6 +288,31 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
             f"the characteristic cubic's coefficients ({c2!r}, {c1!r}, {c0!r}) "
             "are beyond the float range"
         ) from None
+
+
+def _split_cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
+    """_cubic_roots for a cubic whose roots are one near -c2 and two below
+    about 2^-7 |c2|.  The large root r lies within about 2^-8 |r| of -c2,
+    so three Newton steps from there leave it within its rounding.
+    Dividing it out from the constant term up, e0 = -c0 / r and e1 = (e0
+    - c1) / r, is the stable order for the largest root and leaves the
+    quadratic lambda^2 + e1 lambda + e0 of the other two.  That is solved
+    without cancellation for lambda / 2^k, an exact rescaling that keeps
+    h^2 - e0 in the normal range; a complex pair is exact conjugates."""
+    r = -c2
+    for _ in range(3):
+        r = r - (((r + c2) * r + c1) * r + c0) / ((3.0 * r + 2.0 * c2) * r + c1)
+    e0 = -c0 / r
+    e1 = (e0 - c1) / r
+    k = math.frexp(max(abs(e1), math.sqrt(abs(e0))))[1]
+    h = math.ldexp(-0.5 * e1, -k)
+    dq = h * h - math.ldexp(e0, -2 * k)
+    if dq < 0.0:
+        z = complex(math.ldexp(h, k), math.ldexp(math.sqrt(-dq), k))
+        return [complex(r, 0.0), z, z.conjugate()]
+    z1 = math.ldexp(h + math.copysign(math.sqrt(dq), h), k)
+    z2 = e0 / z1 if z1 != 0.0 else 0.0
+    return [complex(r, 0.0), complex(z1, 0.0), complex(z2, 0.0)]
 
 
 def _rescaled_cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:

@@ -324,10 +324,15 @@ def test_eigenvalue_ordering_convention():
 # below the normal range (|q| < 2^-511 and |p| < 2^-340, not both zero):
 # there the old path divided by zero, returned a false triple root or
 # lost a complex pair, the oracle raises _Underflow, and the new path
-# rescales the cubic.  Two rules sit on top of the old path, as in the
-# solver: a NaN coefficient gives three NaN roots, and an OverflowError
-# (a square or cube of a huge coefficient, or |z|^2 in the polish)
-# becomes the solver's ValueError.
+# rescales the cubic.  Three rules sit on top of the old path, as in the
+# solver: a NaN coefficient gives three NaN roots, an OverflowError (a
+# square or cube of a huge coefficient, or |z|^2 in the polish) becomes
+# the solver's ValueError, and a cubic with one root near -c2 and two far
+# smaller ones (|c1| < 2^-8 c2^2, |c0| < 2^-16 |c2|^3), whose small roots
+# the old path could merge into one far from both, is split: its large
+# root by Newton from -c2, the other two from the quadratic left by
+# dividing it out.  test_split_cubic_roots_are_accurate holds that rule
+# to the exact roots.
 
 
 class _Underflow(ArithmeticError):
@@ -354,6 +359,9 @@ def _closed_form_oracle(c2, c1, c0):
     if abs(qcoef) < 2.0**-511 and abs(pcoef) < 2.0**-340:
         if pcoef != 0.0 or qcoef != 0.0:
             raise _Underflow("both terms of disc fell below the normal range")
+    if math.isfinite(c2 * c2) and abs(c1) < 2.0**-8 * (c2 * c2) \
+            and abs(c0) < 2.0**-16 * (c2 * c2) * abs(c2):
+        return _split_oracle(c2, c1, c0)
     if disc > 0.0:
         sq = math.sqrt(disc)
         if qcoef >= 0.0:
@@ -400,6 +408,23 @@ def _closed_form_oracle(c2, c1, c0):
     if disc > 0.0:
         polished[2] = polished[1].conjugate()
     return polished
+
+
+def _split_oracle(c2, c1, c0):
+    r = -c2
+    for _ in range(3):
+        r = r - (((r + c2) * r + c1) * r + c0) / ((3.0 * r + 2.0 * c2) * r + c1)
+    e0 = -c0 / r
+    e1 = (e0 - c1) / r
+    k = math.frexp(max(abs(e1), math.sqrt(abs(e0))))[1]
+    h = math.ldexp(-e1 / 2.0, -k)
+    dq = h * h - math.ldexp(e0, -2 * k)
+    if dq < 0.0:
+        z = complex(math.ldexp(h, k), math.ldexp(math.sqrt(-dq), k))
+        return [complex(r, 0.0), z, z.conjugate()]
+    z1 = math.ldexp(h + math.copysign(math.sqrt(dq), h), k)
+    z2 = e0 / z1 if z1 != 0.0 else 0.0
+    return [complex(r, 0.0), complex(z1, 0.0), complex(z2, 0.0)]
 
 
 def _char_cubic(p, s):
@@ -538,6 +563,58 @@ def test_cubic_roots_survive_a_nan_constant_term_with_a_tiny_p():
     assert _eig_outcome(_eigenvalues_at_oracle, p, (1e10, 0.0, 0.0)) == nan_roots
 
 
+def _signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(
+    c2=_signed(st.floats(2.0**-100, 2.0**100)),
+    t1=_signed(st.one_of(st.just(0.0), st.floats(2.0**-200, 0.5))),
+    t0=_signed(st.one_of(st.just(0.0), st.floats(2.0**-300, 0.5))),
+)
+@example(  # E+-'s cubic at a = 2, b = 1232446850, c = M = N = 0
+    c2=1232446853.0,
+    t1=2464893700.0 / 1232446853.0**2 * 2.0**8,
+    t0=-4929787400.0 / 1232446853.0**3 * 2.0**16,
+)
+@example(c2=3.0, t1=0.0, t0=0.5)  # lambda^3 + 3 lambda^2 + c0: a complex pair
+def test_split_cubic_roots_are_accurate(c2, t1, t0):
+    # cubics with one root near -c2 and two far below it (|c1| <= 2^-9 c2^2,
+    # |c0| <= 2^-17 |c2|^3), every value in the normal range: each root z
+    # has a componentwise backward error |P(z)| / (|z|^3 + |c2| |z|^2 +
+    # |c1| |z| + |c0|) of a few roundings, P taken exactly; the closed form
+    # on the shifted cubic once merged the two small roots into one far
+    # from both, a backward error near 1
+    c1 = t1 * 2.0**-8 * (c2 * c2)
+    c0 = t0 * 2.0**-16 * (c2 * c2) * abs(c2)
+    roots = _cubic_roots(c2, c1, c0)
+    assert roots[0].imag == 0.0
+    assert roots[1].imag == 0.0 or roots[2] == roots[1].conjugate()
+    k2, k1, k0 = (abs(Fraction(v)) for v in (c2, c1, c0))
+    for z in roots:
+        x, y = Fraction(z.real), Fraction(z.imag)
+        pr, pi = x + Fraction(c2), y
+        pr, pi = pr * x - pi * y + Fraction(c1), pr * y + pi * x
+        pr, pi = pr * x - pi * y + Fraction(c0), pr * y + pi * x
+        t = Fraction(abs(z)) * (1 - 4 * _U)  # below |z|, within abs's rounding
+        size = ((t + k2) * t + k1) * t + k0
+        assert pr * pr + pi * pi <= (8 * _U * size) ** 2, (c2, c1, c0, z)
+
+
+def test_a_pair_far_below_the_large_root_keeps_its_roots():
+    # E+-'s cubic lambda^3 + (b + 3) lambda^2 + 2 b lambda - 4 b at a = 2,
+    # b ~ 1.2e9: roots -b - 1 and close to -1 +- sqrt 5, which the closed
+    # form returned as a double root 2.1e7, so two unstable directions
+    # where there is one
+    p = SystemParams(2.0, 1232446850.0, 0.0, P=2.0)
+    ep, em = find_equilibria(p).pair
+    want = sorted(np.roots([1.0, p.b + 3.0, 2.0 * p.b, -4.0 * p.b]), key=_spectral_order)
+    assert np.allclose(ep.eigenvalues, want, rtol=1e-12, atol=0.0)
+    assert (ep.stable_dim, ep.unstable_dim, ep.center_dim) == (2, 1, 0)
+    assert em.eigenvalues is ep.eigenvalues
+
+
 @pytest.mark.parametrize(
     "cubic",
     [(math.nan, 1.0, 2.0), (1.0, math.nan, 2.0), (1.0, 2.0, math.nan),
@@ -578,6 +655,7 @@ def test_an_overflowing_cubic_raises_a_value_error(cubic):
 @example(p=SystemParams(1.0, 3.0, -1.0))  # the cubic's c1 is 0
 @example(p=SystemParams(10.0, 8.0 / 3.0, 0.5, M=1000000.5))
 @example(p=SystemParams(10.0, 8.0 / 3.0, 1e300))  # the roots' closed form overflows
+@example(p=SystemParams(2.0, 1232446850.0, 0.0, P=2.0))  # the split cubic
 def test_equilibrium_spectra_match_their_exact_references(p):
     # the origin and E+- of random cells, as find_equilibria records them:
     # the origin is its factored spectrum, held to the exact one, and E+-
