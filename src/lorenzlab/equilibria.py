@@ -83,8 +83,9 @@ def origin_eigenvalues(p: SystemParams) -> tuple[complex, complex, complex]:
     descending real part (ties by ascending imaginary part), followed by -b.
     A discriminant beyond the float range is formed for lambda / 2^k
     instead, an exact rescaling that brings the larger of |a + 1 - N| and
-    |a d|^(1/2) near 1.  Raises ValueError when a coefficient, or a root,
-    is itself beyond the float range.
+    |a d|^(1/2) near 1; an a d beyond the float range, of finite a and d,
+    is formed scaled too.  Raises ValueError when a + 1 - N or d, or a
+    root, is itself beyond the float range.
     """
     return _origin_eigenvalues(p.a, p.b, p.N, p.M + p.N + p.c - 1.0)
 
@@ -98,33 +99,48 @@ def _origin_eigenvalues(
     bb = a + 1.0 - N  # quadratic is lambda^2 + bb*lambda + cc
     cc = -a * d
     disc = bb * bb - 4.0 * cc
-    scale = 0
+    scale = kc = 0
     bb_s = bb
     if not math.isfinite(disc):
-        if not (math.isfinite(bb) and math.isfinite(cc)):
+        if not (math.isfinite(bb) and math.isfinite(d)):
             raise ValueError(
                 f"the origin's characteristic quadratic's coefficients ({bb!r}, {cc!r}) "
                 "are beyond the float range"
             )
-        scale = math.frexp(max(abs(bb), math.sqrt(abs(cc))))[1]
+        cm = cc
+        if not math.isfinite(cc):
+            # a d overflows: cc = cm * 2^kc, with a and d scaled into
+            # [0.5, 1) by frexp, so cm has the one rounding of -a * d; kc is
+            # made even, so that sqrt(|cc|) = sqrt(|cm|) * 2^(kc/2)
+            a_m, ka = math.frexp(a)
+            d_m, kd = math.frexp(d)
+            cm, kc = -a_m * d_m, ka + kd
+            if kc % 2:
+                cm, kc = 2.0 * cm, kc - 1
+        scale = math.frexp(max(abs(bb), math.ldexp(math.sqrt(abs(cm)), kc // 2)))[1]
         bb_s = math.ldexp(bb, -scale)
-        disc = bb_s * bb_s - 4.0 * math.ldexp(cc, -2 * scale)
+        disc = bb_s * bb_s - 4.0 * math.ldexp(cm, kc - 2 * scale)
     if disc >= 0.0:
         sq = math.sqrt(disc)
         # avoid cancellation: compute the larger-magnitude root first
         if bb >= 0.0:
-            r_big = (-bb_s - sq) / 2.0
+            r_big = r_s = (-bb_s - sq) / 2.0
         else:
-            r_big = (-bb_s + sq) / 2.0
+            r_big = r_s = (-bb_s + sq) / 2.0
         if scale:
             try:
-                r_big = math.ldexp(r_big, scale)
+                r_big = math.ldexp(r_s, scale)
             except OverflowError:
                 raise ValueError(
                     f"the origin's characteristic quadratic's coefficients ({bb!r}, {cc!r}) "
                     "give a root beyond the float range"
                 ) from None
-        r_other = cc / r_big if r_big != 0.0 else 0.0
+        if kc:
+            # cc / r_big from the scaled terms: |r_big| >= |cc|^(1/2), so
+            # the quotient is finite
+            r_other = math.ldexp(cm / r_s, kc - scale)
+        else:
+            r_other = cc / r_big if r_big != 0.0 else 0.0
         # the higher root first; on a tie r_other, as the reverse of a
         # stable ascending sort of (r_big, r_other) puts it
         if r_other < r_big:
@@ -211,10 +227,11 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     one root far from both, and polishing does not part them), so the
     cubic is split instead (see _split_cubic_roots).
 
-    A NaN coefficient gives three roots complex(nan, nan).  Coefficients
-    too large for the closed form raise ValueError, not OverflowError:
-    (q/2)^2 overflows once |q| passes about 2.7e154, (p/3)^3 once |p|
-    passes about 1.7e103.
+    A NaN coefficient gives three roots complex(nan, nan).  Finite
+    coefficients too large for the closed form raise ValueError, not
+    OverflowError: (q/2)^2 overflows once |q| passes about 2.7e154, (p/3)^3
+    once |p| passes about 1.7e103, and p or q itself once a product in it
+    leaves the float range.
     """
     if c2 != c2 or c1 != c1 or c0 != c0:
         return [_NAN_ROOT, _NAN_ROOT, _NAN_ROOT]
@@ -222,6 +239,12 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
         shift = c2 / 3.0
         pcoef = c1 - c2 * shift  # c1 - c2^2/3
         qcoef = (2.0 * shift * shift - c1) * shift + c0  # 2 c2^3/27 - c1 c2/3 + c0
+        if not (math.isfinite(pcoef) and math.isfinite(qcoef)) and (
+            math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)
+        ):
+            # a product overflowed (c2 c2/3 once |c2| passes about 2.3e154):
+            # the closed form would go on to infinite roots
+            raise OverflowError
         disc = (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
         if (
             abs(qcoef) < 2.0**-511

@@ -8,18 +8,23 @@ initial condition S(u0) = (-x0, -y0, z0) produces the exactly mirrored
 trajectory (every floating-point operation involved is sign-symmetric;
 norms, error estimates and step-size decisions are invariant under S).
 
-The stepping loop is generated per field, per mode and per number of
-capture targets.  Each field (the 3-D model field and the 6-D variational
-field of the exponent) is given as source text, and ``_loop_source``
-expands one loop template for it in fixed RK4 or in DP54 mode, with every
-stage unrolled over the components and the field inlined.  The state, the
-stages, DP54's carried first stage and the norm live in local scalars, so
-a step makes no call and packs or unpacks no tuple.  The dwell check is
-unrolled over the targets, whose coordinates are unpacked into locals once
-per run; without targets it is left out.  A recorded run appends t and
-each component to its own list of floats, so a step allocates no
-GC-tracked object and never starts a collector pass.  A loop is compiled
-on its first use, never at import, and cached for the process.
+The stepping loop is generated per field, per mode, per number of capture
+targets and per pair of unit-gain flags.  Each field (the 3-D model field
+and the 6-D variational field of the exponent) is given as source text,
+and ``_loop_source`` expands one loop template for it in fixed RK4 or in
+DP54 mode, with every stage unrolled over the components and the field
+inlined.  Where the run's n1 = N - 1 is -1.0 or its pp = 1 - P is 1.0, as
+for every plant with N = 0 or P = 0, that constant is folded into the
+field text first (``_fold_unit_gains``): ``+ n1 * X`` becomes ``- X`` and
+``pp * X`` becomes ``X``, which round alike for every double.  The
+state, the stages, DP54's carried first stage and the norm live in local
+scalars, so a step makes no call and packs or unpacks no tuple.  The
+dwell check is unrolled over the targets, whose coordinates are unpacked
+into locals once per run; without targets it is left out.  A recorded run
+appends t and each component to its own list of floats, so a step
+allocates no GC-tracked object and never starts a collector pass.  A loop
+is compiled on its first use, never at import, and cached for the
+process.
 
 What is frozen, because every output bit depends on it:
 
@@ -119,6 +124,11 @@ class IntegratorSettings:
     run: an integration, or a whole exponent estimate with its transient
     and every renormalization window; a run that needs more ends with
     STEP_LIMIT.
+
+    The five float fields are coerced with ``float()``, as SystemParams'
+    are: an exact float is kept as the object given, and an int becomes an
+    equal float, so a run's times and the files written from them are
+    floats.
     """
 
     mode: IntegratorMode = IntegratorMode.ADAPTIVE
@@ -130,6 +140,11 @@ class IntegratorSettings:
     blowup_norm: float = 1e6
 
     def __post_init__(self) -> None:
+        for name in ("dt_init", "rel_tol", "abs_tol", "t_max", "blowup_norm"):
+            raw = getattr(self, name)
+            value = float(raw)
+            if value is not raw:
+                object.__setattr__(self, name, value)
         if not (self.dt_init > 0.0 and math.isfinite(self.dt_init)):
             raise ValueError("dt_init must be positive and finite")
         if not all(0.0 < tol < math.inf for tol in (self.rel_tol, self.abs_tol)):
@@ -443,17 +458,43 @@ def _loop_source(
     )
 
 
+def _fold_unit_gains(
+    field_source: _FieldSource, unit_n1: bool, unit_pp: bool
+) -> _FieldSource:
+    """``field_source`` with n1 = -1.0 folded in when ``unit_n1`` (``+ n1 *
+    X`` becomes ``- X``) and pp = 1.0 when ``unit_pp`` (``pp * X`` becomes
+    ``X``).
+
+    Both rewrites round alike for every double, +-0 and +-inf included:
+    (-1.0) * x is -x, u + (-v) is u - v, and 1.0 * x is x.  Only the sign
+    bit of a NaN can differ, and no output shows it.
+    """
+    folded = []
+    for name, expr in field_source:
+        if unit_n1:
+            expr = expr.replace("+ n1 * ", "- ")
+        if unit_pp:
+            expr = expr.replace("pp * ", "")
+        folded.append((name, expr))
+    return tuple(folded)
+
+
 # the globals of every generated loop
 _LOOP_GLOBALS = {"sqrt": math.sqrt, "dist": _dist, **TrajectoryStatus.__members__}
 
 
 @functools.cache
 def _loop(
-    field_source: _FieldSource, mode: IntegratorMode, n_targets: int
+    field_source: _FieldSource,
+    mode: IntegratorMode,
+    n_targets: int,
+    unit_n1: bool,
+    unit_pp: bool,
 ) -> Callable[..., tuple]:
-    """The compiled loop of one field, mode and target count, built on
-    first use."""
+    """The compiled loop of one field, mode and target count, with the
+    unit gains of ``_fold_unit_gains`` folded in, built on first use."""
     namespace = dict(_LOOP_GLOBALS)
+    field_source = _fold_unit_gains(field_source, unit_n1, unit_pp)
     source = _loop_source(field_source, mode, n_targets)
     exec(compile(source, "<stepping loop>", "exec"), namespace)
     return namespace["loop"]
@@ -493,9 +534,12 @@ def _drive(
     The loop is the one generated for this field, mode and number of
     targets (compiled on first use), called with the grouped constants of
     :func:`lorenzlab.model.vector_field`: cm = c + M, n1 = N - 1,
-    pp = 1 - P and nb = -b.  Its operation order, the ``** 2`` of its
-    error norm, the ``+`` chain of its norms and its stop order are frozen
-    (see the module docstring); every output bit depends on them.
+    pp = 1 - P and nb = -b.  Where n1 is -1.0 or pp is 1.0 as computed,
+    whatever N or P gave it, the loop has that constant folded in (see
+    ``_fold_unit_gains``), with the same bits.  Its operation order, the
+    ``** 2`` of its error norm, the ``+`` chain of its norms and its stop
+    order are frozen (see the module docstring); every output bit depends
+    on them.
 
     The initial state and every accepted state go through one stop policy,
     in order: record it; DIVERGED if its norm exceeds ``blowup_norm`` or is
@@ -519,9 +563,16 @@ def _drive(
     step is clamped so the remaining time still allows the required number
     of checks.
     """
-    loop = _loop(field_source, settings.mode, 0 if targets is None else len(targets))
+    n1, pp = p.N - 1.0, 1.0 - p.P
+    loop = _loop(
+        field_source,
+        settings.mode,
+        0 if targets is None else len(targets),
+        n1 == -1.0,
+        pp == 1.0,
+    )
     status, s, dt, attempts, times, columns, captured = loop(
-        p.a, p.b, p.c + p.M, p.N - 1.0, 1.0 - p.P, -p.b,
+        p.a, p.b, p.c + p.M, n1, pp, -p.b,
         u0, t_end, settings.dt_init if dt_start is None else dt_start, attempts,
         settings.max_steps, settings.rel_tol, settings.abs_tol, settings.blowup_norm,
         targets, capture_radius, _capture_reach(capture_radius), record,

@@ -136,7 +136,10 @@ def vector_field(p: SystemParams, s: State | tuple) -> State:
 # lorenzlab.integrator._loop_source): the same operations, in the same
 # order, as vector_field, with cm = c + M, n1 = N - 1, pp = 1 - P and
 # nb = -b, negated once per run instead of at every stage (negation is
-# exact, so nb * z rounds as -b * z does).
+# exact, so nb * z rounds as -b * z does).  A run whose n1 is -1.0 or
+# whose pp is 1.0 gets its own loop with that constant folded in: "+ n1 *
+# X" is written "- X" and "pp * X" is written "X", the same bits for every
+# double, so each "+ n1 * " and "pp * " here must stay spelled that way.
 _FIELD_SOURCE = (
     ("x", "a * ({y} - {x})"),
     ("y", "cm * {x} + n1 * {y} - pp * ({x} * {z})"),

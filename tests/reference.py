@@ -97,8 +97,45 @@ def variational_rhs(p):
     return rhs
 
 
-# the generic right-hand side of each field the package writes as source
-RHS = {_FIELD_SOURCE: lorenz_rhs, _VARIATIONAL_SOURCE: variational_rhs}
+def _tangent_source(k):
+    """The variational tangent rows of _VARIATIONAL_SOURCE for tangent k."""
+    rows = []
+    for name, expr in _VARIATIONAL_SOURCE[3:]:
+        for c in ("dx", "dy", "dz"):
+            expr = expr.replace("{%s}" % c, "{%s%d}" % (c, k))
+        rows.append((f"{name}{k}", expr))
+    return tuple(rows)
+
+
+# A test-only 12-D field: the base and three tangents, for the spectrum sum
+# and for the loop's parity at a dimension no caller in the package uses
+SPECTRUM_SOURCE = (
+    *_VARIATIONAL_SOURCE[:3], *_tangent_source(1), *_tangent_source(2),
+    *_tangent_source(3),
+)
+
+
+def spectrum_rhs(p):
+    f = variational_rhs(p)
+
+    def rhs(s):
+        base = s[:3]
+        return (
+            *f((*base, *s[3:6])),
+            *f((*base, *s[6:9]))[3:],
+            *f((*base, *s[9:12]))[3:],
+        )
+
+    return rhs
+
+
+# the generic right-hand side of each field the package and the tests
+# write as source
+RHS = {
+    _FIELD_SOURCE: lorenz_rhs,
+    _VARIATIONAL_SOURCE: variational_rhs,
+    SPECTRUM_SOURCE: spectrum_rhs,
+}
 
 
 def rk4_step(f, s, dt):

@@ -280,24 +280,9 @@ def test_regular_lle_equals_the_attractors_spectral_abscissa(p):
 
 # The spectrum sum: the field's divergence is the constant delta = -a +
 # (N - 1) - b, so lambda1 + lambda2 + lambda3 = delta.  A test-only 12-D
-# field (the base plus three tangents) runs through the same generated
-# loop, and Gram-Schmidt renormalizes the tangents once per window.
-
-
-def _tangent_source(k):
-    """The variational tangent rows of _VARIATIONAL_SOURCE for tangent k."""
-    rows = []
-    for name, expr in _VARIATIONAL_SOURCE[3:]:
-        for c in ("dx", "dy", "dz"):
-            expr = expr.replace("{%s}" % c, "{%s%d}" % (c, k))
-        rows.append((f"{name}{k}", expr))
-    return tuple(rows)
-
-
-_SPECTRUM_SOURCE = (
-    *_VARIATIONAL_SOURCE[:3], *_tangent_source(1), *_tangent_source(2),
-    *_tangent_source(3),
-)
+# field (the base plus three tangents, reference.SPECTRUM_SOURCE) runs
+# through the same generated loop, and Gram-Schmidt renormalizes the
+# tangents once per window.
 
 
 def _gram_schmidt(vectors):
@@ -320,7 +305,7 @@ def _spectrum_growths(p, settings, horizon, transient):
     dt, attempts = settings.dt_init, 0
     growths, measured = [], 0
     for w in range(int(horizon)):
-        res = _drive(_SPECTRUM_SOURCE, p, s, settings, 1.0, record=False,
+        res = _drive(reference.SPECTRUM_SOURCE, p, s, settings, 1.0, record=False,
                      dt_start=dt, attempts=attempts)
         assert res.status is TrajectoryStatus.COMPLETED_TSPAN
         if w >= transient:

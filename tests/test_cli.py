@@ -61,8 +61,11 @@ def test_equilibria_json_regular(capsys):
         ["--preset", "chen", "--a", "35", "--b", "3", "--c", "28"],
         ["--a", "1", "--b", "3", "--c", "-10"],  # a complex pair
         ["--a", "10", "--b", "2.6666666666666665", "--c", "1"],  # d = 0
+        # a d overflows; the roots do not
+        ["--a", "10", "--b", "2.6666666666666665", "--c=-1e308"],
     ],
-    ids=["regular", "classic", "plant", "chen", "complex-pair", "pitchfork"],
+    ids=["regular", "classic", "plant", "chen", "complex-pair", "pitchfork",
+         "overflowing-ad"],
 )
 def test_classify_and_equilibria_report_one_origin_spectrum(capsys, argv):
     # the same multiset, bit for bit, whatever order each command prints
@@ -74,6 +77,22 @@ def test_classify_and_equilibria_report_one_origin_spectrum(capsys, argv):
         eigs = doc["eigenvalues"] if command == "classify" else doc["origin"]["eigenvalues"]
         spectra.append(sorted((repr(re), repr(im)) for re, im in eigs))
     assert spectra[0] == spectra[1]
+
+
+def test_classify_decides_a_cell_whose_a_d_overflows(capsys):
+    # -a d = 1e309 overflows, yet the roots -5.5 +- 3.16e154 i and -b are
+    # finite: the class is printed with its spectrum, not exit 2
+    code, out, _ = run_cli(
+        capsys, ["classify", "--a", "10", "--b", "2.6666666666666665", "--c=-1e308"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["origin_class"] == "attractor"
+    assert doc["eigenvalues"] == [
+        [-5.5, -3.162277660168379e154],
+        [-5.5, 3.162277660168379e154],
+        [-2.6666666666666665, 0.0],
+    ]
 
 
 def test_preset_flag_with_override(capsys):

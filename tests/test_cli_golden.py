@@ -190,6 +190,12 @@ CASES = [
          2, EMPTY, "error: the characteristic cubic's coefficients "
          "(13.666666666666666, 2.6666666666666668e+300, 5.333333333333334e+301) "
          "are beyond the float range\n"),
+    # finite coefficients whose closed form overflows in a product (c2 c2/3
+    # at c2 = 1e300), which gave the roots (inf, inf, -inf) with exit 0
+    case("equilibria-overflowing-product",
+         ["equilibria", "--a", "1", "--b", "1e300", "--c", "28"],
+         2, EMPTY, "error: the characteristic cubic's coefficients "
+         "(1e+300, 2.9e+301, 5.400000000000001e+301) are beyond the float range\n"),
     case("heteroclinic-negative-epsilon",
          ["heteroclinic", *REGULAR, "--branch", "plus", "--epsilon=-1e-6"],
          2, EMPTY, "error: epsilon must be positive and finite, got -1e-06\n"),

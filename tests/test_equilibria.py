@@ -324,10 +324,12 @@ def test_eigenvalue_ordering_convention():
 # below the normal range (|q| < 2^-511 and |p| < 2^-340, not both zero):
 # there the old path divided by zero, returned a false triple root or
 # lost a complex pair, the oracle raises _Underflow, and the new path
-# rescales the cubic.  Three rules sit on top of the old path, as in the
+# rescales the cubic.  Four rules sit on top of the old path, as in the
 # solver: a NaN coefficient gives three NaN roots, an OverflowError (a
 # square or cube of a huge coefficient, or |z|^2 in the polish) becomes
-# the solver's ValueError, and a cubic with one root near -c2 and two far
+# the solver's ValueError, so do finite coefficients whose p or q
+# overflows in a product, where the old path went on to infinite roots,
+# and a cubic with one root near -c2 and two far
 # smaller ones (|c1| < 2^-8 c2^2, |c0| < 2^-16 |c2|^3), whose small roots
 # the old path could merge into one far from both, is split: its large
 # root by Newton from -c2, the other two from the quadratic left by
@@ -355,6 +357,9 @@ def _closed_form_oracle(c2, c1, c0):
     shift = c2 / 3.0
     pcoef = c1 - c2 * shift
     qcoef = (2.0 * shift * shift - c1) * shift + c0
+    finite = math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)
+    if finite and not (math.isfinite(pcoef) and math.isfinite(qcoef)):
+        raise OverflowError("p or q of finite coefficients overflows")
     disc = (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
     if abs(qcoef) < 2.0**-511 and abs(pcoef) < 2.0**-340:
         if pcoef != 0.0 or qcoef != 0.0:
@@ -1108,8 +1113,21 @@ def _origin_bounds(p, mu):
     the sum is off by less than 8 u (|bb| + sqrt|cc|).  A complex pair has
     the sum -bb exactly, and the product misses cc by (sq^2 + bb^2 - 4 cc)
     / 4, at most 1.0003 u m < 9 u |cc| because bb^2 < 4 cc (1 + u).
+
+    Where -a fl(d) overflows, origin_eigenvalues forms it from a and fl(d)
+    scaled by powers of two, with the one rounding of the product and no
+    overflow; |cc| then stands for that rounded product, at most (1 + u)
+    |a fl(d)|, and the bounds above hold as they are.
     """
     bb, cc = _origin_coefficients(p)
+    if math.isinf(cc):
+        abs_cc = abs(Fraction(p.a) * Fraction(p.M + p.N + p.c - 1.0)) * (1 + _U)
+        # sqrt|cc| rounded up, formed at 2^-1100 |cc|, inside the float range
+        root_cc = Fraction(math.sqrt(abs_cc / 2**1100)) * 2**550 * (1 + 4 * _U)
+    else:
+        abs_cc = abs(Fraction(cc))
+        # sqrt|cc| rounded up by far more than its rounding error
+        root_cc = Fraction(math.sqrt(abs(cc))) * (1 + 4 * _U)
     parts = [abs(v) for z in mu for v in (z.real, z.imag)]
     if (
         0.0 < abs(bb) < 2.0**-511
@@ -1125,10 +1143,8 @@ def _origin_bounds(p, mu):
     e_d = gamma3 * scale
     data_b = gamma2 * (abs(a) + 1 + abs(n))
     data_c = abs(a) * e_d + _U * abs(a) * (abs(d) + e_d) + _TINY
-    # sqrt|cc| rounded up by far more than its rounding error
-    root_cc = Fraction(math.sqrt(abs(cc))) * (1 + 4 * _U)
     form_b = 8 * _U * (abs(Fraction(bb)) + root_cc)
-    form_c = 9 * _U * abs(Fraction(cc))
+    form_c = 9 * _U * abs_cc
     return a + 1 - n, -a * d, data_b + form_b, data_c + form_c
 
 
@@ -1215,16 +1231,25 @@ def test_origin_spectrum_is_within_its_rounding_bound_on_wide_cells(p):
 
 def test_minus_b_is_exact_in_every_origin_spectrum():
     for b in (8.0 / 3.0, 0.1, 1e-300, 3e200, 5e-324):
-        p = SystemParams(10.0, b, 28.0)
-        assert origin_eigenvalues(p)[2] == -b
-        assert complex(-b, 0.0) in find_equilibria(p).origin.eigenvalues
+        # with the pair (c = 28) and without it (c = 0.5)
+        for c in (28.0, 0.5):
+            p = SystemParams(10.0, b, c)
+            assert origin_eigenvalues(p)[2] == -b
+            if (b, c) == (3e200, 28.0):
+                # E+-'s cubic (3e200, 1.14e202, 1.62e203) overflows its
+                # closed form in c2 c2/3, so find_equilibria raises
+                with pytest.raises(ValueError, match="beyond the float range"):
+                    find_equilibria(p)
+                continue
+            assert complex(-b, 0.0) in find_equilibria(p).origin.eigenvalues
 
 
 def test_an_overflowing_origin_discriminant_raises_a_value_error():
-    # a d overflows, so the quadratic's constant term cc = -a d is -inf
-    p = SystemParams(1e154, 1.0, 1.0, M=2e154)
+    # d = M + c - 1 overflows itself, so the quadratic's constant term
+    # cc = -a d is -inf with no finite factors to form it from
+    p = SystemParams(1.0, 1.0, 1e308, M=1e308)
     message = (
-        r"the origin's characteristic quadratic's coefficients \(1e\+154, -inf\) "
+        r"the origin's characteristic quadratic's coefficients \(2\.0, -inf\) "
         "are beyond the float range"
     )
     with pytest.raises(ValueError, match=message):
@@ -1253,6 +1278,34 @@ def test_an_overflowing_origin_discriminant_of_finite_coefficients_is_rescaled(p
     _check_origin_exactness(p)
     origin = find_equilibria(p).origin
     assert repr(origin.eigenvalues) == repr(tuple(sorted(want, key=_spectral_order)))
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        # -a d = 1e309: the pair -5.5 +- 3.16e154 i of an attractor
+        (
+            SystemParams(10.0, 8.0 / 3.0, -1e308),
+            (complex(-5.5, -3.162277660168379e154), complex(-5.5, 3.162277660168379e154),
+             complex(-8.0 / 3.0, 0.0)),
+        ),
+        # a d = 2e308: real roots of opposite sign, the smaller one formed
+        # from the scaled terms
+        (
+            SystemParams(1e154, 1.0, 1.0, M=2e154),
+            (complex(1e154, 0.0), complex(-2e154, 0.0),
+             complex(-1.0, 0.0)),
+        ),
+    ],
+)
+def test_an_overflowing_origin_constant_term_of_finite_factors_is_rescaled(p, want):
+    bb, cc = _origin_coefficients(p)
+    assert math.isfinite(bb) and math.isinf(cc)
+    assert repr(origin_eigenvalues(p)) == repr(want)
+    _check_origin_exactness(p)
+    assert classify_origin(p) is (
+        OriginClass.ATTRACTOR if want[0].imag else OriginClass.SADDLE_WS2_WU1
+    )
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,17 @@ from lorenzlab import (
     EquilibriumKind,
     IntegratorMode,
     IntegratorSettings,
+    Preset,
     State,
     SystemParams,
     TrajectoryStatus,
     apply_symmetry,
     find_equilibria,
+    from_preset,
     integrate,
     integrate_to_equilibrium,
     trace_heteroclinic,
+    trajectory_csv,
     unstable_direction_at_origin,
     v_gradient,
     v_value,
@@ -30,6 +33,7 @@ from lorenzlab.integrator import (
     _LOOP_GLOBALS,
     _dp54_block,
     _drive,
+    _fold_unit_gains,
     _loop_source,
 )
 from lorenzlab.model import _FIELD_SOURCE
@@ -61,6 +65,21 @@ def test_settings_validation():
     # for any non-finite state, so the bound itself must be finite
     with pytest.raises(ValueError):
         IntegratorSettings(blowup_norm=math.inf)
+
+
+def test_settings_coerce_ints_to_floats():
+    tr = integrate(CLASSIC, (1.0, 1.0, 1.0), IntegratorSettings(t_max=2))
+    assert type(tr.times[-1]) is float and repr(tr.times[-1]) == "2.0"
+    # floats are written with repr, so the last row starts "2.0,", not "2,"
+    assert trajectory_csv(tr).splitlines()[-1].startswith("2.0,")
+    coerced = IntegratorSettings(dt_init=1, rel_tol=1, abs_tol=1, t_max=3,
+                                 blowup_norm=10**6)
+    for name in ("dt_init", "rel_tol", "abs_tol", "t_max", "blowup_norm"):
+        assert type(getattr(coerced, name)) is float
+    assert coerced.blowup_norm == 1e6
+    # an exact float is kept as the object given
+    t_max = 7.3
+    assert IntegratorSettings(t_max=t_max).t_max is t_max
 
 
 def test_adaptive_run_is_deterministic():
@@ -361,21 +380,30 @@ def test_dwell_prefilter_matches_the_oracle_on_heteroclinic_branches(branch, set
 # every run the same way, bit for bit, in every field a caller reads.
 
 
+# each pair of unit-gain flags: n1 = -1.0 and pp = 1.0 (the first four),
+# n1 = -1.0 only (P = 2), pp = 1.0 only (N = 0.5), and both from gains so
+# small that they round away
 _DRIVE_PARAMS = [
     REGULAR,
     CLASSIC,
     SystemParams(10.0, 8.0 / 3.0, 0.5),
     SystemParams(2.0, 5.0, 3.0, M=0.5),
     SystemParams(10.0, 8.0 / 3.0, 28.0, P=2.0),
+    SystemParams(2.0, 5.0, 3.0, N=0.5),
+    SystemParams(10.0, 8.0 / 3.0, 28.0, N=1e-300, P=1e-300),
 ]
 
+# the fields by dimension: the model, the exponent's, and the tests' 12-D
+_SOURCES = {3: _FIELD_SOURCE, 6: _VARIATIONAL_SOURCE, 12: reference.SPECTRUM_SOURCE}
 
-def _drive_case(p, start, *, fixed, targets, variational, budget, t_end, dt_init,
+
+def _drive_case(p, start, *, fixed, targets, tangents, budget, t_end, dt_init,
                 blowup_norm, **kwargs):
     """(field source, params, u0, settings, t_end, keyword arguments) of one
-    ``_drive`` run."""
-    u0 = (*start, 1.0, 0.0, 0.0) if variational else start
-    field_source = _VARIATIONAL_SOURCE if variational else _FIELD_SOURCE
+    ``_drive`` run, with 0, 1 or 3 tangents started along the axes."""
+    axes = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)[: 3 * tangents]
+    u0 = (*start, *axes)
+    field_source = _SOURCES[len(u0)]
     settings = IntegratorSettings(
         mode=IntegratorMode.FIXED_RK4 if fixed else IntegratorMode.ADAPTIVE,
         dt_init=dt_init,
@@ -385,12 +413,19 @@ def _drive_case(p, start, *, fixed, targets, variational, budget, t_end, dt_init
     return field_source, p, u0, settings, t_end, dict(kwargs, targets=targets)
 
 
+def _locations(p):
+    """The origin and, where it exists, the pair."""
+    eqs = find_equilibria(p)
+    return [tuple(e.location) for e in (eqs.origin, *(eqs.pair or ()))]
+
+
 @st.composite
 def _drive_cases(draw):
     p = draw(st.sampled_from(_DRIVE_PARAMS))
-    eqs = find_equilibria(p)
-    locations = [tuple(e.location) for e in (eqs.origin, *(eqs.pair or ()))]
-    targets = draw(st.sampled_from([None, locations, locations[1:] or None]))
+    locations = _locations(p)
+    # zero to three targets: none, the origin, the pair, or all three
+    targets = draw(st.sampled_from([None, locations[:1], locations[1:] or None,
+                                    locations]))
     kind = draw(st.sampled_from(["any", "in_ball", "in_ball", "diverged", "nan"]))
     if kind == "any":
         start = draw(st.tuples(*[st.floats(-10.0, 10.0)] * 3))
@@ -407,8 +442,8 @@ def _drive_cases(draw):
         start,
         fixed=draw(st.booleans()),
         targets=targets,
-        # the exponent's 6-D field runs without targets
-        variational=targets is None and draw(st.booleans()),
+        # the exponent's 6-D field and the 12-D one run without targets
+        tangents=0 if targets else draw(st.sampled_from([0, 1, 3])),
         budget=draw(st.sampled_from([1, 60, 10**6, 10**6])),
         t_end=draw(st.sampled_from([0.5, 2.0, 5.0])),
         dt_init=draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0])),
@@ -421,7 +456,7 @@ def _drive_cases(draw):
 
 
 _PAIR = [tuple(e.location) for e in find_equilibria(REGULAR).pair]
-_RUN = dict(fixed=False, variational=False, budget=10**6, t_end=5.0, dt_init=1e-2,
+_RUN = dict(fixed=False, tangents=0, budget=10**6, t_end=5.0, dt_init=1e-2,
             blowup_norm=1e6, capture_radius=1e-6)
 
 
@@ -431,7 +466,7 @@ _RUN = dict(fixed=False, variational=False, budget=10**6, t_end=5.0, dt_init=1e-
 @example(case=_drive_case(REGULAR, _PAIR[0], **_RUN, targets=_PAIR))
 # a budget partly spent by earlier windows runs out: STEP_LIMIT
 @example(
-    case=_drive_case(CLASSIC, (1.0, 1.0, 1.0), **dict(_RUN, variational=True,
+    case=_drive_case(CLASSIC, (1.0, 1.0, 1.0), **dict(_RUN, tangents=1,
                      budget=60), targets=None, record=False, attempts=50)
 )
 # a NaN start, and a diverged one whose target distances overflow
@@ -439,6 +474,16 @@ _RUN = dict(fixed=False, variational=False, budget=10**6, t_end=5.0, dt_init=1e-
 @example(
     case=_drive_case(REGULAR, (1e200, 0.0, 0.0), **dict(_RUN, blowup_norm=1e300),
                      targets=_PAIR)
+)
+# gains that round to unit, with all three targets; pp = 1.0 alone on the
+# 12-D field in RK4
+@example(
+    case=_drive_case(_DRIVE_PARAMS[-1], (1.0, 1.0, 1.0), **_RUN,
+                     targets=_locations(_DRIVE_PARAMS[-1]))
+)
+@example(
+    case=_drive_case(_DRIVE_PARAMS[-2], (1.0, 1.0, 1.0), **dict(_RUN, fixed=True,
+                     tangents=3), targets=None)
 )
 def test_drive_matches_its_frozen_two_policy_copy(case):
     field_source, p, u0, settings, t_end, kwargs = case
@@ -450,6 +495,36 @@ def test_drive_matches_its_frozen_two_policy_copy(case):
     # one list of floats per component, 3-D and the exponent's 6-D alike
     assert type(got.columns) is tuple and len(got.columns) == len(u0)
     assert all(type(c) is list and len(c) == len(got.times) for c in got.columns)
+
+
+@pytest.mark.parametrize(
+    "p, unit_n1, unit_pp",
+    [
+        (CLASSIC, True, True),
+        (SystemParams(10.0, 8.0 / 3.0, 28.0, N=0.5), False, True),
+        (SystemParams(10.0, 8.0 / 3.0, 28.0, P=2.0), True, False),
+        (SystemParams(10.0, 8.0 / 3.0, 28.0, N=0.5, P=2.0), False, False),
+        # keyed on n1 = N - 1 and pp = 1 - P as computed: gains below half
+        # an ulp of 1 round away, and 1e-16 does not
+        (SystemParams(10.0, 8.0 / 3.0, 28.0, N=1e-300, P=5e-17), True, True),
+        (SystemParams(10.0, 8.0 / 3.0, 28.0, N=1e-16, P=1e-16), False, False),
+        # Chen: N = 1 + c, P = 0
+        (from_preset(Preset.CHEN, 35.0, 3.0, 28.0), False, True),
+    ],
+)
+def test_the_loop_is_keyed_on_the_computed_unit_gains(p, unit_n1, unit_pp):
+    keys = []
+    loop = integrator._loop
+
+    def recording_loop(*key):
+        keys.append(key)
+        return loop(*key)
+
+    settings = IntegratorSettings(t_max=0.1)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(integrator, "_loop", recording_loop)
+        integrate(p, (1.0, 1.0, 1.0), settings)
+    assert keys == [(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, 0, unit_n1, unit_pp)]
 
 
 # ------------------------------------- the step-size controller, at its edges
@@ -480,9 +555,11 @@ def _stub_err(errs: list[str]):
 
 
 def _stub_loop(errs: list[str], n_targets: int):
-    """The generated adaptive loop with its DP54 step replaced by the stub."""
-    source = _loop_source(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, n_targets)
-    block = _dp54_block(_FIELD_SOURCE)
+    """The generated adaptive loop of REGULAR (N = P = 0, so both unit gains
+    folded in) with its DP54 step replaced by the stub."""
+    field_source = _fold_unit_gains(_FIELD_SOURCE, True, True)
+    source = _loop_source(field_source, IntegratorMode.ADAPTIVE, n_targets)
+    block = _dp54_block(field_source)
     assert source.count(block) == 1
     namespace = dict(_LOOP_GLOBALS, stub_err=_stub_err(errs))
     exec(compile(source.replace(block, _STUB_STEP), "<stub loop>", "exec"), namespace)
@@ -521,7 +598,8 @@ def test_step_size_controller_matches_the_frozen_copy(
     args = (_ZERO, _STUB_SETTINGS, t_end, targets, capture_radius, True, dt_start)
     stub = _stub_loop(errs, len(targets or ()))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(integrator, "_loop", lambda field_source, mode, n_targets: stub)
+        m.setattr(integrator, "_loop",
+                  lambda field_source, mode, n_targets, unit_n1, unit_pp: stub)
         got = _drive(_FIELD_SOURCE, REGULAR, *args)
     want = reference.drive(_stub_kernels(errs), *args)
     assert (got.status, repr(got.state), repr(got.dt), got.attempts) == (

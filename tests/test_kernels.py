@@ -9,11 +9,17 @@ including states whose norm overflows and states that are not finite.  In
 adaptive mode a second run at a tolerance that accepts almost any trial
 step takes two steps, so the proposal is compared where the default
 tolerance rejects it, and DP54's carried stage k7 through the second step.
+The gains N and P are drawn at 0 and at 1e-300 as well as anywhere in
+[-50, 50], so each loop with n1 = -1.0 or pp = 1.0 folded in is held to
+the generic steps, which multiply by both constants.
 """
 
+import itertools
 import math
+import re
 import sys
 
+import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st, target
 
 from lorenzlab import (
@@ -25,7 +31,7 @@ from lorenzlab import (
     vector_field,
 )
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
-from lorenzlab.integrator import _drive
+from lorenzlab.integrator import _drive, _fold_unit_gains
 from lorenzlab.model import _FIELD_SOURCE
 
 import reference
@@ -68,12 +74,16 @@ def _assert_parity(source, p, s, dt, kernels):
     return accepted
 
 
-FIELDS = {"lorenz": _FIELD_SOURCE, "variational": _VARIATIONAL_SOURCE}
+FIELDS = {
+    "lorenz": _FIELD_SOURCE,
+    "variational": _VARIATIONAL_SOURCE,
+    "spectrum": reference.SPECTRUM_SOURCE,
+}
 
-params_st = st.builds(
-    SystemParams,
-    *[st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)] * 6,
-)
+real_st = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+# 0 and 1e-300 both give the unit gain n1 = -1.0 (N) or pp = 1.0 (P)
+gain_st = st.one_of(st.sampled_from([0.0, 1e-300]), real_st)
+params_st = st.builds(SystemParams, *[real_st] * 4, gain_st, gain_st)
 component = st.one_of(
     st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False),  # norms up to overflow
@@ -85,11 +95,36 @@ dt_st = st.one_of(
 )
 
 
+# (N, P) of each pair of unit-gain flags: both, N = 0 only, P = 0 only,
+# and gains so small that n1 and pp round to unit
+_GAINS = [(0.0, 0.0), (0.0, 2.5), (-3.0, 0.0), (1e-300, 1e-300)]
+
+
+def _gain_examples(test):
+    """One example per field and pair of unit-gain flags, from a state that
+    steps."""
+    for name, (N, P) in itertools.product(sorted(FIELDS), _GAINS):
+        p = SystemParams(10.0, 8.0 / 3.0, 28.0, M=0.5, N=N, P=P)
+        test = example(name=name, p=p, components=[1.0] * 12, dt=1e-2)(test)
+    return test
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_every_unit_gain_folds_out_of_the_field_text(name):
+    # a field whose text no longer spells "+ n1 * " or "pp * " would keep
+    # the constant in its folded loop and multiply by it again
+    for unit_n1, unit_pp in itertools.product([False, True], repeat=2):
+        folded = _fold_unit_gains(FIELDS[name], unit_n1, unit_pp)
+        named = {m for _, expr in folded for m in re.findall(r"\b(?:n1|pp)\b", expr)}
+        kept = {gain for gain, unit in (("n1", unit_n1), ("pp", unit_pp)) if not unit}
+        assert named == kept
+
+
 @hsettings(max_examples=400, deadline=None)
 @given(
     name=st.sampled_from(sorted(FIELDS)),
     p=params_st,
-    components=st.lists(component, min_size=6, max_size=6),
+    components=st.lists(component, min_size=12, max_size=12),
     dt=dt_st,
 )
 @example(name="variational", p=SystemParams(1.0, 3.0, 2.0),
@@ -102,6 +137,9 @@ dt_st = st.one_of(
          components=[1e154] * 6, dt=1e-3)
 @example(name="lorenz", p=SystemParams(10.0, 2.66, 28.0),
          components=[1.0] * 6, dt=1e5)
+@example(name="spectrum", p=SystemParams(1.0, 3.0, 2.0),
+         components=[1e154] * 12, dt=1e-3)
+@_gain_examples
 def test_fused_kernels_match_the_generic_steps(name, p, components, dt):
     source = FIELDS[name]
     s = tuple(components[: len(source)])

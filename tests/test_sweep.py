@@ -211,19 +211,35 @@ def test_cell_errors_are_isolated():
 
 
 def test_an_overflowing_origin_spectrum_is_an_error_row():
-    # a = 1e154, M = 2e154: the origin's quadratic has cc = -a d = -inf
+    # c = M = 1e308: d = M + N + c - 1 overflows, so the origin's quadratic
+    # has cc = -a d = -inf with no finite factors to form it from
     spec = SweepSpec(
-        base=SystemParams(1e154, 1.0, 1.0),
-        axes=(SweepAxis("M", 2e154, 2e154, 2),),
+        base=SystemParams(1.0, 1.0, 1e308),
+        axes=(SweepAxis("M", 1e308, 1e308, 2),),
         tasks=("equilibria", "origin_class"),
     )
     rows = run_sweep(spec, workers=1).rows
     message = (
         "ValueError: the origin's characteristic quadratic's coefficients "
-        "(1e+154, -inf) are beyond the float range"
+        "(2.0, -inf) are beyond the float range"
     )
     assert [row[-1] for row in rows] == [message, message]
     assert all(v is None for row in rows for v in row[1:-1])
+
+
+def test_an_origin_constant_term_overflowing_in_a_d_is_a_row():
+    # a = 1e154, M = 2e154: -a d = -2e308 overflows, but a and d are finite,
+    # so the origin's spectrum is formed scaled: the saddle (1e154, -2e154)
+    spec = SweepSpec(
+        base=SystemParams(1e154, 1.0, 1.0),
+        axes=(SweepAxis("M", 2e154, 2e154, 2),),
+        tasks=("equilibria", "origin_class"),
+    )
+    res = run_sweep(spec, workers=1)
+    for row in res.rows:
+        cells = dict(zip(res.columns, row))
+        assert cells["error"] is None
+        assert cells["origin_class"] == "saddle_ws2_wu1"
 
 
 def test_origin_class_flip_across_pitchfork():
