@@ -221,7 +221,7 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     both zero, both terms of the discriminant fall below the normal range
     and it says nothing about the roots, so the cubic is rescaled.
 
-    One test decides the split: when |c1| < 2^-16 c2^2 and |c0| < 2^-32
+    One test decides the split: when |c1| < 2^-8 c2^2 and |c0| < 2^-16
     |c2|^3, one root lies near -c2 and two far below it, which the shift
     by c2 / 3 blurs together (a root pair 1e-8 c2 apart can come out as
     one root far from both, and polishing does not part them), so the

@@ -85,13 +85,30 @@ _CSV_WORDS = {None: "", True: "true", False: "false"}
 
 
 def sweep_csv(result: SweepResult) -> str:
+    """The sweep table as CSV: the header row, then one line per row.
+
+    Each grid value's text is formed once per call, not once per cell: a
+    dict maps the ``id`` of each of the spec's axis floats to its ``repr``,
+    and a row's float is looked up by its own ``id``.  The lookup is
+    exact, because the spec (which the result holds) keeps those floats
+    alive, and live objects have distinct ids: a hit is that very float.
+    An inline run_sweep's rows hit on their axis values; any other float
+    misses and is written with ``repr``, so pooled, reordered or
+    hand-built rows render as before.  A float that is the same object as
+    the float before it (E+'s x and y) reuses that float's text.  The dict
+    is built in each call and holds one text per axis point, never one per
+    cell.
+    """
     # _csv_cell inlined for the types a sweep row holds (an int equal to
     # True or False is not one of the constants, so those are told by identity)
     words = _CSV_WORDS
+    grid_text = {id(v): repr(v) for axis in result.spec._axis_values for v in axis}.get
+    prev = text = None
     lines = [",".join(result.columns)]
     for row in result.rows:
         lines.append(",".join([
-            repr(v) if type(v) is float
+            (text if v is prev else (text := grid_text(id(prev := v)) or repr(v)))
+            if type(v) is float
             else words[v] if v is None or v is True or v is False
             else v.replace(",", ";").replace("\n", " ") if type(v) is str
             else _csv_cell(v)

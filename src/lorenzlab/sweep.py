@@ -1,8 +1,9 @@
 """Deterministic parameter sweeps over one or two axes.
 
-Cells are laid out row-major in axis declaration order and evaluated
-independently, either serially or on a process pool.  Every task is a pure
-function of the cell's parameters, so the assembled table is identical
+Cells are laid out row-major in axis declaration order (the order of
+``itertools.product`` over the axes' values) and evaluated independently,
+either serially or on a process pool.  Every task is a pure function of
+the cell's parameters, so the assembled table is identical
 (byte for byte once serialized) for any worker count.  A cell whose
 evaluation raises records the error in its row instead of aborting the
 sweep.
@@ -11,6 +12,7 @@ sweep.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -182,7 +184,14 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The sweep table: one tuple per cell, aligned with ``columns``."""
+    """The sweep table: one tuple per cell, aligned with ``columns``.
+
+    An inline run_sweep starts each row with the very float objects of
+    ``spec``'s grid, as ``itertools.product`` yields them, so sweep_csv
+    forms each grid value's text once per call and looks it up by the
+    float's ``id``; other rows (pooled, reordered or hand-built) render
+    the same, each float with its own ``repr``.
+    """
 
     spec: SweepSpec
     columns: tuple[str, ...]
@@ -241,15 +250,15 @@ def _run_tasks(spec: SweepSpec, p: SystemParams | tuple[float, ...]) -> tuple:
     return tuple(out)
 
 
-def _evaluate_cell(args: tuple[SweepSpec, int]) -> tuple:
-    """Evaluate one cell; exceptions become the row's error column.
+def _evaluate_cell(args: tuple[SweepSpec, tuple[float, ...]]) -> tuple:
+    """Evaluate the cell at ``values`` (its axis values, in axis order);
+    exceptions become the row's error column.
 
     Fields that pass SystemParams' fast test (six exact floats with a
     finite sum) go to the tasks as they are; others build a SystemParams,
     which coerces them or raises the row's error.
     """
-    spec, index = args
-    values = spec.cell_values(index)
+    spec, values = args
     fields = spec._pick_fields(spec._base_fields + values)
     try:
         p = fields if _finite_floats(*fields) else SystemParams(*fields)
@@ -262,20 +271,32 @@ def _evaluate_cell(args: tuple[SweepSpec, int]) -> tuple:
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every cell and assemble the table in grid order.
 
-    ``workers`` = 1 runs inline; None uses one process per CPU if the "lle"
-    task is on and runs inline otherwise, as a closed-form cell costs less
-    than starting a pool.  No more processes start than there are cells,
-    and ``workers`` < 1 raises ValueError.  The output is independent of
-    the worker count.  A worker process that dies raises WorkerPoolError.
+    The grid is walked with ``itertools.product`` over the axes' values,
+    row-major as ``SweepSpec.cell_values`` numbers the cells, so each cell
+    gets its axis values with no index arithmetic, and an inline run's
+    rows hold the grid's own float objects (see SweepResult).
+
+    ``workers`` = 1 runs inline; None uses one process per CPU this
+    process may run on (its affinity mask where the platform has one, else
+    ``os.cpu_count()``) if the "lle" task is on and runs inline otherwise,
+    as a closed-form cell costs less than starting a pool.  No more
+    processes start than there are cells, and ``workers`` < 1 raises
+    ValueError.  The output is independent of the worker count.  A worker
+    process that dies raises WorkerPoolError.
     """
     n = spec.n_cells()
     if workers is None:
-        workers = (os.cpu_count() or 1) if "lle" in spec.tasks else 1
+        workers = 1
+        if "lle" in spec.tasks:
+            # an affinity mask or cpuset can leave fewer CPUs than the machine has
+            affinity = getattr(os, "sched_getaffinity", None)
+            workers = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, n)
+    cells = zip(itertools.repeat(spec), itertools.product(*spec._axis_values))
     if workers == 1:
-        rows = [_evaluate_cell((spec, i)) for i in range(n)]
+        rows = list(map(_evaluate_cell, cells))
     else:
         # the pool's modules load only on this path, not with the package
         from concurrent.futures import ProcessPoolExecutor
@@ -284,11 +305,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         chunk = max(1, n // (4 * workers))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(
-                    pool.map(
-                        _evaluate_cell, ((spec, i) for i in range(n)), chunksize=chunk
-                    )
-                )
+                rows = list(pool.map(_evaluate_cell, cells, chunksize=chunk))
         except BrokenProcessPool as exc:
             axes = " x ".join(
                 f"{ax.name}:{ax.start!r}:{ax.stop!r}:{ax.count}" for ax in spec.axes

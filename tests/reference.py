@@ -7,13 +7,16 @@ frozen copy of the stepping loop from when it wrote its stop policy twice
 ``nearest`` and ``captured`` closures, called a step function per trial
 step and ``norm`` per accepted state.  ``kernels`` gives ``drive`` the
 generic steps of a field the package writes as source text.
+
+``sweep_csv`` is a frozen copy of the sweep CSV renderer from when it
+wrote every cell of every row on its own, each float with its own ``repr``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from lorenzlab import IntegratorMode, IntegratorSettings, TrajectoryStatus
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
@@ -416,3 +419,37 @@ def read_fields(res):
         repr(res.final_distance),
         attempts,
     )
+
+
+# _csv_cell's text for the three constants of a sweep row
+_CSV_WORDS = {None: "", True: "true", False: "false"}
+
+
+def _csv_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, int):
+        return str(value)
+    text = str(value)
+    # the dialect has no quoting; keep cells delimiter- and newline-free
+    return text.replace(",", ";").replace("\n", " ")
+
+
+def sweep_csv(result) -> str:
+    # _csv_cell inlined for the types a sweep row holds (an int equal to
+    # True or False is not one of the constants, so those are told by identity)
+    words = _CSV_WORDS
+    lines = [",".join(result.columns)]
+    for row in result.rows:
+        lines.append(",".join([
+            repr(v) if type(v) is float
+            else words[v] if v is None or v is True or v is False
+            else v.replace(",", ";").replace("\n", " ") if type(v) is str
+            else _csv_cell(v)
+            for v in row
+        ]))
+    return "\n".join(lines) + "\n"

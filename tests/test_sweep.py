@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 import pytest
+import reference
 from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import chaos
@@ -19,6 +20,7 @@ from lorenzlab import (
     HypothesisFlags,
     IntegratorSettings,
     SweepAxis,
+    SweepResult,
     SweepSpec,
     SystemParams,
     WorkerPoolError,
@@ -655,14 +657,113 @@ def test_no_more_processes_start_than_there_are_cells(monkeypatch, workers, star
 def test_default_worker_count_pools_only_lle_sweeps(monkeypatch, tasks, started):
     monkeypatch.setattr(_InlineExecutor, "started", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # the pool is sized by the CPUs this process may run on, not the machine's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     spec = _spec(tasks=tasks, lle_horizon=2.0, lle_transient=0.0)
     inline = sweep_csv(run_sweep(spec, workers=1))
     assert sweep_csv(run_sweep(spec)) == inline
     assert _InlineExecutor.started == started
 
 
+def test_default_pool_size_falls_back_to_the_cpu_count(monkeypatch):
+    # where the platform has no affinity mask
+    monkeypatch.setattr(_InlineExecutor, "started", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_sweep(_spec(tasks=("lle",), lle_horizon=2.0, lle_transient=0.0))
+    assert _InlineExecutor.started == [3]
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_fewer_than_one_worker_is_rejected(workers):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
         run_sweep(_spec(), workers=workers)
+
+
+# ------------------------------------------------------------ CSV rendering
+
+
+def _copy(v):
+    """An equal float that is not the same object."""
+    return float.fromhex(v.hex()) if type(v) is float else v
+
+
+@hsettings(max_examples=40, deadline=None)
+@given(
+    names=st.permutations(sweep.AXIS_NAMES).flatmap(
+        lambda n: st.sampled_from([n[:1], n[:2]])
+    ),
+    ends=st.tuples(_any_end, _any_end, _any_end, _any_end),
+    counts=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+    tasks=st.permutations(_SHARED_TASKS),
+    base=st.sampled_from(
+        [SystemParams(10.0, 8.0 / 3.0, 28.0), SystemParams(1.0, 3.0, 2.0, P=0.5)]
+    ),
+    workers=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+@example(
+    names=("c", "M"),
+    ends=(-0.0, 30.0, 0.0, math.inf),
+    counts=(4, 3),
+    tasks=_SHARED_TASKS,
+    base=SystemParams(10.0, 8.0 / 3.0, 28.0),
+    workers=2,
+    data=None,
+)
+def test_sweep_csv_equals_the_frozen_row_wise_renderer(
+    names, ends, counts, tasks, base, workers, data
+):
+    # 1-D and 2-D grids, a -0.0 start (next to a 0.0 in the example),
+    # non-finite or huge bounds (error rows); rows from a pool hold copies
+    # of the grid's floats, so the grid text must match the row-wise text
+    # on misses as well as hits
+    axes = tuple(
+        SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
+        for k, name in enumerate(names)
+    )
+    spec = SweepSpec(base=base, axes=axes, tasks=tasks)
+    res = run_sweep(spec, workers=workers)
+    assert sweep_csv(res) == reference.sweep_csv(res)
+    if data is None:
+        return
+    # the same rows reordered and truncated, or with every float copied
+    order = data.draw(st.permutations(range(len(res.rows))))
+    keep = data.draw(st.integers(0, len(order)))
+    for rows in (
+        tuple(res.rows[i] for i in order[:keep]),
+        tuple(tuple(map(_copy, row)) for row in res.rows),
+    ):
+        hand = SweepResult(spec=spec, columns=res.columns, rows=rows)
+        assert sweep_csv(hand) == reference.sweep_csv(hand)
+
+
+_GRID_SPEC = SweepSpec(
+    base=BASE,
+    axes=(SweepAxis("c", -0.0, 1.0, 4), SweepAxis("M", 1e300, -math.inf, 3)),
+    tasks=("origin_class",),
+)
+_GRID_FLOATS = [v for axis in _GRID_SPEC._axis_values for v in axis]
+# a cell of a hand-built row: the grid's own floats, equal copies of them,
+# other floats, ints (0 and 1 among them), booleans, None and strings with
+# commas and newlines, each once or twice in a row as the same object
+_hand_cell = st.one_of(
+    st.sampled_from(_GRID_FLOATS),
+    st.sampled_from(_GRID_FLOATS).map(_copy),
+    st.floats(),
+    st.integers(-1, 2) | st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(st.sampled_from("a1.,;\n -"), max_size=6),
+).flatmap(lambda v: st.sampled_from([(v,), (v, v)]))
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_hand_cell, max_size=8), max_size=6))
+@example(rows=[[(-0.0,), (0.0, 0.0), (_GRID_FLOATS[0],), (0.0,), (1, True)]])
+def test_sweep_csv_renders_hand_built_rows_as_the_frozen_renderer(rows):
+    rows = tuple(tuple(v for cell in row for v in cell) for row in rows)
+    res = SweepResult(spec=_GRID_SPEC, columns=("x", "y"), rows=rows)
+    assert sweep_csv(res) == reference.sweep_csv(res)
