@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import DegenerateBError
 from .model import SIGN_BAND
@@ -380,24 +379,10 @@ def _spectral_order(z: complex) -> tuple[float, float]:
     return (-z.real, z.imag)
 
 
-_REAL = attrgetter("real")
-_IMAG = attrgetter("imag")
-
-
 def _spectrum(cubic: tuple[float, float, float]) -> tuple[complex, complex, complex]:
-    """The cubic's roots by descending real part, ties by ascending imaginary.
-
-    Two stable sorts, by imaginary part and then by descending real part,
-    give the stable order of _spectral_order whenever no part is NaN; a
-    NaN compares false both ways, so such roots take the keyed sort.
-    """
+    """The cubic's roots by descending real part, ties by ascending imaginary."""
     roots = _cubic_roots(*cubic)
-    r0, r1, r2 = roots
-    if r0 != r0 or r1 != r1 or r2 != r2:
-        roots.sort(key=_spectral_order)
-    else:
-        roots.sort(key=_IMAG)
-        roots.sort(key=_REAL, reverse=True)
+    roots.sort(key=_spectral_order)
     return (roots[0], roots[1], roots[2])
 
 

@@ -57,22 +57,6 @@ PARAM_NAMES = ("a", "b", "c", "M", "N", "P")
 SWEEP_TASKS = ("equilibria", "origin_class", "certificate", "regime", "lle")
 
 
-def _finite_floats(
-    a: object, b: object, c: object, M: object, N: object, P: object
-) -> bool:
-    """True when the six values are exact floats with a finite sum.
-
-    Such values are six finite floats, which SystemParams keeps as given,
-    so a sweep cell runs on them without building one; False sends them
-    through SystemParams, whose field-by-field check also takes a sum that
-    overflows.
-    """
-    return (
-        type(a) is type(b) is type(c) is type(M) is type(N) is type(P) is float
-        and math.isfinite(a + b + c + M + N + P)
-    )
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Parameters of the controlled system.
@@ -92,8 +76,6 @@ class SystemParams:
     P: float = 0.0
 
     def __post_init__(self) -> None:
-        if _finite_floats(self.a, self.b, self.c, self.M, self.N, self.P):
-            return
         for name in PARAM_NAMES:
             raw = getattr(self, name)
             value = float(raw)

@@ -23,7 +23,7 @@ from .equilibria import _equilibrium_parts, _origin_class
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
 from .lyapunov import _certificate_columns
-from .model import PARAM_NAMES, SWEEP_TASKS, SystemParams, _finite_floats
+from .model import PARAM_NAMES, SWEEP_TASKS, SystemParams
 
 # an axis's position here is its parameter's position in SystemParams
 AXIS_NAMES = PARAM_NAMES
@@ -137,7 +137,7 @@ class SweepSpec:
         return n
 
     def columns(self) -> tuple[str, ...]:
-        return (*self._axis_names, *self._task_columns, "error")
+        return (*(ax.name for ax in self.axes), *self._task_columns, "error")
 
     # Per-spec dispatch data, computed once per spec rather than per cell
     # (rebuilding the axis values per cell made a sweep quadratic in the
@@ -146,10 +146,6 @@ class SweepSpec:
     @functools.cached_property
     def _axis_values(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(ax.values()) for ax in self.axes)
-
-    @functools.cached_property
-    def _axis_names(self) -> tuple[str, ...]:
-        return tuple(ax.name for ax in self.axes)
 
     @functools.cached_property
     def _task_columns(self) -> tuple[str, ...]:
@@ -198,23 +194,20 @@ class SweepResult:
     rows: tuple[tuple, ...]
 
 
-def _run_tasks(spec: SweepSpec, p: SystemParams | tuple[float, ...]) -> tuple:
+def _run_tasks(spec: SweepSpec, fields: tuple[float, ...]) -> tuple:
     """The task columns of one cell, in column order.
 
-    ``p`` is the cell's six parameter floats in field order, or the
-    SystemParams built from them when they fail SystemParams' fast test
-    (see _evaluate_cell).  The closed forms take the six floats and write
-    their columns from plain values (_certificate_columns,
-    _equilibrium_parts, _origin_class, _regime), so they build no
-    SystemParams and no result object; only the lle task builds a
-    SystemParams, for the integrator.  One pass runs the tasks in the
-    spec's order, so an error row carries the first task that raises.  A
+    ``fields`` is the cell's six finite parameter floats in field order.
+    The closed forms take them and write their columns from plain values
+    (_certificate_columns, _equilibrium_parts, _origin_class, _regime), so
+    they build no SystemParams and no result object; only the lle task
+    builds a SystemParams, for the integrator.  One pass runs the tasks in
+    the spec's order, so an error row carries the first task that raises.  A
     cell computes its certificate at most once and its equilibria at most
     once, the latter only when a task reads them; the equilibria,
     certificate and regime tasks share both.  Enum labels are read through
     ``_value_``, which the ``value`` property returns.
     """
-    fields = (p.a, p.b, p.c, p.M, p.N, p.P) if isinstance(p, SystemParams) else p
     a, b, c, M, N, P = fields
     columns = None
     if spec._needs_certificate:
@@ -254,15 +247,16 @@ def _evaluate_cell(args: tuple[SweepSpec, tuple[float, ...]]) -> tuple:
     """Evaluate the cell at ``values`` (its axis values, in axis order);
     exceptions become the row's error column.
 
-    Fields that pass SystemParams' fast test (six exact floats with a
-    finite sum) go to the tasks as they are; others build a SystemParams,
-    which coerces them or raises the row's error.
+    The six fields are floats (a SystemParams base, coerced axis bounds);
+    a non-finite sum sends them through SystemParams, which names the
+    first non-finite field in the row's error or passes them on.
     """
     spec, values = args
-    fields = spec._pick_fields(spec._base_fields + values)
+    a, b, c, M, N, P = fields = spec._pick_fields(spec._base_fields + values)
     try:
-        p = fields if _finite_floats(*fields) else SystemParams(*fields)
-        return values + _run_tasks(spec, p) + (None,)
+        if not math.isfinite(a + b + c + M + N + P):
+            SystemParams(*fields)
+        return values + _run_tasks(spec, fields) + (None,)
     except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
         message = f"{type(exc).__name__}: {exc}"
         return values + (None,) * len(spec._task_columns) + (message,)

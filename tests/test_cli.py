@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import multiprocessing
@@ -11,12 +13,15 @@ from hypothesis import given, strategies as st
 from lorenzlab import (
     IntegratorSettings,
     State,
+    SweepSpec,
     SystemParams,
     UnsupportedFormatError,
     hypotheses_check,
     integrate,
+    largest_lyapunov_exponent,
     sweep,
     to_jsonable,
+    trace_heteroclinic,
     trajectory_csv,
 )
 from lorenzlab.cli import build_parser, main, _params
@@ -447,3 +452,46 @@ def test_sweep_tasks_help_lists_the_sweep_tasks():
     (action,) = [a for a in sweep_parser._actions if a.dest == "tasks"]
     assert action.help == f"comma list from {sweep.TASKS}"
     assert tuple(sweep._TASK_COLUMNS) == sweep.TASKS
+
+
+def _defaults(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return {action.dest: action.default for action in sub._actions}
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "heteroclinic", "lle", "suggest-anticontrol", "sweep"]
+)
+def test_integrator_flag_defaults_equal_the_settings_defaults(command):
+    defaults = _defaults(command)
+    lib = IntegratorSettings()
+    flags = {
+        "mode": lib.mode.value,
+        "dt": lib.dt_init,
+        "rel_tol": lib.rel_tol,
+        "abs_tol": lib.abs_tol,
+        "max_steps": lib.max_steps,
+        "blowup_norm": lib.blowup_norm,
+    }
+    if command in ("simulate", "heteroclinic"):
+        flags["t_max"] = lib.t_max
+    assert {dest: defaults[dest] for dest in flags} == flags
+
+
+@pytest.mark.parametrize("command", ["lle", "suggest-anticontrol", "sweep"])
+def test_lle_flag_defaults_equal_the_library_defaults(command):
+    defaults = _defaults(command)
+    signature = inspect.signature(largest_lyapunov_exponent).parameters
+    spec_fields = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
+    for dest in ("renorm_interval", "horizon", "transient"):
+        assert defaults[dest] == signature[dest].default == spec_fields[f"lle_{dest}"]
+    if command == "lle":
+        u0 = (defaults["x0"], defaults["y0"], defaults["z0"])
+        assert u0 == signature["u0"].default
+
+
+def test_heteroclinic_flag_defaults_equal_the_library_defaults():
+    defaults = _defaults("heteroclinic")
+    signature = inspect.signature(trace_heteroclinic).parameters
+    for dest in ("capture_radius", "epsilon"):
+        assert defaults[dest] == signature[dest].default

@@ -121,9 +121,13 @@ FIELDS = ("a", "b", "c", "M", "N", "P")
 
 
 def test_params_keep_exact_floats_as_given():
-    values = [float(v) + 0.5 for v in range(6)]  # fresh float objects
-    p = SystemParams(*values)
-    assert all(getattr(p, name) is v for name, v in zip(FIELDS, values))
+    # fresh float objects, with a finite sum and with one that overflows
+    for values in (
+        [float(v) + 0.5 for v in range(6)],
+        [1e308 - float(v) * 1e292 for v in range(6)],
+    ):
+        p = SystemParams(*values)
+        assert all(getattr(p, name) is v for name, v in zip(FIELDS, values))
 
 
 @pytest.mark.parametrize(

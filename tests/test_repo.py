@@ -73,6 +73,60 @@ def test_every_module_level_import_is_used(path):
     assert unused == []
 
 
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each private module-level def, class or assignment
+    target, and of each private method of a module-level class; dunder
+    names are the interpreter's, not private."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (name.id, node.lineno)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            ]
+    return [
+        (name, line)
+        for name, line in found
+        if name.startswith("_") and not name.startswith("__")
+    ]
+
+
+def test_every_private_definition_is_read():
+    # a deletion that leaves a private helper behind with no reader shows
+    # here; an import of the name from another module counts as a read
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted((ROOT / "src" / "lorenzlab").glob("*.py"))
+    }
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    orphans = [
+        f"{name}:{line} {definition}"
+        for name, tree in trees.items()
+        for definition, line in _private_definitions(tree)
+        if definition not in reads
+    ]
+    assert orphans == []
+
+
 def test_no_module_reads_trajectory_states():
     # Trajectory.states builds one State per point on each read; the
     # package reads the columns times, xs, ys and zs instead.  The property

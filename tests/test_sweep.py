@@ -427,8 +427,9 @@ def _replace_evaluate_cell(spec, index):
     """The cell evaluation that built each cell with dataclasses.replace."""
     values = spec.cell_values(index)
     try:
-        p = dataclasses.replace(spec.base, **dict(zip(spec._axis_names, values)))
-        return values + sweep._run_tasks(spec, p) + (None,)
+        names = [ax.name for ax in spec.axes]
+        p = dataclasses.replace(spec.base, **dict(zip(names, values)))
+        return values + sweep._run_tasks(spec, dataclasses.astuple(p)) + (None,)
     except Exception as exc:  # noqa: BLE001
         message = f"{type(exc).__name__}: {exc}"
         return values + (None,) * len(spec._task_columns) + (message,)
@@ -464,6 +465,13 @@ _any_end = st.one_of(
     tasks=("equilibria",),
     base=SystemParams(10.0, 8.0 / 3.0, 28.0),
 )
+@example(
+    names=("c", "M"),
+    ends=(1e308, 1e308, 1e308, 1e308),
+    counts=(2, 2),
+    tasks=_SHARED_TASKS,
+    base=SystemParams(10.0, 8.0 / 3.0, 28.0),
+)  # every field finite, their sum overflows: the cells run, not raise
 def test_cells_built_from_the_template_equal_replace(names, ends, counts, tasks, base):
     # 1-D and 2-D specs on any axes; a non-finite bound gives error rows
     axes = tuple(
