@@ -13,9 +13,11 @@ import dataclasses
 import enum
 import json
 import math
+import operator
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from types import NoneType
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import UnsupportedFormatError
 from .model import State
@@ -82,39 +84,64 @@ def trajectory_csv(trajectory: Trajectory) -> str:
 
 # _csv_cell's text for the three constants of a sweep row
 _CSV_WORDS = {None: "", True: "true", False: "false"}
+# the text of a float-or-None column rendered with repr, its None set right
+# (no float's repr is "None")
+_NONE_REPR = {"None": ""}
+
+
+def _column_texts(column: tuple, grid_text: Callable[[int], str | None]) -> list[str]:
+    """_csv_cell of every value of one column, through C-level ``map``s
+    picked by the column's types: exact types, so a subclass, or an int 1
+    beside True, takes the generic path."""
+    kinds = set(map(type, column))
+    if kinds <= {bool, NoneType}:
+        return list(map(_CSV_WORDS.__getitem__, column))
+    if kinds <= {float, NoneType}:
+        if grid_text(id(column[0])) is not None:
+            texts = list(map(grid_text, map(id, column)))
+            if None not in texts:
+                return texts
+        texts = list(map(repr, column))
+        return list(map(_NONE_REPR.get, texts, texts)) if NoneType in kinds else texts
+    if kinds <= {str, NoneType}:
+        words = {v: _csv_cell(v) for v in set(column)}
+        return list(map(words.__getitem__, column))
+    return list(map(_csv_cell, column))
 
 
 def sweep_csv(result: SweepResult) -> str:
     """The sweep table as CSV: the header row, then one line per row.
 
-    Each grid value's text is formed once per call, not once per cell: a
-    dict maps the ``id`` of each of the spec's axis floats to its ``repr``,
-    and a row's float is looked up by its own ``id``.  The lookup is
-    exact, because the spec (which the result holds) keeps those floats
-    alive, and live objects have distinct ids: a hit is that very float.
-    An inline run_sweep's rows hit on their axis values; any other float
-    misses and is written with ``repr``, so pooled, reordered or
-    hand-built rows render as before.  A float that is the same object as
-    the float before it (E+'s x and y) reuses that float's text.  The dict
-    is built in each call and holds one text per axis point, never one per
-    cell.
+    The table is rendered a column at a time (see _column_texts), and each
+    line is its row's texts joined.  A float column is looked up first in
+    a dict that maps the ``id`` of each of the spec's axis floats to its
+    ``repr``, formed once per call.  The lookup is exact, because the spec
+    (which the result holds) keeps those floats alive, and live objects
+    have distinct ids: a hit is that very float.  An inline run_sweep's
+    axis columns hit throughout; a column with any other float is written
+    with ``repr``, so pooled, reordered or hand-built rows render as
+    before.  A column whose values are the very objects of the column
+    before it (E+'s y and x) reuses that column's texts.  Rows of unequal
+    length, which only a hand-built result has, are rendered row by row.
     """
-    # _csv_cell inlined for the types a sweep row holds (an int equal to
-    # True or False is not one of the constants, so those are told by identity)
-    words = _CSV_WORDS
-    grid_text = {id(v): repr(v) for axis in result.spec._axis_values for v in axis}.get
-    prev = text = None
-    lines = [",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join([
-            (text if v is prev else (text := grid_text(id(prev := v)) or repr(v)))
-            if type(v) is float
-            else words[v] if v is None or v is True or v is False
-            else v.replace(",", ";").replace("\n", " ") if type(v) is str
-            else _csv_cell(v)
-            for v in row
-        ]))
-    return "\n".join(lines) + "\n"
+    rows = result.rows
+    widths = set(map(len, rows))
+    if len(widths) > 1 or 0 in widths:  # zip(*rows) would drop empty rows
+        lines = [",".join(map(_csv_cell, row)) for row in rows]
+    else:
+        grid_text = {
+            id(v): repr(v) for axis in result.spec._axis_values for v in axis
+        }.get
+        texts: list[list[str]] = []
+        prev: tuple = ()
+        for column in zip(*rows):
+            if prev and all(map(operator.is_, column, prev)):
+                texts.append(texts[-1])
+            else:
+                texts.append(_column_texts(column, grid_text))
+            prev = column
+        lines = list(map(",".join, zip(*texts)))
+    return "\n".join([",".join(result.columns), *lines]) + "\n"
 
 
 def emit(result: Any, format: str = "json", destination: str | Path | None = None) -> str:

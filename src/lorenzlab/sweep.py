@@ -6,7 +6,9 @@ either serially or on a process pool.  Every task is a pure function of
 the cell's parameters, so the assembled table is identical
 (byte for byte once serialized) for any worker count.  A cell whose
 evaluation raises records the error in its row instead of aborting the
-sweep.
+sweep.  A cell's row comes from a function generated once per process for
+each task tuple and axis layout (see _row_source), which runs the spec's
+tasks inline, with no per-task dispatch.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .chaos import _lle_windows, _regime, largest_lyapunov_exponent
 from .equilibria import _equilibrium_parts, _origin_class
@@ -113,6 +116,9 @@ class SweepSpec:
     lle_transient: float = 50.0
 
     def __post_init__(self) -> None:
+        # tuples, as the generated row is cached by the task tuple and axis names
+        object.__setattr__(self, "axes", tuple(self.axes))
+        object.__setattr__(self, "tasks", tuple(self.tasks))
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("a sweep takes one or two axes")
         names = [ax.name for ax in self.axes]
@@ -151,23 +157,11 @@ class SweepSpec:
     def _task_columns(self) -> tuple[str, ...]:
         return tuple(c for task in self.tasks for c in _TASK_COLUMNS[task])
 
-    # A cell's six parameter floats are picked from this template, the
-    # base's values in field order followed by the cell's axis values:
-    # field k is the value of the axis on parameter k, else the base's.
+    # the base's six values in field order; a cell writes its axis values
+    # over the names of its axes
     @functools.cached_property
     def _base_fields(self) -> tuple[float, ...]:
         return tuple(getattr(self.base, name) for name in PARAM_NAMES)
-
-    @functools.cached_property
-    def _pick_fields(self) -> operator.itemgetter:
-        slots = list(range(len(PARAM_NAMES)))
-        for k, ax in enumerate(self.axes):
-            slots[AXIS_NAMES.index(ax.name)] = len(PARAM_NAMES) + k
-        return operator.itemgetter(*slots)
-
-    @functools.cached_property
-    def _needs_certificate(self) -> bool:
-        return "certificate" in self.tasks or "regime" in self.tasks
 
     def cell_values(self, index: int) -> tuple[float, ...]:
         """Axis values of the row-major cell at flat position ``index``."""
@@ -183,10 +177,13 @@ class SweepResult:
     """The sweep table: one tuple per cell, aligned with ``columns``.
 
     An inline run_sweep starts each row with the very float objects of
-    ``spec``'s grid, as ``itertools.product`` yields them, so sweep_csv
-    forms each grid value's text once per call and looks it up by the
-    float's ``id``; other rows (pooled, reordered or hand-built) render
-    the same, each float with its own ``repr``.
+    ``spec``'s grid, as ``itertools.product`` yields them, and a row's E+
+    x and y are one float object.  sweep_csv renders the table a column at
+    a time: it forms each grid value's text once per call and looks an
+    axis column up by the float's ``id``, and it reuses the texts of a
+    column for a next column of the same objects.  Other rows (pooled,
+    reordered or hand-built) render the same, each float with its own
+    ``repr``.
     """
 
     spec: SweepSpec
@@ -194,72 +191,119 @@ class SweepResult:
     rows: tuple[tuple, ...]
 
 
-def _run_tasks(spec: SweepSpec, fields: tuple[float, ...]) -> tuple:
-    """The task columns of one cell, in column order.
+# The names under which this module holds the callables a generated row
+# calls, taken from the objects, so the row's source names only what this
+# module imports.  The row looks each name up in this module's globals as
+# it runs, so a cell calls whatever the module holds under it then.
+_CERTIFICATE, _EQUILIBRIA, _ORIGIN_CLASS, _REGIME, _LLE = (
+    f.__name__
+    for f in (
+        _certificate_columns,
+        _equilibrium_parts,
+        _origin_class,
+        _regime,
+        largest_lyapunov_exponent,
+    )
+)
 
-    ``fields`` is the cell's six finite parameter floats in field order.
-    The closed forms take them and write their columns from plain values
-    (_certificate_columns, _equilibrium_parts, _origin_class, _regime), so
-    they build no SystemParams and no result object; only the lle task
-    builds a SystemParams, for the integrator.  One pass runs the tasks in
-    the spec's order, so an error row carries the first task that raises.  A
-    cell computes its certificate at most once and its equilibria at most
-    once, the latter only when a task reads them; the equilibria,
-    certificate and regime tasks share both.  Enum labels are read through
-    ``_value_``, which the ``value`` property returns.
+
+def _row_source(tasks: tuple[str, ...], names: tuple[str, ...]) -> str:
+    """Source of ``row(spec, base, values)``, the row of one cell of
+    ``spec``, whose tasks are ``tasks`` on the axes ``names``: ``base`` is
+    the spec's ``_base_fields`` and ``values`` the cell's axis values.
+
+    The row unpacks the base's six floats, writes the axis values over
+    their names and runs the tasks inline in the spec's order, so an error
+    row carries the first task that raises.  The closed forms take the six
+    floats and write their columns from plain values (_certificate_columns,
+    _equilibrium_parts, _origin_class, _regime), so a cell builds no result
+    object; the lle task builds a SystemParams, for the integrator.  The
+    fields are floats (a SystemParams base, coerced axis bounds); a
+    non-finite sum sends them through SystemParams, which names the first
+    non-finite field in the row's error or passes them on.  The
+    certificate is computed first when a task reads it, and the equilibria
+    at most once, shared by the equilibria and regime tasks.  Enum labels
+    are read through ``_value_``, which the ``value`` property returns.
+    The row is one tuple display that starts with the axis values
+    themselves; an exception becomes the row's error column.
     """
-    a, b, c, M, N, P = fields
-    columns = None
-    if spec._needs_certificate:
-        columns = _certificate_columns(a, b, c, M, N, P)
-    parts = None
-    out: list = []
-    for task in spec.tasks:
+    fields = ", ".join(PARAM_NAMES)
+    body = [
+        f"if not math.isfinite({' + '.join(PARAM_NAMES)}):",
+        f"    SystemParams({fields})",
+    ]
+    if "certificate" in tasks or "regime" in tasks:
+        body.append(f"cert = {_CERTIFICATE}({fields})")
+    parts = "None"  # the regime label's equilibria: "parts" once a task ran them
+    for task in tasks:
         if task == "equilibria":
-            if parts is None:
-                parts = _equilibrium_parts(a, b, c, M, N, P)
-            kind, _, pair = parts
-            if pair is not None:
-                s, z = pair[0], pair[1]
-                out += (kind._value_, s, s, z)
-            else:
-                out += (kind._value_, None, None, None)
+            if parts == "None":
+                body.append(f"parts = {_EQUILIBRIA}({fields})")
+            else:  # the regime label computes them only when it reads them
+                body += ["if parts is None:", f"    parts = {_EQUILIBRIA}({fields})"]
+            parts = "parts"
+            body += [
+                "kind, _, pair = parts",
+                "equilibria_kind = kind._value_",
+                "if pair is None:",
+                "    e_plus_x = e_plus_y = e_plus_z = None",
+                "else:",
+                "    e_plus_x = e_plus_y = pair[0]",
+                "    e_plus_z = pair[1]",
+            ]
         elif task == "origin_class":
-            out.append(_origin_class(a, b, c, M, N, P)._value_)
+            body.append(f"origin_class = {_ORIGIN_CLASS}({fields})._value_")
         elif task == "certificate":
-            out += columns
+            body.append(f"{', '.join(_TASK_COLUMNS[task])} = cert")
         elif task == "regime":
-            label, parts = _regime(columns, parts, fields)
-            out.append(label._value_)
-        elif task == "lle":
-            est = largest_lyapunov_exponent(
-                SystemParams(a, b, c, M, N, P),
-                settings=spec.settings,
-                renorm_interval=spec.lle_renorm_interval,
-                horizon=spec.lle_horizon,
-                transient=spec.lle_transient,
+            body += [
+                f"label, parts = {_REGIME}(cert, {parts}, ({fields}))",
+                "regime = label._value_",
+            ]
+            parts = "parts"
+        else:  # lle
+            body.append(
+                f"lle = {_LLE}(SystemParams({fields}), "
+                "settings=spec.settings, renorm_interval=spec.lle_renorm_interval, "
+                "horizon=spec.lle_horizon, transient=spec.lle_transient).lambda1"
             )
-            out.append(est.lambda1)
-    return tuple(out)
+    columns = [c for task in tasks for c in _TASK_COLUMNS[task]]
+    axes = "".join(f"{name}, " for name in names)
+    body.append(f"return ({axes}{', '.join(columns)}, None)")
+    error = "f'{type(exc).__name__}: {exc}'"
+    return "\n".join([
+        "def row(spec, base, values):",
+        f"    {fields} = base",
+        f"    {axes}= values",
+        "    try:",
+        *(f"        {line}" for line in body),
+        "    except Exception as exc:  # error rows must not kill the sweep",
+        f"        return ({axes}{'None, ' * len(columns)}{error})",
+    ])
+
+
+@functools.cache
+def _row(tasks: tuple[str, ...], names: tuple[str, ...]) -> Callable[..., tuple]:
+    """The compiled row of one task tuple and axis layout, built on first
+    use.  It runs with this module's globals, so it calls the closed forms
+    this module holds at call time, and no spec stores it, so a spec
+    pickles as its fields and cached values."""
+    namespace: dict = {}
+    source = _row_source(tasks, names)
+    exec(compile(source, "<sweep row>", "exec"), globals(), namespace)
+    return namespace["row"]
+
+
+def _spec_row(spec: SweepSpec) -> Callable[..., tuple]:
+    """The generated row of ``spec``'s task tuple and axis names."""
+    return _row(spec.tasks, tuple(ax.name for ax in spec.axes))
 
 
 def _evaluate_cell(args: tuple[SweepSpec, tuple[float, ...]]) -> tuple:
-    """Evaluate the cell at ``values`` (its axis values, in axis order);
-    exceptions become the row's error column.
-
-    The six fields are floats (a SystemParams base, coerced axis bounds);
-    a non-finite sum sends them through SystemParams, which names the
-    first non-finite field in the row's error or passes them on.
-    """
+    """The row of the cell at ``values`` (its axis values, in axis order),
+    a pool's task; each worker compiles the row on its first cell."""
     spec, values = args
-    a, b, c, M, N, P = fields = spec._pick_fields(spec._base_fields + values)
-    try:
-        if not math.isfinite(a + b + c + M + N + P):
-            SystemParams(*fields)
-        return values + _run_tasks(spec, fields) + (None,)
-    except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
-        message = f"{type(exc).__name__}: {exc}"
-        return values + (None,) * len(spec._task_columns) + (message,)
+    return _spec_row(spec)(spec, spec._base_fields, values)
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
@@ -268,7 +312,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     The grid is walked with ``itertools.product`` over the axes' values,
     row-major as ``SweepSpec.cell_values`` numbers the cells, so each cell
     gets its axis values with no index arithmetic, and an inline run's
-    rows hold the grid's own float objects (see SweepResult).
+    rows hold the grid's own float objects (see SweepResult).  An inline
+    run maps the spec's generated row (see _row_source) over the grid; a
+    pool maps _evaluate_cell, which finds the row in each worker.
 
     ``workers`` = 1 runs inline; None uses one process per CPU this
     process may run on (its affinity mask where the platform has one, else
@@ -288,9 +334,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, n)
-    cells = zip(itertools.repeat(spec), itertools.product(*spec._axis_values))
+    grid = itertools.product(*spec._axis_values)
     if workers == 1:
-        rows = list(map(_evaluate_cell, cells))
+        repeat = itertools.repeat
+        rows = list(map(_spec_row(spec), repeat(spec), repeat(spec._base_fields), grid))
     else:
         # the pool's modules load only on this path, not with the package
         from concurrent.futures import ProcessPoolExecutor
@@ -299,6 +346,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         chunk = max(1, n // (4 * workers))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
+                cells = zip(itertools.repeat(spec), grid)
                 rows = list(pool.map(_evaluate_cell, cells, chunksize=chunk))
         except BrokenProcessPool as exc:
             axes = " x ".join(

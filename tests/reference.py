@@ -10,16 +10,28 @@ generic steps of a field the package writes as source text.
 
 ``sweep_csv`` is a frozen copy of the sweep CSV renderer from when it
 wrote every cell of every row on its own, each float with its own ``repr``.
+``evaluate_cell`` and ``run_tasks`` are frozen copies of the sweep's cell
+evaluation from when it picked each cell's six floats through a template
+and ran the spec's tasks in a loop, before the row was generated per task
+tuple.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
-from lorenzlab import IntegratorMode, IntegratorSettings, TrajectoryStatus
-from lorenzlab.chaos import _VARIATIONAL_SOURCE
+from lorenzlab import (
+    IntegratorMode,
+    IntegratorSettings,
+    SystemParams,
+    TrajectoryStatus,
+    largest_lyapunov_exponent,
+)
+from lorenzlab.chaos import _VARIATIONAL_SOURCE, _regime
+from lorenzlab.equilibria import _equilibrium_parts, _origin_class
 from lorenzlab.integrator import (
     _DWELL_CHECKS,
     _GROW_LIMIT,
@@ -29,7 +41,8 @@ from lorenzlab.integrator import (
     _capture_reach,
     _dist,
 )
-from lorenzlab.model import _FIELD_SOURCE
+from lorenzlab.lyapunov import _certificate_columns
+from lorenzlab.model import _FIELD_SOURCE, PARAM_NAMES
 
 _A21 = 1.0 / 5.0
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
@@ -453,3 +466,65 @@ def sweep_csv(result) -> str:
             for v in row
         ]))
     return "\n".join(lines) + "\n"
+
+
+def run_tasks(spec, fields: tuple[float, ...]) -> tuple:
+    """A frozen copy of the sweep's per-cell task loop from before the row
+    was generated per task tuple: the task columns of one cell, in column
+    order, from its six finite parameter floats.  One pass runs the tasks
+    in the spec's order; the certificate is computed first when a task
+    reads it, the equilibria at most once."""
+    a, b, c, M, N, P = fields
+    columns = None
+    if "certificate" in spec.tasks or "regime" in spec.tasks:
+        columns = _certificate_columns(a, b, c, M, N, P)
+    parts = None
+    out: list = []
+    for task in spec.tasks:
+        if task == "equilibria":
+            if parts is None:
+                parts = _equilibrium_parts(a, b, c, M, N, P)
+            kind, _, pair = parts
+            if pair is not None:
+                s, z = pair[0], pair[1]
+                out += (kind._value_, s, s, z)
+            else:
+                out += (kind._value_, None, None, None)
+        elif task == "origin_class":
+            out.append(_origin_class(a, b, c, M, N, P)._value_)
+        elif task == "certificate":
+            out += columns
+        elif task == "regime":
+            label, parts = _regime(columns, parts, fields)
+            out.append(label._value_)
+        elif task == "lle":
+            est = largest_lyapunov_exponent(
+                SystemParams(a, b, c, M, N, P),
+                settings=spec.settings,
+                renorm_interval=spec.lle_renorm_interval,
+                horizon=spec.lle_horizon,
+                transient=spec.lle_transient,
+            )
+            out.append(est.lambda1)
+    return tuple(out)
+
+
+def evaluate_cell(args) -> tuple:
+    """A frozen copy of the sweep's per-cell evaluation from the same time:
+    the row of the cell at ``values`` (its axis values, in axis order),
+    its six fields picked from the base's with the axis values written in;
+    a non-finite sum sends them through SystemParams, and an exception
+    becomes the row's error column."""
+    spec, values = args
+    slots = list(range(len(PARAM_NAMES)))
+    for k, ax in enumerate(spec.axes):
+        slots[PARAM_NAMES.index(ax.name)] = len(PARAM_NAMES) + k
+    base = tuple(getattr(spec.base, name) for name in PARAM_NAMES)
+    a, b, c, M, N, P = fields = operator.itemgetter(*slots)(base + values)
+    try:
+        if not math.isfinite(a + b + c + M + N + P):
+            SystemParams(*fields)
+        return values + run_tasks(spec, fields) + (None,)
+    except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
+        message = f"{type(exc).__name__}: {exc}"
+        return values + (None,) * len(spec._task_columns) + (message,)

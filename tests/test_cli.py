@@ -298,16 +298,16 @@ def test_sweep_usage_errors(capsys):
     assert code == 2
 
 
-def _die(spec, p):
+def _die(spec, base, values):
     os._exit(1)
 
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="workers see the patched task runner only when forked",
+    reason="workers see the patched row only when forked",
 )
 def test_sweep_worker_crash_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(sweep, "_run_tasks", _die)
+    monkeypatch.setattr(sweep, "_row", lambda tasks, names: _die)
     code, out, err = run_cli(
         capsys,
         ["sweep", *CLASSIC, "--axis", "c:0.5:1.5:5", "--tasks", "regime",

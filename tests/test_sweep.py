@@ -1,8 +1,10 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -429,7 +431,7 @@ def _replace_evaluate_cell(spec, index):
     try:
         names = [ax.name for ax in spec.axes]
         p = dataclasses.replace(spec.base, **dict(zip(names, values)))
-        return values + sweep._run_tasks(spec, dataclasses.astuple(p)) + (None,)
+        return values + reference.run_tasks(spec, dataclasses.astuple(p)) + (None,)
     except Exception as exc:  # noqa: BLE001
         message = f"{type(exc).__name__}: {exc}"
         return values + (None,) * len(spec._task_columns) + (message,)
@@ -482,6 +484,76 @@ def test_cells_built_from_the_template_equal_replace(names, ends, counts, tasks,
     res = run_sweep(spec, workers=1)
     want = [_replace_evaluate_cell(spec, i) for i in range(spec.n_cells())]
     assert [repr(row) for row in res.rows] == [repr(row) for row in want]
+
+
+def test_a_spec_built_from_lists_renders_as_one_built_from_tuples():
+    # the generated row is cached by the task tuple and the axis names
+    axes = [SweepAxis("c", 0.5, 1.5, 3), SweepAxis("M", 0.0, 1.0, 2)]
+    listed = SweepSpec(base=BASE, axes=axes, tasks=list(_SHARED_TASKS))
+    tupled = SweepSpec(base=BASE, axes=tuple(axes), tasks=_SHARED_TASKS)
+    assert type(listed.axes) is tuple and type(listed.tasks) is tuple
+    assert listed == tupled
+    want = sweep_csv(run_sweep(tupled, workers=1))
+    assert sweep_csv(run_sweep(listed, workers=1)) == want
+
+
+def test_a_swept_spec_still_pickles_and_pools_alike():
+    # the pool pickles the spec once per chunk; the generated row is cached
+    # in the module, not stored on the spec
+    spec = _spec(
+        axes=(SweepAxis("c", 0.5, 1.5, 4), SweepAxis("M", 0.0, 30.0, 3)),
+        tasks=_SHARED_TASKS,
+    )
+    res = run_sweep(spec, workers=1)
+    assert not any(callable(v) for v in vars(spec).values())
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert pickle.loads(pickle.dumps(res)) == res
+    assert sweep_csv(run_sweep(spec, workers=2)) == sweep_csv(res)
+
+
+# every ordered task tuple, 5 + 20 + 60 + 120 + 120 of them
+_TASK_TUPLES = [
+    tasks for k in range(1, 6) for tasks in itertools.permutations(sweep.TASKS, k)
+]
+# 6 one-axis and 30 two-axis layouts
+_AXIS_LAYOUTS = [
+    *itertools.permutations(sweep.AXIS_NAMES, 1),
+    *itertools.permutations(sweep.AXIS_NAMES, 2),
+]
+
+
+def _assert_row_equals_the_frozen_cell(names, tasks):
+    """The generated row of one finite cell and one error row (a non-finite
+    axis value) equals the frozen per-cell evaluation's, at the columns'
+    width."""
+    spec = SweepSpec(
+        base=SystemParams(1.5, 0.5, 0.5, M=0.5, N=0.5, P=0.5),  # b < 2a
+        axes=tuple(SweepAxis(name, 1.0, 2.0, 2) for name in names),
+        tasks=tasks,
+        lle_horizon=2.0,
+        lle_transient=0.0,
+    )
+    row, base = sweep._spec_row(spec), spec._base_fields
+    finite, error = (1.5, 0.5)[: len(names)], (math.inf, 0.5)[: len(names)]
+    for values in (finite, error):
+        got = row(spec, base, values)
+        assert len(got) == len(spec.columns())
+        assert repr(got) == repr(reference.evaluate_cell((spec, values)))
+    assert row(spec, base, finite)[-1] is None
+    message = f"ValueError: parameter {names[0]} must be finite, got inf"
+    assert row(spec, base, error)[-1] == message
+
+
+def test_every_task_tuple_compiles_the_frozen_row():
+    assert len(_TASK_TUPLES) == 325
+    for tasks in _TASK_TUPLES:
+        _assert_row_equals_the_frozen_cell(("c", "M"), tasks)
+
+
+def test_every_axis_layout_compiles_the_frozen_row():
+    assert len(_AXIS_LAYOUTS) == 36
+    for names in _AXIS_LAYOUTS:
+        _assert_row_equals_the_frozen_cell(names, sweep.TASKS)
 
 
 def test_axis_bounds_are_floats_whatever_real_type_they_come_as():
@@ -590,6 +662,8 @@ def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
     assert {row[2] for row in res.rows} == {"origin_only", "triple"}
     assert {row[-2] for row in res.rows} == {"undetermined", "chaos_candidate"}
     assert built == []
+    # E+'s x and y are one float, so sweep_csv forms its text once
+    assert all(row[3] is row[4] for row in res.rows)
     # a non-finite axis value goes through SystemParams, for its error row
     spec = _spec(axes=(SweepAxis("c", math.inf, 1.0, 2),), tasks=_SHARED_TASKS)
     built.clear()
@@ -608,16 +682,16 @@ def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
 # ------------------------------------------------------- a crashed worker pool
 
 
-def _die(spec, p):
+def _die(spec, base, values):
     os._exit(1)
 
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="workers see the patched task runner only when forked",
+    reason="workers see the patched row only when forked",
 )
 def test_crashed_worker_pool_raises_a_package_error(monkeypatch):
-    monkeypatch.setattr(sweep, "_run_tasks", _die)
+    monkeypatch.setattr(sweep, "_row", lambda tasks, names: _die)
     spec = _spec(axes=(SweepAxis("c", 0.5, 1.5, 4), SweepAxis("M", 0.0, 1.0, 2)))
     axes = r"c:0\.5:1\.5:4 x M:0\.0:1\.0:2"
     with pytest.raises(WorkerPoolError, match=f"the sweep over {axes} "):
@@ -768,10 +842,36 @@ _hand_cell = st.one_of(
 ).flatmap(lambda v: st.sampled_from([(v,), (v, v)]))
 
 
+class _Label(str):
+    """A str subclass, which the renderer writes through str()."""
+
+
 @hsettings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.lists(_hand_cell, max_size=8), max_size=6))
 @example(rows=[[(-0.0,), (0.0, 0.0), (_GRID_FLOATS[0],), (0.0,), (1, True)]])
+# rectangular: a column the same objects as the one before it, float with
+# None, an int 1 beside True, a str subclass, equal but distinct floats, grid
+# floats beside a copy of one
+@example(
+    rows=[
+        [
+            (_GRID_FLOATS[0], _GRID_FLOATS[0]), (None,), (True,), (1,),
+            (_Label("a,b"),), (0.1,), (_GRID_FLOATS[2],), (None,),
+        ],
+        [
+            (_GRID_FLOATS[1], _GRID_FLOATS[1]), (2.5,), (1,), (True,),
+            ("c\nd",), (_copy(0.1),), (_copy(_GRID_FLOATS[3]),), (False,),
+        ],
+    ]
+)
+@example(rows=[])
+@example(rows=[[(1.5,), (None,)], [(True,)], []])  # ragged
 def test_sweep_csv_renders_hand_built_rows_as_the_frozen_renderer(rows):
+    # rows as drawn, mostly ragged, and the non-empty ones cut to the
+    # shortest of them, a rectangle
     rows = tuple(tuple(v for cell in row for v in cell) for row in rows)
-    res = SweepResult(spec=_GRID_SPEC, columns=("x", "y"), rows=rows)
-    assert sweep_csv(res) == reference.sweep_csv(res)
+    kept = [row for row in rows if row]
+    width = min(map(len, kept), default=0)
+    for hand in (rows, tuple(row[:width] for row in kept)):
+        res = SweepResult(spec=_GRID_SPEC, columns=("x", "y"), rows=hand)
+        assert sweep_csv(res) == reference.sweep_csv(res)
