@@ -31,7 +31,7 @@ from .equilibria import (
     find_equilibria,
 )
 from .errors import DegenerateBError, DivergedTrajectoryError, NotStableRegimeError
-from .lyapunov import _certificate_columns
+from .lyapunov import certificate
 from .model import _FIELD_SOURCE, State, SystemParams
 
 if TYPE_CHECKING:
@@ -70,6 +70,11 @@ class AnticontrolSuggestion:
     note: str
 
 
+# Where an exponent run starts unless told otherwise, and the names of the
+# arguments that set its windows
+_LLE_START = State(1.0, 1.0, 1.0)
+_LLE_WINDOW = ("renorm_interval", "horizon", "transient")
+
 # The base field with its linearization along the tangent (dx, dy, dz), as
 # source text for the integrator's stepping loop
 _VARIATIONAL_SOURCE = (
@@ -89,11 +94,7 @@ def _lle_windows(
     is positive, horizon > transient >= 0, horizon / renorm_interval does
     not overflow and at least one window follows the transient.
     """
-    for name, value in (
-        ("renorm_interval", renorm_interval),
-        ("horizon", horizon),
-        ("transient", transient),
-    ):
+    for name, value in zip(_LLE_WINDOW, (renorm_interval, horizon, transient)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if renorm_interval <= 0.0:
@@ -115,7 +116,7 @@ def _lle_windows(
 
 def largest_lyapunov_exponent(
     p: SystemParams,
-    u0: State | tuple = State(1.0, 1.0, 1.0),
+    u0: State | tuple = _LLE_START,
     settings: IntegratorSettings | None = None,
     renorm_interval: float = 1.0,
     horizon: float = 500.0,
@@ -127,7 +128,8 @@ def largest_lyapunov_exponent(
     ``renorm_interval`` time units; log-growth accumulates from the end of
     the transient to the horizon.  Raises DivergedTrajectoryError when the
     base orbit blows up, stops making progress or spends more than
-    ``settings.max_steps`` trial steps over the whole run.
+    ``settings.max_steps`` trial steps over the whole run; it names the
+    tangent instead when the base orbit alone completes the failed window.
     """
     # imported here, so regime_classify and suggest_anticontrol load no integrator
     from .integrator import IntegratorSettings, TrajectoryStatus, _drive
@@ -141,18 +143,24 @@ def largest_lyapunov_exponent(
     attempts = 0
     log_sum = 0.0
     history: list[float] = []
+
+    def window(source: tuple, start: tuple):
+        return _drive(source, p, start, settings, renorm_interval, record=False,
+                      dt_start=dt, attempts=attempts)
+
     for w in range(n_total):
-        res = _drive(
-            _VARIATIONAL_SOURCE,
-            p,
-            s,
-            settings,
-            renorm_interval,
-            record=False,
-            dt_start=dt,
-            attempts=attempts,
-        )
+        res = window(_VARIATIONAL_SOURCE, s)
         if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
+            # the run's norm and error estimate span the tangent as well; if
+            # the base orbit alone completes the window, the tangent diverged
+            if res.status is TrajectoryStatus.DIVERGED:
+                alone = window(_FIELD_SOURCE, s[:3])
+                if alone.status is TrajectoryStatus.COMPLETED_TSPAN:
+                    raise DivergedTrajectoryError(
+                        f"the tangent vector diverged during window {w} while the "
+                        "base orbit alone did not; use a shorter renorm_interval "
+                        f"than {renorm_interval!r}"
+                    )
             raise DivergedTrajectoryError(
                 f"base orbit failed during window {w}: {res.status.value}"
             )
@@ -185,25 +193,30 @@ def regime_classify(p: SystemParams) -> RegimeLabel:
     when the certificate leaves chaos possible.  The label comes from
     _regime, which a sweep cell calls on the values it already holds.
     """
+    cert = certificate(p)
     fields = (p.a, p.b, p.c, p.M, p.N, p.P)
-    return _regime(_certificate_columns(*fields), None, fields)[0]
+    label, _ = _regime(cert.converges_to_equilibria, cert.chaos_possible, None, fields)
+    return label
 
 
 def _regime(
-    columns: tuple, parts: tuple | None, fields: tuple[float, ...]
+    converges_to_equilibria: bool,
+    chaos_possible: bool,
+    parts: tuple | None,
+    fields: tuple[float, ...],
 ) -> tuple[RegimeLabel, tuple | None]:
     """(label, parts): the label of ``regime_classify`` from the
-    certificate's columns (see lyapunov._certificate_columns), and the
-    cell's equilibria._equilibrium_parts.
+    certificate's two flags of those names, and the cell's
+    equilibria._equilibrium_parts.
 
     ``parts`` is None until computed.  They are computed from ``fields``,
     the six parameter floats, only when the certificate neither proves
     convergence nor excludes chaos, and returned, so a sweep cell that
     also writes its equilibria computes them once.
     """
-    if columns[5]:  # converges_to_equilibria
+    if converges_to_equilibria:
         return RegimeLabel.PROVABLY_REGULAR, parts
-    if columns[7]:  # chaos_possible
+    if chaos_possible:
         if parts is None:
             try:
                 parts = _equilibrium_parts(*fields)
@@ -227,7 +240,9 @@ def suggest_anticontrol(
     coarser than the grid of margin itself for about half of all margins,
     and M + c reaches only every other point of it when c's rounding makes
     each sum a tie; those get the nearest reachable offset).  Raises
-    NotStableRegimeError unless 0 < c < 1.
+    NotStableRegimeError unless 0 < c < 1, and ValueError when the offset
+    reached leaves the origin no saddle or the pair absent (a margin
+    inside SIGN_BAND or below the float grid).
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError("plant parameters a and b must be positive")
@@ -253,6 +268,13 @@ def suggest_anticontrol(
             if err == 0.0:
                 break
     params = SystemParams(a=a, b=b, c=c, M=m_gain, N=0.0, P=0.0)
+    origin_class, kind = classify_origin(params), find_equilibria(params).kind
+    if (origin_class, kind) != (OriginClass.SADDLE_WS2_WU1, EquilibriumKind.TRIPLE):
+        raise ValueError(
+            f"margin {margin!r} does not cross the pitchfork: the offset M + N + "
+            f"c - 1 = {(m_gain + 0.0) + c - 1.0!r} leaves the origin "
+            f"{origin_class.value} and the equilibria {kind.value}"
+        )
     chaos_possible = b < 2.0 * a
     if chaos_possible:
         tail = "b < 2a holds, so chaos is not excluded; confirm with an exponent run"
@@ -262,8 +284,8 @@ def suggest_anticontrol(
         params=params,
         margin=margin,
         chaos_possible=chaos_possible,
-        origin_class=classify_origin(params),
-        equilibria_kind=find_equilibria(params).kind,
+        origin_class=origin_class,
+        equilibria_kind=kind,
         note=(
             "pitchfork crossed: origin destabilized and the symmetric pair "
             "exists; crossing is necessary but not sufficient for chaos; "

@@ -21,6 +21,10 @@ if TYPE_CHECKING:
     from .integrator import IntegratorSettings
     from .sweep import SweepAxis
 
+# The default of each flag whose value the library owns: a flag left out is
+# absent from args, so a command passes on only what was set.
+_UNSET = argparse.SUPPRESS
+
 
 def _add_system_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("system")
@@ -28,9 +32,9 @@ def _add_system_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--a", type=float, required=True)
     group.add_argument("--b", type=float, required=True)
     group.add_argument("--c", type=float, required=True)
-    group.add_argument("--M", type=float, default=None, help="feedback gain on x")
-    group.add_argument("--N", type=float, default=None, help="feedback gain on y")
-    group.add_argument("--P", type=float, default=None, help="feedback gain on x*z")
+    group.add_argument("--M", type=float, default=_UNSET, help="feedback gain on x")
+    group.add_argument("--N", type=float, default=_UNSET, help="feedback gain on y")
+    group.add_argument("--P", type=float, default=_UNSET, help="feedback gain on x*z")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -41,56 +45,43 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_integrator_flags(parser: argparse.ArgumentParser, t_max: bool) -> None:
     group = parser.add_argument_group("integrator")
-    group.add_argument(
-        "--mode", choices=["adaptive", "fixed_rk4"], default="adaptive"
-    )
-    group.add_argument("--dt", type=float, default=1e-3, help="initial/fixed step")
-    group.add_argument("--rel-tol", type=float, default=1e-9)
-    group.add_argument("--abs-tol", type=float, default=1e-12)
+    group.add_argument("--mode", choices=["adaptive", "fixed_rk4"], default=_UNSET)
+    group.add_argument("--dt", type=float, default=_UNSET, help="initial/fixed step")
+    group.add_argument("--rel-tol", type=float, default=_UNSET)
+    group.add_argument("--abs-tol", type=float, default=_UNSET)
     if t_max:
-        group.add_argument("--t-max", type=float, default=200.0)
-    group.add_argument("--max-steps", type=int, default=1_000_000)
-    group.add_argument("--blowup-norm", type=float, default=1e6)
+        group.add_argument("--t-max", type=float, default=_UNSET)
+    group.add_argument("--max-steps", type=int, default=_UNSET)
+    group.add_argument("--blowup-norm", type=float, default=_UNSET)
 
 
 def _add_lle_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--renorm-interval", type=float, default=1.0)
-    parser.add_argument("--horizon", type=float, default=500.0)
-    parser.add_argument("--transient", type=float, default=50.0)
+    parser.add_argument("--renorm-interval", type=float, default=_UNSET)
+    parser.add_argument("--horizon", type=float, default=_UNSET)
+    parser.add_argument("--transient", type=float, default=_UNSET)
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The flags among ``names`` that the command line set, by name."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _params(args: argparse.Namespace) -> SystemParams:
-    if args.preset is not None:
-        p = from_preset(Preset(args.preset), args.a, args.b, args.c)
-        overrides = {
-            name: getattr(args, name)
-            for name in ("M", "N", "P")
-            if getattr(args, name) is not None
-        }
-        return replace(p, **overrides) if overrides else p
-    return SystemParams(
-        a=args.a,
-        b=args.b,
-        c=args.c,
-        M=args.M if args.M is not None else 0.0,
-        N=args.N if args.N is not None else 0.0,
-        P=args.P if args.P is not None else 0.0,
-    )
+    gains = _given(args, "M", "N", "P")
+    if args.preset is None:
+        return SystemParams(args.a, args.b, args.c, **gains)
+    return replace(from_preset(Preset(args.preset), args.a, args.b, args.c), **gains)
 
 
 def _settings(args: argparse.Namespace) -> IntegratorSettings:
     from .integrator import IntegratorMode, IntegratorSettings
 
-    # only simulate and heteroclinic end at t_max and take --t-max
-    return IntegratorSettings(
-        mode=IntegratorMode(args.mode),
-        dt_init=args.dt,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        t_max=getattr(args, "t_max", IntegratorSettings.t_max),
-        max_steps=args.max_steps,
-        blowup_norm=args.blowup_norm,
-    )
+    kwargs = _given(args, "rel_tol", "abs_tol", "t_max", "max_steps", "blowup_norm")
+    if "mode" in args:
+        kwargs["mode"] = IntegratorMode(args.mode)
+    if "dt" in args:
+        kwargs["dt_init"] = args.dt
+    return IntegratorSettings(**kwargs)
 
 
 # Each _cmd_* returns (payload, runs): what main emits, and the
@@ -151,10 +142,7 @@ def _cmd_heteroclinic(args) -> tuple:
     from .orbits import Branch, branch_symmetry_deviation, trace_heteroclinic
 
     p = _params(args)
-    settings = _settings(args)
-    kwargs = dict(
-        epsilon=args.epsilon, settings=settings, capture_radius=args.capture_radius
-    )
+    kwargs = dict(settings=_settings(args), **_given(args, "epsilon", "capture_radius"))
     if args.branch == "both":
         plus = trace_heteroclinic(p, Branch.PLUS_X, **kwargs)
         minus = trace_heteroclinic(p, Branch.MINUS_X, **kwargs)
@@ -174,15 +162,11 @@ def _cmd_heteroclinic(args) -> tuple:
 
 
 def _cmd_lle(args) -> tuple:
-    from .chaos import largest_lyapunov_exponent
+    from .chaos import _LLE_START, _LLE_WINDOW, largest_lyapunov_exponent
 
+    u0 = State(*(getattr(args, n, v) for n, v in zip(("x0", "y0", "z0"), _LLE_START)))
     estimate = largest_lyapunov_exponent(
-        _params(args),
-        u0=State(args.x0, args.y0, args.z0),
-        settings=_settings(args),
-        renorm_interval=args.renorm_interval,
-        horizon=args.horizon,
-        transient=args.transient,
+        _params(args), u0=u0, settings=_settings(args), **_given(args, *_LLE_WINDOW)
     )
     return estimate, ()
 
@@ -194,17 +178,13 @@ def _cmd_regime(args) -> tuple:
 
 
 def _cmd_suggest(args) -> tuple:
-    from .chaos import largest_lyapunov_exponent, suggest_anticontrol
+    from .chaos import _LLE_WINDOW, largest_lyapunov_exponent, suggest_anticontrol
 
     suggestion = suggest_anticontrol(args.a, args.b, args.c, args.margin)
     payload = to_jsonable(suggestion)
     if args.verify_lle:
         estimate = largest_lyapunov_exponent(
-            suggestion.params,
-            settings=_settings(args),
-            renorm_interval=args.renorm_interval,
-            horizon=args.horizon,
-            transient=args.transient,
+            suggestion.params, settings=_settings(args), **_given(args, *_LLE_WINDOW)
         )
         payload["lle"] = estimate.lambda1
     return payload, ()
@@ -221,6 +201,7 @@ def _parse_axis(text: str) -> SweepAxis:
 
 
 def _cmd_sweep(args) -> tuple:
+    from .chaos import _LLE_WINDOW
     from .sweep import SweepSpec, run_sweep
 
     if not args.axis:
@@ -234,11 +215,9 @@ def _cmd_sweep(args) -> tuple:
         axes=axes,
         tasks=tasks,
         settings=_settings(args),
-        lle_renorm_interval=args.renorm_interval,
-        lle_horizon=args.horizon,
-        lle_transient=args.transient,
+        **{f"lle_{name}": value for name, value in _given(args, *_LLE_WINDOW).items()},
     )
-    return run_sweep(spec, workers=args.workers), ()
+    return run_sweep(spec, **_given(args, "workers")), ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     _add_integrator_flags(sp, t_max=True)
     sp.add_argument("--branch", choices=["plus", "minus", "both"], default="both")
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--capture-radius", type=float, default=1e-6)
+    sp.add_argument("--epsilon", type=float, default=_UNSET)
+    sp.add_argument("--capture-radius", type=float, default=_UNSET)
     sp.set_defaults(func=_cmd_heteroclinic)
 
     sp = sub.add_parser("lle", help="largest Lyapunov exponent")
@@ -290,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     _add_integrator_flags(sp, t_max=False)
     _add_lle_flags(sp)
-    sp.add_argument("--x0", type=float, default=1.0)
-    sp.add_argument("--y0", type=float, default=1.0)
-    sp.add_argument("--z0", type=float, default=1.0)
+    sp.add_argument("--x0", type=float, default=_UNSET)
+    sp.add_argument("--y0", type=float, default=_UNSET)
+    sp.add_argument("--z0", type=float, default=_UNSET)
     sp.set_defaults(func=_cmd_lle)
 
     sp = sub.add_parser("regime", help="provably regular / chaos candidate")
@@ -330,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep axis; repeat for a two-axis grid",
     )
     sp.add_argument("--tasks", default="equilibria", help=f"comma list from {SWEEP_TASKS}")
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=_UNSET)
     sp.set_defaults(func=_cmd_sweep)
 
     return parser

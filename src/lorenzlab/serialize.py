@@ -82,8 +82,6 @@ def trajectory_csv(trajectory: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-# _csv_cell's text for the three constants of a sweep row
-_CSV_WORDS = {None: "", True: "true", False: "false"}
 # the text of a float-or-None column rendered with repr, its None set right
 # (no float's repr is "None")
 _NONE_REPR = {"None": ""}
@@ -94,8 +92,9 @@ def _column_texts(column: tuple, grid_text: Callable[[int], str | None]) -> list
     picked by the column's types: exact types, so a subclass, or an int 1
     beside True, takes the generic path."""
     kinds = set(map(type, column))
-    if kinds <= {bool, NoneType}:
-        return list(map(_CSV_WORDS.__getitem__, column))
+    if kinds <= {bool, str, NoneType}:
+        words = {v: _csv_cell(v) for v in set(column)}
+        return list(map(words.__getitem__, column))
     if kinds <= {float, NoneType}:
         if grid_text(id(column[0])) is not None:
             texts = list(map(grid_text, map(id, column)))
@@ -103,9 +102,6 @@ def _column_texts(column: tuple, grid_text: Callable[[int], str | None]) -> list
                 return texts
         texts = list(map(repr, column))
         return list(map(_NONE_REPR.get, texts, texts)) if NoneType in kinds else texts
-    if kinds <= {str, NoneType}:
-        words = {v: _csv_cell(v) for v in set(column)}
-        return list(map(words.__getitem__, column))
     return list(map(_csv_cell, column))
 
 

@@ -220,29 +220,28 @@ def _row_source(tasks: tuple[str, ...], names: tuple[str, ...]) -> str:
     object; the lle task builds a SystemParams, for the integrator.  The
     fields are floats (a SystemParams base, coerced axis bounds); a
     non-finite sum sends them through SystemParams, which names the first
-    non-finite field in the row's error or passes them on.  The
-    certificate is computed first when a task reads it, and the equilibria
-    at most once, shared by the equilibria and regime tasks.  Enum labels
-    are read through ``_value_``, which the ``value`` property returns.
-    The row is one tuple display that starts with the axis values
-    themselves; an exception becomes the row's error column.
+    non-finite field in the row's error or passes them on.  A certificate
+    that a task reads is computed first, into its column names.  The
+    equilibria, ``parts``, start as None and are computed at most once, by
+    whichever of the regime and equilibria tasks needs them first.  Enum
+    labels are read through ``_value_``, which the ``value`` property
+    returns.  The row is one tuple display that starts with the axis
+    values themselves; an exception becomes the row's error column.
     """
     fields = ", ".join(PARAM_NAMES)
     body = [
         f"if not math.isfinite({' + '.join(PARAM_NAMES)}):",
         f"    SystemParams({fields})",
+        "parts = None",
     ]
     if "certificate" in tasks or "regime" in tasks:
-        body.append(f"cert = {_CERTIFICATE}({fields})")
-    parts = "None"  # the regime label's equilibria: "parts" once a task ran them
+        flags = ", ".join(_TASK_COLUMNS["certificate"])
+        body.append(f"{flags} = {_CERTIFICATE}({fields})")
     for task in tasks:
         if task == "equilibria":
-            if parts == "None":
-                body.append(f"parts = {_EQUILIBRIA}({fields})")
-            else:  # the regime label computes them only when it reads them
-                body += ["if parts is None:", f"    parts = {_EQUILIBRIA}({fields})"]
-            parts = "parts"
             body += [
+                "if parts is None:",
+                f"    parts = {_EQUILIBRIA}({fields})",
                 "kind, _, pair = parts",
                 "equilibria_kind = kind._value_",
                 "if pair is None:",
@@ -253,15 +252,13 @@ def _row_source(tasks: tuple[str, ...], names: tuple[str, ...]) -> str:
             ]
         elif task == "origin_class":
             body.append(f"origin_class = {_ORIGIN_CLASS}({fields})._value_")
-        elif task == "certificate":
-            body.append(f"{', '.join(_TASK_COLUMNS[task])} = cert")
         elif task == "regime":
             body += [
-                f"label, parts = {_REGIME}(cert, {parts}, ({fields}))",
+                f"label, parts = {_REGIME}("
+                f"converges_to_equilibria, chaos_possible, parts, ({fields}))",
                 "regime = label._value_",
             ]
-            parts = "parts"
-        else:  # lle
+        elif task == "lle":
             body.append(
                 f"lle = {_LLE}(SystemParams({fields}), "
                 "settings=spec.settings, renorm_interval=spec.lle_renorm_interval, "

@@ -495,7 +495,7 @@ def run_tasks(spec, fields: tuple[float, ...]) -> tuple:
         elif task == "certificate":
             out += columns
         elif task == "regime":
-            label, parts = _regime(columns, parts, fields)
+            label, parts = _regime(columns[5], columns[7], parts, fields)
             out.append(label._value_)
         elif task == "lle":
             est = largest_lyapunov_exponent(

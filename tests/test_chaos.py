@@ -88,6 +88,20 @@ def test_lle_raises_on_blowup():
         largest_lyapunov_exponent(p, settings=FAST, horizon=60.0, transient=5.0)
 
 
+def test_lle_blames_the_tangent_when_only_the_tangent_blows_up():
+    # over a 20-unit window the tangent grows past the default blowup_norm
+    # 1e6 on the classic attractor while the base orbit stays near norm 12
+    p = SystemParams(10.0, 8.0 / 3.0, 28.0)
+    kw = dict(horizon=200.0, transient=20.0)
+    with pytest.raises(
+        DivergedTrajectoryError,
+        match=r"^the tangent vector diverged during window 1 while the base orbit "
+        r"alone did not; use a shorter renorm_interval than 20\.0$",
+    ):
+        largest_lyapunov_exponent(p, renorm_interval=20.0, **kw)
+    assert largest_lyapunov_exponent(p, renorm_interval=10.0, **kw).lambda1 > 0.0
+
+
 def test_lle_raises_when_the_error_estimate_overflows():
     # one window of 1e5 time units: the first trial step squares an error
     # component beyond the float range
@@ -512,6 +526,15 @@ def test_suggestion_tiny_margin_still_crosses():
     assert sug.origin_class is OriginClass.SADDLE_WS2_WU1
 
 
+@pytest.mark.parametrize("margin", [1e-300, 1e-17, 1e-15])
+def test_suggestion_rejects_a_margin_that_does_not_cross(margin):
+    # 1e-300 and 1e-17 round away to the offset 0.0; at 1e-15 the pair
+    # exists, but the offset is inside SIGN_BAND, so the origin is not a
+    # saddle
+    with pytest.raises(ValueError, match=f"^margin {margin!r} does not cross"):
+        suggest_anticontrol(10.0, 8.0 / 3.0, 0.5, margin)
+
+
 def test_suggestion_reports_when_chaos_is_excluded():
     sug = suggest_anticontrol(1.0, 3.0, 0.5, 1.0)
     assert sug.chaos_possible is False
@@ -564,6 +587,8 @@ def test_suggested_gain_reproduces_the_offset_on_the_grid(c, margin):
     (c = 0.7766358055412363, margin = 2.00001 misses by one ulp although
     1 + margin - 1 == margin)."""
     sug = suggest_anticontrol(10.0, 8.0 / 3.0, c, margin)
+    assert sug.origin_class is OriginClass.SADDLE_WS2_WU1
+    assert sug.equilibria_kind is EquilibriumKind.TRIPLE
     p = sug.params
     d = p.M + p.N + p.c - 1.0
     assert d > 0.0

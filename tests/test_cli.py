@@ -1,5 +1,3 @@
-import dataclasses
-import inspect
 import json
 import math
 import multiprocessing
@@ -13,7 +11,6 @@ from hypothesis import given, strategies as st
 from lorenzlab import (
     IntegratorSettings,
     State,
-    SweepSpec,
     SystemParams,
     UnsupportedFormatError,
     hypotheses_check,
@@ -21,7 +18,6 @@ from lorenzlab import (
     largest_lyapunov_exponent,
     sweep,
     to_jsonable,
-    trace_heteroclinic,
     trajectory_csv,
 )
 from lorenzlab.cli import build_parser, main, _params
@@ -397,6 +393,10 @@ def test_unsupported_format_raises():
 
     with pytest.raises(UnsupportedFormatError):
         emit(to_jsonable(report), "csv", None)
+    with pytest.raises(UnsupportedFormatError, match="unknown format 'xml'"):
+        emit(to_jsonable(report), "xml", None)
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        to_jsonable(object())
 
 
 def test_trajectory_csv_full_precision():
@@ -454,44 +454,51 @@ def test_sweep_tasks_help_lists_the_sweep_tasks():
     assert tuple(sweep._TASK_COLUMNS) == sweep.TASKS
 
 
-def _defaults(command):
-    sub = build_parser()._subparsers._group_actions[0].choices[command]
-    return {action.dest: action.default for action in sub._actions}
+# every flag whose value the library owns, by dest
+_LIBRARY_FLAGS = {
+    "M", "N", "P", "mode", "dt", "rel_tol", "abs_tol", "t_max", "max_steps",
+    "blowup_norm", "renorm_interval", "horizon", "transient", "x0", "y0", "z0",
+    "epsilon", "capture_radius", "workers",
+}
 
 
 @pytest.mark.parametrize(
-    "command", ["simulate", "heteroclinic", "lle", "suggest-anticontrol", "sweep"]
+    "argv",
+    [
+        pytest.param(["equilibria", *REGULAR], id="equilibria"),
+        pytest.param(["classify", *REGULAR], id="classify"),
+        pytest.param(["certificate", *REGULAR], id="certificate"),
+        pytest.param(["simulate", *REGULAR, "--x0", "1", "--y0", "1", "--z0", "1"],
+                     id="simulate"),
+        pytest.param(["heteroclinic", *REGULAR], id="heteroclinic"),
+        pytest.param(["lle", *REGULAR], id="lle"),
+        pytest.param(["lle", *REGULAR, "--horizon", "20", "--z0", "2", "--M", "0"],
+                     id="lle-some-set"),
+        pytest.param(["regime", *REGULAR], id="regime"),
+        pytest.param(["suggest-anticontrol", *REGULAR, "--margin", "1"],
+                     id="suggest-anticontrol"),
+        pytest.param(["sweep", *REGULAR, "--axis", "c:0:1:2"], id="sweep"),
+        pytest.param(["sweep", *REGULAR, "--axis", "c:0:1:2", "--workers", "1"],
+                     id="sweep-workers-set"),
+    ],
 )
-def test_integrator_flag_defaults_equal_the_settings_defaults(command):
-    defaults = _defaults(command)
-    lib = IntegratorSettings()
-    flags = {
-        "mode": lib.mode.value,
-        "dt": lib.dt_init,
-        "rel_tol": lib.rel_tol,
-        "abs_tol": lib.abs_tol,
-        "max_steps": lib.max_steps,
-        "blowup_norm": lib.blowup_norm,
-    }
-    if command in ("simulate", "heteroclinic"):
-        flags["t_max"] = lib.t_max
-    assert {dest: defaults[dest] for dest in flags} == flags
+def test_a_flag_left_out_leaves_no_attribute(argv):
+    """A command passes on only the flags the command line set, so a value
+    the library owns has one default, the library's."""
+    parser = build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    declared = {a.dest for sub in subparsers.values() for a in sub._actions}
+    assert _LIBRARY_FLAGS <= declared
+    given = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
+    args = parser.parse_args(argv)
+    assert _LIBRARY_FLAGS & set(vars(args)) == _LIBRARY_FLAGS & given
 
 
-@pytest.mark.parametrize("command", ["lle", "suggest-anticontrol", "sweep"])
-def test_lle_flag_defaults_equal_the_library_defaults(command):
-    defaults = _defaults(command)
-    signature = inspect.signature(largest_lyapunov_exponent).parameters
-    spec_fields = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
-    for dest in ("renorm_interval", "horizon", "transient"):
-        assert defaults[dest] == signature[dest].default == spec_fields[f"lle_{dest}"]
-    if command == "lle":
-        u0 = (defaults["x0"], defaults["y0"], defaults["z0"])
-        assert u0 == signature["u0"].default
-
-
-def test_heteroclinic_flag_defaults_equal_the_library_defaults():
-    defaults = _defaults("heteroclinic")
-    signature = inspect.signature(trace_heteroclinic).parameters
-    for dest in ("capture_radius", "epsilon"):
-        assert defaults[dest] == signature[dest].default
+def test_lle_fills_an_unset_start_coordinate_from_the_library(capsys):
+    code, out, _ = run_cli(
+        capsys, ["lle", *CLASSIC, "--horizon", "8", "--transient", "2", "--z0", "2"]
+    )
+    assert code == 0
+    p = SystemParams(10.0, 2.6666666666666665, 28.0)
+    estimate = largest_lyapunov_exponent(p, (1.0, 1.0, 2.0), horizon=8.0, transient=2.0)
+    assert json.loads(out)["lambda1"] == estimate.lambda1

@@ -161,6 +161,12 @@ CASES = [
          2, EMPTY, "error: tolerances must be positive and finite\n"),
     case("suggest-bad-margin", ["suggest-anticontrol", *PLANT, "--margin", "0"],
          2, EMPTY, "error: margin must be positive\n"),
+    # the margin rounds away: M + c - 1 is 0.0, so nothing crosses
+    case("suggest-margin-below-the-grid",
+         ["suggest-anticontrol", *PLANT, "--margin", "1e-300"], 2, EMPTY,
+         "error: margin 1e-300 does not cross the pitchfork: the offset "
+         "M + N + c - 1 = 0.0 leaves the origin non_hyperbolic and the "
+         "equilibria origin_only\n"),
     case("equilibria-nan", ["equilibria", "--a", "nan", "--b", "3", "--c", "2"],
          2, EMPTY, "error: parameter a must be finite, got nan\n"),
     case("lle-infinite-horizon",

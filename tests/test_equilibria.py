@@ -17,6 +17,8 @@ from lorenzlab import (
     Preset,
     RegimeLabel,
     State,
+    SweepAxis,
+    SweepSpec,
     SystemParams,
     apply_symmetry,
     classify_origin,
@@ -27,6 +29,7 @@ from lorenzlab import (
     pitchfork_locus,
     pitchfork_locus_for_preset,
     regime_classify,
+    run_sweep,
     suggest_anticontrol,
     vector_field,
 )
@@ -116,6 +119,13 @@ def test_classify_origin_examples():
         classify_origin(SystemParams(10.0, 8.0 / 3.0, 1.0))
         is OriginClass.NON_HYPERBOLIC
     )
+    # q = ad = -4 < 0 and r = N - a - 1 = 0: the origin's own Hopf point at
+    # N = a + 1, spectrum -0 -+ 2i and -1; the sweep's column agrees
+    hopf = SystemParams(1.0, 1.0, -5.0, N=2.0)
+    assert classify_origin(hopf) is OriginClass.NON_HYPERBOLIC
+    assert origin_eigenvalues(hopf) == (-2j, 2j, -1.0)
+    spec = SweepSpec(hopf, (SweepAxis("N", 2.0, 3.0, 2),), ("origin_class",))
+    assert run_sweep(spec).rows[0] == (2.0, "non_hyperbolic", None)
 
 
 @pytest.mark.parametrize("b", [0.0, -1.0, -8.0 / 3.0])

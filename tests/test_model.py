@@ -10,8 +10,10 @@ from lorenzlab import (
     State,
     SystemParams,
     apply_symmetry,
+    corollary_check,
     from_preset,
     jacobian,
+    pitchfork_locus_for_preset,
     vector_field,
 )
 
@@ -48,6 +50,21 @@ def test_preset_gains(preset, abc, gains):
     p = from_preset(preset, *abc)
     assert (p.M, p.N, p.P) == gains
     assert (p.a, p.b, p.c) == abc
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda preset: from_preset(preset, 10.0, 8.0 / 3.0, 28.0),
+        lambda preset: pitchfork_locus_for_preset(preset, 10.0),
+        lambda preset: corollary_check(preset, 1.0, 3.0, 2.0),
+    ],
+    ids=["from_preset", "pitchfork_locus_for_preset", "corollary_check"],
+)
+def test_a_preset_name_is_not_a_preset(call):
+    # presets are compared by identity, so the enum's value string is none
+    with pytest.raises(TypeError, match="unknown preset 'lorenz'"):
+        call("lorenz")
 
 
 @given(a=param, b=param, c=param, x=coord, y=coord, z=coord)

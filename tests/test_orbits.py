@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from lorenzlab import (
     TrajectoryStatus,
     branch_symmetry_deviation,
     find_equilibria,
+    integrate_to_equilibrium,
     jacobian,
     trace_heteroclinic,
     unstable_direction_at_origin,
@@ -108,6 +110,13 @@ def test_capture_ball_containing_the_seed_is_rejected(branch):
         trace_heteroclinic(REGULAR, branch, capture_radius=d)
     res = trace_heteroclinic(REGULAR, branch, capture_radius=math.nextafter(d, 0.0))
     assert res.trajectory.states[0] == seed
+
+
+def test_tracer_capture_radius_default_equals_the_integrators():
+    # trace_heteroclinic writes integrate_to_equilibrium's default again
+    tracer = inspect.signature(trace_heteroclinic).parameters
+    integrator = inspect.signature(integrate_to_equilibrium).parameters
+    assert tracer["capture_radius"].default == integrator["capture_radius"].default
 
 
 def test_observed_connection_is_not_certified_outside_hypotheses():

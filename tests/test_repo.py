@@ -138,3 +138,26 @@ def test_no_module_reads_trajectory_states():
         if isinstance(node, ast.Attribute) and node.attr == "states"
     ]
     assert reads == []
+
+
+def _is_number(node: ast.expr) -> bool:
+    """Whether ``node`` is an int or float literal, signed or not."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        return _is_number(node.operand)
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_no_cli_flag_writes_a_numeric_default():
+    # a number the CLI declares as a flag's default is a second copy of one
+    # the library owns; such flags default to argparse.SUPPRESS instead, so
+    # a command passes on only what the command line set
+    path = ROOT / "src" / "lorenzlab" / "cli.py"
+    numeric = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and any(kw.arg == "default" and _is_number(kw.value) for kw in node.keywords)
+    ]
+    assert numeric == []

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import inspect
 import itertools
 import math
 import multiprocessing
@@ -418,6 +419,14 @@ def test_rows_match_the_public_api_at_the_edges(names, ends, counts, tasks, base
         else:
             assert [repr(v) for v in row[k:-1]] == [repr(v) for v in want]
             assert row[-1] is None
+
+
+def test_spec_lle_defaults_equal_the_exponent_defaults():
+    # SweepSpec's fields write the exponent's window defaults a second time
+    signature = inspect.signature(largest_lyapunov_exponent).parameters
+    fields = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
+    for name in ("renorm_interval", "horizon", "transient"):
+        assert fields[f"lle_{name}"] == signature[name].default
 
 
 def test_axis_names_follow_the_params_field_order():
