@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import multiprocessing
@@ -11,6 +13,7 @@ from hypothesis import given, strategies as st
 from lorenzlab import (
     IntegratorSettings,
     State,
+    SweepSpec,
     SystemParams,
     UnsupportedFormatError,
     hypotheses_check,
@@ -18,9 +21,11 @@ from lorenzlab import (
     largest_lyapunov_exponent,
     sweep,
     to_jsonable,
+    trace_heteroclinic,
     trajectory_csv,
 )
-from lorenzlab.cli import build_parser, main, _params
+from lorenzlab.chaos import _LLE_START, _LLE_WINDOW
+from lorenzlab.cli import build_parser, main, _given, _params, _settings
 
 CLASSIC = ["--a", "10", "--b", "2.6666666666666665", "--c", "28"]
 REGULAR = ["--a", "1", "--b", "3", "--c", "2"]
@@ -492,6 +497,62 @@ def test_a_flag_left_out_leaves_no_attribute(argv):
     given = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
     args = parser.parse_args(argv)
     assert _LIBRARY_FLAGS & set(vars(args)) == _LIBRARY_FLAGS & given
+
+
+# the shortest command line each command accepts
+_BARE = {
+    "simulate": ["simulate", *REGULAR, "--x0", "1", "--y0", "1", "--z0", "1"],
+    "heteroclinic": ["heteroclinic", *REGULAR],
+    "lle": ["lle", *REGULAR],
+    "suggest-anticontrol": ["suggest-anticontrol", *REGULAR, "--margin", "1"],
+    "sweep": ["sweep", *REGULAR, "--axis", "c:0:1:2"],
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "heteroclinic", "lle", "suggest-anticontrol", "sweep"]
+)
+def test_integrator_flag_defaults_equal_the_settings_defaults(command):
+    parser = build_parser()
+    assert _settings(parser.parse_args(_BARE[command])) == IntegratorSettings()
+    flags = ["--mode", "fixed_rk4", "--dt", "0.5", "--rel-tol", "1e-6",
+             "--abs-tol", "1e-7", "--max-steps", "9", "--blowup-norm", "99"]
+    if command in ("simulate", "heteroclinic"):
+        flags += ["--t-max", "3"]
+    settings = _settings(parser.parse_args([*_BARE[command], *flags]))
+    assert (settings.mode.value, settings.dt_init, settings.rel_tol,
+            settings.abs_tol, settings.max_steps, settings.blowup_norm) == (
+        "fixed_rk4", 0.5, 1e-6, 1e-7, 9, 99.0)
+    if command in ("simulate", "heteroclinic"):
+        assert settings.t_max == 3.0
+
+
+@pytest.mark.parametrize("command", ["lle", "suggest-anticontrol", "sweep"])
+def test_lle_flag_defaults_equal_the_library_defaults(command):
+    parser = build_parser()
+    signature = inspect.signature(largest_lyapunov_exponent).parameters
+    spec_fields = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
+    for dest in _LLE_WINDOW:
+        assert signature[dest].default == spec_fields[f"lle_{dest}"]
+    assert _given(parser.parse_args(_BARE[command]), *_LLE_WINDOW) == {}
+    window = ["--renorm-interval", "2", "--horizon", "30", "--transient", "4"]
+    args = parser.parse_args([*_BARE[command], *window])
+    assert _given(args, *_LLE_WINDOW) == {
+        "renorm_interval": 2.0, "horizon": 30.0, "transient": 4.0}
+    if command == "lle":
+        assert _LLE_START == signature["u0"].default
+        assert _given(parser.parse_args(_BARE[command]), "x0", "y0", "z0") == {}
+
+
+def test_heteroclinic_flag_defaults_equal_the_library_defaults():
+    parser = build_parser()
+    signature = inspect.signature(trace_heteroclinic).parameters
+    names = ("epsilon", "capture_radius")
+    assert all(name in signature for name in names)
+    assert _given(parser.parse_args(_BARE["heteroclinic"]), *names) == {}
+    args = parser.parse_args(
+        [*_BARE["heteroclinic"], "--epsilon", "1e-5", "--capture-radius", "0.01"])
+    assert _given(args, *names) == {"epsilon": 1e-5, "capture_radius": 0.01}
 
 
 def test_lle_fills_an_unset_start_coordinate_from_the_library(capsys):
