@@ -70,10 +70,10 @@ class AnticontrolSuggestion:
     note: str
 
 
-# Where an exponent run starts unless told otherwise, and the names of the
-# arguments that set its windows
+# Where an exponent run starts unless told otherwise, and the arguments
+# that set its windows with their defaults, which a sweep's lle_* fields share
 _LLE_START = State(1.0, 1.0, 1.0)
-_LLE_WINDOW = ("renorm_interval", "horizon", "transient")
+_LLE_WINDOW = {"renorm_interval": 1.0, "horizon": 500.0, "transient": 50.0}
 
 # The base field with its linearization along the tangent (dx, dy, dz), as
 # source text for the integrator's stepping loop
@@ -118,9 +118,9 @@ def largest_lyapunov_exponent(
     p: SystemParams,
     u0: State | tuple = _LLE_START,
     settings: IntegratorSettings | None = None,
-    renorm_interval: float = 1.0,
-    horizon: float = 500.0,
-    transient: float = 50.0,
+    renorm_interval: float = _LLE_WINDOW["renorm_interval"],
+    horizon: float = _LLE_WINDOW["horizon"],
+    transient: float = _LLE_WINDOW["transient"],
 ) -> LLEEstimate:
     """Benettin-style estimate of the largest Lyapunov exponent.
 
@@ -240,14 +240,17 @@ def suggest_anticontrol(
     coarser than the grid of margin itself for about half of all margins,
     and M + c reaches only every other point of it when c's rounding makes
     each sum a tie; those get the nearest reachable offset).  Raises
-    NotStableRegimeError unless 0 < c < 1, and ValueError when the offset
-    reached leaves the origin no saddle or the pair absent (a margin
-    inside SIGN_BAND or below the float grid).
+    NotStableRegimeError unless 0 < c < 1, and ValueError for a margin
+    that is not positive and finite or when the offset reached leaves the
+    origin no saddle or the pair absent (a margin inside SIGN_BAND or
+    below the float grid).
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError("plant parameters a and b must be positive")
     if not margin > 0.0:
         raise ValueError("margin must be positive")
+    if margin == math.inf:
+        raise ValueError(f"margin must be finite, got {margin!r}")
     if not 0.0 < c < 1.0:
         raise NotStableRegimeError(
             f"anticontrol assumes a stable plant with 0 < c < 1, got c = {c}"

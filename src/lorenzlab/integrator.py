@@ -98,6 +98,8 @@ _ORDER_EXPONENT = 0.2  # 1/5 for a 5th-order propagated solution
 
 # consecutive accepted states inside the capture ball that count as capture
 _DWELL_CHECKS = 10
+# the capture ball's default radius, shared with the heteroclinic tracer
+_CAPTURE_RADIUS = 1e-6
 
 
 class IntegratorMode(enum.Enum):
@@ -614,7 +616,7 @@ def integrate_to_equilibrium(
     p: SystemParams,
     u0: State | tuple,
     eqs: EquilibriumSet,
-    capture_radius: float = 1e-6,
+    capture_radius: float = _CAPTURE_RADIUS,
     settings: IntegratorSettings | None = None,
     include_origin: bool = True,
 ) -> ConvergenceOutcome:

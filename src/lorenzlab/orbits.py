@@ -29,6 +29,7 @@ from .errors import (
     TrajectoryLengthMismatchError,
 )
 from .integrator import (
+    _CAPTURE_RADIUS,
     IntegratorSettings,
     Trajectory,
     _check_capture_radius,
@@ -94,7 +95,7 @@ def trace_heteroclinic(
     branch: Branch,
     epsilon: float | None = None,
     settings: IntegratorSettings | None = None,
-    capture_radius: float = 1e-6,
+    capture_radius: float = _CAPTURE_RADIUS,
 ) -> HeteroclinicResult:
     """Trace one branch of the unstable manifold to its terminal equilibrium.
 

@@ -150,18 +150,19 @@ def emit(result: Any, format: str = "json", destination: str | Path | None = Non
         # a non-finite float that reaches dumps raises ValueError
         text = json.dumps(to_jsonable(result), indent=2, allow_nan=False) + "\n"
     elif format == "csv":
-        # only a tabular result loads the modules that define one
+        # only a tabular result loads the module that defines it
         from .integrator import Trajectory
-        from .sweep import SweepResult
 
         if isinstance(result, Trajectory):
             text = trajectory_csv(result)
-        elif isinstance(result, SweepResult):
-            text = sweep_csv(result)
         else:
-            raise UnsupportedFormatError(
-                f"csv is not defined for {type(result).__name__}; use json"
-            )
+            from .sweep import SweepResult
+
+            if not isinstance(result, SweepResult):
+                raise UnsupportedFormatError(
+                    f"csv is not defined for {type(result).__name__}; use json"
+                )
+            text = sweep_csv(result)
     else:
         raise UnsupportedFormatError(f"unknown format {format!r}; available: {FORMATS}")
     if destination is None:

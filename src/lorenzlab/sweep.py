@@ -1,9 +1,10 @@
 """Deterministic parameter sweeps over one or two axes.
 
 Cells are laid out row-major in axis declaration order (the order of
-``itertools.product`` over the axes' values) and evaluated independently,
-either serially or on a process pool.  Every task is a pure function of
-the cell's parameters, so the assembled table is identical
+``itertools.product`` over the axes' values) and evaluated independently
+by _rows, which walks one contiguous range of them: the whole grid when
+inline, one chunk per task on a process pool.  Every task is a pure
+function of the cell's parameters, so the assembled table is identical
 (byte for byte once serialized) for any worker count.  A cell whose
 evaluation raises records the error in its row instead of aborting the
 sweep.  A cell's row comes from a function generated once per process for
@@ -21,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .chaos import _lle_windows, _regime, largest_lyapunov_exponent
+from .chaos import _LLE_WINDOW, _lle_windows, _regime, largest_lyapunov_exponent
 from .equilibria import _equilibrium_parts, _origin_class
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
@@ -111,9 +112,9 @@ class SweepSpec:
     axes: tuple[SweepAxis, ...]
     tasks: tuple[str, ...]
     settings: IntegratorSettings = field(default_factory=IntegratorSettings)
-    lle_renorm_interval: float = 1.0
-    lle_horizon: float = 500.0
-    lle_transient: float = 50.0
+    lle_renorm_interval: float = _LLE_WINDOW["renorm_interval"]
+    lle_horizon: float = _LLE_WINDOW["horizon"]
+    lle_transient: float = _LLE_WINDOW["transient"]
 
     def __post_init__(self) -> None:
         # tuples, as the generated row is cached by the task tuple and axis names
@@ -143,28 +144,19 @@ class SweepSpec:
         return n
 
     def columns(self) -> tuple[str, ...]:
-        return (*(ax.name for ax in self.axes), *self._task_columns, "error")
+        tasks = (c for task in self.tasks for c in _TASK_COLUMNS[task])
+        return (*(ax.name for ax in self.axes), *tasks, "error")
 
-    # Per-spec dispatch data, computed once per spec rather than per cell
-    # (rebuilding the axis values per cell made a sweep quadratic in the
-    # axis length).  Cached properties are not dataclass fields, so the
-    # sweep's JSON is unchanged.
+    # The grid, built once per spec rather than per cell (rebuilding the
+    # axis values per cell made a sweep quadratic in the axis length).  A
+    # cached property is not a dataclass field, so the sweep's JSON is
+    # unchanged.
     @functools.cached_property
     def _axis_values(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(ax.values()) for ax in self.axes)
 
-    @functools.cached_property
-    def _task_columns(self) -> tuple[str, ...]:
-        return tuple(c for task in self.tasks for c in _TASK_COLUMNS[task])
-
-    # the base's six values in field order; a cell writes its axis values
-    # over the names of its axes
-    @functools.cached_property
-    def _base_fields(self) -> tuple[float, ...]:
-        return tuple(getattr(self.base, name) for name in PARAM_NAMES)
-
     def cell_values(self, index: int) -> tuple[float, ...]:
-        """Axis values of the row-major cell at flat position ``index``."""
+        """Axis values of the cell at flat position ``index``, in _rows' order."""
         values = self._axis_values
         if len(values) == 1:
             return (values[0][index],)
@@ -177,13 +169,13 @@ class SweepResult:
     """The sweep table: one tuple per cell, aligned with ``columns``.
 
     An inline run_sweep starts each row with the very float objects of
-    ``spec``'s grid, as ``itertools.product`` yields them, and a row's E+
-    x and y are one float object.  sweep_csv renders the table a column at
-    a time: it forms each grid value's text once per call and looks an
-    axis column up by the float's ``id``, and it reuses the texts of a
-    column for a next column of the same objects.  Other rows (pooled,
-    reordered or hand-built) render the same, each float with its own
-    ``repr``.
+    ``spec``'s grid, as _rows walks it with ``itertools.product``, and a
+    row's E+ x and y are one float object.  sweep_csv renders the table a
+    column at a time: it forms each grid value's text once per call and
+    looks an axis column up by the float's ``id``, and it reuses the texts
+    of a column for a next column of the same objects.  Other rows
+    (pooled, reordered or hand-built) render the same, each float with its
+    own ``repr``.
     """
 
     spec: SweepSpec
@@ -209,8 +201,8 @@ _CERTIFICATE, _EQUILIBRIA, _ORIGIN_CLASS, _REGIME, _LLE = (
 
 def _row_source(tasks: tuple[str, ...], names: tuple[str, ...]) -> str:
     """Source of ``row(spec, base, values)``, the row of one cell of
-    ``spec``, whose tasks are ``tasks`` on the axes ``names``: ``base`` is
-    the spec's ``_base_fields`` and ``values`` the cell's axis values.
+    ``spec`` (tasks ``tasks``, axes ``names``): ``base`` holds the base's
+    six floats in field order and ``values`` the cell's axis values.
 
     The row unpacks the base's six floats, writes the axis values over
     their names and runs the tasks inline in the spec's order, so an error
@@ -291,27 +283,28 @@ def _row(tasks: tuple[str, ...], names: tuple[str, ...]) -> Callable[..., tuple]
     return namespace["row"]
 
 
-def _spec_row(spec: SweepSpec) -> Callable[..., tuple]:
-    """The generated row of ``spec``'s task tuple and axis names."""
-    return _row(spec.tasks, tuple(ax.name for ax in spec.axes))
+def _rows(spec: SweepSpec, cells: range) -> list[tuple]:
+    """The rows of ``spec``'s row-major cells ``cells``, a contiguous range.
 
-
-def _evaluate_cell(args: tuple[SweepSpec, tuple[float, ...]]) -> tuple:
-    """The row of the cell at ``values`` (its axis values, in axis order),
-    a pool's task; each worker compiles the row on its first cell."""
-    spec, values = args
-    return _spec_row(spec)(spec, spec._base_fields, values)
+    The one code that walks the grid and evaluates cells: it looks the row
+    up and forms the base's six floats once per call, and its rows hold
+    the grid's own float objects.
+    """
+    row = _row(spec.tasks, tuple(ax.name for ax in spec.axes))
+    base = tuple(getattr(spec.base, name) for name in PARAM_NAMES)
+    grid = itertools.product(*spec._axis_values)
+    values = itertools.islice(grid, cells.start, cells.stop)
+    return list(map(row, itertools.repeat(spec), itertools.repeat(base), values))
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every cell and assemble the table in grid order.
 
-    The grid is walked with ``itertools.product`` over the axes' values,
-    row-major as ``SweepSpec.cell_values`` numbers the cells, so each cell
-    gets its axis values with no index arithmetic, and an inline run's
-    rows hold the grid's own float objects (see SweepResult).  An inline
-    run maps the spec's generated row (see _row_source) over the grid; a
-    pool maps _evaluate_cell, which finds the row in each worker.
+    Both paths evaluate cells through _rows.  An inline run calls it once
+    on the whole grid, so its rows hold the grid's own float objects (see
+    SweepResult).  A pool splits the grid into contiguous ranges of
+    max(1, n // (4 * workers)) cells, maps _rows over them and joins their
+    rows in grid order.
 
     ``workers`` = 1 runs inline; None uses one process per CPU this
     process may run on (its affinity mask where the platform has one, else
@@ -331,20 +324,19 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, n)
-    grid = itertools.product(*spec._axis_values)
     if workers == 1:
-        repeat = itertools.repeat
-        rows = list(map(_spec_row(spec), repeat(spec), repeat(spec._base_fields), grid))
+        rows = _rows(spec, range(n))
     else:
         # the pool's modules load only on this path, not with the package
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         chunk = max(1, n // (4 * workers))
+        chunks = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                cells = zip(itertools.repeat(spec), grid)
-                rows = list(pool.map(_evaluate_cell, cells, chunksize=chunk))
+                parts = pool.map(functools.partial(_rows, spec), chunks)
+                rows = [row for part in parts for row in part]
         except BrokenProcessPool as exc:
             axes = " x ".join(
                 f"{ax.name}:{ax.start!r}:{ax.stop!r}:{ax.count}" for ax in spec.axes

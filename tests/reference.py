@@ -527,4 +527,4 @@ def evaluate_cell(args) -> tuple:
         return values + run_tasks(spec, fields) + (None,)
     except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
         message = f"{type(exc).__name__}: {exc}"
-        return values + (None,) * len(spec._task_columns) + (message,)
+        return values + (None,) * (len(spec.columns()) - len(spec.axes) - 1) + (message,)

@@ -556,6 +556,9 @@ def test_suggestion_rejects_bad_scalars():
         suggest_anticontrol(10.0, 0.0, 0.5, 28.0)
     with pytest.raises(ValueError):
         suggest_anticontrol(10.0, 8.0 / 3.0, 0.5, 0.0)
+    # not blamed on the gain M that an infinite margin would make
+    with pytest.raises(ValueError, match="^margin must be finite, got inf$"):
+        suggest_anticontrol(10.0, 8.0 / 3.0, 0.5, math.inf)
 
 
 def _best_offset_error(c, margin, span=64):

@@ -161,6 +161,9 @@ CASES = [
          2, EMPTY, "error: tolerances must be positive and finite\n"),
     case("suggest-bad-margin", ["suggest-anticontrol", *PLANT, "--margin", "0"],
          2, EMPTY, "error: margin must be positive\n"),
+    case("suggest-infinite-margin",
+         ["suggest-anticontrol", *PLANT, "--margin", "inf"],
+         2, EMPTY, "error: margin must be finite, got inf\n"),
     # the margin rounds away: M + c - 1 is 0.0, so nothing crosses
     case("suggest-margin-below-the-grid",
          ["suggest-anticontrol", *PLANT, "--margin", "1e-300"], 2, EMPTY,
@@ -202,6 +205,12 @@ CASES = [
          ["equilibria", "--a", "1", "--b", "1e300", "--c", "28"],
          2, EMPTY, "error: the characteristic cubic's coefficients "
          "(1e+300, 2.9e+301, 5.400000000000001e+301) are beyond the float range\n"),
+    # the origin's constant term -a d overflows and is formed scaled, but its
+    # larger root, about -a, leaves the float range when scaled back
+    case("classify-root-beyond-the-float-range",
+         ["classify", "--a", "1.7e308", "--b", "1", "--c", "1e308"],
+         2, EMPTY, "error: the origin's characteristic quadratic's coefficients "
+         "(1.7e+308, -inf) give a root beyond the float range\n"),
     case("heteroclinic-negative-epsilon",
          ["heteroclinic", *REGULAR, "--branch", "plus", "--epsilon=-1e-6"],
          2, EMPTY, "error: epsilon must be positive and finite, got -1e-06\n"),

@@ -120,6 +120,17 @@ LOADED = (
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(lorenzlab.__path__))
 
 
+def _loaded_by(argv: list[str]) -> list[str]:
+    """The package's modules that a fresh ``main(argv)`` loads; it must exit 0."""
+    script = (
+        "import contextlib, io\n"
+        "from lorenzlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    return json.loads(_fresh(script + LOADED))
+
+
 def test_package_import_loads_no_submodule():
     assert json.loads(_fresh("import lorenzlab\n" + LOADED)) == ["lorenzlab"]
 
@@ -153,15 +164,21 @@ def test_closed_form_commands_load_only_their_modules(command, computation):
         args = ["--a", "10", "--b", "3", "--c", "0.5", "--margin", "1"]
     else:
         args = ["--a", "1", "--b", "3", "--c", "2"]
-    script = (
-        "import contextlib, io\n"
-        "from lorenzlab.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({[command, *args]!r}) == 0\n"
-    )
-    loaded = json.loads(_fresh(script + LOADED))
+    loaded = _loaded_by([command, *args])
     # never integrator, orbits or sweep
     assert loaded == sorted(
         ["lorenzlab"]
         + [f"lorenzlab.{m}" for m in ("cli", "errors", "model", "serialize", *modules)]
+    )
+
+
+def test_a_trajectory_csv_loads_no_sweep_engine():
+    # emit tells a trajectory from a sweep table before it imports the sweep
+    loaded = _loaded_by(
+        ["simulate", "--a", "1", "--b", "3", "--c", "2", "--x0", "1", "--y0", "1",
+         "--z0", "1", "--t-max", "1", "--format", "csv"]
+    )
+    assert loaded == sorted(
+        ["lorenzlab"]
+        + [f"lorenzlab.{m}" for m in ("cli", "errors", "integrator", "model", "serialize")]
     )

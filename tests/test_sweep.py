@@ -31,6 +31,7 @@ from lorenzlab import (
     classify_origin,
     find_equilibria,
     largest_lyapunov_exponent,
+    origin_eigenvalues,
     regime_classify,
     run_sweep,
     sweep,
@@ -217,19 +218,24 @@ def test_cell_errors_are_isolated():
 
 def test_an_overflowing_origin_spectrum_is_an_error_row():
     # c = M = 1e308: d = M + N + c - 1 overflows, so the origin's quadratic
-    # has cc = -a d = -inf with no finite factors to form it from
-    spec = SweepSpec(
-        base=SystemParams(1.0, 1.0, 1e308),
-        axes=(SweepAxis("M", 1e308, 1e308, 2),),
-        tasks=("equilibria", "origin_class"),
-    )
-    rows = run_sweep(spec, workers=1).rows
-    message = (
-        "ValueError: the origin's characteristic quadratic's coefficients "
-        "(2.0, -inf) are beyond the float range"
-    )
-    assert [row[-1] for row in rows] == [message, message]
-    assert all(v is None for row in rows for v in row[1:-1])
+    # has cc = -a d = -inf with no finite factors to form it from; a =
+    # 1.7e308, c = 1e308: cc is formed scaled, but the larger root, about
+    # -a, leaves the float range when it is scaled back
+    for base, axis, text in [
+        (SystemParams(1.0, 1.0, 1e308), SweepAxis("M", 1e308, 1e308, 2),
+         "(2.0, -inf) are beyond the float range"),
+        (SystemParams(1.7e308, 1.0, 1e308), SweepAxis("c", 1e308, 1e308, 2),
+         "(1.7e+308, -inf) give a root beyond the float range"),
+    ]:
+        message = f"the origin's characteristic quadratic's coefficients {text}"
+        p = dataclasses.replace(base, **{axis.name: axis.start})
+        with pytest.raises(ValueError) as raised:
+            origin_eigenvalues(p)
+        assert str(raised.value) == message
+        spec = SweepSpec(base=base, axes=(axis,), tasks=("equilibria", "origin_class"))
+        rows = run_sweep(spec, workers=1).rows
+        assert [row[-1] for row in rows] == [f"ValueError: {message}"] * 2
+        assert all(v is None for row in rows for v in row[1:-1])
 
 
 def test_an_origin_constant_term_overflowing_in_a_d_is_a_row():
@@ -414,7 +420,7 @@ def test_rows_match_the_public_api_at_the_edges(names, ends, counts, tasks, base
             p = dataclasses.replace(base, **dict(zip(names, spec.cell_values(i))))
             want = _standalone_row(p, tasks)
         except Exception as exc:  # noqa: BLE001 - the row must carry it
-            assert row[k:-1] == (None,) * len(spec._task_columns)
+            assert row[k:-1] == (None,) * (len(spec.columns()) - len(spec.axes) - 1)
             assert row[-1] == f"{type(exc).__name__}: {exc}"
         else:
             assert [repr(v) for v in row[k:-1]] == [repr(v) for v in want]
@@ -443,7 +449,7 @@ def _replace_evaluate_cell(spec, index):
         return values + reference.run_tasks(spec, dataclasses.astuple(p)) + (None,)
     except Exception as exc:  # noqa: BLE001
         message = f"{type(exc).__name__}: {exc}"
-        return values + (None,) * len(spec._task_columns) + (message,)
+        return values + (None,) * (len(spec.columns()) - len(spec.axes) - 1) + (message,)
 
 
 _any_end = st.one_of(
@@ -542,7 +548,8 @@ def _assert_row_equals_the_frozen_cell(names, tasks):
         lle_horizon=2.0,
         lle_transient=0.0,
     )
-    row, base = sweep._spec_row(spec), spec._base_fields
+    row = sweep._row(spec.tasks, names)
+    base = dataclasses.astuple(spec.base)
     finite, error = (1.5, 0.5)[: len(names)], (math.inf, 0.5)[: len(names)]
     for values in (finite, error):
         got = row(spec, base, values)
@@ -711,10 +718,12 @@ def test_crashed_worker_pool_raises_a_package_error(monkeypatch):
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
-    in this process, so no worker process starts."""
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and the
+    items of each ``map`` call, and maps in this process, so no worker
+    process starts."""
 
     started: list[int] = []
+    mapped: list[list] = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
@@ -726,7 +735,9 @@ class _InlineExecutor:
         return False
 
     def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+        items = list(iterable)
+        self.mapped.append(items)
+        return map(fn, items)
 
 
 @pytest.mark.parametrize("workers, started", [(2, 2), (5, 5), (6, 5), (64, 5)])
@@ -765,6 +776,43 @@ def test_default_pool_size_falls_back_to_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     run_sweep(_spec(tasks=("lle",), lle_horizon=2.0, lle_transient=0.0))
     assert _InlineExecutor.started == [3]
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(
+    names=st.permutations(sweep.AXIS_NAMES).flatmap(
+        lambda n: st.sampled_from([n[:1], n[:2]])
+    ),
+    counts=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    workers=st.integers(1, 6),
+)
+@example(names=("c",), counts=(5, 2), workers=2)  # n < 4 * workers: chunk 1
+@example(names=("c", "M"), counts=(9, 9), workers=2)  # 81 cells, chunk 10
+@example(names=("c",), counts=(3, 2), workers=6)  # workers > n
+def test_pool_chunks_tile_the_grid_in_order(names, counts, workers):
+    # each pool task is a contiguous range of cells; the ranges cover the
+    # grid once, in order, and the joined rows equal the inline run's
+    spec = _spec(
+        axes=tuple(SweepAxis(name, 0.5, 1.5, k) for name, k in zip(names, counts)),
+        tasks=_SHARED_TASKS,
+    )
+    n = spec.n_cells()
+    inline = run_sweep(spec, workers=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_InlineExecutor, "started", [])
+        mp.setattr(_InlineExecutor, "mapped", [])
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+        pooled = run_sweep(spec, workers=workers)
+        mapped = _InlineExecutor.mapped
+    assert [repr(row) for row in pooled.rows] == [repr(row) for row in inline.rows]
+    if workers == 1:  # every grid has at least two cells
+        assert mapped == []
+        return
+    [ranges] = mapped
+    assert all(type(r) is range and r.step == 1 and len(r) > 0 for r in ranges)
+    assert list(itertools.chain.from_iterable(ranges)) == list(range(n))
+    chunk = max(1, n // (4 * min(workers, n)))
+    assert [len(r) for r in ranges[:-1]] == [chunk] * (len(ranges) - 1)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
