@@ -42,8 +42,8 @@ _EXPORTS = {
     ),
     "lyapunov": (
         "CertificateReport", "HypothesisFlags", "LyapunovCoefficients", "certificate",
-        "corollary_check", "hypotheses_check", "lyapunov_coefficients", "v_dot",
-        "v_dot_closed_form", "v_gradient", "v_value",
+        "corollary_check", "lyapunov_coefficients", "v_dot", "v_dot_closed_form",
+        "v_gradient", "v_value",
     ),
     "model": (
         "Preset", "State", "SystemParams", "apply_symmetry", "from_preset", "jacobian",

@@ -278,7 +278,7 @@ def suggest_anticontrol(
             f"c - 1 = {(m_gain + 0.0) + c - 1.0!r} leaves the origin "
             f"{origin_class.value} and the equilibria {kind.value}"
         )
-    chaos_possible = b < 2.0 * a
+    chaos_possible = certificate(params).chaos_possible
     if chaos_possible:
         tail = "b < 2a holds, so chaos is not excluded; confirm with an exponent run"
     else:

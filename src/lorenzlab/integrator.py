@@ -55,6 +55,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, NamedTuple, Sequence
 
@@ -130,7 +131,7 @@ class IntegratorSettings:
     The five float fields are coerced with ``float()``, as SystemParams'
     are: an exact float is kept as the object given, and an int becomes an
     equal float, so a run's times and the files written from them are
-    floats.
+    floats.  max_steps must be an integer, and mode an IntegratorMode.
     """
 
     mode: IntegratorMode = IntegratorMode.ADAPTIVE
@@ -142,6 +143,8 @@ class IntegratorSettings:
     blowup_norm: float = 1e6
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, IntegratorMode):
+            raise TypeError(f"unknown integrator mode {self.mode!r}")
         for name in ("dt_init", "rel_tol", "abs_tol", "t_max", "blowup_norm"):
             raw = getattr(self, name)
             value = float(raw)
@@ -153,6 +156,12 @@ class IntegratorSettings:
             raise ValueError("tolerances must be positive and finite")
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise ValueError("t_max must be positive and finite")
+        try:
+            object.__setattr__(self, "max_steps", operator.index(self.max_steps))
+        except TypeError:
+            raise ValueError(
+                f"max_steps must be an integer, got {self.max_steps!r}"
+            ) from None
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
         if not (self.blowup_norm > 0.0 and math.isfinite(self.blowup_norm)):

@@ -163,7 +163,7 @@ def _certificate_columns(
     """The certificate of the six parameter floats as its eight sweep
     columns: lemma_ok, conv_ok, het_ok, no_closed_orbits, no_homoclinic,
     converges_to_equilibria, heteroclinic_pair, chaos_possible (see
-    hypotheses_check and certificate, which wrap them)."""
+    certificate, which wraps them)."""
     one_minus_p = 1.0 - P
     p_ok = abs(one_minus_p) > SIGN_BAND * (1.0 + abs(P))
     excess = 2.0 * a - b
@@ -185,23 +185,15 @@ def _certificate_columns(
     return lemma_ok, conv_ok, het_ok, lemma_ok, lemma_ok, conv_ok, het_ok, b < 2.0 * a
 
 
-def hypotheses_check(p: SystemParams) -> HypothesisFlags:
-    """Evaluate the nested hypothesis levels.
+def certificate(p: SystemParams) -> CertificateReport:
+    """Evaluate the nested hypothesis levels and the properties they certify.
 
     Strict inequalities must clear SIGN_BAND * (1 + |value|); +inf, from
     an overflow, passes.  Non-strict ones are decided by exact sign:
     2a - b is one rounding of the exact difference (2a is exact), its
     quotient by 1 - P takes its sign from the two factors, and N - 1 - a
-    is summed exactly.  P ~ 1 (where V
-    degenerates) fails lemma_ok outright instead of passing vacuously
-    through the sign of the ratio.
-    """
-    lemma_ok, conv_ok, het_ok = _certificate_columns(p.a, p.b, p.c, p.M, p.N, p.P)[:3]
-    return HypothesisFlags(lemma_ok=lemma_ok, conv_ok=conv_ok, het_ok=het_ok)
-
-
-def certificate(p: SystemParams) -> CertificateReport:
-    """Bundle the hypothesis flags into the properties they certify.
+    is summed exactly.  P ~ 1 (where V degenerates) fails lemma_ok
+    outright instead of passing vacuously through the sign of the ratio.
 
     The values come from _certificate_columns, which a sweep cell reads
     without building these objects.
@@ -217,8 +209,8 @@ def corollary_check(preset: Preset, a: float, b: float, c: float) -> bool:
 
     Lorenz: c > 1, b >= 2a, a > 0.  Chen: 2c - a > 0 and
     (b - 2a)(c - a) <= 0.  T system: c - a > 0 and b - 2a <= 0.  As in
-    ``hypotheses_check``, strict signs use SIGN_BAND and non-strict ones
-    are exact; the Lu preset raises.
+    ``certificate``, strict signs use SIGN_BAND and non-strict ones are
+    exact; the Lu preset raises.
     """
     if preset is Preset.LORENZ:
         return (

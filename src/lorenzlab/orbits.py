@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .equilibria import (
     Equilibrium,
-    EquilibriumKind,
     OriginClass,
     classify_origin,
     find_equilibria,
@@ -36,7 +35,7 @@ from .integrator import (
     _dist,
     integrate_to_equilibrium,
 )
-from .lyapunov import hypotheses_check
+from .lyapunov import certificate
 from .model import SIGN_BAND, State, SystemParams
 
 
@@ -108,17 +107,23 @@ def trace_heteroclinic(
     other branch under this branch's label.  So does a capture ball around
     E+ or E- that already contains the seed, where a capture would prove
     nothing, and a ``capture_radius`` that is negative, NaN or infinite.
+    A ``branch`` that is not a Branch, such as its value, raises TypeError.
     """
+    if branch is Branch.PLUS_X:
+        k = 0
+    elif branch is Branch.MINUS_X:
+        k = 1
+    else:
+        raise TypeError(f"unknown branch {branch!r}")
     if epsilon is not None and not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     _check_capture_radius(capture_radius)
     direction = unstable_direction_at_origin(p)
     eqs = find_equilibria(p)
-    e_plus = eqs.pair[0] if eqs.pair is not None else None
     if epsilon is None:
-        scale = math.sqrt(sum(v * v for v in e_plus.location)) if e_plus else 0.0
+        scale = math.sqrt(sum(v * v for v in eqs.pair[0].location)) if eqs.pair else 0.0
         epsilon = 1e-6 * (1.0 + scale)
-    sign = 1.0 if branch is Branch.PLUS_X else -1.0
+    sign = (1.0, -1.0)[k]
     u0 = State(*(sign * epsilon * v for v in direction))
     for name, e in zip(("E+", "E-"), eqs.pair or ()):
         if _dist(u0, e.location) <= capture_radius:
@@ -137,23 +142,15 @@ def trace_heteroclinic(
         settings=settings,
         include_origin=False,
     )
-    extremal = (min if branch is Branch.PLUS_X else max)(outcome.trajectory.xs)
-    expected = None
-    if eqs.kind is EquilibriumKind.TRIPLE:
-        expected = eqs.pair[0] if branch is Branch.PLUS_X else eqs.pair[1]
-    success = (
-        outcome.terminal is not None
-        and expected is not None
-        and outcome.terminal.location == expected.location
-    )
+    # the capture candidates are eqs.pair's own objects, or none without a pair
     return HeteroclinicResult(
         branch=branch,
         epsilon=epsilon,
         trajectory=outcome.trajectory,
         terminal=outcome.terminal,
-        extremal_x=extremal,
-        success=success,
-        certified=hypotheses_check(p).het_ok,
+        extremal_x=(min, max)[k](outcome.trajectory.xs),
+        success=outcome.terminal is not None and outcome.terminal is eqs.pair[k],
+        certified=certificate(p).heteroclinic_pair,
     )
 
 

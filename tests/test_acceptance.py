@@ -27,7 +27,6 @@ from lorenzlab import (
     classify_origin,
     corollary_check,
     find_equilibria,
-    hypotheses_check,
     integrate,
     integrate_to_equilibrium,
     largest_lyapunov_exponent,
@@ -348,7 +347,7 @@ def test_criterion_10_corollaries_and_flag_nesting():
     nest_violations = 0
     for _ in range(10_000):
         p = sampling.any_params(rng)
-        flags = hypotheses_check(p)
+        flags = certificate(p).flags
         report = certificate(p)
         bad = (
             (flags.het_ok and not flags.conv_ok)

@@ -16,7 +16,7 @@ from lorenzlab import (
     SweepSpec,
     SystemParams,
     UnsupportedFormatError,
-    hypotheses_check,
+    certificate,
     integrate,
     largest_lyapunov_exponent,
     sweep,
@@ -393,7 +393,7 @@ def test_console_entry_point_smoke():
 
 
 def test_unsupported_format_raises():
-    report = hypotheses_check(SystemParams(1.0, 3.0, 2.0))
+    report = certificate(SystemParams(1.0, 3.0, 2.0)).flags
     from lorenzlab import emit
 
     with pytest.raises(UnsupportedFormatError):

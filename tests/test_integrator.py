@@ -59,6 +59,16 @@ def test_settings_validation():
         IntegratorSettings(t_max=0.0)
     with pytest.raises(ValueError):
         IntegratorSettings(max_steps=0)
+    # a non-integer budget would compare false forever (NaN, inf) or
+    # round up silently (2.5)
+    for steps in (math.nan, math.inf, 2.5):
+        message = f"^max_steps must be an integer, got {steps!r}$"
+        with pytest.raises(ValueError, match=message):
+            IntegratorSettings(max_steps=steps)
+    # modes are compared by identity, so the enum's value string is none
+    for mode in ("fixed_rk4", "bogus"):
+        with pytest.raises(TypeError, match=f"^unknown integrator mode '{mode}'$"):
+            IntegratorSettings(mode=mode)
     with pytest.raises(ValueError):
         IntegratorSettings(blowup_norm=-1.0)
     # divergence is one comparison against the norm, which is infinite

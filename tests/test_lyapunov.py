@@ -14,7 +14,6 @@ from lorenzlab import (
     certificate,
     corollary_check,
     find_equilibria,
-    hypotheses_check,
     lyapunov_coefficients,
     v_dot,
     v_dot_closed_form,
@@ -188,26 +187,26 @@ def test_v_positive_off_zero_set():
 
 
 def test_hypotheses_examples():
-    good = hypotheses_check(SystemParams(1.0, 3.0, 2.0))
+    good = certificate(SystemParams(1.0, 3.0, 2.0)).flags
     assert (good.lemma_ok, good.conv_ok, good.het_ok) == (True, True, True)
 
-    classic = hypotheses_check(SystemParams(10.0, 8.0 / 3.0, 28.0))
+    classic = certificate(SystemParams(10.0, 8.0 / 3.0, 28.0)).flags
     assert not classic.lemma_ok and not classic.conv_ok and not classic.het_ok
 
-    chen = hypotheses_check(SystemParams(35.0, 3.0, 28.0, M=-35.0, N=29.0))
+    chen = certificate(SystemParams(35.0, 3.0, 28.0, M=-35.0, N=29.0)).flags
     assert not chen.lemma_ok
 
 
 def test_hypotheses_hold_on_boundary_b_equals_2a():
-    flags = hypotheses_check(SystemParams(1.5, 3.0, 2.0))
+    flags = certificate(SystemParams(1.5, 3.0, 2.0)).flags
     assert flags.lemma_ok and flags.conv_ok
-    flags = hypotheses_check(SystemParams(1.5, 3.0, -7.0))
+    flags = certificate(SystemParams(1.5, 3.0, -7.0)).flags
     assert flags.lemma_ok and flags.conv_ok and not flags.het_ok
 
 
 def test_second_family_satisfies_lemma_only():
     # b < 2a with P > 1: decrease conditions hold, convergence needs P < 1
-    flags = hypotheses_check(SystemParams(2.0, 1.0, 0.5, P=2.0))
+    flags = certificate(SystemParams(2.0, 1.0, 0.5, P=2.0)).flags
     assert flags.lemma_ok
     assert not flags.conv_ok
 
@@ -216,7 +215,7 @@ def test_flag_nesting_and_certificate_wiring():
     rng = np.random.default_rng(89)
     for _ in range(2000):
         p = sampling.any_params(rng)
-        flags = hypotheses_check(p)
+        flags = certificate(p).flags
         if flags.het_ok:
             assert flags.conv_ok
         if flags.conv_ok:
@@ -233,9 +232,9 @@ def test_flag_nesting_and_certificate_wiring():
 def test_samplers_deliver_their_families():
     rng = np.random.default_rng(97)
     for _ in range(300):
-        assert hypotheses_check(sampling.lemma_ok_params(rng)).lemma_ok
-        assert hypotheses_check(sampling.conv_ok_params(rng)).conv_ok
-        assert hypotheses_check(sampling.het_ok_params(rng)).het_ok
+        assert certificate(sampling.lemma_ok_params(rng)).flags.lemma_ok
+        assert certificate(sampling.conv_ok_params(rng)).flags.conv_ok
+        assert certificate(sampling.het_ok_params(rng)).flags.het_ok
 
 
 def test_false_flags_are_not_disproofs():
@@ -328,7 +327,7 @@ def test_certificate_claims_nothing_its_exact_hypotheses_deny():
     het_claims = 0
     for p in draws:
         assert _claims_beyond_hypotheses(p) == [], p
-        het_claims += hypotheses_check(p).het_ok
+        het_claims += certificate(p).flags.het_ok
     # the boundary draws reach the claim, not only its vacuous side
     assert het_claims > 100
 
@@ -342,22 +341,22 @@ def test_het_ok_refuses_an_offset_that_rounds_up_from_zero():
     )
     assert p.M + p.N + p.c - 1.0 == 2.0**-52
     assert Fraction(p.M) + Fraction(p.N) + Fraction(p.c) == 1
-    flags = hypotheses_check(p)
+    flags = certificate(p).flags
     assert flags.conv_ok and not flags.het_ok
 
 
 def test_sums_beyond_the_float_range_keep_their_sign():
     # N - 1 - a and M + N + c - 1 leave the float range part way, where
     # fsum raises; the exact sums' signs still decide
-    flags = hypotheses_check(SystemParams(1.7e308, 1.0, 0.0, N=-1.7e308, P=2.0))
+    flags = certificate(SystemParams(1.7e308, 1.0, 0.0, N=-1.7e308, P=2.0)).flags
     assert flags.lemma_ok and not flags.conv_ok
     p = SystemParams(8e307, 1.7e308, 0.0, M=1e308, N=8e307)
-    assert hypotheses_check(p).conv_ok
+    assert certificate(p).flags.conv_ok
     assert _claims_beyond_hypotheses(p) == []
     # c + M and M + N + c - 1 overflow to +inf from exactly positive sums,
     # and a strict sign passes an infinite value
     p = SystemParams(1.0, 3.0, 1e308, M=1e308)
-    assert hypotheses_check(p).het_ok
+    assert certificate(p).flags.het_ok
     assert _claims_beyond_hypotheses(p) == []
     # 2c - a overflows the same way in Chen's strict condition
     assert corollary_check(Preset.CHEN, 1.0, 2.0, 1e308) is True
@@ -399,15 +398,15 @@ def test_lorenz_corollary_implies_generic_convergence():
         c = float(rng.uniform(-5.0, 5.0))
         if corollary_check(Preset.LORENZ, a, b, c):
             hits += 1
-            assert hypotheses_check(from_preset(Preset.LORENZ, a, b, c)).conv_ok
+            assert certificate(from_preset(Preset.LORENZ, a, b, c)).flags.conv_ok
     assert hits > 20
 
 
 def test_preset_reductions_are_their_own_statements():
     """corollary_check reports the preset-specific condition as stated;
-    hypotheses_check reports the generic one.  For the T preset at these
+    certificate reports the generic one.  For the T preset at these
     values they disagree, and both answers are intentional."""
     from lorenzlab import from_preset
 
     assert corollary_check(Preset.T_SYSTEM, 2.0, 1.0, 3.0) is True
-    assert hypotheses_check(from_preset(Preset.T_SYSTEM, 2.0, 1.0, 3.0)).conv_ok is False
+    assert certificate(from_preset(Preset.T_SYSTEM, 2.0, 1.0, 3.0)).flags.conv_ok is False

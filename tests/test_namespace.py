@@ -23,8 +23,8 @@ PUBLIC = [
     "TrajectoryLengthMismatchError", "TrajectoryStatus", "UnsupportedFormatError",
     "UnsupportedPresetError", "WorkerPoolError", "apply_symmetry",
     "branch_symmetry_deviation", "certificate", "classify_origin", "corollary_check",
-    "eigenvalues_at", "emit", "find_equilibria", "from_preset", "hypotheses_check",
-    "integrate", "integrate_to_equilibrium", "jacobian", "largest_lyapunov_exponent",
+    "eigenvalues_at", "emit", "find_equilibria", "from_preset", "integrate",
+    "integrate_to_equilibrium", "jacobian", "largest_lyapunov_exponent",
     "lyapunov_coefficients", "origin_eigenvalues", "pitchfork_locus",
     "pitchfork_locus_for_preset", "regime_classify", "run_sweep",
     "suggest_anticontrol", "sweep_csv", "to_jsonable", "trace_heteroclinic",

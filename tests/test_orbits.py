@@ -158,6 +158,40 @@ def test_fixed_step_branches_mirror_exactly():
     assert minus.extremal_x == -plus.extremal_x
 
 
+@pytest.mark.parametrize("branch", ["plus_x", "minus_x", "bogus", None])
+def test_a_branch_name_is_not_a_branch(branch):
+    # branches are compared by identity, so the enum's value string is none;
+    # a silent fallback would trace the minus branch under this label
+    with pytest.raises(TypeError, match=f"^unknown branch {branch!r}$"):
+        trace_heteroclinic(REGULAR, branch)
+
+
+# extremal_x and E+ of the plus branch on certified slices, the same in
+# both modes, as traced before the branch was dispatched in one place;
+# the minus branch gives their mirror images
+_TRACED = [
+    (REGULAR, 2.104875500841572e-06, (1.7320508075688772, 1.7320508075688772, 1.0)),
+    (SystemParams(1.5, 3.5, 1.5, M=0.5, N=0.5, P=-0.5), 2.089576867301809e-06,
+     (1.8708286933869707, 1.8708286933869707, 1.0)),
+    (SystemParams(0.75, 2.0, 0.5, M=1.25, N=1.0, P=0.25), 2.076812127828688e-06,
+     (2.160246899469287, 2.160246899469287, 2.3333333333333335)),
+    (SystemParams(2.0, 5.0, 3.0, M=-1.0, N=2.5, P=-1.0), 2.28698240987332e-06,
+     (2.958039891549808, 2.958039891549808, 1.75)),
+]
+
+
+@pytest.mark.parametrize("mode", list(IntegratorMode))
+@pytest.mark.parametrize("p, extremal, e_plus", _TRACED)
+def test_each_branch_keeps_its_verdicts(p, extremal, e_plus, mode):
+    settings = IntegratorSettings(mode=mode)
+    for branch, sign in ((Branch.PLUS_X, 1.0), (Branch.MINUS_X, -1.0)):
+        res = trace_heteroclinic(p, branch, settings=settings)
+        assert res.success is True and res.certified is True
+        assert res.extremal_x == sign * extremal
+        x, y, z = e_plus
+        assert res.terminal.location == (sign * x, sign * y, z)
+
+
 def _drop_last_step(res):
     import dataclasses
 
