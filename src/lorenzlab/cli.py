@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .errors import LorenzLabError, UnsupportedFormatError
@@ -43,7 +44,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_integrator_flags(parser: argparse.ArgumentParser, t_max: bool) -> None:
+def _add_integrator_flags(parser: argparse.ArgumentParser, t_max: bool = False) -> None:
     group = parser.add_argument_group("integrator")
     group.add_argument("--mode", choices=["adaptive", "fixed_rk4"], default=_UNSET)
     group.add_argument("--dt", type=float, default=_UNSET, help="initial/fixed step")
@@ -59,6 +60,42 @@ def _add_lle_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--renorm-interval", type=float, default=_UNSET)
     parser.add_argument("--horizon", type=float, default=_UNSET)
     parser.add_argument("--transient", type=float, default=_UNSET)
+
+
+def _add_start_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
+    default = None if required else _UNSET
+    for name in ("--x0", "--y0", "--z0"):
+        parser.add_argument(name, type=float, required=required, default=default)
+
+
+def _add_branch_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--branch", choices=["plus", "minus", "both"], default="both")
+    parser.add_argument("--epsilon", type=float, default=_UNSET)
+    parser.add_argument("--capture-radius", type=float, default=_UNSET)
+
+
+def _add_anticontrol_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a", type=float, required=True)
+    parser.add_argument("--b", type=float, required=True)
+    parser.add_argument("--c", type=float, required=True)
+    parser.add_argument("--margin", type=float, required=True)
+    parser.add_argument(
+        "--verify-lle",
+        action="store_true",
+        help="also run the exponent on the suggested parameters",
+    )
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--axis",
+        action="append",
+        default=[],
+        metavar="NAME:START:STOP:COUNT",
+        help="sweep axis; repeat for a two-axis grid",
+    )
+    parser.add_argument("--tasks", default="equilibria", help=f"comma list from {SWEEP_TASKS}")
+    parser.add_argument("--workers", type=int, default=_UNSET)
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -220,6 +257,35 @@ def _cmd_sweep(args) -> tuple:
     return run_sweep(spec, **_given(args, "workers")), ()
 
 
+# One row per subcommand: its name, its help text, the adders of its flags
+# in the order --help lists them, and the _cmd_* that runs it.
+_COMMANDS = (
+    ("equilibria", "enumerate the equilibrium set",
+     (_add_system_flags, _add_output_flags), _cmd_equilibria),
+    ("classify", "linear type of the origin",
+     (_add_system_flags, _add_output_flags), _cmd_classify),
+    ("certificate", "convergence certificate flags",
+     (_add_system_flags, _add_output_flags), _cmd_certificate),
+    ("simulate", "integrate one trajectory",
+     (_add_system_flags, _add_output_flags, partial(_add_integrator_flags, t_max=True),
+      partial(_add_start_flags, required=True)), _cmd_simulate),
+    ("heteroclinic", "trace the origin's unstable manifold branches",
+     (_add_system_flags, _add_output_flags, partial(_add_integrator_flags, t_max=True),
+      _add_branch_flags), _cmd_heteroclinic),
+    ("lle", "largest Lyapunov exponent",
+     (_add_system_flags, _add_output_flags, _add_integrator_flags, _add_lle_flags,
+      _add_start_flags), _cmd_lle),
+    ("regime", "provably regular / chaos candidate",
+     (_add_system_flags, _add_output_flags), _cmd_regime),
+    ("suggest-anticontrol", "feedback gains that cross the pitchfork",
+     (_add_anticontrol_flags, _add_output_flags, _add_integrator_flags, _add_lle_flags),
+     _cmd_suggest),
+    ("sweep", "grid sweep over one or two parameters",
+     (_add_system_flags, _add_output_flags, _add_integrator_flags, _add_lle_flags,
+      _add_grid_flags), _cmd_sweep),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorenzlab",
@@ -228,90 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Output is plain JSON/CSV text; no color is ever emitted.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("equilibria", help="enumerate the equilibrium set")
-    _add_system_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_equilibria)
-
-    sp = sub.add_parser("classify", help="linear type of the origin")
-    _add_system_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("certificate", help="convergence certificate flags")
-    _add_system_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_certificate)
-
-    sp = sub.add_parser("simulate", help="integrate one trajectory")
-    _add_system_flags(sp)
-    _add_output_flags(sp)
-    _add_integrator_flags(sp, t_max=True)
-    sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--y0", type=float, required=True)
-    sp.add_argument("--z0", type=float, required=True)
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser(
-        "heteroclinic", help="trace the origin's unstable manifold branches"
-    )
-    _add_system_flags(sp)
-    _add_output_flags(sp)
-    _add_integrator_flags(sp, t_max=True)
-    sp.add_argument("--branch", choices=["plus", "minus", "both"], default="both")
-    sp.add_argument("--epsilon", type=float, default=_UNSET)
-    sp.add_argument("--capture-radius", type=float, default=_UNSET)
-    sp.set_defaults(func=_cmd_heteroclinic)
-
-    sp = sub.add_parser("lle", help="largest Lyapunov exponent")
-    _add_system_flags(sp)
-    _add_output_flags(sp)
-    _add_integrator_flags(sp, t_max=False)
-    _add_lle_flags(sp)
-    sp.add_argument("--x0", type=float, default=_UNSET)
-    sp.add_argument("--y0", type=float, default=_UNSET)
-    sp.add_argument("--z0", type=float, default=_UNSET)
-    sp.set_defaults(func=_cmd_lle)
-
-    sp = sub.add_parser("regime", help="provably regular / chaos candidate")
-    _add_system_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_regime)
-
-    sp = sub.add_parser(
-        "suggest-anticontrol", help="feedback gains that cross the pitchfork"
-    )
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--margin", type=float, required=True)
-    sp.add_argument(
-        "--verify-lle",
-        action="store_true",
-        help="also run the exponent on the suggested parameters",
-    )
-    _add_output_flags(sp)
-    _add_integrator_flags(sp, t_max=False)
-    _add_lle_flags(sp)
-    sp.set_defaults(func=_cmd_suggest)
-
-    sp = sub.add_parser("sweep", help="grid sweep over one or two parameters")
-    _add_system_flags(sp)
-    _add_output_flags(sp)
-    _add_integrator_flags(sp, t_max=False)
-    _add_lle_flags(sp)
-    sp.add_argument(
-        "--axis",
-        action="append",
-        default=[],
-        metavar="NAME:START:STOP:COUNT",
-        help="sweep axis; repeat for a two-axis grid",
-    )
-    sp.add_argument("--tasks", default="equilibria", help=f"comma list from {SWEEP_TASKS}")
-    sp.add_argument("--workers", type=int, default=_UNSET)
-    sp.set_defaults(func=_cmd_sweep)
-
+    for name, help_text, adders, command in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for add in adders:
+            add(sp)
+        sp.set_defaults(func=command)
     return parser
 
 

@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .chaos import _LLE_WINDOW, _lle_windows, _regime, largest_lyapunov_exponent
@@ -310,9 +310,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     process may run on (its affinity mask where the platform has one, else
     ``os.cpu_count()``) if the "lle" task is on and runs inline otherwise,
     as a closed-form cell costs less than starting a pool.  No more
-    processes start than there are cells, and ``workers`` < 1 raises
-    ValueError.  The output is independent of the worker count.  A worker
-    process that dies raises WorkerPoolError.
+    processes start than there are cells.  ``workers`` must be an integer
+    (``operator.index``) of at least 1, else ValueError.  The output is
+    independent of the worker count.  A worker process that dies raises
+    WorkerPoolError.
     """
     n = spec.n_cells()
     if workers is None:
@@ -321,8 +322,13 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             # an affinity mask or cpuset can leave fewer CPUs than the machine has
             affinity = getattr(os, "sched_getaffinity", None)
             workers = len(affinity(0)) if affinity else (os.cpu_count() or 1)
-    elif workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    else:
+        try:
+            workers = operator.index(workers)
+        except TypeError:
+            raise ValueError(f"workers must be an integer, got {workers!r}") from None
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, n)
     if workers == 1:
         rows = _rows(spec, range(n))
@@ -335,7 +341,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         chunks = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(functools.partial(_rows, spec), chunks)
+                # the spec's fields alone: its cached grid would ride in every task
+                parts = pool.map(functools.partial(_rows, replace(spec)), chunks)
                 rows = [row for part in parts for row in part]
         except BrokenProcessPool as exc:
             axes = " x ".join(

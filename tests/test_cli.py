@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -563,3 +564,54 @@ def test_lle_fills_an_unset_start_coordinate_from_the_library(capsys):
     p = SystemParams(10.0, 2.6666666666666665, 28.0)
     estimate = largest_lyapunov_exponent(p, (1.0, 1.0, 2.0), horizon=8.0, transient=2.0)
     assert json.loads(out)["lambda1"] == estimate.lambda1
+
+
+def _declared_surface(parser) -> str:
+    """sha256 of what ``parser`` declares, flag by flag in declaration
+    order: group title, option strings, dest, required, default, type,
+    choices, metavar and help.  A subcommand action's choices are its
+    commands' names and help texts.  argparse's layout (usage wrapping,
+    column widths) is left out, so the digest is the same on every
+    supported Python."""
+    titles = {
+        id(action): group.title
+        for group in parser._action_groups
+        for action in group._group_actions
+    }
+    flags = []
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(choices, dict):
+            choices = [(a.dest, a.help) for a in action._choices_actions]
+        flags.append((
+            titles[id(action)], action.option_strings, action.dest,
+            action.required, action.default, getattr(action.type, "__name__", None),
+            choices, action.metavar, action.help,
+        ))
+    text = repr((parser.prog, parser.description, parser.epilog, flags))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the digests of the parser the commands shipped with; a flag, group, help
+# text or default that changes changes its command's digest
+_SURFACE = {
+    None: "ec1b9564757e4c3bd9489b51f5b513cc690b9b6b51ae512e4a71d118e6fe9920",
+    "equilibria": "ce578b9f0630134f1449582b09abc2807e1d1e2160a27738b67e484263ccfd58",
+    "classify": "4ab1a7a37be7a6eb1e9a7686cfb541426cf0b31b96542d231204e340958bed79",
+    "certificate": "3b3d2a13c4205ee865fcc612d2111873d89a68653e1a3f7f283a67870cc8394c",
+    "simulate": "cb59f865128230ed8d07b34e05ef0fb7a95730f8e88389d6df34680b7130ddee",
+    "heteroclinic": "dd77f5fcebd1044ccd8adcb895b135fa4efc8b2f4ecb15d69966a018cca9da5f",
+    "lle": "c28f1285eb08993474a24354bec386ba574718148eb30d81efd37c16c7cce9f5",
+    "regime": "a5838095e5c604dc2aacbfaddf78bb1b1dd0dbcaf2e825367b4dd4dca317226c",
+    "suggest-anticontrol": "056e7fbdf0abe9108cb31ba22defe97efb87462f13c4d144f94d0899831ab44d",
+    "sweep": "495fd5ca944391fb835b59f60b264c76e22705473535da5dafa7a688f5dc5fca",
+}
+
+
+def test_the_declared_cli_surface_is_pinned():
+    parser = build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(_SURFACE)[1:]
+    got = {None: _declared_surface(parser)}
+    got.update((name, _declared_surface(sub)) for name, sub in subparsers.items())
+    assert got == _SURFACE

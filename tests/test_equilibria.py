@@ -21,6 +21,7 @@ from lorenzlab import (
     SweepSpec,
     SystemParams,
     apply_symmetry,
+    certificate,
     classify_origin,
     eigenvalues_at,
     find_equilibria,
@@ -1515,3 +1516,44 @@ def test_preset_pitchfork_locus_flips_kind(preset, a, b):
         EquilibriumKind.ORIGIN_ONLY,
         EquilibriumKind.TRIPLE,
     }
+
+
+# ------------------------------------------------- the declared domain
+
+# a parameter of the domain |v| <= 2^128 that ROADMAP item 12 would declare:
+# the signed zeros, subnormals and the bounds, the paper's scale, and the
+# whole domain
+_DOMAIN = 2.0**128
+_in_domain = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1.0, _DOMAIN, -_DOMAIN]),
+    st.floats(-100.0, 100.0),
+    st.floats(-_DOMAIN, _DOMAIN),
+)
+
+
+def _all_finite(values) -> bool:
+    return all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values)
+
+
+@hsettings(max_examples=1000, deadline=None)
+@given(st.tuples(*[_in_domain] * 6))
+def test_every_closed_form_is_finite_inside_the_domain(fields):
+    # each closed form returns finite values or raises DegenerateBError at
+    # b = 0; none overflows into an OverflowError or a range ValueError
+    p = SystemParams(*fields)
+    assert _all_finite(origin_eigenvalues(p))
+    assert isinstance(classify_origin(p), OriginClass)
+    certificate(p)
+    assert isinstance(regime_classify(p), RegimeLabel)
+    assert _all_finite([pitchfork_locus(p, free) for free in ("M", "N", "c")])
+    if p.b == 0.0:
+        with pytest.raises(DegenerateBError):
+            find_equilibria(p)
+        return
+    eqs = find_equilibria(p)
+    assert _all_finite(eqs.origin.eigenvalues)
+    for e in eqs.pair or ():
+        assert _all_finite(e.location)
+        assert _all_finite(e.eigenvalues)
+    if eqs.pair is not None:
+        assert _all_finite(eigenvalues_at(p, eqs.pair[0].location))

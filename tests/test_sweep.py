@@ -592,6 +592,12 @@ def test_axis_count_must_be_an_integer(count):
         SweepAxis("M", 0.0, 1.0, count)
 
 
+@pytest.mark.parametrize("workers", [2.5, 1.0, "2"])
+def test_worker_count_must_be_an_integer(workers):
+    with pytest.raises(ValueError, match=f"workers must be an integer, got {workers!r}$"):
+        run_sweep(_spec(), workers=workers)
+
+
 def _count_calls(monkeypatch, name):
     """Count the calls a cell makes to ``name``: the sweep calls it, and so
     does the regime label, which computes the equilibria it reads."""
@@ -776,6 +782,33 @@ def test_default_pool_size_falls_back_to_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     run_sweep(_spec(tasks=("lle",), lle_horizon=2.0, lle_transient=0.0))
     assert _InlineExecutor.started == [3]
+
+
+class _PicklingExecutor(_InlineExecutor):
+    """An _InlineExecutor that also pickles the callable of each ``map``
+    call, as a process pool sends it, and records its size in bytes."""
+
+    pickled: list[int] = []
+
+    def map(self, fn, iterable, chunksize=1):
+        self.pickled.append(len(pickle.dumps(fn)))
+        return super().map(fn, iterable, chunksize)
+
+
+def test_a_pool_task_carries_no_grid_table(monkeypatch):
+    # a spec caches its grid once read; a pool task must not ship it
+    monkeypatch.setattr(_InlineExecutor, "started", [])
+    monkeypatch.setattr(_InlineExecutor, "mapped", [])
+    monkeypatch.setattr(_PicklingExecutor, "pickled", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PicklingExecutor)
+    axes = (SweepAxis("M", 0.0, 1.0, 2000),)
+    run_sweep(_spec(axes=axes), workers=2)
+    spec = _spec(axes=axes)
+    inline = run_sweep(spec, workers=1)
+    pooled = run_sweep(spec, workers=2)
+    fresh, warm = _PicklingExecutor.pickled
+    assert warm == fresh
+    assert [repr(row) for row in pooled.rows] == [repr(row) for row in inline.rows]
 
 
 @hsettings(max_examples=60, deadline=None)
