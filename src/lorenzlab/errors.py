@@ -10,7 +10,7 @@ class DegenerateBError(LorenzLabError):
 
 
 class DegenerateParamsError(LorenzLabError):
-    """a = 0 or P = 1: the certificate function V is undefined."""
+    """a = 0, P = 1 or B beyond the float range: certificate V is undefined."""
 
 
 class NotASaddleError(LorenzLabError):

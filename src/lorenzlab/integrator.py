@@ -55,11 +55,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, NamedTuple, Sequence
 
-from .model import _FIELD_SOURCE, State, SystemParams
+from .model import _FIELD_SOURCE, State, SystemParams, _float_field, _integer
 
 if TYPE_CHECKING:
     from .equilibria import Equilibrium, EquilibriumSet
@@ -128,10 +127,9 @@ class IntegratorSettings:
     and every renormalization window; a run that needs more ends with
     STEP_LIMIT.
 
-    The five float fields are coerced with ``float()``, as SystemParams'
-    are: an exact float is kept as the object given, and an int becomes an
-    equal float, so a run's times and the files written from them are
-    floats.  max_steps must be an integer, and mode an IntegratorMode.
+    Checked in one pass: mode, an IntegratorMode; the five float fields in
+    declaration order, positive and finite (model._float_field); then
+    max_steps, a positive integer (model._integer).
     """
 
     mode: IntegratorMode = IntegratorMode.ADAPTIVE
@@ -146,26 +144,12 @@ class IntegratorSettings:
         if not isinstance(self.mode, IntegratorMode):
             raise TypeError(f"unknown integrator mode {self.mode!r}")
         for name in ("dt_init", "rel_tol", "abs_tol", "t_max", "blowup_norm"):
-            raw = getattr(self, name)
-            value = float(raw)
-            if value is not raw:
-                object.__setattr__(self, name, value)
-        if not (self.dt_init > 0.0 and math.isfinite(self.dt_init)):
-            raise ValueError("dt_init must be positive and finite")
-        if not all(0.0 < tol < math.inf for tol in (self.rel_tol, self.abs_tol)):
-            raise ValueError("tolerances must be positive and finite")
-        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
-            raise ValueError("t_max must be positive and finite")
-        try:
-            object.__setattr__(self, "max_steps", operator.index(self.max_steps))
-        except TypeError:
-            raise ValueError(
-                f"max_steps must be an integer, got {self.max_steps!r}"
-            ) from None
+            if not 0.0 < _float_field(self, name) < math.inf:
+                what = "tolerances" if name.endswith("_tol") else name
+                raise ValueError(f"{what} must be positive and finite")
+        object.__setattr__(self, "max_steps", _integer(self.max_steps, "max_steps"))
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if not (self.blowup_norm > 0.0 and math.isfinite(self.blowup_norm)):
-            raise ValueError("blowup_norm must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -71,16 +71,20 @@ class CertificateReport:
 
 
 def lyapunov_coefficients(p: SystemParams) -> LyapunovCoefficients:
-    """Coefficients (A, B, K) of V; requires a != 0 and P != 1."""
+    """Coefficients (A, B, K) of V; DegenerateParamsError at a = 0, at P = 1
+    and where B = (b - 2a)/(2a) is beyond the float range (a subnormal a)."""
     if p.a == 0.0:
         raise DegenerateParamsError("a = 0: coefficient B is undefined")
     if p.P == 1.0:
         raise DegenerateParamsError("P = 1: coefficients A and K are undefined")
     one_minus_p = 1.0 - p.P
     b2a = p.b - 2.0 * p.a
+    B = b2a / (2.0 * p.a)
+    if not math.isfinite(B):
+        raise DegenerateParamsError(f"coefficient B = {B!r} is beyond the float range")
     return LyapunovCoefficients(
         A=p.b * b2a / one_minus_p,
-        B=b2a / (2.0 * p.a),
+        B=B,
         K=p.b * (p.M + p.N + p.c - 1.0) / one_minus_p,
     )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -57,15 +58,31 @@ PARAM_NAMES = ("a", "b", "c", "M", "N", "P")
 SWEEP_TASKS = ("equilibria", "origin_class", "certificate", "regime", "lle")
 
 
+def _float_field(record: object, name: str) -> float:
+    """``float()`` of the frozen ``record``'s field ``name``, stored back only
+    when that is a new object, so an exact float stays the object given."""
+    raw = getattr(record, name)
+    value = float(raw)
+    if value is not raw:
+        object.__setattr__(record, name, value)
+    return value
+
+
+def _integer(value: object, what: str) -> int:
+    """``operator.index(value)``, or ValueError naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Parameters of the controlled system.
 
     a, b, c are the plant parameters; M, N, P are the feedback gains.
-    All six must be finite reals.  Each is coerced with ``float()`` and
-    checked in field order, so the error names the first bad field; an
-    exact float is kept as the object given, since ``float()`` returns it
-    unchanged, and ints, bools and numpy scalars become equal floats.
+    All six must be finite reals.  They are checked in field order, each
+    coerced by _float_field, so the error names the first bad field.
     """
 
     a: float
@@ -77,12 +94,9 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in PARAM_NAMES:
-            raw = getattr(self, name)
-            value = float(raw)
+            value = _float_field(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"parameter {name} must be finite, got {value!r}")
-            if value is not raw:
-                object.__setattr__(self, name, value)
 
 
 def from_preset(preset: Preset, a: float, b: float, c: float) -> SystemParams:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -27,7 +26,7 @@ from .equilibria import _equilibrium_parts, _origin_class
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
 from .lyapunov import _certificate_columns
-from .model import PARAM_NAMES, SWEEP_TASKS, SystemParams
+from .model import PARAM_NAMES, SWEEP_TASKS, SystemParams, _float_field, _integer
 
 # an axis's position here is its parameter's position in SystemParams
 AXIS_NAMES = PARAM_NAMES
@@ -60,9 +59,9 @@ class SweepAxis:
     and last points are start and stop themselves, a -0.0 start or a step
     that overflows included.  Where stop - start overflows, point i is
     formed in halves, (start + i * h) + i * h with h = (stop / 2 - start /
-    2) / (count - 1).  start and stop are coerced with ``float()``, so
-    every grid point is a float; count must be an integer
-    (``operator.index``).
+    2) / (count - 1).  The fields are checked in one pass: name, then
+    start and stop by model._float_field, so every grid point is a float,
+    then count, an integer of at least 2 by model._integer.
     """
 
     name: str
@@ -73,17 +72,11 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
-        try:
-            count = operator.index(self.count)
-        except TypeError:
-            raise ValueError(
-                f"axis count must be an integer, got {self.count!r}"
-            ) from None
-        if count < 2:
+        _float_field(self, "start")
+        _float_field(self, "stop")
+        object.__setattr__(self, "count", _integer(self.count, "axis count"))
+        if self.count < 2:
             raise ValueError("axis count must be at least 2")
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "stop", float(self.stop))
-        object.__setattr__(self, "count", count)
 
     def values(self) -> list[float]:
         start = self.start
@@ -311,7 +304,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     ``os.cpu_count()``) if the "lle" task is on and runs inline otherwise,
     as a closed-form cell costs less than starting a pool.  No more
     processes start than there are cells.  ``workers`` must be an integer
-    (``operator.index``) of at least 1, else ValueError.  The output is
+    (model._integer) of at least 1, else ValueError.  The output is
     independent of the worker count.  A worker process that dies raises
     WorkerPoolError.
     """
@@ -323,10 +316,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             affinity = getattr(os, "sched_getaffinity", None)
             workers = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     else:
-        try:
-            workers = operator.index(workers)
-        except TypeError:
-            raise ValueError(f"workers must be an integer, got {workers!r}") from None
+        workers = _integer(workers, "workers")
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, n)

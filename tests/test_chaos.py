@@ -559,6 +559,11 @@ def test_suggestion_rejects_bad_scalars():
     # not blamed on the gain M that an infinite margin would make
     with pytest.raises(ValueError, match="^margin must be finite, got inf$"):
         suggest_anticontrol(10.0, 8.0 / 3.0, 0.5, math.inf)
+    # a non-finite plant parameter fails as SystemParams says, not as an
+    # unstable plant
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^parameter c must be finite, got {c!r}$"):
+            suggest_anticontrol(10.0, 8.0 / 3.0, c, 28.0)
 
 
 def _best_offset_error(c, margin, span=64):

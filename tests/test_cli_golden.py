@@ -164,6 +164,12 @@ CASES = [
     case("suggest-infinite-margin",
          ["suggest-anticontrol", *PLANT, "--margin", "inf"],
          2, EMPTY, "error: margin must be finite, got inf\n"),
+    # a non-finite plant parameter fails as every command's parameters do,
+    # not as an unstable plant
+    case("suggest-nan-plant",
+         ["suggest-anticontrol", "--a", "10", "--b", "2.6666666666666665", "--c",
+          "nan", "--margin", "1"],
+         2, EMPTY, "error: parameter c must be finite, got nan\n"),
     # the margin rounds away: M + c - 1 is 0.0, so nothing crosses
     case("suggest-margin-below-the-grid",
          ["suggest-anticontrol", *PLANT, "--margin", "1e-300"], 2, EMPTY,

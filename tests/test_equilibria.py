@@ -12,6 +12,7 @@ from hypothesis import example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
     DegenerateBError,
+    DegenerateParamsError,
     EquilibriumKind,
     OriginClass,
     Preset,
@@ -26,6 +27,7 @@ from lorenzlab import (
     eigenvalues_at,
     find_equilibria,
     jacobian,
+    lyapunov_coefficients,
     origin_eigenvalues,
     pitchfork_locus,
     pitchfork_locus_for_preset,
@@ -1469,6 +1471,9 @@ def test_pitchfork_locus_flips_pair_existence():
         checked += 1
         for free in ("M", "N", "c"):
             star = pitchfork_locus(p, free)
+            # on the locus itself d is within rounding of 0, inside SIGN_BAND
+            on_locus = classify_origin(dataclasses.replace(p, **{free: star}))
+            assert p.b < 0.0 or on_locus is OriginClass.NON_HYPERBOLIC
             delta = 1e-3 * (1.0 + abs(star))
             lo = find_equilibria(dataclasses.replace(p, **{free: star - delta}))
             hi = find_equilibria(dataclasses.replace(p, **{free: star + delta}))
@@ -1539,13 +1544,20 @@ def _all_finite(values) -> bool:
 @given(st.tuples(*[_in_domain] * 6))
 def test_every_closed_form_is_finite_inside_the_domain(fields):
     # each closed form returns finite values or raises DegenerateBError at
-    # b = 0; none overflows into an OverflowError or a range ValueError
+    # b = 0 (lyapunov_coefficients: DegenerateParamsError); none overflows
+    # into an OverflowError or a range ValueError
     p = SystemParams(*fields)
     assert _all_finite(origin_eigenvalues(p))
     assert isinstance(classify_origin(p), OriginClass)
     certificate(p)
     assert isinstance(regime_classify(p), RegimeLabel)
     assert _all_finite([pitchfork_locus(p, free) for free in ("M", "N", "c")])
+    try:
+        co = lyapunov_coefficients(p)
+    except DegenerateParamsError:
+        pass
+    else:
+        assert _all_finite((co.A, co.B, co.K))
     if p.b == 0.0:
         with pytest.raises(DegenerateBError):
             find_equilibria(p)

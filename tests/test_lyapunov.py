@@ -40,6 +40,8 @@ def test_coefficients_dyadic_example():
     [
         SystemParams(0.0, 3.0, 2.0),
         SystemParams(1.0, 3.0, 2.0, P=1.0),
+        # a subnormal a makes 2a tiny, so B = (b - 2a)/(2a) overflows
+        SystemParams(5e-324, -1.0, 1.0),
     ],
 )
 def test_degenerate_coefficient_params_raise(p):

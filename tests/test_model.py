@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lorenzlab import (
+    IntegratorSettings,
     Preset,
     State,
+    SweepAxis,
     SystemParams,
     apply_symmetry,
     corollary_check,
@@ -173,3 +175,14 @@ def test_state_field_order():
     s = State(1.0, 2.0, 3.0)
     assert (s.x, s.y, s.z) == (1.0, 2.0, 3.0)
     assert tuple(s) == (1.0, 2.0, 3.0)
+
+
+def test_records_name_the_first_bad_field_in_check_order():
+    # the name or mode first, then the float fields in declaration order,
+    # then the integer field
+    with pytest.raises(ValueError, match="^dt_init must be positive and finite$"):
+        IntegratorSettings(dt_init=-1.0, blowup_norm="x")
+    with pytest.raises(ValueError, match="^blowup_norm must be positive and finite$"):
+        IntegratorSettings(max_steps=0, blowup_norm=-1.0)
+    with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+        SweepAxis("M", "x", 1.0, 1.5)

@@ -161,3 +161,40 @@ def test_no_cli_flag_writes_a_numeric_default():
         and any(kw.arg == "default" and _is_number(kw.value) for kw in node.keywords)
     ]
     assert numeric == []
+
+
+def _calls(node: ast.AST, owner: str | None = None):
+    """(call, name of the innermost def around it, or None) for each call
+    under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, owner
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from _calls(child, inner)
+
+
+def test_each_input_rule_has_one_owner():
+    # an integer is checked by model._integer, the one caller of
+    # operator.index, and a record coerces its floats by model._float_field,
+    # so no __post_init__ calls float() itself
+    strays = []
+    for path in sorted((ROOT / "src" / "lorenzlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call, owner in _calls(tree):
+            func = call.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "index"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "operator"
+                and (path.name, owner) != ("model.py", "_integer")
+            ):
+                strays.append(f"{path.name}:{call.lineno} operator.index")
+            if owner == "__post_init__" and isinstance(func, ast.Name) and func.id == "float":
+                strays.append(f"{path.name}:{call.lineno} float()")
+        strays += [
+            f"{path.name}:{node.lineno} from operator import"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "operator"
+        ]
+    assert strays == []
