@@ -234,7 +234,11 @@ def _parse_axis(text: str) -> SweepAxis:
     if len(parts) != 4:
         raise ValueError(f"--axis expects NAME:START:STOP:COUNT, got {text!r}")
     name, start, stop, count = parts
-    return SweepAxis(name, float(start), float(stop), int(count))
+    try:
+        count = int(count)
+    except ValueError:
+        pass  # SweepAxis refuses the text and names the axis count
+    return SweepAxis(name, float(start), float(stop), count)
 
 
 def _cmd_sweep(args) -> tuple:

@@ -19,8 +19,11 @@ field text first (``_fold_unit_gains``): ``+ n1 * X`` becomes ``- X`` and
 ``pp * X`` becomes ``X``, which round alike for every double.  The
 state, the stages, DP54's carried first stage and the norm live in local
 scalars, so a step makes no call and packs or unpacks no tuple.  The
-dwell check is unrolled over the targets, whose coordinates are unpacked
-into locals once per run; without targets it is left out.  A recorded run
+dwell check is unrolled over the targets.  Each run bounds every target
+coordinate once (``_reach_bounds``), so the check skips a far target by
+comparing a component with two locals, with no subtraction; without
+targets it is left out.  RK4's full step is its own copy of the step
+block, using the run's dt, 0.5 * dt and dt / 6.0.  A recorded run
 appends t and each component to its own list of floats, so a step
 allocates no GC-tracked object and never starts a collector pass.  A loop
 is compiled on its first use, never at import, and cached for the
@@ -200,6 +203,8 @@ def _dist(s: tuple, t: tuple) -> float:
 def _capture_reach(capture_radius: float) -> float:
     """A bound r such that |s[i] - t[i]| > r for some i implies _dist(s, t)
     > capture_radius, so the dwell check can skip a far target exactly.
+    ``_drive`` turns it into per-run bounds on each coordinate
+    (``_reach_bounds``), so the loop compares without subtracting.
 
     Once |dx| >= 2**-500 its square is a normal float, libm's pow misses
     the correctly rounded square by less than one ulp, and the sum and the
@@ -207,6 +212,29 @@ def _capture_reach(capture_radius: float) -> float:
     2**-50 covers that.  Below 2**-500 the square may underflow to zero.
     """
     return max(capture_radius * (1.0 + 2.0**-50), 2.0**-500)
+
+
+def _reach_bounds(t: float, reach: float) -> tuple[float, float]:
+    """(lo, hi) such that lo <= v <= hi exactly when abs(v - t) <= reach,
+    for every double v; (inf, -inf), which no v passes, when t is not
+    finite.
+
+    v - t rounds monotonically in v, so the doubles that pass form one run
+    around t, and each end lies within a few ulps of t -+ reach; a
+    ``nextafter`` search from there finds it.
+    """
+    if not math.isfinite(t):
+        return math.inf, -math.inf
+
+    def edge(toward: float) -> float:
+        v = t + math.copysign(reach, toward)
+        while not abs(v - t) <= reach:
+            v = math.nextafter(v, t)
+        while v != toward and abs((w := math.nextafter(v, toward)) - t) <= reach:
+            v = w
+        return v
+
+    return edge(-math.inf), edge(math.inf)
 
 
 # A field as source text: one (component, expression) pair per coordinate.
@@ -219,12 +247,12 @@ _FieldSource = tuple[tuple[str, str], ...]
 # adds their squares left to right, ``{columns}`` makes one empty list per
 # component, ``{appenders}`` binds their append methods to record_0,
 # record_1, ... and ``{record}`` calls them on the state.  ``{targets}``
-# unpacks the capture targets and binds nbox = -box, and ``{dwell}`` is the
-# dwell check over them (both empty without targets).  Every exit returns
+# unpacks the capture targets and their per-run bounds, and ``{dwell}`` is
+# the dwell check over them (both empty without targets).  Every exit returns
 # (status, state, dt, attempts, times, columns, captured).
 _LOOP = """\
 def loop(a, b, cm, n1, pp, nb, u0, t_end, dt, attempts, max_steps, rel_tol,
-         abs_tol, blowup_norm, targets, capture_radius, box, record):
+         abs_tol, blowup_norm, targets, capture_radius, bounds, record):
     {s}, = u0
     nrm = sqrt({ss})
     {init}
@@ -252,23 +280,27 @@ def loop(a, b, cm, n1, pp, nb, u0, t_end, dt, attempts, max_steps, rel_tol,
 
 # The dwell check: the nearest target, the earlier one on a tie.  ``{near}``
 # is one _DWELL_TARGET per target, in index order, and reads s0, s1 and s2.
+# A dwell is reset only while one is under way: dwell_target is None
+# whenever dwell is 0.
 _DWELL = """\
         near = None
 {near}\
-        if near is None or not near_d <= capture_radius:
-            dwell_target, dwell = None, 0
-        else:
+        if near is not None and near_d <= capture_radius:
             dwell = dwell + 1 if near == dwell_target else 1
             dwell_target = near
             if dwell >= {dwell_checks}:
                 return CAPTURED_EQUILIBRIUM, ({s},), dt, attempts, times, columns, near
+        elif dwell:
+            dwell_target, dwell = None, 0
 """
 
-# Target {i}, at (tx{i}, ty{i}, tz{i}) = tg{i}: one outside its reach box
-# is farther than capture_radius.  nbox <= v <= box is abs(v) <= box
-# without the call, for every v and box >= 0, and false for a NaN v.
+# Target {i} = tg{i}: one outside its reach box is farther than
+# capture_radius.  The box is formed once per run by ``_reach_bounds``:
+# xlo{i} <= s0 <= xhi{i} holds exactly when abs(s0 - x) <= reach for the
+# target's x, is false for a NaN s0, and is false for every s0 when x is
+# not finite; likewise for y and z.
 _DWELL_TARGET = """\
-        if nbox <= s0 - tx{i} <= box and nbox <= s1 - ty{i} <= box and nbox <= s2 - tz{i} <= box:
+        if xlo{i} <= s0 <= xhi{i} and ylo{i} <= s1 <= yhi{i} and zlo{i} <= s2 <= zhi{i}:
             d = dist((s0, s1, s2), tg{i})
             if near is None or d < near_d:
                 near, near_d = {i}, d
@@ -285,21 +317,24 @@ _DWELL_CLAMP = """\
                     dt_eff = room
 """
 
-# Fixed RK4: every step is accepted, and the full step's 0.5 * dt and
-# dt / 6.0 are formed once.  ``{step}`` advances s0, s1, ... by dt_eff.
+# Fixed RK4: every step is accepted.  ``{partial}`` advances s0, s1, ...
+# by dt_eff, the span's remainder; ``{full}`` by dt, with the full step's
+# 0.5 * dt and dt / 6.0 formed once per run.
 _FIXED_ADVANCE = """\
         if remaining < dt:
             dt_eff = remaining
             half = 0.5 * dt_eff
             sixth = dt_eff / 6.0
+            if t + dt_eff == t or attempts >= max_steps:
+                return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
+            attempts += 1
+            {partial}
         else:
             dt_eff = dt
-            half = half_dt
-            sixth = sixth_dt
-        if t + dt_eff == t or attempts >= max_steps:
-            return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
-        attempts += 1
-        {step}"""
+            if t + dt == t or attempts >= max_steps:
+                return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
+            attempts += 1
+            {full}"""
 
 # DP54: trial steps repeat until one is accepted.  ``{step}`` forms the
 # proposal w0, w1, ..., its field k7_0, k7_1, ... and the error estimate
@@ -341,9 +376,10 @@ _ADAPTIVE_ADVANCE = """\
         {accept}"""
 
 
-def _each(n: int, template: str) -> str:
-    """``template`` for components 0 .. n-1, as one line of statements."""
-    return "; ".join(template.format(i=i) for i in range(n))
+def _each(n: int, template: str, **names: str) -> str:
+    """``template`` for components 0 .. n-1, as one line of statements;
+    ``names`` fills its other fields."""
+    return "; ".join(template.format(i=i, **names) for i in range(n))
 
 
 def _stage(field_source: _FieldSource, k: int, prefix: str) -> str:
@@ -354,20 +390,21 @@ def _stage(field_source: _FieldSource, k: int, prefix: str) -> str:
     )
 
 
-def _rk4_block(field_source: _FieldSource) -> str:
-    """One RK4 step from s0, s1, ... by dt_eff, written back to them;
-    ``half`` and ``sixth`` are 0.5 * dt_eff and dt_eff / 6.0."""
+def _rk4_block(field_source: _FieldSource, h: str, half: str, sixth: str) -> str:
+    """One RK4 step from s0, s1, ... by the local ``h``, written back to
+    them; the locals ``half`` and ``sixth`` hold 0.5 * h and h / 6.0."""
     n = len(field_source)
     return "; ".join(
         [
             _stage(field_source, 1, "s"),
-            _each(n, "w{i} = s{i} + half * k1_{i}"),
+            _each(n, "w{i} = s{i} + {half} * k1_{i}", half=half),
             _stage(field_source, 2, "w"),
-            _each(n, "w{i} = s{i} + half * k2_{i}"),
+            _each(n, "w{i} = s{i} + {half} * k2_{i}", half=half),
             _stage(field_source, 3, "w"),
-            _each(n, "w{i} = s{i} + dt_eff * k3_{i}"),
+            _each(n, "w{i} = s{i} + {h} * k3_{i}", h=h),
             _stage(field_source, 4, "w"),
-            _each(n, "s{i} = s{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"),
+            _each(n, "s{i} = s{i} + {sixth} * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})",
+                  sixth=sixth),
         ]
     )
 
@@ -404,19 +441,19 @@ def _loop_source(
     assignments to local scalars, so a step makes no call and packs or
     unpacks no tuple.  A recorded point is appended component by component
     to one list of floats each.  The dwell check tests each target in turn,
-    in index order, against coordinates unpacked once per run; with no
-    targets it and the adaptive dwell clamp are left out.
+    in index order, against bounds formed once per run; with no targets it
+    and the adaptive dwell clamp are left out.  RK4's full step and its
+    partial final step are separate copies of the step block.
     """
     n = len(field_source)
     s = ", ".join(f"s{i}" for i in range(n))
     ss = " + ".join(f"s{i} * s{i}" for i in range(n))
     if n_targets:
         tg = "".join(f"tg{j}, " for j in range(n_targets))
-        targets = (
-            f"{tg}= targets; "
-            + _each(n_targets, "tx{i}, ty{i}, tz{i} = tg{i}")
-            + "; nbox = -box; dwell_target = None; dwell = 0"
+        bd = "".join(
+            f"xlo{j}, xhi{j}, ylo{j}, yhi{j}, zlo{j}, zhi{j}, " for j in range(n_targets)
         )
+        targets = f"{tg}= targets; {bd}= bounds; dwell_target = None; dwell = 0"
         dwell = _DWELL.format(
             s=s,
             near="".join(_DWELL_TARGET.format(i=j) for j in range(n_targets)),
@@ -427,7 +464,11 @@ def _loop_source(
         targets = dwell = clamp = ""
     if mode is IntegratorMode.FIXED_RK4:
         init = "half_dt = 0.5 * dt; sixth_dt = dt / 6.0"
-        advance = _FIXED_ADVANCE.format(s=s, step=_rk4_block(field_source))
+        advance = _FIXED_ADVANCE.format(
+            s=s,
+            partial=_rk4_block(field_source, "dt_eff", "half", "sixth"),
+            full=_rk4_block(field_source, "dt", "half_dt", "sixth_dt"),
+        )
     else:
         init = _stage(field_source, 1, "s")
         advance = _ADAPTIVE_ADVANCE.format(
@@ -529,12 +570,13 @@ def _drive(
     The loop is the one generated for this field, mode and number of
     targets (compiled on first use), called with the grouped constants of
     :func:`lorenzlab.model.vector_field`: cm = c + M, n1 = N - 1,
-    pp = 1 - P and nb = -b.  Where n1 is -1.0 or pp is 1.0 as computed,
-    whatever N or P gave it, the loop has that constant folded in (see
-    ``_fold_unit_gains``), with the same bits.  Its operation order, the
-    ``** 2`` of its error norm, the ``+`` chain of its norms and its stop
-    order are frozen (see the module docstring); every output bit depends
-    on them.
+    pp = 1 - P and nb = -b, and with each target coordinate's
+    ``_reach_bounds`` for ``_capture_reach(capture_radius)``.  Where n1 is
+    -1.0 or pp is 1.0 as computed, whatever N or P gave it, the loop has
+    that constant folded in (see ``_fold_unit_gains``), with the same
+    bits.  Its operation order, the ``** 2`` of its error norm, the ``+``
+    chain of its norms and its stop order are frozen (see the module
+    docstring); every output bit depends on them.
 
     The initial state and every accepted state go through one stop policy,
     in order: record it; DIVERGED if its norm exceeds ``blowup_norm`` or is
@@ -559,6 +601,8 @@ def _drive(
     of checks.
     """
     n1, pp = p.N - 1.0, 1.0 - p.P
+    reach = _capture_reach(capture_radius)
+    bounds = [b for tgt in targets or () for v in tgt for b in _reach_bounds(v, reach)]
     loop = _loop(
         field_source,
         settings.mode,
@@ -570,7 +614,7 @@ def _drive(
         p.a, p.b, p.c + p.M, n1, pp, -p.b,
         u0, t_end, settings.dt_init if dt_start is None else dt_start, attempts,
         settings.max_steps, settings.rel_tol, settings.abs_tol, settings.blowup_norm,
-        targets, capture_radius, _capture_reach(capture_radius), record,
+        targets, capture_radius, bounds, record,
     )
     nearest = min([math.inf, *(_dist(s, tgt) for tgt in targets or ())])
     return _DriveResult(status, s, dt, attempts, times, columns, captured, nearest)

@@ -72,21 +72,23 @@ class CertificateReport:
 
 def lyapunov_coefficients(p: SystemParams) -> LyapunovCoefficients:
     """Coefficients (A, B, K) of V; DegenerateParamsError at a = 0, at P = 1
-    and where B = (b - 2a)/(2a) is beyond the float range (a subnormal a)."""
+    and where a coefficient is beyond the float range (B for a subnormal a,
+    A or K for a huge b, c or 1 / (1 - P)), checked in the order B, A, K."""
     if p.a == 0.0:
         raise DegenerateParamsError("a = 0: coefficient B is undefined")
     if p.P == 1.0:
         raise DegenerateParamsError("P = 1: coefficients A and K are undefined")
     one_minus_p = 1.0 - p.P
     b2a = p.b - 2.0 * p.a
+    A = p.b * b2a / one_minus_p
     B = b2a / (2.0 * p.a)
-    if not math.isfinite(B):
-        raise DegenerateParamsError(f"coefficient B = {B!r} is beyond the float range")
-    return LyapunovCoefficients(
-        A=p.b * b2a / one_minus_p,
-        B=B,
-        K=p.b * (p.M + p.N + p.c - 1.0) / one_minus_p,
-    )
+    K = p.b * (p.M + p.N + p.c - 1.0) / one_minus_p
+    for name, value in (("B", B), ("A", A), ("K", K)):
+        if not math.isfinite(value):
+            raise DegenerateParamsError(
+                f"coefficient {name} = {value!r} is beyond the float range"
+            )
+    return LyapunovCoefficients(A=A, B=B, K=K)
 
 
 def v_value(p: SystemParams, s: State | tuple) -> float:

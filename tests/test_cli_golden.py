@@ -135,8 +135,11 @@ CASES = [
     case("sweep-unknown-axis", ["sweep", *CLASSIC, "--axis", "q:0:1:5"], 2, EMPTY,
          "error: axis name must be one of ('a', 'b', 'c', 'M', 'N', 'P'), "
          "got 'q'\n"),
+    # the axis count's text goes to SweepAxis, whose message names it
     case("sweep-bad-count", ["sweep", *CLASSIC, "--axis", "c:0:1:x"], 2, EMPTY,
-         "error: invalid literal for int() with base 10: 'x'\n"),
+         "error: axis count must be an integer, got 'x'\n"),
+    case("sweep-fractional-count", ["sweep", *CLASSIC, "--axis", "c:0:1:2.5"], 2,
+         EMPTY, "error: axis count must be an integer, got '2.5'\n"),
     case("sweep-unknown-task",
          ["sweep", *CLASSIC, "--axis", "c:0:1:3", "--tasks", "bogus"], 2, EMPTY,
          "error: unknown task 'bogus'; available: ('equilibria', "

@@ -138,6 +138,54 @@ def test_adaptive_tracks_fixed_reference():
     assert math.dist(ta.states[-1], tf.states[-1]) < 1e-7
 
 
+def _horner(coeffs: list[float], h: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * h + c
+    return acc
+
+
+def _taylor_flow(p, u0, span, order=20):
+    """The model field's flow from u0 over ``span``: the Taylor series of
+    ``order``, its coefficients from Cauchy-product recurrences (the field
+    is quadratic), summed over equal sub-steps of at most 1/128."""
+    a, cm, n1, pp, nb = p.a, p.c + p.M, p.N - 1.0, 1.0 - p.P, -p.b
+    n = math.ceil(span * 128)
+    h = span / n
+    u = u0
+    for _ in range(n):
+        x, y, z = [u[0]], [u[1]], [u[2]]
+        for k in range(order):
+            xy = sum(x[j] * y[k - j] for j in range(k + 1))
+            xz = sum(x[j] * z[k - j] for j in range(k + 1))
+            x.append(a * (y[k] - x[k]) / (k + 1))
+            y.append((cm * x[k] + n1 * y[k] - pp * xz) / (k + 1))
+            z.append((nb * z[k] + xy) / (k + 1))
+        u = (_horner(x, h), _horner(y, h), _horner(z, h))
+    return u
+
+
+@pytest.mark.parametrize("mode", list(IntegratorMode))
+@pytest.mark.parametrize(
+    "p, bound", [(REGULAR, 1e-8), (CLASSIC, 1e-7)], ids=["regular", "classic"]
+)
+def test_states_match_a_taylor_series_oracle(p, bound, mode):
+    # RK4 at dt = 1e-3 and DP54 at the default tolerances, over spans of
+    # 0.1-0.5, relative to 1 + |u|.  Measured on these starts before the
+    # bounds were set: at most 3.5e-10 (RK4) and 7.6e-10 (DP54) for REGULAR,
+    # 3.9e-9 and 6.8e-9 for CLASSIC; the series itself moved by at most
+    # 1.8e-15 at order 25 with twice the sub-steps.
+    rng = np.random.default_rng(1)
+    for _ in range(12):
+        u0 = (rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0),
+              rng.uniform(5.0, 40.0))
+        for span in (0.1, 0.25, 0.5):
+            tr = integrate(p, u0, IntegratorSettings(mode=mode, t_max=span))
+            want = _taylor_flow(p, u0, span)
+            err = max(abs(u - v) for u, v in zip((tr.xs[-1], tr.ys[-1], tr.zs[-1]), want))
+            assert err <= bound * (1.0 + math.hypot(*want))
+
+
 def test_mirror_trajectories_match_exactly():
     """Mirrored starts give bitwise-mirrored trajectories in both modes:
     every update is built from sign-symmetric arithmetic."""
@@ -309,6 +357,40 @@ def test_capture_reach_only_skips_targets_outside_the_ball(s, t, radius, i):
     for point in (s, tuple(nudged)):
         if any(abs(u - v) > reach for u, v in zip(point, t)):
             assert integrator._dist(point, t) > radius
+
+
+_special_coordinates = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e150, -1e150, 1e300, -1e300,
+     math.inf, -math.inf, math.nan]
+)
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-300, 1e-6, 2.0])
+@hsettings(max_examples=300, deadline=None)
+@given(
+    t=st.one_of(_special_coordinates, st.floats()),
+    near=st.floats(-4.0, 4.0),
+    free=st.floats(),
+)
+def test_reach_bounds_accept_exactly_what_the_subtraction_does(radius, t, near, free):
+    # each bound, one ulp on either side of it, and drawn states: anywhere,
+    # within a few units of t, and within a few reaches of t
+    reach = integrator._capture_reach(radius)
+    lo, hi = integrator._reach_bounds(t, reach)
+    probes = [free, t + near, t + near * reach]
+    for b in (lo, hi):
+        probes += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+    for v in probes:
+        assert (lo <= v <= hi) == (abs(v - t) <= reach)
+
+
+@pytest.mark.parametrize("t", [0.0, -5e-324, -1e300, math.inf, -math.inf, math.nan])
+def test_reach_bounds_without_a_reach_still_refuse_a_non_finite_target(t):
+    # an infinite reach, which switches the pre-filter off, passes every
+    # state but a NaN one, and never one for a target that is not finite
+    lo, hi = integrator._reach_bounds(t, math.inf)
+    want = (-math.inf, math.inf) if math.isfinite(t) else (math.inf, -math.inf)
+    assert (lo, hi) == want
 
 
 def _capture_outcome(out):
@@ -717,6 +799,46 @@ def test_adaptive_dwell_clamp_matches_the_frozen_loop():
     assert (got.status, got.captured) == (_CAPTURED, 1)
     assert got.times[1] == 0.5 / 9
     assert len(got.times) == 10
+
+
+@pytest.mark.parametrize(
+    "t_end, status",
+    [(0.085, _CAPTURED), (0.055, TrajectoryStatus.COMPLETED_TSPAN)],
+    ids=["captured-on-the-partial-step", "span-ends-on-the-partial-step"],
+)
+def test_rk4_dwell_across_the_partial_final_step_matches_the_frozen_loop(t_end, status):
+    # a start inside E+'s ball and a t_end that is no multiple of dt = 0.01:
+    # full steps, then one partial step onto t_end.  At 0.085 that step's
+    # state is the tenth in the ball, so it completes the dwell.
+    start = tuple(v + 1e-9 for v in _E_PLUS)
+    got = _dwell_parity(REGULAR, start, [_E_MINUS, _E_PLUS], 1e-6, fixed=True,
+                        t_end=t_end)
+    assert got.status is status
+    assert got.times[-1] == t_end and got.times[-1] - got.times[-2] < 0.01
+    assert got.captured == (1 if status is _CAPTURED else None)
+
+
+# x' = y, y' = -x, z' = 0: the unit circle, a lap in 63 steps of 2 pi / 63
+_CIRCLE = (("x", "{y}"), ("y", "-{x}"), ("z", "0.0"))
+
+
+def _circle(s):
+    return s[1], -s[0], 0.0
+
+
+def test_a_dwell_of_one_state_is_reset():
+    # a ball of radius 0.01 around the start, which each lap visits for
+    # exactly one state (the lap's others are 0.099 or more away): every
+    # visit restarts the dwell, so 13 visits capture nothing
+    settings = IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=2 * math.pi / 63)
+    start, kwargs = (1.0, 0.0, 0.0), dict(targets=[(1.0, 0.0, 0.0)], capture_radius=0.01)
+    got = _drive(_CIRCLE, REGULAR, start, settings, 25 * math.pi, **kwargs)
+    kernels = reference.Kernels(rhs=_circle, dp54=None, norm=reference.norm,
+                                rk4=lambda s, dt: reference.rk4_step(_circle, s, dt))
+    want = reference.drive(kernels, start, settings, 25 * math.pi, **kwargs)
+    assert reference.read_fields(got) == reference.read_fields(want)
+    assert got.status is TrajectoryStatus.COMPLETED_TSPAN
+    assert sum(math.dist(s, start) <= 0.01 for s in zip(*got.columns)) == 13
 
 
 # ------------------------------------------- recorded points, memory and GC

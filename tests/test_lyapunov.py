@@ -42,6 +42,10 @@ def test_coefficients_dyadic_example():
         SystemParams(1.0, 3.0, 2.0, P=1.0),
         # a subnormal a makes 2a tiny, so B = (b - 2a)/(2a) overflows
         SystemParams(5e-324, -1.0, 1.0),
+        # b (b - 2a) overflows: A = inf
+        SystemParams(1.0, 1e200, 1.0),
+        # 1 / (1 - P) = 2**52 carries b (c - 1) past the float range: K = inf
+        SystemParams(1.0, 3.0, 1e300, P=1 - 2**-52),
     ],
 )
 def test_degenerate_coefficient_params_raise(p):
