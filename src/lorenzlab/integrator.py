@@ -215,26 +215,18 @@ def _capture_reach(capture_radius: float) -> float:
 
 
 def _reach_bounds(t: float, reach: float) -> tuple[float, float]:
-    """(lo, hi) such that lo <= v <= hi exactly when abs(v - t) <= reach,
-    for every double v; (inf, -inf), which no v passes, when t is not
-    finite.
+    """(lo, hi) such that every double v with abs(v - t) <= reach, as
+    rounded, has lo <= v <= hi; (inf, -inf), which no v passes, when t is
+    not finite.
 
-    v - t rounds monotonically in v, so the doubles that pass form one run
-    around t, and each end lies within a few ulps of t -+ reach; a
-    ``nextafter`` search from there finds it.
+    As rounded, abs(v - t) <= reach means v - t < 2 * reach exactly, and
+    rounding is monotone, so t -+ 2 * reach bound v.  The box only decides
+    whether a target's distance is computed, and ``near_d <=
+    capture_radius`` decides the capture, so a wider box changes no output.
     """
     if not math.isfinite(t):
         return math.inf, -math.inf
-
-    def edge(toward: float) -> float:
-        v = t + math.copysign(reach, toward)
-        while not abs(v - t) <= reach:
-            v = math.nextafter(v, t)
-        while v != toward and abs((w := math.nextafter(v, toward)) - t) <= reach:
-            v = w
-        return v
-
-    return edge(-math.inf), edge(math.inf)
+    return t - 2.0 * reach, t + 2.0 * reach
 
 
 # A field as source text: one (component, expression) pair per coordinate.
@@ -294,11 +286,11 @@ _DWELL = """\
             dwell_target, dwell = None, 0
 """
 
-# Target {i} = tg{i}: one outside its reach box is farther than
-# capture_radius.  The box is formed once per run by ``_reach_bounds``:
-# xlo{i} <= s0 <= xhi{i} holds exactly when abs(s0 - x) <= reach for the
-# target's x, is false for a NaN s0, and is false for every s0 when x is
-# not finite; likewise for y and z.
+# Target {i} = tg{i}: one outside its box is farther than capture_radius.
+# The box is formed once per run by ``_reach_bounds``: xlo{i} <= s0 <=
+# xhi{i} holds whenever abs(s0 - x) <= reach for the target's x, is false
+# for a NaN s0, and is false for every s0 when x is not finite; likewise
+# for y and z.
 _DWELL_TARGET = """\
         if xlo{i} <= s0 <= xhi{i} and ylo{i} <= s1 <= yhi{i} and zlo{i} <= s2 <= zhi{i}:
             d = dist((s0, s1, s2), tg{i})
@@ -323,8 +315,8 @@ _DWELL_CLAMP = """\
 _FIXED_ADVANCE = """\
         if remaining < dt:
             dt_eff = remaining
-            half = 0.5 * dt_eff
-            sixth = dt_eff / 6.0
+            half_dt_eff = 0.5 * dt_eff
+            sixth_dt_eff = dt_eff / 6.0
             if t + dt_eff == t or attempts >= max_steps:
                 return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
             attempts += 1
@@ -390,21 +382,21 @@ def _stage(field_source: _FieldSource, k: int, prefix: str) -> str:
     )
 
 
-def _rk4_block(field_source: _FieldSource, h: str, half: str, sixth: str) -> str:
+def _rk4_block(field_source: _FieldSource, h: str) -> str:
     """One RK4 step from s0, s1, ... by the local ``h``, written back to
-    them; the locals ``half`` and ``sixth`` hold 0.5 * h and h / 6.0."""
+    them; the locals half_{h} and sixth_{h} hold 0.5 * h and h / 6.0."""
     n = len(field_source)
+    update = "s{i} = s{i} + sixth_{h} * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"
     return "; ".join(
         [
             _stage(field_source, 1, "s"),
-            _each(n, "w{i} = s{i} + {half} * k1_{i}", half=half),
+            _each(n, "w{i} = s{i} + half_{h} * k1_{i}", h=h),
             _stage(field_source, 2, "w"),
-            _each(n, "w{i} = s{i} + {half} * k2_{i}", half=half),
+            _each(n, "w{i} = s{i} + half_{h} * k2_{i}", h=h),
             _stage(field_source, 3, "w"),
             _each(n, "w{i} = s{i} + {h} * k3_{i}", h=h),
             _stage(field_source, 4, "w"),
-            _each(n, "s{i} = s{i} + {sixth} * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})",
-                  sixth=sixth),
+            _each(n, update, h=h),
         ]
     )
 
@@ -465,9 +457,7 @@ def _loop_source(
     if mode is IntegratorMode.FIXED_RK4:
         init = "half_dt = 0.5 * dt; sixth_dt = dt / 6.0"
         advance = _FIXED_ADVANCE.format(
-            s=s,
-            partial=_rk4_block(field_source, "dt_eff", "half", "sixth"),
-            full=_rk4_block(field_source, "dt", "half_dt", "sixth_dt"),
+            s=s, partial=_rk4_block(field_source, "dt_eff"), full=_rk4_block(field_source, "dt")
         )
     else:
         init = _stage(field_source, 1, "s")

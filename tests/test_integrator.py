@@ -372,16 +372,33 @@ _special_coordinates = st.sampled_from(
     near=st.floats(-4.0, 4.0),
     free=st.floats(),
 )
-def test_reach_bounds_accept_exactly_what_the_subtraction_does(radius, t, near, free):
-    # each bound, one ulp on either side of it, and drawn states: anywhere,
-    # within a few units of t, and within a few reaches of t
+def test_reach_bounds_hold_every_state_the_subtraction_accepts(radius, t, near, free):
+    # each bound, t -+ reach, one ulp on either side of each, and drawn
+    # states: anywhere, within a few units of t, and within a few reaches
     reach = integrator._capture_reach(radius)
+    _assert_reach_bounds_hold(t, reach, [free, t + near, t + near * reach])
+
+
+@pytest.mark.parametrize("t, radius", [(1.0, 1.0), (27.0, 27.0), (2.0, 2.0), (-2.0, 2.0)])
+def test_reach_bounds_hold_where_the_target_coordinate_equals_the_radius(t, radius):
+    # t - reach is a tiny number there, many of its ulps from where
+    # abs(v - t) <= reach flips; the states from 0 to t all lie in the ball
+    _assert_reach_bounds_hold(t, integrator._capture_reach(radius), [0.0, -0.0, t / 2.0, t])
+
+
+def _assert_reach_bounds_hold(t, reach, states):
+    """Every state within reach of t as the subtraction rounds, and each
+    bound, t -+ reach and their neighbours that are, lie in t's box; a
+    NaN state, or any state for a t that is not finite, does not."""
     lo, hi = integrator._reach_bounds(t, reach)
-    probes = [free, t + near, t + near * reach]
-    for b in (lo, hi):
+    probes = list(states)
+    for b in (lo, hi, t - reach, t + reach):
         probes += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
     for v in probes:
-        assert (lo <= v <= hi) == (abs(v - t) <= reach)
+        if abs(v - t) <= reach:
+            assert lo <= v <= hi
+        if math.isnan(v) or not math.isfinite(t):
+            assert not lo <= v <= hi
 
 
 @pytest.mark.parametrize("t", [0.0, -5e-324, -1e300, math.inf, -math.inf, math.nan])
@@ -463,6 +480,23 @@ def test_dwell_prefilter_matches_the_oracle_on_heteroclinic_branches(branch, set
         )
         assert got == want
         assert got[0] is TrajectoryStatus.CAPTURED_EQUILIBRIUM
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("p, radius", [(REGULAR, 1.0), (CLASSIC, 27.0)],
+                         ids=["regular", "classic"])
+def test_dwell_prefilter_matches_the_oracle_where_e_z_equals_the_radius(branch, p, radius):
+    # E+- lie at z = 1.0 on REGULAR and z = 27.0 on CLASSIC, so each
+    # target's z box reaches down to about 0 there
+    eqs = find_equilibria(p)
+    assert eqs.pair[0].location[2] == radius
+    u0 = trace_heteroclinic(p, branch).trajectory.states[0]
+    got, want = _with_and_without_prefilter(
+        lambda: integrate_to_equilibrium(
+            p, u0, eqs, capture_radius=radius, include_origin=False
+        )
+    )
+    assert got == want
 
 
 # ------------------------------------------- the stop policy, against its past
