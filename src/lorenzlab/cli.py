@@ -238,7 +238,8 @@ def _parse_axis(text: str) -> SweepAxis:
         count = int(count)
     except ValueError:
         pass  # SweepAxis refuses the text and names the axis count
-    return SweepAxis(name, float(start), float(stop), count)
+    # start and stop go as text: SweepAxis coerces them and names a bad one
+    return SweepAxis(name, start, stop, count)
 
 
 def _cmd_sweep(args) -> tuple:

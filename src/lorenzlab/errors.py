@@ -10,7 +10,7 @@ class DegenerateBError(LorenzLabError):
 
 
 class DegenerateParamsError(LorenzLabError):
-    """a = 0, P = 1 or B beyond the float range: certificate V is undefined."""
+    """a = 0, P = 1 or A, B or K beyond the float range: certificate V is undefined."""
 
 
 class NotASaddleError(LorenzLabError):

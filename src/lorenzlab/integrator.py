@@ -22,12 +22,13 @@ scalars, so a step makes no call and packs or unpacks no tuple.  The
 dwell check is unrolled over the targets.  Each run bounds every target
 coordinate once (``_reach_bounds``), so the check skips a far target by
 comparing a component with two locals, with no subtraction; without
-targets it is left out.  RK4's full step is its own copy of the step
-block, using the run's dt, 0.5 * dt and dt / 6.0.  A recorded run
-appends t and each component to its own list of floats, so a step
-allocates no GC-tracked object and never starts a collector pass.  A loop
-is compiled on its first use, never at import, and cached for the
-process.
+targets it is left out.  Each mode has one step block and one trial
+guard: RK4 forms its step's dt_eff, 0.5 * dt_eff and dt_eff / 6.0 once per
+run, and again from the span's remainder for a last step shorter than dt.
+A recorded run appends t and each component to its own list of floats,
+so a step allocates no GC-tracked object and never starts a collector
+pass.  A loop is compiled on its first use, never at import, and cached
+for the process.
 
 What is frozen, because every output bit depends on it:
 
@@ -147,7 +148,7 @@ class IntegratorSettings:
         if not isinstance(self.mode, IntegratorMode):
             raise TypeError(f"unknown integrator mode {self.mode!r}")
         for name in ("dt_init", "rel_tol", "abs_tol", "t_max", "blowup_norm"):
-            if not 0.0 < _float_field(self, name) < math.inf:
+            if not 0.0 < _float_field(self, name, name) < math.inf:
                 what = "tolerances" if name.endswith("_tol") else name
                 raise ValueError(f"{what} must be positive and finite")
         object.__setattr__(self, "max_steps", _integer(self.max_steps, "max_steps"))
@@ -309,24 +310,22 @@ _DWELL_CLAMP = """\
                     dt_eff = room
 """
 
-# Fixed RK4: every step is accepted.  ``{partial}`` advances s0, s1, ...
-# by dt_eff, the span's remainder; ``{full}`` by dt, with the full step's
-# 0.5 * dt and dt / 6.0 formed once per run.
+# The trial guard of both modes, indented by ``{pad}``: STEP_LIMIT when a
+# step of dt_eff would not advance t or the max_steps budget is spent.
+_TRIAL_GUARD = """\
+{pad}if t + dt_eff == t or attempts >= max_steps:
+{pad}    return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
+{pad}attempts += 1
+"""
+
+# Fixed RK4: every step is accepted.  ``{step}`` advances s0, s1, ... by
+# dt_eff, dt as formed once per run, or the span's remainder where that is
+# shorter, which is always the run's last step.
 _FIXED_ADVANCE = """\
         if remaining < dt:
-            dt_eff = remaining
-            half_dt_eff = 0.5 * dt_eff
-            sixth_dt_eff = dt_eff / 6.0
-            if t + dt_eff == t or attempts >= max_steps:
-                return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
-            attempts += 1
-            {partial}
-        else:
-            dt_eff = dt
-            if t + dt == t or attempts >= max_steps:
-                return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
-            attempts += 1
-            {full}"""
+            dt_eff = remaining; half_dt_eff = 0.5 * dt_eff; sixth_dt_eff = dt_eff / 6.0
+{guard}\
+        {step}"""
 
 # DP54: trial steps repeat until one is accepted.  ``{step}`` forms the
 # proposal w0, w1, ..., its field k7_0, k7_1, ... and the error estimate
@@ -340,9 +339,7 @@ _ADAPTIVE_ADVANCE = """\
             # smaller
             dt_eff = remaining if remaining < dt else dt
 {clamp}\
-            if t + dt_eff == t or attempts >= max_steps:
-                return STEP_LIMIT, ({s},), dt, attempts, times, columns, None
-            attempts += 1
+{guard}\
             try:
                 {step}
             except OverflowError:
@@ -368,10 +365,9 @@ _ADAPTIVE_ADVANCE = """\
         {accept}"""
 
 
-def _each(n: int, template: str, **names: str) -> str:
-    """``template`` for components 0 .. n-1, as one line of statements;
-    ``names`` fills its other fields."""
-    return "; ".join(template.format(i=i, **names) for i in range(n))
+def _each(n: int, template: str) -> str:
+    """``template`` for components 0 .. n-1, as one line of statements."""
+    return "; ".join(template.format(i=i) for i in range(n))
 
 
 def _stage(field_source: _FieldSource, k: int, prefix: str) -> str:
@@ -382,21 +378,21 @@ def _stage(field_source: _FieldSource, k: int, prefix: str) -> str:
     )
 
 
-def _rk4_block(field_source: _FieldSource, h: str) -> str:
-    """One RK4 step from s0, s1, ... by the local ``h``, written back to
-    them; the locals half_{h} and sixth_{h} hold 0.5 * h and h / 6.0."""
+def _rk4_block(field_source: _FieldSource) -> str:
+    """One RK4 step from s0, s1, ... by dt_eff, written back to them; the
+    locals half_dt_eff and sixth_dt_eff hold 0.5 * dt_eff and dt_eff / 6.0."""
     n = len(field_source)
-    update = "s{i} = s{i} + sixth_{h} * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"
+    update = "s{i} = s{i} + sixth_dt_eff * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"
     return "; ".join(
         [
             _stage(field_source, 1, "s"),
-            _each(n, "w{i} = s{i} + half_{h} * k1_{i}", h=h),
+            _each(n, "w{i} = s{i} + half_dt_eff * k1_{i}"),
             _stage(field_source, 2, "w"),
-            _each(n, "w{i} = s{i} + half_{h} * k2_{i}", h=h),
+            _each(n, "w{i} = s{i} + half_dt_eff * k2_{i}"),
             _stage(field_source, 3, "w"),
-            _each(n, "w{i} = s{i} + {h} * k3_{i}", h=h),
+            _each(n, "w{i} = s{i} + dt_eff * k3_{i}"),
             _stage(field_source, 4, "w"),
-            _each(n, update, h=h),
+            _each(n, update),
         ]
     )
 
@@ -434,8 +430,8 @@ def _loop_source(
     unpacks no tuple.  A recorded point is appended component by component
     to one list of floats each.  The dwell check tests each target in turn,
     in index order, against bounds formed once per run; with no targets it
-    and the adaptive dwell clamp are left out.  RK4's full step and its
-    partial final step are separate copies of the step block.
+    and the adaptive dwell clamp are left out.  Each mode writes its step
+    block once and its trial guard (``_TRIAL_GUARD``) once.
     """
     n = len(field_source)
     s = ", ".join(f"s{i}" for i in range(n))
@@ -455,14 +451,15 @@ def _loop_source(
     else:
         targets = dwell = clamp = ""
     if mode is IntegratorMode.FIXED_RK4:
-        init = "half_dt = 0.5 * dt; sixth_dt = dt / 6.0"
+        init = "dt_eff = dt; half_dt_eff = 0.5 * dt_eff; sixth_dt_eff = dt_eff / 6.0"
         advance = _FIXED_ADVANCE.format(
-            s=s, partial=_rk4_block(field_source, "dt_eff"), full=_rk4_block(field_source, "dt")
+            guard=_TRIAL_GUARD.format(s=s, pad=" " * 8), step=_rk4_block(field_source)
         )
     else:
         init = _stage(field_source, 1, "s")
         advance = _ADAPTIVE_ADVANCE.format(
             s=s,
+            guard=_TRIAL_GUARD.format(s=s, pad=" " * 12),
             step=_dp54_block(field_source),
             accept=_each(n, "s{i} = w{i}") + "; " + _each(n, "k1_{i} = k7_{i}"),
             clamp=clamp,

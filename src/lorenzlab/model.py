@@ -58,11 +58,15 @@ PARAM_NAMES = ("a", "b", "c", "M", "N", "P")
 SWEEP_TASKS = ("equilibria", "origin_class", "certificate", "regime", "lle")
 
 
-def _float_field(record: object, name: str) -> float:
+def _float_field(record: object, name: str, what: str) -> float:
     """``float()`` of the frozen ``record``'s field ``name``, stored back only
-    when that is a new object, so an exact float stays the object given."""
+    when that is a new object, so an exact float stays the object given;
+    ValueError naming ``what`` for a value that ``float()`` refuses."""
     raw = getattr(record, name)
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {raw!r}") from None
     if value is not raw:
         object.__setattr__(record, name, value)
     return value
@@ -94,7 +98,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in PARAM_NAMES:
-            value = _float_field(self, name)
+            value = _float_field(self, name, f"parameter {name}")
             if not math.isfinite(value):
                 raise ValueError(f"parameter {name} must be finite, got {value!r}")
 

@@ -60,8 +60,9 @@ class SweepAxis:
     that overflows included.  Where stop - start overflows, point i is
     formed in halves, (start + i * h) + i * h with h = (stop / 2 - start /
     2) / (count - 1).  The fields are checked in one pass: name, then
-    start and stop by model._float_field, so every grid point is a float,
-    then count, an integer of at least 2 by model._integer.
+    start and stop, each a finite number coerced by model._float_field, so
+    every grid point is a finite float, then count, an integer of at least
+    2 by model._integer.
     """
 
     name: str
@@ -72,8 +73,10 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
-        _float_field(self, "start")
-        _float_field(self, "stop")
+        for end in ("start", "stop"):
+            value = _float_field(self, end, f"axis {end}")
+            if not math.isfinite(value):
+                raise ValueError(f"axis {end} must be finite, got {value!r}")
         object.__setattr__(self, "count", _integer(self.count, "axis count"))
         if self.count < 2:
             raise ValueError("axis count must be at least 2")
@@ -203,7 +206,7 @@ def _row_source(tasks: tuple[str, ...], names: tuple[str, ...]) -> str:
     floats and write their columns from plain values (_certificate_columns,
     _equilibrium_parts, _origin_class, _regime), so a cell builds no result
     object; the lle task builds a SystemParams, for the integrator.  The
-    fields are floats (a SystemParams base, coerced axis bounds); a
+    fields are floats (a SystemParams base, finite axis bounds); a
     non-finite sum sends them through SystemParams, which names the first
     non-finite field in the row's error or passes them on.  A certificate
     that a task reads is computed first, into its column names.  The

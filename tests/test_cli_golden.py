@@ -140,6 +140,12 @@ CASES = [
          "error: axis count must be an integer, got 'x'\n"),
     case("sweep-fractional-count", ["sweep", *CLASSIC, "--axis", "c:0:1:2.5"], 2,
          EMPTY, "error: axis count must be an integer, got '2.5'\n"),
+    # so do its start and stop, which must be finite numbers
+    case("sweep-bad-start", ["sweep", *CLASSIC, "--axis", "c:x:1:3"], 2, EMPTY,
+         "error: axis start must be a number, got 'x'\n"),
+    case("sweep-nan-stop",
+         ["sweep", *CLASSIC, "--axis", "c:0:nan:3", "--tasks", "equilibria",
+          "--format", "csv"], 2, EMPTY, "error: axis stop must be finite, got nan\n"),
     case("sweep-unknown-task",
          ["sweep", *CLASSIC, "--axis", "c:0:1:3", "--tasks", "bogus"], 2, EMPTY,
          "error: unknown task 'bogus'; available: ('equilibria', "

@@ -35,6 +35,7 @@ from lorenzlab.integrator import (
     _drive,
     _fold_unit_gains,
     _loop_source,
+    _rk4_block,
 )
 from lorenzlab.model import _FIELD_SOURCE
 
@@ -651,6 +652,23 @@ def test_the_loop_is_keyed_on_the_computed_unit_gains(p, unit_n1, unit_pp):
         m.setattr(integrator, "_loop", recording_loop)
         integrate(p, (1.0, 1.0, 1.0), settings)
     assert keys == [(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, 0, unit_n1, unit_pp)]
+
+
+@pytest.mark.parametrize("mode", list(IntegratorMode))
+@pytest.mark.parametrize("field_source", [_FIELD_SOURCE, _VARIATIONAL_SOURCE],
+                         ids=["3d", "6d"])
+@pytest.mark.parametrize("n_targets", [0, 2, 3])
+def test_each_stop_is_written_once_per_mode(mode, field_source, n_targets):
+    # one step block and one exit per stop, whatever the field, mode or
+    # number of targets
+    source = _loop_source(field_source, mode, n_targets)
+    assert source.count("return STEP_LIMIT") == 1
+    assert source.count("return COMPLETED_TSPAN") == 1
+    assert source.count("return CAPTURED_EQUILIBRIUM") == (1 if n_targets else 0)
+    if mode is IntegratorMode.FIXED_RK4:
+        assert source.count(_rk4_block(field_source)) == 1
+    else:
+        assert source.count(_dp54_block(field_source)) == 1
 
 
 # ------------------------------------- the step-size controller, at its edges

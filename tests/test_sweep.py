@@ -56,6 +56,31 @@ def test_axis_validation():
         SweepAxis("c", 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         SweepAxis("q", 0.0, 1.0, 3)
+    # an end that is not finite is refused up front, start before stop
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^axis start must be finite, got {bad!r}$"):
+            SweepAxis("c", bad, math.nan, 3)
+        with pytest.raises(ValueError, match=f"^axis stop must be finite, got {bad!r}$"):
+            SweepAxis("c", 0.0, bad, 3)
+    with pytest.raises(ValueError, match="^axis stop must be a number, got 'x'$"):
+        SweepAxis("c", "0.5", "x", 3)
+
+
+def _axes_or_refusal(names, ends, counts):
+    """The drawn axes, or None after checking that SweepAxis refuses the
+    first end that is not finite, by name."""
+    for k, name in enumerate(names):
+        for end, value in (("start", ends[2 * k]), ("stop", ends[2 * k + 1])):
+            if not math.isfinite(value):
+                with pytest.raises(
+                    ValueError, match=f"^axis {end} must be finite, got {value!r}$"
+                ):
+                    SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
+                return None
+    return tuple(
+        SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
+        for k, name in enumerate(names)
+    )
 
 
 def test_axis_values_hit_the_endpoints():
@@ -407,11 +432,10 @@ _edge = st.sampled_from(
 )
 def test_rows_match_the_public_api_at_the_edges(names, ends, counts, tasks, base):
     # each row's task columns, or its error, as the public functions give
-    # them for the cell's SystemParams
-    axes = tuple(
-        SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
-        for k, name in enumerate(names)
-    )
+    # them for the cell's SystemParams; an end that is not finite is refused
+    axes = _axes_or_refusal(names, ends, counts)
+    if axes is None:
+        return
     spec = SweepSpec(base=base, axes=axes, tasks=tasks)
     res = run_sweep(spec, workers=1)
     k = len(names)
@@ -490,11 +514,10 @@ _any_end = st.one_of(
     base=SystemParams(10.0, 8.0 / 3.0, 28.0),
 )  # every field finite, their sum overflows: the cells run, not raise
 def test_cells_built_from_the_template_equal_replace(names, ends, counts, tasks, base):
-    # 1-D and 2-D specs on any axes; a non-finite bound gives error rows
-    axes = tuple(
-        SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
-        for k, name in enumerate(names)
-    )
+    # 1-D and 2-D specs on any axes; a bound that is not finite is refused
+    axes = _axes_or_refusal(names, ends, counts)
+    if axes is None:
+        return
     spec = SweepSpec(base=base, axes=axes, tasks=tasks)
     res = run_sweep(spec, workers=1)
     want = [_replace_evaluate_cell(spec, i) for i in range(spec.n_cells())]
@@ -686,11 +709,19 @@ def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
     assert built == []
     # E+'s x and y are one float, so sweep_csv forms its text once
     assert all(row[3] is row[4] for row in res.rows)
-    # a non-finite axis value goes through SystemParams, for its error row
-    spec = _spec(axes=(SweepAxis("c", math.inf, 1.0, 2),), tasks=_SHARED_TASKS)
+    # a non-finite axis end is refused before any cell runs
+    with pytest.raises(ValueError, match="^axis start must be finite, got inf$"):
+        SweepAxis("c", math.inf, 1.0, 2)
+    # a finite cell whose six-field sum overflows (c = M = 1e308) goes
+    # through SystemParams, which passes it on to the closed forms
+    spec = _spec(
+        base=SystemParams(10.0, 8.0 / 3.0, 0.5, M=1e308),
+        axes=(SweepAxis("c", 1e308, 1.0, 2),),
+        tasks=_SHARED_TASKS,
+    )
     built.clear()
     rows = run_sweep(spec, workers=1).rows
-    assert rows[0][-1] == "ValueError: parameter c must be finite, got inf"
+    assert rows[0][-1].startswith("ValueError: the origin's characteristic quadratic")
     assert rows[1][-1] is None
     assert built == ["SystemParams"]
     # and an lle cell builds one for the integrator
@@ -885,17 +916,25 @@ def _copy(v):
     workers=2,
     data=None,
 )
+@example(
+    names=("c", "M"),
+    ends=(-0.0, 30.0, 0.0, 1e300),
+    counts=(4, 3),
+    tasks=_SHARED_TASKS,
+    base=SystemParams(10.0, 8.0 / 3.0, 28.0),
+    workers=2,
+    data=None,
+)
 def test_sweep_csv_equals_the_frozen_row_wise_renderer(
     names, ends, counts, tasks, base, workers, data
 ):
-    # 1-D and 2-D grids, a -0.0 start (next to a 0.0 in the example),
-    # non-finite or huge bounds (error rows); rows from a pool hold copies
-    # of the grid's floats, so the grid text must match the row-wise text
-    # on misses as well as hits
-    axes = tuple(
-        SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
-        for k, name in enumerate(names)
-    )
+    # 1-D and 2-D grids, a -0.0 start (next to a 0.0 in the examples), huge
+    # bounds (error rows) and refused non-finite ones; rows from a pool hold
+    # copies of the grid's floats, so the grid text must match the row-wise
+    # text on misses as well as hits
+    axes = _axes_or_refusal(names, ends, counts)
+    if axes is None:
+        return
     spec = SweepSpec(base=base, axes=axes, tasks=tasks)
     res = run_sweep(spec, workers=workers)
     assert sweep_csv(res) == reference.sweep_csv(res)
@@ -912,9 +951,10 @@ def test_sweep_csv_equals_the_frozen_row_wise_renderer(
         assert sweep_csv(hand) == reference.sweep_csv(hand)
 
 
+# the M axis's stop - start overflows, so its points are formed in halves
 _GRID_SPEC = SweepSpec(
     base=BASE,
-    axes=(SweepAxis("c", -0.0, 1.0, 4), SweepAxis("M", 1e300, -math.inf, 3)),
+    axes=(SweepAxis("c", -0.0, 1.0, 4), SweepAxis("M", 1e308, -1e308, 3)),
     tasks=("origin_class",),
 )
 _GRID_FLOATS = [v for axis in _GRID_SPEC._axis_values for v in axis]
