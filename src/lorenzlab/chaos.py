@@ -27,6 +27,7 @@ from .equilibria import (
     OriginClass,
     _equilibrium_parts,
     _has_unstable,
+    _origin_dims,
     classify_origin,
     find_equilibria,
     pitchfork_locus,
@@ -223,9 +224,8 @@ def _regime(
                 parts = _equilibrium_parts(*fields)
             except DegenerateBError:
                 return RegimeLabel.UNDETERMINED, None
-        _, origin, pair = parts
-        # E+ and E- share one spectrum
-        if pair is not None and _has_unstable(origin) and _has_unstable(pair[2]):
+        pair = parts[2]  # E+ and E- share one spectrum
+        if pair is not None and _has_unstable(pair[2]) and _origin_dims(*fields)[1]:
             return RegimeLabel.CHAOS_CANDIDATE, parts
     return RegimeLabel.UNDETERMINED, parts
 

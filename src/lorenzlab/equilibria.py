@@ -11,9 +11,9 @@ d = 0 the whole curve (x, x, x^2 / b) consists of equilibria.
 
 The origin's linearization block-diagonalizes: one eigenvalue is -b and the
 other two solve lambda^2 + (a + 1 - N) lambda - a d = 0, so its type is
-decided by the signs of q = a d and r = N - a - 1.  This factored form,
-origin_eigenvalues, is the one computation of the origin's spectrum, and
--b is exact in it.
+decided, in _origin_dims alone, by the signs of q = a d, r = N - a - 1
+and b.  This factored form, origin_eigenvalues, is the one computation of
+the origin's spectrum, and -b is exact in it.
 
 E+- share one characteristic cubic, lambda^3 + (a + b + 1 - N) lambda^2
 + b (a + c + M) lambda + 2 a b d in the parameters alone (P, s and z drop
@@ -31,7 +31,7 @@ from .errors import DegenerateBError
 from .model import SIGN_BAND
 from .model import Preset, State, SystemParams, apply_symmetry
 
-CENTER_BAND = 1e-9  # relative band of a center direction, see _record
+CENTER_BAND = 1e-9  # relative band of a center direction of E+-, see _dims
 
 
 class OriginClass(enum.Enum):
@@ -154,12 +154,12 @@ def _origin_eigenvalues(
 def classify_origin(p: SystemParams) -> OriginClass:
     """Sign-based linear type of the origin.
 
-    Decides by q = a d and r = N - a - 1: q > 0 gives a saddle with a
-    one-dimensional unstable manifold; q < 0 splits on the sign of r
-    (r > 0 two-dimensional unstable, r < 0 attractor).  Values inside the
-    relative band of half-width ``SIGN_BAND`` around zero are reported as
-    NON_HYPERBOLIC rather than guessed.  b <= 0 falls outside every
-    statement made about this family and gets its own label.
+    Decides by q = a d and r = N - a - 1 (see _origin_dims): q > 0 gives a
+    saddle with a one-dimensional unstable manifold; q < 0 splits on the
+    sign of r (r > 0 two-dimensional unstable, r < 0 attractor).  Values
+    inside the relative band ``SIGN_BAND`` around zero are center
+    directions, so NON_HYPERBOLIC rather than guessed.  b <= 0 falls
+    outside every statement made about this family: it has its own label.
     """
     return _origin_class(p.a, p.b, p.c, p.M, p.N, p.P)
 
@@ -170,6 +170,17 @@ def _origin_class(
     """classify_origin on the six parameter floats."""
     if b <= 0.0:
         return OriginClass.OUT_OF_HYPOTHESES
+    _, unstable, center = _origin_dims(a, b, c, M, N, P)
+    return OriginClass.NON_HYPERBOLIC if center else _BY_UNSTABLE[unstable]
+
+
+def _origin_dims(
+    a: float, b: float, c: float, M: float, N: float, P: float
+) -> tuple[int, int, int]:
+    """(stable, unstable, center) counts of the origin from the six floats.
+    The quadratic's roots have the product -q and the sum r, each 0 inside
+    its SIGN_BAND: q above it gives one root of each sign; below it, two on
+    r's side; inside it, a center and one on r's side.  b's sign places -b."""
     q = a * (M + N + c - 1.0)
     band_q = SIGN_BAND * (1.0 + abs(a) * (1.0 + abs(M) + abs(N) + abs(c)))
     if band_q == math.inf:
@@ -184,25 +195,26 @@ def _origin_class(
         band_q = SIGN_BAND * (
             math.ldexp(one, -ka) + abs(a_s) * (one + abs(M_s) + abs(N_s) + abs(c_s))
         )
-    if q > band_q:
-        # the quadratic factor has real roots of opposite sign; with -b < 0
-        # this is a saddle regardless of r, including r = 0
-        return OriginClass.SADDLE_WS2_WU1
-    if q < -band_q:
+    stable = unstable = 1  # q above its band: a root of each sign
+    if not q > band_q:
         r = N - a - 1.0
         band_r = SIGN_BAND * (1.0 + abs(a) + abs(N))
         if band_r == math.inf:
             # |a| + |N| overflows: r and its band scaled by 1/4, exactly
             r = 0.25 * N - 0.25 * a - 0.25
             band_r = SIGN_BAND * (0.25 + 0.25 * abs(a) + 0.25 * abs(N))
-        if r > band_r:
-            return OriginClass.SADDLE_WS1_WU2
-        if r < -band_r:
-            return OriginClass.ATTRACTOR
-        return OriginClass.NON_HYPERBOLIC
-    return OriginClass.NON_HYPERBOLIC
+        n = 2 if q < -band_q else 1  # the roots on r's side
+        stable, unstable = (n, 0) if r < -band_r else (0, n) if r > band_r else (0, 0)
+    if b > 0.0:
+        stable += 1
+    elif b < 0.0:
+        unstable += 1
+    return stable, unstable, 3 - stable - unstable
 
 
+_BY_UNSTABLE = (  # the origin's hyperbolic types for b > 0, by unstable count
+    OriginClass.ATTRACTOR, OriginClass.SADDLE_WS2_WU1, OriginClass.SADDLE_WS1_WU2
+)
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 _NAN_ROOT = complex(math.nan, math.nan)
 
@@ -399,10 +411,10 @@ def eigenvalues_at(
 
 
 def _dims(eigs: tuple[complex, complex, complex]) -> tuple[int, int, int]:
-    """(stable, unstable, center) counts of a spectrum; an eigenvalue is a
-    center direction when |Re lambda| <= CENTER_BAND * (1 + |lambda|), and
-    when Re lambda is NaN, which decides nothing and so never counts as
-    stable."""
+    """(stable, unstable, center) counts of E+-'s spectrum (the origin's
+    are _origin_dims); an eigenvalue is a center direction when
+    |Re lambda| <= CENTER_BAND * (1 + |lambda|), and when Re lambda is
+    NaN, which decides nothing and so never counts as stable."""
     stable = unstable = center = 0
     for lam in eigs:
         re = lam.real
@@ -428,8 +440,8 @@ def _has_unstable(eigs: tuple[complex, complex, complex]) -> bool:
 
 
 def _record(loc: State, eigs: tuple[complex, complex, complex]) -> Equilibrium:
-    """loc with its spectrum, in the order of _spectral_order, and its
-    dimension counts (see _dims)."""
+    """loc, one of E+-, with its spectrum, in the order of _spectral_order,
+    and its dimension counts (see _dims)."""
     return Equilibrium(loc, eigs, *_dims(eigs))
 
 
@@ -498,7 +510,7 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     platform.  Its float residual may still be far from 0 at large d: that
     is rounding noise, not distance from the equilibrium.
     The origin's spectrum is origin_eigenvalues, in the order of
-    _spectral_order; E+- solve their shared closed-form cubic once.
+    _spectral_order, counted by _origin_dims; E+- solve their cubic once.
     Raises DegenerateBError when b = 0 (the z-equation loses its linear
     term and the closed forms above do not apply), and ValueError when the
     origin's quadratic or the cubic of E+- is beyond the float range of
@@ -508,8 +520,9 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     spectrum, the same tuple.  The values come from _equilibrium_parts,
     which a sweep cell reads without building these objects.
     """
-    kind, origin_eigs, pair = _equilibrium_parts(p.a, p.b, p.c, p.M, p.N, p.P)
-    origin = _record(_ORIGIN, origin_eigs)
+    fields = (p.a, p.b, p.c, p.M, p.N, p.P)
+    kind, origin_eigs, pair = _equilibrium_parts(*fields)
+    origin = Equilibrium(_ORIGIN, origin_eigs, *_origin_dims(*fields))
     if pair is None:
         return EquilibriumSet(kind, origin, None)
     s, z, eigs = pair
@@ -528,7 +541,7 @@ def pitchfork_locus(p: SystemParams, free: str) -> float:
     in ``p``.  Crossing the returned value flips the sign of q = a d and
     with it the existence of the symmetric pair.  There d is 0 or within 2
     ulps of max(1, |M|, |N|, |c|) (90 000 random cells), inside SIGN_BAND,
-    so classify_origin at the returned value is NON_HYPERBOLIC for b > 0.
+    so the origin has a center direction there (NON_HYPERBOLIC for b > 0).
     """
     if free == "M":
         return 1.0 - p.N - p.c

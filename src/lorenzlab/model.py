@@ -13,7 +13,8 @@ specific (M, N, P) choices, see :func:`from_preset`.  The field is
 equivariant under the rotation (x, y, z) -> (-x, -y, z) for every
 parameter choice, which the implementation preserves exactly in floating
 point (all x/y-linear and x*z terms are products with sign-symmetric
-rounding).
+rounding).  For P < 1, (x, y, z) = (s X, s Y, s^2 Z), s = (1 - P)^(-1/2),
+maps P = 0 orbits onto P orbits, bit for bit in RK4 when s is a power of 2.
 """
 
 from __future__ import annotations

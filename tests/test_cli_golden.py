@@ -17,6 +17,8 @@ REGULAR = ["--a", "1", "--b", "3", "--c", "2"]
 PLANT = ["--a", "10", "--b", "2.6666666666666665", "--c", "0.5"]
 CHEN = ["--preset", "chen", "--a", "35", "--b", "3", "--c", "28"]
 BLOWUP = [*CLASSIC, "--P", "2"]
+FAST_FOCUS = ["--a", "10", "--b", "2.6666666666666665", "--c", "0", "--M=-1e13",
+              "--N", "11.01", "--P", "2"]
 START = ["--x0", "1", "--y0", "1", "--z0", "1"]
 RK4 = ["--mode", "fixed_rk4", "--dt", "0.01"]
 SHORT_LLE = ["--horizon", "20", "--transient", "5"]
@@ -36,13 +38,24 @@ CASES = [
     case("equilibria-origin-only", ["equilibria", *PLANT], 0,
          "913222f87cc833579d264a921c615e49d20118159322711cb4c05ac053343eb4"),
     # a = 0 and N = 1: the origin's quadratic is lambda^2, so its spectrum
-    # is exactly (0, 0, -b); its cubic, which eigenvalues_at still solves
-    # rescaled, has coefficients so small that the closed form's p * m
-    # underflows
+    # is exactly (0, 0, -b), two centers and one stable direction, as b's
+    # sign says; its cubic, which eigenvalues_at still solves rescaled, has
+    # coefficients so small that the closed form's p * m underflows
     case("equilibria-tiny-b",
          ["equilibria", "--a", "0", "--b", "4.296093079516111e-151", "--c", "0",
           "--N", "1"], 0,
-         "f966f207357792dcad51aa3cc5c7548654163406e70e5e03792e37b417f7fe15"),
+         "d0104367315ad9b564a7c276c1d39b9b6fac2767864bcf46984312e274fc0013"),
+    # a fast focus: Re lambda = 0.005 at |lambda| = 1e7, far outside its
+    # rounding, so the origin is 1/2/0 and, with E+- unstable, the regime a
+    # chaos candidate
+    case("equilibria-fast-focus", ["equilibria", *FAST_FOCUS], 0,
+         "bb245c025ab323aa45f89540306cb416b333cf3197df7e396c2add8a267f4f15"),
+    case("regime-fast-focus", ["regime", *FAST_FOCUS], 0,
+         "a0c99a7743079770f653092a3997fdd369aa6ea09793c5690525be62f49b29ee"),
+    # suggest-anticontrol's gain for margin 1e-10: the origin is 2/1/0, the
+    # saddle that classify and suggest-anticontrol report
+    case("equilibria-margin-1e-10", ["equilibria", *PLANT, "--M", "0.5000000001"], 0,
+         "f0b119cc5d70220793add45f357467c43df0879645c08d6818017fd6316186ee"),
     # suggest-anticontrol's gain for margin 1e6: d = 1e6 exactly, so E+ has
     # z = 1000000.0, the exact equilibrium
     case("equilibria-anticontrol-1e6", ["equilibria", *PLANT, "--M", "1000000.5"], 0,

@@ -4,6 +4,7 @@ import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from lorenzlab import (
     DegenerateBError,
     DegenerateParamsError,
     EquilibriumKind,
+    NotASaddleError,
     OriginClass,
     Preset,
     RegimeLabel,
@@ -34,9 +36,10 @@ from lorenzlab import (
     regime_classify,
     run_sweep,
     suggest_anticontrol,
+    unstable_direction_at_origin,
     vector_field,
 )
-from lorenzlab import equilibria
+from lorenzlab import chaos, equilibria
 from lorenzlab.equilibria import (
     _characteristic_cubic,
     _cubic_roots,
@@ -174,9 +177,12 @@ def _unscaled_origin_class(p):
     return OriginClass.NON_HYPERBOLIC, finite
 
 
-def _exact_origin_class(p):
-    """classify_origin in exact arithmetic on the float parameters, or None
-    where q or r lies within a relative 1e-9 of the edge of its band."""
+def _exact_origin_dims(p):
+    """The origin's (stable, unstable, center) counts in exact arithmetic on
+    the float parameters, or None where q or r lies within a relative 1e-9
+    of the edge of its band.  The roots of lambda^2 - r lambda - q have the
+    product -q and the sum r, and each of q and r counts as 0 inside its
+    band; the third eigenvalue, -b, takes b's exact sign."""
     a, c, M, N = (Fraction(v) for v in (p.a, p.c, p.M, p.N))
     band = Fraction(SIGN_BAND)
     q = a * (M + N + c - 1)
@@ -187,15 +193,31 @@ def _exact_origin_class(p):
     if abs(abs(q) - band_q) <= edge * band_q:
         return None
     if q > band_q:
-        return OriginClass.SADDLE_WS2_WU1
-    if q < -band_q:
-        if abs(abs(r) - band_r) <= edge * band_r:
-            return None
-        if r > band_r:
-            return OriginClass.SADDLE_WS1_WU2
-        if r < -band_r:
-            return OriginClass.ATTRACTOR
-    return OriginClass.NON_HYPERBOLIC
+        dims = [1, 1, 0]  # roots of opposite signs
+    elif abs(abs(r) - band_r) <= edge * band_r:
+        return None
+    else:
+        # below its band q puts both roots on r's side; inside it one root
+        # is 0 and the other is r
+        n = 2 if q < -band_q else 1
+        dims = [0, 0, 2 - n]
+        dims[0 if r < -band_r else 1 if r > band_r else 2] += n
+    dims[0 if p.b > 0 else 1 if p.b < 0 else 2] += 1
+    return tuple(dims)
+
+
+# the origin's type by its dimension counts, for b > 0
+_CLASS_OF_DIMS = {
+    (2, 1, 0): OriginClass.SADDLE_WS2_WU1,
+    (1, 2, 0): OriginClass.SADDLE_WS1_WU2,
+    (3, 0, 0): OriginClass.ATTRACTOR,
+}
+
+
+def _exact_origin_class(p):
+    """classify_origin for b > 0 from _exact_origin_dims, or None."""
+    dims = _exact_origin_dims(p)
+    return None if dims is None else _CLASS_OF_DIMS.get(dims, OriginClass.NON_HYPERBOLIC)
 
 
 @pytest.mark.parametrize(
@@ -249,6 +271,61 @@ def test_classify_origin_matches_eigenvalue_signs():
             sum(1 for l in lams if l.real > 0.0),
         )
         assert classify_origin(p) is expected[key], p
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _cells_at_the_origin_bands(draw):
+    """Cells whose origin type sits near a band: an offset d = +-k ulp(1)
+    with |d| log-uniform in [1e-13, 1e-7], so that q = a d falls on either
+    side of its band, or a fast focus, whose pair Re lambda = r / 2 with
+    |r| in [1e-3, 1] is far below CENTER_BAND |lambda| for |M| up to 1e16.
+    P is 0 or 2, whichever gives the pair for the sign of d."""
+    a = draw(st.floats(0.1, 50.0))
+    b = draw(st.floats(0.1, 10.0))
+    c = draw(st.floats(-2.0, 2.0))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if draw(st.booleans()):
+        N = draw(st.floats(-5.0, 5.0))
+        k = round(draw(_log_uniform(1e-13, 1e-7)) / math.ulp(1.0))
+        M = (1.0 - N - c) + sign * k * math.ulp(1.0)
+    else:
+        N = a + 1.0 + sign * draw(_log_uniform(1e-3, 1.0))
+        M = -draw(_log_uniform(1.0, 1e16))
+    P = 0.0 if M + N + c - 1.0 > 0.0 else 2.0
+    return SystemParams(a, b, c, M, N, P)
+
+
+@hsettings(max_examples=500, deadline=None)
+@given(p=_cells_at_the_origin_bands())
+@example(p=SystemParams(10.0, 8.0 / 3.0, 0.5, M=0.5000000001))
+@example(p=SystemParams(10.0, 2.6666666666666665, 0.0, -1e13, 11.01, 2.0))
+@example(p=SystemParams(5.0, 1.0, 0.0, -4.999999980000001e16, 5.0, 0.0))
+def test_every_reader_of_the_origin_type_agrees_near_its_bands(p):
+    # classify_origin, find_equilibria's origin counts, regime_classify's
+    # reading of the origin and the tracer's unstable direction all follow
+    # the exact signs of q, r and b.  The regime is read with a certificate
+    # that leaves chaos possible and a pair counted unstable, so its label
+    # says whether it counts the origin unstable
+    o = find_equilibria(p).origin
+    dims = (o.stable_dim, o.unstable_dim, o.center_dim)
+    exact = _exact_origin_dims(p)
+    assert exact is None or dims == exact
+    assert classify_origin(p) is _CLASS_OF_DIMS.get(dims, OriginClass.NON_HYPERBOLIC)
+    open_cert = SimpleNamespace(converges_to_equilibria=False, chaos_possible=True)
+    with mock.patch.object(chaos, "certificate", return_value=open_cert), \
+            mock.patch.object(chaos, "_has_unstable", return_value=True):
+        label = regime_classify(p)
+    assert (label is RegimeLabel.CHAOS_CANDIDATE) == (o.unstable_dim >= 1)
+    if dims == (2, 1, 0):
+        vx, vy, vz = unstable_direction_at_origin(p)
+        assert vx > 0.0 and vz == 0.0
+    else:
+        with pytest.raises(NotASaddleError):
+            unstable_direction_at_origin(p)
 
 
 # ---------------------------------------------------------------- cubic
@@ -497,8 +574,9 @@ def _eig_outcome(fn, p, s):
 
 
 def _dims_oracle(eigs):
-    """(stable, unstable, center) counts: a center direction lies in the
-    band |Re| <= CENTER_BAND (1 + |lambda|) or has a NaN real part."""
+    """(stable, unstable, center) counts of E+-'s spectrum: a center
+    direction lies in the band |Re| <= CENTER_BAND (1 + |lambda|) or has a
+    NaN real part."""
     stable = unstable = center = 0
     for lam in eigs:
         if math.isnan(lam.real) or abs(lam.real) <= equilibria.CENTER_BAND * (
@@ -663,6 +741,7 @@ def test_an_overflowing_cubic_raises_a_value_error(cubic):
 
 @hsettings(max_examples=300, deadline=None)
 @given(p=st.builds(SystemParams, *[_param] * 6))
+# q = r = 0 and -b > 0 exactly: two center directions and one unstable
 @example(p=SystemParams(0.0, -7.77684110159138e-239, 0.0, -1.0, 1.0, 0.0))
 @example(p=SystemParams(0.0, 3.0, 2.0))  # a = 0: zero coefficients
 @example(p=SystemParams(1.0, 1e200, 1e200))  # E+ overflows: NaN coefficients
@@ -676,7 +755,8 @@ def test_an_overflowing_cubic_raises_a_value_error(cubic):
 @example(p=SystemParams(2.0, 1232446850.0, 0.0, P=2.0))  # the split cubic
 def test_equilibrium_spectra_match_their_exact_references(p):
     # the origin and E+- of random cells, as find_equilibria records them:
-    # the origin is its factored spectrum, held to the exact one, and E+-
+    # the origin is its factored spectrum, held to the exact one, with the
+    # counts of the exact signs of q, r and b, and E+-
     # share the roots of their closed-form cubic, held to the exact cubic
     # of the float parameters and to the cubic oracle.  The cubic solved is
     # logged, so an overflow can be traced to it
@@ -712,7 +792,8 @@ def test_equilibrium_spectra_match_their_exact_references(p):
     want = tuple(sorted(origin_eigenvalues(p), key=_spectral_order))
     assert repr(origin.eigenvalues) == repr(want)
     dims = (origin.stable_dim, origin.unstable_dim, origin.center_dim)
-    assert dims == _dims_oracle(want)
+    exact = _exact_origin_dims(p)
+    assert exact is None or dims == exact
     _check_origin_exactness(p)
     if eqs.pair is None:
         assert solved == []

@@ -3,19 +3,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lorenzlab import (
+    IntegratorMode,
     IntegratorSettings,
     Preset,
     State,
     SweepAxis,
     SystemParams,
     apply_symmetry,
+    classify_origin,
     corollary_check,
+    find_equilibria,
     from_preset,
+    integrate,
     jacobian,
     pitchfork_locus_for_preset,
+    regime_classify,
     vector_field,
 )
 
@@ -96,6 +101,64 @@ def test_mirror_equivariance_is_exact(a, b, c, M, N, P, x, y, z):
 def test_symmetry_is_an_involution(x, y, z):
     s = State(x, y, z)
     assert apply_symmetry(apply_symmetry(s)) == s
+
+
+def _normal(hi):
+    """0 or a float of magnitude in [1e-10, hi]: a short run from such
+    values stays far above the subnormal range, where scaling by a power
+    of 2 rounds."""
+    magnitude = st.floats(1e-10, hi)
+    return st.just(0.0) | st.builds(math.copysign, magnitude, st.sampled_from([-1.0, 1.0]))
+
+
+def _spectra(eqs):
+    pair = () if eqs.pair is None else eqs.pair
+    return [
+        (repr(e.eigenvalues), e.stable_dim, e.unstable_dim, e.center_dim)
+        for e in (eqs.origin, *pair)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(-2, 2),
+    a=st.floats(0.1, 20.0),
+    b=st.floats(0.1, 10.0),
+    c=_normal(20.0),
+    M=_normal(20.0),
+    N=_normal(5.0),
+    u0=st.tuples(_normal(50.0), _normal(50.0), _normal(50.0)),
+    t_max=st.floats(0.01, 0.5),
+)
+def test_p_is_a_change_of_scale(k, a, b, c, M, N, u0, t_max):
+    # P = 1 - 4^k makes s = (1 - P)^(-1/2) = 2^-k, so (x, y, z) = (s X,
+    # s Y, s^2 Z) maps the P = 0 field onto the P field and every product
+    # in the field and in RK4 scales exactly: the runs agree bit for bit
+    # (a subnormal value would round when scaled, which _normal keeps out)
+    s = 2.0**-k
+    p0 = SystemParams(a, b, c, M, N, 0.0)
+    p = dataclasses.replace(p0, P=1.0 - 4.0**k)
+    rk4 = IntegratorSettings(
+        mode=IntegratorMode.FIXED_RK4, dt_init=0.01, t_max=t_max, blowup_norm=1e100
+    )
+    x0, y0, z0 = u0
+    base = integrate(p0, u0, rk4)
+    run = integrate(p, (s * x0, s * y0, s * s * z0), rk4)
+    assert run.status is base.status
+    assert repr(run.times) == repr(base.times)
+    assert repr(run.xs) == repr(tuple(s * v for v in base.xs))
+    assert repr(run.ys) == repr(tuple(s * v for v in base.ys))
+    assert repr(run.zs) == repr(tuple(s * s * v for v in base.zs))
+    # the spectra and their counts do not depend on P; E+- scale exactly
+    eqs0, eqs = find_equilibria(p0), find_equilibria(p)
+    assert eqs.kind is eqs0.kind
+    assert _spectra(eqs) == _spectra(eqs0)
+    if eqs0.pair is not None:
+        for e, e0 in zip(eqs.pair, eqs0.pair):
+            x, y, z = e0.location
+            assert repr(e.location) == repr(State(s * x, s * y, s * s * z))
+    assert classify_origin(p) is classify_origin(p0)
+    assert regime_classify(p) is regime_classify(p0)
 
 
 def test_jacobian_matches_centered_differences():

@@ -163,14 +163,19 @@ def test_no_cli_flag_writes_a_numeric_default():
     assert numeric == []
 
 
-def _calls(node: ast.AST, owner: str | None = None):
-    """(call, name of the innermost def around it, or None) for each call
+def _owned(node: ast.AST, owner: str | None = None):
+    """(node, name of the innermost def around it, or None) for each node
     under ``node``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            yield child, owner
+        yield child, owner
         inner = child.name if isinstance(child, ast.FunctionDef) else owner
-        yield from _calls(child, inner)
+        yield from _owned(child, inner)
+
+
+def _calls(node: ast.AST):
+    """(call, name of the innermost def around it, or None) for each call
+    under ``node``."""
+    return ((call, owner) for call, owner in _owned(node) if isinstance(call, ast.Call))
 
 
 def test_each_input_rule_has_one_owner():
@@ -198,3 +203,26 @@ def test_each_input_rule_has_one_owner():
             if isinstance(node, ast.ImportFrom) and node.module == "operator"
         ]
     assert strays == []
+
+
+def test_the_origin_type_has_one_owner():
+    # equilibria._origin_dims decides the origin's stable, unstable and
+    # center counts from the signs of q, r and b, and every reader of the
+    # origin's type calls it; CENTER_BAND decides only for E+-
+    center_band_readers, dims_callers = set(), set()
+    for path in sorted((ROOT / "src" / "lorenzlab").glob("*.py")):
+        for node, owner in _owned(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Name)
+                and node.id == "CENTER_BAND"
+                and isinstance(node.ctx, ast.Load)
+            ):
+                center_band_readers.add(f"{path.name}:{owner}")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_origin_dims"
+            ):
+                dims_callers.add(owner)
+    assert center_band_readers == {"equilibria.py:_dims", "equilibria.py:_has_unstable"}
+    assert {"_origin_class", "find_equilibria", "_regime"} <= dims_callers

@@ -64,19 +64,18 @@ def test_axis_validation():
             SweepAxis("c", 0.0, bad, 3)
     with pytest.raises(ValueError, match="^axis stop must be a number, got 'x'$"):
         SweepAxis("c", "0.5", "x", 3)
+    # the non-finite ends of the row tests' former examples, on other axes
+    for axis, message in [
+        (("P", 1.0, math.nan, 3), "axis stop must be finite, got nan"),
+        (("c", math.inf, 1.0, 3), "axis start must be finite, got inf"),
+        (("M", 0.0, math.inf, 3), "axis stop must be finite, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepAxis(*axis)
 
 
-def _axes_or_refusal(names, ends, counts):
-    """The drawn axes, or None after checking that SweepAxis refuses the
-    first end that is not finite, by name."""
-    for k, name in enumerate(names):
-        for end, value in (("start", ends[2 * k]), ("stop", ends[2 * k + 1])):
-            if not math.isfinite(value):
-                with pytest.raises(
-                    ValueError, match=f"^axis {end} must be finite, got {value!r}$"
-                ):
-                    SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
-                return None
+def _axes(names, ends, counts):
+    """The drawn axes: ends 2k and 2k + 1 bound the axis names[k]."""
     return tuple(
         SweepAxis(name, ends[2 * k], ends[2 * k + 1], counts[k])
         for k, name in enumerate(names)
@@ -388,10 +387,9 @@ def test_rows_equal_the_standalone_functions(names, ends, counts, tasks, base):
 
 
 # values at the edges of the closed forms: b = 0, P and d inside their
-# bands around 1 and 0, overflowing quadratics and cubics, non-finite
+# bands around 1 and 0, overflowing quadratics and cubics
 _edge = st.sampled_from(
-    [0.0, -0.0, 1.0, 1.0 + 1e-14, 1e-14, -1e-14, 2e154, 1e200, 1e300, -1e300,
-     math.inf, -math.inf, math.nan]
+    [0.0, -0.0, 1.0, 1.0 + 1e-14, 1e-14, -1e-14, 2e154, 1e200, 1e300, -1e300]
 )
 
 
@@ -423,20 +421,10 @@ _edge = st.sampled_from(
     tasks=("regime", "certificate", "origin_class", "equilibria"),
     base=SystemParams(10.0, 8.0 / 3.0, 28.0),
 )
-@example(
-    names=("P",),
-    ends=(1.0, math.nan, 0.0, 0.0),
-    counts=(3, 2),
-    tasks=_SHARED_TASKS,
-    base=SystemParams(10.0, 8.0 / 3.0, 1.0 + 1e-14),
-)
 def test_rows_match_the_public_api_at_the_edges(names, ends, counts, tasks, base):
     # each row's task columns, or its error, as the public functions give
-    # them for the cell's SystemParams; an end that is not finite is refused
-    axes = _axes_or_refusal(names, ends, counts)
-    if axes is None:
-        return
-    spec = SweepSpec(base=base, axes=axes, tasks=tasks)
+    # them for the cell's SystemParams
+    spec = SweepSpec(base=base, axes=_axes(names, ends, counts), tasks=tasks)
     res = run_sweep(spec, workers=1)
     k = len(names)
     for i, row in enumerate(res.rows):
@@ -476,9 +464,7 @@ def _replace_evaluate_cell(spec, index):
         return values + (None,) * (len(spec.columns()) - len(spec.axes) - 1) + (message,)
 
 
-_any_end = st.one_of(
-    _axis_end, st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -0.0])
-)
+_any_end = st.one_of(_axis_end, st.sampled_from([1e300, -0.0]))
 
 
 @hsettings(max_examples=80, deadline=None)
@@ -500,13 +486,6 @@ _any_end = st.one_of(
     ),
 )
 @example(
-    names=("c",),
-    ends=(math.inf, 1.0, 0.0, 0.0),
-    counts=(3, 2),
-    tasks=("equilibria",),
-    base=SystemParams(10.0, 8.0 / 3.0, 28.0),
-)
-@example(
     names=("c", "M"),
     ends=(1e308, 1e308, 1e308, 1e308),
     counts=(2, 2),
@@ -514,11 +493,8 @@ _any_end = st.one_of(
     base=SystemParams(10.0, 8.0 / 3.0, 28.0),
 )  # every field finite, their sum overflows: the cells run, not raise
 def test_cells_built_from_the_template_equal_replace(names, ends, counts, tasks, base):
-    # 1-D and 2-D specs on any axes; a bound that is not finite is refused
-    axes = _axes_or_refusal(names, ends, counts)
-    if axes is None:
-        return
-    spec = SweepSpec(base=base, axes=axes, tasks=tasks)
+    # 1-D and 2-D specs on any axes
+    spec = SweepSpec(base=base, axes=_axes(names, ends, counts), tasks=tasks)
     res = run_sweep(spec, workers=1)
     want = [_replace_evaluate_cell(spec, i) for i in range(spec.n_cells())]
     assert [repr(row) for row in res.rows] == [repr(row) for row in want]
@@ -909,15 +885,6 @@ def _copy(v):
 )
 @example(
     names=("c", "M"),
-    ends=(-0.0, 30.0, 0.0, math.inf),
-    counts=(4, 3),
-    tasks=_SHARED_TASKS,
-    base=SystemParams(10.0, 8.0 / 3.0, 28.0),
-    workers=2,
-    data=None,
-)
-@example(
-    names=("c", "M"),
     ends=(-0.0, 30.0, 0.0, 1e300),
     counts=(4, 3),
     tasks=_SHARED_TASKS,
@@ -928,14 +895,11 @@ def _copy(v):
 def test_sweep_csv_equals_the_frozen_row_wise_renderer(
     names, ends, counts, tasks, base, workers, data
 ):
-    # 1-D and 2-D grids, a -0.0 start (next to a 0.0 in the examples), huge
-    # bounds (error rows) and refused non-finite ones; rows from a pool hold
-    # copies of the grid's floats, so the grid text must match the row-wise
-    # text on misses as well as hits
-    axes = _axes_or_refusal(names, ends, counts)
-    if axes is None:
-        return
-    spec = SweepSpec(base=base, axes=axes, tasks=tasks)
+    # 1-D and 2-D grids, a -0.0 start (next to a 0.0 in the examples) and
+    # huge bounds (error rows); rows from a pool hold copies of the grid's
+    # floats, so the grid text must match the row-wise text on misses as
+    # well as hits
+    spec = SweepSpec(base=base, axes=_axes(names, ends, counts), tasks=tasks)
     res = run_sweep(spec, workers=workers)
     assert sweep_csv(res) == reference.sweep_csv(res)
     if data is None:
