@@ -26,8 +26,8 @@ from .equilibria import (
     EquilibriumKind,
     OriginClass,
     _equilibrium_parts,
-    _has_unstable,
     _origin_dims,
+    _pair_dims,
     classify_origin,
     find_equilibria,
     pitchfork_locus,
@@ -76,6 +76,7 @@ class AnticontrolSuggestion:
 # that set its windows with their defaults, which a sweep's lle_* fields share
 _LLE_START = State(1.0, 1.0, 1.0)
 _LLE_WINDOW = {"renorm_interval": 1.0, "horizon": 500.0, "transient": 50.0}
+_REGULAR, _CANDIDATE, _UNDETERMINED = RegimeLabel  # for _regime, see equilibria._TRIPLE
 
 # The base field with its linearization along the tangent (dx, dy, dz), as
 # source text for the integrator's stepping loop
@@ -186,14 +187,16 @@ def largest_lyapunov_exponent(
 
 
 def regime_classify(p: SystemParams) -> RegimeLabel:
-    """Conservative regime label from the certificate and the spectra.
+    """Conservative regime label from the certificate and the equilibria.
 
     PROVABLY_REGULAR when the convergence certificate holds.  A chaos
     candidate needs the necessary condition b < 2a, the full symmetric
-    triple of equilibria, and every one of them linearly unstable.  All
-    remaining cases are UNDETERMINED.  The equilibria are only computed
-    when the certificate leaves chaos possible.  The label comes from
-    _regime, which a sweep cell calls on the values it already holds.
+    triple of equilibria, and every one of them linearly unstable, as the
+    signs of its characteristic polynomial say within SIGN_BAND
+    (_origin_dims, _pair_dims).  All remaining cases are UNDETERMINED.
+    The equilibria are only computed when the certificate leaves chaos
+    possible.  The label comes from _regime, which a sweep cell calls on
+    the values it already holds.
     """
     cert = certificate(p)
     fields = (p.a, p.b, p.c, p.M, p.N, p.P)
@@ -217,17 +220,16 @@ def _regime(
     also writes its equilibria computes them once.
     """
     if converges_to_equilibria:
-        return RegimeLabel.PROVABLY_REGULAR, parts
+        return _REGULAR, parts
     if chaos_possible:
         if parts is None:
             try:
                 parts = _equilibrium_parts(*fields)
             except DegenerateBError:
-                return RegimeLabel.UNDETERMINED, None
-        pair = parts[2]  # E+ and E- share one spectrum
-        if pair is not None and _has_unstable(pair[2]) and _origin_dims(*fields)[1]:
-            return RegimeLabel.CHAOS_CANDIDATE, parts
-    return RegimeLabel.UNDETERMINED, parts
+                return _UNDETERMINED, None
+        if parts[2] is not None and _pair_dims(*fields)[1] and _origin_dims(*fields)[1]:
+            return _CANDIDATE, parts
+    return _UNDETERMINED, parts
 
 
 def suggest_anticontrol(

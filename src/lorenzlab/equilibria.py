@@ -15,10 +15,12 @@ decided, in _origin_dims alone, by the signs of q = a d, r = N - a - 1
 and b.  This factored form, origin_eigenvalues, is the one computation of
 the origin's spectrum, and -b is exact in it.
 
-E+- share one characteristic cubic, lambda^3 + (a + b + 1 - N) lambda^2
-+ b (a + c + M) lambda + 2 a b d in the parameters alone (P, s and z drop
-out), which is solved once; eigenvalues_at, the cubic at any point, is
-the independent check.
+E+- share one characteristic cubic, lambda^3 + c2 lambda^2 + c1 lambda + c0
+with c2 = a + b + 1 - N, c1 = b (a + c + M) and c0 = 2 a b d in the
+parameters alone (P, s and z drop out).  It is solved once, and its
+Routh-Hurwitz signs alone decide their type, in _pair_dims: c0 = 0 is the
+pitchfork and H = c2 c1 - c0 = 0 the Hopf boundary.  eigenvalues_at, the
+cubic at any point, is the independent check.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from dataclasses import dataclass
 from .errors import DegenerateBError
 from .model import SIGN_BAND
 from .model import Preset, State, SystemParams, apply_symmetry
-
-CENTER_BAND = 1e-9  # relative band of a center direction of E+-, see _dims
 
 
 class OriginClass(enum.Enum):
@@ -410,42 +410,52 @@ def eigenvalues_at(
     return _spectrum(_characteristic_cubic(p.a, p.b, p.c, p.M, p.N, p.P, s))
 
 
-def _dims(eigs: tuple[complex, complex, complex]) -> tuple[int, int, int]:
-    """(stable, unstable, center) counts of E+-'s spectrum (the origin's
-    are _origin_dims); an eigenvalue is a center direction when
-    |Re lambda| <= CENTER_BAND * (1 + |lambda|), and when Re lambda is
-    NaN, which decides nothing and so never counts as stable."""
-    stable = unstable = center = 0
-    for lam in eigs:
-        re = lam.real
-        # NaN first: abs() of a complex with a NaN part can raise a stale
-        # OverflowError left by an earlier overflow
-        if re != re or abs(re) <= CENTER_BAND * (1.0 + abs(lam)):
-            center += 1
-        elif re > 0.0:
-            unstable += 1
-        else:
-            stable += 1
-    return stable, unstable, center
-
-
-def _has_unstable(eigs: tuple[complex, complex, complex]) -> bool:
-    """_dims(eigs)[1] >= 1, decided at the first unstable eigenvalue."""
-    for lam in eigs:
-        re = lam.real
-        # re > 0 excludes a NaN real part; the band test is that of _dims
-        if re > 0.0 and not re <= CENTER_BAND * (1.0 + abs(lam)):
-            return True
-    return False
-
-
-def _record(loc: State, eigs: tuple[complex, complex, complex]) -> Equilibrium:
-    """loc, one of E+-, with its spectrum, in the order of _spectral_order,
-    and its dimension counts (see _dims)."""
-    return Equilibrium(loc, eigs, *_dims(eigs))
+def _pair_dims(
+    a: float, b: float, c: float, M: float, N: float, P: float
+) -> tuple[int, int, int]:
+    """(stable, unstable, center) counts of E+- from the six floats: the
+    Routh-Hurwitz signs of their cubic lambda^3 + c2 lambda^2 + c1 lambda +
+    c0, c2 = a + b + 1 - N, c1 = b e, c0 = 2 a b d, and of the Hopf
+    boundary's H = c2 c1 - c0 = b h, e = a + c + M, h = c2 e - 2 a d, each
+    from its factors, so that no underflow decides it, with d, e, c2 and h
+    0 inside their SIGN_BAND.  A coefficient, h or band beyond the float
+    range gives three centers, as the pair's NaN spectrum has."""
+    d = M + N + c - 1.0
+    e = a + (c + M)
+    c2 = a + b + 1.0 - N
+    h = c2 * e - 2.0 * a * d
+    abs_a, abs_c, abs_M = abs(a), abs(c), abs(M)
+    scale_e = 1.0 + abs_a + abs_c + abs_M
+    band_d = SIGN_BAND * (1.0 + abs_M + abs(N) + abs_c)
+    band_c2 = SIGN_BAND * (1.0 + abs_a + abs(b) + abs(N))
+    band_h = band_c2 * scale_e + 2.0 * abs_a * band_d  # scale_e >= 1 holds the 1
+    # below 1e142 the bands bound |c2|, |c1| and |h| by 1e154 and |c0| by 1e308
+    if not (band_h < 1e142 or (band_h < math.inf and all(
+            map(math.isfinite, (h, b * e, 2.0 * a * b * d))))):
+        return 0, 0, 3
+    if b < 0.0:  # c1 = b e, c0 = 2 a b d and H = b h take b's sign
+        d, e, h = -d, -e, -h
+    if a != 0.0 and (d > band_d or d < -band_d) and (h > band_h or h < -band_h):
+        if (a < 0.0) != (d < 0.0):
+            # c0 < 0: one unstable root, or three when c2 < 0 and H < 0
+            return (0, 3, 0) if c2 < -band_c2 and h < 0.0 else (2, 1, 0)
+        # c0 > 0: stable when c2 > 0 and H > 0, else two unstable roots
+        return (3, 0, 0) if c2 > band_c2 and h > 0.0 else (1, 2, 0)
+    band_e = SIGN_BAND * scale_e
+    if a == 0.0 or -band_d <= d <= band_d:
+        # c0 = 0: a center, and the roots of lambda^2 + c2 lambda + c1
+        if e < -band_e or -band_c2 <= c2 <= band_c2:
+            return (1, 1, 1) if e < -band_e else (0, 0, 3)
+        n = 2 if e > band_e else 1  # the roots on -c2's side
+        return (n, 0, 3 - n) if c2 > 0.0 else (0, n, 3 - n)
+    # H = 0: the roots -c2 and +-(-c1)^(1/2), a center pair unless c1 < 0
+    n = int(e < -band_e)
+    stable, unstable = n + (c2 > band_c2), n + (c2 < -band_c2)
+    return stable, unstable, 3 - stable - unstable
 
 
 _ORIGIN = State(0.0, 0.0, 0.0)
+_ORIGIN_ONLY, _TRIPLE, _CONTINUUM = EquilibriumKind  # faster to read than by class
 
 _Spectrum = tuple[complex, complex, complex]
 
@@ -461,10 +471,10 @@ def _equilibrium_parts(
     roots of the pair's closed-form cubic (see the module docstring), and
     every spectrum is in the order of _spectral_order.  A coefficient
     beyond the float range says nothing of the roots, so the cubic is then
-    solved as NaN: three NaN roots, each a center direction.  Raises as
-    find_equilibria does.  The offset d is formed once, for the origin's
-    quadratic and the pair's cubic alike.  find_equilibria wraps this; a
-    sweep cell calls it on its six floats and builds no SystemParams.
+    solved as NaN, three NaN roots (_pair_dims counts three centers).
+    Raises as find_equilibria does.  The offset d is formed once, for the
+    origin's quadratic and the pair's cubic alike.  find_equilibria wraps
+    this; a sweep cell calls it on its six floats and builds no SystemParams.
     """
     if b == 0.0:
         raise DegenerateBError("b = 0: equilibrium formulas are undefined")
@@ -485,8 +495,8 @@ def _equilibrium_parts(
     if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(P)):
         scale = 1.0 + abs(M) + abs(N) + abs(c)
         if abs(d) <= SIGN_BAND * scale:
-            return EquilibriumKind.CONTINUUM, origin, None
-        return EquilibriumKind.ORIGIN_ONLY, origin, None
+            return _CONTINUUM, origin, None
+        return _ORIGIN_ONLY, origin, None
     s_sq = b * d / one_minus_p
     if s_sq > 0.0:
         # c + M grouped as the field's cm
@@ -496,8 +506,8 @@ def _equilibrium_parts(
         if not (math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)):
             c2 = c1 = c0 = math.nan
         pair = (math.sqrt(s_sq), d / one_minus_p, _spectrum((c2, c1, c0)))
-        return EquilibriumKind.TRIPLE, origin, pair
-    return EquilibriumKind.ORIGIN_ONLY, origin, None
+        return _TRIPLE, origin, pair
+    return _ORIGIN_ONLY, origin, None
 
 
 def find_equilibria(p: SystemParams) -> EquilibriumSet:
@@ -510,7 +520,8 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     platform.  Its float residual may still be far from 0 at large d: that
     is rounding noise, not distance from the equilibrium.
     The origin's spectrum is origin_eigenvalues, in the order of
-    _spectral_order, counted by _origin_dims; E+- solve their cubic once.
+    _spectral_order, counted by _origin_dims; E+- solve their cubic once,
+    and _pair_dims counts them by its Routh-Hurwitz signs.
     Raises DegenerateBError when b = 0 (the z-equation loses its linear
     term and the closed forms above do not apply), and ValueError when the
     origin's quadratic or the cubic of E+- is beyond the float range of
@@ -526,12 +537,9 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     if pair is None:
         return EquilibriumSet(kind, origin, None)
     s, z, eigs = pair
-    plus_loc = State(s, s, z)
-    return EquilibriumSet(
-        kind,
-        origin,
-        (_record(plus_loc, eigs), _record(apply_symmetry(plus_loc), eigs)),
-    )
+    plus_loc, dims = State(s, s, z), _pair_dims(*fields)
+    minus = Equilibrium(apply_symmetry(plus_loc), eigs, *dims)
+    return EquilibriumSet(kind, origin, (Equilibrium(plus_loc, eigs, *dims), minus))
 
 
 def pitchfork_locus(p: SystemParams, free: str) -> float:

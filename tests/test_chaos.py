@@ -24,8 +24,8 @@ from lorenzlab import (
     suggest_anticontrol,
 )
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
-from lorenzlab.equilibria import CENTER_BAND
 from lorenzlab.integrator import _drive
+from lorenzlab.model import SIGN_BAND
 
 import reference
 import sampling
@@ -469,12 +469,11 @@ def _hopf_offset(a, b, N):
 def test_pair_stability_follows_routh_hurwitz_with_n_and_p():
     # a relative 1e-6 below the Hopf offset E+- have no unstable direction
     # and the regime is undetermined; above it E+- have two, every
-    # equilibrium is unstable and the cell is a chaos candidate.  Near the
-    # Hopf point the pair's real part is about b g (d - d_H) / (2 (c1 +
-    # c2^2)), g = a - b - 1 + N, since c2 c1 - c0 = -b g (d - d_H) is -2 Re
-    # lambda (c1 + c2^2) to first order; a cell on which that stays inside
-    # twice the center band, where the step cannot show the crossing (k
-    # near 0, or g near 0 with a fast pair), is drawn again
+    # equilibrium is unstable and the cell is a chaos candidate.  E+-'s
+    # Hopf sign is that of c2 c1 - c0 = b h, h = c2 e - 2 a d = -g (d -
+    # d_H), g = a - b - 1 + N; a cell on which the step leaves h inside
+    # twice its band, where it cannot show the crossing (k or g near 0),
+    # is drawn again
     rng = np.random.default_rng(83)
     cells = 0
     while cells < 1_000:
@@ -485,10 +484,11 @@ def test_pair_stability_follows_routh_hurwitz_with_n_and_p():
             continue
         c = float(rng.uniform(-5.0, 5.0))
         d_h = _hopf_offset(a, b, N)
-        k = a + 1.0 - N
-        c1, c2 = b * (d_h + k), k + b
-        re = b * g * 1e-6 * d_h / (2.0 * (c1 + c2 * c2))
-        if re <= 2.0 * CENTER_BAND * (1.0 + math.sqrt(c1)):
+        M = d_h + 1.0 - N - c
+        scale_h = (1.0 + a + b + abs(N)) * (1.0 + a + abs(c) + abs(M)) + 2.0 * a * (
+            1.0 + abs(M) + abs(N) + abs(c)
+        )
+        if g * 1e-6 * d_h <= 2.0 * SIGN_BAND * scale_h:
             continue
         for f, unstable, label in (
             (1.0 - 1e-6, 0, RegimeLabel.UNDETERMINED),

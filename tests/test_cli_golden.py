@@ -53,9 +53,19 @@ CASES = [
     case("regime-fast-focus", ["regime", *FAST_FOCUS], 0,
          "a0c99a7743079770f653092a3997fdd369aa6ea09793c5690525be62f49b29ee"),
     # suggest-anticontrol's gain for margin 1e-10: the origin is 2/1/0, the
-    # saddle that classify and suggest-anticontrol report
+    # saddle that classify and suggest-anticontrol report, and E+- are
+    # 3/0/0, since c2, c2 c1 - c0 and c0 = 2 a b d are all positive
     case("equilibria-margin-1e-10", ["equilibria", *PLANT, "--M", "0.5000000001"], 0,
-         "f0b119cc5d70220793add45f357467c43df0879645c08d6818017fd6316186ee"),
+         "c146b9d84ce6a3a36114954ab675b59a0c0587e8e938d618ecabb01189ced404"),
+    # the plant pushed just past E+-'s Hopf point, Re lambda = +4.5e-10: by
+    # the sign of c2 c1 - c0 E+- are 1/2/0, and the cell a chaos candidate;
+    # just below it E+- are 3/0/0 and the regime undetermined
+    case("equilibria-past-hopf", ["equilibria", *PLANT, "--M", "24.23684212"], 0,
+         "5bb3ea34d8e87e4b621683337578470515729d8bdbdc4f2fbe4d772777c11a8f"),
+    case("regime-past-hopf", ["regime", *PLANT, "--M", "24.23684212"], 0,
+         "a0c99a7743079770f653092a3997fdd369aa6ea09793c5690525be62f49b29ee"),
+    case("regime-below-hopf", ["regime", *PLANT, "--M", "24.23684209"], 0,
+         "822eb08acc7ea9211d6b90f79afd3fd116083efdb84c8c4e98b85fa7ac0aa4e4"),
     # suggest-anticontrol's gain for margin 1e6: d = 1e6 exactly, so E+ has
     # z = 1000000.0, the exact equilibrium
     case("equilibria-anticontrol-1e6", ["equilibria", *PLANT, "--M", "1000000.5"], 0,

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings as hsettings, strategies as st
+from hypothesis import assume, example, given, settings as hsettings, strategies as st
 
 from lorenzlab import (
     DegenerateBError,
@@ -282,7 +282,7 @@ def _cells_at_the_origin_bands(draw):
     """Cells whose origin type sits near a band: an offset d = +-k ulp(1)
     with |d| log-uniform in [1e-13, 1e-7], so that q = a d falls on either
     side of its band, or a fast focus, whose pair Re lambda = r / 2 with
-    |r| in [1e-3, 1] is far below CENTER_BAND |lambda| for |M| up to 1e16.
+    |r| in [1e-3, 1] is as small as 1e-12 |lambda| at |M| = 1e16.
     P is 0 or 2, whichever gives the pair for the sign of d."""
     a = draw(st.floats(0.1, 50.0))
     b = draw(st.floats(0.1, 10.0))
@@ -317,7 +317,7 @@ def test_every_reader_of_the_origin_type_agrees_near_its_bands(p):
     assert classify_origin(p) is _CLASS_OF_DIMS.get(dims, OriginClass.NON_HYPERBOLIC)
     open_cert = SimpleNamespace(converges_to_equilibria=False, chaos_possible=True)
     with mock.patch.object(chaos, "certificate", return_value=open_cert), \
-            mock.patch.object(chaos, "_has_unstable", return_value=True):
+            mock.patch.object(chaos, "_pair_dims", return_value=(1, 2, 0)):
         label = regime_classify(p)
     assert (label is RegimeLabel.CHAOS_CANDIDATE) == (o.unstable_dim >= 1)
     if dims == (2, 1, 0):
@@ -573,21 +573,56 @@ def _eig_outcome(fn, p, s):
         return f"ValueError: {exc}"
 
 
-def _dims_oracle(eigs):
-    """(stable, unstable, center) counts of E+-'s spectrum: a center
-    direction lies in the band |Re| <= CENTER_BAND (1 + |lambda|) or has a
-    NaN real part."""
-    stable = unstable = center = 0
-    for lam in eigs:
-        if math.isnan(lam.real) or abs(lam.real) <= equilibria.CENTER_BAND * (
-            1.0 + abs(lam)
-        ):
-            center += 1
-        elif lam.real > 0.0:
-            unstable += 1
-        else:
-            stable += 1
-    return stable, unstable, center
+def _exact_pair_dims(p):
+    """E+-'s (stable, unstable, center) counts in exact arithmetic on the
+    float parameters, or None where d, e, c2 or h lies within a relative
+    1e-2 of the edge of its band, or h or its band is beyond the float
+    range.  The cubic lambda^3 + c2 lambda^2 + c1 lambda + c0 has c0 =
+    2 a b d, c1 = b e and H = c2 c1 - c0 = b h, each 0 where its factor d,
+    e or h is inside its band, as c2 is inside its own.  c0 = 0 splits off
+    a center and H = 0 the root -c2; otherwise the unstable count is the
+    number of sign changes in Routh's column (1, c2, H / c2, c0)."""
+    a, b, c, M, N = (Fraction(v) for v in (p.a, p.b, p.c, p.M, p.N))
+    band = Fraction(SIGN_BAND)
+    d, e, c2 = M + N + c - 1, a + c + M, a + b + 1 - N
+    h = c2 * e - 2 * a * d
+    scale_d = 1 + abs(M) + abs(N) + abs(c)
+    scale_e = 1 + abs(a) + abs(c) + abs(M)
+    scale_c2 = 1 + abs(a) + abs(b) + abs(N)
+    band_h = band * (scale_c2 * scale_e + 2 * abs(a) * scale_d)
+    if max(abs(h), band_h) >= Fraction(2) ** 1023:
+        return None
+    signs = []
+    for v, band_v in ((d, band * scale_d), (e, band * scale_e), (c2, band * scale_c2),
+                      (h, band_h)):
+        if abs(abs(v) - band_v) <= band_v / 100:
+            return None
+        signs.append(0 if abs(v) <= band_v else 1 if v > 0 else -1)
+    sd, se, s2, sh = signs
+    sb = 1 if b > 0 else -1
+    s0 = ((a > 0) - (a < 0)) * sb * sd
+    s1, s_hopf = sb * se, sb * sh
+
+    def root(s):  # the counts of one real root of sign s
+        return [int(s < 0), int(s > 0), int(s == 0)]
+
+    def quadratic(s_sum, s_prod):  # lambda^2 - (sum) lambda + (prod)
+        if s_prod < 0:
+            return [1, 1, 0]
+        if s_prod == 0:
+            return [x + y for x, y in zip(root(0), root(s_sum))]
+        return [2 * x for x in root(s_sum)]
+
+    if s0 == 0:  # lambda (lambda^2 + c2 lambda + c1)
+        dims = [x + y for x, y in zip(root(0), quadratic(-s2, s1))]
+    elif s_hopf == 0:  # (lambda + c2)(lambda^2 + c1)
+        dims = [x + y for x, y in zip(root(-s2), quadratic(0, s1))]
+    else:
+        # c2 = 0 makes H = -c0, and c2 -> 0+ then gives the column's signs
+        column = (1, s2, s_hopf * s2, s0) if s2 else (1, 1, -s0, s0)
+        unstable = sum(x != y for x, y in zip(column, column[1:]))
+        dims = [3 - unstable, unstable, 0]
+    return tuple(dims)
 
 
 _coord = st.one_of(
@@ -756,10 +791,11 @@ def test_an_overflowing_cubic_raises_a_value_error(cubic):
 def test_equilibrium_spectra_match_their_exact_references(p):
     # the origin and E+- of random cells, as find_equilibria records them:
     # the origin is its factored spectrum, held to the exact one, with the
-    # counts of the exact signs of q, r and b, and E+-
-    # share the roots of their closed-form cubic, held to the exact cubic
-    # of the float parameters and to the cubic oracle.  The cubic solved is
-    # logged, so an overflow can be traced to it
+    # counts of the exact signs of q, r and b, and E+- share the roots of
+    # their closed-form cubic, held to the exact cubic of the float
+    # parameters and to the cubic oracle, with the counts of the exact
+    # signs of d, e, c2 and h.  The cubic solved is logged, so an overflow
+    # can be traced to it
     solved = []
 
     def logged_spectrum(cubic):
@@ -809,9 +845,73 @@ def test_equilibrium_spectra_match_their_exact_references(p):
     else:
         assert repr(ep.eigenvalues) == repr(oracle)
     _check_pair_spectrum(p, cubic, ep.eigenvalues)
+    # a cubic solved as NaN, its coefficients beyond the float range, is
+    # three centers; otherwise E+- have the counts of the exact signs
+    exact = (0, 0, 3) if math.isnan(cubic[0]) else _exact_pair_dims(p)
     for eq in eqs.pair:
         dims = (eq.stable_dim, eq.unstable_dim, eq.center_dim)
-        assert dims == _dims_oracle(ep.eigenvalues)
+        assert exact is None or dims == exact
+
+
+@st.composite
+def _cells_at_the_pair_loci(draw):
+    """Cells at a log-uniform relative offset in [1e-14, 1e-6] from one of
+    E+-'s loci, with N and P varied: the Hopf offset d_H = k (k + b) / g,
+    k = a + 1 - N and g = a - b - 1 + N, where h = c2 e - 2 a d = -g (d -
+    d_H) changes sign, or the pitchfork d = 0, an offset relative to d's
+    scale there.  P is below 1 or above it, whichever gives the pair."""
+    a = draw(st.floats(0.5, 50.0))
+    b = draw(st.floats(0.05, 20.0))
+    c = draw(st.floats(-5.0, 5.0))
+    N = draw(st.floats(-a / 2.0, 1.0 + a))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * draw(_log_uniform(1e-14, 1e-6))
+    k, g = a + 1.0 - N, a - b - 1.0 + N
+    if draw(st.booleans()) and g != 0.0:
+        d = k * (k + b) / g * (1.0 + offset)
+    else:
+        d = offset * (2.0 + abs(N) + abs(c))
+    M = d + 1.0 - N - c
+    d = M + N + c - 1.0
+    assume(d != 0.0)
+    P = draw(st.floats(-3.0, 0.9) if d > 0.0 else st.floats(1.1, 4.0))
+    return SystemParams(a, b, c, M, N, P)
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(p=_cells_at_the_pair_loci())
+# just past the Hopf point of the classic plant: Re lambda = +4.5e-10
+@example(p=SystemParams(10.0, 8.0 / 3.0, 0.5, M=24.23684212))
+# 2 a b underflows, so c0 rounds to 0, yet it is 2.4e-397 > 0
+@example(p=SystemParams(3.4447272796139777e-199, 3.4447272796139777e-199, 0.0, M=2.0))
+def test_pair_counts_and_regime_follow_the_exact_signs_near_their_loci(p):
+    # E+-'s counts and the regime follow the exact signs of d, e, c2 and h
+    # on both sides of the Hopf and pitchfork loci, down to real parts far
+    # inside the rounding of the roots.  Where the counts have no center,
+    # every eigenvalue that numpy places clearly off the imaginary axis is
+    # on the side they count
+    eqs = find_equilibria(p)
+    assert eqs.kind is EquilibriumKind.TRIPLE
+    ep, em = eqs.pair
+    dims = (ep.stable_dim, ep.unstable_dim, ep.center_dim)
+    assert (em.stable_dim, em.unstable_dim, em.center_dim) == dims
+    exact = _exact_pair_dims(p)
+    assert exact is None or dims == exact
+    origin = _exact_origin_dims(p)
+    if exact is not None and origin is not None:
+        cert = certificate(p)
+        if cert.converges_to_equilibria:
+            want = RegimeLabel.PROVABLY_REGULAR
+        elif cert.chaos_possible and exact[1] and origin[1]:
+            want = RegimeLabel.CHAOS_CANDIDATE
+        else:
+            want = RegimeLabel.UNDETERMINED
+        assert regime_classify(p) is want
+    if dims[2] == 0:
+        jac = np.array(jacobian(p, ep.location), dtype=float)
+        lams = np.linalg.eigvals(jac)
+        tol = 1e-12 * np.linalg.norm(jac)
+        assert sum(lam.real < -tol for lam in lams) <= dims[0]
+        assert sum(lam.real > tol for lam in lams) <= dims[1]
 
 
 @pytest.mark.parametrize(

@@ -205,24 +205,26 @@ def test_each_input_rule_has_one_owner():
     assert strays == []
 
 
-def test_the_origin_type_has_one_owner():
+def test_every_equilibrium_type_has_one_owner():
     # equilibria._origin_dims decides the origin's stable, unstable and
-    # center counts from the signs of q, r and b, and every reader of the
-    # origin's type calls it; CENTER_BAND decides only for E+-
-    center_band_readers, dims_callers = set(), set()
-    for path in sorted((ROOT / "src" / "lorenzlab").glob("*.py")):
-        for node, owner in _owned(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                isinstance(node, ast.Name)
-                and node.id == "CENTER_BAND"
-                and isinstance(node.ctx, ast.Load)
-            ):
-                center_band_readers.add(f"{path.name}:{owner}")
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "_origin_dims"
-            ):
-                dims_callers.add(owner)
-    assert center_band_readers == {"equilibria.py:_dims", "equilibria.py:_has_unstable"}
-    assert {"_origin_class", "find_equilibria", "_regime"} <= dims_callers
+    # center counts from the signs of q, r and b, and _pair_dims decides
+    # E+-'s from the Routh-Hurwitz signs of their cubic; every reader of
+    # either type calls its owner, and SIGN_BAND is the one band, so no
+    # file names a band for computed eigenvalues
+    stale = "CENTER" + "_BAND"  # joined here, so this file does not hold it
+    callers = {"_origin_dims": set(), "_pair_dims": set()}
+    for folder in ("src/lorenzlab", "tests"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert stale not in text, path.name
+            if folder == "tests":
+                continue
+            for node, owner in _owned(ast.parse(text)):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in callers
+                ):
+                    callers[node.func.id].add(owner)
+    assert {"_origin_class", "find_equilibria", "_regime"} <= callers["_origin_dims"]
+    assert {"find_equilibria", "_regime"} <= callers["_pair_dims"]
