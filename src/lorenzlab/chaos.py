@@ -200,7 +200,9 @@ def regime_classify(p: SystemParams) -> RegimeLabel:
     """
     cert = certificate(p)
     fields = (p.a, p.b, p.c, p.M, p.N, p.P)
-    label, _ = _regime(cert.converges_to_equilibria, cert.chaos_possible, None, fields)
+    label, _ = _regime(
+        cert.converges_to_equilibria, cert.chaos_possible, None, None, fields
+    )
     return label
 
 
@@ -208,16 +210,21 @@ def _regime(
     converges_to_equilibria: bool,
     chaos_possible: bool,
     parts: tuple | None,
+    origin: tuple[int, int, int] | None,
     fields: tuple[float, ...],
 ) -> tuple[RegimeLabel, tuple | None]:
     """(label, parts): the label of ``regime_classify`` from the
-    certificate's two flags of those names, and the cell's
-    equilibria._equilibrium_parts.
+    certificate's two flags of those names, the cell's
+    equilibria._equilibrium_parts, (kind, pair), and the origin's
+    _origin_dims counts.
 
-    ``parts`` is None until computed.  They are computed from ``fields``,
-    the six parameter floats, only when the certificate neither proves
-    convergence nor excludes chaos, and returned, so a sweep cell that
-    also writes its equilibria computes them once.
+    ``parts`` and ``origin`` are None until computed.  They are computed
+    from ``fields``, the six parameter floats, only when the label needs
+    them: the parts when the certificate neither proves convergence nor
+    excludes chaos, the origin's counts when E+- exist and one of them is
+    unstable.  The parts are returned, so a sweep cell that also writes
+    its equilibria computes them once; a cell that writes its origin class
+    passes the counts it formed for it.
     """
     if converges_to_equilibria:
         return _REGULAR, parts
@@ -227,7 +234,9 @@ def _regime(
                 parts = _equilibrium_parts(*fields)
             except DegenerateBError:
                 return _UNDETERMINED, None
-        if parts[2] is not None and _pair_dims(*fields)[1] and _origin_dims(*fields)[1]:
+        if parts[1] is not None and _pair_dims(*fields)[1] and (
+            origin or _origin_dims(*fields)
+        )[1]:
             return _CANDIDATE, parts
     return _UNDETERMINED, parts
 

@@ -17,10 +17,13 @@ the origin's spectrum, and -b is exact in it.
 
 E+- share one characteristic cubic, lambda^3 + c2 lambda^2 + c1 lambda + c0
 with c2 = a + b + 1 - N, c1 = b (a + c + M) and c0 = 2 a b d in the
-parameters alone (P, s and z drop out).  It is solved once, and its
-Routh-Hurwitz signs alone decide their type, in _pair_dims: c0 = 0 is the
-pitchfork and H = c2 c1 - c0 = 0 the Hopf boundary.  eigenvalues_at, the
-cubic at any point, is the independent check.
+parameters alone (P, s and z drop out).  Its Routh-Hurwitz signs alone
+decide their type, in _pair_dims: c0 = 0 is the pitchfork and H = c2 c1 -
+c0 = 0 the Hopf boundary.  find_equilibria, the one reader of either
+spectrum, solves the quadratic and the cubic once each; a sweep cell,
+which writes no spectrum, solves neither, and only checks that they lie
+within the float range.  eigenvalues_at, the cubic at any point, is the
+independent check.
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ def _origin_eigenvalues(
     a: float, b: float, N: float, d: float
 ) -> tuple[complex, complex, complex]:
     """origin_eigenvalues from the plain floats a, b, N and the offset
-    d = M + N + c - 1, which _equilibrium_parts forms once for both the
-    origin and the pair."""
+    d = M + N + c - 1.  It raises only where the discriminant bb^2 - 4 cc
+    is not finite, which _equilibrium_parts checks without solving it."""
     bb = a + 1.0 - N  # quadratic is lambda^2 + bb*lambda + cc
     cc = -a * d
     disc = bb * bb - 4.0 * cc
@@ -161,16 +164,15 @@ def classify_origin(p: SystemParams) -> OriginClass:
     directions, so NON_HYPERBOLIC rather than guessed.  b <= 0 falls
     outside every statement made about this family: it has its own label.
     """
-    return _origin_class(p.a, p.b, p.c, p.M, p.N, p.P)
+    return _origin_class(p.b, _origin_dims(p.a, p.b, p.c, p.M, p.N, p.P))
 
 
-def _origin_class(
-    a: float, b: float, c: float, M: float, N: float, P: float
-) -> OriginClass:
-    """classify_origin on the six parameter floats."""
+def _origin_class(b: float, dims: tuple[int, int, int]) -> OriginClass:
+    """classify_origin from b and the origin's _origin_dims counts, which a
+    sweep cell forms once for this label and its regime."""
     if b <= 0.0:
         return OriginClass.OUT_OF_HYPOTHESES
-    _, unstable, center = _origin_dims(a, b, c, M, N, P)
+    _, unstable, center = dims
     return OriginClass.NON_HYPERBOLIC if center else _BY_UNSTABLE[unstable]
 
 
@@ -219,14 +221,47 @@ _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 _NAN_ROOT = complex(math.nan, math.nan)
 
 
+def _depressed_cubic(
+    c2: float, c1: float, c0: float
+) -> tuple[float, float, float, float]:
+    """(shift, p, q, disc) of lambda^3 + c2 lambda^2 + c1 lambda + c0: the
+    substitution lambda = t - shift, shift = c2 / 3, gives t^3 + p t + q,
+    with discriminant disc = (q/2)^2 + (p/3)^3.
+
+    The one decision of the closed form's range: finite coefficients too
+    large for it raise ValueError, not OverflowError.  (q/2)^2 overflows
+    once |q| passes about 2.7e154, (p/3)^3 once |p| passes about 1.7e103,
+    and p or q itself once a product in it leaves the float range (c2 c2/3
+    once |c2| passes about 2.3e154), where the closed form would go on to
+    infinite roots.  Infinite coefficients give an infinite or NaN p, q or
+    disc and do not raise.
+    """
+    try:
+        shift = c2 / 3.0
+        pcoef = c1 - c2 * shift  # c1 - c2^2/3
+        qcoef = (2.0 * shift * shift - c1) * shift + c0  # 2 c2^3/27 - c1 c2/3 + c0
+        if not (math.isfinite(pcoef) and math.isfinite(qcoef)) and (
+            math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)
+        ):
+            raise OverflowError
+        return shift, pcoef, qcoef, (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
+    except OverflowError:
+        raise ValueError(
+            f"the characteristic cubic's coefficients ({c2!r}, {c1!r}, {c0!r}) "
+            "are beyond the float range"
+        ) from None
+
+
 def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     """Roots of lambda^3 + c2 lambda^2 + c1 lambda + c0 = 0.
 
-    Closed form on the depressed cubic: Cardano branch for one real root
-    plus a conjugate pair, trigonometric branch for three real roots.  The
-    real roots and the first of a pair then get one complex Newton step on
-    the original polynomial to shed the rounding accumulated through the
-    substitutions; the second of a pair is the first's exact conjugate.
+    Closed form on the depressed cubic (_depressed_cubic, which raises
+    ValueError for finite coefficients beyond its float range): Cardano
+    branch for one real root plus a conjugate pair, trigonometric branch
+    for three real roots.  The real roots and the first of a pair then get
+    one complex Newton step on the original polynomial to shed the
+    rounding accumulated through the substitutions; the second of a pair
+    is the first's exact conjugate.
 
     One test decides underflow: when |q| < 2^-511 and |p| < 2^-340, not
     both zero, both terms of the discriminant fall below the normal range
@@ -238,90 +273,71 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
     one root far from both, and polishing does not part them), so the
     cubic is split instead (see _split_cubic_roots).
 
-    A NaN coefficient gives three roots complex(nan, nan).  Finite
-    coefficients too large for the closed form raise ValueError, not
-    OverflowError: (q/2)^2 overflows once |q| passes about 2.7e154, (p/3)^3
-    once |p| passes about 1.7e103, and p or q itself once a product in it
-    leaves the float range.
+    A NaN coefficient gives three roots complex(nan, nan).
     """
     if c2 != c2 or c1 != c1 or c0 != c0:
         return [_NAN_ROOT, _NAN_ROOT, _NAN_ROOT]
-    try:
-        shift = c2 / 3.0
-        pcoef = c1 - c2 * shift  # c1 - c2^2/3
-        qcoef = (2.0 * shift * shift - c1) * shift + c0  # 2 c2^3/27 - c1 c2/3 + c0
-        if not (math.isfinite(pcoef) and math.isfinite(qcoef)) and (
-            math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)
-        ):
-            # a product overflowed (c2 c2/3 once |c2| passes about 2.3e154):
-            # the closed form would go on to infinite roots
-            raise OverflowError
-        disc = (qcoef / 2.0) ** 2 + (pcoef / 3.0) ** 3
-        if (
-            abs(qcoef) < 2.0**-511
-            and abs(pcoef) < 2.0**-340
-            and (pcoef != 0.0 or qcoef != 0.0)
-        ):
-            return _rescaled_cubic_roots(c2, c1, c0)
-        c2_sq = c2 * c2
-        if (
-            c2_sq < math.inf
-            and abs(c1) < 2.0**-8 * c2_sq
-            and abs(c0) < 2.0**-16 * c2_sq * abs(c2)
-        ):
-            return _split_cubic_roots(c2, c1, c0)
+    shift, pcoef, qcoef, disc = _depressed_cubic(c2, c1, c0)
+    if (
+        abs(qcoef) < 2.0**-511
+        and abs(pcoef) < 2.0**-340
+        and (pcoef != 0.0 or qcoef != 0.0)
+    ):
+        return _rescaled_cubic_roots(c2, c1, c0)
+    c2_sq = c2 * c2
+    if (
+        c2_sq < math.inf
+        and abs(c1) < 2.0**-8 * c2_sq
+        and abs(c0) < 2.0**-16 * c2_sq * abs(c2)
+    ):
+        return _split_cubic_roots(c2, c1, c0)
 
-        if disc > 0.0:
-            sq = math.sqrt(disc)
-            # pick the non-cancelling cube-root argument
-            if qcoef >= 0.0:
-                w = -qcoef / 2.0 - sq
-            else:
-                w = -qcoef / 2.0 + sq
-            u = math.copysign(abs(w) ** (1.0 / 3.0), w)
-            v = -pcoef / (3.0 * u) if u != 0.0 else 0.0
-            t_real = u + v
-            re = -t_real / 2.0
-            im = _HALF_SQRT3 * (u - v)
-            ts = [complex(t_real, 0.0), complex(re, im)]
-        elif pcoef < 0.0:
-            mfac = 2.0 * math.sqrt(-pcoef / 3.0)
-            # pcoef * mfac cannot underflow to 0: a tiny cubic was rescaled
-            # above, and a NaN qcoef here needs infinite coefficients
-            arg = 3.0 * qcoef / (pcoef * mfac)
-            arg = min(1.0, max(-1.0, arg))
-            phi = math.acos(arg)
-            ts = [
-                complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
-                for k in range(3)
-            ]
+    if disc > 0.0:
+        sq = math.sqrt(disc)
+        # pick the non-cancelling cube-root argument
+        if qcoef >= 0.0:
+            w = -qcoef / 2.0 - sq
         else:
-            # pcoef = qcoef = 0: the triple root -shift (and the NaN p or q
-            # of infinite coefficients)
-            t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
-            ts = [complex(t, 0.0)] * 3
+            w = -qcoef / 2.0 + sq
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        v = -pcoef / (3.0 * u) if u != 0.0 else 0.0
+        t_real = u + v
+        re = -t_real / 2.0
+        im = _HALF_SQRT3 * (u - v)
+        ts = [complex(t_real, 0.0), complex(re, im)]
+    elif pcoef < 0.0:
+        mfac = 2.0 * math.sqrt(-pcoef / 3.0)
+        # pcoef * mfac cannot underflow to 0: a tiny cubic was rescaled
+        # above, and a NaN qcoef here needs infinite coefficients
+        arg = 3.0 * qcoef / (pcoef * mfac)
+        arg = min(1.0, max(-1.0, arg))
+        phi = math.acos(arg)
+        ts = [
+            complex(mfac * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
+            for k in range(3)
+        ]
+    else:
+        # pcoef = qcoef = 0: the triple root -shift (and the NaN p or q
+        # of infinite coefficients)
+        t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
+        ts = [complex(t, 0.0)] * 3
 
-        abs_c2 = abs(c2)
-        abs_c1 = abs(c1)
-        polished = []
-        for t in ts:
-            z = t - shift
-            dp = (3.0 * z + 2.0 * c2) * z + c1
-            abs_z = abs(z)
-            scale = abs_z**2 + abs_c2 * abs_z + abs_c1
-            # 1e-8 * max(scale, 1.0), with max's choice for NaN and ties
-            if abs(dp) > 1e-8 * (1.0 if 1.0 > scale else scale):
-                z = z - (((z + c2) * z + c1) * z + c0) / dp
-            polished.append(z)
-        if disc > 0.0:
-            # keep the conjugate pair exactly conjugate
-            polished.append(polished[1].conjugate())
-        return polished
-    except OverflowError:
-        raise ValueError(
-            f"the characteristic cubic's coefficients ({c2!r}, {c1!r}, {c0!r}) "
-            "are beyond the float range"
-        ) from None
+    abs_c2 = abs(c2)
+    abs_c1 = abs(c1)
+    polished = []
+    for t in ts:
+        z = t - shift
+        dp = (3.0 * z + 2.0 * c2) * z + c1
+        abs_z = abs(z)
+        scale = abs_z**2 + abs_c2 * abs_z + abs_c1
+        # 1e-8 * max(scale, 1.0), with max's choice for NaN and ties
+        if abs(dp) > 1e-8 * (1.0 if 1.0 > scale else scale):
+            z = z - (((z + c2) * z + c1) * z + c0) / dp
+        polished.append(z)
+    if disc > 0.0:
+        # keep the conjugate pair exactly conjugate
+        polished.append(polished[1].conjugate())
+    return polished
 
 
 def _split_cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
@@ -456,29 +472,13 @@ def _pair_dims(
 
 _ORIGIN = State(0.0, 0.0, 0.0)
 _ORIGIN_ONLY, _TRIPLE, _CONTINUUM = EquilibriumKind  # faster to read than by class
+_NAN_CUBIC = (math.nan, math.nan, math.nan)
 
-_Spectrum = tuple[complex, complex, complex]
 
-
-def _equilibrium_parts(
-    a: float, b: float, c: float, M: float, N: float, P: float
-) -> tuple[EquilibriumKind, _Spectrum, tuple[float, float, _Spectrum] | None]:
-    """(kind, origin spectrum, pair) of find_equilibria, from the six
-    parameter floats, as plain values.
-
-    ``pair`` is (s, z, spectrum) for the TRIPLE kind, E+ being (s, s, z),
-    and None otherwise; ``spectrum`` is the one spectrum of E+ and E-, the
-    roots of the pair's closed-form cubic (see the module docstring), and
-    every spectrum is in the order of _spectral_order.  A coefficient
-    beyond the float range says nothing of the roots, so the cubic is then
-    solved as NaN, three NaN roots (_pair_dims counts three centers).
-    Raises as find_equilibria does.  The offset d is formed once, for the
-    origin's quadratic and the pair's cubic alike.  find_equilibria wraps
-    this; a sweep cell calls it on its six floats and builds no SystemParams.
-    """
-    if b == 0.0:
-        raise DegenerateBError("b = 0: equilibrium formulas are undefined")
-    d = M + N + c - 1.0
+def _origin_spectrum(
+    a: float, b: float, N: float, d: float
+) -> tuple[complex, complex, complex]:
+    """_origin_eigenvalues in the order of _spectral_order."""
     # -b placed into the quadratic's roots, which come ordered, where a
     # stable sort by _spectral_order would put it: after its ties, and
     # before a root of equal real part only if that has a positive
@@ -486,28 +486,62 @@ def _equilibrium_parts(
     q0, q1, minus_b = _origin_eigenvalues(a, b, N, d)
     m = minus_b.real
     if q0.real < m:
-        origin = (minus_b, q0, q1)
-    elif q1.real < m or (q1.real == m and q1.imag > 0.0):
-        origin = (q0, minus_b, q1)
-    else:
-        origin = (q0, q1, minus_b)
+        return (minus_b, q0, q1)
+    if q1.real < m or (q1.real == m and q1.imag > 0.0):
+        return (q0, minus_b, q1)
+    return (q0, q1, minus_b)
+
+
+def _pair_cubic(
+    a: float, b: float, c: float, M: float, N: float, d: float
+) -> tuple[float, float, float]:
+    """(c2, c1, c0) of E+-'s closed-form cubic (see the module docstring),
+    with c + M grouped as the field's cm.  A coefficient beyond the float
+    range says nothing of the roots, so the cubic is then NaN, which has
+    three NaN roots (_pair_dims counts three centers)."""
+    c2 = a + b + 1.0 - N
+    c1 = b * (a + (c + M))
+    c0 = 2.0 * a * b * d
+    if math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0):
+        return c2, c1, c0
+    return _NAN_CUBIC
+
+
+def _equilibrium_parts(
+    a: float, b: float, c: float, M: float, N: float, P: float
+) -> tuple[EquilibriumKind, tuple[float, float] | None]:
+    """(kind, pair) of find_equilibria, from the six parameter floats, as
+    plain values.
+
+    ``pair`` is (s, z) for the TRIPLE kind, E+ being (s, s, z), and None
+    otherwise.  No spectrum is solved here; find_equilibria, their one
+    reader, solves them.  This raises where find_equilibria does, in the
+    same order: DegenerateBError at b = 0, then the origin's quadratic,
+    whose solution can raise only where its discriminant is not finite
+    and is called only there, then for the TRIPLE kind the range of E+-'s
+    cubic (_depressed_cubic), which a NaN cubic never leaves.  A sweep
+    cell calls this on its six floats and builds no SystemParams.
+    """
+    if b == 0.0:
+        raise DegenerateBError("b = 0: equilibrium formulas are undefined")
+    d = M + N + c - 1.0
+    bb = a + 1.0 - N
+    cc = -a * d
+    if not math.isfinite(bb * bb - 4.0 * cc):
+        _origin_eigenvalues(a, b, N, d)  # rescaled, or refused
     one_minus_p = 1.0 - P
     if abs(one_minus_p) <= SIGN_BAND * (1.0 + abs(P)):
         scale = 1.0 + abs(M) + abs(N) + abs(c)
         if abs(d) <= SIGN_BAND * scale:
-            return _CONTINUUM, origin, None
-        return _ORIGIN_ONLY, origin, None
+            return _CONTINUUM, None
+        return _ORIGIN_ONLY, None
     s_sq = b * d / one_minus_p
     if s_sq > 0.0:
-        # c + M grouped as the field's cm
-        c2 = a + b + 1.0 - N
-        c1 = b * (a + (c + M))
-        c0 = 2.0 * a * b * d
-        if not (math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)):
-            c2 = c1 = c0 = math.nan
-        pair = (math.sqrt(s_sq), d / one_minus_p, _spectrum((c2, c1, c0)))
-        return _TRIPLE, origin, pair
-    return _ORIGIN_ONLY, origin, None
+        cubic = _pair_cubic(a, b, c, M, N, d)
+        if cubic is not _NAN_CUBIC:
+            _depressed_cubic(*cubic)
+        return _TRIPLE, (math.sqrt(s_sq), d / one_minus_p)
+    return _ORIGIN_ONLY, None
 
 
 def find_equilibria(p: SystemParams) -> EquilibriumSet:
@@ -520,23 +554,28 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     platform.  Its float residual may still be far from 0 at large d: that
     is rounding noise, not distance from the equilibrium.
     The origin's spectrum is origin_eigenvalues, in the order of
-    _spectral_order, counted by _origin_dims; E+- solve their cubic once,
-    and _pair_dims counts them by its Routh-Hurwitz signs.
+    _spectral_order, counted by _origin_dims; E+- solve their cubic
+    (_pair_cubic) once, and _pair_dims counts them by its Routh-Hurwitz
+    signs.
     Raises DegenerateBError when b = 0 (the z-equation loses its linear
     term and the closed forms above do not apply), and ValueError when the
     origin's quadratic or the cubic of E+- is beyond the float range of
-    its solution (see origin_eigenvalues and _cubic_roots).
+    its solution (see origin_eigenvalues and _depressed_cubic).
     The symmetric pair is constructed as (E+, S(E+)) so the two locations
     mirror each other exactly in floating point, and E- carries E+'s
-    spectrum, the same tuple.  The values come from _equilibrium_parts,
-    which a sweep cell reads without building these objects.
+    spectrum, the same tuple.  The kind and the locations, and every
+    error, come from _equilibrium_parts, which a sweep cell reads without
+    building these objects or solving a spectrum.
     """
     fields = (p.a, p.b, p.c, p.M, p.N, p.P)
-    kind, origin_eigs, pair = _equilibrium_parts(*fields)
+    kind, pair = _equilibrium_parts(*fields)
+    d = p.M + p.N + p.c - 1.0
+    origin_eigs = _origin_spectrum(p.a, p.b, p.N, d)
     origin = Equilibrium(_ORIGIN, origin_eigs, *_origin_dims(*fields))
     if pair is None:
         return EquilibriumSet(kind, origin, None)
-    s, z, eigs = pair
+    s, z = pair
+    eigs = _spectrum(_pair_cubic(p.a, p.b, p.c, p.M, p.N, d))
     plus_loc, dims = State(s, s, z), _pair_dims(*fields)
     minus = Equilibrium(apply_symmetry(plus_loc), eigs, *dims)
     return EquilibriumSet(kind, origin, (Equilibrium(plus_loc, eigs, *dims), minus))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .chaos import _LLE_WINDOW, _lle_windows, _regime, largest_lyapunov_exponent
-from .equilibria import _equilibrium_parts, _origin_class
+from .equilibria import _equilibrium_parts, _origin_class, _origin_dims
 from .errors import WorkerPoolError
 from .integrator import IntegratorSettings
 from .lyapunov import _certificate_columns
@@ -183,11 +183,12 @@ class SweepResult:
 # calls, taken from the objects, so the row's source names only what this
 # module imports.  The row looks each name up in this module's globals as
 # it runs, so a cell calls whatever the module holds under it then.
-_CERTIFICATE, _EQUILIBRIA, _ORIGIN_CLASS, _REGIME, _LLE = (
+_CERTIFICATE, _EQUILIBRIA, _ORIGIN_DIMS, _ORIGIN_CLASS, _REGIME, _LLE = (
     f.__name__
     for f in (
         _certificate_columns,
         _equilibrium_parts,
+        _origin_dims,
         _origin_class,
         _regime,
         largest_lyapunov_exponent,
@@ -204,12 +205,13 @@ def _row_source(tasks: tuple[str, ...], names: tuple[str, ...]) -> str:
     their names and runs the tasks inline in the spec's order, so an error
     row carries the first task that raises.  The closed forms take the six
     floats and write their columns from plain values (_certificate_columns,
-    _equilibrium_parts, _origin_class, _regime), so a cell builds no result
-    object; the lle task builds a SystemParams, for the integrator.  The
-    fields are floats (a SystemParams base, finite axis bounds); a
-    non-finite sum sends them through SystemParams, which names the first
-    non-finite field in the row's error or passes them on.  A certificate
-    that a task reads is computed first, into its column names.  The
+    _equilibrium_parts, _origin_dims, _origin_class, _regime), so a cell
+    builds no result object and solves no spectrum; the lle task builds a
+    SystemParams, for the integrator.  The fields are finite floats, as
+    SystemParams and SweepAxis refuse any other, so the row checks none.
+    A certificate that a task reads is computed first, into its column
+    names, and so are the origin's counts, ``origin``, when the row writes
+    the origin class: that label and the regime both read them.  The
     equilibria, ``parts``, start as None and are computed at most once, by
     whichever of the regime and equilibria tasks needs them first.  Enum
     labels are read through ``_value_``, which the ``value`` property
@@ -217,20 +219,20 @@ def _row_source(tasks: tuple[str, ...], names: tuple[str, ...]) -> str:
     values themselves; an exception becomes the row's error column.
     """
     fields = ", ".join(PARAM_NAMES)
-    body = [
-        f"if not math.isfinite({' + '.join(PARAM_NAMES)}):",
-        f"    SystemParams({fields})",
-        "parts = None",
-    ]
+    body = ["parts = None"]
     if "certificate" in tasks or "regime" in tasks:
         flags = ", ".join(_TASK_COLUMNS["certificate"])
         body.append(f"{flags} = {_CERTIFICATE}({fields})")
+    origin = "None"
+    if "origin_class" in tasks:
+        origin = "origin"
+        body.append(f"origin = {_ORIGIN_DIMS}({fields})")
     for task in tasks:
         if task == "equilibria":
             body += [
                 "if parts is None:",
                 f"    parts = {_EQUILIBRIA}({fields})",
-                "kind, _, pair = parts",
+                "kind, pair = parts",
                 "equilibria_kind = kind._value_",
                 "if pair is None:",
                 "    e_plus_x = e_plus_y = e_plus_z = None",
@@ -239,11 +241,11 @@ def _row_source(tasks: tuple[str, ...], names: tuple[str, ...]) -> str:
                 "    e_plus_z = pair[1]",
             ]
         elif task == "origin_class":
-            body.append(f"origin_class = {_ORIGIN_CLASS}({fields})._value_")
+            body.append(f"origin_class = {_ORIGIN_CLASS}(b, origin)._value_")
         elif task == "regime":
             body += [
-                f"label, parts = {_REGIME}("
-                f"converges_to_equilibria, chaos_possible, parts, ({fields}))",
+                f"label, parts = {_REGIME}(converges_to_equilibria, "
+                f"chaos_possible, parts, {origin}, ({fields}))",
                 "regime = label._value_",
             ]
         elif task == "lle":

@@ -31,7 +31,7 @@ from lorenzlab import (
     largest_lyapunov_exponent,
 )
 from lorenzlab.chaos import _VARIATIONAL_SOURCE, _regime
-from lorenzlab.equilibria import _equilibrium_parts, _origin_class
+from lorenzlab.equilibria import _equilibrium_parts, _origin_class, _origin_dims
 from lorenzlab.integrator import (
     _DWELL_CHECKS,
     _GROW_LIMIT,
@@ -484,18 +484,18 @@ def run_tasks(spec, fields: tuple[float, ...]) -> tuple:
         if task == "equilibria":
             if parts is None:
                 parts = _equilibrium_parts(a, b, c, M, N, P)
-            kind, _, pair = parts
+            kind, pair = parts
             if pair is not None:
                 s, z = pair[0], pair[1]
                 out += (kind._value_, s, s, z)
             else:
                 out += (kind._value_, None, None, None)
         elif task == "origin_class":
-            out.append(_origin_class(a, b, c, M, N, P)._value_)
+            out.append(_origin_class(b, _origin_dims(a, b, c, M, N, P))._value_)
         elif task == "certificate":
             out += columns
         elif task == "regime":
-            label, parts = _regime(columns[5], columns[7], parts, fields)
+            label, parts = _regime(columns[5], columns[7], parts, None, fields)
             out.append(label._value_)
         elif task == "lle":
             est = largest_lyapunov_exponent(

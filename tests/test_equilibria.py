@@ -41,8 +41,10 @@ from lorenzlab import (
 )
 from lorenzlab import chaos, equilibria
 from lorenzlab.equilibria import (
+    _NAN_CUBIC,
     _characteristic_cubic,
     _cubic_roots,
+    _depressed_cubic,
     _spectral_order,
     _spectrum,
 )
@@ -774,6 +776,52 @@ def test_an_overflowing_cubic_raises_a_value_error(cubic):
     assert str(raised.value) == str(expected.value)
 
 
+# coefficients of every magnitude up to the float range and beyond it
+_range_coefficient = st.one_of(
+    st.floats(allow_nan=False),
+    st.builds(
+        lambda sign, m, e: sign * m * 10.0**e,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.99),
+        st.integers(-320, 307),
+    ),
+    st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]),
+)
+
+
+@hsettings(max_examples=1000, deadline=None)
+@given(cubic=st.tuples(*[_range_coefficient] * 3))
+@example(cubic=(3e51, 0.0, 0.0))  # the split cubic, p = -3e102
+@example(cubic=(3e51, 1e100, 1e150))
+@example(cubic=(-3e51, 1e100, -1e150))
+# (p / 3) ** 3 either side of the float range's edge, |p| about 1.7e103
+@example(cubic=(7.1e51, 0.0, 0.0))
+@example(cubic=(7.2e51, 0.0, 0.0))
+@example(cubic=(0.0, 1.6e103, 0.0))
+@example(cubic=(0.0, -1.7e103, 0.0))
+# (q / 2) ** 2 either side of it, |q| about 2.7e154
+@example(cubic=(0.0, 0.0, 2.6e154))
+@example(cubic=(0.0, 0.0, -2.7e154))
+@example(cubic=(2.3e154, 1.76e308, 0.0))  # c2 c2/3 finite, q not
+@example(cubic=(1.7e308, 1.0, 1.0))
+@example(cubic=(1e-300, 1e-300, 1e-300))  # rescaled
+@example(cubic=(math.inf, 1.0, 1.0))  # infinite coefficients do not raise
+@example(cubic=(1.0, math.inf, -math.inf))
+@example(cubic=(-math.inf, math.inf, 0.0))
+def test_cubic_roots_raise_exactly_where_their_range_check_does(cubic):
+    # _depressed_cubic alone decides the closed form's float range: the
+    # solver raises its ValueError, with its text, and past it neither the
+    # polish nor the split overflows
+    try:
+        _depressed_cubic(*cubic)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _cubic_roots(*cubic)
+        assert str(raised.value) == str(exc)
+    else:
+        assert len(_cubic_roots(*cubic)) == 3
+
+
 @hsettings(max_examples=300, deadline=None)
 @given(p=st.builds(SystemParams, *[_param] * 6))
 # q = r = 0 and -b > 0 exactly: two center directions and one unstable
@@ -794,15 +842,17 @@ def test_equilibrium_spectra_match_their_exact_references(p):
     # counts of the exact signs of q, r and b, and E+- share the roots of
     # their closed-form cubic, held to the exact cubic of the float
     # parameters and to the cubic oracle, with the counts of the exact
-    # signs of d, e, c2 and h.  The cubic solved is logged, so an overflow
-    # can be traced to it
+    # signs of d, e, c2 and h.  The cubic is logged at its range check,
+    # which raises before any spectrum is solved, so an overflow can be
+    # traced to it; the check passes over a NaN cubic, and the solver
+    # checks the cubic it solves again
     solved = []
 
-    def logged_spectrum(cubic):
+    def logged_range_check(*cubic):
         solved.append(cubic)
-        return _spectrum(cubic)
+        return _depressed_cubic(*cubic)
 
-    with mock.patch.object(equilibria, "_spectrum", logged_spectrum):
+    with mock.patch.object(equilibria, "_depressed_cubic", logged_range_check):
         try:
             eqs = find_equilibria(p)
         except DegenerateBError:
@@ -834,7 +884,10 @@ def test_equilibrium_spectra_match_their_exact_references(p):
     if eqs.pair is None:
         assert solved == []
         return
-    (cubic,) = solved
+    # the range check's cubic, then the solver's; a rescaled cubic is
+    # checked a third time, scaled
+    cubic = solved[0] if solved else _NAN_CUBIC
+    assert solved == [] or solved[:2] == [cubic, cubic]
     ep, em = eqs.pair
     assert em.eigenvalues is ep.eigenvalues
     try:
@@ -1532,8 +1585,9 @@ def test_placed_origin_order_equals_the_sorted_spectrum(p):
     # objects, so a tie placed on the wrong side shows
     eigs = origin_eigenvalues(p)
     want = tuple(sorted(eigs, key=_spectral_order))
+    d = p.M + p.N + p.c - 1.0
     with mock.patch.object(equilibria, "_origin_eigenvalues", lambda *args: eigs):
-        _, origin, _ = equilibria._equilibrium_parts(p.a, p.b, p.c, p.M, p.N, p.P)
+        origin = equilibria._origin_spectrum(p.a, p.b, p.N, d)
     assert [id(z) for z in origin] == [id(z) for z in want]
     assert repr(find_equilibria(p).origin.eigenvalues) == repr(want)
 

@@ -210,21 +210,29 @@ def test_every_equilibrium_type_has_one_owner():
     # center counts from the signs of q, r and b, and _pair_dims decides
     # E+-'s from the Routh-Hurwitz signs of their cubic; every reader of
     # either type calls its owner, and SIGN_BAND is the one band, so no
-    # file names a band for computed eigenvalues
+    # file names a band for computed eigenvalues.  A sweep row's source is
+    # generated, so it is read as the row of every closed-form task
+    from lorenzlab.sweep import _row_source
+
     stale = "CENTER" + "_BAND"  # joined here, so this file does not hold it
     callers = {"_origin_dims": set(), "_pair_dims": set()}
+    row = _row_source(("equilibria", "origin_class", "certificate", "regime"), ("c",))
+    texts = [row]
     for folder in ("src/lorenzlab", "tests"):
         for path in sorted((ROOT / folder).glob("*.py")):
             text = path.read_text(encoding="utf-8")
             assert stale not in text, path.name
-            if folder == "tests":
-                continue
-            for node, owner in _owned(ast.parse(text)):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in callers
-                ):
-                    callers[node.func.id].add(owner)
-    assert {"_origin_class", "find_equilibria", "_regime"} <= callers["_origin_dims"]
+            if folder != "tests":
+                texts.append(text)
+    for text in texts:
+        for node, owner in _owned(ast.parse(text)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in callers
+            ):
+                callers[node.func.id].add(owner)
+    assert {"classify_origin", "find_equilibria", "_regime", "row"} <= callers[
+        "_origin_dims"
+    ]
     assert {"find_equilibria", "_regime"} <= callers["_pair_dims"]

@@ -14,7 +14,7 @@ import pytest
 import reference
 from hypothesis import example, given, settings as hsettings, strategies as st
 
-from lorenzlab import chaos
+from lorenzlab import chaos, equilibria
 from lorenzlab import (
     CertificateReport,
     DegenerateBError,
@@ -537,9 +537,9 @@ _AXIS_LAYOUTS = [
 
 
 def _assert_row_equals_the_frozen_cell(names, tasks):
-    """The generated row of one finite cell and one error row (a non-finite
-    axis value) equals the frozen per-cell evaluation's, at the columns'
-    width."""
+    """The generated row of one cell equals the frozen per-cell
+    evaluation's, at the columns' width.  A non-finite value never reaches
+    a row: SweepAxis refuses it as a bound and SystemParams as a base."""
     spec = SweepSpec(
         base=SystemParams(1.5, 0.5, 0.5, M=0.5, N=0.5, P=0.5),  # b < 2a
         axes=tuple(SweepAxis(name, 1.0, 2.0, 2) for name in names),
@@ -549,14 +549,16 @@ def _assert_row_equals_the_frozen_cell(names, tasks):
     )
     row = sweep._row(spec.tasks, names)
     base = dataclasses.astuple(spec.base)
-    finite, error = (1.5, 0.5)[: len(names)], (math.inf, 0.5)[: len(names)]
-    for values in (finite, error):
-        got = row(spec, base, values)
-        assert len(got) == len(spec.columns())
-        assert repr(got) == repr(reference.evaluate_cell((spec, values)))
-    assert row(spec, base, finite)[-1] is None
-    message = f"ValueError: parameter {names[0]} must be finite, got inf"
-    assert row(spec, base, error)[-1] == message
+    values = (1.5, 0.5)[: len(names)]
+    got = row(spec, base, values)
+    assert len(got) == len(spec.columns())
+    assert repr(got) == repr(reference.evaluate_cell((spec, values)))
+    assert got[-1] is None
+    with pytest.raises(ValueError, match="^axis start must be finite, got inf$"):
+        SweepAxis(names[0], math.inf, 2.0, 2)
+    message = f"^parameter {names[0]} must be finite, got inf$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(spec.base, **{names[0]: math.inf})
 
 
 def test_every_task_tuple_compiles_the_frozen_row():
@@ -655,6 +657,96 @@ def test_regime_on_certified_cells_never_finds_equilibria(monkeypatch):
     assert eq_calls == []
 
 
+def test_one_origin_type_per_cell(monkeypatch):
+    # the origin class and the regime read the one set of origin counts the
+    # row forms, on cells where the regime needs them (chaos candidates);
+    # counted wherever the sweep, the regime or the label could call it
+    dims_calls = []
+    original = equilibria._origin_dims
+
+    def counted(*args):
+        dims_calls.append(args)
+        return original(*args)
+
+    for module in (sweep, chaos, equilibria):
+        monkeypatch.setattr(module, "_origin_dims", counted, raising=False)
+    spec = SweepSpec(
+        base=SystemParams(10.0, 8.0 / 3.0, 0.5),
+        axes=(SweepAxis("c", 0.1, 0.9, 3), SweepAxis("M", -1.0, 37.0, 7)),
+        tasks=_SHARED_TASKS,
+    )
+    res = run_sweep(spec, workers=1)
+    assert all(row[-1] is None for row in res.rows)
+    assert {row[-2] for row in res.rows} == {"undetermined", "chaos_candidate"}
+    assert len(dims_calls) == spec.n_cells() == 21
+
+
+def test_a_pitchfork_sweep_solves_no_spectrum(monkeypatch):
+    # in the float range, a cell's closed forms check the origin's quadratic
+    # and E+-'s cubic without solving either: no column holds a spectrum
+    solved = []
+    for name in ("_cubic_roots", "_origin_eigenvalues"):
+        original = getattr(equilibria, name)
+
+        def counted(*args, _name=name, _original=original):
+            solved.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(equilibria, name, counted)
+    spec = SweepSpec(
+        base=SystemParams(10.0, 8.0 / 3.0, 0.5, N=0.5, P=0.25),
+        axes=(SweepAxis("c", -2.0, 30.0, 9), SweepAxis("M", -30.0, 37.0, 9)),
+        tasks=_SHARED_TASKS,
+    )
+    res = run_sweep(spec, workers=1)
+    assert all(row[-1] is None for row in res.rows)
+    assert {row[2] for row in res.rows} == {"origin_only", "triple"}
+    assert solved == []
+    # the public function still solves both
+    find_equilibria(SystemParams(10.0, 8.0 / 3.0, 28.0))
+    assert solved == ["_origin_eigenvalues", "_cubic_roots"]
+
+
+# parameters of every magnitude up to 1e308
+_wide_param = st.one_of(
+    st.floats(-1e308, 1e308, allow_nan=False),
+    st.builds(
+        lambda sign, m, e: sign * m * 10.0**e,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.99),
+        st.integers(-320, 307),
+    ),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+)
+
+
+@hsettings(max_examples=400, deadline=None)
+@given(p=st.builds(SystemParams, *[_wide_param] * 6))
+# E+-'s cubic with c2 = 3e51, split from its two small roots, and with
+# |p| either side of 1.7e103, where (p / 3) ** 3 leaves the float range
+@example(p=SystemParams(1.0, 1.0, 4e51, N=-3e51))
+@example(p=SystemParams(1.0, 1.0, 1.6e103))
+@example(p=SystemParams(1.0, 1.0, 1.7e103))
+@example(p=SystemParams(1.0, 1.0, 1e308))  # the origin's cc is -inf
+# the origin's larger root, about -a, overflows as it is scaled back
+@example(p=SystemParams(1.7e308, 1.0, 1e308))
+@example(p=SystemParams(1e154, 1.0, 1.0, M=2e154))  # -a d overflows, its roots not
+@example(p=SystemParams(1.0, 1e200, 1e200))  # a NaN cubic
+def test_a_rows_error_is_the_error_of_find_equilibria(p):
+    # the row checks the ranges find_equilibria solves in, in its order, so
+    # it raises where that does, with the same text, or writes its values
+    try:
+        eqs = find_equilibria(p)
+    except Exception as exc:  # noqa: BLE001 - the row must carry it
+        want = (None,) * 4 + (f"{type(exc).__name__}: {exc}",)
+    else:
+        plus = eqs.pair[0].location if eqs.pair is not None else (None,) * 3
+        want = (eqs.kind.value, *plus, None)
+    spec = SweepSpec(base=p, axes=(SweepAxis("c", p.c, p.c, 2),), tasks=("equilibria",))
+    rows = run_sweep(spec, workers=1).rows
+    assert [repr(row[1:]) for row in rows] == [repr(want)] * 2
+
+
 def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
     # the pitchfork map's tasks run on the six parameter floats and write
     # their columns from plain values
@@ -688,8 +780,8 @@ def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
     # a non-finite axis end is refused before any cell runs
     with pytest.raises(ValueError, match="^axis start must be finite, got inf$"):
         SweepAxis("c", math.inf, 1.0, 2)
-    # a finite cell whose six-field sum overflows (c = M = 1e308) goes
-    # through SystemParams, which passes it on to the closed forms
+    # a finite cell whose six-field sum overflows (c = M = 1e308) runs
+    # its closed forms too, with no SystemParams
     spec = _spec(
         base=SystemParams(10.0, 8.0 / 3.0, 0.5, M=1e308),
         axes=(SweepAxis("c", 1e308, 1.0, 2),),
@@ -699,7 +791,7 @@ def test_a_sweep_builds_no_result_object_per_cell(monkeypatch):
     rows = run_sweep(spec, workers=1).rows
     assert rows[0][-1].startswith("ValueError: the origin's characteristic quadratic")
     assert rows[1][-1] is None
-    assert built == ["SystemParams"]
+    assert built == []
     # and an lle cell builds one for the integrator
     spec = _spec(tasks=("lle",), lle_horizon=2.0, lle_transient=0.0)
     built.clear()
