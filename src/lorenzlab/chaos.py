@@ -132,7 +132,9 @@ def largest_lyapunov_exponent(
     the transient to the horizon.  Raises DivergedTrajectoryError when the
     base orbit blows up, stops making progress or spends more than
     ``settings.max_steps`` trial steps over the whole run; it names the
-    tangent instead when the base orbit alone completes the failed window.
+    tangent instead when the base orbit alone completes the failed window,
+    and says "tangent vector degenerated" when a window ends with a tangent
+    whose norm underflowed to 0 or is not finite.
     """
     # imported here, so regime_classify and suggest_anticontrol load no integrator
     from .integrator import IntegratorSettings, TrajectoryStatus, _drive

@@ -20,10 +20,10 @@ with c2 = a + b + 1 - N, c1 = b (a + c + M) and c0 = 2 a b d in the
 parameters alone (P, s and z drop out).  Its Routh-Hurwitz signs alone
 decide their type, in _pair_dims: c0 = 0 is the pitchfork and H = c2 c1 -
 c0 = 0 the Hopf boundary.  find_equilibria, the one reader of either
-spectrum, solves the quadratic and the cubic once each; a sweep cell,
-which writes no spectrum, solves neither, and only checks that they lie
-within the float range.  eigenvalues_at, the cubic at any point, is the
-independent check.
+spectrum, solves the quadratic and the cubic once each and sorts both
+spectra by _spectral_order; a sweep cell, which writes no spectrum, solves
+neither, and only checks that they lie within the float range.
+eigenvalues_at, the cubic at any point, is the independent check.
 """
 
 from __future__ import annotations
@@ -322,16 +322,12 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
         t = math.copysign(abs(qcoef) ** (1.0 / 3.0), -qcoef)
         ts = [complex(t, 0.0)] * 3
 
-    abs_c2 = abs(c2)
-    abs_c1 = abs(c1)
     polished = []
     for t in ts:
         z = t - shift
         dp = (3.0 * z + 2.0 * c2) * z + c1
-        abs_z = abs(z)
-        scale = abs_z**2 + abs_c2 * abs_z + abs_c1
-        # 1e-8 * max(scale, 1.0), with max's choice for NaN and ties
-        if abs(dp) > 1e-8 * (1.0 if 1.0 > scale else scale):
+        scale = abs(z) ** 2 + abs(c2) * abs(z) + abs(c1)
+        if abs(dp) > 1e-8 * max(scale, 1.0):
             z = z - (((z + c2) * z + c1) * z + c0) / dp
         polished.append(z)
     if disc > 0.0:
@@ -475,23 +471,6 @@ _ORIGIN_ONLY, _TRIPLE, _CONTINUUM = EquilibriumKind  # faster to read than by cl
 _NAN_CUBIC = (math.nan, math.nan, math.nan)
 
 
-def _origin_spectrum(
-    a: float, b: float, N: float, d: float
-) -> tuple[complex, complex, complex]:
-    """_origin_eigenvalues in the order of _spectral_order."""
-    # -b placed into the quadratic's roots, which come ordered, where a
-    # stable sort by _spectral_order would put it: after its ties, and
-    # before a root of equal real part only if that has a positive
-    # imaginary part, which q0, real or the lower of a pair, never has
-    q0, q1, minus_b = _origin_eigenvalues(a, b, N, d)
-    m = minus_b.real
-    if q0.real < m:
-        return (minus_b, q0, q1)
-    if q1.real < m or (q1.real == m and q1.imag > 0.0):
-        return (q0, minus_b, q1)
-    return (q0, q1, minus_b)
-
-
 def _pair_cubic(
     a: float, b: float, c: float, M: float, N: float, d: float
 ) -> tuple[float, float, float]:
@@ -553,10 +532,10 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     parameters wherever d does not cancel, with the same bits on every
     platform.  Its float residual may still be far from 0 at large d: that
     is rounding noise, not distance from the equilibrium.
-    The origin's spectrum is origin_eigenvalues, in the order of
-    _spectral_order, counted by _origin_dims; E+- solve their cubic
-    (_pair_cubic) once, and _pair_dims counts them by its Routh-Hurwitz
-    signs.
+    Both spectra are sorted by _spectral_order: the origin's is
+    origin_eigenvalues, counted by _origin_dims; E+-'s are the roots of
+    their cubic (_pair_cubic), solved once and counted by _pair_dims from
+    its Routh-Hurwitz signs.
     Raises DegenerateBError when b = 0 (the z-equation loses its linear
     term and the closed forms above do not apply), and ValueError when the
     origin's quadratic or the cubic of E+- is beyond the float range of
@@ -570,7 +549,7 @@ def find_equilibria(p: SystemParams) -> EquilibriumSet:
     fields = (p.a, p.b, p.c, p.M, p.N, p.P)
     kind, pair = _equilibrium_parts(*fields)
     d = p.M + p.N + p.c - 1.0
-    origin_eigs = _origin_spectrum(p.a, p.b, p.N, d)
+    origin_eigs = tuple(sorted(_origin_eigenvalues(p.a, p.b, p.N, d), key=_spectral_order))
     origin = Equilibrium(_ORIGIN, origin_eigs, *_origin_dims(*fields))
     if pair is None:
         return EquilibriumSet(kind, origin, None)

@@ -115,6 +115,21 @@ def test_lle_raises_when_the_error_estimate_overflows():
         )
 
 
+def test_lle_raises_when_the_tangent_degenerates():
+    # the origin's spectrum is about (-978, -1000, -1023): over one window of
+    # fixed RK4 steps the orbit and its tangent underflow to exactly 0, so the
+    # tangent has no length to renormalize
+    p = SystemParams(1000.0, 1000.0, 0.5, N=-1000.0)
+    with pytest.raises(DivergedTrajectoryError, match=r"^tangent vector degenerated$"):
+        largest_lyapunov_exponent(
+            p,
+            settings=IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=1e-3),
+            renorm_interval=1.0,
+            horizon=2.0,
+            transient=0.0,
+        )
+
+
 def test_max_steps_budgets_the_whole_lle_run(monkeypatch):
     """Trial steps of the transient and of every renormalization window
     count against one max_steps budget."""

@@ -280,6 +280,13 @@ CASES = [
     case("lle-diverged", ["lle", *BLOWUP, *SHORT_LLE], 3, EMPTY,
          "error: DivergedTrajectoryError: base orbit failed during window 0: "
          "diverged\n"),
+    # every origin direction contracts at about -1e3: within the first RK4
+    # window the orbit and its tangent underflow to 0
+    case("lle-degenerate-tangent",
+         ["lle", "--a", "1000", "--b", "1000", "--c", "0.5", "--N", "-1000",
+          "--mode", "fixed_rk4", "--dt", "1e-3", "--renorm-interval", "1",
+          "--horizon", "2", "--transient", "0"], 3, EMPTY,
+         "error: DivergedTrajectoryError: tangent vector degenerated\n"),
     case("equilibria-degenerate-b", ["equilibria", "--a", "1", "--b", "0", "--c", "2"],
          3, EMPTY,
          "error: DegenerateBError: b = 0: equilibrium formulas are undefined\n"),

@@ -139,6 +139,16 @@ def test_every_submodule_resolves_from_the_package():
     assert SUBMODULES == sorted(lorenzlab._EXPORTS)
 
 
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_submodule_resolves_as_an_attribute_after_a_bare_import(module):
+    # in this process earlier imports have bound every submodule already,
+    # so only a fresh one sees the package's __getattr__ import it
+    _fresh(
+        "import importlib, lorenzlab\n"
+        f"assert lorenzlab.{module} is importlib.import_module('lorenzlab.{module}')\n"
+    )
+
+
 @pytest.mark.parametrize("module", ["lorenzlab", *(f"lorenzlab.{m}" for m in SUBMODULES)])
 def test_each_module_imports_alone(module):
     _fresh(f"import {module}\n")

@@ -1580,14 +1580,13 @@ def test_an_overflowing_origin_constant_term_of_finite_factors_is_rescaled(p, wa
     ],
 )
 def test_placed_origin_order_equals_the_sorted_spectrum(p):
-    # find_equilibria places -b into the ordered quadratic pair where a
-    # stable sort by _spectral_order puts it, ties included: the same
-    # objects, so a tie placed on the wrong side shows
+    # find_equilibria orders the origin's spectrum as a stable sort by
+    # _spectral_order does, ties included: the same objects, so a tie
+    # placed on the wrong side shows
     eigs = origin_eigenvalues(p)
     want = tuple(sorted(eigs, key=_spectral_order))
-    d = p.M + p.N + p.c - 1.0
     with mock.patch.object(equilibria, "_origin_eigenvalues", lambda *args: eigs):
-        origin = equilibria._origin_spectrum(p.a, p.b, p.N, d)
+        origin = find_equilibria(p).origin.eigenvalues
     assert [id(z) for z in origin] == [id(z) for z in want]
     assert repr(find_equilibria(p).origin.eigenvalues) == repr(want)
 
