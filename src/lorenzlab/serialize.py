@@ -17,7 +17,7 @@ import operator
 import sys
 from pathlib import Path
 from types import NoneType
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .errors import UnsupportedFormatError
 from .model import State
@@ -87,20 +87,25 @@ def trajectory_csv(trajectory: Trajectory) -> str:
 _NONE_REPR = {"None": ""}
 
 
-def _column_texts(column: tuple, grid_text: Callable[[int], str | None]) -> list[str]:
+def _column_texts(column: tuple, axis: bool) -> list[str]:
     """_csv_cell of every value of one column, through C-level ``map``s
     picked by the column's types: exact types, so a subclass, or an int 1
-    beside True, takes the generic path."""
+    beside True, takes the generic path.  An ``axis`` column of floats
+    repeats each value as one object (see SweepResult), so it forms one
+    ``repr`` per object and looks each value up by its ``id``: the rows
+    keep every object alive, so distinct objects have distinct ids."""
     kinds = set(map(type, column))
     if kinds <= {bool, str, NoneType}:
         words = {v: _csv_cell(v) for v in set(column)}
         return list(map(words.__getitem__, column))
     if kinds <= {float, NoneType}:
-        if grid_text(id(column[0])) is not None:
-            texts = list(map(grid_text, map(id, column)))
-            if None not in texts:
-                return texts
-        texts = list(map(repr, column))
+        if axis:
+            ids = list(map(id, column))
+            objects = dict(zip(ids, column))
+            words = dict(zip(objects, map(repr, objects.values())))
+            texts = list(map(words.__getitem__, ids))
+        else:
+            texts = list(map(repr, column))
         return list(map(_NONE_REPR.get, texts, texts)) if NoneType in kinds else texts
     return list(map(_csv_cell, column))
 
@@ -109,14 +114,9 @@ def sweep_csv(result: SweepResult) -> str:
     """The sweep table as CSV: the header row, then one line per row.
 
     The table is rendered a column at a time (see _column_texts), and each
-    line is its row's texts joined.  A float column is looked up first in
-    a dict that maps the ``id`` of each of the spec's axis floats to its
-    ``repr``, formed once per call.  The lookup is exact, because the spec
-    (which the result holds) keeps those floats alive, and live objects
-    have distinct ids: a hit is that very float.  An inline run_sweep's
-    axis columns hit throughout; a column with any other float is written
-    with ``repr``, so pooled, reordered or hand-built rows render as
-    before.  A column whose values are the very objects of the column
+    line is its row's texts joined.  The first ``len(result.spec.axes)``
+    columns are the axis columns, whose floats are rendered once per
+    object.  A column whose values are the very objects of the column
     before it (E+'s y and x) reuses that column's texts.  Rows of unequal
     length, which only a hand-built result has, are rendered row by row.
     """
@@ -125,16 +125,14 @@ def sweep_csv(result: SweepResult) -> str:
     if len(widths) > 1 or 0 in widths:  # zip(*rows) would drop empty rows
         lines = [",".join(map(_csv_cell, row)) for row in rows]
     else:
-        grid_text = {
-            id(v): repr(v) for axis in result.spec._axis_values for v in axis
-        }.get
+        n_axes = len(result.spec.axes)
         texts: list[list[str]] = []
         prev: tuple = ()
-        for column in zip(*rows):
+        for k, column in enumerate(zip(*rows)):
             if prev and all(map(operator.is_, column, prev)):
                 texts.append(texts[-1])
             else:
-                texts.append(_column_texts(column, grid_text))
+                texts.append(_column_texts(column, k < n_axes))
             prev = column
         lines = list(map(",".join, zip(*texts)))
     return "\n".join([",".join(result.columns), *lines]) + "\n"

@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .chaos import _LLE_WINDOW, _lle_windows, _regime, largest_lyapunov_exponent
@@ -143,17 +143,11 @@ class SweepSpec:
         tasks = (c for task in self.tasks for c in _TASK_COLUMNS[task])
         return (*(ax.name for ax in self.axes), *tasks, "error")
 
-    # The grid, built once per spec rather than per cell (rebuilding the
-    # axis values per cell made a sweep quadratic in the axis length).  A
-    # cached property is not a dataclass field, so the sweep's JSON is
-    # unchanged.
-    @functools.cached_property
-    def _axis_values(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(ax.values()) for ax in self.axes)
-
     def cell_values(self, index: int) -> tuple[float, ...]:
-        """Axis values of the cell at flat position ``index``, in _rows' order."""
-        values = self._axis_values
+        """Axis values of the cell at flat position ``index``, in _rows'
+        order.  It forms the axes on each call; no path in the package
+        calls it."""
+        values = [ax.values() for ax in self.axes]
         if len(values) == 1:
             return (values[0][index],)
         i0, i1 = divmod(index, len(values[1]))
@@ -164,14 +158,14 @@ class SweepSpec:
 class SweepResult:
     """The sweep table: one tuple per cell, aligned with ``columns``.
 
-    An inline run_sweep starts each row with the very float objects of
-    ``spec``'s grid, as _rows walks it with ``itertools.product``, and a
-    row's E+ x and y are one float object.  sweep_csv renders the table a
-    column at a time: it forms each grid value's text once per call and
-    looks an axis column up by the float's ``id``, and it reuses the texts
-    of a column for a next column of the same objects.  Other rows
-    (pooled, reordered or hand-built) render the same, each float with its
-    own ``repr``.
+    _rows forms the grid once per call and walks it with
+    ``itertools.product``, so the rows of one call repeat each grid value
+    as one float object, and a row's E+ x and y are one float object.
+    sweep_csv renders the table a column at a time: it forms the text of
+    each float object of an axis column once, and it reuses the texts of a
+    column for a next column of the same objects.  Any rows (inline,
+    pooled, reordered or hand-built) render the same, each float as its
+    ``repr``.
     """
 
     spec: SweepSpec
@@ -274,7 +268,7 @@ def _row(tasks: tuple[str, ...], names: tuple[str, ...]) -> Callable[..., tuple]
     """The compiled row of one task tuple and axis layout, built on first
     use.  It runs with this module's globals, so it calls the closed forms
     this module holds at call time, and no spec stores it, so a spec
-    pickles as its fields and cached values."""
+    pickles as its fields."""
     namespace: dict = {}
     source = _row_source(tasks, names)
     exec(compile(source, "<sweep row>", "exec"), globals(), namespace)
@@ -285,12 +279,11 @@ def _rows(spec: SweepSpec, cells: range) -> list[tuple]:
     """The rows of ``spec``'s row-major cells ``cells``, a contiguous range.
 
     The one code that walks the grid and evaluates cells: it looks the row
-    up and forms the base's six floats once per call, and its rows hold
-    the grid's own float objects.
+    up and forms the base's six floats and the axes' values once per call.
     """
     row = _row(spec.tasks, tuple(ax.name for ax in spec.axes))
     base = tuple(getattr(spec.base, name) for name in PARAM_NAMES)
-    grid = itertools.product(*spec._axis_values)
+    grid = itertools.product(*(ax.values() for ax in spec.axes))
     values = itertools.islice(grid, cells.start, cells.stop)
     return list(map(row, itertools.repeat(spec), itertools.repeat(base), values))
 
@@ -299,8 +292,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every cell and assemble the table in grid order.
 
     Both paths evaluate cells through _rows.  An inline run calls it once
-    on the whole grid, so its rows hold the grid's own float objects (see
-    SweepResult).  A pool splits the grid into contiguous ranges of
+    on the whole grid.  A pool splits the grid into contiguous ranges of
     max(1, n // (4 * workers)) cells, maps _rows over them and joins their
     rows in grid order.
 
@@ -336,8 +328,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         chunks = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                # the spec's fields alone: its cached grid would ride in every task
-                parts = pool.map(functools.partial(_rows, replace(spec)), chunks)
+                parts = pool.map(functools.partial(_rows, spec), chunks)
                 rows = [row for part in parts for row in part]
         except BrokenProcessPool as exc:
             axes = " x ".join(

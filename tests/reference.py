@@ -14,6 +14,9 @@ wrote every cell of every row on its own, each float with its own ``repr``.
 evaluation from when it picked each cell's six floats through a template
 and ran the spec's tasks in a loop, before the row was generated per task
 tuple.
+
+``hopf_rho`` and ``hopf_offset`` are E+-'s Hopf locus, solved by hand from
+the Routh-Hurwitz condition of their characteristic cubic.
 """
 
 from __future__ import annotations
@@ -528,3 +531,30 @@ def evaluate_cell(args) -> tuple:
     except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
         message = f"{type(exc).__name__}: {exc}"
         return values + (None,) * (len(spec.columns()) - len(spec.axes) - 1) + (message,)
+
+
+def hopf_rho(a, b):
+    """rho = c + M above which E+- are unstable, for N = P = 0 and a > b + 1.
+
+    With N = P = 0 the system is classic Lorenz (sigma, r, beta) = (a, rho,
+    b).  At E+- the characteristic cubic is
+    lambda^3 + (a + b + 1) lambda^2 + b (a + rho) lambda + 2 a b (rho - 1).
+    For rho > 1 every coefficient is positive, so by Routh-Hurwitz all roots
+    lie in the left half-plane iff (a + b + 1) b (a + rho) > 2 a b (rho - 1),
+    i.e. rho (a - b - 1) < a (a + b + 3).
+    """
+    return a * (a + b + 3.0) / (a - b - 1.0)
+
+
+def hopf_offset(a, b, N):
+    """d = M + N + c - 1 above which E+- are unstable, for P < 1 and
+    a - b - 1 + N > 0.
+
+    With k = a + 1 - N, E+-'s characteristic cubic is lambda^3 + (k + b)
+    lambda^2 + b (d + k) lambda + 2 a b d, whatever P.  For d > 0 and k > 0
+    every coefficient is positive, so by Routh-Hurwitz all roots lie in
+    the left half-plane iff (k + b) b (d + k) > 2 a b d, i.e. d (a - b - 1
+    + N) < k (k + b).  N = P = 0 gives hopf_rho - 1.
+    """
+    k = a + 1.0 - N
+    return k * (k + b) / (a - b - 1.0 + N)

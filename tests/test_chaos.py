@@ -424,19 +424,6 @@ def test_regime_examples():
     )
 
 
-def _hopf_rho(a, b):
-    """rho = c + M above which E+- are unstable, for N = P = 0 and a > b + 1.
-
-    With N = P = 0 the system is classic Lorenz (sigma, r, beta) = (a, rho,
-    b).  At E+- the characteristic cubic is
-    lambda^3 + (a + b + 1) lambda^2 + b (a + rho) lambda + 2 a b (rho - 1).
-    For rho > 1 every coefficient is positive, so by Routh-Hurwitz all roots
-    lie in the left half-plane iff (a + b + 1) b (a + rho) > 2 a b (rho - 1),
-    i.e. rho (a - b - 1) < a (a + b + 3).
-    """
-    return a * (a + b + 3.0) / (a - b - 1.0)
-
-
 @hsettings(deadline=None, max_examples=300)
 @given(
     b=st.floats(0.05, 20.0),
@@ -449,7 +436,7 @@ def _hopf_rho(a, b):
 @example(b=8.0 / 3.0, gap=19.0 / 3.0, f=0.97, c=0.5)
 def test_pair_stability_follows_routh_hurwitz(b, gap, f, c):
     a = b + 1.0 + gap
-    rho_h = _hopf_rho(a, b)
+    rho_h = reference.hopf_rho(a, b)
     p = SystemParams(a, b, c, M=1.0 + f * (rho_h - 1.0) - c)
     rho = p.c + p.M
     assume(rho - 1.0 > 1e-6)
@@ -465,20 +452,6 @@ def test_pair_stability_follows_routh_hurwitz(b, gap, f, c):
         assert eq.stable_dim == (1 if unstable else 3)
     expected = RegimeLabel.CHAOS_CANDIDATE if unstable else RegimeLabel.UNDETERMINED
     assert regime_classify(p) is expected
-
-
-def _hopf_offset(a, b, N):
-    """d = M + N + c - 1 above which E+- are unstable, for P < 1 and
-    a - b - 1 + N > 0.
-
-    With k = a + 1 - N, E+-'s characteristic cubic is lambda^3 + (k + b)
-    lambda^2 + b (d + k) lambda + 2 a b d, whatever P.  For d > 0 and k > 0
-    every coefficient is positive, so by Routh-Hurwitz all roots lie in
-    the left half-plane iff (k + b) b (d + k) > 2 a b d, i.e. d (a - b - 1
-    + N) < k (k + b).  N = P = 0 gives _hopf_rho - 1.
-    """
-    k = a + 1.0 - N
-    return k * (k + b) / (a - b - 1.0 + N)
 
 
 def test_pair_stability_follows_routh_hurwitz_with_n_and_p():
@@ -498,7 +471,7 @@ def test_pair_stability_follows_routh_hurwitz_with_n_and_p():
         if not g > 0.05:
             continue
         c = float(rng.uniform(-5.0, 5.0))
-        d_h = _hopf_offset(a, b, N)
+        d_h = reference.hopf_offset(a, b, N)
         M = d_h + 1.0 - N - c
         scale_h = (1.0 + a + b + abs(N)) * (1.0 + a + abs(c) + abs(M)) + 2.0 * a * (
             1.0 + abs(M) + abs(N) + abs(c)

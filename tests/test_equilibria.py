@@ -50,6 +50,7 @@ from lorenzlab.equilibria import (
 )
 from lorenzlab.model import SIGN_BAND
 
+import reference
 import sampling
 
 
@@ -909,18 +910,19 @@ def test_equilibrium_spectra_match_their_exact_references(p):
 @st.composite
 def _cells_at_the_pair_loci(draw):
     """Cells at a log-uniform relative offset in [1e-14, 1e-6] from one of
-    E+-'s loci, with N and P varied: the Hopf offset d_H = k (k + b) / g,
-    k = a + 1 - N and g = a - b - 1 + N, where h = c2 e - 2 a d = -g (d -
-    d_H) changes sign, or the pitchfork d = 0, an offset relative to d's
-    scale there.  P is below 1 or above it, whichever gives the pair."""
+    E+-'s loci, with N and P varied: the Hopf offset d_H = k (k + b) / g
+    (reference.hopf_offset), k = a + 1 - N and g = a - b - 1 + N, where h
+    = c2 e - 2 a d = -g (d - d_H) changes sign, or the pitchfork d = 0, an
+    offset relative to d's scale there.  P is below 1 or above it,
+    whichever gives the pair."""
     a = draw(st.floats(0.5, 50.0))
     b = draw(st.floats(0.05, 20.0))
     c = draw(st.floats(-5.0, 5.0))
     N = draw(st.floats(-a / 2.0, 1.0 + a))
     offset = draw(st.sampled_from([-1.0, 1.0])) * draw(_log_uniform(1e-14, 1e-6))
-    k, g = a + 1.0 - N, a - b - 1.0 + N
+    g = a - b - 1.0 + N
     if draw(st.booleans()) and g != 0.0:
-        d = k * (k + b) / g * (1.0 + offset)
+        d = reference.hopf_offset(a, b, N) * (1.0 + offset)
     else:
         d = offset * (2.0 + abs(N) + abs(c))
     M = d + 1.0 - N - c

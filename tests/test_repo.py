@@ -140,6 +140,21 @@ def test_no_module_reads_trajectory_states():
     assert reads == []
 
 
+def test_no_module_reads_a_private_attribute():
+    # a private name is read where it is defined or imported by name; an
+    # attribute with one leading underscore reaches into another object's
+    # state (dunder names are the interpreter's)
+    reads = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted((ROOT / "src" / "lorenzlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+    assert reads == []
+
+
 def _is_number(node: ast.expr) -> bool:
     """Whether ``node`` is an int or float literal, signed or not."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):

@@ -511,6 +511,19 @@ def test_a_spec_built_from_lists_renders_as_one_built_from_tuples():
     assert sweep_csv(run_sweep(listed, workers=1)) == want
 
 
+def test_a_spec_holds_only_its_fields():
+    # a sweep, its CSV and cell_values leave nothing on the spec
+    spec = _spec(
+        axes=(SweepAxis("c", 0.5, 1.5, 4), SweepAxis("M", 0.0, 30.0, 3)),
+        tasks=_SHARED_TASKS,
+    )
+    before = pickle.dumps(spec)
+    sweep_csv(run_sweep(spec, workers=1))
+    spec.cell_values(5)
+    assert set(vars(spec)) == {f.name for f in dataclasses.fields(spec)}
+    assert pickle.dumps(spec) == before
+
+
 def test_a_swept_spec_still_pickles_and_pools_alike():
     # the pool pickles the spec once per chunk; the generated row is cached
     # in the module, not stored on the spec
@@ -895,7 +908,8 @@ class _PicklingExecutor(_InlineExecutor):
 
 
 def test_a_pool_task_carries_no_grid_table(monkeypatch):
-    # a spec caches its grid once read; a pool task must not ship it
+    # a pool task ships the spec's fields alone, as many bytes after an
+    # inline run of the spec as before it
     monkeypatch.setattr(_InlineExecutor, "started", [])
     monkeypatch.setattr(_InlineExecutor, "mapped", [])
     monkeypatch.setattr(_PicklingExecutor, "pickled", [])
@@ -988,9 +1002,9 @@ def test_sweep_csv_equals_the_frozen_row_wise_renderer(
     names, ends, counts, tasks, base, workers, data
 ):
     # 1-D and 2-D grids, a -0.0 start (next to a 0.0 in the examples) and
-    # huge bounds (error rows); rows from a pool hold copies of the grid's
-    # floats, so the grid text must match the row-wise text on misses as
-    # well as hits
+    # huge bounds (error rows); rows from a pool hold one copy of the grid's
+    # floats per chunk, so an axis column renders equal floats that are
+    # distinct objects
     spec = SweepSpec(base=base, axes=_axes(names, ends, counts), tasks=tasks)
     res = run_sweep(spec, workers=workers)
     assert sweep_csv(res) == reference.sweep_csv(res)
@@ -1013,8 +1027,8 @@ _GRID_SPEC = SweepSpec(
     axes=(SweepAxis("c", -0.0, 1.0, 4), SweepAxis("M", 1e308, -1e308, 3)),
     tasks=("origin_class",),
 )
-_GRID_FLOATS = [v for axis in _GRID_SPEC._axis_values for v in axis]
-# a cell of a hand-built row: the grid's own floats, equal copies of them,
+_GRID_FLOATS = [v for ax in _GRID_SPEC.axes for v in ax.values()]
+# a cell of a hand-built row: the grid's floats, equal copies of them,
 # other floats, ints (0 and 1 among them), booleans, None and strings with
 # commas and newlines, each once or twice in a row as the same object
 _hand_cell = st.one_of(
@@ -1050,6 +1064,12 @@ class _Label(str):
         ],
     ]
 )
+# rectangular, each an axis column rendered once per object: -0.0 and 0.0
+# as distinct objects, one float object repeated down the column, and a
+# float beside None
+@example(rows=[[(-0.0,), (None,)], [(0.0,), (True,)]])
+@example(rows=[[(_copy(2.5),), ("a",)]] * 3)
+@example(rows=[[(1.5,), (0.25,)], [(None,), (0.5,)]])
 @example(rows=[])
 @example(rows=[[(1.5,), (None,)], [(True,)], []])  # ragged
 def test_sweep_csv_renders_hand_built_rows_as_the_frozen_renderer(rows):
