@@ -49,6 +49,7 @@ _EXPORTS = {
         "Preset", "State", "SystemParams", "apply_symmetry", "from_preset", "jacobian",
         "vector_field",
     ),
+    "native": (),
     "orbits": (
         "Branch", "HeteroclinicResult", "branch_symmetry_deviation",
         "trace_heteroclinic", "unstable_direction_at_origin",

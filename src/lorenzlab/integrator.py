@@ -2,11 +2,13 @@
 
 Two modes: classical fixed-step RK4, and an adaptive Dormand-Prince 5(4)
 pair with the first-same-as-last optimization, propagating the 5th-order
-solution.  Everything is plain-float and sequential, so repeated runs with
-identical inputs produce bit-identical trajectories, and the mirrored
-initial condition S(u0) = (-x0, -y0, z0) produces the exactly mirrored
-trajectory (every floating-point operation involved is sign-symmetric;
-norms, error estimates and step-size decisions are invariant under S).
+solution.  Everything is plain IEEE double arithmetic, sequential, in one
+written order, so repeated runs with identical inputs produce
+bit-identical trajectories, on either of the loop's two builds below, and
+the mirrored initial condition S(u0) = (-x0, -y0, z0) produces the
+exactly mirrored trajectory (every floating-point operation involved is
+sign-symmetric; norms, error estimates and step-size decisions are
+invariant under S).
 
 The stepping loop is generated per field, per mode, per number of capture
 targets and per pair of unit-gain flags.  Each field (the 3-D model field
@@ -30,6 +32,18 @@ so a step allocates no GC-tracked object and never starts a collector
 pass.  A loop is compiled on its first use, never at import, and cached
 for the process.
 
+A run that records nothing and tracks no target (today the exponent's
+windows and its base-orbit diagnosis) runs instead on the same loop
+written in C (``lorenzlab.native``) where a C compiler is on PATH.  Its
+step is the same ``_stage`` / ``_rk4_block`` / ``_dp54_block`` text, each
+assignment of which is also a C statement on doubles, compiled so that C
+evaluates it as written, and it squares through libm's ``pow`` as
+CPython's ``** 2`` does, so its outputs are the Python loop's bits.  It
+is used only after a probe run gives the Python loop's result bit for
+bit.  With no compiler, a failed build or load, or a probe that differs,
+those runs stay on the Python loop; recorded and targeted runs always
+take it.
+
 What is frozen, because every output bit depends on it:
 
 - the operation order: each stage is s[i] + dt * (a1 * k1[i] + a2 *
@@ -46,7 +60,7 @@ What is frozen, because every output bit depends on it:
 
 Reordering any of this changes trajectories, exponents and golden
 outputs; the parity tests hold the loop to a generic reference step and a
-frozen reference loop bit for bit.
+frozen reference loop bit for bit, and its C build to both loops.
 
 ``_drive`` is the one entry point for every caller.  The initial state
 and each accepted state pass one stop policy, in order: record it,
@@ -318,12 +332,16 @@ _TRIAL_GUARD = """\
 {pad}attempts += 1
 """
 
+# RK4's step sizes from dt_eff: formed once per run from dt, and again from
+# the span's remainder for a last step shorter than dt.
+_RK4_SIZES = "half_dt_eff = 0.5 * dt_eff; sixth_dt_eff = dt_eff / 6.0"
+
 # Fixed RK4: every step is accepted.  ``{step}`` advances s0, s1, ... by
 # dt_eff, dt as formed once per run, or the span's remainder where that is
 # shorter, which is always the run's last step.
 _FIXED_ADVANCE = """\
         if remaining < dt:
-            dt_eff = remaining; half_dt_eff = 0.5 * dt_eff; sixth_dt_eff = dt_eff / 6.0
+            dt_eff = remaining; {sizes}
 {guard}\
         {step}"""
 
@@ -397,10 +415,13 @@ def _rk4_block(field_source: _FieldSource) -> str:
     )
 
 
-def _dp54_block(field_source: _FieldSource) -> str:
+def _dp54_block(field_source: _FieldSource, square: str = "{} ** 2") -> str:
     """One DP54 trial step from s0, s1, ... with first stage k1_0, k1_1, ...
     by dt_eff: the proposal w0, w1, ..., its field k7_0, k7_1, ... and the
-    error estimate err.  Only err's ``** 2`` can raise (OverflowError)."""
+    error estimate err.  Only err's ``** 2`` can raise (OverflowError).
+
+    ``square`` spells the square of each parenthesized error component;
+    the native loop passes its own spelling of ``** 2``."""
     n = len(field_source)
 
     def weighted(coeffs: tuple[float, ...], i: int) -> str:
@@ -412,7 +433,9 @@ def _dp54_block(field_source: _FieldSource) -> str:
     for k, coeffs in enumerate((*_A, _B), 2):
         lines += [f"w{i} = s{i} + dt_eff * ({weighted(coeffs, i)})" for i in range(n)]
         lines.append(_stage(field_source, k, "w"))
-    err = " + ".join(f"(dt_eff * ({weighted(_E, i)})) ** 2" for i in range(n))
+    err = " + ".join(
+        square.format(f"(dt_eff * ({weighted(_E, i)}))") for i in range(n)
+    )
     lines.append(f"err = sqrt({err})")
     return "; ".join(lines)
 
@@ -451,9 +474,11 @@ def _loop_source(
     else:
         targets = dwell = clamp = ""
     if mode is IntegratorMode.FIXED_RK4:
-        init = "dt_eff = dt; half_dt_eff = 0.5 * dt_eff; sixth_dt_eff = dt_eff / 6.0"
+        init = f"dt_eff = dt; {_RK4_SIZES}"
         advance = _FIXED_ADVANCE.format(
-            guard=_TRIAL_GUARD.format(s=s, pad=" " * 8), step=_rk4_block(field_source)
+            sizes=_RK4_SIZES,
+            guard=_TRIAL_GUARD.format(s=s, pad=" " * 8),
+            step=_rk4_block(field_source),
         )
     else:
         init = _stage(field_source, 1, "s")
@@ -555,7 +580,13 @@ def _drive(
     ``p`` from u0 over [0, t_end], in the mode of ``settings``.
 
     The loop is the one generated for this field, mode and number of
-    targets (compiled on first use), called with the grouped constants of
+    targets (compiled on first use).  A run without ``targets`` and
+    without ``record`` takes its native build (``native._kernel``) where
+    one was built and passed its probe: the same step text compiled from
+    C, returning the Python loop's 7-tuple with the same bits, and
+    ``times`` and ``columns`` empty as they are unrecorded.  Otherwise, and
+    always for recorded or targeted runs, the Python loop runs.  Either is
+    called with the grouped constants of
     :func:`lorenzlab.model.vector_field`: cm = c + M, n1 = N - 1,
     pp = 1 - P and nb = -b, and with each target coordinate's
     ``_reach_bounds`` for ``_capture_reach(capture_radius)``.  Where n1 is
@@ -590,13 +621,19 @@ def _drive(
     n1, pp = p.N - 1.0, 1.0 - p.P
     reach = _capture_reach(capture_radius)
     bounds = [b for tgt in targets or () for v in tgt for b in _reach_bounds(v, reach)]
-    loop = _loop(
-        field_source,
-        settings.mode,
-        0 if targets is None else len(targets),
-        n1 == -1.0,
-        pp == 1.0,
-    )
+    loop = None
+    if targets is None and not record:
+        from .native import _kernel
+
+        loop = _kernel(field_source, settings.mode, n1 == -1.0, pp == 1.0)
+    if loop is None:
+        loop = _loop(
+            field_source,
+            settings.mode,
+            0 if targets is None else len(targets),
+            n1 == -1.0,
+            pp == 1.0,
+        )
     status, s, dt, attempts, times, columns, captured = loop(
         p.a, p.b, p.c + p.M, n1, pp, -p.b,
         u0, t_end, settings.dt_init if dt_start is None else dt_start, attempts,

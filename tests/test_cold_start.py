@@ -4,7 +4,9 @@ numpy is imported only by ``model.jacobian``, and the process pool by
 ``run_sweep`` with more than one worker, which by default only a sweep
 with the "lle" task gets.  Everything else, the CLI's import, the
 equilibria of any cell and a closed-form CLI sweep included, must run
-without them, since they are about half of every cold start.
+without them, since they are about half of every cold start.  ctypes and
+subprocess, which build and load the native stepping loop, load with an
+exponent run and with nothing before it.
 
 The package's own modules load the same way: ``import lorenzlab`` loads
 none of them, each CLI command imports the computations it runs, and
@@ -22,6 +24,7 @@ import pytest
 import lorenzlab
 
 HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+NATIVE = ("ctypes", "subprocess")
 
 SCRIPT = f"""
 import contextlib
@@ -30,7 +33,7 @@ import json
 import sys
 
 def heavy():
-    return [m for m in {HEAVY!r} if m in sys.modules]
+    return [m for m in {HEAVY + NATIVE!r} if m in sys.modules]
 
 seen = dict()
 import lorenzlab.cli
@@ -49,12 +52,6 @@ rows = run_sweep(spec, workers=1).rows
 assert sum(row[1] == "triple" for row in rows) == 8, rows
 seen["inline sweep"] = heavy()
 
-est = largest_lyapunov_exponent(
-    SystemParams(10.0, 8.0 / 3.0, 28.0), horizon=20.0, transient=5.0
-)
-assert est.lambda1 > 0.0, est
-seen["classic-Lorenz LLE"] = heavy()
-
 # a pair whose float residual is far above rounding noise at this scale
 suggestion = suggest_anticontrol(10.0, 8.0 / 3.0, 0.5, margin=1e6)
 assert find_equilibria(suggestion.params).kind.value == "triple", suggestion
@@ -67,6 +64,13 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     assert lorenzlab.cli.main(argv) == 0
 assert len(json.loads(out.getvalue())["rows"]) == 3, out.getvalue()
 seen["closed-form CLI sweep"] = heavy()
+
+# last: the exponent loads the native loop's modules
+est = largest_lyapunov_exponent(
+    SystemParams(10.0, 8.0 / 3.0, 28.0), horizon=20.0, transient=5.0
+)
+assert est.lambda1 > 0.0, est
+seen["classic-Lorenz LLE"] = heavy()
 print(json.dumps(seen))
 """
 
@@ -82,9 +86,9 @@ def test_default_paths_load_neither_numpy_nor_the_pool():
     assert json.loads(proc.stdout) == {
         "import lorenzlab.cli": [],
         "inline sweep": [],
-        "classic-Lorenz LLE": [],
         "anticontrol equilibria": [],
         "closed-form CLI sweep": [],
+        "classic-Lorenz LLE": list(NATIVE),
     }
 
 

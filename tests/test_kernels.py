@@ -12,24 +12,40 @@ tolerance rejects it, and DP54's carried stage k7 through the second step.
 The gains N and P are drawn at 0 and at 1e-300 as well as anywhere in
 [-50, 50], so each loop with n1 = -1.0 or pp = 1.0 folded in is held to
 the generic steps, which multiply by both constants.
+
+The native loop, which runs every unrecorded and untargeted run where a C
+compiler is on PATH, is held to the generated Python loop in every field
+of ``_drive``'s result and to the frozen reference loop, over whole runs:
+each field, mode and pair of unit-gain flags, each stop, and histories of
+more than 1 000 trial steps, which square hundreds of doubles whose ``**
+2`` differs from ``x * x``.  Where a kernel cannot be built or trusted,
+the run falls back to the Python loop with the same bits.
 """
 
+import ctypes
 import itertools
 import math
+import os
 import re
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st, target
 
+import lorenzlab
 from lorenzlab import (
     IntegratorMode,
     IntegratorSettings,
     SystemParams,
+    TrajectoryStatus,
     apply_symmetry,
     largest_lyapunov_exponent,
     vector_field,
 )
+from lorenzlab import native
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
 from lorenzlab.integrator import _drive, _fold_unit_gains
 from lorenzlab.model import _FIELD_SOURCE
@@ -214,3 +230,293 @@ def test_adaptive_step_of_a_mirrored_seed_is_mirrored(p, s, dt):
 def test_default_classic_lorenz_exponent_is_pinned():
     est = largest_lyapunov_exponent(SystemParams(10.0, 8.0 / 3.0, 28.0))
     assert repr(est.lambda1) == "0.9143700698706513"
+
+
+# ------------------------------------ the native loop, against both loops
+
+needs_cc = pytest.mark.skipif(native._compiler() is None, reason="no C compiler on PATH")
+
+CLASSIC = SystemParams(10.0, 8.0 / 3.0, 28.0)
+_AXES = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+_BY_DIM = {len(source): source for source in FIELDS.values()}
+# (N, P) giving each pair of unit-gain flags (n1 = -1.0, pp = 1.0)
+_FOLDS = {(True, True): (0.0, 0.0), (True, False): (0.0, 0.5),
+          (False, True): (0.5, 0.0), (False, False): (0.5, 0.5)}
+
+
+def _unit_gains(p):
+    return p.N - 1.0 == -1.0, 1.0 - p.P == 1.0
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    """Every native kernel the tests below run, built before any of them
+    starts, so no Hypothesis example pays for a compile."""
+    if native._compiler() is not None:
+        for source, mode, unit in itertools.product(
+            FIELDS.values(), IntegratorMode, _FOLDS
+        ):
+            assert native._kernel(source, mode, *unit) is not None
+
+
+def _native_parity(source, p, u0, settings, t_end, steps=None, **kwargs):
+    """The unrecorded, untargeted ``_drive`` run on the native loop ends as
+    on the generated Python loop, in every field of its result, and as the
+    frozen reference loop on ``steps`` (the generic steps of ``source`` by
+    default), in every field a caller reads.  Returns the native run."""
+    assert native._kernel(source, settings.mode, *_unit_gains(p)) is not None
+    got = _drive(source, p, u0, settings, t_end, record=False, **kwargs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(native, "_kernel", lambda *key: None)
+        python = _drive(source, p, u0, settings, t_end, record=False, **kwargs)
+    assert repr(got) == repr(python)
+    want = reference.drive(steps or reference.kernels(source, p), u0, settings,
+                           t_end, record=False, **kwargs)
+    assert reference.read_fields(got) == reference.read_fields(want)
+    return got
+
+
+def _case(dim, p, start, mode=IntegratorMode.ADAPTIVE, t_end=10.0, dt_start=None,
+          attempts=0, **settings):
+    u0 = (*start, *_AXES[: dim - 3])
+    return (_BY_DIM[dim], p, u0, IntegratorSettings(mode=mode, **settings), t_end,
+            dict(dt_start=dt_start, attempts=attempts))
+
+
+_ADAPTIVE, _RK4 = IntegratorMode.ADAPTIVE, IntegratorMode.FIXED_RK4
+_MAX = sys.float_info.max
+_GROWING = SystemParams(10.0, 8.0 / 3.0, 28.0, N=15.0)  # trace 15 - 1 - a - b > 0
+_ONES = (1.0, 1.0, 1.0)
+
+# each stop of the loop, with the status it must end on and the least
+# number of trial steps it must take
+_STOPS = {
+    # the norm passes blowup_norm after hundreds of accepted steps
+    "blowup-adaptive": (_case(6, _GROWING, _ONES, t_end=50.0, blowup_norm=1e3),
+                        TrajectoryStatus.DIVERGED, 500),
+    "blowup-rk4": (_case(12, _GROWING, _ONES, _RK4, t_end=50.0, dt_init=1e-2,
+                         blowup_norm=1e3), TrajectoryStatus.DIVERGED, 60),
+    "nan-start": (_case(6, CLASSIC, (math.nan, 0.0, 1.0)),
+                  TrajectoryStatus.DIVERGED, 0),
+    # a finite error component squared beyond the float range: DIVERGED
+    # at the start, which no step was accepted from
+    "square-overflows-3d": (_case(3, CLASSIC, (1e100,) * 3, t_end=1.0, dt_init=1e-30,
+                                  blowup_norm=_MAX), TrajectoryStatus.DIVERGED, 1),
+    "square-overflows-6d": (_case(6, CLASSIC, (1e100,) * 3, t_end=1.0, dt_init=1e-80,
+                                  blowup_norm=_MAX), TrajectoryStatus.DIVERGED, 1),
+    "square-overflows-12d": (_case(12, CLASSIC, (1e100,) * 3, t_end=1.0,
+                                   dt_init=1e-30, blowup_norm=_MAX),
+                             TrajectoryStatus.DIVERGED, 1),
+    # a budget that earlier windows have mostly spent
+    "shared-budget": (_case(6, CLASSIC, _ONES, max_steps=60, attempts=50),
+                      TrajectoryStatus.STEP_LIMIT, 60),
+    "shared-budget-rk4": (_case(3, CLASSIC, _ONES, _RK4, dt_init=1e-2, max_steps=60,
+                                attempts=50), TrajectoryStatus.STEP_LIMIT, 60),
+    # a budget beyond int64, clamped where no run reaches it; more than a
+    # thousand trial steps in each field and mode
+    "huge-budget-3d": (_case(3, CLASSIC, _ONES, max_steps=10**30),
+                       TrajectoryStatus.COMPLETED_TSPAN, 1000),
+    "huge-budget-6d": (_case(6, CLASSIC, _ONES, max_steps=10**30),
+                       TrajectoryStatus.COMPLETED_TSPAN, 1000),
+    "huge-budget-12d": (_case(12, CLASSIC, _ONES, max_steps=10**30),
+                        TrajectoryStatus.COMPLETED_TSPAN, 1000),
+    "huge-budget-6d-rk4": (_case(6, CLASSIC, _ONES, _RK4, dt_init=1e-2,
+                                 max_steps=10**30),
+                           TrajectoryStatus.COMPLETED_TSPAN, 1000),
+    "huge-budget-12d-rk4": (_case(12, CLASSIC, _ONES, _RK4, dt_init=1e-2,
+                                  max_steps=10**30),
+                            TrajectoryStatus.COMPLETED_TSPAN, 1000),
+    # unit gains folded out of the 6-D field, and kept in it
+    "folds-6d": (_case(6, SystemParams(10.0, 8.0 / 3.0, 28.0, N=0.5, P=0.5), _ONES,
+                       t_end=12.0),
+                 TrajectoryStatus.COMPLETED_TSPAN, 1000),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(_STOPS))
+def test_native_loop_ends_every_stop_as_both_python_loops(name, kernels):
+    (source, p, u0, settings, t_end, kwargs), status, least = _STOPS[name]
+    got = _native_parity(source, p, u0, settings, t_end, **kwargs)
+    assert got.status is status and got.attempts >= least
+    if name.startswith("square-overflows"):
+        assert got.state == u0 and got.attempts > kwargs["attempts"]
+
+
+# x' = x^2 from x = 1 leaves every bound at t = 1, so the adaptive step
+# shrinks until t + dt_eff == t: STEP_LIMIT with the budget unspent
+_BLOWUP = (("x", "{x} * {x}"), ("y", "0.0"), ("z", "0.0"))
+
+
+def _blowup_rhs(s):
+    return s[0] * s[0], 0.0, 0.0
+
+
+@needs_cc
+def test_native_loop_stalls_where_the_step_no_longer_advances_t():
+    steps = reference.Kernels(
+        rhs=_blowup_rhs,
+        dp54=lambda s, k1, dt: reference.dp54_step(_blowup_rhs, s, k1, dt),
+        rk4=None,
+        norm=reference.norm,
+    )
+    settings = IntegratorSettings(blowup_norm=1e300)
+    got = _native_parity(_BLOWUP, CLASSIC, (1.0, 0.0, 0.0), settings, 2.0, steps)
+    assert got.status is TrajectoryStatus.STEP_LIMIT
+    assert got.attempts < settings.max_steps and got.dt < 1e-15
+
+
+@st.composite
+def _native_cases(draw):
+    # gains N < 1 and P < 1, where every orbit of the model field stays in
+    # a ball, so no run spends its budget on a base orbit that grows
+    # without bound; the tangents may still pass blowup_norm
+    unit_n1, unit_pp = draw(st.sampled_from(sorted(_FOLDS)))
+    gain = st.floats(-2.0, 0.9).filter(lambda v: 1.0 - v != 1.0)
+    N = draw(st.sampled_from([0.0, 1e-300]) if unit_n1 else gain)
+    P = draw(st.sampled_from([0.0, 1e-300]) if unit_pp else gain)
+    p = SystemParams(draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 5.0)),
+                     draw(st.floats(0.0, 40.0)), M=draw(st.floats(-5.0, 5.0)), N=N, P=P)
+    blowup_norm = draw(st.sampled_from([1e3, 1e6, 1e300]))
+    kind = draw(st.sampled_from(["any", "any", "any", "diverged", "nan"]))
+    if kind == "any":
+        start = draw(st.tuples(*[st.floats(-20.0, 20.0)] * 3))
+    elif kind == "diverged":
+        # beyond blowup_norm at the start
+        start = (draw(st.sampled_from([2e6, -1e200, math.inf])), 1.0, 1.0)
+        blowup_norm = min(blowup_norm, 1e6)
+    else:
+        start = (math.nan, 0.0, 1.0)
+    return _case(
+        draw(st.sampled_from(sorted(_BY_DIM))),
+        p,
+        start,
+        draw(st.sampled_from(list(IntegratorMode))),
+        t_end=draw(st.sampled_from([0.5, 2.0, 5.0])),
+        dt_start=draw(st.one_of(st.none(), st.floats(1e-4, 0.05))),
+        attempts=draw(st.integers(0, 40)),
+        dt_init=draw(st.sampled_from([1e-2, 0.05])),
+        max_steps=draw(st.sampled_from([1, 60, 10**6, 10**30])),
+        blowup_norm=blowup_norm,
+    )
+
+
+@needs_cc
+@hsettings(max_examples=100, deadline=None)
+@given(case=_native_cases())
+def test_native_loop_matches_both_python_loops(case, kernels):
+    source, p, u0, settings, t_end, kwargs = case
+    got = _native_parity(source, p, u0, settings, t_end, **kwargs)
+    target(float(got.attempts), label="trial steps")
+
+
+# ------------------------------------------------- falling back to Python
+
+
+def _clear_kernels():
+    native._compiler.cache_clear()
+    native._kernel.cache_clear()
+
+
+@pytest.fixture
+def fresh_kernels():
+    """No compiler looked up and no kernel built, before the test and after."""
+    _clear_kernels()
+    yield
+    _clear_kernels()
+
+
+def _wrong_build(calls):
+    """A stand-in for ``native._build`` whose loop ends every run at the
+    origin, counting its calls: its probe run must disagree."""
+
+    def build(compiler, source, n):
+        def loop(*args):
+            calls.append(args)
+            return (TrajectoryStatus.COMPLETED_TSPAN, (0.0,) * n, 1.0, 0, [],
+                    tuple([] for _ in range(n)), None)
+
+        return loop
+
+    return build
+
+
+def _refuse(*args, **kwargs):
+    raise OSError("cannot load")
+
+
+# how each failure is staged: no compiler on PATH, a compiler that exits
+# non-zero, a library that does not load, a kernel whose probe disagrees
+_FAILURES = {
+    "no-compiler": lambda m, calls: None,
+    "compiler-fails": lambda m, calls: m.setattr(native, "_c_source",
+                                                 lambda *a: "#error no kernel\n"),
+    "loader-fails": lambda m, calls: m.setattr(ctypes, "CDLL", _refuse),
+    "probe-disagrees": lambda m, calls: m.setattr(native, "_build", _wrong_build(calls)),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_exponent_falls_back_to_the_python_loop_with_the_same_bits(
+    failure, fresh_kernels, monkeypatch
+):
+    if failure != "no-compiler" and native._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    want = largest_lyapunov_exponent(CLASSIC, horizon=30.0, transient=5.0)
+    _clear_kernels()
+    lookups, calls = [], []
+    which = shutil.which
+
+    def counting_which(name, *args, **kwargs):
+        lookups.append(name)
+        return None if failure == "no-compiler" else which(name, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "which", counting_which)
+    _FAILURES[failure](monkeypatch, calls)
+    got = [largest_lyapunov_exponent(CLASSIC, horizon=30.0, transient=5.0)
+           for _ in range(2)]
+    assert [repr(est.history) for est in got] == [repr(want.history)] * 2
+    # one lookup for the process, not one per window or run
+    assert lookups == ["cc"]
+    assert native._kernel(_VARIATIONAL_SOURCE, IntegratorMode.ADAPTIVE, True,
+                          True) is None
+    # a kernel that disagrees ran its probe and nothing else
+    assert len(calls) == (1 if failure == "probe-disagrees" else 0)
+
+
+@needs_cc
+def test_kernels_share_one_compiler_lookup(fresh_kernels, monkeypatch):
+    lookups = []
+    which = shutil.which
+    monkeypatch.setattr(shutil, "which",
+                        lambda name, *a, **k: lookups.append(name) or which(name, *a, **k))
+    for mode in IntegratorMode:
+        settings = IntegratorSettings(mode=mode, dt_init=1e-2)
+        largest_lyapunov_exponent(CLASSIC, settings=settings, horizon=10.0, transient=1.0)
+    assert lookups == ["cc"]
+    assert all(native._kernel(_VARIATIONAL_SOURCE, mode, True, True) is not None
+               for mode in IntegratorMode)
+
+
+def test_an_exponent_leaves_no_file_behind(tmp_path):
+    # the build directory is removed once the kernel is loaded; cc writes
+    # its own temporary files under TMPDIR too
+    cwd, tmp = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    tmp.mkdir()
+    script = (
+        "from lorenzlab import IntegratorMode, SystemParams, largest_lyapunov_exponent\n"
+        "from lorenzlab import native\n"
+        "from lorenzlab.chaos import _VARIATIONAL_SOURCE\n"
+        "largest_lyapunov_exponent(SystemParams(10.0, 8.0 / 3.0, 28.0), horizon=2.0,\n"
+        "                          transient=1.0)\n"
+        "kernel = native._kernel(_VARIATIONAL_SOURCE, IntegratorMode.ADAPTIVE, True, True)\n"
+        "print(kernel is not None)\n"
+    )
+    env = dict(os.environ, TMPDIR=str(tmp),
+               PYTHONPATH=str(Path(lorenzlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(native._compiler() is not None)
+    assert list(cwd.iterdir()) == [] and list(tmp.iterdir()) == []
