@@ -32,17 +32,17 @@ so a step allocates no GC-tracked object and never starts a collector
 pass.  A loop is compiled on its first use, never at import, and cached
 for the process.
 
-A run that records nothing and tracks no target (today the exponent's
-windows and its base-orbit diagnosis) runs instead on the same loop
-written in C (``lorenzlab.native``) where a C compiler is on PATH.  Its
-step is the same ``_stage`` / ``_rk4_block`` / ``_dp54_block`` text, each
-assignment of which is also a C statement on doubles, compiled so that C
-evaluates it as written, and it squares through libm's ``pow`` as
-CPython's ``** 2`` does, so its outputs are the Python loop's bits.  It
-is used only after a probe run gives the Python loop's result bit for
-bit.  With no compiler, a failed build or load, or a probe that differs,
-those runs stay on the Python loop; recorded and targeted runs always
-take it.
+Every run (orbits, traces, ``simulate`` and the exponent's windows) steps
+instead on the same loop written in C (``lorenzlab.native``) where a C
+compiler is on PATH.  Its step is the same ``_stage`` / ``_rk4_block`` /
+``_dp54_block`` text, each assignment of which is also a C statement on
+doubles, compiled so that C evaluates it as written; it squares through
+libm's ``pow`` as CPython's ``** 2`` does, and records and dwells as the
+Python loop does, so its outputs are the Python loop's bits.  It is used
+only after its probe runs give the Python loop's results bit for bit.
+With no compiler, a failed build or load, or a probe that differs, the
+Python loop runs: it is the fallback, and the text the C step is written
+from.
 
 What is frozen, because every output bit depends on it:
 
@@ -579,14 +579,13 @@ def _drive(
     """Run the stepping loop of ``field_source`` with the parameters of
     ``p`` from u0 over [0, t_end], in the mode of ``settings``.
 
-    The loop is the one generated for this field, mode and number of
-    targets (compiled on first use).  A run without ``targets`` and
-    without ``record`` takes its native build (``native._kernel``) where
-    one was built and passed its probe: the same step text compiled from
-    C, returning the Python loop's 7-tuple with the same bits, and
-    ``times`` and ``columns`` empty as they are unrecorded.  Otherwise, and
-    always for recorded or targeted runs, the Python loop runs.  Either is
-    called with the grouped constants of
+    Every run takes the native loop of this field and mode
+    (``native._kernel``) where one was built and passed its probes: the
+    same step text compiled from C, with the targets and the record flag
+    as arguments, returning the Python loop's 7-tuple with the same bits.
+    Otherwise the Python loop generated for this field, mode and number of
+    targets runs (compiled on first use).  Either is called with the
+    grouped constants of
     :func:`lorenzlab.model.vector_field`: cm = c + M, n1 = N - 1,
     pp = 1 - P and nb = -b, and with each target coordinate's
     ``_reach_bounds`` for ``_capture_reach(capture_radius)``.  Where n1 is
@@ -621,19 +620,12 @@ def _drive(
     n1, pp = p.N - 1.0, 1.0 - p.P
     reach = _capture_reach(capture_radius)
     bounds = [b for tgt in targets or () for v in tgt for b in _reach_bounds(v, reach)]
-    loop = None
-    if targets is None and not record:
-        from .native import _kernel
+    from .native import _kernel
 
-        loop = _kernel(field_source, settings.mode, n1 == -1.0, pp == 1.0)
-    if loop is None:
-        loop = _loop(
-            field_source,
-            settings.mode,
-            0 if targets is None else len(targets),
-            n1 == -1.0,
-            pp == 1.0,
-        )
+    unit = n1 == -1.0, pp == 1.0
+    loop = _kernel(field_source, settings.mode, *unit) or _loop(
+        field_source, settings.mode, len(targets or ()), *unit
+    )
     status, s, dt, attempts, times, columns, captured = loop(
         p.a, p.b, p.c + p.M, n1, pp, -p.b,
         u0, t_end, settings.dt_init if dt_start is None else dt_start, attempts,
@@ -654,7 +646,10 @@ def _run(
     """Drive the model field from u0 over [0, t_max], recording every step."""
     if settings is None:
         settings = IntegratorSettings()
-    res = _drive(_FIELD_SOURCE, p, u0, settings, settings.t_max, targets, capture_radius)
+    # the start as the native loop reads it, so that an int is recorded as
+    # the same float on either loop
+    start = tuple(map(float, u0))
+    res = _drive(_FIELD_SOURCE, p, start, settings, settings.t_max, targets, capture_radius)
     trajectory = Trajectory(tuple(res.times), *map(tuple, res.columns), res.status)
     return res, trajectory
 

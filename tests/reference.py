@@ -313,7 +313,7 @@ def drive(
 
     def captured(state: tuple) -> bool:
         nonlocal dwell_target, dwell
-        x, y, z = state
+        x, y, z = state[:3]  # the base orbit of a field with tangents
         for tx, ty, tz in targets:
             if abs(x - tx) <= reach and abs(y - ty) <= reach and abs(z - tz) <= reach:
                 break

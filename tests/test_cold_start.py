@@ -6,7 +6,8 @@ with the "lle" task gets.  Everything else, the CLI's import, the
 equilibria of any cell and a closed-form CLI sweep included, must run
 without them, since they are about half of every cold start.  ctypes and
 subprocess, which build and load the native stepping loop, load with an
-exponent run and with nothing before it.
+exponent run and with nothing before it, and an orbit after it loads
+nothing more.
 
 The package's own modules load the same way: ``import lorenzlab`` loads
 none of them, each CLI command imports the computations it runs, and
@@ -40,7 +41,7 @@ import lorenzlab.cli
 seen["import lorenzlab.cli"] = heavy()
 
 from lorenzlab import (
-    SweepAxis, SweepSpec, SystemParams, find_equilibria,
+    SweepAxis, SweepSpec, SystemParams, find_equilibria, integrate,
     largest_lyapunov_exponent, run_sweep, suggest_anticontrol,
 )
 spec = SweepSpec(
@@ -71,6 +72,11 @@ est = largest_lyapunov_exponent(
 )
 assert est.lambda1 > 0.0, est
 seen["classic-Lorenz LLE"] = heavy()
+
+# an orbit runs on the native loop too, and loads nothing the exponent did not
+trajectory = integrate(SystemParams(10.0, 8.0 / 3.0, 28.0), (1.0, 1.0, 1.0))
+assert trajectory.status.value == "completed_tspan", trajectory.status
+seen["classic-Lorenz integrate"] = heavy()
 print(json.dumps(seen))
 """
 
@@ -89,6 +95,7 @@ def test_default_paths_load_neither_numpy_nor_the_pool():
         "anticontrol equilibria": [],
         "closed-form CLI sweep": [],
         "classic-Lorenz LLE": list(NATIVE),
+        "classic-Lorenz integrate": list(NATIVE),
     }
 
 
@@ -187,12 +194,14 @@ def test_closed_form_commands_load_only_their_modules(command, computation):
 
 
 def test_a_trajectory_csv_loads_no_sweep_engine():
-    # emit tells a trajectory from a sweep table before it imports the sweep
+    # emit tells a trajectory from a sweep table before it imports the sweep;
+    # the orbit steps on the native loop
     loaded = _loaded_by(
         ["simulate", "--a", "1", "--b", "3", "--c", "2", "--x0", "1", "--y0", "1",
          "--z0", "1", "--t-max", "1", "--format", "csv"]
     )
     assert loaded == sorted(
         ["lorenzlab"]
-        + [f"lorenzlab.{m}" for m in ("cli", "errors", "integrator", "model", "serialize")]
+        + [f"lorenzlab.{m}" for m in ("cli", "errors", "integrator", "model", "native",
+                                      "serialize")]
     )

@@ -27,7 +27,7 @@ from lorenzlab import (
     v_gradient,
     v_value,
 )
-from lorenzlab import integrator
+from lorenzlab import integrator, native
 from lorenzlab.chaos import _VARIATIONAL_SOURCE
 from lorenzlab.integrator import (
     _LOOP_GLOBALS,
@@ -613,12 +613,18 @@ _RUN = dict(fixed=False, tangents=0, budget=10**6, t_end=5.0, dt_init=1e-2,
                      tangents=3), targets=None)
 )
 def test_drive_matches_its_frozen_two_policy_copy(case):
+    # the native loop where one was built, and the generated Python loop
+    # with native off: each ends as the frozen copy does
     field_source, p, u0, settings, t_end, kwargs = case
     got = _drive(field_source, p, u0, settings, t_end, **kwargs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(native, "_kernel", lambda *key: None)
+        python = _drive(field_source, p, u0, settings, t_end, **kwargs)
     want = reference.drive(
         reference.kernels(field_source, p), u0, settings, t_end, **kwargs
     )
     assert reference.read_fields(got) == reference.read_fields(want)
+    assert reference.read_fields(python) == reference.read_fields(want)
     # one list of floats per component, 3-D and the exponent's 6-D alike
     assert type(got.columns) is tuple and len(got.columns) == len(u0)
     assert all(type(c) is list and len(c) == len(got.times) for c in got.columns)
@@ -640,18 +646,32 @@ def test_drive_matches_its_frozen_two_policy_copy(case):
     ],
 )
 def test_the_loop_is_keyed_on_the_computed_unit_gains(p, unit_n1, unit_pp):
-    keys = []
-    loop = integrator._loop
-
-    def recording_loop(*key):
-        keys.append(key)
-        return loop(*key)
-
+    # a run asks for the native loop first, and takes the generated Python
+    # loop only where there is none; both are keyed on the same two flags
     settings = IntegratorSettings(t_max=0.1)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(integrator, "_loop", recording_loop)
-        integrate(p, (1.0, 1.0, 1.0), settings)
-    assert keys == [(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, 0, unit_n1, unit_pp)]
+    built = native._kernel(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, unit_n1, unit_pp)
+    for native_on in (True, False):
+        kernel_keys, loop_keys = [], []
+        kernel = native._kernel if native_on else (lambda *key: None)
+        loop = integrator._loop
+
+        def recording_kernel(*key):
+            kernel_keys.append(key)
+            return kernel(*key)
+
+        def recording_loop(*key):
+            loop_keys.append(key)
+            return loop(*key)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(native, "_kernel", recording_kernel)
+            m.setattr(integrator, "_loop", recording_loop)
+            integrate(p, (1.0, 1.0, 1.0), settings)
+        assert kernel_keys == [(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, unit_n1, unit_pp)]
+        python = not native_on or built is None
+        assert loop_keys == (
+            [(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, 0, unit_n1, unit_pp)] if python else []
+        )
 
 
 @pytest.mark.parametrize("mode", list(IntegratorMode))
@@ -742,6 +762,8 @@ def test_step_size_controller_matches_the_frozen_copy(
     args = (_ZERO, _STUB_SETTINGS, t_end, targets, capture_radius, True, dt_start)
     stub = _stub_loop(errs, len(targets or ()))
     with pytest.MonkeyPatch.context() as m:
+        # the stub is a Python loop, so the run must not take the native one
+        m.setattr(native, "_kernel", lambda *key: None)
         m.setattr(integrator, "_loop",
                   lambda field_source, mode, n_targets, unit_n1, unit_pp: stub)
         got = _drive(_FIELD_SOURCE, REGULAR, *args)

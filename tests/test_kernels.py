@@ -13,13 +13,15 @@ The gains N and P are drawn at 0 and at 1e-300 as well as anywhere in
 [-50, 50], so each loop with n1 = -1.0 or pp = 1.0 folded in is held to
 the generic steps, which multiply by both constants.
 
-The native loop, which runs every unrecorded and untargeted run where a C
-compiler is on PATH, is held to the generated Python loop in every field
-of ``_drive``'s result and to the frozen reference loop, over whole runs:
-each field, mode and pair of unit-gain flags, each stop, and histories of
+The native loop, which runs every run of ``_drive`` where a C compiler is
+on PATH, is held to the generated Python loop in every field of
+``_drive``'s result and to the frozen reference loop, over whole runs:
+each field, mode and pair of unit-gain flags, each stop, histories of
 more than 1 000 trial steps, which square hundreds of doubles whose ``**
-2`` differs from ``x * x``.  Where a kernel cannot be built or trusted,
-the run falls back to the Python loop with the same bits.
+2`` differs from ``x * x``, recorded and unrecorded runs with zero to
+three targets, captures, the adaptive dwell clamp, and stops while a
+dwell is under way.  Where a kernel cannot be built or trusted, the run
+falls back to the Python loop with the same bits.
 """
 
 import ctypes
@@ -42,6 +44,9 @@ from lorenzlab import (
     SystemParams,
     TrajectoryStatus,
     apply_symmetry,
+    find_equilibria,
+    integrate,
+    integrate_to_equilibrium,
     largest_lyapunov_exponent,
     vector_field,
 )
@@ -260,27 +265,29 @@ def kernels():
 
 
 def _native_parity(source, p, u0, settings, t_end, steps=None, **kwargs):
-    """The unrecorded, untargeted ``_drive`` run on the native loop ends as
-    on the generated Python loop, in every field of its result, and as the
-    frozen reference loop on ``steps`` (the generic steps of ``source`` by
-    default), in every field a caller reads.  Returns the native run."""
+    """The ``_drive`` run on the native loop ends as on the generated Python
+    loop, in every field of its result, and as the frozen reference loop on
+    ``steps`` (the generic steps of ``source`` by default), in every field a
+    caller reads.  Returns the native run."""
     assert native._kernel(source, settings.mode, *_unit_gains(p)) is not None
-    got = _drive(source, p, u0, settings, t_end, record=False, **kwargs)
+    got = _drive(source, p, u0, settings, t_end, **kwargs)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(native, "_kernel", lambda *key: None)
-        python = _drive(source, p, u0, settings, t_end, record=False, **kwargs)
+        python = _drive(source, p, u0, settings, t_end, **kwargs)
     assert repr(got) == repr(python)
+    assert type(got.times) is list and all(type(c) is list for c in got.columns)
     want = reference.drive(steps or reference.kernels(source, p), u0, settings,
-                           t_end, record=False, **kwargs)
+                           t_end, **kwargs)
     assert reference.read_fields(got) == reference.read_fields(want)
     return got
 
 
 def _case(dim, p, start, mode=IntegratorMode.ADAPTIVE, t_end=10.0, dt_start=None,
-          attempts=0, **settings):
+          attempts=0, targets=None, capture_radius=0.0, record=False, **settings):
     u0 = (*start, *_AXES[: dim - 3])
     return (_BY_DIM[dim], p, u0, IntegratorSettings(mode=mode, **settings), t_end,
-            dict(dt_start=dt_start, attempts=attempts))
+            dict(dt_start=dt_start, attempts=attempts, targets=targets,
+                 capture_radius=capture_radius, record=record))
 
 
 _ADAPTIVE, _RK4 = IntegratorMode.ADAPTIVE, IntegratorMode.FIXED_RK4
@@ -361,13 +368,13 @@ def test_native_loop_stalls_where_the_step_no_longer_advances_t():
         norm=reference.norm,
     )
     settings = IntegratorSettings(blowup_norm=1e300)
-    got = _native_parity(_BLOWUP, CLASSIC, (1.0, 0.0, 0.0), settings, 2.0, steps)
+    got = _native_parity(_BLOWUP, CLASSIC, (1.0, 0.0, 0.0), settings, 2.0, steps,
+                         record=False)
     assert got.status is TrajectoryStatus.STEP_LIMIT
     assert got.attempts < settings.max_steps and got.dt < 1e-15
 
 
-@st.composite
-def _native_cases(draw):
+def _draw_plant(draw):
     # gains N < 1 and P < 1, where every orbit of the model field stays in
     # a ball, so no run spends its budget on a base orbit that grows
     # without bound; the tangents may still pass blowup_norm
@@ -375,8 +382,14 @@ def _native_cases(draw):
     gain = st.floats(-2.0, 0.9).filter(lambda v: 1.0 - v != 1.0)
     N = draw(st.sampled_from([0.0, 1e-300]) if unit_n1 else gain)
     P = draw(st.sampled_from([0.0, 1e-300]) if unit_pp else gain)
-    p = SystemParams(draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 5.0)),
-                     draw(st.floats(0.0, 40.0)), M=draw(st.floats(-5.0, 5.0)), N=N, P=P)
+    return SystemParams(draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 5.0)),
+                        draw(st.floats(0.0, 40.0)), M=draw(st.floats(-5.0, 5.0)),
+                        N=N, P=P)
+
+
+@st.composite
+def _native_cases(draw):
+    p = _draw_plant(draw)
     blowup_norm = draw(st.sampled_from([1e3, 1e6, 1e300]))
     kind = draw(st.sampled_from(["any", "any", "any", "diverged", "nan"]))
     if kind == "any":
@@ -408,6 +421,186 @@ def test_native_loop_matches_both_python_loops(case, kernels):
     source, p, u0, settings, t_end, kwargs = case
     got = _native_parity(source, p, u0, settings, t_end, **kwargs)
     target(float(got.attempts), label="trial steps")
+
+
+# ------------------------------------- recording and targets, natively too
+
+# E+- stable in all four folds of _FOLDS, so a start next to one dwells
+_PLANT = SystemParams(10.0, 8.0 / 3.0, 10.0)
+
+
+def _locations(p):
+    """The origin and, where it exists, the pair (E+, E-)."""
+    eqs = find_equilibria(p)
+    return [tuple(e.location) for e in (eqs.origin, *(eqs.pair or ()))]
+
+
+_ORIGIN, _E_PLUS, _E_MINUS = _locations(_PLANT)
+_NEXT_TO_E_PLUS = tuple(v + 1e-9 for v in _E_PLUS)
+_LEFT_OF_E_PLUS = (_E_PLUS[0] - 0.1, *_E_PLUS[1:])  # its norm grows at once
+_CAPTURED = TrajectoryStatus.CAPTURED_EQUILIBRIUM
+_DWELL = dict(targets=[_E_MINUS, _E_PLUS], capture_radius=1e-6, record=True)
+_NEXT_TO_E_PLUS_X = (_E_PLUS[0] + 1e-5, *_E_PLUS[1:])  # x falls about 1e-6 a step
+_SWITCH = dict(_DWELL, capture_radius=1e-3, targets=[
+    _NEXT_TO_E_PLUS_X, (_NEXT_TO_E_PLUS_X[0] - 3e-6, *_E_PLUS[1:])])
+
+# runs with targets or recording, with the status each must end on and the
+# index of the capturing target
+_TARGETED = {
+    "capture-3d": (_case(3, _PLANT, _NEXT_TO_E_PLUS, **_DWELL), _CAPTURED, 1),
+    "capture-3d-rk4": (_case(3, _PLANT, _NEXT_TO_E_PLUS, _RK4, dt_init=1e-2, **_DWELL),
+                       _CAPTURED, 1),
+    "capture-unrecorded-6d": (_case(6, _PLANT, _NEXT_TO_E_PLUS,
+                                    **dict(_DWELL, record=False)), _CAPTURED, 1),
+    "capture-12d-rk4": (_case(12, _PLANT, _NEXT_TO_E_PLUS, _RK4, dt_init=1e-2,
+                              **_DWELL), _CAPTURED, 1),
+    # three targets, the origin first; E- captures the mirrored start
+    "three-targets": (_case(3, _PLANT, tuple(apply_symmetry(_NEXT_TO_E_PLUS)),
+                            **dict(_DWELL, targets=[_ORIGIN, _E_PLUS, _E_MINUS])),
+                      _CAPTURED, 2),
+    # a dwell begun at one target restarts where another becomes the
+    # nearest: the start is the first target, the second lies 3e-6 ahead
+    # of it, nearest from the third state on, so the twelfth captures
+    "switch-target": (_case(3, _PLANT, _NEXT_TO_E_PLUS_X, dt_init=1e-2, **_SWITCH),
+                      _CAPTURED, 1),
+    "switch-target-rk4": (_case(3, _PLANT, _NEXT_TO_E_PLUS_X, _RK4, dt_init=1e-2,
+                                **_SWITCH), _CAPTURED, 1),
+    # two equal targets: the earlier index wins the tie
+    "tie": (_case(3, _PLANT, _NEXT_TO_E_PLUS, **dict(_DWELL, targets=[_E_PLUS] * 2)),
+            _CAPTURED, 0),
+    # a first trial step of 1.0, clamped by the span to 0.5 and by the
+    # dwell to the room left for the nine confirmations still due
+    "dwell-clamp": (_case(3, _PLANT, _NEXT_TO_E_PLUS, t_end=0.5, dt_start=1.0,
+                          **_DWELL), _CAPTURED, 1),
+    # the budget runs out, and the norm passes blowup_norm, while dwelling
+    "step-limit-dwelling": (_case(3, _PLANT, _NEXT_TO_E_PLUS, max_steps=5, **_DWELL),
+                            TrajectoryStatus.STEP_LIMIT, None),
+    "step-limit-dwelling-rk4": (_case(6, _PLANT, _NEXT_TO_E_PLUS, _RK4, dt_init=1e-2,
+                                      max_steps=5, **_DWELL),
+                                TrajectoryStatus.STEP_LIMIT, None),
+    "diverged-dwelling": (_case(3, _PLANT, _LEFT_OF_E_PLUS,
+                                blowup_norm=math.hypot(*_LEFT_OF_E_PLUS) * (1 + 1e-9),
+                                **dict(_DWELL, capture_radius=0.3)),
+                          TrajectoryStatus.DIVERGED, None),
+    # targets with non-finite coordinates never dwell: their reach bounds
+    # are (inf, -inf)
+    "non-finite-targets": (_case(3, _PLANT, _NEXT_TO_E_PLUS, **dict(
+        _DWELL, targets=[(math.inf, 0.0, 0.0), (-math.inf, *_E_PLUS[1:]),
+                         (math.nan,) * 3, _E_PLUS])), _CAPTURED, 3),
+    # beyond blowup_norm at the start, whose target distances overflow
+    "diverged-start": (_case(3, _PLANT, (1e200, 0.0, 0.0), **_DWELL),
+                       TrajectoryStatus.DIVERGED, None),
+    # inside blowup_norm, but the first error estimate overflows
+    "error-overflows": (_case(3, _PLANT, (1e200, 0.0, 0.0), blowup_norm=1e300,
+                              **_DWELL), TrajectoryStatus.DIVERGED, None),
+    # a target so far, in a ball so wide, that the distance to it squares
+    # beyond the float range: inf, which ends nothing
+    "distance-overflows": (_case(3, _PLANT, _ONES, t_end=2.0, **dict(
+        _DWELL, targets=[(1e200, 0.0, 0.0)], capture_radius=1e200)),
+                           TrajectoryStatus.COMPLETED_TSPAN, None),
+    # recorded runs with no target
+    "recorded-12d": (_case(12, CLASSIC, _ONES, t_end=2.0, record=True),
+                     TrajectoryStatus.COMPLETED_TSPAN, None),
+    "recorded-6d-rk4": (_case(6, CLASSIC, _ONES, _RK4, t_end=2.0, dt_init=1e-2,
+                              record=True), TrajectoryStatus.COMPLETED_TSPAN, None),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(_TARGETED))
+def test_native_recording_and_dwell_end_as_both_python_loops(name, kernels):
+    (source, p, u0, settings, t_end, kwargs), status, captured = _TARGETED[name]
+    got = _native_parity(source, p, u0, settings, t_end, **kwargs)
+    assert (got.status, got.captured) == (status, captured)
+    assert bool(got.times) == kwargs["record"]
+    if name == "dwell-clamp":
+        assert got.times[1] == 0.5 / 9 and len(got.times) == 10
+    if name.startswith("switch-target"):
+        assert len(got.times) == 12
+    if name == "diverged-dwelling":
+        assert len(got.times) >= 3
+    if name.startswith("step-limit"):
+        assert got.attempts == 5
+    if name in ("diverged-start", "error-overflows", "distance-overflows"):
+        assert got.final_distance == math.inf
+
+
+@needs_cc
+@pytest.mark.parametrize("unit", sorted(_FOLDS))
+@pytest.mark.parametrize("mode", list(IntegratorMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("dim", sorted(_BY_DIM))
+def test_native_capture_matches_both_python_loops(dim, mode, unit, kernels):
+    # every field, mode and pair of unit-gain flags: a recorded run from
+    # next to E+ that E+ captures, with E- the earlier target
+    N, P = _FOLDS[unit]
+    p = SystemParams(10.0, 8.0 / 3.0, 10.0, N=N, P=P)
+    e_plus, e_minus = _locations(p)[1:]
+    start = tuple(v + 1e-9 for v in e_plus)
+    case = _case(dim, p, start, mode, dt_init=1e-2,
+                 **dict(_DWELL, targets=[e_minus, e_plus]))
+    got = _native_parity(*case[:5], **case[5])
+    assert (got.status, got.captured) == (_CAPTURED, 1)
+    assert len(got.times) == 10
+
+
+@st.composite
+def _targeted_cases(draw):
+    p = _draw_plant(draw)
+    locations = _locations(p)
+    # zero to three targets: none, the origin, the pair, or all three, or
+    # one whose coordinates are not finite beside the origin
+    targets = draw(st.sampled_from([None, locations[:1], locations[1:] or None,
+                                    locations, [(math.inf, 0.0, math.nan), *locations[:1]]]))
+    kind = draw(st.sampled_from(["any", "in_ball", "in_ball", "diverged", "nan"]))
+    blowup_norm = draw(st.sampled_from([1e3, 1e6, 1e300]))
+    if kind == "any":
+        start = draw(st.tuples(*[st.floats(-20.0, 20.0)] * 3))
+    elif kind == "in_ball":
+        centre = draw(st.sampled_from(locations))
+        offset = draw(st.tuples(*[st.floats(-1e-7, 1e-7)] * 3))
+        start = tuple(c + o for c, o in zip(centre, offset))
+    elif kind == "diverged":
+        start = (draw(st.sampled_from([2e6, -1e200, math.inf])), 1.0, 1.0)
+        blowup_norm = min(blowup_norm, 1e6)
+    else:
+        start = (math.nan, 0.0, 1.0)
+    return _case(
+        draw(st.sampled_from(sorted(_BY_DIM))),
+        p,
+        start,
+        draw(st.sampled_from(list(IntegratorMode))),
+        t_end=draw(st.sampled_from([0.5, 2.0, 5.0])),
+        dt_start=draw(st.one_of(st.none(), st.floats(1e-4, 0.5))),
+        attempts=draw(st.integers(0, 40)),
+        targets=targets,
+        capture_radius=draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.3, 2.0])),
+        record=draw(st.booleans()),
+        dt_init=draw(st.sampled_from([1e-3, 1e-2, 0.1])),
+        max_steps=draw(st.sampled_from([1, 60, 10**6, 10**30])),
+        blowup_norm=blowup_norm,
+    )
+
+
+@needs_cc
+@hsettings(max_examples=100, deadline=None)
+@given(case=_targeted_cases())
+def test_native_targets_and_recording_match_both_python_loops(case, kernels):
+    source, p, u0, settings, t_end, kwargs = case
+    got = _native_parity(source, p, u0, settings, t_end, **kwargs)
+    target(float(got.captured is not None), label="captured")
+
+
+@needs_cc
+def test_an_int_start_is_recorded_as_the_same_float_on_either_loop(kernels):
+    # the native loop reads the start as doubles, so the Python loop must
+    # record and return it as floats too
+    settings = IntegratorSettings(t_max=0.1)
+    got = integrate(CLASSIC, (1, 1, 1), settings)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(native, "_kernel", lambda *key: None)
+        python = integrate(CLASSIC, (1, 1, 1), settings)
+    assert repr(got) == repr(python) == repr(integrate(CLASSIC, _ONES, settings))
+    assert type(got.xs[0]) is float
 
 
 # ------------------------------------------------- falling back to Python
@@ -445,24 +638,30 @@ def _refuse(*args, **kwargs):
     raise OSError("cannot load")
 
 
+# a square spelled x * x, which the tests' fields would not show on the
+# first trial steps of a probe
+_MULTIPLYING_SQUARE = ("pow(fabs(x), 2.0)", "x * x")
+
 # how each failure is staged: no compiler on PATH, a compiler that exits
-# non-zero, a library that does not load, a kernel whose probe disagrees
+# non-zero, a library that does not load, a kernel whose probe disagrees,
+# a library that squares by multiplying
 _FAILURES = {
     "no-compiler": lambda m, calls: None,
     "compiler-fails": lambda m, calls: m.setattr(native, "_c_source",
                                                  lambda *a: "#error no kernel\n"),
     "loader-fails": lambda m, calls: m.setattr(ctypes, "CDLL", _refuse),
     "probe-disagrees": lambda m, calls: m.setattr(native, "_build", _wrong_build(calls)),
+    "square-multiplies": lambda m, calls: m.setattr(
+        native, "_C_LOOP", native._C_LOOP.replace(*_MULTIPLYING_SQUARE)),
 }
 
 
-@pytest.mark.parametrize("failure", sorted(_FAILURES))
-def test_exponent_falls_back_to_the_python_loop_with_the_same_bits(
-    failure, fresh_kernels, monkeypatch
-):
+def _assert_falls_back(run, key, failure, monkeypatch):
+    """``run()`` gives the same text twice under ``failure`` as before it,
+    with one compiler lookup for the process and no kernel for ``key``."""
     if failure != "no-compiler" and native._compiler() is None:
         pytest.skip("no C compiler on PATH")
-    want = largest_lyapunov_exponent(CLASSIC, horizon=30.0, transient=5.0)
+    want = run()
     _clear_kernels()
     lookups, calls = [], []
     which = shutil.which
@@ -473,15 +672,82 @@ def test_exponent_falls_back_to_the_python_loop_with_the_same_bits(
 
     monkeypatch.setattr(shutil, "which", counting_which)
     _FAILURES[failure](monkeypatch, calls)
-    got = [largest_lyapunov_exponent(CLASSIC, horizon=30.0, transient=5.0)
-           for _ in range(2)]
-    assert [repr(est.history) for est in got] == [repr(want.history)] * 2
+    assert [run() for _ in range(2)] == [want] * 2
     # one lookup for the process, not one per window or run
     assert lookups == ["cc"]
-    assert native._kernel(_VARIATIONAL_SOURCE, IntegratorMode.ADAPTIVE, True,
-                          True) is None
+    assert native._kernel(*key) is None
     # a kernel that disagrees ran its probe and nothing else
     assert len(calls) == (1 if failure == "probe-disagrees" else 0)
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_exponent_falls_back_to_the_python_loop_with_the_same_bits(
+    failure, fresh_kernels, monkeypatch
+):
+    _assert_falls_back(
+        lambda: repr(largest_lyapunov_exponent(CLASSIC, horizon=30.0,
+                                               transient=5.0).history),
+        (_VARIATIONAL_SOURCE, IntegratorMode.ADAPTIVE, True, True),
+        failure,
+        monkeypatch,
+    )
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_an_orbit_falls_back_to_the_python_loop_with_the_same_bits(
+    failure, fresh_kernels, monkeypatch
+):
+    # a recorded run with three targets, captured by one of the pair
+    eqs = find_equilibria(_PLANT)
+    _assert_falls_back(
+        lambda: repr(integrate_to_equilibrium(_PLANT, (1.0, 1.0, 1.0), eqs)),
+        (_FIELD_SOURCE, IntegratorMode.ADAPTIVE, True, True),
+        failure,
+        monkeypatch,
+    )
+
+
+# each a change to the C text that a probe run must refuse: the adaptive
+# dwell clamp left out, the initial state left unrecorded, a dwell one
+# state short (a square by multiplication is one of _FAILURES)
+_MISBUILT = {
+    "no-dwell-clamp": ("if (room < dt_eff)", "if (0)"),
+    "first-state-unrecorded": ("if (record) {", "if (record && t > 0.0) {"),
+    "short-dwell": ("dwell >= %(dwell_checks)d)", "dwell >= %(dwell_checks)d - 1)"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(_MISBUILT))
+def test_a_kernel_that_records_or_dwells_otherwise_is_refused(
+    name, fresh_kernels, monkeypatch
+):
+    old, new = _MISBUILT[name]
+    eqs = find_equilibria(_PLANT)
+    want = repr(integrate_to_equilibrium(_PLANT, (1.0, 1.0, 1.0), eqs))
+    _clear_kernels()
+    texts = [attr for attr in ("_C_LOOP", "_C_ADAPTIVE_ADVANCE")
+             if old in getattr(native, attr)]
+    assert len(texts) == 1 and getattr(native, texts[0]).count(old) == 1
+    monkeypatch.setattr(native, texts[0], getattr(native, texts[0]).replace(old, new))
+    assert native._kernel(_FIELD_SOURCE, IntegratorMode.ADAPTIVE, True, True) is None
+    assert repr(integrate_to_equilibrium(_PLANT, (1.0, 1.0, 1.0), eqs)) == want
+
+
+@needs_cc
+def test_a_recording_that_cannot_grow_raises_memory_error(fresh_kernels, monkeypatch):
+    # a buffer that grows once, to 1 024 rows, and then finds no memory:
+    # the probes record 10 rows, a 10 000-step orbit raises
+    grow = "grown = realloc("
+    assert native._C_LOOP.count(grow) == 1
+    monkeypatch.setattr(native, "_C_LOOP", native._C_LOOP.replace(
+        grow, "grown = capacity > 1024 ? NULL : realloc("))
+    settings = IntegratorSettings(mode=IntegratorMode.FIXED_RK4, dt_init=1e-3,
+                                  t_max=10.0)
+    with pytest.raises(MemoryError):
+        _drive(_FIELD_SOURCE, CLASSIC, _ONES, settings, settings.t_max)
+    short = _drive(_FIELD_SOURCE, CLASSIC, _ONES, settings, 1.0)
+    assert short.status is TrajectoryStatus.COMPLETED_TSPAN and len(short.times) == 1001
 
 
 @needs_cc
@@ -505,11 +771,12 @@ def test_an_exponent_leaves_no_file_behind(tmp_path):
     cwd.mkdir()
     tmp.mkdir()
     script = (
-        "from lorenzlab import IntegratorMode, SystemParams, largest_lyapunov_exponent\n"
-        "from lorenzlab import native\n"
+        "from lorenzlab import IntegratorMode, SystemParams, integrate\n"
+        "from lorenzlab import largest_lyapunov_exponent, native\n"
         "from lorenzlab.chaos import _VARIATIONAL_SOURCE\n"
         "largest_lyapunov_exponent(SystemParams(10.0, 8.0 / 3.0, 28.0), horizon=2.0,\n"
         "                          transient=1.0)\n"
+        "integrate(SystemParams(10.0, 8.0 / 3.0, 28.0), (1.0, 1.0, 1.0))\n"
         "kernel = native._kernel(_VARIATIONAL_SOURCE, IntegratorMode.ADAPTIVE, True, True)\n"
         "print(kernel is not None)\n"
     )
