@@ -18,6 +18,7 @@ only check performed here that positive entropy actually shows up.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -117,6 +118,46 @@ def _lle_windows(
     return n_total, n_trans
 
 
+def _windows(
+    loop, a, b, cm, n1, pp, nb, u0, interval, dt, max_steps, rel_tol, abs_tol,
+    blowup_norm, n_total, n_trans,
+) -> tuple:
+    """The exponent's windows on ``loop``, a Python stepping loop of the
+    variational field, as the native kernel's ``windows`` runs them in C.
+
+    Each window runs ``loop`` from the last window's end over ``interval``
+    with the grouped constants a .. nb, carrying dt and the trial steps
+    spent, and rescales the tangent to unit length.  From window
+    ``n_trans`` on, its log-growth adds to a sum and the running estimate
+    to the history.  Returns (w, status, state, dt, attempts, history): w
+    is n_total when every window completed; otherwise w is the window that
+    failed, with the state, dt and attempts it started from, and status is
+    its exit, or COMPLETED_TSPAN where its tangent's norm is 0 or not
+    finite.
+    """
+    from .integrator import TrajectoryStatus
+
+    completed = TrajectoryStatus.COMPLETED_TSPAN
+    s, attempts, log_sum, history = u0, 0, 0.0, []
+    for w in range(n_total):
+        status, state, dt_next, attempts_next, *_ = loop(
+            a, b, cm, n1, pp, nb, s, interval, dt, attempts, max_steps, rel_tol,
+            abs_tol, blowup_norm, None, 0.0, [], False,
+        )
+        if status is not completed:
+            return w, status, s, dt, attempts, history
+        x, y, z, dx, dy, dz = state
+        nrm = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if nrm == 0.0 or not math.isfinite(nrm):
+            return w, status, s, dt, attempts, history
+        dt, attempts = dt_next, attempts_next
+        if w >= n_trans:
+            log_sum += math.log(nrm)
+            history.append(log_sum / ((w + 1 - n_trans) * interval))
+        s = (x, y, z, dx / nrm, dy / nrm, dz / nrm)
+    return n_total, completed, s, dt, attempts, history
+
+
 def largest_lyapunov_exponent(
     p: SystemParams,
     u0: State | tuple = _LLE_START,
@@ -135,50 +176,43 @@ def largest_lyapunov_exponent(
     tangent instead when the base orbit alone completes the failed window,
     and says "tangent vector degenerated" when a window ends with a tangent
     whose norm underflowed to 0 or is not finite.
+
+    The whole run is one call of the native kernel's ``windows`` where the
+    variational loop was built in C and passed its probes (see
+    ``lorenzlab.native``), with the bits of ``_windows``; otherwise
+    ``_windows`` runs it on the Python loop.
     """
     # imported here, so regime_classify and suggest_anticontrol load no integrator
-    from .integrator import IntegratorSettings, TrajectoryStatus, _drive
+    from .integrator import IntegratorSettings, TrajectoryStatus, _drive, _loop_for
 
     if settings is None:
         settings = IntegratorSettings()
     n_total, n_trans = _lle_windows(renorm_interval, horizon, transient)
 
-    s = (float(u0[0]), float(u0[1]), float(u0[2]), 1.0, 0.0, 0.0)
-    dt = settings.dt_init
-    attempts = 0
-    log_sum = 0.0
-    history: list[float] = []
-
-    def window(source: tuple, start: tuple):
-        return _drive(source, p, start, settings, renorm_interval, record=False,
-                      dt_start=dt, attempts=attempts)
-
-    for w in range(n_total):
-        res = window(_VARIATIONAL_SOURCE, s)
-        if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
-            # the run's norm and error estimate span the tangent as well; if
-            # the base orbit alone completes the window, the tangent diverged
-            if res.status is TrajectoryStatus.DIVERGED:
-                alone = window(_FIELD_SOURCE, s[:3])
-                if alone.status is TrajectoryStatus.COMPLETED_TSPAN:
-                    raise DivergedTrajectoryError(
-                        f"the tangent vector diverged during window {w} while the "
-                        "base orbit alone did not; use a shorter renorm_interval "
-                        f"than {renorm_interval!r}"
-                    )
-            raise DivergedTrajectoryError(
-                f"base orbit failed during window {w}: {res.status.value}"
-            )
-        dt, attempts = res.dt, res.attempts
-        x, y, z, dx, dy, dz = res.state
-        nrm = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if nrm == 0.0 or not math.isfinite(nrm):
+    loop, constants = _loop_for(_VARIATIONAL_SOURCE, p, settings.mode, 0)
+    windows = getattr(loop, "windows", None) or functools.partial(_windows, loop)
+    w, status, s, dt, attempts, history = windows(
+        *constants, (float(u0[0]), float(u0[1]), float(u0[2]), 1.0, 0.0, 0.0),
+        renorm_interval, settings.dt_init, settings.max_steps, settings.rel_tol,
+        settings.abs_tol, settings.blowup_norm, n_total, n_trans,
+    )
+    if w < n_total:
+        if status is TrajectoryStatus.COMPLETED_TSPAN:
             raise DivergedTrajectoryError("tangent vector degenerated")
-        if w >= n_trans:
-            log_sum += math.log(nrm)
-            elapsed = (w + 1 - n_trans) * renorm_interval
-            history.append(log_sum / elapsed)
-        s = (x, y, z, dx / nrm, dy / nrm, dz / nrm)
+        # the run's norm and error estimate span the tangent as well; if
+        # the base orbit alone completes the window, the tangent diverged
+        if status is TrajectoryStatus.DIVERGED:
+            alone = _drive(_FIELD_SOURCE, p, s[:3], settings, renorm_interval,
+                           record=False, dt_start=dt, attempts=attempts)
+            if alone.status is TrajectoryStatus.COMPLETED_TSPAN:
+                raise DivergedTrajectoryError(
+                    f"the tangent vector diverged during window {w} while the "
+                    "base orbit alone did not; use a shorter renorm_interval "
+                    f"than {renorm_interval!r}"
+                )
+        raise DivergedTrajectoryError(
+            f"base orbit failed during window {w}: {status.value}"
+        )
 
     return LLEEstimate(
         lambda1=history[-1],

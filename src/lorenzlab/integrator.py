@@ -32,17 +32,19 @@ so a step allocates no GC-tracked object and never starts a collector
 pass.  A loop is compiled on its first use, never at import, and cached
 for the process.
 
-Every run (orbits, traces, ``simulate`` and the exponent's windows) steps
-instead on the same loop written in C (``lorenzlab.native``) where a C
-compiler is on PATH.  Its step is the same ``_stage`` / ``_rk4_block`` /
-``_dp54_block`` text, each assignment of which is also a C statement on
-doubles, compiled so that C evaluates it as written; it squares through
-libm's ``pow`` as CPython's ``** 2`` does, and records and dwells as the
-Python loop does, so its outputs are the Python loop's bits.  It is used
-only after its probe runs give the Python loop's results bit for bit.
-With no compiler, a failed build or load, or a probe that differs, the
-Python loop runs: it is the fallback, and the text the C step is written
-from.
+Every run (orbits, traces, ``simulate`` and the exponent) steps instead
+on the same loop written in C (``lorenzlab.native``) where a C compiler is
+on PATH, and a whole exponent is one native call over all of its windows.
+Its step is the same ``_stage`` / ``_rk4_block`` / ``_dp54_block`` text,
+each assignment of which is also a C statement on doubles, compiled so
+that C evaluates it as written; it squares through libm's ``pow`` as
+CPython's ``** 2`` does, and records and dwells as the Python loop does,
+so its outputs are the Python loop's bits.  It is used only after its
+probe runs give the Python loop's results bit for bit.  With no
+compiler, a failed build or load, or a probe that differs, the Python
+loop runs, with the exponent's windows on it one call each
+(``chaos._windows``): it is the fallback, and the text the C step is
+written from.
 
 What is frozen, because every output bit depends on it:
 
@@ -62,8 +64,10 @@ Reordering any of this changes trajectories, exponents and golden
 outputs; the parity tests hold the loop to a generic reference step and a
 frozen reference loop bit for bit, and its C build to both loops.
 
-``_drive`` is the one entry point for every caller.  The initial state
-and each accepted state pass one stop policy, in order: record it,
+``_drive`` is the one entry point for every run but the exponent's
+windows, which take the same loop from ``_loop_for`` and run it through
+``chaos._windows`` or the native ``windows``.  The initial state and
+each accepted state pass one stop policy, in order: record it,
 divergence, dwell capture at an equilibrium, end of the time span, step
 limit.
 """
@@ -564,6 +568,25 @@ class _DriveResult(NamedTuple):
     final_distance: float
 
 
+def _loop_for(
+    field_source: _FieldSource, p: SystemParams, mode: IntegratorMode, n_targets: int
+) -> tuple[Callable[..., tuple], tuple[float, ...]]:
+    """(loop, constants): the stepping loop of ``field_source`` in ``mode``
+    for ``n_targets`` targets with the parameters of ``p``, and the grouped
+    constants (a, b, cm, n1, pp, nb) it is called with first.
+
+    The loop is the native one (``native._kernel``) where it was built and
+    passed its probes, else the Python loop, compiled on first use; either
+    has n1 = -1.0 or pp = 1.0 folded in where the constant, as computed,
+    is that (``_fold_unit_gains``)."""
+    n1, pp = p.N - 1.0, 1.0 - p.P
+    from .native import _kernel
+
+    unit = n1 == -1.0, pp == 1.0
+    loop = _kernel(field_source, mode, *unit) or _loop(field_source, mode, n_targets, *unit)
+    return loop, (p.a, p.b, p.c + p.M, n1, pp, -p.b)
+
+
 def _drive(
     field_source: _FieldSource,
     p: SystemParams,
@@ -606,8 +629,9 @@ def _drive(
     result's ``columns``.
 
     ``attempts`` counts the trial steps the run has already spent, so a run
-    made of several calls (the LLE's windows) shares one ``max_steps``
-    budget; the result carries the updated count.
+    made of several calls shares one ``max_steps`` budget (the exponent's
+    failed window is run again on the base orbit alone from the count it
+    started with); the result carries the updated count.
 
     When ``targets`` is given, each accepted state updates a dwell counter:
     a run of ``_DWELL_CHECKS`` consecutive states inside ``capture_radius``
@@ -617,17 +641,11 @@ def _drive(
     step is clamped so the remaining time still allows the required number
     of checks.
     """
-    n1, pp = p.N - 1.0, 1.0 - p.P
     reach = _capture_reach(capture_radius)
     bounds = [b for tgt in targets or () for v in tgt for b in _reach_bounds(v, reach)]
-    from .native import _kernel
-
-    unit = n1 == -1.0, pp == 1.0
-    loop = _kernel(field_source, settings.mode, *unit) or _loop(
-        field_source, settings.mode, len(targets or ()), *unit
-    )
+    loop, constants = _loop_for(field_source, p, settings.mode, len(targets or ()))
     status, s, dt, attempts, times, columns, captured = loop(
-        p.a, p.b, p.c + p.M, n1, pp, -p.b,
+        *constants,
         u0, t_end, settings.dt_init if dt_start is None else dt_start, attempts,
         settings.max_steps, settings.rel_tol, settings.abs_tol, settings.blowup_norm,
         targets, capture_radius, bounds, record,

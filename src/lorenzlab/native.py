@@ -1,5 +1,6 @@
 """The integrator's stepping loop compiled from C, for every run of
-``integrator._drive``: orbits, traces and the exponent's windows alike.
+``integrator._drive`` (orbits, traces and ``simulate``) and for a whole
+exponent run.
 
 ``integrator._drive`` asks ``_kernel`` for the loop of a field, a mode and
 a pair of unit-gain flags.  When a C compiler is on PATH the answer is a
@@ -35,16 +36,30 @@ arguments and returns the Python loop's 7-tuple, with the same bits:
   ``times`` and one list of floats per component and frees before it
   returns; a failed ``realloc`` raises MemoryError.
 
+The kernel of the 6-D variational field also has ``windows``: a whole
+Benettin exponent in one call, with the bits of ``chaos._windows`` on the
+Python loop.  It calls ``loop`` once per window, carrying dt and the trial
+steps spent, renormalizes the tangent with the same expressions
+(``sqrt`` of the ``+`` chain of its three squares, then a division of
+each component), adds libm's ``log`` of the norm after the transient,
+which is what CPython's ``math.log`` calls for a positive finite double,
+and appends each running estimate to a history doubled with ``realloc``,
+so nothing is sized by the window count.  A failed window hands back its
+index with the state, dt and trial steps it started from, so the caller
+can name the failure as the Python windows would.
+
 A kernel is built on first use, never at import: the C text is compiled
 into a temporary directory, loaded with ctypes, and the directory removed.
 The library is loaded only if its ``square`` is CPython's ``x ** 2`` on
 doubles whose square differs from ``x * x``, and used only after it
 reproduces the Python loop's full result on two fixed probe runs: an
 orbit of a few hundred trial steps, and a recorded run that completes a
-dwell.  The compiler is looked up once per process.  No compiler, a
-compiler that fails, a library that does not load or squares otherwise,
-or a probe that disagrees keeps that loop in Python for the rest of the
-process.
+dwell; a 6-D kernel's ``windows`` must also reproduce ``chaos._windows``
+on two short exponent runs, one of which spends its budget.  The compiler
+is looked up once per process.  No compiler, a compiler that fails, a
+library that does not load or squares otherwise, or a probe that
+disagrees keeps that loop, and with it the exponent's windows, in Python
+for the rest of the process.
 """
 
 from __future__ import annotations
@@ -265,6 +280,64 @@ _C_ADAPTIVE_ADVANCE = """\
         }
         %(accept)s;"""
 
+# The exponent's windows (chaos._windows) over the 6-D variational loop:
+# one loop call a window of t_end = renorm_interval, carrying dt and
+# attempts, the tangent s3..s5 renormalized with chaos._windows's
+# expressions and, from window n_trans on, the running estimate appended to
+# a history doubled with realloc as it fills.  It returns the index of the
+# window it stopped at, n_total when none failed, with that window's start
+# state, dt and attempts put back and its exit code in *status: the loop's,
+# 0 where the tangent degenerated, _NO_MEMORY where the history could not
+# grow.  The history is left in run->points, its length in run->rows.
+_C_WINDOWS = """
+int64_t windows(struct run *run, double *u, int64_t n_total, int64_t n_trans,
+                int *status)
+{
+    const double interval = run->t_end;
+    double start[6], dt, nrm, log_sum = 0.0, *history = NULL, *grown;
+    int64_t w, attempts, rows = 0, capacity = 0;
+    int i;
+    for (w = 0; w < n_total; w++) {
+        for (i = 0; i < 6; i++)
+            start[i] = u[i];
+        dt = run->dt;
+        attempts = run->attempts;
+        *status = loop(run, u);
+        if (*status != 0)
+            goto failed;
+        nrm = sqrt(u[3] * u[3] + u[4] * u[4] + u[5] * u[5]);
+        if (nrm == 0.0 || !isfinite(nrm))
+            goto failed;
+        if (w >= n_trans) {
+            if (rows == capacity) {
+                capacity = capacity ? 2 * capacity : 1024;
+                grown = realloc(history, (size_t)capacity * sizeof(double));
+                if (grown == NULL) {
+                    *status = 4;
+                    goto failed;
+                }
+                history = grown;
+            }
+            log_sum += log(nrm);
+            history[rows++] = log_sum / ((double)(w + 1 - n_trans) * interval);
+        }
+        u[3] = u[3] / nrm;
+        u[4] = u[4] / nrm;
+        u[5] = u[5] / nrm;
+    }
+    goto done;
+failed:
+    for (i = 0; i < 6; i++)
+        u[i] = start[i];
+    run->dt = dt;
+    run->attempts = attempts;
+done:
+    run->points = history;
+    run->rows = rows;
+    return w;
+}
+"""
+
 
 def _c_source(field_source: _FieldSource, mode: IntegratorMode) -> str:
     """C text of ``loop`` for ``field_source`` (unit gains already folded
@@ -289,7 +362,7 @@ def _c_source(field_source: _FieldSource, mode: IntegratorMode) -> str:
         )
     names = [f"{v}{i}" for v in ("s", "w") for i in range(n)]
     names += [f"k{k}_{i}" for k in range(1, 8) for i in range(n)]
-    return _C_LOOP % dict(
+    source = _C_LOOP % dict(
         names=", ".join(names),
         load=_each(n, "s{i} = u[{i}]"),
         ss=" + ".join(f"s{i} * s{i}" for i in range(n)),
@@ -300,6 +373,7 @@ def _c_source(field_source: _FieldSource, mode: IntegratorMode) -> str:
         advance=advance,
         store=_each(n, "u[{i}] = s{i}"),
     )
+    return source + _C_WINDOWS if n == 6 else source
 
 
 @functools.cache
@@ -367,7 +441,40 @@ def _bind(lib: ctypes.CDLL, n: int) -> Callable[..., tuple]:
                 None if run.captured < 0 else run.captured)
 
     loop.library = lib  # the loop calls into it, so it lives as long
+    if n == 6:
+        loop.windows = _bind_windows(lib, release)
     return loop
+
+
+def _bind_windows(lib: ctypes.CDLL, release: Callable) -> Callable[..., tuple]:
+    """The library's ``windows``, called as ``chaos._windows`` is, less its
+    loop, and returning its 6-tuple."""
+    fn = lib.windows
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.POINTER(_Run), ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
+                   ctypes.c_int64, ctypes.POINTER(ctypes.c_int)]
+    vector = ctypes.c_double * 6
+
+    def windows(a, b, cm, n1, pp, nb, u0, interval, dt, max_steps, rel_tol, abs_tol,
+                blowup_norm, n_total, n_trans):
+        run = _Run(a, b, cm, n1, pp, nb, interval, dt, rel_tol, abs_tol, blowup_norm,
+                   0.0, 0, min(max_steps, _INT64_MAX), 0, False, 0, -1, None)
+        u = vector(*u0)
+        status = ctypes.c_int(0)
+        # counts beyond int64 are clamped, like max_steps: no run reaches them
+        w = fn(ctypes.byref(run), u, min(n_total, _INT64_MAX), min(n_trans, _INT64_MAX),
+               ctypes.byref(status))
+        history = []
+        if run.points is not None:
+            try:
+                history = (ctypes.c_double * run.rows).from_address(run.points)[:]
+            finally:
+                release(run.points)
+        if status.value == _NO_MEMORY:
+            raise MemoryError("no memory left for the exponent's history")
+        return w, _EXITS[status.value], tuple(u), run.dt, run.attempts, history
+
+    return windows
 
 
 def _squares_as_python(lib: ctypes.CDLL) -> bool:
@@ -401,6 +508,12 @@ def _build(compiler: str, source: str, n: int) -> Callable[..., tuple] | None:
     return _bind(lib, n) if _squares_as_python(lib) else None
 
 
+def _gains(unit_n1: bool, unit_pp: bool) -> tuple[float, float]:
+    """(n1, pp) of the probe runs: the unit gain where the flag is set, a
+    gain that is not unit where it is not."""
+    return -1.0 if unit_n1 else -0.5, 1.0 if unit_pp else 0.75
+
+
 def _probes(n: int, unit_n1: bool, unit_pp: bool) -> tuple[tuple, ...]:
     """(number of targets, loop arguments) of each fixed probe run: a
     classic-Lorenz orbit from all ones over 3 time units from dt = 0.01,
@@ -408,8 +521,7 @@ def _probes(n: int, unit_n1: bool, unit_pp: bool) -> tuple[tuple, ...]:
     plant (cm = 10) from 1e-6 off its stable E+, with E- and E+ as targets,
     whose tenth state in E+'s ball of radius 1e-3 captures it within the
     span, the adaptive dwell clamp shortening its steps."""
-    n1 = -1.0 if unit_n1 else -0.5
-    pp = 1.0 if unit_pp else 0.75
+    n1, pp = _gains(unit_n1, unit_pp)
     b = 8.0 / 3.0
     z = (10.0 + n1) / pp
     x = math.sqrt(b * z)
@@ -425,13 +537,30 @@ def _probes(n: int, unit_n1: bool, unit_pp: bool) -> tuple[tuple, ...]:
     )
 
 
+def _window_probes(unit_n1: bool, unit_pp: bool) -> tuple[tuple, ...]:
+    """The ``windows`` arguments of each fixed exponent probe: classic
+    Lorenz from (1, 1, 1) with the tangent (1, 0, 0), four windows of 0.25
+    after one of transient from dt = 0.01, 100-190 trial steps in either
+    mode; then the same with a budget of 60 trial steps, which runs out in
+    window 1 or 2."""
+    n1, pp = _gains(unit_n1, unit_pp)
+    b = 8.0 / 3.0
+    return tuple(
+        (10.0, b, 28.0, n1, pp, -b, (1.0, 1.0, 1.0, 1.0, 0.0, 0.0), 0.25, 0.01,
+         max_steps, 1e-9, 1e-12, 1e6, 4, 1)
+        for max_steps in (10**6, 60)
+    )
+
+
 @functools.cache
 def _kernel(
     field_source: _FieldSource, mode: IntegratorMode, unit_n1: bool, unit_pp: bool
 ) -> Callable[..., tuple] | None:
     """The native loop of ``integrator._loop(field_source, mode, n_targets,
     unit_n1, unit_pp)`` for every n_targets, or None where it cannot be
-    built or a probe run differs from the Python loop's in any bit."""
+    built or a probe run differs from the Python loop's in any bit.  A
+    6-D loop's ``windows`` runs the exponent's windows of
+    ``chaos._windows`` and is held to it on the exponent probes too."""
     compiler = _compiler()
     if compiler is None:
         return None
@@ -444,4 +573,11 @@ def _kernel(
         python = _loop(field_source, mode, n_targets, unit_n1, unit_pp)
         if repr(loop(*args)) != repr(python(*args)):
             return None
+    if n == 6:
+        from .chaos import _windows
+
+        python = _loop(field_source, mode, 0, unit_n1, unit_pp)
+        for args in _window_probes(unit_n1, unit_pp):
+            if repr(loop.windows(*args)) != repr(_windows(python, *args)):
+                return None
     return loop

@@ -8,6 +8,9 @@ frozen copy of the stepping loop from when it wrote its stop policy twice
 step and ``norm`` per accepted state.  ``kernels`` gives ``drive`` the
 generic steps of a field the package writes as source text.
 
+``lle`` is a frozen copy of the exponent from when it drove each window
+through its own call of the stepping loop, here ``drive``.
+
 ``sweep_csv`` is a frozen copy of the sweep CSV renderer from when it
 wrote every cell of every row on its own, each float with its own ``repr``.
 ``evaluate_cell`` and ``run_tasks`` are frozen copies of the sweep's cell
@@ -27,13 +30,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
 from lorenzlab import (
+    DivergedTrajectoryError,
     IntegratorMode,
     IntegratorSettings,
+    LLEEstimate,
     SystemParams,
     TrajectoryStatus,
     largest_lyapunov_exponent,
 )
-from lorenzlab.chaos import _VARIATIONAL_SOURCE, _regime
+from lorenzlab.chaos import _VARIATIONAL_SOURCE, _lle_windows, _regime
 from lorenzlab.equilibria import _equilibrium_parts, _origin_class, _origin_dims
 from lorenzlab.integrator import (
     _DWELL_CHECKS,
@@ -406,6 +411,54 @@ def drive(
     if targets is not None:
         res.final_distance = nearest(s)[1]
     return res
+
+
+def lle(p, u0=(1.0, 1.0, 1.0), settings=None, renorm_interval=1.0, horizon=500.0,
+        transient=50.0):
+    """A frozen copy of the exponent from when it ran each window through
+    its own call of the stepping loop, here the frozen loop over the
+    generic steps: the same LLEEstimate, or the same DivergedTrajectoryError
+    with the same message."""
+    if settings is None:
+        settings = IntegratorSettings()
+    n_total, n_trans = _lle_windows(renorm_interval, horizon, transient)
+    variational, base = kernels(_VARIATIONAL_SOURCE, p), kernels(_FIELD_SOURCE, p)
+    s = (float(u0[0]), float(u0[1]), float(u0[2]), 1.0, 0.0, 0.0)
+    dt = settings.dt_init
+    attempts = 0
+    log_sum = 0.0
+    history = []
+    for w in range(n_total):
+        res = drive(variational, s, settings, renorm_interval, record=False,
+                    dt_start=dt, attempts=attempts)
+        if res.status is not TrajectoryStatus.COMPLETED_TSPAN:
+            if res.status is TrajectoryStatus.DIVERGED:
+                alone = drive(base, s[:3], settings, renorm_interval, record=False,
+                              dt_start=dt, attempts=attempts)
+                if alone.status is TrajectoryStatus.COMPLETED_TSPAN:
+                    raise DivergedTrajectoryError(
+                        f"the tangent vector diverged during window {w} while the "
+                        "base orbit alone did not; use a shorter renorm_interval "
+                        f"than {renorm_interval!r}"
+                    )
+            raise DivergedTrajectoryError(
+                f"base orbit failed during window {w}: {res.status.value}"
+            )
+        dt, attempts = res.dt, res.attempts
+        x, y, z, dx, dy, dz = res.state
+        nrm = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if nrm == 0.0 or not math.isfinite(nrm):
+            raise DivergedTrajectoryError("tangent vector degenerated")
+        if w >= n_trans:
+            log_sum += math.log(nrm)
+            history.append(log_sum / ((w + 1 - n_trans) * renorm_interval))
+        s = (x, y, z, dx / nrm, dy / nrm, dz / nrm)
+    return LLEEstimate(
+        lambda1=history[-1],
+        history=tuple(history),
+        transient_discarded=n_trans * renorm_interval,
+        horizon=n_total * renorm_interval,
+    )
 
 
 def recorded_columns(res) -> list[list[float]]:

@@ -134,11 +134,14 @@ def test_max_steps_budgets_the_whole_lle_run(monkeypatch):
     """Trial steps of the transient and of every renormalization window
     count against one max_steps budget."""
     import lorenzlab.integrator as integrator
+    from lorenzlab import native
 
-    # count the trial steps through the frozen reference loop
+    # count the trial steps through the frozen reference loop, which runs
+    # each window in place of the generated Python loop
     trials = 0
+    p = SystemParams(10.0, 8.0 / 3.0, 28.0)
 
-    def counting_drive(field_source, p, u0, settings, t_end, **kwargs):
+    def counting_loop(field_source, mode, n_targets, *unit):
         kernels = reference.kernels(field_source, p)
 
         def dp54(s, k1, dt):
@@ -146,12 +149,21 @@ def test_max_steps_budgets_the_whole_lle_run(monkeypatch):
             trials += 1
             return kernels.dp54(s, k1, dt)
 
-        return reference.drive(kernels._replace(dp54=dp54), u0, settings, t_end, **kwargs)
+        def loop(a, b, cm, n1, pp, nb, u0, t_end, dt, attempts, max_steps, rel_tol,
+                 abs_tol, blowup_norm, targets, capture_radius, bounds, record):
+            settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_tol,
+                                          max_steps=max_steps, blowup_norm=blowup_norm)
+            res = reference.drive(kernels._replace(dp54=dp54), u0, settings, t_end,
+                                  targets, capture_radius, record, dt, attempts)
+            return res.status, res.state, res.dt, res.attempts, [], (), None
 
-    p = SystemParams(10.0, 8.0 / 3.0, 28.0)
+        return loop
+
     kw = dict(horizon=6.0, transient=2.0)
-    # the exponent imports the loop when it runs, from the integrator
-    monkeypatch.setattr(integrator, "_drive", counting_drive)
+    # the exponent runs its windows on the Python loop where no native
+    # kernel is built, and asks the integrator for that loop when it runs
+    monkeypatch.setattr(native, "_kernel", lambda *key: None)
+    monkeypatch.setattr(integrator, "_loop", counting_loop)
     free = largest_lyapunov_exponent(p, **kw)
     monkeypatch.undo()
     assert largest_lyapunov_exponent(p, **kw) == free

@@ -22,6 +22,14 @@ more than 1 000 trial steps, which square hundreds of doubles whose ``**
 three targets, captures, the adaptive dwell clamp, and stops while a
 dwell is under way.  Where a kernel cannot be built or trusted, the run
 falls back to the Python loop with the same bits.
+
+A whole exponent, one native call of the 6-D kernel's ``windows``, is held
+to ``chaos._windows`` on the Python loop and to the frozen reference loop
+driven window by window (``reference.lle``): its history, λ1 and each
+error message, for drawn plants, modes, folds and windows, and for each
+way a run fails.  A ``windows`` that renormalizes, accumulates or hands
+back a failed window otherwise is refused, and the exponent falls back
+with the same bits.
 """
 
 import ctypes
@@ -39,6 +47,7 @@ from hypothesis import example, given, settings as hsettings, strategies as st, 
 
 import lorenzlab
 from lorenzlab import (
+    DivergedTrajectoryError,
     IntegratorMode,
     IntegratorSettings,
     SystemParams,
@@ -603,6 +612,109 @@ def test_an_int_start_is_recorded_as_the_same_float_on_either_loop(kernels):
     assert type(got.xs[0]) is float
 
 
+# -------------------------------------------- the exponent's windows in C
+
+
+def _exponent(run):
+    """repr of the estimate ``run()`` returns, or of the error it raises."""
+    try:
+        return repr(run())
+    except DivergedTrajectoryError as exc:
+        return repr(exc)
+
+
+def _exponent_parity(p, settings, **window):
+    """The exponent ends alike as one native call of ``windows``, with no
+    kernel (``chaos._windows`` on the Python loop), and as the frozen
+    reference loop driven window by window: its history, λ1 and horizons,
+    or its error and message, by repr.  Returns that text."""
+    got = _exponent(lambda: largest_lyapunov_exponent(p, settings=settings, **window))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(native, "_kernel", lambda *key: None)
+        python = _exponent(
+            lambda: largest_lyapunov_exponent(p, settings=settings, **window))
+    want = _exponent(lambda: reference.lle(p, settings=settings, **window))
+    assert got == python == want
+    return got
+
+
+# named exponent runs, with the start of the text each must end as
+_EXPONENTS = {
+    # the base orbit itself leaves blowup_norm (pp = -1) in window 3
+    "base-diverged": (SystemParams(10.0, 8.0 / 3.0, 28.0, P=2.0), {},
+                      dict(horizon=1.0, renorm_interval=0.1, transient=0.1),
+                      "DivergedTrajectoryError('base orbit failed during window 3: "
+                      "diverged')"),
+    # a 20-unit window lets the tangent pass 1e6 while the base stays bounded
+    "tangent-diverged": (CLASSIC, dict(rel_tol=1e-6, abs_tol=1e-9),
+                         dict(horizon=40.0, renorm_interval=20.0, transient=0.0),
+                         "DivergedTrajectoryError('the tangent vector diverged "
+                         "during window 1 while the base orbit alone did not"),
+    # one budget over every window runs out in a later one
+    "shared-budget": (CLASSIC, dict(max_steps=500), dict(horizon=5.0, transient=1.0),
+                      "DivergedTrajectoryError('base orbit failed during window 3: "
+                      "step_limit')"),
+    "shared-budget-rk4": (CLASSIC, dict(mode=_RK4, dt_init=1e-2, max_steps=250),
+                          dict(horizon=5.0, renorm_interval=0.5, transient=1.0),
+                          "DivergedTrajectoryError('base orbit failed during window 5: "
+                          "step_limit')"),
+    # over one window of RK4 steps near the stable origin (spectrum about
+    # -1000) the tangent underflows to exactly 0
+    "degenerated": (SystemParams(1000.0, 1000.0, 0.5, N=-1000.0),
+                    dict(mode=_RK4, dt_init=1e-3),
+                    dict(horizon=2.0, renorm_interval=1.0, transient=0.0),
+                    "DivergedTrajectoryError('tangent vector degenerated')"),
+    # a window count far above the budget, and one beyond int64: the
+    # budget ends the run within a few windows, and no buffer is sized by
+    # the window count
+    "many-windows": (CLASSIC, dict(max_steps=10), dict(horizon=1e12, transient=0.0),
+                     "DivergedTrajectoryError('base orbit failed during window 0: "
+                     "step_limit')"),
+    "windows-beyond-int64": (CLASSIC, dict(max_steps=10), dict(horizon=1e30,
+                                                                transient=1e20),
+                             "DivergedTrajectoryError('base orbit failed during "
+                             "window 0: step_limit')"),
+    # every fold of the unit gains, both modes, completing
+    **{f"completes-{mode.value}-{n1}-{pp}": (
+        SystemParams(10.0, 8.0 / 3.0, 28.0, N=_FOLDS[n1, pp][0], P=_FOLDS[n1, pp][1]),
+        dict(mode=mode, dt_init=1e-2), dict(horizon=6.0, renorm_interval=0.5,
+                                            transient=2.0), "LLEEstimate(")
+        for mode in IntegratorMode for n1, pp in _FOLDS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPONENTS))
+def test_exponent_ends_as_the_python_windows_and_the_frozen_loop(name, kernels):
+    p, settings, window, text = _EXPONENTS[name]
+    assert _exponent_parity(p, IntegratorSettings(**settings), **window).startswith(text)
+
+
+@st.composite
+def _exponent_cases(draw):
+    p = _draw_plant(draw)
+    renorm_interval = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.5]))
+    n_total = draw(st.integers(1, 12))
+    settings = IntegratorSettings(
+        mode=draw(st.sampled_from(list(IntegratorMode))),
+        dt_init=draw(st.sampled_from([1e-3, 1e-2, 0.05])),
+        rel_tol=draw(st.sampled_from([1e-9, 1e-6])),
+        max_steps=draw(st.sampled_from([5, 100, 400, 10**6, 10**30])),
+        blowup_norm=draw(st.sampled_from([1e2, 1e6, 1e300])),
+    )
+    start = draw(st.tuples(*[st.floats(-20.0, 20.0)] * 3))
+    window = dict(renorm_interval=renorm_interval, horizon=n_total * renorm_interval,
+                  transient=draw(st.integers(0, n_total - 1)) * renorm_interval)
+    return p, start, settings, window
+
+
+@hsettings(max_examples=100, deadline=None)
+@given(case=_exponent_cases())
+def test_exponent_matches_the_python_windows_and_the_frozen_loop(case, kernels):
+    p, start, settings, window = case
+    text = _exponent_parity(p, settings, u0=start, **window)
+    target(float(text.startswith("LLEEstimate(")), label="completed")
+
+
 # ------------------------------------------------- falling back to Python
 
 
@@ -629,6 +741,13 @@ def _wrong_build(calls):
             return (TrajectoryStatus.COMPLETED_TSPAN, (0.0,) * n, 1.0, 0, [],
                     tuple([] for _ in range(n)), None)
 
+        def windows(*args):
+            # every window completes with no growth: an exponent of 0.0
+            calls.append(args)
+            return args[-2], TrajectoryStatus.COMPLETED_TSPAN, args[6], 1.0, 0, [0.0]
+
+        if n == 6:
+            loop.windows = windows
         return loop
 
     return build
@@ -642,9 +761,14 @@ def _refuse(*args, **kwargs):
 # first trial steps of a probe
 _MULTIPLYING_SQUARE = ("pow(fabs(x), 2.0)", "x * x")
 
+# the exponent's renormalization by a reciprocal, which rounds otherwise
+# on some tangents
+_RECIPROCAL = ("/ nrm;", "* (1.0 / nrm);")
+
 # how each failure is staged: no compiler on PATH, a compiler that exits
 # non-zero, a library that does not load, a kernel whose probe disagrees,
-# a library that squares by multiplying
+# a library that squares by multiplying, exponent windows that renormalize
+# by a reciprocal (which only a 6-D kernel has)
 _FAILURES = {
     "no-compiler": lambda m, calls: None,
     "compiler-fails": lambda m, calls: m.setattr(native, "_c_source",
@@ -653,6 +777,8 @@ _FAILURES = {
     "probe-disagrees": lambda m, calls: m.setattr(native, "_build", _wrong_build(calls)),
     "square-multiplies": lambda m, calls: m.setattr(
         native, "_C_LOOP", native._C_LOOP.replace(*_MULTIPLYING_SQUARE)),
+    "windows-reciprocal": lambda m, calls: m.setattr(
+        native, "_C_WINDOWS", native._C_WINDOWS.replace(*_RECIPROCAL)),
 }
 
 
@@ -693,7 +819,7 @@ def test_exponent_falls_back_to_the_python_loop_with_the_same_bits(
     )
 
 
-@pytest.mark.parametrize("failure", sorted(_FAILURES))
+@pytest.mark.parametrize("failure", sorted(set(_FAILURES) - {"windows-reciprocal"}))
 def test_an_orbit_falls_back_to_the_python_loop_with_the_same_bits(
     failure, fresh_kernels, monkeypatch
 ):
@@ -734,6 +860,34 @@ def test_a_kernel_that_records_or_dwells_otherwise_is_refused(
     assert repr(integrate_to_equilibrium(_PLANT, (1.0, 1.0, 1.0), eqs)) == want
 
 
+# each a change to the exponent's C text that its probes must refuse: a
+# failed window's start dt not put back, a transient window's growth
+# counted (a renormalization by a reciprocal is one of _FAILURES)
+_MISBUILT_WINDOWS = {
+    "start-dt-kept": ("    run->dt = dt;\n", ""),
+    "transient-counted": ("if (w >= n_trans)", "if (w + 1 >= n_trans)"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(_MISBUILT_WINDOWS))
+def test_a_kernel_whose_windows_run_otherwise_is_refused(name, fresh_kernels,
+                                                         monkeypatch):
+    old, new = _MISBUILT_WINDOWS[name]
+
+    def run():
+        return repr(largest_lyapunov_exponent(CLASSIC, horizon=3.0, transient=1.0))
+
+    want = run()
+    _clear_kernels()
+    assert native._C_WINDOWS.count(old) == 1
+    monkeypatch.setattr(native, "_C_WINDOWS", native._C_WINDOWS.replace(old, new))
+    assert native._kernel(_VARIATIONAL_SOURCE, _ADAPTIVE, True, True) is None
+    # the 3-D loop has no windows, and is still built
+    assert native._kernel(_FIELD_SOURCE, _ADAPTIVE, True, True) is not None
+    assert run() == want
+
+
 @needs_cc
 def test_a_recording_that_cannot_grow_raises_memory_error(fresh_kernels, monkeypatch):
     # a buffer that grows once, to 1 024 rows, and then finds no memory:
@@ -748,6 +902,20 @@ def test_a_recording_that_cannot_grow_raises_memory_error(fresh_kernels, monkeyp
         _drive(_FIELD_SOURCE, CLASSIC, _ONES, settings, settings.t_max)
     short = _drive(_FIELD_SOURCE, CLASSIC, _ONES, settings, 1.0)
     assert short.status is TrajectoryStatus.COMPLETED_TSPAN and len(short.times) == 1001
+
+
+@needs_cc
+def test_a_history_that_cannot_grow_raises_memory_error(fresh_kernels, monkeypatch):
+    # a history that grows once, to 1 024 entries, and then finds no
+    # memory: the probes keep 3 entries, 1 100 windows raise
+    grow = "grown = realloc(history"
+    assert native._C_WINDOWS.count(grow) == 1
+    monkeypatch.setattr(native, "_C_WINDOWS", native._C_WINDOWS.replace(
+        grow, "grown = capacity > 1024 ? NULL : realloc(history"))
+    window = dict(renorm_interval=0.01, transient=0.0)
+    with pytest.raises(MemoryError):
+        largest_lyapunov_exponent(CLASSIC, horizon=11.0, **window)
+    assert len(largest_lyapunov_exponent(CLASSIC, horizon=10.0, **window).history) == 1000
 
 
 @needs_cc
